@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Mapping, Optional
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, check_keys
 from .forge import DEFAULT_SEED_TEMPLATE
 from .harness import HarnessParams
 from .losses import StageLossWeights
@@ -90,14 +90,6 @@ class AppConfig:
     io: IoConfig = field(default_factory=IoConfig)
 
 
-def _check_keys(obj: dict, allowed, context: str):
-    unknown = set(obj) - set(allowed)
-    if unknown:
-        raise ConfigError(
-            f"{context}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}"
-        )
-
-
 def _section(document: dict, name: str) -> dict:
     section = document.get(name, {})
     if not isinstance(section, dict):
@@ -107,7 +99,7 @@ def _section(document: dict, name: str) -> dict:
 
 def _parse_forge(section: dict) -> ForgeConfig:
     defaults = ForgeConfig()
-    _check_keys(section, defaults.__dict__, "forge section")
+    check_keys(section, defaults.__dict__, "forge section", ConfigError)
     merged = {**defaults.__dict__, **section}
     merged["seed_templates"] = tuple(merged["seed_templates"])
     return ForgeConfig(**merged)
@@ -115,7 +107,7 @@ def _parse_forge(section: dict) -> ForgeConfig:
 
 def _parse_scheduler(section: dict) -> SchedulerHyperparams:
     defaults = SchedulerHyperparams()
-    _check_keys(section, defaults.__dict__, "scheduler section")
+    check_keys(section, defaults.__dict__, "scheduler section", ConfigError)
     try:
         return SchedulerHyperparams(**{**defaults.__dict__, **section})
     except ValidationError as exc:
@@ -123,20 +115,15 @@ def _parse_scheduler(section: dict) -> SchedulerHyperparams:
 
 
 def _parse_harness(section: dict) -> HarnessParams:
-    defaults = HarnessParams()
-    fields = {
-        "epochs", "batch_size", "batches_per_epoch", "lr", "seed",
-        "image_dims", "grid_dims", "feature_dim", "sigma", "mask_floor",
-        "weights",
-    }
-    _check_keys(section, fields, "harness section")
+    check_keys(section, {f.name for f in fields(HarnessParams)},
+               "harness section", ConfigError)
     merged = dict(section)
     weights = merged.pop("weights", None)
     if weights is not None:
         if not isinstance(weights, dict):
             raise ConfigError("harness weights must be an object")
-        _check_keys(weights, {"w_ans", "w_cot", "w_ground", "w_attn"},
-                    "harness weights")
+        check_keys(weights, {"w_ans", "w_cot", "w_ground", "w_attn"},
+                   "harness weights", ConfigError)
         try:
             merged["weights"] = StageLossWeights(**weights)
         except ValidationError as exc:
@@ -149,27 +136,14 @@ def _parse_harness(section: dict) -> HarnessParams:
                 raise ConfigError(f"harness {key} must be two positive ints")
             merged[key] = tuple(dims)
     try:
-        return HarnessParams(**{
-            "epochs": defaults.epochs,
-            "batch_size": defaults.batch_size,
-            "batches_per_epoch": defaults.batches_per_epoch,
-            "lr": defaults.lr,
-            "seed": defaults.seed,
-            "image_dims": defaults.image_dims,
-            "grid_dims": defaults.grid_dims,
-            "feature_dim": defaults.feature_dim,
-            "sigma": defaults.sigma,
-            "mask_floor": defaults.mask_floor,
-            "weights": defaults.weights,
-            **merged,
-        })
+        return HarnessParams(**merged)
     except ValidationError as exc:
         raise ConfigError(f"harness section: {exc}") from None
 
 
 def _parse_io(section: dict) -> IoConfig:
     defaults = IoConfig()
-    _check_keys(section, defaults.__dict__, "io section")
+    check_keys(section, defaults.__dict__, "io section", ConfigError)
     return IoConfig(**{**defaults.__dict__, **section})
 
 
@@ -188,8 +162,8 @@ def load_config(path: Optional[str],
         raise ConfigError(f"config {effective}: bad JSON ({exc})") from None
     if not isinstance(document, dict):
         raise ConfigError(f"config {effective}: top level must be an object")
-    _check_keys(document, {"forge", "scheduler", "harness", "io"},
-                f"config {effective}")
+    check_keys(document, {"forge", "scheduler", "harness", "io"},
+               f"config {effective}", ConfigError)
     return AppConfig(
         forge=_parse_forge(_section(document, "forge")),
         scheduler=_parse_scheduler(_section(document, "scheduler")),

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_keys
 from .scheduler import (
     STAGES,
     CurriculumScheduler,
@@ -39,14 +39,6 @@ def builtin_scenario_path(name: str) -> Path:
     return fixture_path(f"scenario_{name}.json")
 
 
-def _only_keys(obj: dict, allowed: set, context: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ValidationError(
-            f"{context}: unknown keys {sorted(unknown)}, allowed {sorted(allowed)}"
-        )
-
-
 @dataclass(frozen=True)
 class CurveEvent:
     kind: str
@@ -55,7 +47,7 @@ class CurveEvent:
 
     @classmethod
     def from_json_dict(cls, obj: dict, context: str) -> "CurveEvent":
-        _only_keys(obj, {"kind", "epoch", "magnitude"}, context)
+        check_keys(obj, {"kind", "epoch", "magnitude"}, context, ValidationError)
         kind = obj.get("kind")
         if kind not in ("plateau", "rise"):
             raise ValidationError(f"{context}: event kind must be plateau or rise")
@@ -87,7 +79,8 @@ class CurveSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict, context: str) -> "CurveSpec":
-        _only_keys(obj, {"base", "decay", "noise_std", "events"}, context)
+        check_keys(obj, {"base", "decay", "noise_std", "events"}, context,
+                   ValidationError)
         if "base" not in obj:
             raise ValidationError(f"{context}: curve needs a base value")
         events = tuple(
@@ -127,7 +120,7 @@ class StageDynamics:
 
     @classmethod
     def from_json_dict(cls, obj: dict, stage: str, context: str) -> "StageDynamics":
-        _only_keys(obj, {"count", "total", "cot"}, context)
+        check_keys(obj, {"count", "total", "cot"}, context, ValidationError)
         count = obj.get("count")
         if not isinstance(count, int) or count < 1:
             raise ValidationError(f"{context}: count must be a positive int")
@@ -152,8 +145,8 @@ class DynamicsSpec:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DynamicsSpec":
-        _only_keys(obj, {"name", "epochs", "seed", "hyperparams", "domains"},
-                   "scenario")
+        check_keys(obj, {"name", "epochs", "seed", "hyperparams", "domains"},
+                   "scenario", ValidationError)
         name = obj.get("name")
         if not name or not isinstance(name, str):
             raise ValidationError("scenario needs a non-empty name")
@@ -167,7 +160,8 @@ class DynamicsSpec:
         if not isinstance(hp_overrides, dict):
             raise ValidationError("scenario hyperparams must be an object")
         defaults = SchedulerHyperparams()
-        _only_keys(hp_overrides, set(defaults.__dict__), "scenario hyperparams")
+        check_keys(hp_overrides, defaults.__dict__, "scenario hyperparams",
+                   ValidationError)
         hp = SchedulerHyperparams(**{**defaults.__dict__, **hp_overrides})
         raw_domains = obj.get("domains")
         if not isinstance(raw_domains, dict) or not raw_domains:
@@ -176,7 +170,7 @@ class DynamicsSpec:
         for key, stages in raw_domains.items():
             if not isinstance(stages, dict) or not stages:
                 raise ValidationError(f"domain {key!r}: needs at least one stage")
-            _only_keys(stages, set(STAGES), f"domain {key!r}")
+            check_keys(stages, STAGES, f"domain {key!r}", ValidationError)
             domains[key] = {
                 stage: StageDynamics.from_json_dict(
                     spec, stage, f"domain {key!r} stage {stage!r}"

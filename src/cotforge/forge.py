@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
 from .errors import BackendError, MalformedResponseError, ValidationError
-from .geometry import BBox, mask_iou, render_overlay  # noqa: F401  (re-export)
+from .geometry import BBox, mask_iou
 
 logger = logging.getLogger(__name__)
 
@@ -40,13 +40,6 @@ class DomainKey:
 
     def as_str(self) -> str:
         return f"{self.lesion_class}|{self.modality}"
-
-    @classmethod
-    def from_str(cls, text: str) -> "DomainKey":
-        lesion, sep, modality = text.partition("|")
-        if not sep:
-            raise ValidationError(f"bad domain key string: {text!r}")
-        return cls(lesion, modality)
 
 
 @dataclass(frozen=True)
@@ -161,13 +154,6 @@ class VqaCotRecord:
             )
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad corpus record: {exc}") from exc
-
-    def stripped_of_cot(self) -> "VqaCotRecord":
-        """Hard-pool variant of this record (rationale removed)."""
-        clone = VqaCotRecord.__new__(VqaCotRecord)
-        clone.__dict__.update(self.__dict__)
-        clone.cot = ""
-        return clone
 
 
 class QaGenerator(Protocol):

@@ -1,4 +1,4 @@
-"""Box rasterization, mask IoU, box overlays, soft attention targets, KL.
+"""Box rasterization, mask IoU, soft attention targets, KL.
 
 Coordinate conventions used throughout:
   - boxes are normalized [x1, y1, x2, y2] fractions of image width/height
@@ -54,22 +54,6 @@ class SoftMask:
             raise ValidationError("soft mask cell below the floor bound")
 
 
-@dataclass
-class AttentionMap:
-    """Model attention distribution over a gh x gw grid (sums to 1)."""
-
-    grid: np.ndarray
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        if self.grid.ndim != 2:
-            raise ValidationError("attention grid must be 2-D")
-        if float(self.grid.min()) < 0.0:
-            raise ValidationError("attention grid must be non-negative")
-        if abs(float(self.grid.sum()) - 1.0) > 1e-9:
-            raise ValidationError("attention grid must sum to 1")
-
-
 def _center_membership(lo, hi, n):
     centers = np.arange(n, dtype=float) + 0.5
     return (centers >= lo) & (centers <= hi)
@@ -96,26 +80,6 @@ def mask_iou(box: BBox, mask: np.ndarray) -> float:
     if union == 0:
         return 0.0
     return inter / union
-
-
-def render_overlay(image_dims, box: BBox, thickness: int = 1) -> np.ndarray:
-    """Rectangular ring raster marking the box boundary.
-
-    Returns a uint8 (height, width) array with 1 on the ring and 0 elsewhere,
-    so compositing leaves pixels outside the ring untouched.
-    """
-    height, width = image_dims
-    if thickness < 1:
-        raise ValidationError("overlay thickness must be >= 1")
-    outer = rasterize_box(box, height, width)
-    if not outer.any():
-        raise ValidationError("box is degenerate after denormalization")
-    x1, x2 = box.x1 * width, box.x2 * width
-    y1, y2 = box.y1 * height, box.y2 * height
-    inner_cols = _center_membership(x1 + thickness, x2 - thickness, width)
-    inner_rows = _center_membership(y1 + thickness, y2 - thickness, height)
-    inner = np.outer(inner_rows, inner_cols)
-    return (outer & ~inner).astype(np.uint8)
 
 
 def _average_pool(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

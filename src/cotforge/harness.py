@@ -1,24 +1,21 @@
 """End-to-end toy training: corpus in, per-epoch curriculum trace out.
 
 Each batch is planned by the scheduler (hard slots first, then per-item
-stage coins), evaluated item by item on the toy model, and applied as one
-plain gradient descent step on the batch-mean gradient. Easy items get
-their box overlay rendered as the conditioned input; the toy model scores
-items by index, so the overlay is a fidelity hook rather than a tensor
-input, and it is cached per item. Medium items get the box-derived soft
-mask as their attention target.
+stage coins), evaluated on the toy model in one batch call, and applied as
+one plain gradient descent step on the batch-mean gradient. Medium items
+get the box-derived soft mask as their attention target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .forge import VqaCotRecord
-from .geometry import build_soft_mask, render_overlay
+from .geometry import build_soft_mask
 from .losses import Stage, StageLossWeights
 from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams
 from .toymodel import ToyModel
@@ -116,14 +113,6 @@ def run_toy_training(records: Sequence[VqaCotRecord],
     domain_keys = [r.domain.as_str() for r in records]
     scheduler = CurriculumScheduler(hp, domains=sorted(set(domain_keys)),
                                     seed=params.seed)
-    overlay_cache: Dict[int, np.ndarray] = {}
-
-    def overlay(idx: int) -> np.ndarray:
-        if idx not in overlay_cache:
-            overlay_cache[idx] = render_overlay(params.image_dims,
-                                                records[idx].box)
-        return overlay_cache[idx]
-
     reports: List[EpochReport] = []
     for epoch in range(1, params.epochs + 1):
         scheduler.start_epoch()
@@ -137,28 +126,19 @@ def run_toy_training(records: Sequence[VqaCotRecord],
                 if stage_name == "medium":
                     batch.append((idx, Stage.MEDIUM, targets[idx]))
                 else:
-                    overlay(idx)  # conditioned input for the easy stage
                     batch.append((idx, Stage.EASY, None))
-            grads = None
-            for idx, stage, target in batch:
-                breakdown, item_grads = model.item_loss_and_grads(
-                    idx, stage, target_attention=target, weights=params.weights
-                )
+            indices, stages, batch_targets = zip(*batch)
+            breakdowns, grads = model.batch_loss_and_grads(
+                indices, stages, batch_targets, weights=params.weights
+            )
+            for idx, breakdown in zip(indices, breakdowns):
                 if not np.isfinite(breakdown.total):
                     raise ValidationError(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}, "
-                        f"item {records[idx].image_id} ({stage.value})"
+                        f"item {records[idx].image_id} ({breakdown.stage.value})"
                     )
-                scheduler.observe(domain_keys[idx], stage.value,
+                scheduler.observe(domain_keys[idx], breakdown.stage.value,
                                   breakdown.total, cot_loss=breakdown.cot)
-                if grads is None:
-                    grads = item_grads
-                else:
-                    for key in grads:
-                        grads[key] += item_grads[key]
-            scale = 1.0 / len(batch)
-            for key in grads:
-                grads[key] *= scale
             model.step(grads, params.lr)
         reports.append(scheduler.end_of_epoch())
 

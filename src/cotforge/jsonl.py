@@ -61,7 +61,8 @@ def _require(obj, key, types, path, lineno):
     if key not in obj:
         raise ValidationError(f"{path}: line {lineno}: missing field {key!r}")
     value = obj[key]
-    if not isinstance(value, types):
+    # bool is a subclass of int, but true/false is never a valid count
+    if not isinstance(value, types) or isinstance(value, bool):
         raise ValidationError(
             f"{path}: line {lineno}: field {key!r} has type "
             f"{type(value).__name__}"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -31,9 +31,7 @@ __all__ = [
     "nll_loss",
     "grounding_loss",
     "roi_cells",
-    "roi_pool",
     "stage_loss",
-    "select_rationale",
 ]
 
 
@@ -135,15 +133,6 @@ def roi_cells(box: BBox, image_dims: tuple, grid_dims: tuple) -> np.ndarray:
     return cells
 
 
-def roi_pool(features: np.ndarray, box: BBox, image_dims: tuple) -> np.ndarray:
-    """Mean feature over the cells the box covers; features are (gh, gw, D)."""
-    feats = np.asarray(features, dtype=float)
-    if feats.ndim != 3:
-        raise ValidationError(f"features must be (gh, gw, D), got {feats.shape}")
-    cells = roi_cells(box, image_dims, feats.shape[:2])
-    return feats[cells].mean(axis=0)
-
-
 def _as_stage(stage: Union[Stage, str]) -> Stage:
     try:
         return Stage(stage)
@@ -182,11 +171,3 @@ def stage_loss(stage: Union[Stage, str], outputs: ModelOutputs,
              + weights.w_attn * l_attn)
     return StageLossBreakdown(stage=stage, total=total, answer=l_ans,
                               cot=l_cot, attention=l_attn)
-
-
-def select_rationale(scores: Sequence[float]) -> int:
-    """Index of the best-scoring candidate; earliest wins on ties."""
-    arr = np.asarray(scores, dtype=float)
-    if arr.size == 0:
-        raise ValidationError("no rationale candidates to select from")
-    return int(np.argmax(arr))

@@ -103,9 +103,6 @@ class ToyModel:
             setattr(self, key, chunk.reshape(param.shape).copy())
             offset += param.size
 
-    def _zero_grads(self) -> Dict[str, np.ndarray]:
-        return {key: np.zeros_like(value) for key, value in self._params().items()}
-
     def _check_idx(self, idx: int):
         if not 0 <= idx < len(self.items):
             raise ValidationError(f"item index {idx} out of range")
@@ -148,25 +145,29 @@ class ToyModel:
         self, idx: int, stage: Union[Stage, str],
         target_attention: Optional[np.ndarray] = None,
         weights: StageLossWeights = StageLossWeights(),
-    ) -> Tuple[StageLossBreakdown, Dict[str, np.ndarray]]:
+        *, grads: Dict[str, np.ndarray],
+    ) -> StageLossBreakdown:
+        """Add this item's loss gradient into ``grads`` in place.
+
+        Only the rows the item touches are updated, so a call allocates
+        nothing of parameter size; the caller owns (and zeroes) the buffer.
+        """
         stage = Stage(stage)
         outputs = self.forward(idx, stage)
         breakdown = stage_loss(stage, outputs,
                                target_attention=target_attention, weights=weights)
-        grads = self._zero_grads()
 
-        p_ans = _softmax(self.ans_logits)
-        g_ans = p_ans.copy()
+        g_ans = _softmax(self.ans_logits)
         g_ans[self.answer_ids[idx]] -= 1.0
         if stage == Stage.HARD:
-            grads["ans_logits"] = g_ans
-            return breakdown, grads
-        grads["ans_logits"] = weights.w_ans * g_ans
+            grads["ans_logits"] += g_ans
+            return breakdown
+        grads["ans_logits"] += weights.w_ans * g_ans
 
         ids = self.cot_ids[idx]
         counts = np.bincount(ids, minlength=len(self.cot_vocab)).astype(float)
         p_cot = _softmax(self.cot_logits)
-        grads["cot_logits"] = weights.w_cot * (p_cot - counts / len(ids))
+        grads["cot_logits"] += weights.w_cot * (p_cot - counts / len(ids))
 
         if stage == Stage.EASY:
             f = outputs.feature_vec
@@ -177,13 +178,13 @@ class ToyModel:
             dl_df = (cos / nf ** 2) * f - a / (nf * na)
             dl_da = (cos / na ** 2) * a - f / (nf * na)
             cells = self._roi[idx]
-            grads["features"][cells] = weights.w_ground * dl_df / cells.sum()
-            grads["anchors"][self.anchor_ids[idx]] = weights.w_ground * dl_da
+            grads["features"][cells] += weights.w_ground * dl_df / cells.sum()
+            grads["anchors"][self.anchor_ids[idx]] += weights.w_ground * dl_da
         else:
-            grads["attn_logits"][idx] = weights.w_attn * kl_attn_logit_grad(
+            grads["attn_logits"][idx] += weights.w_attn * kl_attn_logit_grad(
                 outputs.attention, target_attention
             )
-        return breakdown, grads
+        return breakdown
 
     def _check_batch(self, indices, stages, targets):
         if not (len(indices) == len(stages) == len(targets)):
@@ -206,20 +207,18 @@ class ToyModel:
         self, indices: Sequence[int], stages: Sequence,
         targets: Sequence[Optional[np.ndarray]],
         weights: StageLossWeights = StageLossWeights(),
-    ) -> Tuple[float, Dict[str, np.ndarray]]:
+    ) -> Tuple[List[StageLossBreakdown], Dict[str, np.ndarray]]:
+        """Per-item breakdowns in batch order, and the batch-mean gradient."""
         self._check_batch(indices, stages, targets)
-        grads = self._zero_grads()
-        totals = []
-        for i, s, t in zip(indices, stages, targets):
-            breakdown, g = self.item_loss_and_grads(i, s, target_attention=t,
-                                                    weights=weights)
-            totals.append(breakdown.total)
-            for key in grads:
-                grads[key] += g[key]
+        grads = {key: np.zeros_like(value) for key, value in self._params().items()}
+        breakdowns = [
+            self.item_loss_and_grads(i, s, t, weights, grads=grads)
+            for i, s, t in zip(indices, stages, targets)
+        ]
         scale = 1.0 / len(indices)
         for key in grads:
             grads[key] *= scale
-        return float(np.mean(totals)), grads
+        return breakdowns, grads
 
     def batch_grad_vector(self, indices, stages, targets,
                           weights: StageLossWeights = StageLossWeights()) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Geometry tests: rasterization, IoU, overlays, soft masks, KL.
+"""Geometry tests: rasterization, IoU, soft masks, KL.
 
 Expected values for the fixed cases were derived with the loop oracles in
 oracles.py and frozen here before the vectorized implementations existed.
@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from cotforge.errors import ValidationError
 from cotforge.geometry import (
-    AttentionMap,
     BBox,
     SoftMask,
     build_soft_mask,
@@ -21,7 +20,6 @@ from cotforge.geometry import (
     kl_divergence,
     mask_iou,
     rasterize_box,
-    render_overlay,
 )
 from oracles import oracle_average_pool, oracle_box_pixels, oracle_iou, oracle_kl
 
@@ -106,38 +104,6 @@ class TestMaskIou:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             mask_iou(BBox(0, 0, 1, 1), np.ones((4,), dtype=bool))
-
-
-class TestRenderOverlay:
-    def test_ring_pixel_count_10x10_thickness_1(self):
-        # pixel-exact 10x10 box: 10*10 - 8*8 = 36 ring pixels
-        box = BBox(16 / 64, 16 / 64, 26 / 64, 26 / 64)
-        ring = render_overlay((64, 64), box, thickness=1)
-        assert int(ring.sum()) == 36
-
-    def test_full_image_border(self):
-        ring = render_overlay((8, 8), BBox(0.0, 0.0, 1.0, 1.0), thickness=1)
-        assert int(ring.sum()) == 8 * 8 - 6 * 6
-        assert ring[0].all() and ring[-1].all()
-        assert ring[:, 0].all() and ring[:, -1].all()
-        assert not ring[1:-1, 1:-1].any()
-
-    def test_thick_ring_swallows_box(self):
-        box = BBox(16 / 64, 16 / 64, 26 / 64, 26 / 64)
-        ring = render_overlay((64, 64), box, thickness=5)
-        assert int(ring.sum()) == 100
-
-    def test_pixels_outside_ring_untouched(self):
-        box = BBox(0.25, 0.25, 0.75, 0.75)
-        ring = render_overlay((16, 16), box, thickness=1)
-        box_px = rasterize_box(box, 16, 16)
-        assert not ring[~box_px].any()
-
-    def test_degenerate_raster_rejected(self):
-        # box too thin to catch any pixel center
-        box = BBox(10 / 64, 10 / 64, 10.4 / 64, 10.4 / 64)
-        with pytest.raises(ValidationError):
-            render_overlay((64, 64), box, thickness=1)
 
 
 class TestBuildSoftMask:
@@ -304,8 +270,3 @@ class TestWrappers:
         SoftMask(grid=grid, floor=1e-6)  # fine
         with pytest.raises(ValidationError):
             SoftMask(grid=grid * 2, floor=1e-6)
-
-    def test_attention_map_validates(self):
-        AttentionMap(grid=np.full((2, 2), 0.25))
-        with pytest.raises(ValidationError):
-            AttentionMap(grid=np.array([[0.9, 0.2], [0.0, 0.0]]))

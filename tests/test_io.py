@@ -115,6 +115,17 @@ class TestDatasetReader:
         with pytest.raises(ValidationError, match="line 2"):
             read_dataset(self.write(tmp_path, lines))
 
+    @pytest.mark.parametrize("field,value", [
+        ("width", "64"),
+        ("width", True),
+        ("height", False),
+    ])
+    def test_wrong_field_type_reports_line(self, tmp_path, field, value):
+        lines = self.good_lines()
+        lines[1][field] = value
+        with pytest.raises(ValidationError, match=f"line 2: field '{field}'"):
+            read_dataset(self.write(tmp_path, lines))
+
     def test_duplicate_image_id_rejected(self, tmp_path):
         lines = self.good_lines()
         lines[1]["image_id"] = "a"

@@ -14,8 +14,6 @@ from cotforge.losses import (
     grounding_loss,
     nll_loss,
     roi_cells,
-    roi_pool,
-    select_rationale,
     stage_loss,
 )
 
@@ -79,19 +77,6 @@ class TestRoi:
         cells = roi_cells(BBox(0.26, 0.26, 0.30, 0.30), (64, 64), (4, 4))
         assert cells.sum() == 1
         assert cells[1, 1]
-
-    def test_roi_pool_means_selected_cells(self):
-        features = np.zeros((4, 4, 2))
-        features[:, 0, 0] = 1.0
-        features[:, 1, 0] = 3.0
-        features[:, :, 1] = 5.0
-        pooled = roi_pool(features, BBox(0.0, 0.0, 0.5, 1.0), (64, 64))
-        assert pooled == pytest.approx([2.0, 5.0])
-
-    def test_roi_pool_fallback_single_cell(self):
-        features = np.arange(32, dtype=float).reshape(4, 4, 2)
-        pooled = roi_pool(features, BBox(0.26, 0.26, 0.30, 0.30), (64, 64))
-        assert pooled == pytest.approx(features[1, 1])
 
 
 def outputs_for(stage, answer=(-0.5,), cot=(-0.3,), with_grounding=True,
@@ -195,16 +180,3 @@ class TestStageLoss:
         out = outputs_for(Stage.HARD)
         breakdown = stage_loss("hard", out)
         assert breakdown.total == pytest.approx(0.5)
-
-
-class TestSelectRationale:
-    def test_argmax(self):
-        assert select_rationale([0.1, 0.9, 0.4]) == 1
-
-    def test_first_wins_ties(self):
-        assert select_rationale([0.5, 0.7, 0.7]) == 1
-        assert select_rationale([0.7, 0.7, 0.1]) == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            select_rationale([])

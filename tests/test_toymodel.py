@@ -13,7 +13,7 @@ import pytest
 from cotforge.errors import ValidationError
 from cotforge.geometry import build_soft_mask
 from cotforge.losses import Stage, StageLossWeights
-from cotforge.toymodel import ToyModel, finite_difference_check
+from cotforge.toymodel import PARAM_KEYS, ToyModel, finite_difference_check
 
 from corpus_utils import tiny_corpus
 
@@ -25,6 +25,13 @@ GRID_DIMS = (2, 2)
 def model():
     return ToyModel(tiny_corpus(), image_dims=IMAGE_DIMS, grid_dims=GRID_DIMS,
                     feature_dim=3, seed=0)
+
+
+def item_grads(model, idx, stage, **kwargs):
+    """One item's loss breakdown and its gradient, added into a zeroed buffer."""
+    grads = {key: np.zeros_like(getattr(model, key)) for key in PARAM_KEYS}
+    breakdown = model.item_loss_and_grads(idx, stage, grads=grads, **kwargs)
+    return breakdown, grads
 
 
 def targets_for(model):
@@ -42,7 +49,7 @@ class TestConstruction:
 
     def test_initial_answer_loss_is_log_vocab(self, model):
         # zero logits make the answer head uniform
-        breakdown, _ = model.item_loss_and_grads(0, Stage.HARD)
+        breakdown, _ = item_grads(model, 0, Stage.HARD)
         assert breakdown.total == pytest.approx(math.log(3.0), abs=1e-12)
 
     def test_same_seed_same_params(self):
@@ -66,29 +73,37 @@ class TestConstruction:
 
 class TestGradientStructure:
     def test_answer_grad_rows_sum_to_zero(self, model):
-        _, grads = model.item_loss_and_grads(0, Stage.HARD)
+        _, grads = item_grads(model, 0, Stage.HARD)
         assert grads["ans_logits"].sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_hard_grads_ignore_weights(self, model):
         w = StageLossWeights(w_ans=9.0, w_cot=2.0, w_ground=4.0, w_attn=8.0)
-        _, g_weighted = model.item_loss_and_grads(0, Stage.HARD, weights=w)
-        _, g_plain = model.item_loss_and_grads(0, Stage.HARD)
+        _, g_weighted = item_grads(model, 0, Stage.HARD, weights=w)
+        _, g_plain = item_grads(model, 0, Stage.HARD)
         for key in g_plain:
             assert np.array_equal(g_weighted[key], g_plain[key])
 
     def test_hard_touches_only_answer_head(self, model):
-        _, grads = model.item_loss_and_grads(0, Stage.HARD)
+        _, grads = item_grads(model, 0, Stage.HARD)
         assert np.any(grads["ans_logits"] != 0.0)
         for key in ("cot_logits", "attn_logits", "features", "anchors"):
             assert not np.any(grads[key] != 0.0)
 
     def test_attention_grad_rows_sum_to_zero(self, model):
         target = targets_for(model)[0]
-        _, grads = model.item_loss_and_grads(0, Stage.MEDIUM,
-                                             target_attention=target)
+        _, grads = item_grads(model, 0, Stage.MEDIUM, target_attention=target)
         assert grads["attn_logits"][0].sum() == pytest.approx(0.0, abs=1e-12)
         # only the item's own attention grid moves
         assert not np.any(grads["attn_logits"][1:] != 0.0)
+
+    @pytest.mark.parametrize("stage", [Stage.EASY, Stage.MEDIUM, Stage.HARD])
+    def test_repeated_item_adds_its_gradient_twice(self, model, stage):
+        # items add into the batch buffer, so a repeat must not overwrite
+        target = targets_for(model)[0] if stage == Stage.MEDIUM else None
+        _, once = model.batch_loss_and_grads([0], [stage], [target])
+        _, twice = model.batch_loss_and_grads([0, 0], [stage] * 2, [target] * 2)
+        for key in PARAM_KEYS:
+            assert np.array_equal(twice[key], once[key])
 
 
 class TestFiniteDifferenceChecker:
@@ -142,35 +157,34 @@ class TestTraining:
         weights = StageLossWeights()
         losses = []
         for _ in range(5):
-            loss, grads = model.batch_loss_and_grads(indices, stages, targets,
-                                                     weights)
-            losses.append(loss)
+            breakdowns, grads = model.batch_loss_and_grads(indices, stages,
+                                                           targets, weights)
+            losses.append(np.mean([b.total for b in breakdowns]))
             model.step(grads, lr=0.05)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_medium_training_pulls_attention_toward_target(self, model):
         target = targets_for(model)[0]
         weights = StageLossWeights()
-        before = model.item_loss_and_grads(0, Stage.MEDIUM,
-                                           target_attention=target)[0].attention
+        before = item_grads(model, 0, Stage.MEDIUM,
+                            target_attention=target)[0].attention
         for _ in range(20):
-            _, grads = model.item_loss_and_grads(0, Stage.MEDIUM,
-                                                 target_attention=target,
-                                                 weights=weights)
+            _, grads = item_grads(model, 0, Stage.MEDIUM,
+                                  target_attention=target, weights=weights)
             model.step(grads, lr=0.5)
-        after = model.item_loss_and_grads(0, Stage.MEDIUM,
-                                          target_attention=target)[0].attention
+        after = item_grads(model, 0, Stage.MEDIUM,
+                           target_attention=target)[0].attention
         assert after < before
 
 
 class TestValidation:
     def test_medium_needs_target(self, model):
         with pytest.raises(ValidationError):
-            model.item_loss_and_grads(0, Stage.MEDIUM)
+            item_grads(model, 0, Stage.MEDIUM)
 
     def test_unknown_index_rejected(self, model):
         with pytest.raises(ValidationError):
-            model.item_loss_and_grads(99, Stage.HARD)
+            item_grads(model, 99, Stage.HARD)
 
     def test_batch_shape_mismatch_rejected(self, model):
         with pytest.raises(ValidationError):
