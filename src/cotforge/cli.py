@@ -36,6 +36,14 @@ def _resolve_path(flag_value, io_value, name: str) -> Path:
     return Path(value)
 
 
+def _write(write, path, *args) -> None:
+    """Run one output writer; a path that cannot be written is a usage error."""
+    try:
+        write(path, *args)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _make_backend(cfg: ForgeConfig):
     if cfg.backend == "remote":
         return RemoteQaGenerator(
@@ -81,7 +89,7 @@ def cmd_forge(args) -> int:
         concurrency=cfg.forge.concurrency,
         skip_failed=args.skip_failed,
     )
-    jsonl.write_corpus(out_path, result.records)
+    _write(jsonl.write_corpus, out_path, result.records)
     _emit({
         "command": "forge",
         "records": len(result.records),
@@ -106,10 +114,10 @@ def cmd_simulate(args) -> int:
     out_path = _resolve_path(args.out, cfg.io.out, "out")
     header, reports = run_dynamics_sim(spec)
     rows = [report.to_json_dict() for report in reports]
-    jsonl.write_trace(out_path, header, rows)
+    _write(jsonl.write_trace, out_path, header, rows)
     csv_path = args.csv or cfg.io.csv
     if csv_path:
-        jsonl.write_trace_csv(Path(csv_path), rows)
+        _write(jsonl.write_trace_csv, Path(csv_path), rows)
 
     _emit({
         "command": "simulate",
@@ -130,10 +138,10 @@ def cmd_train_toy(args) -> int:
     records = jsonl.read_corpus(corpus_path)
     trace = run_toy_training(records, params=cfg.harness, hp=cfg.scheduler)
     rows = [report.to_json_dict() for report in trace.reports]
-    jsonl.write_trace(out_path, trace.header, rows)
+    _write(jsonl.write_trace, out_path, trace.header, rows)
     csv_path = args.csv or cfg.io.csv
     if csv_path:
-        jsonl.write_trace_csv(Path(csv_path), rows)
+        _write(jsonl.write_trace_csv, Path(csv_path), rows)
 
     _emit({
         "command": "train-toy",

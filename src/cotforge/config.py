@@ -10,15 +10,13 @@ set, overrides the --config flag entirely.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field, fields
-from typing import List, Mapping, Optional
+from dataclasses import dataclass, field
+from typing import List, Mapping, Optional, Tuple
 
-from .errors import ConfigError, ValidationError, check_keys
+from .errors import ConfigError, load_json, read_object
 from .forge import DEFAULT_SEED_TEMPLATE
 from .harness import HarnessParams
-from .losses import StageLossWeights
 from .scheduler import SchedulerHyperparams
 
 ENV_VAR = "COTFORGE_CONFIG"
@@ -28,7 +26,7 @@ ENV_VAR = "COTFORGE_CONFIG"
 class ForgeConfig:
     backend: str = "template"
     tau_iou: float = 0.0
-    seed_templates: tuple = ()
+    seed_templates: Tuple[str, ...] = ()
     unassigned_policy: str = "skip"
     concurrency: int = 1
     remote_endpoint: Optional[str] = None
@@ -61,11 +59,16 @@ class ForgeConfig:
         for template in self.seed_templates:
             try:
                 template.format(lesion_class="x", organ_label="y")
-            except (KeyError, IndexError, AttributeError):
+                # the template backend parses each placeholder back out of a seed
+                usable = (template.count("{lesion_class}") == 1
+                          and template.count("{organ_label}") <= 1)
+            except (KeyError, IndexError, AttributeError, TypeError, ValueError):
+                usable = False
+            if not usable:
                 raise ConfigError(
-                    f"forge seed template {template!r} must only use the "
-                    "{lesion_class} and {organ_label} placeholders"
-                ) from None
+                    f"forge seed template {template!r} must contain {{lesion_class}} "
+                    "once, {organ_label} at most once, and no other placeholder"
+                )
 
     def template_list(self) -> List[str]:
         """Rotation order for seeds: the stock template, then configured extras."""
@@ -90,83 +93,11 @@ class AppConfig:
     io: IoConfig = field(default_factory=IoConfig)
 
 
-def _section(document: dict, name: str) -> dict:
-    section = document.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
-    return section
-
-
-def _parse_forge(section: dict) -> ForgeConfig:
-    defaults = ForgeConfig()
-    check_keys(section, defaults.__dict__, "forge section", ConfigError)
-    merged = {**defaults.__dict__, **section}
-    merged["seed_templates"] = tuple(merged["seed_templates"])
-    return ForgeConfig(**merged)
-
-
-def _parse_scheduler(section: dict) -> SchedulerHyperparams:
-    defaults = SchedulerHyperparams()
-    check_keys(section, defaults.__dict__, "scheduler section", ConfigError)
-    try:
-        return SchedulerHyperparams(**{**defaults.__dict__, **section})
-    except ValidationError as exc:
-        raise ConfigError(f"scheduler section: {exc}") from None
-
-
-def _parse_harness(section: dict) -> HarnessParams:
-    check_keys(section, {f.name for f in fields(HarnessParams)},
-               "harness section", ConfigError)
-    merged = dict(section)
-    weights = merged.pop("weights", None)
-    if weights is not None:
-        if not isinstance(weights, dict):
-            raise ConfigError("harness weights must be an object")
-        check_keys(weights, {"w_ans", "w_cot", "w_ground", "w_attn"},
-                   "harness weights", ConfigError)
-        try:
-            merged["weights"] = StageLossWeights(**weights)
-        except ValidationError as exc:
-            raise ConfigError(f"harness weights: {exc}") from None
-    for key in ("image_dims", "grid_dims"):
-        if key in merged:
-            dims = merged[key]
-            if (not isinstance(dims, (list, tuple)) or len(dims) != 2
-                    or not all(isinstance(d, int) and d > 0 for d in dims)):
-                raise ConfigError(f"harness {key} must be two positive ints")
-            merged[key] = tuple(dims)
-    try:
-        return HarnessParams(**merged)
-    except ValidationError as exc:
-        raise ConfigError(f"harness section: {exc}") from None
-
-
-def _parse_io(section: dict) -> IoConfig:
-    defaults = IoConfig()
-    check_keys(section, defaults.__dict__, "io section", ConfigError)
-    return IoConfig(**{**defaults.__dict__, **section})
-
-
 def load_config(path: Optional[str],
                 env: Mapping[str, str] = os.environ) -> AppConfig:
     """Load configuration from the env-var path, the given path, or defaults."""
     effective = env.get(ENV_VAR) or path
     if effective is None:
         return AppConfig()
-    try:
-        with open(effective, encoding="utf-8") as fh:
-            document = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"config file not found: {effective}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {effective}: bad JSON ({exc})") from None
-    if not isinstance(document, dict):
-        raise ConfigError(f"config {effective}: top level must be an object")
-    check_keys(document, {"forge", "scheduler", "harness", "io"},
-               f"config {effective}", ConfigError)
-    return AppConfig(
-        forge=_parse_forge(_section(document, "forge")),
-        scheduler=_parse_scheduler(_section(document, "scheduler")),
-        harness=_parse_harness(_section(document, "harness")),
-        io=_parse_io(_section(document, "io")),
-    )
+    document = load_json(effective, "config", ConfigError)
+    return read_object(AppConfig, document, f"config {effective}", ConfigError)

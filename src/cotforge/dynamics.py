@@ -10,15 +10,14 @@ losses synthesized.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ValidationError, check_keys
+from .errors import ValidationError, load_json, read_object
 from .scheduler import (
     STAGES,
     CurriculumScheduler,
@@ -45,19 +44,13 @@ class CurveEvent:
     epoch: int
     magnitude: float = 0.0
 
-    @classmethod
-    def from_json_dict(cls, obj: dict, context: str) -> "CurveEvent":
-        check_keys(obj, {"kind", "epoch", "magnitude"}, context, ValidationError)
-        kind = obj.get("kind")
-        if kind not in ("plateau", "rise"):
-            raise ValidationError(f"{context}: event kind must be plateau or rise")
-        epoch = obj.get("epoch")
-        if not isinstance(epoch, int) or epoch < 1:
-            raise ValidationError(f"{context}: event epoch must be a positive int")
-        magnitude = obj.get("magnitude", 0.0)
-        if kind == "rise" and magnitude <= 0.0:
-            raise ValidationError(f"{context}: rise needs a positive magnitude")
-        return cls(kind=kind, epoch=epoch, magnitude=float(magnitude))
+    def __post_init__(self):
+        if self.kind not in ("plateau", "rise"):
+            raise ValidationError("event kind must be plateau or rise")
+        if self.epoch < 1:
+            raise ValidationError("event epoch must be a positive int")
+        if self.kind == "rise" and self.magnitude <= 0.0:
+            raise ValidationError("rise needs a positive magnitude")
 
 
 @dataclass(frozen=True)
@@ -76,23 +69,6 @@ class CurveSpec:
             raise ValidationError("curve decay must be non-negative")
         if self.noise_std < 0.0:
             raise ValidationError("curve noise_std must be non-negative")
-
-    @classmethod
-    def from_json_dict(cls, obj: dict, context: str) -> "CurveSpec":
-        check_keys(obj, {"base", "decay", "noise_std", "events"}, context,
-                   ValidationError)
-        if "base" not in obj:
-            raise ValidationError(f"{context}: curve needs a base value")
-        events = tuple(
-            CurveEvent.from_json_dict(e, f"{context} event {i}")
-            for i, e in enumerate(obj.get("events", []))
-        )
-        return cls(
-            base=float(obj["base"]),
-            decay=float(obj.get("decay", 0.0)),
-            noise_std=float(obj.get("noise_std", 0.0)),
-            events=events,
-        )
 
     def value(self, epoch: int, rng: Optional[np.random.Generator] = None) -> float:
         if epoch < 1:
@@ -118,80 +94,45 @@ class StageDynamics:
     total: CurveSpec
     cot: Optional[CurveSpec] = None
 
-    @classmethod
-    def from_json_dict(cls, obj: dict, stage: str, context: str) -> "StageDynamics":
-        check_keys(obj, {"count", "total", "cot"}, context, ValidationError)
-        count = obj.get("count")
-        if not isinstance(count, int) or count < 1:
-            raise ValidationError(f"{context}: count must be a positive int")
-        if "total" not in obj:
-            raise ValidationError(f"{context}: stage needs a total curve")
-        total = CurveSpec.from_json_dict(obj["total"], f"{context} total")
-        cot = None
-        if "cot" in obj:
-            if stage == "hard":
-                raise ValidationError(f"{context}: hard stage has no rationale curve")
-            cot = CurveSpec.from_json_dict(obj["cot"], f"{context} cot")
-        return cls(count=count, total=total, cot=cot)
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValidationError("count must be a positive int")
 
 
 @dataclass(frozen=True)
 class DynamicsSpec:
     name: str
     epochs: int
-    seed: int
-    hyperparams: SchedulerHyperparams
     domains: Dict[str, Dict[str, StageDynamics]]
+    seed: int = 0
+    hyperparams: SchedulerHyperparams = field(default_factory=SchedulerHyperparams)
+
+    def __post_init__(self):
+        if not self.name:
+            raise ValidationError("scenario needs a non-empty name")
+        if self.epochs < 0:
+            raise ValidationError("scenario epochs must be a non-negative int")
+        if self.seed < 0:
+            raise ValidationError("scenario seed must be non-negative")
+        if not self.domains:
+            raise ValidationError("scenario needs at least one domain")
+        for key, stages in self.domains.items():
+            if not stages or not set(stages) <= set(STAGES):
+                raise ValidationError(f"domain {key!r}: stages must be one or more "
+                                      f"of {list(STAGES)}, got {sorted(stages)}")
+            if "hard" in stages and stages["hard"].cot is not None:
+                raise ValidationError(
+                    f"domain {key!r} stage 'hard': hard stage has no rationale curve"
+                )
 
     @classmethod
-    def from_json_dict(cls, obj: dict) -> "DynamicsSpec":
-        check_keys(obj, {"name", "epochs", "seed", "hyperparams", "domains"},
-                   "scenario", ValidationError)
-        name = obj.get("name")
-        if not name or not isinstance(name, str):
-            raise ValidationError("scenario needs a non-empty name")
-        epochs = obj.get("epochs")
-        if not isinstance(epochs, int) or epochs < 0:
-            raise ValidationError("scenario epochs must be a non-negative int")
-        seed = obj.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ValidationError("scenario seed must be an int")
-        hp_overrides = obj.get("hyperparams", {})
-        if not isinstance(hp_overrides, dict):
-            raise ValidationError("scenario hyperparams must be an object")
-        defaults = SchedulerHyperparams()
-        check_keys(hp_overrides, defaults.__dict__, "scenario hyperparams",
-                   ValidationError)
-        hp = SchedulerHyperparams(**{**defaults.__dict__, **hp_overrides})
-        raw_domains = obj.get("domains")
-        if not isinstance(raw_domains, dict) or not raw_domains:
-            raise ValidationError("scenario needs at least one domain")
-        domains = {}
-        for key, stages in raw_domains.items():
-            if not isinstance(stages, dict) or not stages:
-                raise ValidationError(f"domain {key!r}: needs at least one stage")
-            check_keys(stages, STAGES, f"domain {key!r}", ValidationError)
-            domains[key] = {
-                stage: StageDynamics.from_json_dict(
-                    spec, stage, f"domain {key!r} stage {stage!r}"
-                )
-                for stage, spec in stages.items()
-            }
-        return cls(name=name, epochs=epochs, seed=seed, hyperparams=hp,
-                   domains=domains)
+    def from_json_dict(cls, obj, context: str = "scenario") -> "DynamicsSpec":
+        return read_object(cls, obj, context, ValidationError)
 
     @classmethod
     def from_path(cls, path) -> "DynamicsSpec":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except FileNotFoundError:
-            raise ValidationError(f"scenario file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"scenario {path}: bad JSON ({exc})") from None
-        if not isinstance(obj, dict):
-            raise ValidationError(f"scenario {path}: top level must be an object")
-        return cls.from_json_dict(obj)
+        obj = load_json(path, "scenario", ValidationError)
+        return cls.from_json_dict(obj, f"scenario {path}")
 
     def domain_keys(self) -> List[str]:
         return list(self.domains)

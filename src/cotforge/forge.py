@@ -12,7 +12,7 @@ import logging
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import List, Optional, Protocol
 
 from .errors import BackendError, MalformedResponseError, ValidationError
 from .geometry import BBox, mask_iou
@@ -77,16 +77,16 @@ class ImageRecord:
     width: int
     height: int
     modality: str
-    annotations: list
+    annotations: List[LesionAnnotation]
 
     def __post_init__(self):
         if not self.image_id:
             raise ValidationError("image_id must be non-empty")
         if self.width < 1 or self.height < 1:
-            raise ValidationError(f"image {self.image_id}: dims must be >= 1")
+            raise ValidationError(f"image {self.image_id!r}: dims must be >= 1")
         if self.modality not in MODALITIES:
             raise ValidationError(
-                f"image {self.image_id}: modality {self.modality!r} "
+                f"image {self.image_id!r}: modality {self.modality!r} "
                 f"not one of {MODALITIES}"
             )
 
@@ -137,24 +137,6 @@ class VqaCotRecord:
             "generator_id": self.generator_id,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VqaCotRecord":
-        try:
-            box = data["box"]
-            domain = data["domain"]
-            return cls(
-                image_id=data["image_id"],
-                box=BBox(*[float(v) for v in box]),
-                question=data["question"],
-                answer=data["answer"],
-                cot=data["cot"],
-                domain=DomainKey(domain["lesion_class"], domain["modality"]),
-                seed=data["seed"],
-                generator_id=data["generator_id"],
-            )
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad corpus record: {exc}") from exc
-
 
 class QaGenerator(Protocol):
     generator_id: str
@@ -190,7 +172,7 @@ def assign_organ(image_id, annotation, masks, tau_iou=0.0) -> LesionOrganTriplet
 def seed_from_triplet(triplet: LesionOrganTriplet, template=DEFAULT_SEED_TEMPLATE) -> str:
     if not triplet.is_assigned:
         raise ValidationError(
-            f"cannot build a seed for unassigned annotation on {triplet.image_id}"
+            f"cannot build a seed for unassigned annotation on {triplet.image_id!r}"
         )
     return template.format(
         lesion_class=triplet.annotation.lesion_class,
@@ -272,7 +254,7 @@ def generate_qa(image: ImageRecord, seed: str, backend: QaGenerator) -> tuple:
     if not question or not answer or not cot:
         raise MalformedResponseError(
             f"backend {backend.generator_id!r} returned empty fields "
-            f"for image {image.image_id}"
+            f"for image {image.image_id!r}"
         )
     sentences = split_sentences(cot)
     if len(sentences) > MAX_COT_SENTENCES:
@@ -338,7 +320,7 @@ def build_corpus(
             if om.mask.shape != (image.height, image.width):
                 raise ValidationError(
                     f"mask {om.organ_label!r} dims {om.mask.shape} do not match "
-                    f"image {image.image_id} dims {(image.height, image.width)}"
+                    f"image {image.image_id!r} dims {(image.height, image.width)}"
                 )
         for j, ann in enumerate(image.annotations):
             if masks:
@@ -368,7 +350,7 @@ def build_corpus(
                     task.image.image_id, task.annotation_index, str(exc)
                 )
             raise type(exc)(
-                f"image {task.image.image_id} annotation "
+                f"image {task.image.image_id!r} annotation "
                 f"{task.annotation_index}: {exc}"
             ) from exc
         record = VqaCotRecord(

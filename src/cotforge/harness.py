@@ -8,8 +8,8 @@ get the box-derived soft mask as their attention target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,8 @@ class HarnessParams:
     # small steps: the grounding surplus must outlive the mixing ramp
     lr: float = 0.005
     seed: int = 0
-    image_dims: tuple = (64, 64)
-    grid_dims: tuple = (8, 8)
+    image_dims: Tuple[int, int] = (64, 64)
+    grid_dims: Tuple[int, int] = (8, 8)
     feature_dim: int = 16
     # wide blur and a generous floor keep fresh attention targets cheap
     sigma: float = 16.0
@@ -50,26 +50,17 @@ class HarnessParams:
             raise ValidationError("batches_per_epoch must be at least 1")
         if self.lr <= 0.0:
             raise ValidationError("lr must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
+        if self.feature_dim < 1:
+            raise ValidationError("feature_dim must be at least 1")
+        for name in ("image_dims", "grid_dims"):
+            if min(getattr(self, name)) < 1:
+                raise ValidationError(f"{name} must be two positive ints")
 
     def to_json_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "batches_per_epoch": self.batches_per_epoch,
-            "lr": self.lr,
-            "seed": self.seed,
-            "image_dims": list(self.image_dims),
-            "grid_dims": list(self.grid_dims),
-            "feature_dim": self.feature_dim,
-            "sigma": self.sigma,
-            "mask_floor": self.mask_floor,
-            "weights": {
-                "w_ans": self.weights.w_ans,
-                "w_cot": self.weights.w_cot,
-                "w_ground": self.weights.w_ground,
-                "w_attn": self.weights.w_attn,
-            },
-        }
+        """Field order, with tuples as arrays once serialized; traces pin it."""
+        return asdict(self)
 
 
 @dataclass
@@ -135,7 +126,7 @@ def run_toy_training(records: Sequence[VqaCotRecord],
                 if not np.isfinite(breakdown.total):
                     raise ValidationError(
                         f"non-finite loss at epoch {epoch}, batch {batch_no}, "
-                        f"item {records[idx].image_id} ({breakdown.stage.value})"
+                        f"item {records[idx].image_id!r} ({breakdown.stage.value})"
                     )
                 scheduler.observe(domain_keys[idx], breakdown.stage.value,
                                   breakdown.total, cot_loss=breakdown.cot)

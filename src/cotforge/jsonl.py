@@ -10,13 +10,13 @@ import csv
 import json
 import os
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
-from .forge import ImageRecord, LesionAnnotation, OrganMask, VqaCotRecord
-from .geometry import BBox
+from .errors import ValidationError, read_object
+from .forge import ImageRecord, OrganMask, VqaCotRecord
 
 
 @contextlib.contextmanager
@@ -46,39 +46,43 @@ def _write_jsonl(path, dicts):
 
 
 def _iter_jsonl(path):
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield lineno, json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}: line {lineno}: bad JSON: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except (json.JSONDecodeError, RecursionError) as exc:
+                    raise ValidationError(
+                        f"{path}: line {lineno}: bad JSON: {exc}") from exc
+                yield lineno, obj
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(f"cannot read {path}: {reason}") from None
 
 
-def _require(obj, key, types, path, lineno):
-    if key not in obj:
-        raise ValidationError(f"{path}: line {lineno}: missing field {key!r}")
-    value = obj[key]
-    # bool is a subclass of int, but true/false is never a valid count
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ValidationError(
-            f"{path}: line {lineno}: field {key!r} has type "
-            f"{type(value).__name__}"
-        )
-    return value
+def _iter_objects(path, cls):
+    for lineno, obj in _iter_jsonl(path):
+        yield lineno, read_object(cls, obj, f"{path}: line {lineno}", ValidationError)
 
 
 def rle_decode(runs, height, width) -> np.ndarray:
     """Decode alternating zero/one run lengths (row-major, zeros first)."""
-    runs = list(runs)
-    if any((not isinstance(r, (int, np.integer))) or r < 0 for r in runs):
+    try:
+        runs = np.asarray(runs)
+        valid = runs.ndim == 1 and runs.dtype.kind in "iu" and runs.min(initial=0) >= 0
+    except ValueError:  # ragged nesting
+        valid = False
+    if not valid:
         raise ValidationError("RLE runs must be non-negative integers")
-    if sum(runs) != height * width:
-        raise ValidationError(
-            f"RLE runs sum to {sum(runs)}, expected {height * width}"
-        )
+    total = height * width
+    # the int64 sum is exact while no partial sum can reach 2**63
+    exact = runs.max(initial=0) <= total and runs.size * total < 2**63
+    got = int(runs.sum()) if exact else sum(runs.tolist())
+    if got != total:
+        raise ValidationError(f"RLE runs sum to {got}, expected {total}")
     values = np.arange(len(runs)) % 2
     flat = np.repeat(values, runs)
     return flat.reshape(height, width).astype(bool)
@@ -87,55 +91,31 @@ def rle_decode(runs, height, width) -> np.ndarray:
 def rle_encode(mask) -> list:
     """Inverse of rle_decode; the first run counts zeros (possibly 0)."""
     flat = np.asarray(mask).astype(bool).ravel()
-    runs = []
-    current = False  # encoding starts with a zero run
-    count = 0
-    for v in flat:
-        if v == current:
-            count += 1
-        else:
-            runs.append(count)
-            current = v
-            count = 1
-    runs.append(count)
-    return [int(r) for r in runs]
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    runs = np.diff(np.concatenate(([0], edges, [flat.size]))).tolist()
+    if flat.size and flat[0]:
+        runs.insert(0, 0)
+    return runs
+
+
+@dataclass
+class _MaskLine:
+    image_id: str
+    organ_label: str
+    height: int
+    width: int
+    rle: list  # checked by rle_decode as one array, not run by run
 
 
 def read_dataset(path):
     """Read detection records; returns images in file order."""
-    images = []
-    seen = set()
-    for lineno, obj in _iter_jsonl(path):
-        image_id = _require(obj, "image_id", str, path, lineno)
-        if image_id in seen:
-            raise ValidationError(f"{path}: line {lineno}: duplicate image_id {image_id!r}")
-        seen.add(image_id)
-        width = _require(obj, "width", int, path, lineno)
-        height = _require(obj, "height", int, path, lineno)
-        modality = _require(obj, "modality", str, path, lineno)
-        raw_anns = _require(obj, "annotations", list, path, lineno)
-        try:
-            annotations = []
-            for raw in raw_anns:
-                box = raw["box"]
-                annotations.append(
-                    LesionAnnotation(
-                        box=BBox(*[float(v) for v in box]),
-                        lesion_class=raw["lesion_class"],
-                    )
-                )
-            images.append(
-                ImageRecord(
-                    image_id=image_id,
-                    width=width,
-                    height=height,
-                    modality=modality,
-                    annotations=annotations,
-                )
-            )
-        except (ValidationError, KeyError, TypeError) as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-    return images
+    images = {}
+    for lineno, image in _iter_objects(path, ImageRecord):
+        if image.image_id in images:
+            raise ValidationError(
+                f"{path}: line {lineno}: duplicate image_id {image.image_id!r}")
+        images[image.image_id] = image
+    return list(images.values())
 
 
 def read_masks(path, images_by_id):
@@ -145,27 +125,23 @@ def read_masks(path, images_by_id):
     rejected.
     """
     grouped = {}
-    for lineno, obj in _iter_jsonl(path):
-        image_id = _require(obj, "image_id", str, path, lineno)
-        image = images_by_id.get(image_id)
+    for lineno, line in _iter_objects(path, _MaskLine):
+        image = images_by_id.get(line.image_id)
         if image is None:
             raise ValidationError(
-                f"{path}: line {lineno}: mask references unknown image {image_id!r}"
+                f"{path}: line {lineno}: mask references unknown image {line.image_id!r}"
             )
-        organ_label = _require(obj, "organ_label", str, path, lineno)
-        height = _require(obj, "height", int, path, lineno)
-        width = _require(obj, "width", int, path, lineno)
-        runs = _require(obj, "rle", list, path, lineno)
-        if (height, width) != (image.height, image.width):
+        if (line.height, line.width) != (image.height, image.width):
             raise ValidationError(
-                f"{path}: line {lineno}: mask dims {(height, width)} do not match "
-                f"image {image_id} dims {(image.height, image.width)}"
+                f"{path}: line {lineno}: mask dims {(line.height, line.width)} "
+                f"do not match image {line.image_id!r} dims {(image.height, image.width)}"
             )
         try:
-            mask = OrganMask(organ_label, rle_decode(runs, height, width))
+            mask = OrganMask(line.organ_label,
+                             rle_decode(line.rle, line.height, line.width))
         except ValidationError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-        grouped.setdefault(image_id, []).append(mask)
+        grouped.setdefault(line.image_id, []).append(mask)
     return grouped
 
 
@@ -176,11 +152,7 @@ def write_corpus(path, records):
 def read_corpus(path, allow_empty_cot=False):
     """Read VQA-CoT records; empty rationales are rejected unless allowed."""
     records = []
-    for lineno, obj in _iter_jsonl(path):
-        try:
-            record = VqaCotRecord.from_json_dict(obj)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, record in _iter_objects(path, VqaCotRecord):
         if not record.cot and not allow_empty_cot:
             raise ValidationError(
                 f"{path}: line {lineno}: empty cot outside a Hard pool"

@@ -9,6 +9,7 @@ send the exact same request.
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Callable, Optional, Tuple
 
@@ -39,18 +40,23 @@ class RemoteQaGenerator:
         self.attempts = attempts
         self.backoff_base = backoff_base
         self.generator_id = f"remote:{endpoint}"
-        self._session = session or requests.Session()
+        self._session = session
+        self._local = threading.local()
         self._sleeper = sleeper
 
     def generate(self, seed: str, image_id: str, modality: str) -> Tuple[str, str, str]:
         payload = {"seed": seed, "image_id": image_id, "modality": modality}
+        # requests does not promise that one Session is safe across threads
+        session = self._session or getattr(self._local, "session", None)
+        if session is None:
+            session = self._local.session = requests.Session()
         last_error: Optional[BackendError] = None
         for attempt in range(1, self.attempts + 1):
             if attempt > 1:
                 self._sleeper(self.backoff_base * 2 ** (attempt - 2))
             try:
-                response = self._session.post(self.endpoint, json=payload,
-                                              timeout=self.timeout)
+                response = session.post(self.endpoint, json=payload,
+                                        timeout=self.timeout)
             except (requests.Timeout, requests.ConnectionError) as exc:
                 last_error = BackendError(
                     f"{self.endpoint}: attempt {attempt}/{self.attempts} "

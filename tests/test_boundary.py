@@ -1,0 +1,338 @@
+"""Every JSON boundary of the CLI: bad types, unreadable paths, fuzzed inputs.
+
+Each malformed input must end with the documented exit code (2 for a
+config or an unusable output path, 1 for data files and scenarios, 3 for a
+backend failure) and exactly one ``error:`` line on stderr, never a
+traceback.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from cotforge import cli, fixture_path
+from cotforge.errors import ConfigError, ValidationError, read_object
+from cotforge.forge import ImageRecord
+from cotforge.scheduler import SchedulerHyperparams
+
+DATASET = [json.loads(line) for line in
+           fixture_path("forge_dataset.jsonl").read_text().splitlines()]
+MASKS = [json.loads(line) for line in
+         fixture_path("forge_masks.jsonl").read_text().splitlines()]
+CORPUS = [json.loads(line) for line in
+          fixture_path("toy_corpus.jsonl").read_text().splitlines()[:4]]
+SCENARIO = json.loads(fixture_path("scenario_rise.json").read_text())
+# every hyperparameter spelled out, so the fuzz can replace each of them
+SCENARIO["hyperparams"] = {**SchedulerHyperparams().to_json_dict(),
+                           **SCENARIO["hyperparams"]}
+
+
+def _readme_config() -> dict:
+    """The full example of the README's "Configuration" section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    return json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+
+
+CONFIG = _readme_config()
+
+
+def write_jsonl(path: Path, rows) -> Path:
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    return path
+
+
+def write_json(path: Path, obj) -> Path:
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    return path
+
+
+def run_main(argv):
+    """Run the CLI in-process; returns (exit code, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, stderr, expected=None):
+    assert code in {0, 1, 2, 3}
+    if expected is not None:
+        assert code == expected, stderr
+    if code == 0:
+        assert stderr == ""
+    else:
+        assert stderr.startswith("error: ")
+        assert stderr.count("\n") == 1 and stderr.endswith("\n"), stderr
+
+
+def forge_argv(tmp: Path, dataset=DATASET, masks=MASKS):
+    return ["forge", "--dataset", write_jsonl(tmp / "dataset.jsonl", dataset),
+            "--masks", write_jsonl(tmp / "masks.jsonl", masks),
+            "--out", tmp / "corpus.jsonl"]
+
+
+# ---------------------------------------------------------------------------
+# the reader itself
+
+
+class TestReadObject:
+    def test_nested_field_path_in_message(self):
+        line = copy.deepcopy(DATASET[0])
+        line["annotations"][1]["box"][2] = "0.9"
+        with pytest.raises(ValidationError,
+                           match=r"^ctx: field 'annotations\[1\]\.box\.x2' must be a number"):
+            read_object(ImageRecord, line, "ctx", ValidationError)
+
+    def test_constructor_error_carries_path_and_callers_type(self):
+        line = copy.deepcopy(DATASET[0])
+        line["annotations"][0]["box"] = [0.5, 0.1, 0.5, 0.9]
+        with pytest.raises(ConfigError,
+                           match=r"^ctx: field 'annotations\[0\]\.box': degenerate"):
+            read_object(ImageRecord, line, "ctx", ConfigError)
+
+    def test_int_widens_to_float_and_box_reads_from_array(self):
+        line = copy.deepcopy(DATASET[0])
+        line["annotations"][0]["box"] = [0, 0, 1, 1]
+        image = read_object(ImageRecord, line, "ctx", ValidationError)
+        assert image.annotations[0].box.as_list() == [0.0, 0.0, 1.0, 1.0]
+        assert all(type(v) is float for v in image.annotations[0].box.as_list())
+
+    @pytest.mark.parametrize("patch,message", [
+        ({"width": True}, "field 'width' must be an integer, got true or false"),
+        ({"width": 64.0}, "field 'width' must be an integer, got a number"),
+        ({"width": 2**63}, "field 'width' is outside the 64-bit integer range"),
+        ({"annotations": {}}, "field 'annotations' must be an array, got an object"),
+        ({"shape": 1}, "ctx: unknown keys ['shape']; allowed: "),
+        ({"image_id": None}, "field 'image_id' must be a string, got null"),
+    ])
+    def test_type_rules(self, patch, message):
+        line = {**DATASET[0], **patch}
+        with pytest.raises(ValidationError) as info:
+            read_object(ImageRecord, line, "ctx", ValidationError)
+        assert message in str(info.value)
+
+    def test_missing_field_named(self):
+        line = {k: v for k, v in DATASET[0].items() if k != "height"}
+        with pytest.raises(ValidationError, match="^ctx: field 'height' is missing$"):
+            read_object(ImageRecord, line, "ctx", ValidationError)
+
+    def test_non_object_top_level(self):
+        with pytest.raises(ValidationError,
+                           match="^ctx: must be an object, got an integer$"):
+            read_object(ImageRecord, 5, "ctx", ValidationError)
+
+
+# ---------------------------------------------------------------------------
+# wrong JSON types at every boundary, through the CLI
+
+
+def _patched(base, path, value):
+    doc = copy.deepcopy(base)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+TYPE_CASES = [
+    # (case id, input kind, path, value, exit code, text the error names)
+    ("harness-epochs-string", "config", ("harness", "epochs"), "40", 2, "harness.epochs"),
+    ("forge-tau-string", "config", ("forge", "tau_iou"), "0.5", 2, "forge.tau_iou"),
+    ("scheduler-rho-string", "config", ("scheduler", "rho"), "0.3", 2, "scheduler.rho"),
+    ("seed-templates-string", "config", ("forge", "seed_templates"), "abc", 2,
+     "forge.seed_templates"),
+    ("io-out-number", "config", ("io", "out"), 5, 2, "io.out"),
+    ("harness-lr-bool", "config", ("harness", "lr"), True, 2, "harness.lr"),
+    ("scenario-rho-string", "scenario", ("hyperparams", "rho"), "0.3", 1,
+     "hyperparams.rho"),
+    ("scenario-base-string", "scenario",
+     ("domains", "mass|CT", "easy", "total", "base"), "x", 1,
+     'domains["mass|CT"]["easy"].total.base'),
+    ("scenario-epochs-bool", "scenario", ("epochs",), True, 1, "epochs"),
+    ("corpus-question-number", "corpus", (1, "question"), 5, 1, "line 2: field 'question'"),
+    ("dataset-line-number", "dataset", (0,), 5, 1, "line 1: must be an object"),
+]
+
+
+@pytest.mark.parametrize("kind,path,value,code,names",
+                         [case[1:] for case in TYPE_CASES],
+                         ids=[case[0] for case in TYPE_CASES])
+def test_wrong_json_type_is_one_error_line(tmp_path, kind, path, value, code, names):
+    if kind == "config":
+        io_paths = {"dataset": str(write_jsonl(tmp_path / "d.jsonl", DATASET)),
+                    "masks": str(write_jsonl(tmp_path / "m.jsonl", MASKS)),
+                    "out": str(tmp_path / "corpus.jsonl")}
+        config = _patched({**CONFIG, "io": {**CONFIG["io"], **io_paths}}, path, value)
+        argv = ["forge", "--config", write_json(tmp_path / "c.json", config)]
+    elif kind == "scenario":
+        argv = ["simulate", "--scenario",
+                write_json(tmp_path / "s.json", _patched(SCENARIO, path, value)),
+                "--out", tmp_path / "trace.jsonl"]
+    elif kind == "corpus":
+        argv = ["validate", "--corpus",
+                write_jsonl(tmp_path / "c.jsonl", _patched(CORPUS, path, value))]
+    else:
+        argv = forge_argv(tmp_path, dataset=_patched(DATASET, path, value))
+    code_got, stderr = run_main(argv)
+    assert_clean_exit(code_got, stderr, expected=code)
+    assert names in stderr
+
+
+# ---------------------------------------------------------------------------
+# unreadable inputs and unwritable outputs
+
+
+def _bad_path(tmp: Path, kind: str) -> Path:
+    path = tmp / f"bad-{kind}"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "non-utf8":
+        path.write_bytes(b'{"name": "\xff\xfe"}\n')
+    return path
+
+
+def _argv_with(tmp: Path, command: str, flag: str, bad: Path):
+    if command == "forge":
+        argv = forge_argv(tmp)
+    elif command == "simulate":
+        argv = ["simulate", "--scenario", "rise", "--out", tmp / "trace.jsonl"]
+    else:
+        argv = [command, "--corpus", write_jsonl(tmp / "corpus.jsonl", CORPUS)]
+        if command == "train-toy":
+            argv += ["--out", tmp / "trace.jsonl"]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = bad
+    else:
+        argv += [flag, bad]
+    return argv
+
+
+# a missing --config or --scenario was already reported cleanly; these were not
+UNREADABLE_CASES = [
+    (command, flag, kind, code)
+    for command, flag, kinds, code in [
+        ("forge", "--dataset", ("missing", "directory", "non-utf8"), 1),
+        ("forge", "--masks", ("missing", "directory", "non-utf8"), 1),
+        ("validate", "--corpus", ("missing", "directory", "non-utf8"), 1),
+        ("train-toy", "--corpus", ("missing", "directory", "non-utf8"), 1),
+        ("simulate", "--scenario", ("directory", "non-utf8"), 1),
+        ("forge", "--config", ("directory", "non-utf8"), 2),
+        ("simulate", "--config", ("directory", "non-utf8"), 2),
+        ("forge", "--out", ("directory",), 2),
+        ("simulate", "--out", ("directory",), 2),
+        ("simulate", "--csv", ("directory",), 2),
+    ]
+    for kind in kinds
+]
+
+
+@pytest.mark.parametrize("command,flag,kind,code", UNREADABLE_CASES)
+def test_unusable_path_is_one_error_line(tmp_path, command, flag, kind, code):
+    bad = _bad_path(tmp_path, kind)
+    code_got, stderr = run_main(_argv_with(tmp_path, command, flag, bad))
+    assert_clean_exit(code_got, stderr, expected=code)
+    assert str(bad) in stderr
+
+
+@pytest.mark.parametrize("flag,code", [("--dataset", 1), ("--config", 2)])
+def test_too_deeply_nested_json_is_one_error_line(tmp_path, flag, code):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    code_got, stderr = run_main(_argv_with(tmp_path, "forge", flag, nested))
+    assert_clean_exit(code_got, stderr, expected=code)
+    assert "bad JSON" in stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: one value replaced anywhere in a bundled input
+
+SCALARS = st.one_of(
+    st.text(max_size=6),
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=-10, max_value=100),
+    st.integers(min_value=-2**70, max_value=-1),
+    st.integers(min_value=2**31, max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutate(data, doc, top=True):
+    """Replace the value at a drawn JSON path of ``doc`` with a drawn value.
+
+    Below the top, each container is either replaced whole or descended
+    into, with even odds, so shallow and deep paths are both drawn.
+    """
+    if isinstance(doc, (dict, list)) and doc and (top or data.draw(st.booleans())):
+        key = data.draw(st.sampled_from(list(doc) if isinstance(doc, dict)
+                                        else range(len(doc))))
+        doc = copy.copy(doc)
+        doc[key] = mutate(data, doc[key], top=False)
+        return doc
+    return data.draw(JSON_VALUES)
+
+
+def _work_is_bounded(scenario) -> bool:
+    """A scenario may ask for any number of epochs or items; the fuzz keeps
+    runs short, so it discards those it cannot run in a moment."""
+    if not isinstance(scenario, dict):
+        return True
+    sizes = [scenario.get("epochs")]
+    domains = scenario.get("domains")
+    for stages in (domains.values() if isinstance(domains, dict) else ()):
+        for stage in (stages.values() if isinstance(stages, dict) else ()):
+            if isinstance(stage, dict):
+                sizes.append(stage.get("count"))
+    return all(not isinstance(n, int) or n <= 1000 for n in sizes)
+
+
+FUZZ = settings(max_examples=60, derandomize=True, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@FUZZ
+@given(data=st.data(), target=st.sampled_from(["dataset", "masks", "config"]))
+def test_fuzzed_forge_inputs(data, target):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        dataset = mutate(data, DATASET) if target == "dataset" else DATASET
+        masks = mutate(data, MASKS) if target == "masks" else MASKS
+        argv = forge_argv(tmp, dataset, masks)
+        if target == "config":
+            argv += ["--config", write_json(tmp / "c.json", mutate(data, CONFIG))]
+        assert_clean_exit(*run_main(argv))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_corpus(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = write_jsonl(Path(tmp) / "corpus.jsonl", mutate(data, CORPUS))
+        assert_clean_exit(*run_main(["validate", "--corpus", corpus]))
+
+
+@FUZZ
+@given(data=st.data())
+def test_fuzzed_scenario(data):
+    scenario = mutate(data, SCENARIO)
+    assume(_work_is_bounded(scenario))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        argv = ["simulate", "--scenario", write_json(tmp / "s.json", scenario),
+                "--out", tmp / "trace.jsonl"]
+        assert_clean_exit(*run_main(argv))

@@ -97,6 +97,23 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="template"):
             load_config(str(path), env={})
 
+    @pytest.mark.parametrize("template", [
+        "{", "{lesion_class:d}", "{lesion_class[a]}", "No lesion in the {organ_label}.",
+        "A {lesion_class}, a {lesion_class}.",
+    ])
+    def test_unusable_seed_template(self, tmp_path, template):
+        path = write_config(tmp_path, {"forge": {"seed_templates": [template]}})
+        with pytest.raises(ConfigError, match="template"):
+            load_config(str(path), env={})
+
+    @pytest.mark.parametrize("key,value", [
+        ("seed", -1), ("feature_dim", 0), ("grid_dims", [0, 4]), ("image_dims", [4]),
+    ])
+    def test_out_of_range_harness_value(self, tmp_path, key, value):
+        path = write_config(tmp_path, {"harness": {key: value}})
+        with pytest.raises(ConfigError, match=f"harness.*{key}"):
+            load_config(str(path), env={})
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="no-such"):
             load_config("/tmp/no-such-config.json", env={})

@@ -79,6 +79,13 @@ class TestSpecParsing:
                 }}},
             })
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed"):
+            DynamicsSpec.from_json_dict({
+                "name": "x", "epochs": 1, "seed": -1,
+                "domains": {"a|CT": {"easy": {"count": 1, "total": {"base": 1.0}}}},
+            })
+
     def test_hyperparam_overrides_applied(self):
         spec = DynamicsSpec.from_path(builtin_scenario_path("plateau"))
         assert spec.hyperparams.rho == 1.0

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from cotforge.errors import BackendError, MalformedResponseError, ValidationError
+from cotforge.errors import BackendError, MalformedResponseError, ValidationError, read_object
 from cotforge.forge import (
     DEFAULT_SEED_TEMPLATE,
     DomainKey,
@@ -339,7 +339,7 @@ class TestRecordTypes:
             seed=DEFAULT_SEED_TEMPLATE.format(lesion_class="mass", organ_label="liver"),
             generator_id="template-v1",
         )
-        again = VqaCotRecord.from_json_dict(rec.to_json_dict())
+        again = read_object(VqaCotRecord, rec.to_json_dict(), "record", ValidationError)
         assert again == rec
 
     def test_record_requires_question_and_answer(self):

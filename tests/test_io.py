@@ -57,12 +57,25 @@ class TestRle:
         with pytest.raises(ValidationError):
             rle_decode([-1, 9], 2, 4)
 
+    @pytest.mark.parametrize("runs", [
+        [[1, 2], 5],                 # ragged nesting
+        [2.0, 3.0, 3.0],             # floats
+        ["2", "3", "3"],             # strings
+        [2**62] * 4 + [8],           # sums to 8 only after int64 wrap-around
+        [2**64, 8],                  # beyond int64
+    ])
+    def test_malformed_runs_rejected(self, runs):
+        with pytest.raises(ValidationError, match="RLE runs"):
+            rle_decode(runs, 2, 4)
+
     def test_roundtrip_random(self):
         rng = np.random.default_rng(40)
-        for _ in range(20):
-            h = int(rng.integers(1, 12))
-            w = int(rng.integers(1, 12))
-            mask = rng.random((h, w)) < 0.5
+        masks = [rng.random((int(rng.integers(1, 12)), int(rng.integers(1, 12)))) < 0.5
+                 for _ in range(20)]
+        masks += [np.zeros((3, 5), bool), np.ones((4, 2), bool),
+                  np.zeros((1, 1), bool), np.ones((1, 1), bool)]
+        for mask in masks:
+            h, w = mask.shape
             runs = rle_encode(mask)
             assert (rle_decode(runs, h, w) == mask).all()
             # alternating encoding always starts with a zero run

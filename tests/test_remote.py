@@ -7,6 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from cotforge import remote
 from cotforge.errors import BackendError, MalformedResponseError, ValidationError
 from cotforge.remote import RemoteQaGenerator
 
@@ -147,6 +148,40 @@ class TestMalformedResponses:
 
     def test_malformed_is_a_backend_error(self):
         assert issubclass(MalformedResponseError, BackendError)
+
+
+class TestThreads:
+    def test_one_session_per_thread(self, monkeypatch):
+        created = []
+
+        class FakeResponse:
+            status_code = 200
+
+            def json(self):
+                return GOOD_BODY
+
+        class FakeSession:
+            def __init__(self):
+                created.append(self)
+
+            def post(self, url, json, timeout):
+                return FakeResponse()
+
+        monkeypatch.setattr(remote.requests, "Session", FakeSession)
+        gen = RemoteQaGenerator("http://qa.invalid/qa")
+        results = []
+        threads = [
+            threading.Thread(target=lambda: results.extend(
+                gen.generate("seed text", "img", "CT") for _ in range(3)))
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(results) == 6
+        assert len(created) == 2
 
 
 class TestConstruction:
