@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
+from urllib.parse import urlsplit
 
 from .errors import ConfigError, load_json, read_object
 from .forge import DEFAULT_SEED_TEMPLATE
@@ -20,6 +21,14 @@ from .harness import HarnessParams
 from .scheduler import SchedulerHyperparams
 
 ENV_VAR = "COTFORGE_CONFIG"
+
+
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        return False
+    return parts.scheme.lower() in ("http", "https") and bool(parts.netloc)
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,11 @@ class ForgeConfig:
             )
         if self.backend == "remote" and not self.remote_endpoint:
             raise ConfigError("forge backend 'remote' needs a remote_endpoint")
+        if self.remote_endpoint is not None and not _is_http_url(self.remote_endpoint):
+            raise ConfigError(
+                f"forge remote_endpoint must be an http:// or https:// URL with a "
+                f"host, got {self.remote_endpoint!r}"
+            )
         if self.tau_iou < 0.0:
             raise ConfigError("forge tau_iou must be non-negative")
         if self.unassigned_policy not in ("skip", "organ_free"):

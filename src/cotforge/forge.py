@@ -14,6 +14,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol
 
+import numpy as np
+
 from .errors import BackendError, MalformedResponseError, ValidationError
 from .geometry import BBox, mask_iou
 
@@ -54,20 +56,25 @@ class LesionAnnotation:
 
 @dataclass(eq=False)
 class OrganMask:
-    """Named binary mask; must contain at least one set pixel."""
+    """Named binary mask; must contain at least one set pixel.
+
+    `mask` is a read-only bool view of the given array (not a copy when the
+    array is already bool), so `area`, its set-pixel count, cannot go stale.
+    """
 
     organ_label: str
-    mask: "object"  # 2-D bool ndarray
+    mask: np.ndarray  # 2-D bool
+    area: int = field(init=False)
 
     def __post_init__(self):
-        import numpy as np
-
-        self.mask = np.asarray(self.mask).astype(bool)
+        self.mask = np.asarray(self.mask, dtype=bool).view()
+        self.mask.flags.writeable = False
         if not self.organ_label:
             raise ValidationError("organ_label must be non-empty")
         if self.mask.ndim != 2:
             raise ValidationError("organ mask must be 2-D")
-        if not self.mask.any():
+        self.area = int(np.count_nonzero(self.mask))
+        if self.area == 0:
             raise ValidationError(f"organ mask {self.organ_label!r} is empty")
 
 
@@ -160,7 +167,7 @@ def assign_organ(image_id, annotation, masks, tau_iou=0.0) -> LesionOrganTriplet
     best_idx = 0
     best = -1.0
     for k, om in enumerate(masks):
-        iou = mask_iou(annotation.box, om.mask)
+        iou = mask_iou(annotation.box, om.mask, om.area)
         if iou > best:
             best = iou
             best_idx = k

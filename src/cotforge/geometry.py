@@ -59,24 +59,44 @@ def _center_membership(lo, hi, n):
     return (centers >= lo) & (centers <= hi)
 
 
-def rasterize_box(box: BBox, height: int, width: int) -> np.ndarray:
-    """Binary (height, width) raster of the pixels whose centers lie in the box."""
+def box_span(box: BBox, height: int, width: int):
+    """Half-open pixel rectangle (r0, r1, c0, c1) whose centers lie in the box.
+
+    Center membership is monotone along each axis, so a box always covers one
+    rectangle of pixels; (0, 0, 0, 0) when it covers no pixel center.
+    """
     if height < 1 or width < 1:
         raise ValidationError("raster dims must be positive")
-    cols = _center_membership(box.x1 * width, box.x2 * width, width)
-    rows = _center_membership(box.y1 * height, box.y2 * height, height)
-    return np.outer(rows, cols)
+    cols = np.flatnonzero(_center_membership(box.x1 * width, box.x2 * width, width))
+    rows = np.flatnonzero(_center_membership(box.y1 * height, box.y2 * height, height))
+    if cols.size == 0 or rows.size == 0:
+        return 0, 0, 0, 0
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
-def mask_iou(box: BBox, mask: np.ndarray) -> float:
-    """Pixel-count IoU between the rasterized box and a binary mask."""
-    mask = np.asarray(mask)
+def rasterize_box(box: BBox, height: int, width: int) -> np.ndarray:
+    """Binary (height, width) raster of the pixels whose centers lie in the box."""
+    r0, r1, c0, c1 = box_span(box, height, width)
+    raster = np.zeros((height, width), dtype=bool)
+    raster[r0:r1, c0:c1] = True
+    return raster
+
+
+def mask_iou(box: BBox, mask: np.ndarray, area=None) -> float:
+    """Pixel-count IoU between the rasterized box and a binary mask.
+
+    Only the box's pixel rectangle is read: the intersection counts mask
+    pixels inside it and the union is box + mask - intersection, all exact
+    integers. `area`, when given, must be the mask's set-pixel count.
+    """
+    mask = np.asarray(mask, dtype=bool)
     if mask.ndim != 2:
         raise ValidationError(f"mask must be 2-D, got shape {mask.shape}")
-    mask = mask.astype(bool)
-    raster = rasterize_box(box, mask.shape[0], mask.shape[1])
-    inter = int(np.count_nonzero(raster & mask))
-    union = int(np.count_nonzero(raster | mask))
+    r0, r1, c0, c1 = box_span(box, mask.shape[0], mask.shape[1])
+    if area is None:
+        area = int(np.count_nonzero(mask))
+    inter = int(np.count_nonzero(mask[r0:r1, c0:c1]))
+    union = (r1 - r0) * (c1 - c0) + area - inter
     if union == 0:
         return 0.0
     return inter / union

@@ -57,6 +57,17 @@ class HarnessParams:
         for name in ("image_dims", "grid_dims"):
             if min(getattr(self, name)) < 1:
                 raise ValidationError(f"{name} must be two positive ints")
+        # the soft-mask rules of build_soft_mask, checked before any training
+        (height, width), (gh, gw) = self.image_dims, self.grid_dims
+        if gh > height or gw > width:
+            raise ValidationError(
+                f"grid_dims {list(self.grid_dims)} must not exceed "
+                f"image_dims {list(self.image_dims)}")
+        if not 0.0 < self.mask_floor < 1.0 / (gh * gw):
+            raise ValidationError(f"mask_floor must lie in (0, 1/{gh * gw})")
+        if not 0.0 <= self.sigma <= max(height, width):
+            raise ValidationError(
+                f"sigma must lie in [0, {max(height, width)}], the larger image dim")
 
     def to_json_dict(self) -> dict:
         """Field order, with tuples as arrays once serialized; traces pin it."""

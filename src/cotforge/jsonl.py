@@ -83,9 +83,8 @@ def rle_decode(runs, height, width) -> np.ndarray:
     got = int(runs.sum()) if exact else sum(runs.tolist())
     if got != total:
         raise ValidationError(f"RLE runs sum to {got}, expected {total}")
-    values = np.arange(len(runs)) % 2
-    flat = np.repeat(values, runs)
-    return flat.reshape(height, width).astype(bool)
+    values = np.arange(runs.size) % 2 == 1
+    return np.repeat(values, runs).reshape(height, width)
 
 
 def rle_encode(mask) -> list:

@@ -4,7 +4,8 @@ Wire format: POST JSON ``{"seed", "image_id", "modality"}``, expecting
 ``{"question", "answer", "cot"}`` back. Transport failures and 5xx
 responses are retried with exponential backoff; anything the service
 answered deliberately (4xx, malformed bodies) is not, since a retry would
-send the exact same request.
+send the exact same request; nor is a request that could not be built or
+sent for any other reason, such as a malformed URL.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ class RemoteQaGenerator:
                     f"failed: {exc}"
                 )
                 continue
+            except requests.RequestException as exc:
+                # a bad URL or request: sending it again cannot help
+                raise BackendError(f"{self.endpoint}: request failed: {exc}") from exc
             if 500 <= response.status_code < 600:
                 last_error = BackendError(
                     f"{self.endpoint}: attempt {attempt}/{self.attempts} "

@@ -17,10 +17,13 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from cotforge import cli, fixture_path
+from cotforge import cli, fixture_path, jsonl
+from cotforge.config import load_config
 from cotforge.errors import ConfigError, ValidationError, read_object
 from cotforge.forge import ImageRecord
+from cotforge.geometry import build_soft_mask
 from cotforge.scheduler import SchedulerHyperparams
+from cotforge.toymodel import ToyModel
 
 DATASET = [json.loads(line) for line in
            fixture_path("forge_dataset.jsonl").read_text().splitlines()]
@@ -42,6 +45,7 @@ def _readme_config() -> dict:
 
 
 CONFIG = _readme_config()
+HARNESS_RECORDS = jsonl.read_corpus(fixture_path("toy_corpus.jsonl"))[:4]
 
 
 def write_jsonl(path: Path, rows) -> Path:
@@ -187,6 +191,39 @@ def test_wrong_json_type_is_one_error_line(tmp_path, kind, path, value, code, na
     assert names in stderr
 
 
+# a value of the right type that can never work: a config error before any work
+
+REMOTE = _patched(CONFIG, ("forge", "backend"), "remote")
+UNUSABLE_VALUE_CASES = [
+    # (case id, command, config path, value)
+    ("endpoint-no-scheme", "forge", ("forge", "remote_endpoint"), "not-a-url"),
+    ("endpoint-ftp", "forge", ("forge", "remote_endpoint"), "ftp://qa/x"),
+    ("endpoint-no-host", "forge", ("forge", "remote_endpoint"), "http://"),
+    ("endpoint-bad-ipv6", "forge", ("forge", "remote_endpoint"), "http://[::1/qa"),
+    ("sigma-overflows-blur", "train-toy", ("harness", "sigma"), 1e308),
+    ("sigma-negative", "train-toy", ("harness", "sigma"), -1),
+    ("mask-floor-too-large", "train-toy", ("harness", "mask_floor"), 0.5),
+    ("grid-exceeds-image", "train-toy", ("harness", "grid_dims"), [128, 8]),
+]
+
+
+@pytest.mark.parametrize("command,path,value",
+                         [case[1:] for case in UNUSABLE_VALUE_CASES],
+                         ids=[case[0] for case in UNUSABLE_VALUE_CASES])
+def test_unusable_config_value_is_one_error_line(tmp_path, command, path, value):
+    if command == "forge":
+        argv = forge_argv(tmp_path)
+        config = _patched(REMOTE, path, value)
+    else:
+        argv = ["train-toy", "--corpus", write_jsonl(tmp_path / "corpus.jsonl", CORPUS),
+                "--out", tmp_path / "trace.jsonl"]
+        config = _patched(CONFIG, path, value)
+    argv += ["--config", write_json(tmp_path / "c.json", config)]
+    code, stderr = run_main(argv)
+    assert_clean_exit(code, stderr, expected=2)
+    assert f"field '{path[0]}'" in stderr and path[1] in stderr
+
+
 # ---------------------------------------------------------------------------
 # unreadable inputs and unwritable outputs
 
@@ -272,7 +309,14 @@ JSON_VALUES = st.recursive(
 )
 
 
-def mutate(data, doc, top=True):
+# numbers of the right type, so that range rules are reached as often as type
+# rules; Hypothesis tries the simplest draw first, which is the first extreme
+NUMBERS = st.one_of(st.sampled_from([1e308, -1e308, 5e-324, 0, -1, 0.5]),
+                    st.integers(min_value=-10, max_value=200),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+def mutate(data, doc, top=True, values=JSON_VALUES):
     """Replace the value at a drawn JSON path of ``doc`` with a drawn value.
 
     Below the top, each container is either replaced whole or descended
@@ -282,9 +326,9 @@ def mutate(data, doc, top=True):
         key = data.draw(st.sampled_from(list(doc) if isinstance(doc, dict)
                                         else range(len(doc))))
         doc = copy.copy(doc)
-        doc[key] = mutate(data, doc[key], top=False)
+        doc[key] = mutate(data, doc[key], top=False, values=values)
         return doc
-    return data.draw(JSON_VALUES)
+    return data.draw(values)
 
 
 def _work_is_bounded(scenario) -> bool:
@@ -336,3 +380,26 @@ def test_fuzzed_scenario(data):
         argv = ["simulate", "--scenario", write_json(tmp / "s.json", scenario),
                 "--out", tmp / "trace.jsonl"]
         assert_clean_exit(*run_main(argv))
+
+
+@pytest.mark.parametrize("key", list(CONFIG["harness"]))
+@settings(FUZZ, max_examples=30)
+@given(data=st.data())
+def test_fuzzed_harness_section(key, data):
+    """A harness section that loads must be one training can start from."""
+    value = mutate(data, CONFIG["harness"][key], top=False,
+                   values=st.one_of(NUMBERS, JSON_VALUES))
+    config = {**CONFIG, "harness": {**CONFIG["harness"], key: value}}
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            params = load_config(write_json(Path(tmp) / "c.json", config),
+                                 env={}).harness
+        except ConfigError:
+            return
+    # valid, but too large to build in a moment
+    assume(max(params.image_dims) <= 256 and params.feature_dim <= 4096)
+    build_soft_mask(HARNESS_RECORDS[0].box, params.image_dims, params.grid_dims,
+                    sigma=params.sigma, floor=params.mask_floor)
+    ToyModel(HARNESS_RECORDS, image_dims=params.image_dims,
+             grid_dims=params.grid_dims, feature_dim=params.feature_dim,
+             seed=params.seed)

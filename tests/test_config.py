@@ -108,6 +108,10 @@ class TestStrictness:
 
     @pytest.mark.parametrize("key,value", [
         ("seed", -1), ("feature_dim", 0), ("grid_dims", [0, 4]), ("image_dims", [4]),
+        # build_soft_mask would reject these only once training starts
+        ("sigma", 1e308), ("sigma", -1), ("sigma", 64.5), ("mask_floor", 0.5),
+        ("mask_floor", 0.0), ("mask_floor", 1 / 64), ("grid_dims", [128, 8]),
+        ("image_dims", [4, 4]),
     ])
     def test_out_of_range_harness_value(self, tmp_path, key, value):
         path = write_config(tmp_path, {"harness": {key: value}})

@@ -111,6 +111,28 @@ class TestAssignOrgan:
                 assert got.organ_label == organ_names[idx]
             assert got.iou_score == best
 
+    def test_matches_oracle_with_many_overlapping_masks(self):
+        # 6 overlapping ellipses on a 128x128 image, at clinical-like density
+        rng = np.random.default_rng(RNG_SEED + 2)
+        h = w = 128
+        rows, cols = np.mgrid[0:h, 0:w]
+        masks = []
+        for k in range(6):
+            cy, cx = rng.uniform(30, 98, size=2)
+            ry, rx = rng.uniform(20, 50, size=2)
+            m = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
+            masks.append(OrganMask(f"organ{k}", m))
+        overlap = sum(m.mask.astype(int) for m in masks)
+        assert (overlap >= 3).any()
+        for _ in range(4):
+            x1, y1 = rng.uniform(0, 0.8, size=2)
+            box = BBox(x1, y1, rng.uniform(x1 + 0.05, 1.0), rng.uniform(y1 + 0.05, 1.0))
+            ann = LesionAnnotation(box=box, lesion_class="mass")
+            got = assign_organ("img", ann, masks)
+            idx, best = oracle_assign(box, [m.mask for m in masks])
+            assert got.organ_label == (None if idx is None else masks[idx].organ_label)
+            assert got.iou_score == best
+
     def test_permutation_stable_without_ties(self):
         rng = np.random.default_rng(RNG_SEED + 1)
         ann = LesionAnnotation(box=BBox(0.05, 0.05, 0.45, 0.45), lesion_class="mass")
@@ -126,6 +148,34 @@ class TestAssignOrgan:
             perm = list(rng.permutation(len(masks)))
             shuffled = [masks[i] for i in perm]
             assert assign_organ("img", ann, shuffled).organ_label == baseline
+
+
+class TestOrganMask:
+    def test_area_is_set_pixel_count(self):
+        m = half_mask(32, 16, "left")
+        m[0, 12] = True
+        assert OrganMask("liver", m).area == int(np.count_nonzero(m)) == 32 * 8 + 1
+
+    def test_bool_mask_is_a_read_only_view(self):
+        m = half_mask(8, 8, "top")
+        om = OrganMask("liver", m)
+        assert np.shares_memory(om.mask, m)
+        assert not om.mask.flags.writeable
+        assert m.flags.writeable
+        with pytest.raises(ValueError):
+            om.mask[0, 0] = False
+
+    @pytest.mark.parametrize("dtype", [np.uint8, float])
+    def test_non_bool_mask_is_converted(self, dtype):
+        m = half_mask(8, 8, "top").astype(dtype)
+        om = OrganMask("liver", m)
+        assert om.mask.dtype == bool and om.area == 32
+        assert (om.mask == (m != 0)).all()
+        assert m.flags.writeable
+
+    def test_empty_mask_rejected(self):
+        with pytest.raises(ValidationError, match="empty"):
+            OrganMask("liver", np.zeros((4, 4), dtype=bool))
 
 
 class TestSeeds:

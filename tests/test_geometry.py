@@ -15,6 +15,7 @@ from cotforge.errors import ValidationError
 from cotforge.geometry import (
     BBox,
     SoftMask,
+    box_span,
     build_soft_mask,
     kl_attn_logit_grad,
     kl_divergence,
@@ -30,6 +31,43 @@ def random_box(rng, min_side=0.05):
     x2 = rng.uniform(x1 + min_side, 1.0)
     y2 = rng.uniform(y1 + min_side, 1.0)
     return BBox(x1, y1, x2, y2)
+
+
+def edge_case_boxes(rng):
+    """(box, height, width) cases at the edges of the pixel-center rule.
+
+    Boxes that fall between pixel centers (so cover none), boxes touching
+    x2 = 1.0 or y2 = 1.0, edges exactly on pixel centers, and 1xN / Nx1
+    rasters.
+    """
+    cases = []
+    for _ in range(12):
+        h = int(rng.integers(1, 24))
+        w = int(rng.integers(1, 24))
+        r = int(rng.integers(0, h))
+        c = int(rng.integers(0, w))
+        # strictly between two neighbouring centers, on one axis or both
+        gap_x = ((c + 0.55) / w, (c + 0.95) / w)
+        gap_y = ((r + 0.55) / h, (r + 0.95) / h)
+        cases.append((BBox(gap_x[0], gap_y[0], gap_x[1], gap_y[1]), h, w))
+        cases.append((BBox(gap_x[0], 0.0, gap_x[1], 1.0), h, w))
+        cases.append((BBox(0.0, gap_y[0], 1.0, gap_y[1]), h, w))
+        # touching the right or bottom edge
+        x1, y1 = rng.uniform(0.0, 0.95, size=2)
+        cases.append((BBox(x1, y1, 1.0, rng.uniform(y1 + 0.01, 1.0)), h, w))
+        cases.append((BBox(x1, y1, rng.uniform(x1 + 0.01, 1.0), 1.0), h, w))
+        cases.append((BBox(x1, y1, 1.0, 1.0), h, w))
+        # edges exactly on pixel centers
+        cases.append((BBox((c + 0.5) / w, (r + 0.5) / h, 1.0, 1.0), h, w))
+        cases.append((BBox(0.0, 0.0, (c + 0.5) / w, (r + 0.5) / h), h, w))
+    for n in (1, 2, 7, 30):
+        for _ in range(3):
+            cases.append((random_box(rng, min_side=0.01), 1, n))
+            cases.append((random_box(rng, min_side=0.01), n, 1))
+    return cases
+
+
+EDGE_CASES = edge_case_boxes(np.random.default_rng(31))
 
 
 class TestBBox:
@@ -72,6 +110,24 @@ class TestRasterize:
             assert got == expected
 
 
+    def test_edge_cases_match_oracle_pixel_sets(self):
+        assert any(not oracle_box_pixels(*case) for case in EDGE_CASES)
+        for box, h, w in EDGE_CASES:
+            expected = oracle_box_pixels(box, h, w)
+            raster = rasterize_box(box, h, w)
+            assert raster.dtype == bool and raster.shape == (h, w)
+            assert {(r, c) for r, c in zip(*np.nonzero(raster))} == expected
+            r0, r1, c0, c1 = box_span(box, h, w)
+            if expected:
+                rows = {r for r, _ in expected}
+                cols = {c for _, c in expected}
+                assert (r0, r1, c0, c1) == (min(rows), max(rows) + 1,
+                                            min(cols), max(cols) + 1)
+                assert len(expected) == (r1 - r0) * (c1 - c0)
+            else:
+                assert (r0, r1, c0, c1) == (0, 0, 0, 0)
+
+
 class TestMaskIou:
     def test_left_half_box_full_mask(self):
         # 64x64, mask = all pixels, box = left half -> exactly 0.5
@@ -100,6 +156,17 @@ class TestMaskIou:
             if not mask.any():
                 mask[0, 0] = True
             assert mask_iou(box, mask) == oracle_iou(box, mask)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, float])
+    def test_edge_cases_match_loop_oracle(self, dtype):
+        rng = np.random.default_rng(13)
+        for box, h, w in EDGE_CASES:
+            for density in (0.0, 0.3, 1.0):
+                mask = (rng.random((h, w)) < density).astype(dtype)
+                expected = oracle_iou(box, mask.tolist())
+                assert mask_iou(box, mask) == expected
+                area = int(np.count_nonzero(mask))
+                assert mask_iou(box, mask, area) == expected
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):

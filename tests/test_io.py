@@ -77,7 +77,9 @@ class TestRle:
         for mask in masks:
             h, w = mask.shape
             runs = rle_encode(mask)
-            assert (rle_decode(runs, h, w) == mask).all()
+            decoded = rle_decode(runs, h, w)
+            assert decoded.dtype == bool
+            assert (decoded == mask).all()
             # alternating encoding always starts with a zero run
             assert len(runs) >= 1
 

@@ -132,6 +132,16 @@ class TestRetries:
         assert sleeps == [0.01]
 
 
+    @pytest.mark.parametrize("endpoint", ["not-a-url", "http://"])
+    def test_unusable_url_fails_without_retry(self, endpoint):
+        # requests rejects these before anything is sent
+        sleeps = []
+        gen = RemoteQaGenerator(endpoint, attempts=3, sleeper=sleeps.append)
+        with pytest.raises(BackendError, match="request failed"):
+            gen.generate("seed text", "img", "CT")
+        assert sleeps == []
+
+
 class TestMalformedResponses:
     def test_missing_field_no_retry(self, server):
         server.script = ["missing-answer"]
