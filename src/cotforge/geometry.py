@@ -162,13 +162,43 @@ def kl_divergence(attn, target) -> float:
     return value
 
 
-def kl_attn_logit_grad(attn, target) -> np.ndarray:
-    """Gradient of KL(attn || target) w.r.t. the attention logits.
+def kl_rows(attn, target):
+    """KL(attn || target) of each row of two (m, cells) arrays, and its gradient.
 
-    attn must be the softmax of those logits; the gradient is
-    p * (log(p/q) - KL(p || q)) elementwise.
+    Each row of attn must be the softmax of a row of attention logits; the
+    gradient w.r.t. those logits is p * (log(p/q) - KL(p || q)) elementwise.
+    Row i's divergence equals kl_divergence(attn[i], target[i]) bit for bit.
+    A cell where p == 0 (a softmax that underflowed) follows the
+    0*log(0) = 0 rule: it adds nothing to the divergence and its gradient is
+    0, the limit, with no log(0) taken.
     """
     p = np.asarray(attn, dtype=float)
     q = np.asarray(target, dtype=float)
-    kl = kl_divergence(p, q)
-    return p * (np.log(p / q) - kl)
+    if p.ndim != 2 or p.shape != q.shape:
+        raise ValidationError(f"shape mismatch: attn {p.shape} vs target {q.shape}")
+    if float(q.min()) <= 0.0:
+        raise ValidationError("target distribution contains zero cells")
+    support = p > 0.0
+    ratio = p / q
+    ratio[~support] = 1.0
+    log_ratio = np.log(ratio)
+    kl = np.sum(p * log_ratio, axis=1)
+    for i in np.flatnonzero(~support.all(axis=1)):
+        # kl_divergence sums the supported cells alone; so must this row
+        kl[i] = np.sum(p[i][support[i]] * log_ratio[i][support[i]])
+    # roundoff guard for near-identical distributions, as in kl_divergence
+    kl[(-1e-12 < kl) & (kl < 0.0)] = 0.0
+    return kl, p * (log_ratio - kl[:, None])
+
+
+def kl_attn_logit_grad(attn, target) -> np.ndarray:
+    """Gradient of KL(attn || target) w.r.t. the attention logits.
+
+    The one-row case of kl_rows: attn is the softmax of those logits over
+    all of its cells.
+    """
+    p = np.asarray(attn, dtype=float)
+    q = np.asarray(target, dtype=float)
+    if p.shape != q.shape:
+        raise ValidationError(f"shape mismatch: attn {p.shape} vs target {q.shape}")
+    return kl_rows(p.reshape(1, -1), q.reshape(1, -1))[1].reshape(p.shape)

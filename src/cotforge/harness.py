@@ -3,7 +3,8 @@
 Each batch is planned by the scheduler (hard slots first, then per-item
 stage coins), evaluated on the toy model in one batch call, and applied as
 one plain gradient descent step on the batch-mean gradient. Medium items
-get the box-derived soft mask as their attention target.
+get the box-derived soft mask as their attention target, built the first
+time the item trains Medium and reused after that.
 """
 
 from __future__ import annotations
@@ -15,10 +16,13 @@ import numpy as np
 
 from .errors import ValidationError
 from .forge import VqaCotRecord
-from .geometry import build_soft_mask
+from .geometry import box_span, build_soft_mask
 from .losses import Stage, StageLossWeights
 from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams
 from .toymodel import ToyModel
+
+# Largest accepted image side in pixels; a full-field mammogram fits.
+MAX_IMAGE_SIDE = 8192
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,9 @@ class HarnessParams:
         for name in ("image_dims", "grid_dims"):
             if min(getattr(self, name)) < 1:
                 raise ValidationError(f"{name} must be two positive ints")
+        if max(self.image_dims) > MAX_IMAGE_SIDE:
+            raise ValidationError(
+                f"image_dims sides must be at most {MAX_IMAGE_SIDE} pixels")
         # the soft-mask rules of build_soft_mask, checked before any training
         (height, width), (gh, gw) = self.image_dims, self.grid_dims
         if gh > height or gw > width:
@@ -107,11 +114,11 @@ def run_toy_training(records: Sequence[VqaCotRecord],
         model = ToyModel(records, image_dims=params.image_dims,
                          grid_dims=params.grid_dims,
                          feature_dim=params.feature_dim, seed=params.seed)
-    targets = [
-        build_soft_mask(r.box, params.image_dims, params.grid_dims,
-                        sigma=params.sigma, floor=params.mask_floor).grid
-        for r in records
-    ]
+    for r in records:  # the soft-mask rule, checked before any training
+        r0, r1, _, _ = box_span(r.box, *params.image_dims)
+        if r0 == r1:
+            raise ValidationError("box is degenerate after denormalization")
+    targets = {}  # item index -> soft mask, built on the item's first Medium use
     domain_keys = [r.domain.as_str() for r in records]
     scheduler = CurriculumScheduler(hp, domains=sorted(set(domain_keys)),
                                     seed=params.seed)
@@ -126,6 +133,11 @@ def run_toy_training(records: Sequence[VqaCotRecord],
             for idx, stage_name in zip(plan.main_indices, plan.main_stages):
                 idx = int(idx)
                 if stage_name == "medium":
+                    if idx not in targets:
+                        targets[idx] = build_soft_mask(
+                            records[idx].box, params.image_dims,
+                            params.grid_dims, sigma=params.sigma,
+                            floor=params.mask_floor).grid
                     batch.append((idx, Stage.MEDIUM, targets[idx]))
                 else:
                     batch.append((idx, Stage.EASY, None))

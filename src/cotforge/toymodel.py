@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .forge import VqaCotRecord, split_sentences
-from .geometry import kl_attn_logit_grad
+from .geometry import kl_rows
 from .losses import (
     ModelOutputs,
     Stage,
@@ -71,8 +71,23 @@ class ToyModel:
         ]
 
         # cell memberships are fixed by the boxes, so compute them once
-        self._roi = [roi_cells(r.box, self.image_dims, self.grid_dims)
-                     for r in self.items]
+        self._roi_cells = [
+            np.nonzero(roi_cells(r.box, self.image_dims, self.grid_dims))
+            for r in self.items]
+        self._roi_count = np.array([rows.size for rows, _ in self._roi_cells])
+        self._answer_ids = np.array(self.answer_ids, dtype=np.intp)
+        self._anchor_ids = np.array(self.anchor_ids, dtype=np.intp)
+        # sentence ids padded to the longest rationale, and at each position
+        # that sentence's share of the rationale: the rationale head's target
+        self._cot_len = np.array([len(ids) for ids in self.cot_ids])
+        width = int(self._cot_len.max())
+        self._cot_pad = np.zeros((len(self.items), width), dtype=np.intp)
+        self._cot_share = np.zeros((len(self.items), width))
+        for i, ids in enumerate(self.cot_ids):
+            if ids:
+                counts = np.bincount(ids, minlength=len(self.cot_vocab))
+                self._cot_pad[i, :len(ids)] = ids
+                self._cot_share[i, :len(ids)] = counts[ids].astype(float) / len(ids)
 
         rng = np.random.default_rng(seed)
         gh, gw = self.grid_dims
@@ -122,7 +137,7 @@ class ToyModel:
         lp_cot = _log_softmax(self.cot_logits)
         cot_logprobs = lp_cot[ids] if ids else None
         attention = _softmax(self.attn_logits[idx].ravel()).reshape(self.grid_dims)
-        feature_vec = self.features[self._roi[idx]].mean(axis=0)
+        feature_vec = self.features[self._roi_cells[idx]].mean(axis=0)
         anchor_vec = self.anchors[self.anchor_ids[idx]]
         return ModelOutputs(
             answer_logprobs=answer_logprobs,
@@ -149,42 +164,135 @@ class ToyModel:
     ) -> StageLossBreakdown:
         """Add this item's loss gradient into ``grads`` in place.
 
-        Only the rows the item touches are updated, so a call allocates
-        nothing of parameter size; the caller owns (and zeroes) the buffer.
+        The one-item case of the batch routine. Only the rows the item
+        touches are updated; the caller owns (and zeroes) the buffer.
         """
-        stage = Stage(stage)
-        outputs = self.forward(idx, stage)
-        breakdown = stage_loss(stage, outputs,
-                               target_attention=target_attention, weights=weights)
+        return self._add_loss_grads([idx], [stage], [target_attention],
+                                    weights, grads)[0]
 
-        g_ans = _softmax(self.ans_logits)
-        g_ans[self.answer_ids[idx]] -= 1.0
-        if stage == Stage.HARD:
-            grads["ans_logits"] += g_ans
-            return breakdown
-        grads["ans_logits"] += weights.w_ans * g_ans
+    def _add_loss_grads(self, indices, stages, targets, weights,
+                        grads) -> List[StageLossBreakdown]:
+        """Every item's breakdown; each item's gradient added into ``grads``.
 
-        ids = self.cot_ids[idx]
-        counts = np.bincount(ids, minlength=len(self.cot_vocab)).astype(float)
-        p_cot = _softmax(self.cot_logits)
-        grads["cot_logits"] += weights.w_cot * (p_cot - counts / len(ids))
+        Parameters do not change inside a batch, so each head's softmax is
+        computed once and the Medium attention rows as one array. Every loss
+        uses the float expressions of ``losses.stage_loss``, and every buffer
+        receives its items' contributions in batch order (``np.add.at`` adds
+        repeated indices in turn), so the results are bit for bit those of
+        adding the items one at a time.
+        """
+        stages = [Stage(s) for s in stages]
+        items = np.asarray(indices, dtype=np.intp)
+        self._check_idx(int(items.min()))
+        self._check_idx(int(items.max()))
+        n = items.size
+        main = np.flatnonzero([s != Stage.HARD for s in stages])
+        easy = np.flatnonzero([s == Stage.EASY for s in stages])
+        medium = np.flatnonzero([s == Stage.MEDIUM for s in stages])
+        l_cot, l_ground, l_attn = np.full((3, n), np.nan)
 
-        if stage == Stage.EASY:
-            f = outputs.feature_vec
-            a = outputs.anchor_vec
-            nf = np.linalg.norm(f)
-            na = np.linalg.norm(a)
-            cos = f.dot(a) / (nf * na)
-            dl_df = (cos / nf ** 2) * f - a / (nf * na)
-            dl_da = (cos / na ** 2) * a - f / (nf * na)
-            cells = self._roi[idx]
-            grads["features"][cells] += weights.w_ground * dl_df / cells.sum()
-            grads["anchors"][self.anchor_ids[idx]] += weights.w_ground * dl_da
-        else:
-            grads["attn_logits"][idx] += weights.w_attn * kl_attn_logit_grad(
-                outputs.attention, target_attention
-            )
-        return breakdown
+        answer_ids = self._answer_ids[items]
+        l_ans = -_log_softmax(self.ans_logits)[answer_ids]
+        g_ans = np.tile(_softmax(self.ans_logits), (n, 1))
+        g_ans[np.arange(n), answer_ids] -= 1.0
+        g_ans[main] *= weights.w_ans  # the hard stage ignores the weights
+        np.add.at(grads["ans_logits"][np.newaxis], np.zeros(n, np.intp), g_ans)
+
+        if main.size:
+            main_items = items[main]
+            lengths = self._cot_len[main_items]
+            if lengths.min() == 0:
+                stage = stages[main[np.argmin(lengths)]]
+                raise ValidationError(
+                    f"{stage.value} stage needs rationale log probs")
+            lp_cot = _log_softmax(self.cot_logits)
+            share = np.zeros((main.size, len(self.cot_vocab)))
+            for k in np.unique(lengths):
+                sel = np.flatnonzero(lengths == k)
+                ids = self._cot_pad[main_items[sel], :k]
+                # a row adds up in the order a 1-D sum does: nll_loss's mean
+                l_cot[main[sel]] = -(np.add.reduce(lp_cot[ids], axis=1) / k)
+                share[sel[:, np.newaxis], ids] = self._cot_share[main_items[sel], :k]
+            g_cot = weights.w_cot * (_softmax(self.cot_logits) - share)
+            np.add.at(grads["cot_logits"][np.newaxis],
+                      np.zeros(main.size, np.intp), g_cot)
+
+        if easy.size:
+            l_ground[easy] = self._add_grounding(items[easy], weights, grads)
+        if medium.size:
+            l_attn[medium] = self._add_attention(
+                items[medium], [targets[j] for j in medium], weights, grads)
+
+        l_ans, l_cot, l_ground, l_attn = (
+            v.tolist() for v in (l_ans, l_cot, l_ground, l_attn))
+        breakdowns = []
+        for j, stage in enumerate(stages):
+            if stage == Stage.HARD:
+                breakdowns.append(StageLossBreakdown(
+                    stage=stage, total=l_ans[j], answer=l_ans[j]))
+            elif stage == Stage.EASY:
+                total = (weights.w_ans * l_ans[j] + weights.w_cot * l_cot[j]
+                         + weights.w_ground * l_ground[j])
+                breakdowns.append(StageLossBreakdown(
+                    stage=stage, total=total, answer=l_ans[j], cot=l_cot[j],
+                    grounding=l_ground[j]))
+            else:
+                total = (weights.w_ans * l_ans[j] + weights.w_cot * l_cot[j]
+                         + weights.w_attn * l_attn[j])
+                breakdowns.append(StageLossBreakdown(
+                    stage=stage, total=total, answer=l_ans[j], cot=l_cot[j],
+                    attention=l_attn[j]))
+        return breakdowns
+
+    def _add_grounding(self, items, weights, grads) -> np.ndarray:
+        """Easy items' 1 - cosine(pooled ROI feature, anchor); adds its gradient."""
+        m = items.size
+        f = np.empty((m, self.feature_dim))
+        a = self.anchors[self._anchor_ids[items]]
+        loss = np.empty(m)
+        coef = np.empty((m, 3))  # cos / |f|^2, cos / |a|^2, |f| |a|
+        for row, idx in enumerate(items.tolist()):
+            # the ROI mean, as ndarray.mean computes it
+            f[row] = (np.add.reduce(self.features[self._roi_cells[idx]], axis=0)
+                      / self._roi_count[idx])
+            nf = np.sqrt(f[row].dot(f[row]))
+            na = np.sqrt(a[row].dot(a[row]))
+            if nf == 0.0 or na == 0.0:
+                raise ValidationError(
+                    "grounding is undefined for a zero-norm vector")
+            cos = f[row].dot(a[row]) / (nf * na)
+            loss[row] = 1.0 - cos
+            # a scalar's ** 2 is libm pow, which an array square does not match
+            coef[row] = cos / nf ** 2, cos / na ** 2, nf * na
+        dl_df = coef[:, :1] * f - a / coef[:, 2:]
+        dl_da = coef[:, 1:2] * a - f / coef[:, 2:]
+        counts = self._roi_count[items]
+        per_cell = np.repeat(weights.w_ground * dl_df / counts[:, np.newaxis],
+                             counts, axis=0)
+        cells = [self._roi_cells[idx] for idx in items.tolist()]
+        np.add.at(grads["features"], (np.concatenate([c[0] for c in cells]),
+                                      np.concatenate([c[1] for c in cells])),
+                  per_cell)
+        np.add.at(grads["anchors"], self._anchor_ids[items],
+                  weights.w_ground * dl_da)
+        return loss
+
+    def _add_attention(self, items, targets, weights, grads) -> np.ndarray:
+        """Medium items' KL(attention || soft mask), as rows; adds its gradient."""
+        for t in targets:
+            if t is None:
+                raise ValidationError("medium stage needs a target attention mask")
+            if np.shape(t) != self.grid_dims:
+                raise ValidationError(
+                    f"shape mismatch: attn {self.grid_dims} vs target {np.shape(t)}")
+        z = self.attn_logits[items].reshape(items.size, -1)
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        attention = e / e.sum(axis=1, keepdims=True)
+        target = np.array(targets, dtype=float).reshape(items.size, -1)
+        kl, g_attn = kl_rows(attention, target)
+        np.add.at(grads["attn_logits"], items,
+                  (weights.w_attn * g_attn).reshape((-1,) + self.grid_dims))
+        return kl
 
     def _check_batch(self, indices, stages, targets):
         if not (len(indices) == len(stages) == len(targets)):
@@ -211,10 +319,7 @@ class ToyModel:
         """Per-item breakdowns in batch order, and the batch-mean gradient."""
         self._check_batch(indices, stages, targets)
         grads = {key: np.zeros_like(value) for key, value in self._params().items()}
-        breakdowns = [
-            self.item_loss_and_grads(i, s, t, weights, grads=grads)
-            for i, s, t in zip(indices, stages, targets)
-        ]
+        breakdowns = self._add_loss_grads(indices, stages, targets, weights, grads)
         scale = 1.0 / len(indices)
         for key in grads:
             grads[key] *= scale

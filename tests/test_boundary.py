@@ -204,6 +204,8 @@ UNUSABLE_VALUE_CASES = [
     ("sigma-negative", "train-toy", ("harness", "sigma"), -1),
     ("mask-floor-too-large", "train-toy", ("harness", "mask_floor"), 0.5),
     ("grid-exceeds-image", "train-toy", ("harness", "grid_dims"), [128, 8]),
+    ("image-dims-unbounded", "train-toy", ("harness", "image_dims"),
+     [1099511627776, 64]),
 ]
 
 

@@ -112,6 +112,8 @@ class TestStrictness:
         ("sigma", 1e308), ("sigma", -1), ("sigma", 64.5), ("mask_floor", 0.5),
         ("mask_floor", 0.0), ("mask_floor", 1 / 64), ("grid_dims", [128, 8]),
         ("image_dims", [4, 4]),
+        # a side above MAX_IMAGE_SIDE would exhaust memory once training starts
+        ("image_dims", [1099511627776, 64]), ("image_dims", [64, 8193]),
     ])
     def test_out_of_range_harness_value(self, tmp_path, key, value):
         path = write_config(tmp_path, {"harness": {key: value}})

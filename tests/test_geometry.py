@@ -19,6 +19,7 @@ from cotforge.geometry import (
     build_soft_mask,
     kl_attn_logit_grad,
     kl_divergence,
+    kl_rows,
     mask_iou,
     rasterize_box,
 )
@@ -329,6 +330,55 @@ class TestKlLogitGradient:
                 denom = max(abs(num), abs(analytic[i]), 1e-8)
                 worst = max(worst, abs(num - analytic[i]) / denom)
             assert worst <= 1e-5
+
+    def test_underflowed_cell_has_zero_gradient(self):
+        # exp(-1e4 - 2) underflows: softmax gives that cell p == 0 exactly
+        z = np.array([0.0, 1.0, -1e4, 2.0])
+        q = np.array([0.1, 0.2, 0.3, 0.4])
+
+        def softmax(zv):
+            e = np.exp(zv - zv.max())
+            return e / e.sum()
+
+        p = softmax(z)
+        assert p[2] == 0.0
+        with np.errstate(divide="raise", invalid="raise"):
+            analytic = kl_attn_logit_grad(p, q)
+        assert np.all(np.isfinite(analytic))
+        assert analytic[2] == 0.0
+        h = 1e-6
+        for i in (0, 1, 3):
+            zp = z.copy()
+            zp[i] += h
+            zm = z.copy()
+            zm[i] -= h
+            num = (kl_divergence(softmax(zp), q) - kl_divergence(softmax(zm), q)) / (2 * h)
+            assert abs(num - analytic[i]) <= 1e-5 * max(abs(num), abs(analytic[i]), 1e-8)
+
+
+class TestKlRows:
+    def test_each_row_matches_kl_divergence_bit_for_bit(self):
+        rng = np.random.default_rng(23)
+        p = rng.dirichlet(np.ones(64), size=12)
+        q = rng.dirichlet(np.ones(64), size=12) + 1e-3
+        q /= q.sum(axis=1, keepdims=True)
+        p[3, [5, 40]] = 0.0  # rows with underflowed cells sum their support only
+        p[7, :63] = 0.0
+        p[7, 63] = 1.0
+        p[9] = q[9]  # an identical pair is exactly 0
+        kl, grad = kl_rows(p, q)
+        for i in range(p.shape[0]):
+            assert kl[i] == kl_divergence(p[i], q[i])
+            assert np.array_equal(grad[i], kl_attn_logit_grad(p[i], q[i]))
+        assert np.all(grad[3, [5, 40]] == 0.0) and np.all(grad[7, :63] == 0.0)
+
+    def test_shape_mismatch_and_zero_target_rejected(self):
+        with pytest.raises(ValidationError):
+            kl_rows(np.full((2, 4), 0.25), np.full((2, 3), 1 / 3))
+        with pytest.raises(ValidationError):
+            kl_rows(np.full(4, 0.25), np.full(4, 0.25))
+        with pytest.raises(ValidationError):
+            kl_rows(np.full((1, 2), 0.5), np.array([[1.0, 0.0]]))
 
 
 class TestWrappers:

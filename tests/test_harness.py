@@ -1,17 +1,23 @@
 """End-to-end harness behavior on a four-item corpus."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cotforge import harness
 from cotforge.errors import ValidationError
+from cotforge.geometry import BBox
 from cotforge.harness import HarnessParams, TrainingTrace, run_toy_training
+from cotforge.jsonl import read_corpus
 from cotforge.scheduler import SchedulerHyperparams
 from cotforge.toymodel import ToyModel
 
-from corpus_utils import tiny_corpus
+from corpus_utils import record, tiny_corpus
+
+FIXTURES = Path(__file__).parent.parent / "src" / "cotforge" / "fixtures"
 
 SMALL = dict(image_dims=(16, 16), grid_dims=(2, 2), feature_dim=3,
              sigma=2.0, mask_floor=1e-3)
@@ -112,6 +118,54 @@ class TestTraceShape:
             small_params(epochs=0)
         with pytest.raises(ValidationError):
             small_params(lr=0.0)
+
+
+class TestSoftMasksOnFirstMediumUse:
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The box of every soft mask the harness builds, in build order."""
+        boxes = []
+        real = harness.build_soft_mask
+
+        def counting(box, *args, **kwargs):
+            boxes.append(box)
+            return real(box, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_soft_mask", counting)
+        return boxes
+
+    def test_warmup_run_builds_none(self, built):
+        trace = run_toy_training(tiny_corpus(), small_params())
+        assert all(r.counts["medium"] == 0 for r in trace.reports)
+        assert built == []
+
+    def test_default_run_builds_each_mask_at_most_once(self, built):
+        records = read_corpus(str(FIXTURES / "toy_corpus.jsonl"))
+        trace = run_toy_training(records)
+        assert sum(r.counts["medium"] for r in trace.reports) > len(records)
+        per_record = Counter(id(box) for box in built)
+        assert 0 < len(per_record) <= len(records)
+        assert max(per_record.values()) == 1
+        assert {id(r.box) for r in records} >= set(per_record)
+
+    def test_box_between_pixel_centers_rejected_before_training(self, built):
+        corpus = tiny_corpus()
+        # at 16 px the box spans x, y in [0.55, 0.95] px: no pixel center
+        corpus.append(record("e", BBox(0.55 / 16, 0.55 / 16, 0.95 / 16, 0.95 / 16),
+                             "liver", "The image shows a mass. It is in the liver."))
+        params = small_params()
+        model = ToyModel(corpus, image_dims=params.image_dims,
+                         grid_dims=params.grid_dims,
+                         feature_dim=params.feature_dim, seed=0)
+
+        def trained(*args, **kwargs):
+            raise AssertionError("a batch was trained")
+
+        model.batch_loss_and_grads = trained
+        with pytest.raises(ValidationError,
+                           match="box is degenerate after denormalization"):
+            run_toy_training(corpus, params, model=model)
+        assert built == []
 
 
 @pytest.fixture(scope="module")

@@ -137,6 +137,19 @@ def batch_setup(model, stage):
     return f, g
 
 
+# Hard items first, then Easy and Medium interleaved, item 1 twice as Medium
+MIXED_INDICES = [2, 0, 3, 1, 0, 2, 1, 3]
+MIXED_STAGES = [Stage.HARD, Stage.HARD, Stage.EASY, Stage.MEDIUM, Stage.EASY,
+                Stage.MEDIUM, Stage.MEDIUM, Stage.EASY]
+MIXED_WEIGHTS = StageLossWeights(w_ans=0.3, w_cot=0.7, w_ground=1.9, w_attn=0.6)
+
+
+def mixed_targets(model):
+    soft = targets_for(model)
+    return [soft[i] if s == Stage.MEDIUM else None
+            for i, s in zip(MIXED_INDICES, MIXED_STAGES)]
+
+
 class TestGradientsMatchFiniteDifferences:
     @pytest.mark.parametrize("stage", [Stage.EASY, Stage.MEDIUM, Stage.HARD])
     def test_stage_total_gradient(self, model, stage):
@@ -147,6 +160,55 @@ class TestGradientsMatchFiniteDifferences:
             x = base + rng.normal(0.0, 0.2, size=base.shape)
             err = finite_difference_check(f, g(x), x)
             assert err <= 1e-5, f"{stage}: max rel err {err}"
+
+    def test_mixed_stage_batch_gradient(self, model):
+        targets = mixed_targets(model)
+
+        def f(vec):
+            model.set_param_vector(vec)
+            return model.batch_loss(MIXED_INDICES, MIXED_STAGES, targets,
+                                    MIXED_WEIGHTS)
+
+        rng = np.random.default_rng(43)
+        base = model.param_vector()
+        for _ in range(3):
+            x = base + rng.normal(0.0, 0.2, size=base.shape)
+            model.set_param_vector(x)
+            g = model.batch_grad_vector(MIXED_INDICES, MIXED_STAGES, targets,
+                                        MIXED_WEIGHTS)
+            err = finite_difference_check(f, g, x)
+            assert err <= 1e-5, f"mixed batch: max rel err {err}"
+
+
+class TestBatchMatchesItems:
+    """One pass over a mixed batch gives, bit for bit, what the items give
+    one at a time: the oracle's losses, and the gradients summed in order."""
+
+    @pytest.fixture
+    def moved(self, model):
+        rng = np.random.default_rng(7)
+        base = model.param_vector()
+        model.set_param_vector(base + rng.normal(0.0, 0.3, size=base.shape))
+        return model
+
+    def test_breakdowns_equal_the_oracle(self, moved):
+        targets = mixed_targets(moved)
+        breakdowns, _ = moved.batch_loss_and_grads(
+            MIXED_INDICES, MIXED_STAGES, targets, MIXED_WEIGHTS)
+        for got, i, s, t in zip(breakdowns, MIXED_INDICES, MIXED_STAGES, targets):
+            want = moved.item_loss(i, s, target_attention=t, weights=MIXED_WEIGHTS)
+            assert got == want  # every field, exactly
+
+    def test_gradient_equals_items_added_in_order(self, moved):
+        targets = mixed_targets(moved)
+        _, batch = moved.batch_loss_and_grads(
+            MIXED_INDICES, MIXED_STAGES, targets, MIXED_WEIGHTS)
+        one_by_one = {key: np.zeros_like(getattr(moved, key)) for key in PARAM_KEYS}
+        for i, s, t in zip(MIXED_INDICES, MIXED_STAGES, targets):
+            moved.item_loss_and_grads(i, s, t, MIXED_WEIGHTS, grads=one_by_one)
+        for key in PARAM_KEYS:
+            assert np.array_equal(batch[key],
+                                  one_by_one[key] * (1.0 / len(MIXED_INDICES)))
 
 
 class TestTraining:
