@@ -142,35 +142,17 @@ def build_soft_mask(box: BBox, image_dims, grid_dims, sigma=0.0, floor=1e-6) -> 
     return SoftMask(grid=pooled, floor=floor)
 
 
-def kl_divergence(attn, target) -> float:
-    """KL(attn || target) with 0*log(0) treated as 0.
-
-    The target must be strictly positive everywhere (soft masks are floored,
-    so a zero target cell indicates a bug upstream).
-    """
-    p = np.asarray(attn, dtype=float)
-    q = np.asarray(target, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError(f"shape mismatch: attn {p.shape} vs target {q.shape}")
-    if float(q.min()) <= 0.0:
-        raise ValidationError("target distribution contains zero cells")
-    support = p > 0.0
-    value = float(np.sum(p[support] * np.log(p[support] / q[support])))
-    if -1e-12 < value < 0.0:
-        # roundoff guard for near-identical distributions
-        return 0.0
-    return value
-
-
 def kl_rows(attn, target):
     """KL(attn || target) of each row of two (m, cells) arrays, and its gradient.
 
     Each row of attn must be the softmax of a row of attention logits; the
     gradient w.r.t. those logits is p * (log(p/q) - KL(p || q)) elementwise.
-    Row i's divergence equals kl_divergence(attn[i], target[i]) bit for bit.
-    A cell where p == 0 (a softmax that underflowed) follows the
-    0*log(0) = 0 rule: it adds nothing to the divergence and its gradient is
-    0, the limit, with no log(0) taken.
+    The target must be strictly positive everywhere (soft masks are floored,
+    so a zero target cell indicates a bug upstream). A cell where p == 0 (a
+    softmax that underflowed) follows the 0*log(0) = 0 rule: it adds nothing
+    to the divergence and its gradient is 0, the limit, with no log(0)
+    taken. Every other cell counts, so a NaN in a row makes its divergence
+    NaN, and the caller's finite check sees it.
     """
     p = np.asarray(attn, dtype=float)
     q = np.asarray(target, dtype=float)
@@ -178,27 +160,16 @@ def kl_rows(attn, target):
         raise ValidationError(f"shape mismatch: attn {p.shape} vs target {q.shape}")
     if float(q.min()) <= 0.0:
         raise ValidationError("target distribution contains zero cells")
-    support = p > 0.0
+    support = p != 0.0
     ratio = p / q
     ratio[~support] = 1.0
     log_ratio = np.log(ratio)
     kl = np.sum(p * log_ratio, axis=1)
     for i in np.flatnonzero(~support.all(axis=1)):
-        # kl_divergence sums the supported cells alone; so must this row
+        # sum the supported cells alone: zero terms would regroup np.sum's
+        # pairwise additions, and the row must equal a 1-D sum bit for bit
         kl[i] = np.sum(p[i][support[i]] * log_ratio[i][support[i]])
-    # roundoff guard for near-identical distributions, as in kl_divergence
+    # roundoff guard for near-identical distributions
     kl[(-1e-12 < kl) & (kl < 0.0)] = 0.0
     return kl, p * (log_ratio - kl[:, None])
 
-
-def kl_attn_logit_grad(attn, target) -> np.ndarray:
-    """Gradient of KL(attn || target) w.r.t. the attention logits.
-
-    The one-row case of kl_rows: attn is the softmax of those logits over
-    all of its cells.
-    """
-    p = np.asarray(attn, dtype=float)
-    q = np.asarray(target, dtype=float)
-    if p.shape != q.shape:
-        raise ValidationError(f"shape mismatch: attn {p.shape} vs target {q.shape}")
-    return kl_rows(p.reshape(1, -1), q.reshape(1, -1))[1].reshape(p.shape)

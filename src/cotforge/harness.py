@@ -17,9 +17,8 @@ import numpy as np
 from .errors import ValidationError
 from .forge import VqaCotRecord
 from .geometry import box_span, build_soft_mask
-from .losses import Stage, StageLossWeights
 from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams
-from .toymodel import ToyModel
+from .toymodel import Stage, StageLossWeights, ToyModel
 
 # Largest accepted image side in pixels; a full-field mammogram fits.
 MAX_IMAGE_SIDE = 8192
@@ -93,9 +92,6 @@ class TrainingTrace:
                     f"trace epochs must run 1..N, found {report.epoch} at row {i}"
                 )
 
-    def json_rows(self) -> List[dict]:
-        return [self.header] + [r.to_json_dict() for r in self.reports]
-
 
 def run_toy_training(records: Sequence[VqaCotRecord],
                      params: HarnessParams = HarnessParams(),
@@ -105,7 +101,9 @@ def run_toy_training(records: Sequence[VqaCotRecord],
 
     The whole corpus serves as both the main pool and the answer-only hard
     pool (hard items are simply scored without their rationale). A non-finite
-    loss aborts immediately with the offending epoch, batch, and item.
+    loss aborts immediately with the offending epoch, batch, and item; a
+    floating-point overflow, invalid operation or division by zero in a batch
+    aborts with its epoch and batch.
     """
     if not records:
         raise ValidationError("corpus must be non-empty")
@@ -142,18 +140,25 @@ def run_toy_training(records: Sequence[VqaCotRecord],
                 else:
                     batch.append((idx, Stage.EASY, None))
             indices, stages, batch_targets = zip(*batch)
-            breakdowns, grads = model.batch_loss_and_grads(
-                indices, stages, batch_targets, weights=params.weights
-            )
-            for idx, breakdown in zip(indices, breakdowns):
-                if not np.isfinite(breakdown.total):
-                    raise ValidationError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_no}, "
-                        f"item {records[idx].image_id!r} ({breakdown.stage.value})"
+            try:
+                with np.errstate(over="raise", invalid="raise", divide="raise"):
+                    breakdowns, grads = model.batch_loss_and_grads(
+                        indices, stages, batch_targets, weights=params.weights
                     )
-                scheduler.observe(domain_keys[idx], breakdown.stage.value,
-                                  breakdown.total, cot_loss=breakdown.cot)
-            model.step(grads, params.lr)
+                    for idx, breakdown in zip(indices, breakdowns):
+                        if not np.isfinite(breakdown.total):
+                            raise ValidationError(
+                                f"non-finite loss at epoch {epoch}, batch {batch_no}, "
+                                f"item {records[idx].image_id!r} "
+                                f"({breakdown.stage.value})"
+                            )
+                        scheduler.observe(domain_keys[idx], breakdown.stage.value,
+                                          breakdown.total, cot_loss=breakdown.cot)
+                    model.step(grads, params.lr)
+            except FloatingPointError as exc:
+                raise ValidationError(
+                    f"non-finite value at epoch {epoch}, batch {batch_no}: {exc}"
+                ) from None
         reports.append(scheduler.end_of_epoch())
 
     header = {

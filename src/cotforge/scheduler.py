@@ -263,12 +263,6 @@ class BatchPlan:
     main_indices: np.ndarray
     main_stages: List[str]
 
-    def stage_counts(self) -> Dict[str, int]:
-        counts = {"easy": 0, "medium": 0, "hard": int(len(self.hard_indices))}
-        for stage in self.main_stages:
-            counts[stage] += 1
-        return counts
-
 
 def plan_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
                main_pool_size: int,

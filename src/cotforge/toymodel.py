@@ -1,32 +1,114 @@
 """A deliberately small VQA model for exercising the curriculum end to end.
 
+Each item trains under one of three stage objectives:
+
+* easy: answer NLL + rationale NLL + grounding (1 - cosine between the
+  pooled lesion feature and its domain anchor),
+* medium: answer NLL + rationale NLL + divergence of predicted attention
+  from the box-derived soft mask,
+* hard: answer NLL alone. Weights do not apply to the hard stage.
+
 The model factors the task into independent pieces that still touch every
 loss component: a unigram answer head, a unigram rationale head over
 sentences, one attention logit grid per item, a shared spatial feature map
 pooled over the lesion box, and one anchor vector per (lesion, answer)
-pair. All gradients are derived in closed form; finite differences are
-kept as a separate evaluation-only route so the two can disagree.
+pair. All gradients are derived in closed form. The tests hold the
+reference forward pass, the loss oracle and the finite-difference check,
+so the analytic route here can disagree with an independent one.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from enum import Enum
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ValidationError
 from .forge import VqaCotRecord, split_sentences
-from .geometry import kl_rows
-from .losses import (
-    ModelOutputs,
-    Stage,
-    StageLossBreakdown,
-    StageLossWeights,
-    roi_cells,
-    stage_loss,
-)
+from .geometry import BBox, kl_rows
 
 PARAM_KEYS = ("ans_logits", "cot_logits", "attn_logits", "features", "anchors")
+
+
+class Stage(str, Enum):
+    EASY = "easy"
+    MEDIUM = "medium"
+    HARD = "hard"
+
+
+@dataclass(frozen=True)
+class StageLossWeights:
+    w_ans: float = 1.0
+    w_cot: float = 1.0
+    w_ground: float = 1.0
+    w_attn: float = 1.0
+
+    def __post_init__(self):
+        for name in ("w_ans", "w_cot", "w_ground", "w_attn"):
+            if getattr(self, name) < 0.0:
+                raise ValidationError(f"{name} must be non-negative")
+
+
+@dataclass
+class StageLossBreakdown:
+    stage: Stage
+    total: float
+    answer: float
+    cot: Optional[float] = None
+    grounding: Optional[float] = None
+    attention: Optional[float] = None
+
+
+def stage_loss(stage: Stage, weights: StageLossWeights, answer: float,
+               cot: float, grounding: float, attention: float) -> StageLossBreakdown:
+    """One item's breakdown: its loss components combined by the stage recipe.
+
+    Easy weighs answer, rationale and grounding; Medium weighs answer,
+    rationale and attention; Hard is the answer loss alone, whatever the
+    weights. A component the stage does not use is ignored.
+    """
+    if stage == Stage.HARD:
+        return StageLossBreakdown(stage=stage, total=answer, answer=answer)
+    if stage == Stage.EASY:
+        total = (weights.w_ans * answer + weights.w_cot * cot
+                 + weights.w_ground * grounding)
+        return StageLossBreakdown(stage=stage, total=total, answer=answer,
+                                  cot=cot, grounding=grounding)
+    total = (weights.w_ans * answer + weights.w_cot * cot
+             + weights.w_attn * attention)
+    return StageLossBreakdown(stage=stage, total=total, answer=answer,
+                              cot=cot, attention=attention)
+
+
+def roi_cells(box: BBox, image_dims: tuple, grid_dims: tuple) -> np.ndarray:
+    """Boolean grid of cells whose centers fall inside the box.
+
+    Cell centers use the same closed-interval membership as pixel
+    rasterization. A box too small to cover any center selects the single
+    cell containing the box center, so pooling never sees an empty region.
+    """
+    height, width = image_dims
+    gh, gw = grid_dims
+    if gh < 1 or gw < 1:
+        raise ValidationError("grid dims must be positive")
+    cell_h = height / gh
+    cell_w = width / gw
+    x_lo, y_lo = box.x1 * width, box.y1 * height
+    x_hi, y_hi = box.x2 * width, box.y2 * height
+    row_centers = (np.arange(gh) + 0.5) * cell_h
+    col_centers = (np.arange(gw) + 0.5) * cell_w
+    rows = (row_centers >= y_lo) & (row_centers <= y_hi)
+    cols = (col_centers >= x_lo) & (col_centers <= x_hi)
+    cells = np.outer(rows, cols)
+    if not cells.any():
+        cx = 0.5 * (x_lo + x_hi)
+        cy = 0.5 * (y_lo + y_hi)
+        gr = min(gh - 1, int(cy // cell_h))
+        gc = min(gw - 1, int(cx // cell_w))
+        cells[gr, gc] = True
+    return cells
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -122,39 +204,7 @@ class ToyModel:
         if not 0 <= idx < len(self.items):
             raise ValidationError(f"item index {idx} out of range")
 
-    # ----- forward -----
-
-    def forward(self, idx: int, stage: Union[Stage, str]) -> ModelOutputs:
-        stage = Stage(stage)
-        self._check_idx(idx)
-        item = self.items[idx]
-        lp_ans = _log_softmax(self.ans_logits)
-        answer_logprobs = np.array([lp_ans[self.answer_ids[idx]]])
-        if stage == Stage.HARD:
-            return ModelOutputs(answer_logprobs=answer_logprobs, box=item.box)
-
-        ids = self.cot_ids[idx]
-        lp_cot = _log_softmax(self.cot_logits)
-        cot_logprobs = lp_cot[ids] if ids else None
-        attention = _softmax(self.attn_logits[idx].ravel()).reshape(self.grid_dims)
-        feature_vec = self.features[self._roi_cells[idx]].mean(axis=0)
-        anchor_vec = self.anchors[self.anchor_ids[idx]]
-        return ModelOutputs(
-            answer_logprobs=answer_logprobs,
-            cot_logprobs=cot_logprobs,
-            attention=attention,
-            feature_vec=feature_vec,
-            anchor_vec=anchor_vec,
-            box=item.box,
-        )
-
     # ----- losses and gradients -----
-
-    def item_loss(self, idx: int, stage: Union[Stage, str],
-                  target_attention: Optional[np.ndarray] = None,
-                  weights: StageLossWeights = StageLossWeights()) -> StageLossBreakdown:
-        return stage_loss(stage, self.forward(idx, stage),
-                          target_attention=target_attention, weights=weights)
 
     def item_loss_and_grads(
         self, idx: int, stage: Union[Stage, str],
@@ -175,8 +225,8 @@ class ToyModel:
         """Every item's breakdown; each item's gradient added into ``grads``.
 
         Parameters do not change inside a batch, so each head's softmax is
-        computed once and the Medium attention rows as one array. Every loss
-        uses the float expressions of ``losses.stage_loss``, and every buffer
+        computed once and the Medium attention rows as one array.
+        ``stage_loss`` combines each item's components, and every buffer
         receives its items' contributions in batch order (``np.add.at`` adds
         repeated indices in turn), so the results are bit for bit those of
         adding the items one at a time.
@@ -210,7 +260,7 @@ class ToyModel:
             for k in np.unique(lengths):
                 sel = np.flatnonzero(lengths == k)
                 ids = self._cot_pad[main_items[sel], :k]
-                # a row adds up in the order a 1-D sum does: nll_loss's mean
+                # a row adds up in the order a 1-D sum does, as ndarray.mean
                 l_cot[main[sel]] = -(np.add.reduce(lp_cot[ids], axis=1) / k)
                 share[sel[:, np.newaxis], ids] = self._cot_share[main_items[sel], :k]
             g_cot = weights.w_cot * (_softmax(self.cot_logits) - share)
@@ -223,26 +273,10 @@ class ToyModel:
             l_attn[medium] = self._add_attention(
                 items[medium], [targets[j] for j in medium], weights, grads)
 
-        l_ans, l_cot, l_ground, l_attn = (
-            v.tolist() for v in (l_ans, l_cot, l_ground, l_attn))
-        breakdowns = []
-        for j, stage in enumerate(stages):
-            if stage == Stage.HARD:
-                breakdowns.append(StageLossBreakdown(
-                    stage=stage, total=l_ans[j], answer=l_ans[j]))
-            elif stage == Stage.EASY:
-                total = (weights.w_ans * l_ans[j] + weights.w_cot * l_cot[j]
-                         + weights.w_ground * l_ground[j])
-                breakdowns.append(StageLossBreakdown(
-                    stage=stage, total=total, answer=l_ans[j], cot=l_cot[j],
-                    grounding=l_ground[j]))
-            else:
-                total = (weights.w_ans * l_ans[j] + weights.w_cot * l_cot[j]
-                         + weights.w_attn * l_attn[j])
-                breakdowns.append(StageLossBreakdown(
-                    stage=stage, total=total, answer=l_ans[j], cot=l_cot[j],
-                    attention=l_attn[j]))
-        return breakdowns
+        return [stage_loss(stage, weights, ans, cot, ground, attn)
+                for stage, ans, cot, ground, attn in zip(
+                    stages, l_ans.tolist(), l_cot.tolist(), l_ground.tolist(),
+                    l_attn.tolist())]
 
     def _add_grounding(self, items, weights, grads) -> np.ndarray:
         """Easy items' 1 - cosine(pooled ROI feature, anchor); adds its gradient."""
@@ -294,30 +328,16 @@ class ToyModel:
                   (weights.w_attn * g_attn).reshape((-1,) + self.grid_dims))
         return kl
 
-    def _check_batch(self, indices, stages, targets):
-        if not (len(indices) == len(stages) == len(targets)):
-            raise ValidationError("indices, stages and targets must align")
-        if not indices:
-            raise ValidationError("empty batch")
-
-    def batch_loss(self, indices: Sequence[int], stages: Sequence,
-                   targets: Sequence[Optional[np.ndarray]],
-                   weights: StageLossWeights = StageLossWeights()) -> float:
-        """Mean stage-total loss; evaluation only, shares no gradient code."""
-        self._check_batch(indices, stages, targets)
-        totals = [
-            self.item_loss(i, s, target_attention=t, weights=weights).total
-            for i, s, t in zip(indices, stages, targets)
-        ]
-        return float(np.mean(totals))
-
     def batch_loss_and_grads(
         self, indices: Sequence[int], stages: Sequence,
         targets: Sequence[Optional[np.ndarray]],
         weights: StageLossWeights = StageLossWeights(),
     ) -> Tuple[List[StageLossBreakdown], Dict[str, np.ndarray]]:
         """Per-item breakdowns in batch order, and the batch-mean gradient."""
-        self._check_batch(indices, stages, targets)
+        if not (len(indices) == len(stages) == len(targets)):
+            raise ValidationError("indices, stages and targets must align")
+        if not indices:
+            raise ValidationError("empty batch")
         grads = {key: np.zeros_like(value) for key, value in self._params().items()}
         breakdowns = self._add_loss_grads(indices, stages, targets, weights, grads)
         scale = 1.0 / len(indices)
@@ -325,37 +345,7 @@ class ToyModel:
             grads[key] *= scale
         return breakdowns, grads
 
-    def batch_grad_vector(self, indices, stages, targets,
-                          weights: StageLossWeights = StageLossWeights()) -> np.ndarray:
-        _, grads = self.batch_loss_and_grads(indices, stages, targets, weights)
-        return np.concatenate([grads[k].ravel() for k in PARAM_KEYS])
-
     def step(self, grads: Dict[str, np.ndarray], lr: float):
         for key in PARAM_KEYS:
             setattr(self, key, self._params()[key] - lr * grads[key])
 
-
-def finite_difference_check(f: Callable[[np.ndarray], float],
-                            grad: np.ndarray, x: np.ndarray,
-                            h: float = 1e-5, guard: float = 1e-8) -> float:
-    """Worst-case relative error between ``grad`` and central differences of ``f``.
-
-    Per coordinate: |analytic - numeric| / max(|analytic|, |numeric|, guard).
-    ``f`` is treated as a black box; this routine must stay independent of
-    any analytic gradient code.
-    """
-    x = np.asarray(x, dtype=float)
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != x.shape:
-        raise ValidationError("gradient and point must have the same shape")
-    worst = 0.0
-    for i in range(x.size):
-        bumped = x.copy()
-        bumped[i] = x[i] + h
-        hi = f(bumped)
-        bumped[i] = x[i] - h
-        lo = f(bumped)
-        numeric = (hi - lo) / (2.0 * h)
-        denom = max(abs(grad[i]), abs(numeric), guard)
-        worst = max(worst, abs(grad[i] - numeric) / denom)
-    return worst

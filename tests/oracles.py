@@ -1,10 +1,26 @@
 """Reference implementations used as test oracles.
 
-Everything here is written as straight-line, loop-based code on purpose:
-slow, obvious, and independent of the vectorized production paths.
+Everything here is written as straight-line code on purpose: slow, obvious,
+and independent of the vectorized production paths. The loss oracle is the
+toy model's forward pass and stage recipe, one item at a time, with its own
+copy of the recipe; the finite-difference check treats a loss as a black box.
 """
 
 import math
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
+
+import numpy as np
+
+from cotforge.errors import ValidationError
+from cotforge.geometry import BBox
+from cotforge.toymodel import (
+    PARAM_KEYS,
+    Stage,
+    StageLossBreakdown,
+    StageLossWeights,
+    roi_cells,
+)
 
 
 def oracle_box_pixels(box, height, width):
@@ -88,3 +104,202 @@ def oracle_kl(p, q):
         if pi > 0.0:
             total += pi * math.log(pi / qi)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the loss oracle
+
+
+def oracle_kl_divergence(attn, target) -> float:
+    """KL(attn || target) with 0*log(0) treated as 0.
+
+    The target must be strictly positive everywhere (soft masks are floored,
+    so a zero target cell indicates a bug upstream).
+    """
+    p = np.asarray(attn, dtype=float)
+    q = np.asarray(target, dtype=float)
+    if p.shape != q.shape:
+        raise ValidationError(f"shape mismatch: attn {p.shape} vs target {q.shape}")
+    if float(q.min()) <= 0.0:
+        raise ValidationError("target distribution contains zero cells")
+    support = p > 0.0
+    value = float(np.sum(p[support] * np.log(p[support] / q[support])))
+    if -1e-12 < value < 0.0:
+        # roundoff guard for near-identical distributions
+        return 0.0
+    return value
+
+
+@dataclass
+class ModelOutputs:
+    """Everything a stage loss can consume for one item.
+
+    ``answer_logprobs``/``cot_logprobs`` are realized per-token log
+    probabilities. ``attention`` is a normalized grid. ``box`` rides along
+    so callers can derive attention targets without a side channel.
+    """
+
+    answer_logprobs: np.ndarray
+    cot_logprobs: Optional[np.ndarray] = None
+    attention: Optional[np.ndarray] = None
+    feature_vec: Optional[np.ndarray] = None
+    anchor_vec: Optional[np.ndarray] = None
+    box: Optional[BBox] = None
+
+
+def oracle_nll_loss(logprobs: np.ndarray) -> float:
+    """Mean negative log likelihood over realized tokens."""
+    lp = np.asarray(logprobs, dtype=float)
+    if lp.size == 0:
+        raise ValidationError("nll_loss needs at least one token")
+    if lp.max() > 0.0:
+        raise ValidationError("log probabilities cannot be positive")
+    return float(-lp.mean())
+
+
+def oracle_grounding_loss(feature_vec: np.ndarray, anchor_vec: np.ndarray) -> float:
+    """Cosine distance between the pooled lesion feature and its anchor."""
+    f = np.asarray(feature_vec, dtype=float)
+    a = np.asarray(anchor_vec, dtype=float)
+    if f.shape != a.shape:
+        raise ValidationError(f"shape mismatch {f.shape} vs {a.shape}")
+    nf = np.linalg.norm(f)
+    na = np.linalg.norm(a)
+    if nf == 0.0 or na == 0.0:
+        raise ValidationError("grounding is undefined for a zero-norm vector")
+    return float(1.0 - f.dot(a) / (nf * na))
+
+
+def _as_stage(stage: Union[Stage, str]) -> Stage:
+    try:
+        return Stage(stage)
+    except ValueError:
+        raise ValidationError(f"unknown stage {stage!r}") from None
+
+
+def oracle_stage_loss(stage: Union[Stage, str], outputs: ModelOutputs,
+                      target_attention: Optional[np.ndarray] = None,
+                      weights: StageLossWeights = StageLossWeights()
+                      ) -> StageLossBreakdown:
+    """Combine loss components according to the stage recipe."""
+    stage = _as_stage(stage)
+    l_ans = oracle_nll_loss(outputs.answer_logprobs)
+    if stage == Stage.HARD:
+        return StageLossBreakdown(stage=stage, total=l_ans, answer=l_ans)
+
+    if outputs.cot_logprobs is None:
+        raise ValidationError(f"{stage.value} stage needs rationale log probs")
+    l_cot = oracle_nll_loss(outputs.cot_logprobs)
+
+    if stage == Stage.EASY:
+        if outputs.feature_vec is None or outputs.anchor_vec is None:
+            raise ValidationError("easy stage needs grounding vectors")
+        l_ground = oracle_grounding_loss(outputs.feature_vec, outputs.anchor_vec)
+        total = (weights.w_ans * l_ans + weights.w_cot * l_cot
+                 + weights.w_ground * l_ground)
+        return StageLossBreakdown(stage=stage, total=total, answer=l_ans,
+                                  cot=l_cot, grounding=l_ground)
+
+    if outputs.attention is None:
+        raise ValidationError("medium stage needs an attention grid")
+    if target_attention is None:
+        raise ValidationError("medium stage needs a target attention mask")
+    l_attn = oracle_kl_divergence(outputs.attention, target_attention)
+    total = (weights.w_ans * l_ans + weights.w_cot * l_cot
+             + weights.w_attn * l_attn)
+    return StageLossBreakdown(stage=stage, total=total, answer=l_ans,
+                              cot=l_cot, attention=l_attn)
+
+
+def _softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max()
+    e = np.exp(shifted)
+    return e / e.sum()
+
+
+def _log_softmax(z: np.ndarray) -> np.ndarray:
+    shifted = z - z.max()
+    return shifted - np.log(np.exp(shifted).sum())
+
+
+def oracle_forward(model, idx: int, stage: Union[Stage, str]) -> ModelOutputs:
+    """The toy model's outputs for one item, read from its parameters."""
+    stage = Stage(stage)
+    if not 0 <= idx < len(model.items):
+        raise ValidationError(f"item index {idx} out of range")
+    item = model.items[idx]
+    lp_ans = _log_softmax(model.ans_logits)
+    answer_logprobs = np.array([lp_ans[model.answer_ids[idx]]])
+    if stage == Stage.HARD:
+        return ModelOutputs(answer_logprobs=answer_logprobs, box=item.box)
+
+    ids = model.cot_ids[idx]
+    lp_cot = _log_softmax(model.cot_logits)
+    cot_logprobs = lp_cot[ids] if ids else None
+    attention = _softmax(model.attn_logits[idx].ravel()).reshape(model.grid_dims)
+    cells = roi_cells(item.box, model.image_dims, model.grid_dims)
+    feature_vec = model.features[cells].mean(axis=0)
+    anchor_vec = model.anchors[model.anchor_ids[idx]]
+    return ModelOutputs(
+        answer_logprobs=answer_logprobs,
+        cot_logprobs=cot_logprobs,
+        attention=attention,
+        feature_vec=feature_vec,
+        anchor_vec=anchor_vec,
+        box=item.box,
+    )
+
+
+def oracle_item_loss(model, idx: int, stage: Union[Stage, str],
+                     target_attention: Optional[np.ndarray] = None,
+                     weights: StageLossWeights = StageLossWeights()
+                     ) -> StageLossBreakdown:
+    return oracle_stage_loss(stage, oracle_forward(model, idx, stage),
+                             target_attention=target_attention, weights=weights)
+
+
+def oracle_batch_loss(model, indices, stages, targets,
+                      weights: StageLossWeights = StageLossWeights()) -> float:
+    """Mean stage-total loss; evaluation only, shares no gradient code."""
+    if not (len(indices) == len(stages) == len(targets)):
+        raise ValidationError("indices, stages and targets must align")
+    if not indices:
+        raise ValidationError("empty batch")
+    totals = [
+        oracle_item_loss(model, i, s, target_attention=t, weights=weights).total
+        for i, s, t in zip(indices, stages, targets)
+    ]
+    return float(np.mean(totals))
+
+
+def batch_grad_vector(model, indices, stages, targets,
+                      weights: StageLossWeights = StageLossWeights()) -> np.ndarray:
+    """The model's analytic batch gradient, flattened in parameter order."""
+    _, grads = model.batch_loss_and_grads(indices, stages, targets, weights)
+    return np.concatenate([grads[k].ravel() for k in PARAM_KEYS])
+
+
+def finite_difference_check(f: Callable[[np.ndarray], float],
+                            grad: np.ndarray, x: np.ndarray,
+                            h: float = 1e-5, guard: float = 1e-8) -> float:
+    """Worst-case relative error between ``grad`` and central differences of ``f``.
+
+    Per coordinate: |analytic - numeric| / max(|analytic|, |numeric|, guard).
+    ``f`` is treated as a black box; this routine must stay independent of
+    any analytic gradient code.
+    """
+    x = np.asarray(x, dtype=float)
+    grad = np.asarray(grad, dtype=float)
+    if grad.shape != x.shape:
+        raise ValidationError("gradient and point must have the same shape")
+    worst = 0.0
+    for i in range(x.size):
+        bumped = x.copy()
+        bumped[i] = x[i] + h
+        hi = f(bumped)
+        bumped[i] = x[i] - h
+        lo = f(bumped)
+        numeric = (hi - lo) / (2.0 * h)
+        denom = max(abs(grad[i]), abs(numeric), guard)
+        worst = max(worst, abs(grad[i] - numeric) / denom)
+    return worst

@@ -46,6 +46,17 @@ def _readme_config() -> dict:
 
 CONFIG = _readme_config()
 HARNESS_RECORDS = jsonl.read_corpus(fixture_path("toy_corpus.jsonl"))[:4]
+# a toy run the fuzz can repeat in a moment: 8 records across the corpus's
+# domains, 8 epochs of 2 batches of 4, with Medium items from epoch 3
+TRAIN_CORPUS = [json.loads(line) for line in
+                fixture_path("toy_corpus.jsonl").read_text().splitlines()[::25]]
+TRAIN_CONFIG = {
+    "scheduler": {**CONFIG["scheduler"], "warmup_epochs": 2, "kappa": 2.0},
+    "harness": {**CONFIG["harness"], "epochs": 8, "batch_size": 4,
+                "batches_per_epoch": 2, "image_dims": [16, 16],
+                "grid_dims": [2, 2], "feature_dim": 3, "sigma": 2.0,
+                "mask_floor": 0.001},
+}
 
 
 def write_jsonl(path: Path, rows) -> Path:
@@ -224,6 +235,20 @@ def test_unusable_config_value_is_one_error_line(tmp_path, command, path, value)
     code, stderr = run_main(argv)
     assert_clean_exit(code, stderr, expected=2)
     assert f"field '{path[0]}'" in stderr and path[1] in stderr
+
+
+@pytest.mark.parametrize("path", [("harness", "lr"), ("harness", "weights", "w_ans")],
+                         ids=["lr", "w_ans"])
+def test_overflowing_training_is_one_error_line(tmp_path, path):
+    # valid values, so the config loads; the first steps overflow a float
+    config = _patched(TRAIN_CONFIG, path, 1e308)
+    argv = ["train-toy", "--corpus", write_jsonl(tmp_path / "corpus.jsonl", TRAIN_CORPUS),
+            "--out", tmp_path / "trace.jsonl",
+            "--config", write_json(tmp_path / "c.json", config)]
+    code, stderr = run_main(argv)
+    assert_clean_exit(code, stderr, expected=1)
+    assert stderr.startswith("error: non-finite value at epoch 1, batch ")
+    assert "overflow" in stderr
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +430,28 @@ def test_fuzzed_harness_section(key, data):
     ToyModel(HARNESS_RECORDS, image_dims=params.image_dims,
              grid_dims=params.grid_dims, feature_dim=params.feature_dim,
              seed=params.seed)
+
+
+@settings(FUZZ, max_examples=150)
+@given(data=st.data(), target=st.sampled_from(["harness", "scheduler", "corpus"]))
+def test_fuzzed_train_toy(data, target):
+    corpus, config = TRAIN_CORPUS, TRAIN_CONFIG
+    if target == "corpus":
+        corpus = mutate(data, TRAIN_CORPUS)
+    else:
+        config = {**TRAIN_CONFIG, target: mutate(
+            data, TRAIN_CONFIG[target], values=st.one_of(NUMBERS, JSON_VALUES))}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config_path = write_json(tmp / "c.json", config)
+        try:
+            params = load_config(config_path, env={}).harness
+        except ConfigError:
+            pass  # the CLI reports it before any work
+        else:
+            # valid, but too large to train in a moment
+            assume(max(params.image_dims) <= 256 and params.feature_dim <= 4096
+                   and params.epochs * params.batches_per_epoch <= 64)
+        argv = ["train-toy", "--corpus", write_jsonl(tmp / "corpus.jsonl", corpus),
+                "--out", tmp / "trace.jsonl", "--config", config_path]
+        assert_clean_exit(*run_main(argv))

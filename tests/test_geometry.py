@@ -17,13 +17,17 @@ from cotforge.geometry import (
     SoftMask,
     box_span,
     build_soft_mask,
-    kl_attn_logit_grad,
-    kl_divergence,
     kl_rows,
     mask_iou,
     rasterize_box,
 )
-from oracles import oracle_average_pool, oracle_box_pixels, oracle_iou, oracle_kl
+from oracles import (
+    oracle_average_pool,
+    oracle_box_pixels,
+    oracle_iou,
+    oracle_kl,
+    oracle_kl_divergence,
+)
 
 
 def random_box(rng, min_side=0.05):
@@ -255,25 +259,31 @@ class TestBuildSoftMask:
             build_soft_mask(box, (8, 8), (2, 2), sigma=0.0, floor=0.25)
 
 
+def kl_one(attn, target):
+    """kl_rows on one row: the divergence and its logit gradient, in attn's shape."""
+    kl, grad = kl_rows(np.reshape(attn, (1, -1)), np.reshape(target, (1, -1)))
+    return kl[0], grad[0].reshape(np.shape(attn))
+
+
 class TestKlDivergence:
     def test_frozen_two_cell_values(self):
         # sum p*log(p/q) computed by hand:
         # KL([.5,.5] || [.9,.1]) = .5*ln(5/9) + .5*ln(5) = 0.5108256237659907
         p = np.array([0.5, 0.5])
         q = np.array([0.9, 0.1])
-        assert kl_divergence(p, q) == pytest.approx(0.5108256237659907, abs=1e-12)
+        assert kl_one(p, q)[0] == pytest.approx(0.5108256237659907, abs=1e-12)
 
     def test_zero_cell_in_attn_allowed(self):
         # 0*log(0) := 0, so KL([1,0] || [.5,.5]) = ln 2
         p = np.array([1.0, 0.0])
         q = np.array([0.5, 0.5])
-        assert kl_divergence(p, q) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert kl_one(p, q)[0] == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_identical_is_exactly_zero(self):
         rng = np.random.default_rng(3)
         p = rng.random((4, 4)) + 0.01
         p /= p.sum()
-        assert kl_divergence(p, p.copy()) == 0.0
+        assert kl_one(p, p.copy())[0] == 0.0
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(11)
@@ -282,7 +292,7 @@ class TestKlDivergence:
             p /= p.sum()
             q = rng.random(12) + 1e-3
             q /= q.sum()
-            assert kl_divergence(p, q) == pytest.approx(oracle_kl(p, q), abs=1e-12)
+            assert kl_one(p, q)[0] == pytest.approx(oracle_kl(p, q), abs=1e-12)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(5)
@@ -291,15 +301,15 @@ class TestKlDivergence:
             p /= p.sum()
             q = rng.random(9) + 1e-6
             q /= q.sum()
-            assert kl_divergence(p, q) >= 0.0
+            assert kl_one(p, q)[0] >= 0.0
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
-            kl_divergence(np.array([1.0]), np.array([0.5, 0.5]))
+            kl_one(np.array([1.0]), np.array([0.5, 0.5]))
 
     def test_zero_target_cell_rejected(self):
         with pytest.raises(ValidationError):
-            kl_divergence(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+            kl_one(np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
 
 class TestKlLogitGradient:
@@ -314,11 +324,11 @@ class TestKlLogitGradient:
             def kl_of(zv):
                 e = np.exp(zv - zv.max())
                 p = e / e.sum()
-                return kl_divergence(p, q)
+                return kl_one(p, q)[0]
 
             e = np.exp(z - z.max())
             p = e / e.sum()
-            analytic = kl_attn_logit_grad(p, q)
+            analytic = kl_one(p, q)[1]
             h = 1e-6
             worst = 0.0
             for i in range(z.size):
@@ -343,7 +353,7 @@ class TestKlLogitGradient:
         p = softmax(z)
         assert p[2] == 0.0
         with np.errstate(divide="raise", invalid="raise"):
-            analytic = kl_attn_logit_grad(p, q)
+            analytic = kl_one(p, q)[1]
         assert np.all(np.isfinite(analytic))
         assert analytic[2] == 0.0
         h = 1e-6
@@ -352,7 +362,7 @@ class TestKlLogitGradient:
             zp[i] += h
             zm = z.copy()
             zm[i] -= h
-            num = (kl_divergence(softmax(zp), q) - kl_divergence(softmax(zm), q)) / (2 * h)
+            num = (kl_one(softmax(zp), q)[0] - kl_one(softmax(zm), q)[0]) / (2 * h)
             assert abs(num - analytic[i]) <= 1e-5 * max(abs(num), abs(analytic[i]), 1e-8)
 
 
@@ -368,8 +378,8 @@ class TestKlRows:
         p[9] = q[9]  # an identical pair is exactly 0
         kl, grad = kl_rows(p, q)
         for i in range(p.shape[0]):
-            assert kl[i] == kl_divergence(p[i], q[i])
-            assert np.array_equal(grad[i], kl_attn_logit_grad(p[i], q[i]))
+            assert kl[i] == oracle_kl_divergence(p[i], q[i])
+            assert np.array_equal(grad[i], kl_one(p[i], q[i])[1])
         assert np.all(grad[3, [5, 40]] == 0.0) and np.all(grad[7, :63] == 0.0)
 
     def test_shape_mismatch_and_zero_target_rejected(self):

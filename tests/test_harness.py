@@ -23,6 +23,11 @@ SMALL = dict(image_dims=(16, 16), grid_dims=(2, 2), feature_dim=3,
              sigma=2.0, mask_floor=1e-3)
 
 
+def json_rows(trace):
+    """The trace as the JSON rows its file holds: the header, then each epoch."""
+    return [trace.header] + [r.to_json_dict() for r in trace.reports]
+
+
 def small_params(**overrides):
     # batch size must not exceed the 4-item corpus: in-batch draws are
     # without replacement (items may still recur across batches)
@@ -54,12 +59,12 @@ class TestDeterminism:
     def test_same_seed_identical_traces(self):
         a = run_toy_training(tiny_corpus(), small_params(epochs=7))
         b = run_toy_training(tiny_corpus(), small_params(epochs=7))
-        assert a.json_rows() == b.json_rows()
+        assert json_rows(a) == json_rows(b)
 
     def test_different_seed_diverges(self):
         a = run_toy_training(tiny_corpus(), small_params(epochs=7, seed=0))
         b = run_toy_training(tiny_corpus(), small_params(epochs=7, seed=1))
-        assert a.json_rows() != b.json_rows()
+        assert json_rows(a) != json_rows(b)
 
 
 class TestTrainingDynamics:
@@ -90,6 +95,20 @@ class TestAbort:
         with pytest.raises(ValidationError, match=r"epoch 1, batch 0, item"):
             run_toy_training(corpus, params, model=model)
 
+    def test_nan_attention_aborts_with_location(self):
+        # no warmup and a medium coin that always lands: every item is Medium
+        hp = SchedulerHyperparams(warmup_epochs=0, kappa=1.0, gamma=-10.0)
+        corpus = tiny_corpus()
+        params = small_params()
+        model = ToyModel(corpus, image_dims=params.image_dims,
+                         grid_dims=params.grid_dims,
+                         feature_dim=params.feature_dim, seed=0)
+        model.attn_logits[0] = np.nan
+        with pytest.raises(ValidationError,
+                           match=r"^non-finite loss at epoch 1, batch 0, "
+                                 r"item 'a' \(medium\)$"):
+            run_toy_training(corpus, params, hp, model=model)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
             run_toy_training([], small_params())
@@ -98,7 +117,7 @@ class TestAbort:
 class TestTraceShape:
     def test_header_then_epoch_rows(self):
         trace = run_toy_training(tiny_corpus(), small_params(epochs=3))
-        rows = trace.json_rows()
+        rows = json_rows(trace)
         assert rows[0]["kind"] == "header"
         assert rows[0]["mode"] == "toy-training"
         assert [r["epoch"] for r in rows[1:]] == [1, 2, 3]

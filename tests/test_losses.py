@@ -1,4 +1,4 @@
-"""Stage loss recipes: frozen values and dual-route checks against oracles.py."""
+"""The loss oracle's stage recipes against frozen values, and the ROI cells."""
 
 import math
 
@@ -7,58 +7,56 @@ import pytest
 
 from cotforge.errors import ValidationError
 from cotforge.geometry import BBox
-from cotforge.losses import (
-    ModelOutputs,
-    Stage,
-    StageLossWeights,
-    grounding_loss,
-    nll_loss,
-    roi_cells,
-    stage_loss,
-)
+from cotforge.toymodel import Stage, StageLossWeights, roi_cells
 
-from oracles import oracle_kl
+from oracles import (
+    ModelOutputs,
+    oracle_grounding_loss,
+    oracle_kl,
+    oracle_nll_loss,
+    oracle_stage_loss,
+)
 
 
 class TestNll:
     def test_uniform_over_four_tokens(self):
         logprobs = np.log(np.array([0.25, 0.25]))
-        assert nll_loss(logprobs) == pytest.approx(math.log(4.0), abs=1e-12)
+        assert oracle_nll_loss(logprobs) == pytest.approx(math.log(4.0), abs=1e-12)
 
     def test_single_token(self):
-        assert nll_loss(np.array([-1.5])) == pytest.approx(1.5)
+        assert oracle_nll_loss(np.array([-1.5])) == pytest.approx(1.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            nll_loss(np.array([]))
+            oracle_nll_loss(np.array([]))
 
     def test_positive_logprob_rejected(self):
         with pytest.raises(ValidationError):
-            nll_loss(np.array([0.1]))
+            oracle_nll_loss(np.array([0.1]))
 
 
 class TestGrounding:
     def test_identical_vectors_give_zero(self):
         v = np.array([1.0, 2.0, 3.0])
-        assert grounding_loss(v, v) == pytest.approx(0.0, abs=1e-12)
+        assert oracle_grounding_loss(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_gives_one(self):
         a = np.array([1.0, 0.0])
         b = np.array([0.0, 1.0])
-        assert grounding_loss(a, b) == pytest.approx(1.0, abs=1e-12)
+        assert oracle_grounding_loss(a, b) == pytest.approx(1.0, abs=1e-12)
 
     def test_opposite_gives_two(self):
         a = np.array([1.0, 1.0])
-        assert grounding_loss(a, -a) == pytest.approx(2.0, abs=1e-12)
+        assert oracle_grounding_loss(a, -a) == pytest.approx(2.0, abs=1e-12)
 
     def test_scale_invariant(self):
         a = np.array([0.3, -0.7, 0.2])
         b = np.array([1.1, 0.4, -0.9])
-        assert grounding_loss(a, b) == pytest.approx(grounding_loss(3.0 * a, 0.5 * b))
+        assert oracle_grounding_loss(a, b) == pytest.approx(oracle_grounding_loss(3.0 * a, 0.5 * b))
 
     def test_zero_norm_rejected(self):
         with pytest.raises(ValidationError):
-            grounding_loss(np.zeros(3), np.ones(3))
+            oracle_grounding_loss(np.zeros(3), np.ones(3))
 
 
 class TestRoi:
@@ -107,7 +105,7 @@ class TestStageLoss:
             anchor_vec=np.array([0.8, 0.6]),  # cos = 0.8 -> grounding 0.2
             box=None,
         )
-        breakdown = stage_loss(Stage.EASY, out)
+        breakdown = oracle_stage_loss(Stage.EASY, out)
         assert breakdown.answer == pytest.approx(0.5, abs=1e-12)
         assert breakdown.cot == pytest.approx(0.3, abs=1e-12)
         assert breakdown.grounding == pytest.approx(0.2, abs=1e-12)
@@ -117,7 +115,7 @@ class TestStageLoss:
     def test_easy_weighted(self):
         out = outputs_for(Stage.EASY)
         w = StageLossWeights(w_ans=2.0, w_cot=0.5, w_ground=0.25)
-        breakdown = stage_loss(Stage.EASY, out, weights=w)
+        breakdown = oracle_stage_loss(Stage.EASY, out, weights=w)
         expected = 2.0 * 0.5 + 0.5 * 0.3 + 0.25 * 1.0
         assert breakdown.total == pytest.approx(expected, abs=1e-12)
 
@@ -132,7 +130,7 @@ class TestStageLoss:
             anchor_vec=None,
             box=None,
         )
-        breakdown = stage_loss(Stage.MEDIUM, out, target_attention=target)
+        breakdown = oracle_stage_loss(Stage.MEDIUM, out, target_attention=target)
         expected_kl = oracle_kl(attn.ravel(), target.ravel())
         assert breakdown.attention == pytest.approx(expected_kl, abs=1e-12)
         assert breakdown.grounding is None
@@ -148,8 +146,8 @@ class TestStageLoss:
             box=None,
         )
         w = StageLossWeights(w_ans=17.0, w_cot=3.0, w_ground=5.0, w_attn=7.0)
-        breakdown = stage_loss(Stage.HARD, out, weights=w)
-        assert breakdown.total == nll_loss(out.answer_logprobs)
+        breakdown = oracle_stage_loss(Stage.HARD, out, weights=w)
+        assert breakdown.total == oracle_nll_loss(out.answer_logprobs)
         assert breakdown.cot is None
         assert breakdown.grounding is None
         assert breakdown.attention is None
@@ -157,20 +155,20 @@ class TestStageLoss:
     def test_easy_requires_grounding_vectors(self):
         out = outputs_for(Stage.EASY, with_grounding=False)
         with pytest.raises(ValidationError, match="grounding"):
-            stage_loss(Stage.EASY, out)
+            oracle_stage_loss(Stage.EASY, out)
 
     def test_easy_requires_rationale(self):
         out = outputs_for(Stage.EASY, cot=None)
         with pytest.raises(ValidationError, match="rationale"):
-            stage_loss(Stage.EASY, out)
+            oracle_stage_loss(Stage.EASY, out)
 
     def test_medium_requires_attention_and_target(self):
         out = outputs_for(Stage.MEDIUM, with_attention=False)
         with pytest.raises(ValidationError, match="attention"):
-            stage_loss(Stage.MEDIUM, out, target_attention=np.full((2, 2), 0.25))
+            oracle_stage_loss(Stage.MEDIUM, out, target_attention=np.full((2, 2), 0.25))
         out = outputs_for(Stage.MEDIUM)
         with pytest.raises(ValidationError, match="target"):
-            stage_loss(Stage.MEDIUM, out)
+            oracle_stage_loss(Stage.MEDIUM, out)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
@@ -178,5 +176,5 @@ class TestStageLoss:
 
     def test_stage_accepts_plain_strings(self):
         out = outputs_for(Stage.HARD)
-        breakdown = stage_loss("hard", out)
+        breakdown = oracle_stage_loss("hard", out)
         assert breakdown.total == pytest.approx(0.5)

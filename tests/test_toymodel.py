@@ -12,10 +12,15 @@ import pytest
 
 from cotforge.errors import ValidationError
 from cotforge.geometry import build_soft_mask
-from cotforge.losses import Stage, StageLossWeights
-from cotforge.toymodel import PARAM_KEYS, ToyModel, finite_difference_check
+from cotforge.toymodel import PARAM_KEYS, Stage, StageLossWeights, ToyModel
 
 from corpus_utils import tiny_corpus
+from oracles import (
+    batch_grad_vector,
+    finite_difference_check,
+    oracle_batch_loss,
+    oracle_item_loss,
+)
 
 IMAGE_DIMS = (16, 16)
 GRID_DIMS = (2, 2)
@@ -128,11 +133,11 @@ def batch_setup(model, stage):
 
     def f(vec):
         model.set_param_vector(vec)
-        return model.batch_loss(indices, [stage] * 4, targets, weights)
+        return oracle_batch_loss(model, indices, [stage] * 4, targets, weights)
 
     def g(vec):
         model.set_param_vector(vec)
-        return model.batch_grad_vector(indices, [stage] * 4, targets, weights)
+        return batch_grad_vector(model, indices, [stage] * 4, targets, weights)
 
     return f, g
 
@@ -166,16 +171,16 @@ class TestGradientsMatchFiniteDifferences:
 
         def f(vec):
             model.set_param_vector(vec)
-            return model.batch_loss(MIXED_INDICES, MIXED_STAGES, targets,
-                                    MIXED_WEIGHTS)
+            return oracle_batch_loss(model, MIXED_INDICES, MIXED_STAGES,
+                                     targets, MIXED_WEIGHTS)
 
         rng = np.random.default_rng(43)
         base = model.param_vector()
         for _ in range(3):
             x = base + rng.normal(0.0, 0.2, size=base.shape)
             model.set_param_vector(x)
-            g = model.batch_grad_vector(MIXED_INDICES, MIXED_STAGES, targets,
-                                        MIXED_WEIGHTS)
+            g = batch_grad_vector(model, MIXED_INDICES, MIXED_STAGES, targets,
+                                  MIXED_WEIGHTS)
             err = finite_difference_check(f, g, x)
             assert err <= 1e-5, f"mixed batch: max rel err {err}"
 
@@ -196,7 +201,8 @@ class TestBatchMatchesItems:
         breakdowns, _ = moved.batch_loss_and_grads(
             MIXED_INDICES, MIXED_STAGES, targets, MIXED_WEIGHTS)
         for got, i, s, t in zip(breakdowns, MIXED_INDICES, MIXED_STAGES, targets):
-            want = moved.item_loss(i, s, target_attention=t, weights=MIXED_WEIGHTS)
+            want = oracle_item_loss(moved, i, s, target_attention=t,
+                                    weights=MIXED_WEIGHTS)
             assert got == want  # every field, exactly
 
     def test_gradient_equals_items_added_in_order(self, moved):
@@ -244,11 +250,20 @@ class TestValidation:
         with pytest.raises(ValidationError):
             item_grads(model, 0, Stage.MEDIUM)
 
+    def test_nan_attention_makes_the_loss_nan(self, model):
+        # a NaN cell counts in the divergence, so the finite check downstream sees it
+        model.attn_logits[0] = np.nan
+        [breakdown], grads = model.batch_loss_and_grads(
+            [0], [Stage.MEDIUM], [targets_for(model)[0]])
+        assert math.isnan(breakdown.attention)
+        assert math.isnan(breakdown.total)
+        assert np.isnan(grads["attn_logits"][0]).all()
+
     def test_unknown_index_rejected(self, model):
         with pytest.raises(ValidationError):
             item_grads(model, 99, Stage.HARD)
 
     def test_batch_shape_mismatch_rejected(self, model):
         with pytest.raises(ValidationError):
-            model.batch_loss([0, 1], [Stage.HARD], [None, None],
-                             StageLossWeights())
+            model.batch_loss_and_grads([0, 1], [Stage.HARD], [None, None],
+                                       StageLossWeights())
