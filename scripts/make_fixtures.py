@@ -22,6 +22,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from cotforge import cli, jsonl  # noqa: E402
+from cotforge.dynamics import BUILTIN_SCENARIOS  # noqa: E402
 from cotforge.forge import (  # noqa: E402
     ImageRecord,
     LesionAnnotation,
@@ -229,6 +230,14 @@ def make_trace_goldens():
     ])
     if rc != 0:
         raise RuntimeError(f"40-epoch trace golden failed with exit code {rc}")
+    for name in BUILTIN_SCENARIOS:
+        rc = cli.main([
+            "simulate", "--scenario", name,
+            "--out", str(GOLDEN / f"trace_sim_{name}.jsonl"),
+            "--csv", str(GOLDEN / f"trace_sim_{name}.csv"),
+        ])
+        if rc != 0:
+            raise RuntimeError(f"{name} simulate golden failed with exit code {rc}")
 
 
 def main():

@@ -23,6 +23,7 @@ from .errors import BackendError, ConfigError, ValidationError
 from .forge import TemplateQaGenerator, build_corpus
 from .harness import run_toy_training
 from .remote import RemoteQaGenerator
+from .scheduler import Decision
 
 
 def _emit(summary: dict) -> None:
@@ -55,18 +56,26 @@ def _make_backend(cfg: ForgeConfig):
     return TemplateQaGenerator(cfg.template_list())
 
 
-def _decision_counts(reports) -> dict:
-    counts = {"hold": 0, "increase_hard": 0, "reduce_hard": 0}
+def _write_trace(args, cfg, out_path: Path, header: dict, reports, hp,
+                 **summary) -> int:
+    """Write the trace and its optional CSV, then print the run's summary."""
+    rows = [report.to_json_dict() for report in reports]
+    _write(jsonl.write_trace, out_path, header, rows)
+    csv_path = args.csv or cfg.io.csv
+    if csv_path:
+        _write(jsonl.write_trace_csv, Path(csv_path), rows)
+    decisions = {decision.value: 0 for decision in Decision}
     for report in reports:
         if report.decision is not None:
-            counts[report.decision.value] += 1
-    return counts
-
-
-def _final_lambda_hard(reports, hp) -> float:
-    if reports:
-        return reports[-1].lambda_hard_after
-    return hp.lambda_hard_init
+            decisions[report.decision.value] += 1
+    _emit({
+        **summary,
+        "final_lambda_hard": (reports[-1].lambda_hard_after if reports
+                              else hp.lambda_hard_init),
+        "decisions": decisions,
+        "out": str(out_path),
+    })
+    return 0
 
 
 def cmd_forge(args) -> int:
@@ -113,21 +122,8 @@ def cmd_simulate(args) -> int:
 
     out_path = _resolve_path(args.out, cfg.io.out, "out")
     header, reports = run_dynamics_sim(spec)
-    rows = [report.to_json_dict() for report in reports]
-    _write(jsonl.write_trace, out_path, header, rows)
-    csv_path = args.csv or cfg.io.csv
-    if csv_path:
-        _write(jsonl.write_trace_csv, Path(csv_path), rows)
-
-    _emit({
-        "command": "simulate",
-        "scenario": spec.name,
-        "epochs": spec.epochs,
-        "final_lambda_hard": _final_lambda_hard(reports, spec.hyperparams),
-        "decisions": _decision_counts(reports),
-        "out": str(out_path),
-    })
-    return 0
+    return _write_trace(args, cfg, out_path, header, reports, spec.hyperparams,
+                        command="simulate", scenario=spec.name, epochs=spec.epochs)
 
 
 def cmd_train_toy(args) -> int:
@@ -137,21 +133,9 @@ def cmd_train_toy(args) -> int:
 
     records = jsonl.read_corpus(corpus_path)
     trace = run_toy_training(records, params=cfg.harness, hp=cfg.scheduler)
-    rows = [report.to_json_dict() for report in trace.reports]
-    _write(jsonl.write_trace, out_path, trace.header, rows)
-    csv_path = args.csv or cfg.io.csv
-    if csv_path:
-        _write(jsonl.write_trace_csv, Path(csv_path), rows)
-
-    _emit({
-        "command": "train-toy",
-        "epochs": cfg.harness.epochs,
-        "corpus_size": len(records),
-        "final_lambda_hard": _final_lambda_hard(trace.reports, cfg.scheduler),
-        "decisions": _decision_counts(trace.reports),
-        "out": str(out_path),
-    })
-    return 0
+    return _write_trace(args, cfg, out_path, trace.header, trace.reports, cfg.scheduler,
+                        command="train-toy", epochs=cfg.harness.epochs,
+                        corpus_size=len(records))
 
 
 def cmd_validate(args) -> int:

@@ -18,12 +18,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError, load_json, read_object
-from .scheduler import (
-    STAGES,
-    CurriculumScheduler,
-    EpochReport,
-    SchedulerHyperparams,
-)
+from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage
 
 BUILTIN_SCENARIOS = ("plateau", "rise", "mixed")
 
@@ -117,9 +112,10 @@ class DynamicsSpec:
         if not self.domains:
             raise ValidationError("scenario needs at least one domain")
         for key, stages in self.domains.items():
-            if not stages or not set(stages) <= set(STAGES):
-                raise ValidationError(f"domain {key!r}: stages must be one or more "
-                                      f"of {list(STAGES)}, got {sorted(stages)}")
+            if not stages or not set(stages) <= set(Stage):
+                raise ValidationError(
+                    f"domain {key!r}: stages must be one or more of "
+                    f"{[s.value for s in Stage]}, got {sorted(stages)}")
             if "hard" in stages and stages["hard"].cot is not None:
                 raise ValidationError(
                     f"domain {key!r} stage 'hard': hard stage has no rationale curve"
@@ -134,13 +130,10 @@ class DynamicsSpec:
         obj = load_json(path, "scenario", ValidationError)
         return cls.from_json_dict(obj, f"scenario {path}")
 
-    def domain_keys(self) -> List[str]:
-        return list(self.domains)
-
 
 def run_dynamics_sim(spec: DynamicsSpec) -> Tuple[dict, List[EpochReport]]:
     """Drive the scheduler with scripted losses; returns (header, reports)."""
-    scheduler = CurriculumScheduler(spec.hyperparams, domains=spec.domain_keys(),
+    scheduler = CurriculumScheduler(spec.hyperparams, domains=list(spec.domains),
                                     seed=spec.seed)
     rng = np.random.default_rng(spec.seed)
     reports = []

@@ -28,6 +28,9 @@ ORGAN_FREE_SEED_TEMPLATE = "There is a {lesion_class}."
 
 MAX_COT_SENTENCES = 4
 
+# Largest accepted image side in pixels; a full-field mammogram fits.
+MAX_IMAGE_SIDE = 8192
+
 
 @dataclass(frozen=True)
 class DomainKey:
@@ -91,6 +94,9 @@ class ImageRecord:
             raise ValidationError("image_id must be non-empty")
         if self.width < 1 or self.height < 1:
             raise ValidationError(f"image {self.image_id!r}: dims must be >= 1")
+        if max(self.width, self.height) > MAX_IMAGE_SIDE:
+            raise ValidationError(f"image {self.image_id!r}: sides must be at "
+                                  f"most {MAX_IMAGE_SIDE} pixels")
         if self.modality not in MODALITIES:
             raise ValidationError(
                 f"image {self.image_id!r}: modality {self.modality!r} "
@@ -258,7 +264,7 @@ def generate_qa(image: ImageRecord, seed: str, backend: QaGenerator) -> tuple:
     question, answer, cot = backend.generate(
         seed, image_id=image.image_id, modality=image.modality
     )
-    if not question or not answer or not cot:
+    if not question or not answer or not cot.strip():
         raise MalformedResponseError(
             f"backend {backend.generator_id!r} returned empty fields "
             f"for image {image.image_id!r}"

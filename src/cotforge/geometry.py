@@ -8,7 +8,7 @@ Coordinate conventions used throughout:
     on both sides)
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter

@@ -15,13 +15,13 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .forge import VqaCotRecord
+from .forge import MAX_IMAGE_SIDE, VqaCotRecord
 from .geometry import box_span, build_soft_mask
-from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams
-from .toymodel import Stage, StageLossWeights, ToyModel
+from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage
+from .toymodel import StageLossWeights, ToyModel
 
-# Largest accepted image side in pixels; a full-field mammogram fits.
-MAX_IMAGE_SIDE = 8192
+# Largest accepted feature dimension; the feature grid is allocated up front.
+MAX_FEATURE_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,8 @@ class HarnessParams:
             raise ValidationError("lr must be positive")
         if self.seed < 0:
             raise ValidationError("seed must be non-negative")
-        if self.feature_dim < 1:
-            raise ValidationError("feature_dim must be at least 1")
+        if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
+            raise ValidationError(f"feature_dim must lie in [1, {MAX_FEATURE_DIM}]")
         for name in ("image_dims", "grid_dims"):
             if min(getattr(self, name)) < 1:
                 raise ValidationError(f"{name} must be two positive ints")
@@ -120,6 +120,7 @@ def run_toy_training(records: Sequence[VqaCotRecord],
     domain_keys = [r.domain.as_str() for r in records]
     scheduler = CurriculumScheduler(hp, domains=sorted(set(domain_keys)),
                                     seed=params.seed)
+    hard, medium = Stage.HARD, Stage.MEDIUM
     reports: List[EpochReport] = []
     for epoch in range(1, params.epochs + 1):
         scheduler.start_epoch()
@@ -127,18 +128,17 @@ def run_toy_training(records: Sequence[VqaCotRecord],
             plan = scheduler.plan_batch(params.batch_size,
                                         hard_pool_size=len(records),
                                         main_pool_domains=domain_keys)
-            batch = [(int(i), Stage.HARD, None) for i in plan.hard_indices]
-            for idx, stage_name in zip(plan.main_indices, plan.main_stages):
-                idx = int(idx)
-                if stage_name == "medium":
+            batch = [(i, hard, None) for i in plan.hard_indices.tolist()]
+            for idx, stage in zip(plan.main_indices.tolist(), plan.main_stages):
+                target = None
+                if stage is medium:
                     if idx not in targets:
                         targets[idx] = build_soft_mask(
                             records[idx].box, params.image_dims,
                             params.grid_dims, sigma=params.sigma,
                             floor=params.mask_floor).grid
-                    batch.append((idx, Stage.MEDIUM, targets[idx]))
-                else:
-                    batch.append((idx, Stage.EASY, None))
+                    target = targets[idx]
+                batch.append((idx, stage, target))
             indices, stages, batch_targets = zip(*batch)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -152,7 +152,7 @@ def run_toy_training(records: Sequence[VqaCotRecord],
                                 f"item {records[idx].image_id!r} "
                                 f"({breakdown.stage.value})"
                             )
-                        scheduler.observe(domain_keys[idx], breakdown.stage.value,
+                        scheduler.observe(domain_keys[idx], breakdown.stage,
                                           breakdown.total, cot_loss=breakdown.cot)
                     model.step(grads, params.lr)
             except FloatingPointError as exc:

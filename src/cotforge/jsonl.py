@@ -152,7 +152,7 @@ def read_corpus(path, allow_empty_cot=False):
     """Read VQA-CoT records; empty rationales are rejected unless allowed."""
     records = []
     for lineno, record in _iter_objects(path, VqaCotRecord):
-        if not record.cot and not allow_empty_cot:
+        if not record.cot.strip() and not allow_empty_cot:
             raise ValidationError(
                 f"{path}: line {lineno}: empty cot outside a Hard pool"
             )

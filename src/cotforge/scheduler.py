@@ -34,7 +34,17 @@ import numpy as np
 
 from .errors import ValidationError
 
-STAGES = ("easy", "medium", "hard")
+
+class Stage(str, Enum):
+    """An item's supervision stage; hashes and compares as its value."""
+
+    EASY = "easy"
+    MEDIUM = "medium"
+    HARD = "hard"
+
+
+# bound once: a Stage.X lookup costs several times a str compare per item
+_EASY, _MEDIUM, _HARD = Stage.EASY, Stage.MEDIUM, Stage.HARD
 
 
 class Decision(str, Enum):
@@ -161,7 +171,6 @@ class SchedulerState:
     lambda_hard: float
     m_bar: Optional[float]
     delta_history: Deque[float]
-    gap_cot: Optional[float]
     domains: Dict[str, DomainEma]
 
     @classmethod
@@ -172,7 +181,6 @@ class SchedulerState:
             lambda_hard=hp.lambda_hard_init,
             m_bar=None,
             delta_history=deque(maxlen=hp.q),
-            gap_cot=None,
             domains={key: DomainEma() for key in domains},
         )
 
@@ -213,7 +221,7 @@ class EpochReport:
     cot_easy_count: int
     cot_med_mean: Optional[float]
     cot_med_count: int
-    counts: Dict[str, int]
+    counts: Dict[Stage, int]
     # filled in by end_of_epoch
     m_bar: Optional[float] = None
     delta_m_bar: Optional[float] = None
@@ -227,10 +235,9 @@ class EpochReport:
     lambda_hard_after: Optional[float] = None
 
     def realized(self) -> Dict[str, float]:
-        total = sum(self.counts.get(s, 0) for s in STAGES)
-        if total == 0:
-            return {s: 0.0 for s in STAGES}
-        return {s: self.counts.get(s, 0) / total for s in STAGES}
+        total = sum(self.counts.get(s, 0) for s in Stage)
+        return {s.value: self.counts.get(s, 0) / total if total else 0.0
+                for s in Stage}
 
     def to_json_dict(self) -> dict:
         return {
@@ -239,7 +246,7 @@ class EpochReport:
             "beta": self.beta,
             "lambda_hard_budget": self.lambda_hard,
             "lambda_hard_after": self.lambda_hard_after,
-            "counts": {s: self.counts.get(s, 0) for s in STAGES},
+            "counts": {s.value: self.counts.get(s, 0) for s in Stage},
             "realized": self.realized(),
             "mean_total": self.mean_total,
             "m_bar": self.m_bar,
@@ -261,7 +268,7 @@ class EpochReport:
 class BatchPlan:
     hard_indices: np.ndarray
     main_indices: np.ndarray
-    main_stages: List[str]
+    main_stages: List[Stage]
 
 
 def plan_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
@@ -303,7 +310,7 @@ def plan_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
     main_idx = (rng.choice(main_pool_size, size=n_main, replace=False)
                 if n_main else np.empty(0, dtype=np.int64))
     coins = rng.random(n_main)
-    stages = ["medium" if coins[i] < p[main_idx[i]] else "easy"
+    stages = [_MEDIUM if coins[i] < p[main_idx[i]] else _EASY
               for i in range(n_main)]
     return BatchPlan(hard_indices=hard_idx, main_indices=main_idx,
                      main_stages=stages)
@@ -341,7 +348,6 @@ def end_of_epoch(state: SchedulerState, report: EpochReport,
         gap = report.cot_med_mean - report.cot_easy_mean
     else:
         gap = math.inf
-    state.gap_cot = gap
 
     plateau = (len(state.delta_history) >= hp.q
                and all(abs(d) <= hp.eps_plateau for d in state.delta_history))
@@ -376,9 +382,9 @@ def end_of_epoch(state: SchedulerState, report: EpochReport,
     return decision
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpochContext:
-    """What the training loop needs for the epoch about to run."""
+    """The open epoch: fixed by ``start_epoch``, read until ``end_of_epoch``."""
 
     epoch: int
     beta: float
@@ -415,105 +421,86 @@ class CurriculumScheduler:
         self.hp = hyperparams
         self.state = SchedulerState.initial(hyperparams, domains)
         self.rng = np.random.default_rng(seed)
-        self._epoch_open = False
-        self._progress: Dict[str, Optional[float]] = {}
-        self._p_medium: Dict[str, float] = {}
-        self._reset_accumulators()
-
-    def _reset_accumulators(self):
-        self._easy: Dict[str, _Accumulator] = {}
-        self._med: Dict[str, _Accumulator] = {}
-        self._total = _Accumulator()
-        self._cot_easy = _Accumulator()
-        self._cot_med = _Accumulator()
-        self._counts = {s: 0 for s in STAGES}
-
-    def register_domain(self, key: str):
-        self.state.domains.setdefault(key, DomainEma())
+        self._epoch: Optional[EpochContext] = None  # the open epoch, if any
 
     def start_epoch(self) -> EpochContext:
-        if self._epoch_open:
+        if self._epoch is not None:
             raise ValidationError("previous epoch was not closed")
-        self._epoch_open = True
-        self._reset_accumulators()
-        beta = ramp(self.state.epoch, self.hp.kappa, self.hp.warmup_epochs)
-        self._progress = {}
-        self._p_medium = {}
+        hp = self.hp
+        beta = ramp(self.state.epoch, hp.kappa, hp.warmup_epochs)
+        progress: Dict[str, Optional[float]] = {}
+        p_med: Dict[str, float] = {}
         for key, ema in self.state.domains.items():
-            if ema.ema_easy is None or ema.ema_med is None:
-                self._progress[key] = None
-                g = 0.0
-            else:
-                g = domain_progress(ema.ema_easy, ema.ema_med, self.hp.eps)
-                self._progress[key] = g
-            self._p_medium[key] = p_medium(g, beta, self.hp.gamma, self.hp.tau)
-        return EpochContext(
-            epoch=self.state.epoch,
-            beta=beta,
-            lambda_hard=self.state.lambda_hard,
-            progress=dict(self._progress),
-            p_medium=dict(self._p_medium),
-        )
+            g = domain_progress(ema.ema_easy, ema.ema_med, hp.eps)
+            known = ema.ema_easy is not None and ema.ema_med is not None
+            progress[key] = g if known else None
+            p_med[key] = p_medium(g, beta, hp.gamma, hp.tau)
+        # the epoch's items per stage and total loss; for Easy and Medium,
+        # the loss per domain and the rationale loss
+        self._counts = {s: 0 for s in Stage}
+        self._total = _Accumulator()
+        self._by_domain = {_EASY: {}, _MEDIUM: {}}
+        self._cot = {_EASY: _Accumulator(), _MEDIUM: _Accumulator()}
+        self._epoch = EpochContext(epoch=self.state.epoch, beta=beta,
+                                   lambda_hard=self.state.lambda_hard,
+                                   progress=progress, p_medium=p_med)
+        return self._epoch
 
     def plan_batch(self, batch_size: int, hard_pool_size: int,
                    main_pool_domains: Sequence[str]) -> BatchPlan:
         """Assign stages for one batch; main_pool_domains aligns with the pool."""
-        if not self._epoch_open:
+        if self._epoch is None:
             raise ValidationError("plan_batch called outside an epoch")
-        p = np.array(
-            [self._p_medium.get(d, 0.0) for d in main_pool_domains], dtype=float
-        )
+        p_med = self._epoch.p_medium
+        p = np.array([p_med.get(d, 0.0) for d in main_pool_domains], dtype=float)
         return plan_batch(batch_size, self.state.lambda_hard, hard_pool_size,
                           len(main_pool_domains), p, self.rng)
 
-    def observe(self, domain: str, stage: str, total_loss: float,
+    def observe(self, domain: str, stage: Union[Stage, str], total_loss: float,
                 cot_loss: Optional[float] = None):
-        if not self._epoch_open:
+        if self._epoch is None:
             raise ValidationError("observe called outside an epoch")
-        if stage not in STAGES:
+        if stage not in self._counts:  # one key per Stage; a value finds it
             raise ValidationError(f"unknown stage {stage!r}")
-        self.register_domain(domain)
-        if domain not in self._progress:
-            # domain first seen mid-epoch: no probability was fixed for it
-            self._progress[domain] = None
+        if domain not in self.state.domains:
+            # first seen mid-epoch: no progress or probability was fixed for it
+            self.state.domains[domain] = DomainEma()
         self._counts[stage] += 1
         self._total.add(total_loss)
-        if stage == "easy":
-            self._easy.setdefault(domain, _Accumulator()).add(total_loss)
+        if stage != _HARD:
+            self._by_domain[stage].setdefault(domain, _Accumulator()).add(total_loss)
             if cot_loss is not None:
-                self._cot_easy.add(cot_loss)
-        elif stage == "medium":
-            self._med.setdefault(domain, _Accumulator()).add(total_loss)
-            if cot_loss is not None:
-                self._cot_med.add(cot_loss)
+                self._cot[stage].add(cot_loss)
         elif cot_loss is not None:
             raise ValidationError("hard items carry no rationale loss")
 
     def end_of_epoch(self) -> EpochReport:
-        if not self._epoch_open:
+        ctx = self._epoch
+        if ctx is None:
             raise ValidationError("end_of_epoch called outside an epoch")
+        empty = _Accumulator()
         domains = {}
         for key in self.state.domains:
-            easy = self._easy.get(key, _Accumulator())
-            med = self._med.get(key, _Accumulator())
+            easy = self._by_domain[_EASY].get(key, empty)
+            med = self._by_domain[_MEDIUM].get(key, empty)
             domains[key] = DomainEpochStats(
                 mean_easy=easy.mean(), count_easy=easy.count,
                 mean_med=med.mean(), count_med=med.count,
-                progress_used=self._progress.get(key),
+                progress_used=ctx.progress.get(key),
             )
         report = EpochReport(
-            epoch=self.state.epoch,
-            beta=ramp(self.state.epoch, self.hp.kappa, self.hp.warmup_epochs),
-            lambda_hard=self.state.lambda_hard,
+            epoch=ctx.epoch,
+            beta=ctx.beta,
+            lambda_hard=ctx.lambda_hard,
             domains=domains,
             mean_total=self._total.mean(),
             count_total=self._total.count,
-            cot_easy_mean=self._cot_easy.mean(),
-            cot_easy_count=self._cot_easy.count,
-            cot_med_mean=self._cot_med.mean(),
-            cot_med_count=self._cot_med.count,
+            cot_easy_mean=self._cot[_EASY].mean(),
+            cot_easy_count=self._cot[_EASY].count,
+            cot_med_mean=self._cot[_MEDIUM].mean(),
+            cot_med_count=self._cot[_MEDIUM].count,
             counts=dict(self._counts),
         )
         end_of_epoch(self.state, report, self.hp)
-        self._epoch_open = False
+        self._epoch = None
         return report

@@ -20,7 +20,6 @@ so the analytic route here can disagree with an independent one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -28,14 +27,9 @@ import numpy as np
 from .errors import ValidationError
 from .forge import VqaCotRecord, split_sentences
 from .geometry import BBox, kl_rows
+from .scheduler import Stage
 
 PARAM_KEYS = ("ans_logits", "cot_logits", "attn_logits", "features", "anchors")
-
-
-class Stage(str, Enum):
-    EASY = "easy"
-    MEDIUM = "medium"
-    HARD = "hard"
 
 
 @dataclass(frozen=True)

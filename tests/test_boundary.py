@@ -217,6 +217,7 @@ UNUSABLE_VALUE_CASES = [
     ("grid-exceeds-image", "train-toy", ("harness", "grid_dims"), [128, 8]),
     ("image-dims-unbounded", "train-toy", ("harness", "image_dims"),
      [1099511627776, 64]),
+    ("feature-dim-unbounded", "train-toy", ("harness", "feature_dim"), 2**50),
 ]
 
 
@@ -249,6 +250,18 @@ def test_overflowing_training_is_one_error_line(tmp_path, path):
     assert_clean_exit(code, stderr, expected=1)
     assert stderr.startswith("error: non-finite value at epoch 1, batch ")
     assert "overflow" in stderr
+
+
+@pytest.mark.parametrize("width,height", [(8193, 64), (2**31, 2**31)],
+                         ids=["width-8193", "side-2**31"])
+def test_oversized_image_is_one_error_line(tmp_path, width, height):
+    # a mask of that size would be decoded in full before any check saw it
+    dataset = [{**DATASET[0], "width": width, "height": height}]
+    masks = [{**MASKS[0], "width": width, "height": height,
+              "rle": [0, width * height]}]
+    code, stderr = run_main(forge_argv(tmp_path, dataset, masks))
+    assert_clean_exit(code, stderr, expected=1)
+    assert "line 1" in stderr and "8192" in stderr
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +437,7 @@ def test_fuzzed_harness_section(key, data):
         except ConfigError:
             return
     # valid, but too large to build in a moment
-    assume(max(params.image_dims) <= 256 and params.feature_dim <= 4096)
+    assume(max(params.image_dims) <= 256)
     build_soft_mask(HARNESS_RECORDS[0].box, params.image_dims, params.grid_dims,
                     sigma=params.sigma, floor=params.mask_floor)
     ToyModel(HARNESS_RECORDS, image_dims=params.image_dims,
@@ -450,7 +463,7 @@ def test_fuzzed_train_toy(data, target):
             pass  # the CLI reports it before any work
         else:
             # valid, but too large to train in a moment
-            assume(max(params.image_dims) <= 256 and params.feature_dim <= 4096
+            assume(max(params.image_dims) <= 256
                    and params.epochs * params.batches_per_epoch <= 64)
         argv = ["train-toy", "--corpus", write_jsonl(tmp / "corpus.jsonl", corpus),
                 "--out", tmp / "trace.jsonl", "--config", config_path]

@@ -402,6 +402,18 @@ def test_validate_allow_empty_cot_flag(tmp_path, capsys, toy_corpus_file):
     assert summary_of(stdout)["records"] == len(rows)
 
 
+def test_whitespace_cot_is_reported_with_its_line(tmp_path, capsys, toy_corpus_file):
+    rows = [json.loads(line) for line in toy_corpus_file.read_text().splitlines()]
+    rows[2]["cot"] = "   "
+    bad = write_jsonl(tmp_path / "bad.jsonl", rows)
+    for argv in (["validate", "--corpus", str(bad)],
+                 ["train-toy", "--corpus", str(bad),
+                  "--out", str(tmp_path / "trace.jsonl")]):
+        code, _, stderr = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"{bad}: line 3: empty cot" in stderr
+
+
 # ---------------------------------------------------------------------------
 # argument handling
 
@@ -460,3 +472,16 @@ def test_train_toy_ten_epochs_matches_golden(tmp_path, capsys):
     )
     assert code == 0
     assert out.read_bytes() == (GOLDEN / "trace_toy_10ep.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", ["plateau", "rise", "mixed"])
+def test_simulate_builtin_scenario_matches_golden(tmp_path, capsys, scenario):
+    out = tmp_path / "trace.jsonl"
+    csv_path = tmp_path / "trace.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--scenario", scenario,
+        "--out", str(out), "--csv", str(csv_path),
+    )
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"trace_sim_{scenario}.jsonl").read_bytes()
+    assert csv_path.read_bytes() == (GOLDEN / f"trace_sim_{scenario}.csv").read_bytes()

@@ -114,6 +114,8 @@ class TestStrictness:
         ("image_dims", [4, 4]),
         # a side above MAX_IMAGE_SIDE would exhaust memory once training starts
         ("image_dims", [1099511627776, 64]), ("image_dims", [64, 8193]),
+        # and so would a feature dimension above MAX_FEATURE_DIM
+        ("feature_dim", 2**50), ("feature_dim", 4097),
     ])
     def test_out_of_range_harness_value(self, tmp_path, key, value):
         path = write_config(tmp_path, {"harness": {key: value}})

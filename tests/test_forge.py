@@ -257,6 +257,10 @@ class TestGenerateQa:
         with pytest.raises(MalformedResponseError):
             generate_qa(image, "seed text", _StubBackend(cot=""))
 
+    def test_whitespace_cot_rejected(self):
+        with pytest.raises(MalformedResponseError, match="empty fields"):
+            generate_qa(make_image(), "seed text", _StubBackend(cot=" \n\t "))
+
     def test_empty_seed_rejected(self):
         with pytest.raises(ValidationError):
             generate_qa(make_image(), "", _StubBackend())

@@ -238,6 +238,14 @@ class TestCorpusIo:
             read_corpus(path)
         assert read_corpus(path, allow_empty_cot=True)[0].cot == ""
 
+    def test_whitespace_cot_counts_as_empty(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        line = make_record().to_json_dict()
+        line["cot"] = "   "
+        path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="line 1: empty cot"):
+            read_corpus(path)
+
     def test_bad_line_reported(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("{}\n", encoding="utf-8")

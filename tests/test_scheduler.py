@@ -23,6 +23,7 @@ from cotforge.scheduler import (
     EpochReport,
     SchedulerHyperparams,
     SchedulerState,
+    Stage,
     domain_progress,
     end_of_epoch,
     median_progress,
@@ -291,6 +292,56 @@ class TestSchedulerStateMachine:
         ctx = sched.start_epoch()
         assert ctx.beta == 0.0
         assert ctx.p_medium["mass|CT"] == 0.0
+
+    def test_calls_outside_an_epoch_rejected(self):
+        sched = CurriculumScheduler(SchedulerHyperparams(), domains=["d"], seed=0)
+        with pytest.raises(ValidationError, match="plan_batch called outside"):
+            sched.plan_batch(1, hard_pool_size=1, main_pool_domains=["d"])
+        with pytest.raises(ValidationError, match="observe called outside"):
+            sched.observe("d", Stage.EASY, 1.0)
+        with pytest.raises(ValidationError, match="end_of_epoch called outside"):
+            sched.end_of_epoch()
+        sched.start_epoch()
+        with pytest.raises(ValidationError, match="not closed"):
+            sched.start_epoch()
+        with pytest.raises(ValidationError, match="unknown stage 'easiest'"):
+            sched.observe("d", "easiest", 1.0)
+        sched.end_of_epoch()
+        sched.start_epoch()  # closed, so a new epoch may open
+
+    def test_domain_first_seen_mid_epoch(self):
+        sched = CurriculumScheduler(SchedulerHyperparams(), domains=["a"], seed=0)
+        sched.start_epoch()
+        sched.observe("b", Stage.EASY, 1.0)
+        sched.observe("b", Stage.MEDIUM, 0.5)
+        stats = sched.end_of_epoch().domains["b"]
+        assert (stats.count_easy, stats.count_med, stats.progress_used) == (1, 1, None)
+        ctx = sched.start_epoch()
+        assert ctx.progress == {"a": None, "b": domain_progress(1.0, 0.5, 1e-8)}
+        assert sched.end_of_epoch().domains["b"].progress_used == ctx.progress["b"]
+
+
+class TestStage:
+    def test_members_hash_and_compare_as_their_values(self):
+        assert [s.value for s in Stage] == ["easy", "medium", "hard"]
+        assert Stage.MEDIUM == "medium" and hash(Stage.MEDIUM) == hash("medium")
+        assert {"easy": 1}[Stage.EASY] == 1 and {Stage.HARD: 2}["hard"] == 2
+
+    def test_plan_gives_members_and_observe_takes_either_form(self):
+        sched = CurriculumScheduler(SchedulerHyperparams(), domains=["d"], seed=0)
+        sched.start_epoch()
+        plan = sched.plan_batch(4, hard_pool_size=4, main_pool_domains=["d"] * 4)
+        assert [type(s) for s in plan.main_stages] == [Stage] * 4
+        sched.observe("d", Stage.EASY, 1.0, cot_loss=0.5)
+        sched.observe("d", "easy", 3.0, cot_loss=0.5)
+        report = sched.end_of_epoch()
+        assert report.counts["easy"] == 2 and report.domains["d"].mean_easy == 2.0
+        assert report.to_json_dict()["counts"] == {"easy": 2, "medium": 0, "hard": 0}
+
+    def test_toy_model_uses_the_scheduler_stage(self):
+        from cotforge import toymodel
+
+        assert toymodel.Stage is Stage
 
 
 def run_gate_combo(plateau, median_ok, gap_ok, hp=None):
