@@ -372,6 +372,37 @@ class TestBuildCorpus:
         with pytest.raises(ValidationError):
             build_corpus(dataset, bad, TemplateQaGenerator())
 
+    @pytest.mark.parametrize("policy", ["skip", "organ_free"])
+    def test_template_rotation_counts_every_annotation(self, policy):
+        # assigned annotations take templates[ordinal % 2]; the ordinal counts
+        # unassigned ones too, whether they are skipped or made organ-free
+        templates = [DEFAULT_SEED_TEMPLATE, "The {organ_label} holds a {lesion_class}."]
+        left, right = BBox(0.05, 0.05, 0.35, 0.35), BBox(0.6, 0.6, 0.9, 0.9)
+        dataset = [
+            make_image("ct_001", "CT", [LesionAnnotation(left, "mass"),     # 0
+                                        LesionAnnotation(right, "cyst"),    # 1
+                                        LesionAnnotation(left, "nodule")]),  # 2
+            make_image("ct_002", "CT", [LesionAnnotation(left, "lesion")]),  # 3
+            make_image("ct_003", "CT", [LesionAnnotation(left, "polyp"),    # 4
+                                        LesionAnnotation(left, "tumor")]),   # 5
+        ]
+        masks = {"ct_001": [OrganMask("liver", half_mask(64, 64, "left"))],
+                 "ct_003": [OrganMask("kidney", half_mask(64, 64, "left"))]}
+        result = build_corpus(dataset, masks, TemplateQaGenerator(templates),
+                              seed_templates=templates, unassigned_policy=policy)
+        expected = [
+            "There is a mass in the liver.",
+            "There is a cyst.",
+            "There is a nodule in the liver.",
+            "There is a lesion.",  # ct_002 has no masks
+            "There is a polyp in the kidney.",
+            "The kidney holds a tumor.",
+        ]
+        if policy == "skip":
+            expected = [expected[i] for i in (0, 2, 4, 5)]
+        assert [r.seed for r in result.records] == expected
+        assert result.skipped_unassigned == (2 if policy == "skip" else 0)
+
 
 class TestRecordTypes:
     def test_modality_validated(self):
