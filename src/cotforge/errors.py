@@ -9,6 +9,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import typing
 
 
@@ -105,7 +106,9 @@ def _reader(tp):
 def _scalar_reader(tp):
     def read(value):
         if type(value) is tp and tp is not int:
-            return value
+            if tp is not float or math.isfinite(value):
+                return value
+            raise _Mismatch(f" must be a finite number, got {value}")
         if type(value) is int and tp in (int, float):
             # wider integers cannot become the fixed-width sizes they feed
             if -2**63 <= value < 2**63:
@@ -158,7 +161,7 @@ def _object_reader(cls):
                for f in dataclasses.fields(cls) if f.init}
     required = [f.name for f in dataclasses.fields(cls) if f.init
                 and f.default is f.default_factory is dataclasses.MISSING]
-    # fields whose JSON value is used as it is: skips a call per field
+    # fields whose JSON value is kept as it is (a float if finite), without a call
     exact = {name: hints[name] for name in readers if hints[name] in (float, str, bool)}
 
     def read(value):
@@ -173,7 +176,8 @@ def _object_reader(cls):
             raise _wrong_type(dict, value)
         kwargs = {}
         for name, item in items:
-            if type(item) is exact.get(name):
+            kind = exact.get(name)
+            if type(item) is kind and (kind is not float or math.isfinite(item)):
                 kwargs[name] = item
                 continue
             if name not in readers:

@@ -113,10 +113,6 @@ class LesionOrganTriplet:
     organ_label: Optional[str]
     iou_score: float
 
-    @property
-    def is_assigned(self) -> bool:
-        return self.organ_label is not None
-
 
 @dataclass
 class VqaCotRecord:
@@ -182,17 +178,6 @@ def assign_organ(image_id, annotation, masks, tau_iou=0.0) -> LesionOrganTriplet
     return LesionOrganTriplet(image_id, annotation, masks[best_idx].organ_label, best)
 
 
-def seed_from_triplet(triplet: LesionOrganTriplet, template=DEFAULT_SEED_TEMPLATE) -> str:
-    if not triplet.is_assigned:
-        raise ValidationError(
-            f"cannot build a seed for unassigned annotation on {triplet.image_id!r}"
-        )
-    return template.format(
-        lesion_class=triplet.annotation.lesion_class,
-        organ_label=triplet.organ_label,
-    )
-
-
 def _template_to_regex(template: str) -> re.Pattern:
     pattern = re.escape(template)
     pattern = pattern.replace(re.escape("{lesion_class}"), r"(?P<lesion_class>.+?)")
@@ -205,7 +190,10 @@ class TemplateQaGenerator:
 
     It recovers the lesion class and organ label by parsing the seed sentence
     against the configured seed templates, so it honors the same wire shape
-    as a remote backend (seed in, QA out).
+    as a remote backend (seed in, QA out). Templates are tried longest fixed
+    text first, ties in the given order, so a seed of the template
+    "There is a {lesion_class} in the {organ_label}. It looks benign." is not
+    read by the stock template as the organ "lung. It looks benign".
     """
 
     generator_id = "template-v1"
@@ -213,6 +201,8 @@ class TemplateQaGenerator:
     def __init__(self, seed_templates=None):
         templates = list(seed_templates or [DEFAULT_SEED_TEMPLATE])
         templates.append(ORGAN_FREE_SEED_TEMPLATE)
+        # a stable sort: equal lengths keep the given order
+        templates.sort(key=lambda t: -len(t.format(lesion_class="", organ_label="")))
         self._parsers = [_template_to_regex(t) for t in templates]
 
     def generate(self, seed: str, image_id: str, modality: str) -> tuple:
@@ -295,14 +285,6 @@ class ForgeResult:
     failures: list = field(default_factory=list)
 
 
-@dataclass
-class _ForgeTask:
-    image: ImageRecord
-    annotation_index: int
-    annotation: LesionAnnotation
-    seed: str
-
-
 def build_corpus(
     dataset,
     masks_by_image,
@@ -328,7 +310,7 @@ def build_corpus(
     skipped = 0
     ordinal = 0
     for image in dataset:
-        masks = list(masks_by_image.get(image.image_id, ()))
+        masks = masks_by_image.get(image.image_id, ())
         for om in masks:
             if om.mask.shape != (image.height, image.width):
                 raise ValidationError(
@@ -336,61 +318,48 @@ def build_corpus(
                     f"image {image.image_id!r} dims {(image.height, image.width)}"
                 )
         for j, ann in enumerate(image.annotations):
-            if masks:
-                triplet = assign_organ(image.image_id, ann, masks, tau_iou)
-            else:
-                triplet = LesionOrganTriplet(image.image_id, ann, None, 0.0)
-            if triplet.is_assigned:
+            organ = (assign_organ(image.image_id, ann, masks, tau_iou).organ_label
+                     if masks else None)
+            if organ is not None:
                 template = templates[ordinal % len(templates)]
-                seed = seed_from_triplet(triplet, template)
             elif unassigned_policy == "organ_free":
-                seed = ORGAN_FREE_SEED_TEMPLATE.format(
-                    lesion_class=ann.lesion_class
-                )
+                template = ORGAN_FREE_SEED_TEMPLATE
             else:
                 skipped += 1
                 ordinal += 1
                 continue
-            tasks.append(_ForgeTask(image, j, ann, seed))
+            seed = template.format(lesion_class=ann.lesion_class, organ_label=organ)
+            tasks.append((image, j, ann, seed))
             ordinal += 1
 
-    def run_task(task: _ForgeTask):
+    def run_task(task):
+        image, annotation_index, annotation, seed = task
         try:
-            question, answer, cot = generate_qa(task.image, task.seed, backend)
+            question, answer, cot = generate_qa(image, seed, backend)
         except BackendError as exc:
             if skip_failed:
-                return None, ForgeFailure(
-                    task.image.image_id, task.annotation_index, str(exc)
-                )
+                return ForgeFailure(image.image_id, annotation_index, str(exc))
             raise type(exc)(
-                f"image {task.image.image_id!r} annotation "
-                f"{task.annotation_index}: {exc}"
+                f"image {image.image_id!r} annotation {annotation_index}: {exc}"
             ) from exc
-        record = VqaCotRecord(
-            image_id=task.image.image_id,
-            box=task.annotation.box,
+        return VqaCotRecord(
+            image_id=image.image_id,
+            box=annotation.box,
             question=question,
             answer=answer,
             cot=cot,
-            domain=DomainKey(task.annotation.lesion_class, task.image.modality),
-            seed=task.seed,
+            domain=DomainKey(annotation.lesion_class, image.modality),
+            seed=seed,
             generator_id=backend.generator_id,
         )
-        return record, None
 
     if concurrency > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             outcomes = list(pool.map(run_task, tasks))
     else:
         outcomes = [run_task(t) for t in tasks]
-
-    records = []
-    failures = []
-    for record, failure in outcomes:
-        if failure is not None:
-            failures.append(failure)
-        else:
-            records.append(record)
+    records = [o for o in outcomes if isinstance(o, VqaCotRecord)]
+    failures = [o for o in outcomes if isinstance(o, ForgeFailure)]
     if skipped:
         logger.info("skipped %d unassigned annotations", skipped)
     return ForgeResult(records=records, skipped_unassigned=skipped, failures=failures)

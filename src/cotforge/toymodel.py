@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ValidationError
 from .forge import VqaCotRecord, split_sentences
 from .geometry import BBox, kl_rows
-from .scheduler import Stage
+from .scheduler import _EASY, _HARD, Stage
 
 PARAM_KEYS = ("ans_logits", "cot_logits", "attn_logits", "features", "anchors")
 
@@ -63,9 +63,9 @@ def stage_loss(stage: Stage, weights: StageLossWeights, answer: float,
     rationale and attention; Hard is the answer loss alone, whatever the
     weights. A component the stage does not use is ignored.
     """
-    if stage == Stage.HARD:
+    if stage == _HARD:
         return StageLossBreakdown(stage=stage, total=answer, answer=answer)
-    if stage == Stage.EASY:
+    if stage == _EASY:
         total = (weights.w_ans * answer + weights.w_cot * cot
                  + weights.w_ground * grounding)
         return StageLossBreakdown(stage=stage, total=total, answer=answer,
@@ -225,14 +225,17 @@ class ToyModel:
         repeated indices in turn), so the results are bit for bit those of
         adding the items one at a time.
         """
-        stages = [Stage(s) for s in stages]
+        stages = [s if type(s) is Stage else Stage(s) for s in stages]
         items = np.asarray(indices, dtype=np.intp)
         self._check_idx(int(items.min()))
         self._check_idx(int(items.max()))
         n = items.size
-        main = np.flatnonzero([s != Stage.HARD for s in stages])
-        easy = np.flatnonzero([s == Stage.EASY for s in stages])
-        medium = np.flatnonzero([s == Stage.MEDIUM for s in stages])
+        main, easy, medium = [], [], []
+        for i, s in enumerate(stages):
+            if s is not _HARD:
+                main.append(i)
+                (easy if s is _EASY else medium).append(i)
+        main, easy, medium = (np.array(ix, np.intp) for ix in (main, easy, medium))
         l_cot, l_ground, l_attn = np.full((3, n), np.nan)
 
         answer_ids = self._answer_ids[items]

@@ -158,6 +158,7 @@ def _patched(base, path, value):
     return doc
 
 
+NAN, INF = float("nan"), float("inf")
 TYPE_CASES = [
     # (case id, input kind, path, value, exit code, text the error names)
     ("harness-epochs-string", "config", ("harness", "epochs"), "40", 2, "harness.epochs"),
@@ -175,6 +176,13 @@ TYPE_CASES = [
     ("scenario-epochs-bool", "scenario", ("epochs",), True, 1, "epochs"),
     ("corpus-question-number", "corpus", (1, "question"), 5, 1, "line 2: field 'question'"),
     ("dataset-line-number", "dataset", (0,), 5, 1, "line 1: must be an object"),
+    # Python's json reads NaN and Infinity, which JSON does not have
+    ("forge-tau-nan", "config", ("forge", "tau_iou"), NAN, 2,
+     "field 'forge.tau_iou' must be a finite number, got nan"),
+    ("scenario-base-nan", "scenario", ("domains", "mass|CT", "easy", "total", "base"),
+     NAN, 1, "total.base' must be a finite number, got nan"),
+    ("dataset-box-infinity", "dataset", (0, "annotations", 0, "box", 2), -INF, 1,
+     "line 1: field 'annotations[0].box.x2' must be a finite number, got -inf"),
 ]
 
 
@@ -236,6 +244,24 @@ def test_unusable_config_value_is_one_error_line(tmp_path, command, path, value)
     code, stderr = run_main(argv)
     assert_clean_exit(code, stderr, expected=2)
     assert f"field '{path[0]}'" in stderr and path[1] in stderr
+
+
+@pytest.mark.parametrize("command,path", [("simulate", ("scheduler", "kappa")),
+                                          ("train-toy", ("harness", "lr"))],
+                         ids=["simulate-kappa", "train-toy-lr"])
+def test_non_finite_config_value_is_one_error_line(tmp_path, command, path):
+    # a NaN would pass every "x < 0" range rule and reach the run
+    if command == "simulate":
+        argv = ["simulate", "--scenario", "rise"]
+    else:
+        argv = ["train-toy", "--corpus", write_jsonl(tmp_path / "train.jsonl", TRAIN_CORPUS)]
+    config = _patched(TRAIN_CONFIG, path, NAN)
+    argv += ["--out", tmp_path / "trace.jsonl",
+             "--config", write_json(tmp_path / "c.json", config)]
+    code, stderr = run_main(argv)
+    assert_clean_exit(code, stderr, expected=2)
+    assert f"field '{'.'.join(path)}' must be a finite number, got nan" in stderr
+    assert not (tmp_path / "trace.jsonl").exists()
 
 
 @pytest.mark.parametrize("path", [("harness", "lr"), ("harness", "weights", "w_ans")],
@@ -339,7 +365,7 @@ SCALARS = st.one_of(
     st.integers(min_value=-10, max_value=100),
     st.integers(min_value=-2**70, max_value=-1),
     st.integers(min_value=2**31, max_value=2**70),
-    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(),
 )
 JSON_VALUES = st.recursive(
     SCALARS,
@@ -353,7 +379,7 @@ JSON_VALUES = st.recursive(
 # rules; Hypothesis tries the simplest draw first, which is the first extreme
 NUMBERS = st.one_of(st.sampled_from([1e308, -1e308, 5e-324, 0, -1, 0.5]),
                     st.integers(min_value=-10, max_value=200),
-                    st.floats(allow_nan=False, allow_infinity=False))
+                    st.floats())
 
 
 def mutate(data, doc, top=True, values=JSON_VALUES):

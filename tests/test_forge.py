@@ -12,14 +12,12 @@ from cotforge.forge import (
     ForgeResult,
     ImageRecord,
     LesionAnnotation,
-    LesionOrganTriplet,
     OrganMask,
     TemplateQaGenerator,
     VqaCotRecord,
     assign_organ,
     build_corpus,
     generate_qa,
-    seed_from_triplet,
 )
 from cotforge.geometry import BBox
 from oracles import oracle_assign
@@ -178,19 +176,6 @@ class TestOrganMask:
             OrganMask("liver", np.zeros((4, 4), dtype=bool))
 
 
-class TestSeeds:
-    def test_seed_sentence_exact(self):
-        ann = LesionAnnotation(box=BBox(0.1, 0.1, 0.4, 0.4), lesion_class="mass")
-        triplet = LesionOrganTriplet("img1", ann, "liver", 0.8)
-        assert seed_from_triplet(triplet) == "There is a mass in the liver."
-
-    def test_unassigned_rejected(self):
-        ann = LesionAnnotation(box=BBox(0.1, 0.1, 0.4, 0.4), lesion_class="mass")
-        triplet = LesionOrganTriplet("img1", ann, None, 0.0)
-        with pytest.raises(ValidationError):
-            seed_from_triplet(triplet)
-
-
 class TestTemplateQa:
     def test_frozen_strings(self):
         backend = TemplateQaGenerator()
@@ -225,6 +210,26 @@ class TestTemplateQa:
         backend = TemplateQaGenerator()
         with pytest.raises(BackendError):
             backend.generate("A sentence from nowhere.", image_id="i", modality="CT")
+
+    def test_most_specific_template_reads_the_seed(self):
+        # the benign seed also matches the stock template, as organ
+        # "lung. It looks benign"; the longer fixed text is tried first
+        benign = "There is a {lesion_class} in the {organ_label}. It looks benign."
+        backend = TemplateQaGenerator([DEFAULT_SEED_TEMPLATE, benign])
+        for seed in ("There is a mass in the lung. It looks benign.",
+                     "There is a mass in the lung."):
+            _, answer, cot = backend.generate(seed, image_id="i", modality="CT")
+            assert answer == "lung"
+            assert cot.endswith("Therefore the mass is in the lung.")
+        _, answer, _ = backend.generate("There is a mass.", image_id="i", modality="CT")
+        assert answer == "mass"
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_equally_specific_templates_keep_their_order(self, swap):
+        templates = ["{lesion_class} near {organ_label}", "{organ_label} near {lesion_class}"]
+        backend = TemplateQaGenerator(templates[::-1] if swap else templates)
+        _, answer, _ = backend.generate("cyst near liver", image_id="i", modality="CT")
+        assert answer == ("cyst" if swap else "liver")
 
 
 class _StubBackend:
