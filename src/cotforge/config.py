@@ -16,7 +16,7 @@ from typing import List, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, load_json, read_object
-from .forge import DEFAULT_SEED_TEMPLATE
+from .forge import DEFAULT_SEED_TEMPLATE, parse_seed_template
 from .harness import HarnessParams
 from .scheduler import SchedulerHyperparams
 
@@ -72,11 +72,11 @@ class ForgeConfig:
             raise ConfigError("forge remote_backoff_base must be non-negative")
         for template in self.seed_templates:
             try:
-                template.format(lesion_class="x", organ_label="y")
+                names = [name for _, name in parse_seed_template(template)]
                 # the template backend parses each placeholder back out of a seed
-                usable = (template.count("{lesion_class}") == 1
-                          and template.count("{organ_label}") <= 1)
-            except (KeyError, IndexError, AttributeError, TypeError, ValueError):
+                usable = (names.count("lesion_class") == 1
+                          and names.count("organ_label") <= 1)
+            except ValueError:
                 usable = False
             if not usable:
                 raise ConfigError(

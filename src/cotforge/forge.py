@@ -10,6 +10,7 @@ default (or routed to an organ-free template, per config).
 
 import logging
 import re
+import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol
@@ -178,10 +179,30 @@ def assign_organ(image_id, annotation, masks, tau_iou=0.0) -> LesionOrganTriplet
     return LesionOrganTriplet(image_id, annotation, masks[best_idx].organ_label, best)
 
 
+# what each seed-template placeholder matches when a seed is read back
+_FIELD_PATTERNS = {"lesion_class": r"(?P<lesion_class>.+?)",
+                   "organ_label": r"(?P<organ_label>.+)"}
+
+
+def parse_seed_template(template: str) -> list:
+    """Split a seed template into (literal text, placeholder name) pairs.
+
+    The literal text has `{{` and `}}` unescaped, as `str.format` renders it;
+    the name is None after the last literal. Raises ValueError for a
+    malformed template or for any placeholder but a bare `{lesion_class}` or
+    `{organ_label}`.
+    """
+    parts = []
+    for literal, name, spec, conversion in string.Formatter().parse(template):
+        if name is not None and (name not in _FIELD_PATTERNS or spec or conversion):
+            raise ValueError(f"unsupported placeholder in seed template {template!r}")
+        parts.append((literal, name))
+    return parts
+
+
 def _template_to_regex(template: str) -> re.Pattern:
-    pattern = re.escape(template)
-    pattern = pattern.replace(re.escape("{lesion_class}"), r"(?P<lesion_class>.+?)")
-    pattern = pattern.replace(re.escape("{organ_label}"), r"(?P<organ_label>.+)")
+    pattern = "".join(re.escape(literal) + _FIELD_PATTERNS.get(name, "")
+                      for literal, name in parse_seed_template(template))
     return re.compile("^" + pattern + "$")
 
 

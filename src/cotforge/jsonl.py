@@ -10,6 +10,7 @@ import csv
 import json
 import os
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,8 +69,8 @@ def _iter_objects(path, cls):
         yield lineno, read_object(cls, obj, f"{path}: line {lineno}", ValidationError)
 
 
-def rle_decode(runs, height, width) -> np.ndarray:
-    """Decode alternating zero/one run lengths (row-major, zeros first)."""
+def _check_runs(runs, height, width) -> np.ndarray:
+    """Check RLE runs against the dims; returns them as an int array."""
     try:
         runs = np.asarray(runs)
         valid = runs.ndim == 1 and runs.dtype.kind in "iu" and runs.min(initial=0) >= 0
@@ -83,8 +84,19 @@ def rle_decode(runs, height, width) -> np.ndarray:
     got = int(runs.sum()) if exact else sum(runs.tolist())
     if got != total:
         raise ValidationError(f"RLE runs sum to {got}, expected {total}")
-    values = np.arange(runs.size) % 2 == 1
+    return runs
+
+
+def _expand_runs(runs, height, width) -> np.ndarray:
+    """Expand runs that _check_runs accepted into a 2-D bool mask."""
+    values = np.zeros(runs.size, dtype=bool)
+    values[1::2] = True
     return np.repeat(values, runs).reshape(height, width)
+
+
+def rle_decode(runs, height, width) -> np.ndarray:
+    """Decode alternating zero/one run lengths (row-major, zeros first)."""
+    return _expand_runs(_check_runs(runs, height, width), height, width)
 
 
 def rle_encode(mask) -> list:
@@ -103,7 +115,7 @@ class _MaskLine:
     organ_label: str
     height: int
     width: int
-    rle: list  # checked by rle_decode as one array, not run by run
+    rle: list  # checked by _check_runs as one array, not run by run
 
 
 def read_dataset(path):
@@ -117,13 +129,40 @@ def read_dataset(path):
     return list(images.values())
 
 
-def read_masks(path, images_by_id):
-    """Read the organ-mask sidecar, grouped by image id, file order kept.
+class _LazyMasks(Mapping):
+    """Image id -> that image's organ masks, decoded afresh on every lookup.
 
-    Mask dims must match the owning image; masks for unknown images are
-    rejected.
+    Holds each mask as its checked runs; nothing decoded is kept, so a
+    caller that looks up one image at a time holds one image's masks.
     """
-    grouped = {}
+
+    def __init__(self, runs_by_image):
+        self._runs_by_image = runs_by_image  # id -> [(label, runs, h, w)]
+
+    def __getitem__(self, image_id):
+        return [OrganMask(label, _expand_runs(runs, height, width))
+                for label, runs, height, width in self._runs_by_image[image_id]]
+
+    def __contains__(self, image_id):
+        return image_id in self._runs_by_image
+
+    def __iter__(self):
+        return iter(self._runs_by_image)
+
+    def __len__(self):
+        return len(self._runs_by_image)
+
+
+def read_masks(path, images_by_id):
+    """Read the organ-mask sidecar: image id -> its masks, file order kept.
+
+    Every line is checked here: its image must be known and its dims must
+    match that image's, its runs must be valid RLE for those dims, and its
+    organ label and mask must be non-empty (the mask's area is the sum of
+    its odd runs). Each mask is kept as its runs, and the returned read-only
+    mapping decodes an image's masks each time that image is looked up.
+    """
+    runs_by_image = {}
     for lineno, line in _iter_objects(path, _MaskLine):
         image = images_by_id.get(line.image_id)
         if image is None:
@@ -136,12 +175,18 @@ def read_masks(path, images_by_id):
                 f"do not match image {line.image_id!r} dims {(image.height, image.width)}"
             )
         try:
-            mask = OrganMask(line.organ_label,
-                             rle_decode(line.rle, line.height, line.width))
+            runs = _check_runs(line.rle, line.height, line.width)
         except ValidationError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-        grouped.setdefault(line.image_id, []).append(mask)
-    return grouped
+        runs.flags.writeable = False  # np.asarray made it from the parsed list
+        if not line.organ_label:
+            raise ValidationError(f"{path}: line {lineno}: organ_label must be non-empty")
+        if not any(line.rle[1::2]):  # the area is the sum of the odd runs
+            raise ValidationError(
+                f"{path}: line {lineno}: organ mask {line.organ_label!r} is empty")
+        runs_by_image.setdefault(line.image_id, []).append(
+            (line.organ_label, runs, line.height, line.width))
+    return _LazyMasks(runs_by_image)
 
 
 def write_corpus(path, records):

@@ -460,6 +460,25 @@ def test_forge_bundled_fixture_matches_golden(tmp_path, capsys):
     assert out.read_bytes() == (GOLDEN / "forge_corpus.jsonl").read_bytes()
 
 
+def test_forge_seed_template_with_escaped_braces(tmp_path, capsys):
+    from cotforge import fixture_path
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"forge": {
+        "seed_templates": ["A {{note}} {lesion_class} in the {organ_label}."]}}))
+    out = tmp_path / "corpus.jsonl"
+    code, stdout, stderr = run_cli(
+        capsys, "forge", "--config", str(config),
+        "--dataset", str(fixture_path("forge_dataset.jsonl")),
+        "--masks", str(fixture_path("forge_masks.jsonl")),
+        "--out", str(out),
+    )
+    assert code == 0, stderr
+    assert summary_of(stdout)["records"] == 5
+    seeds = [record.seed for record in read_corpus(out)]
+    assert "A {note} cyst in the kidney." in seeds
+
+
 def test_train_toy_ten_epochs_matches_golden(tmp_path, capsys):
     from cotforge import fixture_path
 

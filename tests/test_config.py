@@ -99,12 +99,23 @@ class TestStrictness:
 
     @pytest.mark.parametrize("template", [
         "{", "{lesion_class:d}", "{lesion_class[a]}", "No lesion in the {organ_label}.",
-        "A {lesion_class}, a {lesion_class}.",
+        "A {lesion_class}, a {lesion_class}.", "{lesion_class!r} in the {organ_label}.",
+        # an escaped name is literal text, not a placeholder
+        "A {{lesion_class}} in the {organ_label}.",
     ])
     def test_unusable_seed_template(self, tmp_path, template):
         path = write_config(tmp_path, {"forge": {"seed_templates": [template]}})
         with pytest.raises(ConfigError, match="template"):
             load_config(str(path), env={})
+
+    @pytest.mark.parametrize("template", [
+        "A {{note}} {lesion_class} in the {organ_label}.",
+        "{{lesion_class}}: {lesion_class} in the {organ_label}.",
+        "{lesion_class}}}{{{organ_label}",
+    ])
+    def test_escaped_braces_allowed_in_seed_template(self, tmp_path, template):
+        path = write_config(tmp_path, {"forge": {"seed_templates": [template]}})
+        assert load_config(str(path), env={}).forge.seed_templates == (template,)
 
     @pytest.mark.parametrize("key,value", [
         ("seed", -1), ("feature_dim", 0), ("grid_dims", [0, 4]), ("image_dims", [4]),

@@ -1,6 +1,9 @@
 """Corpus forge tests: organ assignment, seeds, template QA, corpus building."""
 
+import json
 import logging
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ import pytest
 from cotforge.errors import BackendError, MalformedResponseError, ValidationError, read_object
 from cotforge.forge import (
     DEFAULT_SEED_TEMPLATE,
+    ORGAN_FREE_SEED_TEMPLATE,
     DomainKey,
     ForgeResult,
     ImageRecord,
@@ -15,11 +19,13 @@ from cotforge.forge import (
     OrganMask,
     TemplateQaGenerator,
     VqaCotRecord,
+    _template_to_regex,
     assign_organ,
     build_corpus,
     generate_qa,
 )
 from cotforge.geometry import BBox
+from cotforge.jsonl import read_masks, rle_encode
 from oracles import oracle_assign
 
 RNG_SEED = 20240
@@ -231,6 +237,31 @@ class TestTemplateQa:
         _, answer, _ = backend.generate("cyst near liver", image_id="i", modality="CT")
         assert answer == ("cyst" if swap else "liver")
 
+    def test_escaped_braces_are_literal_text(self):
+        escaped = "A {{note}} {lesion_class} in the {organ_label}."
+        backend = TemplateQaGenerator([DEFAULT_SEED_TEMPLATE, escaped])
+        seed = escaped.format(lesion_class="cyst", organ_label="kidney")
+        assert seed == "A {note} cyst in the kidney."
+        _, answer, cot = backend.generate(seed, image_id="i", modality="CT")
+        assert answer == "kidney"
+        assert cot.endswith("Therefore the cyst is in the kidney.")
+
+    def test_escaped_placeholder_name_is_not_a_field(self):
+        template = "{{lesion_class}}: {lesion_class} in the {organ_label}."
+        backend = TemplateQaGenerator([template])
+        seed = "{lesion_class}: mass in the liver."
+        _, answer, cot = backend.generate(seed, image_id="i", modality="CT")
+        assert answer == "liver"
+        assert cot.startswith("The image shows a mass.")
+
+    @pytest.mark.parametrize("template", [DEFAULT_SEED_TEMPLATE, ORGAN_FREE_SEED_TEMPLATE])
+    def test_stock_template_regex_unchanged(self, template):
+        # the recipe before templates were parsed field by field
+        pattern = re.escape(template)
+        pattern = pattern.replace(re.escape("{lesion_class}"), r"(?P<lesion_class>.+?)")
+        pattern = pattern.replace(re.escape("{organ_label}"), r"(?P<organ_label>.+)")
+        assert _template_to_regex(template).pattern == "^" + pattern + "$"
+
 
 class _StubBackend:
     """Configurable in-memory backend for generate_qa edge cases."""
@@ -407,6 +438,52 @@ class TestBuildCorpus:
             expected = [expected[i] for i in (0, 2, 4, 5)]
         assert [r.seed for r in result.records] == expected
         assert result.skipped_unassigned == (2 if policy == "skip" else 0)
+
+
+    def test_escaped_template_seeds_read_back(self):
+        templates = ["A {{note}} {lesion_class} in the {organ_label}."]
+        dataset, masks = small_dataset()
+        result = build_corpus(dataset, masks, TemplateQaGenerator(templates),
+                              seed_templates=templates, unassigned_policy="organ_free")
+        assert [(r.seed, r.answer) for r in result.records] == [
+            ("A {note} mass in the liver.", "liver"),
+            ("There is a cyst.", "cyst"),
+            ("A {note} nodule in the left lung.", "left lung"),
+        ]
+
+
+class TestForgeMemory:
+    def test_forge_holds_about_one_image_of_masks(self, tmp_path):
+        side, n_images, n_masks = 256, 20, 10
+        rng = np.random.default_rng(RNG_SEED)
+        boxes = [BBox(0.1, 0.1, 0.4, 0.4), BBox(0.5, 0.5, 0.9, 0.9)]
+        dataset = []
+        path = tmp_path / "masks.jsonl"
+        with open(path, "w", encoding="utf-8") as f:
+            for i in range(n_images):
+                image = make_image(f"im{i:02d}", width=side, height=side,
+                                   annotations=[LesionAnnotation(b, "mass") for b in boxes])
+                dataset.append(image)
+                for k in range(n_masks):
+                    r0, c0 = rng.integers(0, side // 2, size=2)
+                    r1, c1 = rng.integers(side // 2 + 1, side + 1, size=2)
+                    mask = np.zeros((side, side), dtype=bool)
+                    mask[r0:r1, c0:c1] = True
+                    f.write(json.dumps({"image_id": image.image_id, "organ_label": f"o{k}",
+                                        "height": side, "width": side,
+                                        "rle": rle_encode(mask)}) + "\n")
+        images_by_id = {image.image_id: image for image in dataset}
+        one_image = n_masks * side * side  # bytes of one image's bool masks
+
+        tracemalloc.start()
+        try:
+            masks_by_image = read_masks(path, images_by_id)
+            result = build_corpus(dataset, masks_by_image, TemplateQaGenerator())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == len(boxes) * n_images
+        assert peak < 4 * one_image, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestRecordTypes:

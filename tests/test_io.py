@@ -2,12 +2,14 @@
 
 import json
 import math
+from collections.abc import Mapping, MutableMapping
 
 import numpy as np
 import pytest
 
+from cotforge import fixture_path, jsonl
 from cotforge.errors import ValidationError
-from cotforge.forge import DomainKey, VqaCotRecord
+from cotforge.forge import DomainKey, ImageRecord, VqaCotRecord
 from cotforge.geometry import BBox
 from cotforge.jsonl import (
     atomic_writer,
@@ -154,6 +156,33 @@ class TestDatasetReader:
             read_dataset(self.write(tmp_path, lines))
 
 
+def decode_each_line(path):
+    """Image id -> [(label, mask, area)], each line decoded by rle_decode."""
+    expected = {}
+    with open(path, encoding="utf-8") as f:
+        for line in f:
+            obj = json.loads(line)
+            mask = rle_decode(obj["rle"], obj["height"], obj["width"])
+            expected.setdefault(obj["image_id"], []).append(
+                (obj["organ_label"], mask, int(np.count_nonzero(mask))))
+    return expected
+
+
+def assert_lookups_match(masks_by_image, images, expected):
+    assert set(masks_by_image) == set(expected)
+    for image in images:
+        want = expected.get(image.image_id)
+        if want is None:
+            assert image.image_id not in masks_by_image
+            assert masks_by_image.get(image.image_id, ()) == ()
+            continue
+        got = masks_by_image[image.image_id]
+        assert [m.organ_label for m in got] == [label for label, _, _ in want]
+        assert all(np.array_equal(m.mask, mask) and m.mask.dtype == bool
+                   for m, (_, mask, _) in zip(got, want))
+        assert [m.area for m in got] == [area for _, _, area in want]
+
+
 class TestMasksReader:
     def write_masks(self, tmp_path, lines):
         path = tmp_path / "masks.jsonl"
@@ -163,11 +192,13 @@ class TestMasksReader:
         return path
 
     def images(self):
-        from cotforge.forge import ImageRecord
-
         return {
             "a": ImageRecord("a", 4, 2, "CT", []),
         }
+
+    def line(self, label="liver", rle=(2, 3, 3)):
+        return {"image_id": "a", "organ_label": label, "height": 2, "width": 4,
+                "rle": list(rle)}
 
     def test_reads_and_groups(self, tmp_path):
         path = self.write_masks(
@@ -208,6 +239,75 @@ class TestMasksReader:
         )
         with pytest.raises(ValidationError, match="line 1"):
             read_masks(path, self.images())
+
+
+    @pytest.mark.parametrize("bad,message", [
+        ({"rle": [2, 3]}, "RLE runs sum to 5"),
+        ({"rle": [8]}, "organ mask 'liver' is empty"),
+        ({"organ_label": ""}, "organ_label must be non-empty"),
+    ])
+    def test_last_line_error_raised_before_any_decode(self, tmp_path, monkeypatch,
+                                                     bad, message):
+        def no_decode(*args):
+            raise AssertionError("a mask was decoded while reading")
+
+        monkeypatch.setattr(jsonl, "_expand_runs", no_decode)
+        path = self.write_masks(tmp_path, [self.line(), self.line("kidney"),
+                                           {**self.line(), **bad}])
+        with pytest.raises(ValidationError, match=f"line 3: {message}"):
+            read_masks(path, self.images())
+
+    def test_masks_are_decoded_on_lookup_only(self, tmp_path, monkeypatch):
+        decoded = []
+        expand = jsonl._expand_runs
+        monkeypatch.setattr(jsonl, "_expand_runs",
+                            lambda *args: decoded.append(args) or expand(*args))
+        path = self.write_masks(tmp_path, [self.line(), self.line("kidney")])
+        masks_by_image = read_masks(path, self.images())
+        assert len(masks_by_image) == 1 and "a" in masks_by_image
+        assert decoded == []
+        masks_by_image["a"]
+        assert len(decoded) == 2
+
+    def test_each_lookup_decodes_fresh_masks(self, tmp_path):
+        path = self.write_masks(tmp_path, [self.line()])
+        masks_by_image = read_masks(path, self.images())
+        first, second = masks_by_image["a"][0], masks_by_image["a"][0]
+        assert first is not second
+        assert not np.shares_memory(first.mask, second.mask)
+        assert np.array_equal(first.mask, second.mask)
+
+    def test_mapping_is_read_only(self, tmp_path):
+        masks_by_image = read_masks(self.write_masks(tmp_path, [self.line()]),
+                                    self.images())
+        assert isinstance(masks_by_image, Mapping)
+        assert not isinstance(masks_by_image, MutableMapping)
+        with pytest.raises(TypeError):
+            masks_by_image["a"] = []
+
+    def test_bundled_fixture_lookups_match_rle_decode(self):
+        images = read_dataset(fixture_path("forge_dataset.jsonl"))
+        path = fixture_path("forge_masks.jsonl")
+        masks_by_image = read_masks(path, {im.image_id: im for im in images})
+        assert_lookups_match(masks_by_image, images, decode_each_line(path))
+
+    def test_generated_lookups_match_rle_decode(self, tmp_path):
+        rng = np.random.default_rng(91)
+        images, lines = [], []
+        for i in range(6):
+            h, w = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            images.append(ImageRecord(f"im{i}", w, h, "CT", []))
+            if i == 3:
+                continue  # an image without masks
+            for k in range(int(rng.integers(1, 5))):
+                mask = rng.random((h, w)) < rng.uniform(0.05, 0.95)
+                mask.flat[int(rng.integers(h * w))] = True
+                lines.append({"image_id": f"im{i}", "organ_label": f"organ{k}",
+                              "height": h, "width": w, "rle": rle_encode(mask)})
+        rng.shuffle(lines)  # one image's lines need not be adjacent
+        path = self.write_masks(tmp_path, lines)
+        masks_by_image = read_masks(path, {im.image_id: im for im in images})
+        assert_lookups_match(masks_by_image, images, decode_each_line(path))
 
 
 class TestCorpusIo:
