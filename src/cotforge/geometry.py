@@ -1,4 +1,4 @@
-"""Box rasterization, mask IoU, soft attention targets, KL.
+"""Box pixel spans, mask IoU, soft attention targets, KL.
 
 Coordinate conventions used throughout:
   - boxes are normalized [x1, y1, x2, y2] fractions of image width/height
@@ -74,14 +74,6 @@ def box_span(box: BBox, height: int, width: int):
     return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
 
 
-def rasterize_box(box: BBox, height: int, width: int) -> np.ndarray:
-    """Binary (height, width) raster of the pixels whose centers lie in the box."""
-    r0, r1, c0, c1 = box_span(box, height, width)
-    raster = np.zeros((height, width), dtype=bool)
-    raster[r0:r1, c0:c1] = True
-    return raster
-
-
 def mask_iou(box: BBox, mask: np.ndarray, area=None) -> float:
     """Pixel-count IoU between the rasterized box and a binary mask.
 
@@ -104,6 +96,17 @@ def mask_iou(box: BBox, mask: np.ndarray, area=None) -> float:
 
 def _average_pool(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     in_h, in_w = grid.shape
+    bh, bw = in_h // out_h, in_w // out_w
+    # The block-mean form equals the loop's per-cell .mean() bit for bit
+    # only when: the grid divides the image (every block has one shape);
+    # bw >= 2 (each block is then one contiguous run, summed pairwise as the
+    # loop sums it; with bw == 1 the reshape is a strided view that numpy
+    # sums in another order); and a block fits in one numpy buffer (the
+    # loop sums a strided block buffer by buffer).
+    if (bh * out_h == in_h and bw * out_w == in_w and bw >= 2
+            and bh * bw <= np.getbufsize()):
+        blocks = grid.reshape(out_h, bh, out_w, bw).transpose(0, 2, 1, 3)
+        return blocks.reshape(out_h, out_w, -1).mean(axis=2)
     out = np.empty((out_h, out_w), dtype=float)
     for i in range(out_h):
         r0, r1 = (i * in_h) // out_h, ((i + 1) * in_h) // out_h
@@ -116,11 +119,18 @@ def _average_pool(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 def build_soft_mask(box: BBox, image_dims, grid_dims, sigma=0.0, floor=1e-6) -> SoftMask:
     """Soft attention target for a box: rasterize, blur, pool, floor, normalize.
 
-    The Gaussian blur uses a kernel truncated at 3 sigma with reflected
-    boundaries; sigma = 0 skips the blur. Average pooling reduces the image
-    raster to the grid, the pooled mass is normalized to a distribution, and
-    the floor is added to every cell before the final renormalization, so
-    every cell ends up >= floor / (1 + gh*gw*floor).
+    The Gaussian blur of the box raster uses a kernel truncated at 3 sigma
+    with reflected boundaries; sigma = 0 leaves the raster as it is. Average
+    pooling reduces the image raster to the grid, the pooled mass is
+    normalized to a distribution, and the floor is added to every cell
+    before the final renormalization, so every cell ends up
+    >= floor / (1 + gh*gw*floor).
+
+    The raster itself is never built. Each of its columns is the box's row
+    indicator or all zeros, and the blur filters each column alike, so the
+    2-D blur's axis-0 pass is the outer product of the blurred row
+    indicator with the column indicator, bit for bit; only the axis-1 pass
+    runs on the image.
     """
     height, width = image_dims
     gh, gw = grid_dims
@@ -130,12 +140,19 @@ def build_soft_mask(box: BBox, image_dims, grid_dims, sigma=0.0, floor=1e-6) -> 
         raise ValidationError("sigma must be >= 0")
     if not 0.0 < floor < 1.0 / (gh * gw):
         raise ValidationError(f"floor must lie in (0, 1/{gh * gw})")
-    raster = rasterize_box(box, height, width).astype(float)
-    if raster.sum() == 0.0:
+    r0, r1, c0, c1 = box_span(box, height, width)
+    if r0 == r1:
         raise ValidationError("box is degenerate after denormalization")
-    if sigma > 0.0:
-        raster = gaussian_filter(raster, sigma=sigma, mode="reflect", truncate=3.0)
-    pooled = _average_pool(raster, gh, gw)
+    rows = np.zeros(height)
+    rows[r0:r1] = 1.0
+    cols = np.zeros(width)
+    cols[c0:c1] = 1.0
+    # gaussian_filter, not gaussian_filter1d: it skips an axis whose sigma
+    # is <= 1e-15, where the 1-D filter divides by zero on a subnormal sigma
+    rows = gaussian_filter(rows, sigma, mode="reflect", truncate=3.0)
+    blurred = gaussian_filter(np.outer(rows, cols), (0.0, sigma),
+                              mode="reflect", truncate=3.0)
+    pooled = _average_pool(blurred, gh, gw)
     pooled /= pooled.sum()
     pooled += floor
     pooled /= pooled.sum()

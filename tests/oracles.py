@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.ndimage import gaussian_filter
 
 from cotforge.errors import ValidationError
-from cotforge.geometry import BBox
+from cotforge.geometry import BBox, SoftMask, box_span
 from cotforge.toymodel import (
     PARAM_KEYS,
     Stage,
@@ -95,6 +96,50 @@ def oracle_average_pool(grid, out_h, out_w):
                     total += grid[r][c]
             out[i][j] = total / ((r1 - r0) * (c1 - c0))
     return out
+
+
+def rasterize_box(box: BBox, height: int, width: int) -> np.ndarray:
+    """Binary (height, width) raster of the pixels whose centers lie in the box."""
+    r0, r1, c0, c1 = box_span(box, height, width)
+    raster = np.zeros((height, width), dtype=bool)
+    raster[r0:r1, c0:c1] = True
+    return raster
+
+
+def _oracle_soft_mask_pool(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    in_h, in_w = grid.shape
+    out = np.empty((out_h, out_w), dtype=float)
+    for i in range(out_h):
+        r0, r1 = (i * in_h) // out_h, ((i + 1) * in_h) // out_h
+        for j in range(out_w):
+            c0, c1 = (j * in_w) // out_w, ((j + 1) * in_w) // out_w
+            out[i, j] = grid[r0:r1, c0:c1].mean()
+    return out
+
+
+def oracle_build_soft_mask(box: BBox, image_dims, grid_dims, sigma=0.0,
+                           floor=1e-6) -> SoftMask:
+    """The soft-mask build as it was before the row-profile blur and the
+    block-mean pool: the full box raster, the 2-D blur, the per-cell loop
+    pool. Production must equal it bit for bit."""
+    height, width = image_dims
+    gh, gw = grid_dims
+    if gh < 1 or gw < 1 or gh > height or gw > width:
+        raise ValidationError(f"grid dims {grid_dims} must be in [1, image dims]")
+    if sigma < 0:
+        raise ValidationError("sigma must be >= 0")
+    if not 0.0 < floor < 1.0 / (gh * gw):
+        raise ValidationError(f"floor must lie in (0, 1/{gh * gw})")
+    raster = rasterize_box(box, height, width).astype(float)
+    if raster.sum() == 0.0:
+        raise ValidationError("box is degenerate after denormalization")
+    if sigma > 0.0:
+        raster = gaussian_filter(raster, sigma=sigma, mode="reflect", truncate=3.0)
+    pooled = _oracle_soft_mask_pool(raster, gh, gw)
+    pooled /= pooled.sum()
+    pooled += floor
+    pooled /= pooled.sum()
+    return SoftMask(grid=pooled, floor=floor)
 
 
 def oracle_kl(p, q):

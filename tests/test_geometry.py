@@ -19,14 +19,15 @@ from cotforge.geometry import (
     build_soft_mask,
     kl_rows,
     mask_iou,
-    rasterize_box,
 )
 from oracles import (
     oracle_average_pool,
     oracle_box_pixels,
+    oracle_build_soft_mask,
     oracle_iou,
     oracle_kl,
     oracle_kl_divergence,
+    rasterize_box,
 )
 
 
@@ -247,9 +248,15 @@ class TestBuildSoftMask:
         assert sm.grid.min() >= lower - 1e-15
 
     def test_degenerate_raster_rejected(self):
+        # with the same error as the full-raster oracle build
         box = BBox(10 / 64, 10 / 64, 10.4 / 64, 10.4 / 64)
-        with pytest.raises(ValidationError):
-            build_soft_mask(box, (64, 64), (4, 4), sigma=0.0, floor=1e-6)
+        for sigma in (0.0, 2.0):
+            errors = []
+            for build in (build_soft_mask, oracle_build_soft_mask):
+                with pytest.raises(ValidationError) as exc:
+                    build(box, (64, 64), (4, 4), sigma=sigma, floor=1e-6)
+                errors.append(str(exc.value))
+            assert errors[0] == errors[1]
 
     def test_floor_range_validated(self):
         box = BBox(0.0, 0.0, 0.5, 0.5)
@@ -257,6 +264,73 @@ class TestBuildSoftMask:
             build_soft_mask(box, (8, 8), (2, 2), sigma=0.0, floor=0.0)
         with pytest.raises(ValidationError):
             build_soft_mask(box, (8, 8), (2, 2), sigma=0.0, floor=0.25)
+
+
+def assert_soft_mask_matches_oracle(box, image_dims, grid_dims, sigma, floor=1e-6):
+    got = build_soft_mask(box, image_dims, grid_dims, sigma=sigma, floor=floor)
+    want = oracle_build_soft_mask(box, image_dims, grid_dims, sigma=sigma, floor=floor)
+    assert np.array_equal(got.grid, want.grid), (box, image_dims, grid_dims, sigma)
+
+
+class TestSoftMaskMatchesOracle:
+    """build_soft_mask equals the full-raster, 2-D blur, loop-pool build
+    (`oracle_build_soft_mask`) bit for bit, on each side of every condition
+    that picks the block-mean pool."""
+
+    def test_random_boxes_grids_that_divide(self):
+        rng = np.random.default_rng(41)
+        for _ in range(150):
+            gh, gw = (int(v) for v in rng.integers(1, 9, size=2))
+            bh, bw = (int(v) for v in rng.integers(1, 13, size=2))
+            sigma = float(rng.choice([0.0, 0.7, 2.5, 16.0]))
+            assert_soft_mask_matches_oracle(
+                random_box(rng, min_side=0.3), (gh * bh, gw * bw), (gh, gw), sigma)
+
+    def test_random_boxes_grids_that_do_not_divide(self):
+        rng = np.random.default_rng(43)
+        for _ in range(150):
+            h, w = (int(v) for v in rng.integers(2, 80, size=2))
+            gh = int(rng.integers(1, h + 1))
+            gw = int(rng.integers(1, w + 1))
+            sigma = float(rng.choice([0.0, 0.7, 2.5, 16.0]))
+            assert_soft_mask_matches_oracle(
+                random_box(rng, min_side=0.5), (h, w), (gh, gw), sigma)
+
+    @pytest.mark.parametrize("bh", [7, 8, 16])
+    def test_one_pixel_wide_blocks(self, bh):
+        # bw == 1 (a grid as wide as the image): the block-mean form would
+        # sum a strided view in another order, so the loop pool must run
+        rng = np.random.default_rng(bh)
+        for _ in range(60):
+            gh = int(rng.integers(1, 5))
+            gw = int(rng.integers(2, 9))
+            sigma = float(rng.uniform(0.3, 3.0))
+            assert_soft_mask_matches_oracle(
+                random_box(rng, min_side=0.5), (gh * bh, gw), (gh, gw), sigma)
+
+    @pytest.mark.parametrize("image_dims, cells", [
+        ((128, 256), 8192),   # 64 x 128 blocks: one numpy buffer exactly
+        ((182, 182), 8281),   # 91 x 91 blocks: more than one buffer
+        ((4, 8194), 8194),    # 2 x 4097 blocks: more than one buffer
+    ])
+    def test_blocks_at_the_buffer_size(self, image_dims, cells):
+        assert (image_dims[0] // 2) * (image_dims[1] // 2) == cells
+        rng = np.random.default_rng(cells)
+        for _ in range(4):
+            sigma = float(rng.uniform(0.5, 8.0))
+            assert_soft_mask_matches_oracle(
+                random_box(rng, min_side=0.3), image_dims, (2, 2), sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, 5e-324, 1e-16, 0.2, 16.0, 64.0])
+    def test_sigma_edges(self, sigma):
+        # 64 is the image's longer side; 5e-324 and 1e-16 are at or below
+        # the 1e-15 under which gaussian_filter skips an axis
+        rng = np.random.default_rng(47)
+        for image_dims, grid_dims in (((64, 48), (8, 8)), ((64, 48), (5, 7)),
+                                      ((64, 48), (8, 48))):
+            for _ in range(10):
+                assert_soft_mask_matches_oracle(
+                    random_box(rng, min_side=0.1), image_dims, grid_dims, sigma)
 
 
 def kl_one(attn, target):
