@@ -13,12 +13,15 @@ import re
 import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol
+from typing import List, Protocol
 
 import numpy as np
 
 from .errors import BackendError, MalformedResponseError, ValidationError
-from .geometry import BBox, mask_iou
+from .geometry import BBox, box_intersections, box_span, encode_runs, expand_runs
+# not called here since organs are scored from runs; the benchmark's tracer
+# still wraps forge.mask_iou by name
+from .geometry import mask_iou  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -58,28 +61,50 @@ class LesionAnnotation:
             raise ValidationError("lesion_class must be non-empty")
 
 
-@dataclass(eq=False)
 class OrganMask:
-    """Named binary mask; must contain at least one set pixel.
+    """Named binary mask kept as row-major RLE runs; at least one pixel set.
 
-    `mask` is a read-only bool view of the given array (not a copy when the
-    array is already bool), so `area`, its set-pixel count, cannot go stale.
+    The runs alternate zeros and ones, zeros first, and sum to
+    height * width; `area`, the set-pixel count, is the sum of the odd
+    runs. A dense mask given to the constructor is encoded once, and
+    `from_runs` takes runs already checked against the dims. The stored
+    runs are read-only, and `mask` decodes a fresh read-only bool array on
+    each access.
     """
 
-    organ_label: str
-    mask: np.ndarray  # 2-D bool
-    area: int = field(init=False)
+    __slots__ = ("organ_label", "runs", "height", "width", "area")
 
-    def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool).view()
-        self.mask.flags.writeable = False
-        if not self.organ_label:
-            raise ValidationError("organ_label must be non-empty")
-        if self.mask.ndim != 2:
+    def __init__(self, organ_label: str, mask):
+        mask = np.asarray(mask, dtype=bool)
+        if mask.ndim != 2:
             raise ValidationError("organ mask must be 2-D")
-        self.area = int(np.count_nonzero(self.mask))
+        self._init(organ_label, encode_runs(mask), *mask.shape)
+
+    @classmethod
+    def from_runs(cls, organ_label: str, runs: np.ndarray, height: int, width: int):
+        """A mask from runs that are non-negative integers summing to
+        height * width; the array is kept, not copied, and made read-only."""
+        om = cls.__new__(cls)
+        om._init(organ_label, runs, height, width)
+        return om
+
+    def _init(self, organ_label, runs, height, width):
+        if not organ_label:
+            raise ValidationError("organ_label must be non-empty")
+        self.organ_label = organ_label
+        runs.flags.writeable = False
+        self.runs = runs
+        self.height = height
+        self.width = width
+        self.area = int(runs[1::2].sum())
         if self.area == 0:
-            raise ValidationError(f"organ mask {self.organ_label!r} is empty")
+            raise ValidationError(f"organ mask {organ_label!r} is empty")
+
+    @property
+    def mask(self) -> np.ndarray:
+        mask = expand_runs(self.runs, self.height, self.width)
+        mask.flags.writeable = False
+        return mask
 
 
 @dataclass
@@ -103,16 +128,6 @@ class ImageRecord:
                 f"image {self.image_id!r}: modality {self.modality!r} "
                 f"not one of {MODALITIES}"
             )
-
-
-@dataclass
-class LesionOrganTriplet:
-    """Assignment outcome for one annotation; organ_label None = unassigned."""
-
-    image_id: str
-    annotation: LesionAnnotation
-    organ_label: Optional[str]
-    iou_score: float
 
 
 @dataclass
@@ -155,28 +170,37 @@ class QaGenerator(Protocol):
         """Return (question, answer, cot) for a seed sentence."""
 
 
-def assign_organ(image_id, annotation, masks, tau_iou=0.0) -> LesionOrganTriplet:
-    """Pick the organ mask with the highest IoU against the annotation box.
+def assign_organ(annotations, masks, tau_iou=0.0) -> list:
+    """Pick, for each of an image's annotations, the organ mask with the
+    highest IoU against its box.
 
-    Ties break to the lowest mask index; a best IoU <= tau_iou leaves the
-    annotation unassigned (with the score recorded).
+    Returns one (organ_label, iou) pair per annotation, in order. The IoU is
+    pixel-count IoU, counted from the masks' runs in exact integers. Ties
+    break to the lowest mask index; a best IoU <= tau_iou leaves the
+    annotation unassigned, with label None and the score still given.
     """
     if not masks:
         raise ValidationError("assign_organ requires at least one mask")
-    shape = masks[0].mask.shape
+    height, width = masks[0].height, masks[0].width
     for om in masks:
-        if om.mask.shape != shape:
+        if (om.height, om.width) != (height, width):
             raise ValidationError("all masks for an image must share dims")
-    best_idx = 0
-    best = -1.0
-    for k, om in enumerate(masks):
-        iou = mask_iou(annotation.box, om.mask, om.area)
-        if iou > best:
-            best = iou
-            best_idx = k
-    if best <= tau_iou:
-        return LesionOrganTriplet(image_id, annotation, None, best)
-    return LesionOrganTriplet(image_id, annotation, masks[best_idx].organ_label, best)
+    spans = [box_span(ann.box, height, width) for ann in annotations]
+    covered = iter(box_intersections([s for s in spans if s[0] < s[1]],
+                                     [om.runs for om in masks], height, width).tolist())
+    outcomes = []
+    for r0, r1, c0, c1 in spans:
+        box_pixels = (r1 - r0) * (c1 - c0)
+        inters = next(covered) if box_pixels else [0] * len(masks)
+        best_idx = 0
+        best = -1.0
+        for k, (om, inter) in enumerate(zip(masks, inters)):
+            iou = inter / (box_pixels + om.area - inter)  # the area is >= 1
+            if iou > best:
+                best = iou
+                best_idx = k
+        outcomes.append((masks[best_idx].organ_label if best > tau_iou else None, best))
+    return outcomes
 
 
 # what each seed-template placeholder matches when a seed is read back
@@ -333,14 +357,14 @@ def build_corpus(
     for image in dataset:
         masks = masks_by_image.get(image.image_id, ())
         for om in masks:
-            if om.mask.shape != (image.height, image.width):
+            if (om.height, om.width) != (image.height, image.width):
                 raise ValidationError(
-                    f"mask {om.organ_label!r} dims {om.mask.shape} do not match "
-                    f"image {image.image_id!r} dims {(image.height, image.width)}"
+                    f"mask {om.organ_label!r} dims {(om.height, om.width)} do not "
+                    f"match image {image.image_id!r} dims {(image.height, image.width)}"
                 )
-        for j, ann in enumerate(image.annotations):
-            organ = (assign_organ(image.image_id, ann, masks, tau_iou).organ_label
-                     if masks else None)
+        organs = ([label for label, _ in assign_organ(image.annotations, masks, tau_iou)]
+                  if masks else [None] * len(image.annotations))
+        for j, (ann, organ) in enumerate(zip(image.annotations, organs)):
             if organ is not None:
                 template = templates[ordinal % len(templates)]
             elif unassigned_policy == "organ_free":

@@ -1,4 +1,4 @@
-"""Box pixel spans, mask IoU, soft attention targets, KL.
+"""Box pixel spans, RLE runs, mask IoU, soft attention targets, KL.
 
 Coordinate conventions used throughout:
   - boxes are normalized [x1, y1, x2, y2] fractions of image width/height
@@ -8,6 +8,8 @@ Coordinate conventions used throughout:
     on both sides)
 """
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,9 +56,10 @@ class SoftMask:
             raise ValidationError("soft mask cell below the floor bound")
 
 
-def _center_membership(lo, hi, n):
-    centers = np.arange(n, dtype=float) + 0.5
-    return (centers >= lo) & (centers <= hi)
+def _center_range(lo, hi, n):
+    """Half-open range of the indices k < n whose pixel center k + 0.5 lies in
+    [lo, hi]; empty when its first index is not below its end."""
+    return max(0, math.ceil(lo - 0.5)), min(n - 1, math.floor(hi - 0.5)) + 1
 
 
 def box_span(box: BBox, height: int, width: int):
@@ -64,14 +67,23 @@ def box_span(box: BBox, height: int, width: int):
 
     Center membership is monotone along each axis, so a box always covers one
     rectangle of pixels; (0, 0, 0, 0) when it covers no pixel center.
+
+    Along an axis the centers k + 0.5 in [lo, hi] are those with
+    ceil(lo - 0.5) <= k <= floor(hi - 0.5). The float `lo - 0.5` is exact
+    for 0.25 <= lo < 2**52: below 1 by Sterbenz's lemma, and above it lo is
+    a multiple of ulp(lo) <= 0.5, so lo - 0.5 is too and keeps lo's
+    exponent or the one below. For lo < 0.5 the first index is 0 either
+    way, since a rounded negative difference stays <= 0. The same holds for
+    hi: below 0.25 the last index is -1 either way. So each bound is the
+    one the real-number comparison gives.
     """
     if height < 1 or width < 1:
         raise ValidationError("raster dims must be positive")
-    cols = np.flatnonzero(_center_membership(box.x1 * width, box.x2 * width, width))
-    rows = np.flatnonzero(_center_membership(box.y1 * height, box.y2 * height, height))
-    if cols.size == 0 or rows.size == 0:
+    r0, r1 = _center_range(box.y1 * height, box.y2 * height, height)
+    c0, c1 = _center_range(box.x1 * width, box.x2 * width, width)
+    if r0 >= r1 or c0 >= c1:
         return 0, 0, 0, 0
-    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    return r0, r1, c0, c1
 
 
 def mask_iou(box: BBox, mask: np.ndarray, area=None) -> float:
@@ -92,6 +104,73 @@ def mask_iou(box: BBox, mask: np.ndarray, area=None) -> float:
     if union == 0:
         return 0.0
     return inter / union
+
+
+def encode_runs(mask) -> np.ndarray:
+    """Row-major run lengths of a mask, alternating zeros and ones, zeros
+    first (a first run of 0 when the mask starts with a set pixel)."""
+    flat = np.asarray(mask).astype(bool).ravel()
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    runs = np.diff(np.concatenate(([0], edges, [flat.size])))
+    if flat.size and flat[0]:
+        runs = np.concatenate(([0], runs))
+    return runs
+
+
+def expand_runs(runs, height, width) -> np.ndarray:
+    """Decode valid runs (non-negative, summing to height * width) into a
+    2-D bool mask."""
+    values = np.zeros(len(runs), dtype=bool)
+    values[1::2] = True
+    return np.repeat(values, runs).reshape(height, width)
+
+
+_EMPTY_RUN = np.zeros(1, dtype=np.int64)
+
+
+def box_intersections(spans, masks_runs, height, width) -> np.ndarray:
+    """Set pixels of each RLE mask inside each pixel rectangle, decoding none.
+
+    `spans` are non-empty half-open rectangles (r0, r1, c0, c1) as
+    `box_span` gives them; `masks_runs` are valid runs of (height, width)
+    masks. Returns the exact counts as an int64 array of shape
+    (spans, masks).
+
+    Let B(x) be the number of set pixels before flat offset x. A rectangle
+    holds the sum over its rows r of B(r*W + c1) - B(r*W + c0). All masks'
+    runs are joined into one sequence, with a zero-length run after any mask
+    of odd run count, so every mask's zero runs sit at even indices; mask k
+    then starts at offset k*H*W, and one cumulative pass plus one
+    searchsorted answer every (mask, rectangle row) query.
+    """
+    if not spans:
+        return np.zeros((0, len(masks_runs)), dtype=np.int64)
+    pieces = []
+    for runs in masks_runs:
+        pieces.append(runs)
+        if len(runs) % 2:
+            pieces.append(_EMPTY_RUN)
+    runs = np.concatenate(pieces)  # a fresh array
+    ends = runs.cumsum()
+    runs[::2] = 0
+    ones_through = runs.cumsum()  # set pixels up to the end of each run
+
+    # every rectangle's row starts, then every rectangle's row stops
+    row_offsets = ([np.arange(r0 * width + c0, r1 * width + c0, width)
+                    for r0, r1, c0, _ in spans]
+                   + [np.arange(r0 * width + c1, r1 * width + c1, width)
+                      for r0, r1, _, c1 in spans])
+    hw = height * width
+    offsets = (np.concatenate(row_offsets)
+               + np.arange(0, len(masks_runs) * hw, hw, dtype=np.int64)[:, None])
+    # the first run ending at or after each offset: all runs before it count,
+    # and a ones run loses its part past the offset
+    i = ends.searchsorted(offsets)
+    before = ones_through[i] - (ends[i] - offsets) * (i & 1)
+    n = offsets.shape[1] // 2
+    first_rows = list(itertools.accumulate((r1 - r0 for r0, r1, _, _ in spans[:-1]),
+                                           initial=0))
+    return np.add.reduceat(before[:, n:] - before[:, :n], first_rows, axis=1).T
 
 
 def _average_pool(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import csv
 import json
 import os
 import tempfile
-from collections.abc import Mapping
+import types
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ValidationError, read_object
 from .forge import ImageRecord, OrganMask, VqaCotRecord
+from .geometry import encode_runs, expand_runs
 
 
 @contextlib.contextmanager
@@ -87,26 +88,14 @@ def _check_runs(runs, height, width) -> np.ndarray:
     return runs
 
 
-def _expand_runs(runs, height, width) -> np.ndarray:
-    """Expand runs that _check_runs accepted into a 2-D bool mask."""
-    values = np.zeros(runs.size, dtype=bool)
-    values[1::2] = True
-    return np.repeat(values, runs).reshape(height, width)
-
-
 def rle_decode(runs, height, width) -> np.ndarray:
     """Decode alternating zero/one run lengths (row-major, zeros first)."""
-    return _expand_runs(_check_runs(runs, height, width), height, width)
+    return expand_runs(_check_runs(runs, height, width), height, width)
 
 
 def rle_encode(mask) -> list:
     """Inverse of rle_decode; the first run counts zeros (possibly 0)."""
-    flat = np.asarray(mask).astype(bool).ravel()
-    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
-    runs = np.diff(np.concatenate(([0], edges, [flat.size]))).tolist()
-    if flat.size and flat[0]:
-        runs.insert(0, 0)
-    return runs
+    return encode_runs(mask).tolist()
 
 
 @dataclass
@@ -129,40 +118,16 @@ def read_dataset(path):
     return list(images.values())
 
 
-class _LazyMasks(Mapping):
-    """Image id -> that image's organ masks, decoded afresh on every lookup.
-
-    Holds each mask as its checked runs; nothing decoded is kept, so a
-    caller that looks up one image at a time holds one image's masks.
-    """
-
-    def __init__(self, runs_by_image):
-        self._runs_by_image = runs_by_image  # id -> [(label, runs, h, w)]
-
-    def __getitem__(self, image_id):
-        return [OrganMask(label, _expand_runs(runs, height, width))
-                for label, runs, height, width in self._runs_by_image[image_id]]
-
-    def __contains__(self, image_id):
-        return image_id in self._runs_by_image
-
-    def __iter__(self):
-        return iter(self._runs_by_image)
-
-    def __len__(self):
-        return len(self._runs_by_image)
-
-
 def read_masks(path, images_by_id):
     """Read the organ-mask sidecar: image id -> its masks, file order kept.
 
     Every line is checked here: its image must be known and its dims must
     match that image's, its runs must be valid RLE for those dims, and its
     organ label and mask must be non-empty (the mask's area is the sum of
-    its odd runs). Each mask is kept as its runs, and the returned read-only
-    mapping decodes an image's masks each time that image is looked up.
+    its odd runs). Each mask is kept as its checked runs and nothing is
+    decoded; the returned mapping is read-only and holds a tuple per image.
     """
-    runs_by_image = {}
+    masks_by_image = {}
     for lineno, line in _iter_objects(path, _MaskLine):
         image = images_by_id.get(line.image_id)
         if image is None:
@@ -176,17 +141,13 @@ def read_masks(path, images_by_id):
             )
         try:
             runs = _check_runs(line.rle, line.height, line.width)
+            mask = OrganMask.from_runs(line.organ_label, runs, line.height, line.width)
         except ValidationError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-        runs.flags.writeable = False  # np.asarray made it from the parsed list
-        if not line.organ_label:
-            raise ValidationError(f"{path}: line {lineno}: organ_label must be non-empty")
-        if not any(line.rle[1::2]):  # the area is the sum of the odd runs
-            raise ValidationError(
-                f"{path}: line {lineno}: organ mask {line.organ_label!r} is empty")
-        runs_by_image.setdefault(line.image_id, []).append(
-            (line.organ_label, runs, line.height, line.width))
-    return _LazyMasks(runs_by_image)
+        masks_by_image.setdefault(line.image_id, []).append(mask)
+    for image_id, masks in masks_by_image.items():
+        masks_by_image[image_id] = tuple(masks)
+    return types.MappingProxyType(masks_by_image)
 
 
 def write_corpus(path, records):

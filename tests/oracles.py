@@ -14,7 +14,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from cotforge.errors import ValidationError
-from cotforge.geometry import BBox, SoftMask, box_span
+from cotforge.geometry import BBox, SoftMask
 from cotforge.toymodel import (
     PARAM_KEYS,
     Stage,
@@ -98,9 +98,26 @@ def oracle_average_pool(grid, out_h, out_w):
     return out
 
 
+def _center_membership(lo, hi, n):
+    centers = np.arange(n, dtype=float) + 0.5
+    return (centers >= lo) & (centers <= hi)
+
+
+def oracle_box_span(box: BBox, height: int, width: int):
+    """Half-open pixel rectangle (r0, r1, c0, c1) whose centers lie in the box,
+    read off the compared pixel centers; (0, 0, 0, 0) when it covers none."""
+    if height < 1 or width < 1:
+        raise ValidationError("raster dims must be positive")
+    cols = np.flatnonzero(_center_membership(box.x1 * width, box.x2 * width, width))
+    rows = np.flatnonzero(_center_membership(box.y1 * height, box.y2 * height, height))
+    if cols.size == 0 or rows.size == 0:
+        return 0, 0, 0, 0
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
 def rasterize_box(box: BBox, height: int, width: int) -> np.ndarray:
     """Binary (height, width) raster of the pixels whose centers lie in the box."""
-    r0, r1, c0, c1 = box_span(box, height, width)
+    r0, r1, c0, c1 = oracle_box_span(box, height, width)
     raster = np.zeros((height, width), dtype=bool)
     raster[r0:r1, c0:c1] = True
     return raster

@@ -69,20 +69,21 @@ def test_criterion_1_assignment_matches_bruteforce_oracle():
             grid[r0:r0 + int(rng.integers(8, 24)) + 1,
                  c0:c0 + int(rng.integers(8, 24)) + 1] = True
             masks.append(OrganMask(f"organ_{m}", grid))
+        annotations = []
         for _ in range(int(rng.integers(1, 5))):
             x1 = float(rng.uniform(0.0, 0.8))
             y1 = float(rng.uniform(0.0, 0.8))
             box = BBox(x1, y1,
                        min(1.0, x1 + float(rng.uniform(0.05, 0.5))),
                        min(1.0, y1 + float(rng.uniform(0.05, 0.5))))
-            triplet = assign_organ(f"img_{i:03d}",
-                                   LesionAnnotation(box=box, lesion_class="mass"),
-                                   masks, tau_iou=0.0)
-            idx, best = oracle_assign(box, [om.mask for om in masks], tau_iou=0.0)
+            annotations.append(LesionAnnotation(box=box, lesion_class="mass"))
+        outcomes = assign_organ(annotations, masks, tau_iou=0.0)
+        for ann, (label, iou) in zip(annotations, outcomes, strict=True):
+            idx, best = oracle_assign(ann.box, [om.mask for om in masks], tau_iou=0.0)
             expected = None if idx is None else masks[idx].organ_label
             checked += 1
             unassigned += expected is None
-            if triplet.organ_label != expected or triplet.iou_score != best:
+            if label != expected or iou != best:
                 mismatches += 1
     elapsed = time.perf_counter() - t0
     announce(1, mismatches == 0 and elapsed < 5.0,

@@ -4,10 +4,12 @@ import json
 import logging
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cotforge import cli, fixture_path
 from cotforge.errors import BackendError, MalformedResponseError, ValidationError, read_object
 from cotforge.forge import (
     DEFAULT_SEED_TEMPLATE,
@@ -25,10 +27,11 @@ from cotforge.forge import (
     generate_qa,
 )
 from cotforge.geometry import BBox
-from cotforge.jsonl import read_masks, rle_encode
+from cotforge.jsonl import read_masks, rle_decode, rle_encode
 from oracles import oracle_assign
 
 RNG_SEED = 20240
+GOLDEN = Path(__file__).parent / "golden"
 
 def half_mask(h, w, which):
     m = np.zeros((h, w), dtype=bool)
@@ -43,6 +46,11 @@ def half_mask(h, w, which):
     return m
 
 
+def random_box(rng, min_side=0.05):
+    x1, y1 = rng.uniform(0.0, 1.0 - min_side, size=2)
+    return BBox(x1, y1, rng.uniform(x1 + min_side, 1.0), rng.uniform(y1 + min_side, 1.0))
+
+
 def make_image(image_id="img1", modality="CT", annotations=(), width=64, height=64):
     return ImageRecord(
         image_id=image_id,
@@ -53,6 +61,11 @@ def make_image(image_id="img1", modality="CT", annotations=(), width=64, height=
     )
 
 
+def assign_one(ann, masks, tau_iou=0.0):
+    [outcome] = assign_organ([ann], masks, tau_iou)
+    return outcome
+
+
 class TestAssignOrgan:
     def test_picks_highest_overlap(self):
         ann = LesionAnnotation(box=BBox(0.05, 0.05, 0.4, 0.4), lesion_class="mass")
@@ -60,36 +73,36 @@ class TestAssignOrgan:
             OrganMask("liver", half_mask(64, 64, "left")),
             OrganMask("kidney", half_mask(64, 64, "right")),
         ]
-        triplet = assign_organ("img1", ann, masks)
-        assert triplet.organ_label == "liver"
-        assert triplet.iou_score > 0.0
+        label, iou = assign_one(ann, masks)
+        assert label == "liver"
+        assert iou > 0.0
 
     def test_ties_break_to_lowest_index(self):
         ann = LesionAnnotation(box=BBox(0.1, 0.1, 0.4, 0.4), lesion_class="mass")
         same = half_mask(64, 64, "left")
         masks = [OrganMask("first", same.copy()), OrganMask("second", same.copy())]
-        triplet = assign_organ("img1", ann, masks)
-        assert triplet.organ_label == "first"
+        label, _ = assign_one(ann, masks)
+        assert label == "first"
 
     def test_below_threshold_unassigned(self):
         ann = LesionAnnotation(box=BBox(0.6, 0.6, 0.9, 0.9), lesion_class="mass")
         masks = [OrganMask("liver", half_mask(64, 64, "left"))]
-        triplet = assign_organ("img1", ann, masks, tau_iou=0.0)
-        assert triplet.organ_label is None
-        assert triplet.iou_score == 0.0
+        label, iou = assign_one(ann, masks, tau_iou=0.0)
+        assert label is None
+        assert iou == 0.0
 
     def test_threshold_is_strict(self):
         # max IoU exactly at tau_iou stays unassigned
         ann = LesionAnnotation(box=BBox(0.0, 0.0, 0.5, 1.0), lesion_class="mass")
         full = np.ones((64, 64), dtype=bool)
-        triplet = assign_organ("img1", ann, [OrganMask("body", full)], tau_iou=0.5)
-        assert triplet.organ_label is None
-        assert triplet.iou_score == 0.5
+        label, iou = assign_one(ann, [OrganMask("body", full)], tau_iou=0.5)
+        assert label is None
+        assert iou == 0.5
 
     def test_empty_mask_list_rejected(self):
         ann = LesionAnnotation(box=BBox(0.1, 0.1, 0.4, 0.4), lesion_class="mass")
         with pytest.raises(ValidationError):
-            assign_organ("img1", ann, [])
+            assign_organ([ann], [])
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -107,13 +120,13 @@ class TestAssignOrgan:
             x2 = rng.uniform(x1 + 0.2, 1.0)
             y2 = rng.uniform(y1 + 0.2, 1.0)
             ann = LesionAnnotation(box=BBox(x1, y1, x2, y2), lesion_class="mass")
-            got = assign_organ("img", ann, masks)
+            label, iou = assign_one(ann, masks)
             idx, best = oracle_assign(ann.box, [m.mask for m in masks])
             if idx is None:
-                assert got.organ_label is None
+                assert label is None
             else:
-                assert got.organ_label == organ_names[idx]
-            assert got.iou_score == best
+                assert label == organ_names[idx]
+            assert iou == best
 
     def test_matches_oracle_with_many_overlapping_masks(self):
         # 6 overlapping ellipses on a 128x128 image, at clinical-like density
@@ -132,10 +145,10 @@ class TestAssignOrgan:
             x1, y1 = rng.uniform(0, 0.8, size=2)
             box = BBox(x1, y1, rng.uniform(x1 + 0.05, 1.0), rng.uniform(y1 + 0.05, 1.0))
             ann = LesionAnnotation(box=box, lesion_class="mass")
-            got = assign_organ("img", ann, masks)
+            label, iou = assign_one(ann, masks)
             idx, best = oracle_assign(box, [m.mask for m in masks])
-            assert got.organ_label == (None if idx is None else masks[idx].organ_label)
-            assert got.iou_score == best
+            assert label == (None if idx is None else masks[idx].organ_label)
+            assert iou == best
 
     def test_permutation_stable_without_ties(self):
         rng = np.random.default_rng(RNG_SEED + 1)
@@ -147,11 +160,124 @@ class TestAssignOrgan:
             OrganMask("b", quarter),
             OrganMask("c", np.ones((32, 32), dtype=bool)),
         ]
-        baseline = assign_organ("img", ann, masks).organ_label
+        baseline, _ = assign_one(ann, masks)
         for _ in range(5):
             perm = list(rng.permutation(len(masks)))
             shuffled = [masks[i] for i in perm]
-            assert assign_organ("img", ann, shuffled).organ_label == baseline
+            assert assign_one(ann, shuffled)[0] == baseline
+
+
+def assert_matches_oracle(dense_masks, boxes, tau_iou=0.0):
+    """assign_organ on the masks' runs gives the brute-force oracle's label
+    and IoU, compared with ==, for every box; returns the oracle's results."""
+    masks = [OrganMask(f"organ{k}", m) for k, m in enumerate(dense_masks)]
+    anns = [LesionAnnotation(box=box, lesion_class="mass") for box in boxes]
+    got = assign_organ(anns, masks, tau_iou)
+    lists = [m.tolist() for m in dense_masks]
+    expected = []
+    for box in boxes:
+        idx, best = oracle_assign(box, lists, tau_iou)
+        expected.append((None if idx is None else f"organ{idx}", best))
+    assert got == expected
+    return expected
+
+
+class TestAssignOrganFromRuns:
+    """The runs scorer against the brute-force oracle at the edges of the
+    run encoding and of the pixel-center rule."""
+
+    BOXES = [BBox(0.1, 0.2, 0.6, 0.7), BBox(0.0, 0.0, 1.0, 1.0),
+             BBox(0.3, 0.0, 0.5, 1.0), BBox(0.0, 0.4, 1.0, 0.45)]
+
+    def test_zero_length_first_run(self):
+        m = np.zeros((8, 8), dtype=bool)
+        m[0, :3] = m[4, 2:7] = True
+        assert OrganMask("x", m).runs[0] == 0
+        assert_matches_oracle([m, ~m], self.BOXES)
+
+    def test_mask_ending_on_the_last_pixel(self):
+        m = np.zeros((8, 8), dtype=bool)
+        m[5:, 3:] = True
+        runs = OrganMask("x", m).runs
+        assert len(runs) % 2 == 0 and runs[-1] > 0
+        assert_matches_oracle([m, ~m, m], self.BOXES)
+
+    def test_consecutive_masks_of_odd_and_even_run_counts(self):
+        rng = np.random.default_rng(RNG_SEED + 3)
+        masks = []
+        while len(masks) < 6:  # odd, odd, even, even, odd, even
+            m = rng.random((12, 10)) < 0.4
+            want_odd = len(masks) in (0, 1, 4)
+            if m.any() and (len(OrganMask("x", m).runs) % 2 == 1) == want_odd:
+                masks.append(m)
+        boxes = [random_box(rng) for _ in range(8)]
+        assert_matches_oracle(masks, boxes)
+
+    @pytest.mark.parametrize("box", [
+        BBox(0.0, 0.3, 0.2, 0.7), BBox(0.8, 0.3, 1.0, 0.7),  # left, right
+        BBox(0.3, 0.0, 0.7, 0.2), BBox(0.3, 0.8, 0.7, 1.0),  # top, bottom
+        BBox(0.0, 0.0, 0.1, 0.1), BBox(0.9, 0.9, 1.0, 1.0),  # corners
+    ])
+    def test_boxes_on_each_border(self, box):
+        rng = np.random.default_rng(RNG_SEED + 4)
+        masks = [rng.random((20, 30)) < p for p in (0.2, 0.5, 0.8)]
+        masks.append(np.ones((20, 30), dtype=bool))
+        assert_matches_oracle(masks, [box])
+
+    def test_box_covering_no_pixel_center(self):
+        # 0.55..0.95 of a pixel on each axis: between two pixel centers
+        box = BBox(2.55 / 10, 3.55 / 10, 2.95 / 10, 3.95 / 10)
+        m = np.ones((10, 10), dtype=bool)
+        assert assert_matches_oracle([m], [box, BBox(0.0, 0.0, 1.0, 1.0)]) == [
+            (None, 0.0), ("organ0", 1.0)]
+
+    @pytest.mark.parametrize("shape", [(1, 17), (17, 1), (1, 1)])
+    def test_one_pixel_wide_images(self, shape):
+        rng = np.random.default_rng(RNG_SEED + 5)
+        masks = []
+        for _ in range(4):
+            m = rng.random(shape) < 0.5
+            m.flat[int(rng.integers(m.size))] = True
+            masks.append(m)
+        boxes = [random_box(rng) for _ in range(10)] + [BBox(0.0, 0.0, 1.0, 1.0)]
+        assert_matches_oracle(masks, boxes)
+
+    def test_identical_masks_tie_to_index_zero(self):
+        m = half_mask(16, 16, "top")
+        results = assert_matches_oracle([m, m.copy(), m.copy()], self.BOXES)
+        assert {label for label, _ in results} <= {"organ0", None}
+
+    def test_best_iou_exactly_tau_is_unassigned(self):
+        m = np.zeros((8, 8), dtype=bool)
+        m[:, :2] = True  # 16 pixels; the box's left quarter covers them all
+        box = BBox(0.0, 0.0, 0.5, 1.0)  # 32 pixels: IoU 16 / 32
+        assert assert_matches_oracle([m], [box], tau_iou=0.5) == [(None, 0.5)]
+        assert assert_matches_oracle([m], [box], tau_iou=0.25) == [("organ0", 0.5)]
+
+    def test_random_sweep_at_clinical_density(self):
+        rng = np.random.default_rng(RNG_SEED + 6)
+        h = w = 128
+        rows, cols = np.mgrid[0:h, 0:w]
+        for _ in range(3):
+            masks = []
+            for _ in range(int(rng.integers(5, 9))):
+                cy, cx = rng.uniform(20, 108, size=2)
+                ry, rx = rng.uniform(10, 45, size=2)
+                wobble = 1.0 + 0.15 * np.sin(rng.uniform(3, 9) * np.arctan2(rows - cy, cols - cx))
+                masks.append(((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= wobble)
+            assert (sum(m.astype(int) for m in masks) >= 3).any()
+            boxes = [random_box(rng) for _ in range(3)]
+            assert_matches_oracle(masks, boxes)
+
+    def test_empty_annotation_list(self):
+        assert assign_organ([], [OrganMask("x", np.ones((4, 4), dtype=bool))]) == []
+
+    def test_mixed_dims_rejected(self):
+        ann = LesionAnnotation(box=BBox(0.1, 0.1, 0.4, 0.4), lesion_class="mass")
+        masks = [OrganMask("a", np.ones((4, 4), dtype=bool)),
+                 OrganMask("b", np.ones((4, 5), dtype=bool))]
+        with pytest.raises(ValidationError, match="share dims"):
+            assign_organ([ann], masks)
 
 
 class TestOrganMask:
@@ -160,14 +286,19 @@ class TestOrganMask:
         m[0, 12] = True
         assert OrganMask("liver", m).area == int(np.count_nonzero(m)) == 32 * 8 + 1
 
-    def test_bool_mask_is_a_read_only_view(self):
+    def test_mask_is_decoded_read_only_and_detached(self):
         m = half_mask(8, 8, "top")
         om = OrganMask("liver", m)
-        assert np.shares_memory(om.mask, m)
-        assert not om.mask.flags.writeable
         assert m.flags.writeable
+        assert not om.runs.flags.writeable
+        assert not np.shares_memory(om.mask, m)
+        assert om.mask is not om.mask
+        assert not om.mask.flags.writeable
+        assert np.array_equal(om.mask, m) and om.area == 32
         with pytest.raises(ValueError):
             om.mask[0, 0] = False
+        m[:] = True  # the caller's array is encoded once, not kept
+        assert np.array_equal(om.mask, half_mask(8, 8, "top")) and om.area == 32
 
     @pytest.mark.parametrize("dtype", [np.uint8, float])
     def test_non_bool_mask_is_converted(self, dtype):
@@ -180,6 +311,15 @@ class TestOrganMask:
     def test_empty_mask_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
             OrganMask("liver", np.zeros((4, 4), dtype=bool))
+
+    def test_from_runs_keeps_the_runs(self):
+        runs = np.array([2, 3, 3])
+        om = OrganMask.from_runs("liver", runs, 2, 4)
+        assert om.runs is runs and not runs.flags.writeable
+        assert (om.height, om.width, om.area) == (2, 4, 3)
+        assert np.array_equal(om.mask, rle_decode([2, 3, 3], 2, 4))
+        with pytest.raises(ValidationError, match="empty"):
+            OrganMask.from_runs("liver", np.array([8]), 2, 4)
 
 
 class TestTemplateQa:
@@ -450,6 +590,51 @@ class TestBuildCorpus:
             ("There is a cyst.", "cyst"),
             ("A {note} nodule in the left lung.", "left lung"),
         ]
+
+
+class TestForgeNeverDecodes:
+    """With every mask decode made to fail, the forge still gives its output."""
+
+    def test_bundled_fixture_gives_the_golden_corpus(self, tmp_path, no_decoding):
+        out = tmp_path / "corpus.jsonl"
+        code = cli.main(["forge",
+                         "--dataset", str(fixture_path("forge_dataset.jsonl")),
+                         "--masks", str(fixture_path("forge_masks.jsonl")),
+                         "--out", str(out)])
+        assert code == 0
+        assert out.read_bytes() == (GOLDEN / "forge_corpus.jsonl").read_bytes()
+
+    def test_generated_images_get_the_oracle_organs(self, tmp_path, no_decoding):
+        rng = np.random.default_rng(RNG_SEED + 7)
+        dataset, expected = [], []
+        path = tmp_path / "masks.jsonl"
+        with open(path, "w", encoding="utf-8") as f:
+            for i in range(6):
+                h, w = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+                boxes = [random_box(rng) for _ in range(int(rng.integers(1, 5)))]
+                dataset.append(make_image(f"im{i}", width=w, height=h, annotations=[
+                    LesionAnnotation(box, f"lesion{j}") for j, box in enumerate(boxes)]))
+                if i == 2:  # an image without masks
+                    expected += [None] * len(boxes)
+                    continue
+                masks = []
+                for k in range(int(rng.integers(1, 6))):
+                    m = rng.random((h, w)) < rng.uniform(0.05, 0.95)
+                    m.flat[int(rng.integers(h * w))] = True
+                    masks.append(m.tolist())
+                    f.write(json.dumps({"image_id": f"im{i}", "organ_label": f"organ{k}",
+                                        "height": h, "width": w,
+                                        "rle": rle_encode(m)}) + "\n")
+                for box in boxes:
+                    idx, _ = oracle_assign(box, masks)
+                    expected.append(None if idx is None else f"organ{idx}")
+        assert any(e is None for e in expected) and any(e is not None for e in expected)
+        masks_by_image = read_masks(path, {image.image_id: image for image in dataset})
+        result = build_corpus(dataset, masks_by_image, TemplateQaGenerator(),
+                              unassigned_policy="organ_free")
+        anns = [ann for image in dataset for ann in image.annotations]
+        assert [r.answer for r in result.records] == [
+            organ or ann.lesion_class for organ, ann in zip(expected, anns)]
 
 
 class TestForgeMemory:

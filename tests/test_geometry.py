@@ -15,14 +15,18 @@ from cotforge.errors import ValidationError
 from cotforge.geometry import (
     BBox,
     SoftMask,
+    box_intersections,
     box_span,
     build_soft_mask,
+    encode_runs,
+    expand_runs,
     kl_rows,
     mask_iou,
 )
 from oracles import (
     oracle_average_pool,
     oracle_box_pixels,
+    oracle_box_span,
     oracle_build_soft_mask,
     oracle_iou,
     oracle_kl,
@@ -132,6 +136,114 @@ class TestRasterize:
                 assert len(expected) == (r1 - r0) * (c1 - c0)
             else:
                 assert (r0, r1, c0, c1) == (0, 0, 0, 0)
+
+
+class TestBoxSpan:
+    """The scalar box_span equals the pixel-center comparison, with ==."""
+
+    SIDES = (1, 2, 3, 7, 64, 512, 8192)
+
+    def test_matches_oracle_on_random_boxes(self):
+        rng = np.random.default_rng(17)
+        sides = rng.choice(self.SIDES, size=(20000, 2))
+        sides[::3] = rng.integers(1, 600, size=sides[::3].shape)
+        for h, w in sides.tolist():
+            box = random_box(rng, min_side=float(rng.choice([1e-6, 0.01, 0.2])))
+            assert box_span(box, h, w) == oracle_box_span(box, h, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 8192])
+    def test_half_pixel_edges(self, n):
+        # edges at k / (2n): every pixel center and every pixel edge
+        rng = np.random.default_rng(n)
+        if n <= 8:
+            ks = [(k1, k2) for k1 in range(2 * n + 1) for k2 in range(k1 + 1, 2 * n + 1)]
+        else:
+            ks = [tuple(sorted(rng.choice(2 * n + 1, size=2, replace=False).tolist()))
+                  for _ in range(300)]
+        for k1, k2 in ks:
+            lo, hi = k1 / (2 * n), k2 / (2 * n)
+            for box, h, w in ((BBox(lo, 0.0, hi, 1.0), 5, n), (BBox(0.0, lo, 1.0, hi), n, 5),
+                              (BBox(lo, lo, hi, hi), n, n)):
+                assert box_span(box, h, w) == oracle_box_span(box, h, w)
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (2, 2), (8192, 8192), (1, 8192),
+                                     (8192, 1), (1, 37), (37, 1)])
+    def test_extreme_sides(self, h, w):
+        rng = np.random.default_rng(h * 31 + w)
+        boxes = [random_box(rng, min_side=1e-4) for _ in range(200)]
+        boxes += [BBox(0.0, 0.0, 1.0, 1.0), BBox(0.5, 0.5, 1.0, 1.0),
+                  BBox(0.0, 0.0, 1e-12, 1e-12), BBox(1.0 - 1e-12, 1.0 - 1e-12, 1.0, 1.0)]
+        for box in boxes:
+            assert box_span(box, h, w) == oracle_box_span(box, h, w)
+
+    def test_edge_cases_match_oracle(self):
+        for box, h, w in EDGE_CASES:
+            assert box_span(box, h, w) == oracle_box_span(box, h, w)
+
+    def test_non_positive_dims_rejected(self):
+        with pytest.raises(ValidationError):
+            box_span(BBox(0, 0, 1, 1), 0, 4)
+
+
+def dense_intersections(spans, masks):
+    return np.array([[int(np.count_nonzero(m[r0:r1, c0:c1])) for m in masks]
+                     for r0, r1, c0, c1 in spans], dtype=np.int64).reshape(len(spans),
+                                                                           len(masks))
+
+
+class TestBoxIntersections:
+    """Counts read from the runs equal counts over the decoded pixels."""
+
+    def random_spans(self, rng, h, w, n):
+        spans = []
+        for _ in range(n):
+            r0, r1 = sorted(rng.choice(h + 1, size=2, replace=False).tolist())
+            c0, c1 = sorted(rng.choice(w + 1, size=2, replace=False).tolist())
+            spans.append((r0, r1, c0, c1))
+        return spans
+
+    def test_matches_dense_counts(self):
+        rng = np.random.default_rng(23)
+        for _ in range(60):
+            h, w = (int(v) for v in rng.integers(1, 30, size=2))
+            masks = [rng.random((h, w)) < rng.uniform(0.0, 1.0)
+                     for _ in range(int(rng.integers(1, 6)))]
+            spans = self.random_spans(rng, h, w, int(rng.integers(1, 6)))
+            spans += [(0, h, 0, w), (h - 1, h, w - 1, w), (0, 1, 0, 1)]
+            runs = [encode_runs(m) for m in masks]
+            got = box_intersections(spans, runs, h, w)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, dense_intersections(spans, masks))
+
+    def test_odd_and_even_run_counts_in_one_image(self):
+        full = np.ones((4, 6), dtype=bool)  # runs [0, 24]: even
+        empty = np.zeros((4, 6), dtype=bool)  # runs [24]: odd
+        inner = np.zeros((4, 6), dtype=bool)
+        inner[1:3, 2:5] = True  # odd
+        corner = np.zeros((4, 6), dtype=bool)
+        corner[3, 5] = True  # ends on the last pixel: even
+        masks = [empty, full, inner, empty, corner, full, inner]
+        assert [len(encode_runs(m)) % 2 for m in masks] == [1, 0, 1, 1, 0, 0, 1]
+        spans = [(0, 4, 0, 6), (1, 3, 2, 5), (3, 4, 5, 6), (0, 2, 0, 3)]
+        got = box_intersections(spans, [encode_runs(m) for m in masks], 4, 6)
+        assert np.array_equal(got, dense_intersections(spans, masks))
+
+    def test_no_spans(self):
+        runs = [encode_runs(np.ones((3, 3), dtype=bool))] * 2
+        assert box_intersections([], runs, 3, 3).shape == (0, 2)
+
+
+class TestRuns:
+    def test_encode_then_expand_roundtrips(self):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            h, w = (int(v) for v in rng.integers(1, 20, size=2))
+            m = rng.random((h, w)) < rng.uniform(0.0, 1.0)
+            runs = encode_runs(m)
+            assert runs.dtype == np.int64 and runs.sum() == h * w
+            assert (runs[1:] > 0).all()  # only the first run may be 0
+            expanded = expand_runs(runs, h, w)
+            assert expanded.dtype == bool and np.array_equal(expanded, m)
 
 
 class TestMaskIou:

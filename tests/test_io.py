@@ -7,7 +7,7 @@ from collections.abc import Mapping, MutableMapping
 import numpy as np
 import pytest
 
-from cotforge import fixture_path, jsonl
+from cotforge import fixture_path
 from cotforge.errors import ValidationError
 from cotforge.forge import DomainKey, ImageRecord, VqaCotRecord
 from cotforge.geometry import BBox
@@ -246,36 +246,39 @@ class TestMasksReader:
         ({"rle": [8]}, "organ mask 'liver' is empty"),
         ({"organ_label": ""}, "organ_label must be non-empty"),
     ])
-    def test_last_line_error_raised_before_any_decode(self, tmp_path, monkeypatch,
+    def test_last_line_error_raised_before_any_decode(self, tmp_path, no_decoding,
                                                      bad, message):
-        def no_decode(*args):
-            raise AssertionError("a mask was decoded while reading")
-
-        monkeypatch.setattr(jsonl, "_expand_runs", no_decode)
         path = self.write_masks(tmp_path, [self.line(), self.line("kidney"),
                                            {**self.line(), **bad}])
         with pytest.raises(ValidationError, match=f"line 3: {message}"):
             read_masks(path, self.images())
 
-    def test_masks_are_decoded_on_lookup_only(self, tmp_path, monkeypatch):
-        decoded = []
-        expand = jsonl._expand_runs
-        monkeypatch.setattr(jsonl, "_expand_runs",
-                            lambda *args: decoded.append(args) or expand(*args))
-        path = self.write_masks(tmp_path, [self.line(), self.line("kidney")])
+    def test_reads_and_lookups_decode_nothing(self, tmp_path, no_decoding):
+        path = self.write_masks(tmp_path, [self.line(), self.line("kidney", (0, 1, 7))])
         masks_by_image = read_masks(path, self.images())
         assert len(masks_by_image) == 1 and "a" in masks_by_image
-        assert decoded == []
-        masks_by_image["a"]
-        assert len(decoded) == 2
+        assert list(masks_by_image) == ["a"]
+        got = masks_by_image["a"]
+        assert [(m.organ_label, m.height, m.width, m.area) for m in got] == [
+            ("liver", 2, 4, 3), ("kidney", 2, 4, 1)]
+        assert [m.runs.tolist() for m in got] == [[2, 3, 3], [0, 1, 7]]
+        assert masks_by_image["a"] == got  # the same masks on every lookup
 
-    def test_each_lookup_decodes_fresh_masks(self, tmp_path):
-        path = self.write_masks(tmp_path, [self.line()])
-        masks_by_image = read_masks(path, self.images())
-        first, second = masks_by_image["a"][0], masks_by_image["a"][0]
-        assert first is not second
-        assert not np.shares_memory(first.mask, second.mask)
-        assert np.array_equal(first.mask, second.mask)
+    def test_each_mask_access_decodes_a_fresh_read_only_array(self, tmp_path):
+        path = self.write_masks(tmp_path, [self.line(), self.line("kidney", (0, 1, 7))])
+        for line, om in zip(decode_each_line(path)["a"], read_masks(path, self.images())["a"]):
+            _, expected, area = line
+            first, second = om.mask, om.mask
+            assert first is not second and not np.shares_memory(first, second)
+            for mask in (first, second):
+                assert mask.dtype == bool and np.array_equal(mask, expected)
+                assert not mask.flags.writeable
+                with pytest.raises(ValueError):
+                    mask[0, 0] = not mask[0, 0]
+            assert om.area == area == int(np.count_nonzero(om.mask))
+            assert not om.runs.flags.writeable
+            with pytest.raises(ValueError):
+                om.runs[0] = 1
 
     def test_mapping_is_read_only(self, tmp_path):
         masks_by_image = read_masks(self.write_masks(tmp_path, [self.line()]),
