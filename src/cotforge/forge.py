@@ -19,9 +19,7 @@ import numpy as np
 
 from .errors import BackendError, MalformedResponseError, ValidationError
 from .geometry import BBox, box_intersections, box_span, encode_runs, expand_runs
-# not called here since organs are scored from runs; the benchmark's tracer
-# still wraps forge.mask_iou by name
-from .geometry import mask_iou  # noqa: F401
+from .geometry import mask_iou  # noqa: F401  uncalled; the benchmark tracer wraps it here
 
 logger = logging.getLogger(__name__)
 
