@@ -30,7 +30,7 @@ from cotforge.forge import (  # noqa: E402
     TemplateQaGenerator,
     build_corpus,
 )
-from cotforge.geometry import BBox  # noqa: E402
+from cotforge.geometry import BBox, encode_runs  # noqa: E402
 
 FIXTURES = REPO / "src" / "cotforge" / "fixtures"
 GOLDEN = REPO / "tests" / "golden"
@@ -192,7 +192,7 @@ def make_toy_corpus():
     images = []
     masks_by_image = {}
     for lesion, modality, organ, region in TOY_DOMAINS:
-        organ_pixels = region_pixel_mask(region)
+        organ_runs = encode_runs(region_pixel_mask(region))
         for i in range(TOY_RECORDS_PER_DOMAIN):
             image_id = f"{modality.lower()}_{lesion}_{i:03d}"
             images.append(ImageRecord(
@@ -203,7 +203,7 @@ def make_toy_corpus():
                 annotations=[LesionAnnotation(box=sample_box(rng, region),
                                               lesion_class=lesion)],
             ))
-            masks_by_image[image_id] = [OrganMask(organ, organ_pixels)]
+            masks_by_image[image_id] = [OrganMask(organ, organ_runs, IMAGE_SIZE, IMAGE_SIZE)]
 
     result = build_corpus(images, masks_by_image, TemplateQaGenerator())
     if result.skipped_unassigned or result.failures:

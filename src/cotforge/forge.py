@@ -15,10 +15,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Protocol
 
-import numpy as np
-
 from .errors import BackendError, MalformedResponseError, ValidationError
-from .geometry import BBox, box_intersections, box_span, encode_runs, expand_runs
+from .geometry import BBox, box_intersections, box_span, check_runs
 from .geometry import mask_iou  # noqa: F401  uncalled; the benchmark tracer wraps it here
 
 logger = logging.getLogger(__name__)
@@ -62,31 +60,19 @@ class LesionAnnotation:
 class OrganMask:
     """Named binary mask kept as row-major RLE runs; at least one pixel set.
 
-    The runs alternate zeros and ones, zeros first, and sum to
-    height * width; `area`, the set-pixel count, is the sum of the odd
-    runs. A dense mask given to the constructor is encoded once, and
-    `from_runs` takes runs already checked against the dims. The stored
-    runs are read-only, and `mask` decodes a fresh read-only bool array on
-    each access.
+    The runs alternate zeros and ones, zeros first, and must sum to
+    height * width (`geometry.check_runs`); `area`, the set-pixel count, is
+    the sum of the odd runs. An int array given as the runs is kept, not
+    copied, and made read-only. A dense mask is encoded with
+    `geometry.encode_runs`.
     """
 
     __slots__ = ("organ_label", "runs", "height", "width", "area")
 
-    def __init__(self, organ_label: str, mask):
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2:
-            raise ValidationError("organ mask must be 2-D")
-        self._init(organ_label, encode_runs(mask), *mask.shape)
-
-    @classmethod
-    def from_runs(cls, organ_label: str, runs: np.ndarray, height: int, width: int):
-        """A mask from runs that are non-negative integers summing to
-        height * width; the array is kept, not copied, and made read-only."""
-        om = cls.__new__(cls)
-        om._init(organ_label, runs, height, width)
-        return om
-
-    def _init(self, organ_label, runs, height, width):
+    def __init__(self, organ_label: str, runs, height: int, width: int):
+        if height < 1 or width < 1:
+            raise ValidationError(f"mask dims {(height, width)} must be positive")
+        runs = check_runs(runs, height, width)
         if not organ_label:
             raise ValidationError("organ_label must be non-empty")
         self.organ_label = organ_label
@@ -97,12 +83,6 @@ class OrganMask:
         self.area = int(runs[1::2].sum())
         if self.area == 0:
             raise ValidationError(f"organ mask {organ_label!r} is empty")
-
-    @property
-    def mask(self) -> np.ndarray:
-        mask = expand_runs(self.runs, self.height, self.width)
-        mask.flags.writeable = False
-        return mask
 
 
 @dataclass
@@ -403,6 +383,4 @@ def build_corpus(
         outcomes = [run_task(t) for t in tasks]
     records = [o for o in outcomes if isinstance(o, VqaCotRecord)]
     failures = [o for o in outcomes if isinstance(o, ForgeFailure)]
-    if skipped:
-        logger.info("skipped %d unassigned annotations", skipped)
     return ForgeResult(records=records, skipped_unassigned=skipped, failures=failures)

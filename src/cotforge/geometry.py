@@ -117,6 +117,26 @@ def encode_runs(mask) -> np.ndarray:
     return runs
 
 
+def check_runs(runs, height, width) -> np.ndarray:
+    """Check RLE runs against the dims; returns them as an int array."""
+    try:
+        runs = np.asarray(runs)
+        if runs.size == 0:  # an empty list reads as float64
+            runs = runs.astype(np.int64)
+        valid = runs.ndim == 1 and runs.dtype.kind in "iu" and runs.min(initial=0) >= 0
+    except ValueError:  # ragged nesting
+        valid = False
+    if not valid:
+        raise ValidationError("RLE runs must be non-negative integers")
+    total = height * width
+    # the int64 sum is exact while no partial sum can reach 2**63
+    exact = runs.max(initial=0) <= total and runs.size * total < 2**63
+    got = int(runs.sum()) if exact else sum(runs.tolist())
+    if got != total:
+        raise ValidationError(f"RLE runs sum to {got}, expected {total}")
+    return runs
+
+
 def expand_runs(runs, height, width) -> np.ndarray:
     """Decode valid runs (non-negative, summing to height * width) into a
     2-D bool mask."""

@@ -112,10 +112,11 @@ def run_toy_training(records: Sequence[VqaCotRecord],
         model = ToyModel(records, image_dims=params.image_dims,
                          grid_dims=params.grid_dims,
                          feature_dim=params.feature_dim, seed=params.seed)
-    for r in records:  # the soft-mask rule, checked before any training
+    for pos, r in enumerate(records, start=1):  # the soft-mask rule, up front
         r0, r1, _, _ = box_span(r.box, *params.image_dims)
         if r0 == r1:
-            raise ValidationError("box is degenerate after denormalization")
+            raise ValidationError(f"record {pos} (image {r.image_id!r}): "
+                                  "box is degenerate after denormalization")
     targets = {}  # item index -> soft mask, built on the item's first Medium use
     domain_keys = [r.domain.as_str() for r in records]
     scheduler = CurriculumScheduler(hp, domains=sorted(set(domain_keys)),

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError, read_object
 from .forge import ImageRecord, OrganMask, VqaCotRecord
-from .geometry import encode_runs, expand_runs
+from .geometry import check_runs, encode_runs, expand_runs
 
 
 @contextlib.contextmanager
@@ -70,27 +70,9 @@ def _iter_objects(path, cls):
         yield lineno, read_object(cls, obj, f"{path}: line {lineno}", ValidationError)
 
 
-def _check_runs(runs, height, width) -> np.ndarray:
-    """Check RLE runs against the dims; returns them as an int array."""
-    try:
-        runs = np.asarray(runs)
-        valid = runs.ndim == 1 and runs.dtype.kind in "iu" and runs.min(initial=0) >= 0
-    except ValueError:  # ragged nesting
-        valid = False
-    if not valid:
-        raise ValidationError("RLE runs must be non-negative integers")
-    total = height * width
-    # the int64 sum is exact while no partial sum can reach 2**63
-    exact = runs.max(initial=0) <= total and runs.size * total < 2**63
-    got = int(runs.sum()) if exact else sum(runs.tolist())
-    if got != total:
-        raise ValidationError(f"RLE runs sum to {got}, expected {total}")
-    return runs
-
-
 def rle_decode(runs, height, width) -> np.ndarray:
     """Decode alternating zero/one run lengths (row-major, zeros first)."""
-    return expand_runs(_check_runs(runs, height, width), height, width)
+    return expand_runs(check_runs(runs, height, width), height, width)
 
 
 def rle_encode(mask) -> list:
@@ -104,7 +86,7 @@ class _MaskLine:
     organ_label: str
     height: int
     width: int
-    rle: list  # checked by _check_runs as one array, not run by run
+    rle: list  # checked by check_runs as one array, not run by run
 
 
 def read_dataset(path):
@@ -140,8 +122,7 @@ def read_masks(path, images_by_id):
                 f"do not match image {line.image_id!r} dims {(image.height, image.width)}"
             )
         try:
-            runs = _check_runs(line.rle, line.height, line.width)
-            mask = OrganMask.from_runs(line.organ_label, runs, line.height, line.width)
+            mask = OrganMask(line.organ_label, line.rle, line.height, line.width)
         except ValidationError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
         masks_by_image.setdefault(line.image_id, []).append(mask)

@@ -273,13 +273,12 @@ class BatchPlan:
 
 def plan_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
                main_pool_size: int,
-               p_medium_per_item: Union[float, np.ndarray],
+               p_medium_per_item: np.ndarray,
                rng: np.random.Generator) -> BatchPlan:
     """Draw one batch: hard slots first, then stage coins for the rest.
 
-    ``p_medium_per_item`` is either one probability for every main-pool item
-    or an array aligned with the main pool. Draws are without replacement
-    within the batch; the budget never changes here.
+    ``p_medium_per_item`` is an array aligned with the main pool. Draws are
+    without replacement within the batch; the budget never changes here.
     """
     if batch_size < 1:
         raise ValidationError(f"batch_size must be at least 1, got {batch_size}")
@@ -296,12 +295,8 @@ def plan_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
             f"main pool exhausted: need {n_main} items, pool has {main_pool_size}"
         )
     p = np.asarray(p_medium_per_item, dtype=float)
-    if p.ndim == 0:
-        p = np.full(main_pool_size, float(p))
-    elif p.shape != (main_pool_size,):
-        raise ValidationError(
-            f"p_medium_per_item must be scalar or length {main_pool_size}"
-        )
+    if p.shape != (main_pool_size,):
+        raise ValidationError(f"p_medium_per_item must have length {main_pool_size}")
     if p.size and (p.min() < 0.0 or p.max() > 1.0):
         raise ValidationError("medium probabilities must lie in [0, 1]")
 

@@ -179,21 +179,6 @@ class ToyModel:
     def _params(self) -> Dict[str, np.ndarray]:
         return {key: getattr(self, key) for key in PARAM_KEYS}
 
-    def param_vector(self) -> np.ndarray:
-        return np.concatenate([self._params()[k].ravel() for k in PARAM_KEYS])
-
-    def set_param_vector(self, vec: np.ndarray):
-        vec = np.asarray(vec, dtype=float)
-        total = sum(p.size for p in self._params().values())
-        if vec.shape != (total,):
-            raise ValidationError(f"expected parameter vector of length {total}")
-        offset = 0
-        for key in PARAM_KEYS:
-            param = self._params()[key]
-            chunk = vec[offset:offset + param.size]
-            setattr(self, key, chunk.reshape(param.shape).copy())
-            offset += param.size
-
     def _check_idx(self, idx: int):
         if not 0 <= idx < len(self.items):
             raise ValidationError(f"item index {idx} out of range")

@@ -3,7 +3,7 @@ and a fixture that makes every mask decode fail."""
 
 import pytest
 
-from cotforge import forge, geometry, jsonl
+from cotforge import geometry, jsonl
 
 acceptance_verdicts = []
 
@@ -11,14 +11,13 @@ acceptance_verdicts = []
 @pytest.fixture
 def no_decoding(monkeypatch):
     """Make every way to decode a mask raise: the run expansion wherever it is
-    looked up, `jsonl.rle_decode` and `OrganMask.mask`."""
+    looked up, and `jsonl.rle_decode`."""
     def refuse(*args):
         raise AssertionError("a mask was decoded")
 
-    for module in (geometry, forge, jsonl):
+    for module in (geometry, jsonl):
         monkeypatch.setattr(module, "expand_runs", refuse)
     monkeypatch.setattr(jsonl, "rle_decode", refuse)
-    monkeypatch.setattr(forge.OrganMask, "mask", property(refuse))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

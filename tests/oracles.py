@@ -1,9 +1,11 @@
-"""Reference implementations used as test oracles.
+"""Reference implementations used as test oracles, and tests-only helpers.
 
 Everything here is written as straight-line code on purpose: slow, obvious,
 and independent of the vectorized production paths. The loss oracle is the
 toy model's forward pass and stage recipe, one item at a time, with its own
 copy of the recipe; the finite-difference check treats a loss as a black box.
+The helpers build organ masks from dense arrays, decode them back, and read
+or set the toy model's parameters as one flat vector.
 """
 
 import math
@@ -14,7 +16,8 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from cotforge.errors import ValidationError
-from cotforge.geometry import BBox, SoftMask
+from cotforge.forge import OrganMask
+from cotforge.geometry import BBox, SoftMask, encode_runs, expand_runs
 from cotforge.toymodel import (
     PARAM_KEYS,
     Stage,
@@ -22,6 +25,36 @@ from cotforge.toymodel import (
     StageLossWeights,
     roi_cells,
 )
+
+
+def organ_mask(label, dense) -> OrganMask:
+    """An organ mask of a dense 2-D array, encoded once."""
+    dense = np.asarray(dense)
+    return OrganMask(label, encode_runs(dense), *dense.shape)
+
+
+def decode(om: OrganMask) -> np.ndarray:
+    """A fresh dense bool array of an organ mask's runs."""
+    return expand_runs(om.runs, om.height, om.width)
+
+
+def param_vector(model) -> np.ndarray:
+    """The toy model's parameters as one flat vector, in PARAM_KEYS order."""
+    return np.concatenate([getattr(model, k).ravel() for k in PARAM_KEYS])
+
+
+def set_param_vector(model, vec: np.ndarray):
+    """Set the toy model's parameters from a copy of a flat vector."""
+    vec = np.asarray(vec, dtype=float)
+    total = sum(getattr(model, k).size for k in PARAM_KEYS)
+    if vec.shape != (total,):
+        raise ValidationError(f"expected parameter vector of length {total}")
+    offset = 0
+    for key in PARAM_KEYS:
+        param = getattr(model, key)
+        chunk = vec[offset:offset + param.size]
+        setattr(model, key, chunk.reshape(param.shape).copy())
+        offset += param.size
 
 
 def oracle_box_pixels(box, height, width):

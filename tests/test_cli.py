@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from corpus_utils import tiny_corpus
-from cotforge import cli, jsonl
+from cotforge import cli, fixture_path, jsonl
 from cotforge.jsonl import TRACE_CSV_COLUMNS, read_corpus, read_trace, write_corpus
 
 
@@ -352,6 +352,21 @@ def test_train_toy_zero_epochs_is_config_error(tmp_path, capsys, toy_corpus_file
     )
     assert code == 2
     assert stderr.startswith("error:")
+
+
+def test_train_toy_degenerate_box_names_its_record(tmp_path, capsys):
+    rows = [json.loads(line) for line in
+            fixture_path("toy_corpus.jsonl").read_text().splitlines()]
+    rows[57]["box"] = [0.5, 0.5, 0.505, 0.505]  # covers no pixel center
+    bad = write_jsonl(tmp_path / "bad.jsonl", rows)
+    assert run_cli(capsys, "validate", "--corpus", str(bad))[0] == 0
+    code, stdout, stderr = run_cli(capsys, "train-toy", "--corpus", str(bad),
+                                   "--out", str(tmp_path / "trace.jsonl"))
+    assert code == 1 and stdout == ""
+    assert stderr.splitlines() == [
+        "error: record 58 (image 'ct_cyst_007'): "
+        "box is degenerate after denormalization"]
+    assert not (tmp_path / "trace.jsonl").exists()
 
 
 def test_train_toy_missing_corpus_flag_exits_2(tmp_path, capsys):

@@ -26,9 +26,9 @@ from cotforge.forge import (
     build_corpus,
     generate_qa,
 )
-from cotforge.geometry import BBox
+from cotforge.geometry import BBox, encode_runs
 from cotforge.jsonl import read_masks, rle_decode, rle_encode
-from oracles import oracle_assign
+from oracles import decode, oracle_assign, organ_mask
 
 RNG_SEED = 20240
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,8 +70,8 @@ class TestAssignOrgan:
     def test_picks_highest_overlap(self):
         ann = LesionAnnotation(box=BBox(0.05, 0.05, 0.4, 0.4), lesion_class="mass")
         masks = [
-            OrganMask("liver", half_mask(64, 64, "left")),
-            OrganMask("kidney", half_mask(64, 64, "right")),
+            organ_mask("liver", half_mask(64, 64, "left")),
+            organ_mask("kidney", half_mask(64, 64, "right")),
         ]
         label, iou = assign_one(ann, masks)
         assert label == "liver"
@@ -80,13 +80,13 @@ class TestAssignOrgan:
     def test_ties_break_to_lowest_index(self):
         ann = LesionAnnotation(box=BBox(0.1, 0.1, 0.4, 0.4), lesion_class="mass")
         same = half_mask(64, 64, "left")
-        masks = [OrganMask("first", same.copy()), OrganMask("second", same.copy())]
+        masks = [organ_mask("first", same.copy()), organ_mask("second", same.copy())]
         label, _ = assign_one(ann, masks)
         assert label == "first"
 
     def test_below_threshold_unassigned(self):
         ann = LesionAnnotation(box=BBox(0.6, 0.6, 0.9, 0.9), lesion_class="mass")
-        masks = [OrganMask("liver", half_mask(64, 64, "left"))]
+        masks = [organ_mask("liver", half_mask(64, 64, "left"))]
         label, iou = assign_one(ann, masks, tau_iou=0.0)
         assert label is None
         assert iou == 0.0
@@ -95,7 +95,7 @@ class TestAssignOrgan:
         # max IoU exactly at tau_iou stays unassigned
         ann = LesionAnnotation(box=BBox(0.0, 0.0, 0.5, 1.0), lesion_class="mass")
         full = np.ones((64, 64), dtype=bool)
-        label, iou = assign_one(ann, [OrganMask("body", full)], tau_iou=0.5)
+        label, iou = assign_one(ann, [organ_mask("body", full)], tau_iou=0.5)
         assert label is None
         assert iou == 0.5
 
@@ -115,13 +115,13 @@ class TestAssignOrgan:
                 m = rng.random((h, w)) < rng.uniform(0.1, 0.5)
                 if not m.any():
                     m[0, 0] = True
-                masks.append(OrganMask(organ_names[k], m))
+                masks.append(organ_mask(organ_names[k], m))
             x1, y1 = rng.uniform(0, 0.6, size=2)
             x2 = rng.uniform(x1 + 0.2, 1.0)
             y2 = rng.uniform(y1 + 0.2, 1.0)
             ann = LesionAnnotation(box=BBox(x1, y1, x2, y2), lesion_class="mass")
             label, iou = assign_one(ann, masks)
-            idx, best = oracle_assign(ann.box, [m.mask for m in masks])
+            idx, best = oracle_assign(ann.box, [decode(m) for m in masks])
             if idx is None:
                 assert label is None
             else:
@@ -138,15 +138,15 @@ class TestAssignOrgan:
             cy, cx = rng.uniform(30, 98, size=2)
             ry, rx = rng.uniform(20, 50, size=2)
             m = ((rows - cy) / ry) ** 2 + ((cols - cx) / rx) ** 2 <= 1.0
-            masks.append(OrganMask(f"organ{k}", m))
-        overlap = sum(m.mask.astype(int) for m in masks)
+            masks.append(organ_mask(f"organ{k}", m))
+        overlap = sum(decode(m).astype(int) for m in masks)
         assert (overlap >= 3).any()
         for _ in range(4):
             x1, y1 = rng.uniform(0, 0.8, size=2)
             box = BBox(x1, y1, rng.uniform(x1 + 0.05, 1.0), rng.uniform(y1 + 0.05, 1.0))
             ann = LesionAnnotation(box=box, lesion_class="mass")
             label, iou = assign_one(ann, masks)
-            idx, best = oracle_assign(box, [m.mask for m in masks])
+            idx, best = oracle_assign(box, [decode(m) for m in masks])
             assert label == (None if idx is None else masks[idx].organ_label)
             assert iou == best
 
@@ -156,9 +156,9 @@ class TestAssignOrgan:
         quarter = np.zeros((32, 32), dtype=bool)
         quarter[:16, :16] = True
         masks = [
-            OrganMask("a", half_mask(32, 32, "left")),
-            OrganMask("b", quarter),
-            OrganMask("c", np.ones((32, 32), dtype=bool)),
+            organ_mask("a", half_mask(32, 32, "left")),
+            organ_mask("b", quarter),
+            organ_mask("c", np.ones((32, 32), dtype=bool)),
         ]
         baseline, _ = assign_one(ann, masks)
         for _ in range(5):
@@ -170,7 +170,7 @@ class TestAssignOrgan:
 def assert_matches_oracle(dense_masks, boxes, tau_iou=0.0):
     """assign_organ on the masks' runs gives the brute-force oracle's label
     and IoU, compared with ==, for every box; returns the oracle's results."""
-    masks = [OrganMask(f"organ{k}", m) for k, m in enumerate(dense_masks)]
+    masks = [organ_mask(f"organ{k}", m) for k, m in enumerate(dense_masks)]
     anns = [LesionAnnotation(box=box, lesion_class="mass") for box in boxes]
     got = assign_organ(anns, masks, tau_iou)
     lists = [m.tolist() for m in dense_masks]
@@ -192,13 +192,13 @@ class TestAssignOrganFromRuns:
     def test_zero_length_first_run(self):
         m = np.zeros((8, 8), dtype=bool)
         m[0, :3] = m[4, 2:7] = True
-        assert OrganMask("x", m).runs[0] == 0
+        assert organ_mask("x", m).runs[0] == 0
         assert_matches_oracle([m, ~m], self.BOXES)
 
     def test_mask_ending_on_the_last_pixel(self):
         m = np.zeros((8, 8), dtype=bool)
         m[5:, 3:] = True
-        runs = OrganMask("x", m).runs
+        runs = organ_mask("x", m).runs
         assert len(runs) % 2 == 0 and runs[-1] > 0
         assert_matches_oracle([m, ~m, m], self.BOXES)
 
@@ -208,7 +208,7 @@ class TestAssignOrganFromRuns:
         while len(masks) < 6:  # odd, odd, even, even, odd, even
             m = rng.random((12, 10)) < 0.4
             want_odd = len(masks) in (0, 1, 4)
-            if m.any() and (len(OrganMask("x", m).runs) % 2 == 1) == want_odd:
+            if m.any() and (len(organ_mask("x", m).runs) % 2 == 1) == want_odd:
                 masks.append(m)
         boxes = [random_box(rng) for _ in range(8)]
         assert_matches_oracle(masks, boxes)
@@ -270,12 +270,12 @@ class TestAssignOrganFromRuns:
             assert_matches_oracle(masks, boxes)
 
     def test_empty_annotation_list(self):
-        assert assign_organ([], [OrganMask("x", np.ones((4, 4), dtype=bool))]) == []
+        assert assign_organ([], [organ_mask("x", np.ones((4, 4), dtype=bool))]) == []
 
     def test_mixed_dims_rejected(self):
         ann = LesionAnnotation(box=BBox(0.1, 0.1, 0.4, 0.4), lesion_class="mass")
-        masks = [OrganMask("a", np.ones((4, 4), dtype=bool)),
-                 OrganMask("b", np.ones((4, 5), dtype=bool))]
+        masks = [organ_mask("a", np.ones((4, 4), dtype=bool)),
+                 organ_mask("b", np.ones((4, 5), dtype=bool))]
         with pytest.raises(ValidationError, match="share dims"):
             assign_organ([ann], masks)
 
@@ -284,42 +284,49 @@ class TestOrganMask:
     def test_area_is_set_pixel_count(self):
         m = half_mask(32, 16, "left")
         m[0, 12] = True
-        assert OrganMask("liver", m).area == int(np.count_nonzero(m)) == 32 * 8 + 1
+        assert organ_mask("liver", m).area == int(np.count_nonzero(m)) == 32 * 8 + 1
 
-    def test_mask_is_decoded_read_only_and_detached(self):
+    def test_runs_are_kept_read_only(self):
         m = half_mask(8, 8, "top")
-        om = OrganMask("liver", m)
+        om = organ_mask("liver", m)
         assert m.flags.writeable
         assert not om.runs.flags.writeable
-        assert not np.shares_memory(om.mask, m)
-        assert om.mask is not om.mask
-        assert not om.mask.flags.writeable
-        assert np.array_equal(om.mask, m) and om.area == 32
         with pytest.raises(ValueError):
-            om.mask[0, 0] = False
+            om.runs[0] = 1
         m[:] = True  # the caller's array is encoded once, not kept
-        assert np.array_equal(om.mask, half_mask(8, 8, "top")) and om.area == 32
+        assert np.array_equal(decode(om), half_mask(8, 8, "top")) and om.area == 32
+        listed = OrganMask("liver", [2, 3, 3], 2, 4)
+        assert listed.runs.tolist() == [2, 3, 3] and not listed.runs.flags.writeable
 
     @pytest.mark.parametrize("dtype", [np.uint8, float])
     def test_non_bool_mask_is_converted(self, dtype):
-        m = half_mask(8, 8, "top").astype(dtype)
-        om = OrganMask("liver", m)
-        assert om.mask.dtype == bool and om.area == 32
-        assert (om.mask == (m != 0)).all()
+        m = np.array([[0, 0, 3, 1], [7, 0, 0, 0]], dtype=dtype)  # nonzero is set
+        want = encode_runs(m != 0)
+        assert want.tolist() == [2, 3, 3]
+        assert np.array_equal(encode_runs(m), want)
+        assert rle_encode(m) == want.tolist()
         assert m.flags.writeable
+        assert OrganMask("liver", encode_runs(m), *m.shape).area == 3
 
     def test_empty_mask_rejected(self):
         with pytest.raises(ValidationError, match="empty"):
-            OrganMask("liver", np.zeros((4, 4), dtype=bool))
+            organ_mask("liver", np.zeros((4, 4), dtype=bool))
 
-    def test_from_runs_keeps_the_runs(self):
+    def test_constructor_keeps_the_runs(self):
         runs = np.array([2, 3, 3])
-        om = OrganMask.from_runs("liver", runs, 2, 4)
+        om = OrganMask("liver", runs, 2, 4)
         assert om.runs is runs and not runs.flags.writeable
         assert (om.height, om.width, om.area) == (2, 4, 3)
-        assert np.array_equal(om.mask, rle_decode([2, 3, 3], 2, 4))
+        assert np.array_equal(decode(om), rle_decode([2, 3, 3], 2, 4))
         with pytest.raises(ValidationError, match="empty"):
-            OrganMask.from_runs("liver", np.array([8]), 2, 4)
+            OrganMask("liver", np.array([8]), 2, 4)
+        wrong_sum = np.array([2, 3, 2])
+        with pytest.raises(ValidationError, match=r"^RLE runs sum to 7, expected 8$"):
+            OrganMask("liver", wrong_sum, 2, 4)
+        assert wrong_sum.flags.writeable  # a rejected array is left as it was
+        for dims in ((-1, -2), (0, 4), (2, 0)):  # runs [1, 1] sum to (-1)*(-2)
+            with pytest.raises(ValidationError, match=r"^mask dims .* must be positive$"):
+                OrganMask("liver", [1, 1], *dims)
 
 
 class TestTemplateQa:
@@ -458,8 +465,8 @@ def small_dataset():
         [LesionAnnotation(BBox(0.1, 0.2, 0.45, 0.7), "nodule")],
     )
     masks = {
-        "ct_001": [OrganMask("liver", half_mask(64, 64, "left"))],
-        "xr_001": [OrganMask("left lung", half_mask(64, 64, "left"))],
+        "ct_001": [organ_mask("liver", half_mask(64, 64, "left"))],
+        "xr_001": [organ_mask("left lung", half_mask(64, 64, "left"))],
     }
     return [img1, img2], masks
 
@@ -544,7 +551,7 @@ class TestBuildCorpus:
 
     def test_mask_dims_must_match_image(self):
         dataset, _ = small_dataset()
-        bad = {"ct_001": [OrganMask("liver", half_mask(32, 32, "left"))]}
+        bad = {"ct_001": [organ_mask("liver", half_mask(32, 32, "left"))]}
         with pytest.raises(ValidationError):
             build_corpus(dataset, bad, TemplateQaGenerator())
 
@@ -562,8 +569,8 @@ class TestBuildCorpus:
             make_image("ct_003", "CT", [LesionAnnotation(left, "polyp"),    # 4
                                         LesionAnnotation(left, "tumor")]),   # 5
         ]
-        masks = {"ct_001": [OrganMask("liver", half_mask(64, 64, "left"))],
-                 "ct_003": [OrganMask("kidney", half_mask(64, 64, "left"))]}
+        masks = {"ct_001": [organ_mask("liver", half_mask(64, 64, "left"))],
+                 "ct_003": [organ_mask("kidney", half_mask(64, 64, "left"))]}
         result = build_corpus(dataset, masks, TemplateQaGenerator(templates),
                               seed_templates=templates, unassigned_policy=policy)
         expected = [

@@ -23,6 +23,7 @@ from cotforge.jsonl import (
     write_trace,
     write_trace_csv,
 )
+from oracles import decode
 
 
 def make_record(image_id="img", cot="One. Two."):
@@ -54,6 +55,10 @@ class TestRle:
     def test_sum_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             rle_decode([2, 3], 2, 4)
+
+    def test_empty_runs_sum_to_zero(self):
+        with pytest.raises(ValidationError, match="^RLE runs sum to 0, expected 8$"):
+            rle_decode([], 2, 4)
 
     def test_negative_run_rejected(self):
         with pytest.raises(ValidationError):
@@ -178,7 +183,7 @@ def assert_lookups_match(masks_by_image, images, expected):
             continue
         got = masks_by_image[image.image_id]
         assert [m.organ_label for m in got] == [label for label, _, _ in want]
-        assert all(np.array_equal(m.mask, mask) and m.mask.dtype == bool
+        assert all(np.array_equal(decode(m), mask) and decode(m).dtype == bool
                    for m, (_, mask, _) in zip(got, want))
         assert [m.area for m in got] == [area for _, _, area in want]
 
@@ -245,12 +250,25 @@ class TestMasksReader:
         ({"rle": [2, 3]}, "RLE runs sum to 5"),
         ({"rle": [8]}, "organ mask 'liver' is empty"),
         ({"organ_label": ""}, "organ_label must be non-empty"),
+        ({"rle": []}, "RLE runs sum to 0, expected 8"),
     ])
     def test_last_line_error_raised_before_any_decode(self, tmp_path, no_decoding,
                                                      bad, message):
         path = self.write_masks(tmp_path, [self.line(), self.line("kidney"),
                                            {**self.line(), **bad}])
         with pytest.raises(ValidationError, match=f"line 3: {message}"):
+            read_masks(path, self.images())
+
+    @pytest.mark.parametrize("faults,message", [
+        ({"image_id": "zz", "rle": [2, 3]}, "mask references unknown image 'zz'"),
+        ({"height": 3, "rle": [2, 3]},
+         r"mask dims \(3, 4\) do not match image 'a' dims \(2, 4\)"),
+        ({"rle": [2, 3], "organ_label": ""}, "RLE runs sum to 5, expected 8"),
+        ({"organ_label": "", "rle": [8]}, "organ_label must be non-empty"),
+    ], ids=["unknown-image", "dims", "runs", "label"])
+    def test_a_line_with_two_faults_reports_the_first(self, tmp_path, faults, message):
+        path = self.write_masks(tmp_path, [{**self.line(), **faults}])
+        with pytest.raises(ValidationError, match=f"line 1: {message}$"):
             read_masks(path, self.images())
 
     def test_reads_and_lookups_decode_nothing(self, tmp_path, no_decoding):
@@ -264,18 +282,12 @@ class TestMasksReader:
         assert [m.runs.tolist() for m in got] == [[2, 3, 3], [0, 1, 7]]
         assert masks_by_image["a"] == got  # the same masks on every lookup
 
-    def test_each_mask_access_decodes_a_fresh_read_only_array(self, tmp_path):
+    def test_each_mask_keeps_its_lines_runs_read_only(self, tmp_path):
         path = self.write_masks(tmp_path, [self.line(), self.line("kidney", (0, 1, 7))])
         for line, om in zip(decode_each_line(path)["a"], read_masks(path, self.images())["a"]):
             _, expected, area = line
-            first, second = om.mask, om.mask
-            assert first is not second and not np.shares_memory(first, second)
-            for mask in (first, second):
-                assert mask.dtype == bool and np.array_equal(mask, expected)
-                assert not mask.flags.writeable
-                with pytest.raises(ValueError):
-                    mask[0, 0] = not mask[0, 0]
-            assert om.area == area == int(np.count_nonzero(om.mask))
+            assert np.array_equal(decode(om), expected)
+            assert om.area == area == int(np.count_nonzero(decode(om)))
             assert not om.runs.flags.writeable
             with pytest.raises(ValueError):
                 om.runs[0] = 1

@@ -121,11 +121,11 @@ class TestMedianProgress:
 class TestPlanBatch:
     def test_exact_floor_counts(self):
         rng = np.random.default_rng(0)
-        plan = plan_batch(10, 0.26, 50, 50, 0.5, rng)
+        plan = plan_batch(10, 0.26, 50, 50, np.full(50, 0.5), rng)
         assert len(plan.hard_indices) == 2
-        plan = plan_batch(32, 0.25, 50, 50, 0.5, rng)
+        plan = plan_batch(32, 0.25, 50, 50, np.full(50, 0.5), rng)
         assert len(plan.hard_indices) == 8
-        plan = plan_batch(32, 0.0, 0, 50, 0.5, rng)
+        plan = plan_batch(32, 0.0, 0, 50, np.full(50, 0.5), rng)
         assert len(plan.hard_indices) == 0
 
     def test_floor_matches_math_floor_on_random_pairs(self):
@@ -133,42 +133,48 @@ class TestPlanBatch:
         for _ in range(50):
             lam = float(rng.uniform(0.0, 1.0))
             batch = int(rng.integers(1, 100))
-            plan = plan_batch(batch, lam, batch, batch, 0.5, rng)
+            plan = plan_batch(batch, lam, batch, batch, np.full(batch, 0.5), rng)
             assert len(plan.hard_indices) == math.floor(lam * batch)
 
     def test_slots_partition_batch(self):
         rng = np.random.default_rng(1)
-        plan = plan_batch(20, 0.3, 30, 40, 0.5, rng)
+        plan = plan_batch(20, 0.3, 30, 40, np.full(40, 0.5), rng)
         n_medium = sum(1 for s in plan.main_stages if s == "medium")
         n_easy = sum(1 for s in plan.main_stages if s == "easy")
         assert len(plan.hard_indices) + n_easy + n_medium == 20
 
     def test_no_replacement_within_batch(self):
         rng = np.random.default_rng(2)
-        plan = plan_batch(16, 0.5, 8, 8, 0.5, rng)
+        plan = plan_batch(16, 0.5, 8, 8, np.full(8, 0.5), rng)
         assert len(set(plan.hard_indices)) == len(plan.hard_indices)
         assert len(set(plan.main_indices)) == len(plan.main_indices)
 
     def test_probability_extremes(self):
         rng = np.random.default_rng(3)
-        plan = plan_batch(12, 0.0, 0, 40, 0.0, rng)
+        plan = plan_batch(12, 0.0, 0, 40, np.full(40, 0.0), rng)
         assert all(s == "easy" for s in plan.main_stages)
-        plan = plan_batch(12, 0.0, 0, 40, 1.0, rng)
+        plan = plan_batch(12, 0.0, 0, 40, np.full(40, 1.0), rng)
         assert all(s == "medium" for s in plan.main_stages)
 
     def test_insufficient_pools_rejected(self):
         rng = np.random.default_rng(4)
         with pytest.raises(ValidationError):
-            plan_batch(10, 0.5, 3, 50, 0.5, rng)
+            plan_batch(10, 0.5, 3, 50, np.full(50, 0.5), rng)
         with pytest.raises(ValidationError):
-            plan_batch(10, 0.0, 0, 5, 0.5, rng)
+            plan_batch(10, 0.0, 0, 5, np.full(5, 0.5), rng)
 
     def test_reproducible_with_seed(self):
-        a = plan_batch(16, 0.25, 20, 40, 0.4, np.random.default_rng(7))
-        b = plan_batch(16, 0.25, 20, 40, 0.4, np.random.default_rng(7))
+        a = plan_batch(16, 0.25, 20, 40, np.full(40, 0.4), np.random.default_rng(7))
+        b = plan_batch(16, 0.25, 20, 40, np.full(40, 0.4), np.random.default_rng(7))
         assert list(a.hard_indices) == list(b.hard_indices)
         assert list(a.main_indices) == list(b.main_indices)
         assert list(a.main_stages) == list(b.main_stages)
+
+    def test_probabilities_must_align_with_the_pool(self):
+        rng = np.random.default_rng(5)
+        for p in (0.5, np.full(39, 0.5), np.full((40, 1), 0.5)):
+            with pytest.raises(ValidationError, match="must have length 40"):
+                plan_batch(10, 0.0, 0, 40, p, rng)
 
     def test_per_item_probabilities(self):
         # items with p=0 can never be medium, items with p=1 always are

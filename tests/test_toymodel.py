@@ -20,6 +20,8 @@ from oracles import (
     finite_difference_check,
     oracle_batch_loss,
     oracle_item_loss,
+    param_vector,
+    set_param_vector,
 )
 
 IMAGE_DIMS = (16, 16)
@@ -62,18 +64,18 @@ class TestConstruction:
                      feature_dim=3, seed=5)
         b = ToyModel(tiny_corpus(), image_dims=IMAGE_DIMS, grid_dims=GRID_DIMS,
                      feature_dim=3, seed=5)
-        assert np.array_equal(a.param_vector(), b.param_vector())
+        assert np.array_equal(param_vector(a), param_vector(b))
 
     def test_param_vector_roundtrip(self, model):
-        vec = model.param_vector()
-        model.set_param_vector(vec * 1.5)
-        assert np.allclose(model.param_vector(), vec * 1.5)
-        model.set_param_vector(vec)
-        assert np.array_equal(model.param_vector(), vec)
+        vec = param_vector(model)
+        set_param_vector(model, vec * 1.5)
+        assert np.allclose(param_vector(model), vec * 1.5)
+        set_param_vector(model, vec)
+        assert np.array_equal(param_vector(model), vec)
 
     def test_wrong_length_vector_rejected(self, model):
         with pytest.raises(ValidationError):
-            model.set_param_vector(np.zeros(3))
+            set_param_vector(model, np.zeros(3))
 
 
 class TestGradientStructure:
@@ -132,11 +134,11 @@ def batch_setup(model, stage):
     weights = StageLossWeights(w_ans=1.0, w_cot=0.7, w_ground=0.4, w_attn=0.6)
 
     def f(vec):
-        model.set_param_vector(vec)
+        set_param_vector(model, vec)
         return oracle_batch_loss(model, indices, [stage] * 4, targets, weights)
 
     def g(vec):
-        model.set_param_vector(vec)
+        set_param_vector(model, vec)
         return batch_grad_vector(model, indices, [stage] * 4, targets, weights)
 
     return f, g
@@ -160,7 +162,7 @@ class TestGradientsMatchFiniteDifferences:
     def test_stage_total_gradient(self, model, stage):
         f, g = batch_setup(model, stage)
         rng = np.random.default_rng(42)
-        base = model.param_vector()
+        base = param_vector(model)
         for _ in range(3):
             x = base + rng.normal(0.0, 0.2, size=base.shape)
             err = finite_difference_check(f, g(x), x)
@@ -170,15 +172,15 @@ class TestGradientsMatchFiniteDifferences:
         targets = mixed_targets(model)
 
         def f(vec):
-            model.set_param_vector(vec)
+            set_param_vector(model, vec)
             return oracle_batch_loss(model, MIXED_INDICES, MIXED_STAGES,
                                      targets, MIXED_WEIGHTS)
 
         rng = np.random.default_rng(43)
-        base = model.param_vector()
+        base = param_vector(model)
         for _ in range(3):
             x = base + rng.normal(0.0, 0.2, size=base.shape)
-            model.set_param_vector(x)
+            set_param_vector(model, x)
             g = batch_grad_vector(model, MIXED_INDICES, MIXED_STAGES, targets,
                                   MIXED_WEIGHTS)
             err = finite_difference_check(f, g, x)
@@ -192,8 +194,8 @@ class TestBatchMatchesItems:
     @pytest.fixture
     def moved(self, model):
         rng = np.random.default_rng(7)
-        base = model.param_vector()
-        model.set_param_vector(base + rng.normal(0.0, 0.3, size=base.shape))
+        base = param_vector(model)
+        set_param_vector(model, base + rng.normal(0.0, 0.3, size=base.shape))
         return model
 
     def test_breakdowns_equal_the_oracle(self, moved):
