@@ -12,12 +12,13 @@ success; errors go to stderr as ``error: ...``.
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
 
 from . import jsonl
-from .config import ForgeConfig, load_config
+from .config import ForgeConfig, config_path, load_config
 from .dynamics import BUILTIN_SCENARIOS, DynamicsSpec, builtin_scenario_path, run_dynamics_sim
 from .errors import BackendError, ConfigError, ValidationError
 from .forge import TemplateQaGenerator, build_corpus
@@ -35,6 +36,22 @@ def _resolve_path(flag_value, io_value, name: str) -> Path:
     if not value:
         raise ConfigError(f"no {name} path given (pass --{name} or set io.{name})")
     return Path(value)
+
+
+def _refuse_overwrite(args, inputs: dict, outputs: dict) -> None:
+    """Stop, before any data is read, if an output path (symlinks resolved)
+    is the config file, an input or the other output."""
+    files = {}
+    for role, path in [("config", config_path(args.config)), *inputs.items(),
+                       *outputs.items()]:
+        if path:
+            try:
+                real = os.path.realpath(path)
+            except ValueError:  # a NUL byte, which only a config's io section can hold
+                raise ConfigError(f"{role} path {str(path)!r} is not a usable path") from None
+            if real in files and role in outputs:
+                raise ConfigError(f"{role} path {path} would overwrite the {files[real]} file")
+            files.setdefault(real, role)
 
 
 def _write(write, path, *args) -> None:
@@ -83,6 +100,8 @@ def cmd_forge(args) -> int:
     dataset_path = _resolve_path(args.dataset, cfg.io.dataset, "dataset")
     masks_path = _resolve_path(args.masks, cfg.io.masks, "masks")
     out_path = _resolve_path(args.out, cfg.io.out, "out")
+    _refuse_overwrite(args, {"dataset": dataset_path, "masks": masks_path},
+                      {"out": out_path})
 
     images = jsonl.read_dataset(dataset_path)
     images_by_id = {image.image_id: image for image in images}
@@ -118,6 +137,8 @@ def cmd_simulate(args) -> int:
         scenario_path = builtin_scenario_path(scenario)
     else:
         scenario_path = Path(scenario)
+    _refuse_overwrite(args, {"scenario": scenario_path},
+                      {"out": args.out or cfg.io.out, "csv": args.csv or cfg.io.csv})
     spec = DynamicsSpec.from_path(scenario_path)
 
     out_path = _resolve_path(args.out, cfg.io.out, "out")
@@ -130,6 +151,8 @@ def cmd_train_toy(args) -> int:
     cfg = load_config(args.config)
     corpus_path = _resolve_path(args.corpus, cfg.io.corpus, "corpus")
     out_path = _resolve_path(args.out, cfg.io.out, "out")
+    _refuse_overwrite(args, {"corpus": corpus_path},
+                      {"out": out_path, "csv": args.csv or cfg.io.csv})
 
     records = jsonl.read_corpus(corpus_path)
     trace = run_toy_training(records, params=cfg.harness, hp=cfg.scheduler)

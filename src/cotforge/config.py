@@ -71,18 +71,7 @@ class ForgeConfig:
         if self.remote_backoff_base < 0.0:
             raise ConfigError("forge remote_backoff_base must be non-negative")
         for template in self.seed_templates:
-            try:
-                names = [name for _, name in parse_seed_template(template)]
-                # the template backend parses each placeholder back out of a seed
-                usable = (names.count("lesion_class") == 1
-                          and names.count("organ_label") <= 1)
-            except ValueError:
-                usable = False
-            if not usable:
-                raise ConfigError(
-                    f"forge seed template {template!r} must contain {{lesion_class}} "
-                    "once, {organ_label} at most once, and no other placeholder"
-                )
+            parse_seed_template(template)
 
     def template_list(self) -> List[str]:
         """Rotation order for seeds: the stock template, then configured extras."""
@@ -107,10 +96,15 @@ class AppConfig:
     io: IoConfig = field(default_factory=IoConfig)
 
 
+def config_path(path: Optional[str], env: Mapping[str, str] = os.environ) -> Optional[str]:
+    """The config file to read: the env-var path, else the given one."""
+    return env.get(ENV_VAR) or path
+
+
 def load_config(path: Optional[str],
                 env: Mapping[str, str] = os.environ) -> AppConfig:
     """Load configuration from the env-var path, the given path, or defaults."""
-    effective = env.get(ENV_VAR) or path
+    effective = config_path(path, env)
     if effective is None:
         return AppConfig()
     document = load_json(effective, "config", ConfigError)

@@ -13,7 +13,7 @@ import re
 import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Protocol
+from typing import List, Optional, Protocol
 
 from .errors import BackendError, MalformedResponseError, ValidationError
 from .geometry import BBox, box_intersections, box_span, check_runs
@@ -144,8 +144,10 @@ class VqaCotRecord:
 class QaGenerator(Protocol):
     generator_id: str
 
-    def generate(self, seed: str, image_id: str, modality: str) -> tuple:
-        """Return (question, answer, cot) for a seed sentence."""
+    def generate(self, seed: str, image_id: str, modality: str,
+                 lesion_class: str, organ_label: Optional[str]) -> tuple:
+        """Return (question, answer, cot) for a seed sentence rendered from
+        the lesion class and organ label (None for an organ-free seed)."""
 
 
 def assign_organ(annotations, masks, tau_iou=0.0) -> list:
@@ -181,76 +183,66 @@ def assign_organ(annotations, masks, tau_iou=0.0) -> list:
     return outcomes
 
 
-# what each seed-template placeholder matches when a seed is read back
-_FIELD_PATTERNS = {"lesion_class": r"(?P<lesion_class>.+?)",
-                   "organ_label": r"(?P<organ_label>.+)"}
-
-
 def parse_seed_template(template: str) -> list:
-    """Split a seed template into (literal text, placeholder name) pairs.
+    """Check a seed template and return its placeholder names in order.
 
-    The literal text has `{{` and `}}` unescaped, as `str.format` renders it;
-    the name is None after the last literal. Raises ValueError for a
-    malformed template or for any placeholder but a bare `{lesion_class}` or
-    `{organ_label}`.
+    A seed names its lesion once and its organ at most once, so a template
+    holds a bare `{lesion_class}` once, a bare `{organ_label}` at most once,
+    and no other placeholder (no format spec, no conversion); `{{` and `}}`
+    are literal braces, as in `str.format`. Raises ValidationError otherwise.
     """
-    parts = []
-    for literal, name, spec, conversion in string.Formatter().parse(template):
-        if name is not None and (name not in _FIELD_PATTERNS or spec or conversion):
-            raise ValueError(f"unsupported placeholder in seed template {template!r}")
-        parts.append((literal, name))
-    return parts
-
-
-def _template_to_regex(template: str) -> re.Pattern:
-    pattern = "".join(re.escape(literal) + _FIELD_PATTERNS.get(name, "")
-                      for literal, name in parse_seed_template(template))
-    return re.compile("^" + pattern + "$")
+    try:
+        fields = [(name, spec or conversion) for _, name, spec, conversion
+                  in string.Formatter().parse(template) if name is not None]
+    except ValueError:  # unbalanced braces
+        fields = []
+    names = [name for name, extra in fields
+             if name in ("lesion_class", "organ_label") and not extra]
+    if (len(names) < len(fields) or names.count("lesion_class") != 1
+            or names.count("organ_label") > 1):
+        raise ValidationError(
+            f"forge seed template {template!r} must contain {{lesion_class}} "
+            "once, {organ_label} at most once, and no other placeholder"
+        )
+    return names
 
 
 class TemplateQaGenerator:
     """Deterministic QA backend that fills fixed question/answer/CoT templates.
 
-    It recovers the lesion class and organ label by parsing the seed sentence
-    against the configured seed templates, so it honors the same wire shape
-    as a remote backend (seed in, QA out). Templates are tried longest fixed
-    text first, ties in the given order, so a seed of the template
-    "There is a {lesion_class} in the {organ_label}. It looks benign." is not
-    read by the stock template as the organ "lung. It looks benign".
+    It answers from the lesion class and organ label a seed was rendered
+    from, and keeps its seed templates only to check that one of them, tried
+    in the given order with the organ-free template last, renders the seed
+    from those fields. The organ counts only if that template names it.
     """
 
     generator_id = "template-v1"
 
     def __init__(self, seed_templates=None):
-        templates = list(seed_templates or [DEFAULT_SEED_TEMPLATE])
-        templates.append(ORGAN_FREE_SEED_TEMPLATE)
-        # a stable sort: equal lengths keep the given order
-        templates.sort(key=lambda t: -len(t.format(lesion_class="", organ_label="")))
-        self._parsers = [_template_to_regex(t) for t in templates]
+        templates = [*(seed_templates or [DEFAULT_SEED_TEMPLATE]), ORGAN_FREE_SEED_TEMPLATE]
+        self._templates = [(t, "organ_label" in parse_seed_template(t)) for t in templates]
 
-    def generate(self, seed: str, image_id: str, modality: str) -> tuple:
-        match = None
-        for parser in self._parsers:
-            match = parser.match(seed)
-            if match:
+    def generate(self, seed: str, image_id: str, modality: str,
+                 lesion_class: str, organ_label: Optional[str]) -> tuple:
+        for template, names_organ in self._templates:
+            if template.format(lesion_class=lesion_class, organ_label=organ_label) == seed:
                 break
-        if match is None:
+        else:
             raise BackendError(f"seed does not match any configured template: {seed!r}")
-        lesion = match.group("lesion_class")
-        organ = match.groupdict().get("organ_label")
+        organ = organ_label if names_organ else None
         if organ:
-            question = f"Which organ contains the {lesion}?"
+            question = f"Which organ contains the {lesion_class}?"
             answer = organ
             cot = (
-                f"The image shows a {lesion}. Its location overlaps the {organ}. "
-                f"Therefore the {lesion} is in the {organ}."
+                f"The image shows a {lesion_class}. Its location overlaps the {organ}. "
+                f"Therefore the {lesion_class} is in the {organ}."
             )
         else:
             question = "What abnormality is shown?"
-            answer = lesion
+            answer = lesion_class
             cot = (
-                f"The image shows a {lesion}. No single organ is identified. "
-                f"Therefore the finding is a {lesion}."
+                f"The image shows a {lesion_class}. No single organ is identified. "
+                f"Therefore the finding is a {lesion_class}."
             )
         return question, answer, cot
 
@@ -266,7 +258,8 @@ def split_sentences(text: str) -> list:
     return _SENTENCE_SPLIT.split(stripped)
 
 
-def generate_qa(image: ImageRecord, seed: str, backend: QaGenerator) -> tuple:
+def generate_qa(image: ImageRecord, seed: str, backend: QaGenerator,
+                lesion_class: str, organ_label: Optional[str]) -> tuple:
     """Run one seed through a QA backend and normalize the result.
 
     Enforces non-empty question/answer/cot and caps the chain of thought at
@@ -275,8 +268,7 @@ def generate_qa(image: ImageRecord, seed: str, backend: QaGenerator) -> tuple:
     if not seed:
         raise ValidationError("seed must be non-empty")
     question, answer, cot = backend.generate(
-        seed, image_id=image.image_id, modality=image.modality
-    )
+        seed, image.image_id, image.modality, lesion_class, organ_label)
     if not question or not answer or not cot.strip():
         raise MalformedResponseError(
             f"backend {backend.generator_id!r} returned empty fields "
@@ -328,6 +320,8 @@ def build_corpus(
     if unassigned_policy not in ("skip", "organ_free"):
         raise ValidationError(f"unknown unassigned_policy {unassigned_policy!r}")
     templates = list(seed_templates or [DEFAULT_SEED_TEMPLATE])
+    for template in templates:
+        parse_seed_template(template)
 
     tasks = []
     skipped = 0
@@ -352,13 +346,14 @@ def build_corpus(
                 ordinal += 1
                 continue
             seed = template.format(lesion_class=ann.lesion_class, organ_label=organ)
-            tasks.append((image, j, ann, seed))
+            tasks.append((image, j, ann, organ, seed))
             ordinal += 1
 
     def run_task(task):
-        image, annotation_index, annotation, seed = task
+        image, annotation_index, annotation, organ, seed = task
         try:
-            question, answer, cot = generate_qa(image, seed, backend)
+            question, answer, cot = generate_qa(image, seed, backend,
+                                                annotation.lesion_class, organ)
         except BackendError as exc:
             if skip_failed:
                 return ForgeFailure(image.image_id, annotation_index, str(exc))

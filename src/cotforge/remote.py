@@ -45,7 +45,9 @@ class RemoteQaGenerator:
         self._local = threading.local()
         self._sleeper = sleeper
 
-    def generate(self, seed: str, image_id: str, modality: str) -> Tuple[str, str, str]:
+    def generate(self, seed: str, image_id: str, modality: str, lesion_class=None,
+                 organ_label=None) -> Tuple[str, str, str]:
+        """POST the seed, image id and modality; the two fields are not sent."""
         payload = {"seed": seed, "image_id": image_id, "modality": modality}
         # requests does not promise that one Session is safe across threads
         session = self._session or getattr(self._local, "session", None)

@@ -455,6 +455,88 @@ def test_bad_config_file_exits_2(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# an output never replaces an input
+
+
+def assert_refused(capsys, protected, *argv) -> str:
+    """Run argv; it must exit 2 with one error line, leaving `protected` as it was."""
+    before = [path.read_bytes() for path in protected]
+    code, stdout, stderr = run_cli(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    [line] = stderr.splitlines()
+    assert line.startswith("error: ") and "would overwrite" in line
+    assert [path.read_bytes() for path in protected] == before
+    return line
+
+
+def test_train_toy_out_over_corpus_exits_2(tmp_path, capsys, toy_corpus_file):
+    line = assert_refused(capsys, [toy_corpus_file], "train-toy",
+                          "--corpus", str(toy_corpus_file), "--out", str(toy_corpus_file))
+    assert line == f"error: out path {toy_corpus_file} would overwrite the corpus file"
+
+
+def test_forge_out_over_dataset_exits_2(tmp_path, capsys, forge_inputs):
+    dataset, masks = forge_inputs
+    line = assert_refused(capsys, [dataset, masks], "forge", "--dataset", str(dataset),
+                          "--masks", str(masks), "--out", str(dataset))
+    assert line == f"error: out path {dataset} would overwrite the dataset file"
+
+
+def test_simulate_csv_over_out_exits_2(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("an earlier trace\n")
+    line = assert_refused(capsys, [trace], "simulate", "--scenario", "plateau",
+                          "--out", str(trace), "--csv", str(trace))
+    assert line == f"error: csv path {trace} would overwrite the out file"
+
+
+@pytest.mark.parametrize("linked", ["file", "directory"])
+def test_out_through_a_symlink_to_an_input_exits_2(tmp_path, capsys, toy_corpus_file,
+                                                   linked):
+    if linked == "file":
+        out = tmp_path / "link.jsonl"
+        out.symlink_to(toy_corpus_file)
+    else:  # a write through a linked directory replaces the input itself
+        (tmp_path / "alias").symlink_to(tmp_path, target_is_directory=True)
+        out = tmp_path / "alias" / toy_corpus_file.name
+    line = assert_refused(capsys, [toy_corpus_file], "train-toy",
+                          "--corpus", str(toy_corpus_file), "--out", str(out))
+    assert line == f"error: out path {out} would overwrite the corpus file"
+
+
+def test_io_paths_are_checked_too(tmp_path, capsys, toy_corpus_file):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"io": {"corpus": str(toy_corpus_file),
+                                         "out": str(tmp_path / "t.jsonl"),
+                                         "csv": str(toy_corpus_file)}}))
+    line = assert_refused(capsys, [toy_corpus_file, config],
+                          "train-toy", "--config", str(config))
+    assert line == f"error: csv path {toy_corpus_file} would overwrite the corpus file"
+
+
+@pytest.mark.parametrize("command,key", [
+    ("simulate", "out"), ("simulate", "csv"), ("train-toy", "corpus"), ("forge", "masks")])
+def test_io_path_with_a_nul_byte_exits_2(tmp_path, capsys, forge_inputs, command, key):
+    dataset, masks = forge_inputs
+    io = {"dataset": str(dataset), "masks": str(masks), "corpus": str(dataset),
+          "scenario": "plateau", "out": str(tmp_path / "t.jsonl"), key: "a\0b"}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"io": io}))
+    code, stdout, stderr = run_cli(capsys, command, "--config", str(config))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {key} path 'a\\x00b' is not a usable path\n"
+
+
+def test_out_over_the_env_var_config_exits_2(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text("{}")
+    monkeypatch.setenv("COTFORGE_CONFIG", str(config))
+    line = assert_refused(capsys, [config], "simulate", "--scenario", "plateau",
+                          "--out", str(config))
+    assert line == f"error: out path {config} would overwrite the config file"
+
+
+# ---------------------------------------------------------------------------
 # bundled fixtures against committed goldens
 
 GOLDEN = Path(__file__).parent / "golden"

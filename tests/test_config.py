@@ -14,6 +14,15 @@ def write_config(tmp_path, obj, name="config.json"):
     return path
 
 
+# seed templates every entry point rejects (the forge tests reuse the list)
+UNUSABLE_SEED_TEMPLATES = [
+    "{", "{lesion_class:d}", "{lesion_class[a]}", "No lesion in the {organ_label}.",
+    "A {lesion_class}, a {lesion_class}.", "{lesion_class!r} in the {organ_label}.",
+    # an escaped name is literal text, not a placeholder
+    "A {{lesion_class}} in the {organ_label}.",
+]
+
+
 class TestDefaults:
     def test_no_config_gives_defaults(self):
         cfg = load_config(None, env={})
@@ -97,15 +106,10 @@ class TestStrictness:
         with pytest.raises(ConfigError, match="template"):
             load_config(str(path), env={})
 
-    @pytest.mark.parametrize("template", [
-        "{", "{lesion_class:d}", "{lesion_class[a]}", "No lesion in the {organ_label}.",
-        "A {lesion_class}, a {lesion_class}.", "{lesion_class!r} in the {organ_label}.",
-        # an escaped name is literal text, not a placeholder
-        "A {{lesion_class}} in the {organ_label}.",
-    ])
+    @pytest.mark.parametrize("template", UNUSABLE_SEED_TEMPLATES)
     def test_unusable_seed_template(self, tmp_path, template):
         path = write_config(tmp_path, {"forge": {"seed_templates": [template]}})
-        with pytest.raises(ConfigError, match="template"):
+        with pytest.raises(ConfigError, match=r"template .* must contain \{lesion_class\} once"):
             load_config(str(path), env={})
 
     @pytest.mark.parametrize("template", [

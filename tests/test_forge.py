@@ -2,7 +2,6 @@
 
 import json
 import logging
-import re
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +12,6 @@ from cotforge import cli, fixture_path
 from cotforge.errors import BackendError, MalformedResponseError, ValidationError, read_object
 from cotforge.forge import (
     DEFAULT_SEED_TEMPLATE,
-    ORGAN_FREE_SEED_TEMPLATE,
     DomainKey,
     ForgeResult,
     ImageRecord,
@@ -21,7 +19,6 @@ from cotforge.forge import (
     OrganMask,
     TemplateQaGenerator,
     VqaCotRecord,
-    _template_to_regex,
     assign_organ,
     build_corpus,
     generate_qa,
@@ -29,6 +26,7 @@ from cotforge.forge import (
 from cotforge.geometry import BBox, encode_runs
 from cotforge.jsonl import read_masks, rle_decode, rle_encode
 from oracles import decode, oracle_assign, organ_mask
+from test_config import UNUSABLE_SEED_TEMPLATES
 
 RNG_SEED = 20240
 GOLDEN = Path(__file__).parent / "golden"
@@ -333,7 +331,8 @@ class TestTemplateQa:
     def test_frozen_strings(self):
         backend = TemplateQaGenerator()
         q, a, cot = backend.generate(
-            "There is a mass in the liver.", image_id="img1", modality="CT"
+            "There is a mass in the liver.", image_id="img1", modality="CT",
+            lesion_class="mass", organ_label="liver",
         )
         assert q == "Which organ contains the mass?"
         assert a == "liver"
@@ -348,6 +347,8 @@ class TestTemplateQa:
             "There is a ground glass opacity in the right upper lobe.",
             image_id="x",
             modality="XRay",
+            lesion_class="ground glass opacity",
+            organ_label="right upper lobe",
         )
         assert a == "right upper lobe"
         assert "ground glass opacity" in q
@@ -355,41 +356,48 @@ class TestTemplateQa:
     def test_deterministic(self):
         backend = TemplateQaGenerator()
         seed = "There is a cyst in the kidney."
-        first = backend.generate(seed, image_id="i", modality="CT")
-        second = backend.generate(seed, image_id="i", modality="CT")
+        first = backend.generate(seed, "i", "CT", "cyst", "kidney")
+        second = backend.generate(seed, "i", "CT", "cyst", "kidney")
         assert first == second
 
     def test_unparseable_seed_rejected(self):
         backend = TemplateQaGenerator()
-        with pytest.raises(BackendError):
-            backend.generate("A sentence from nowhere.", image_id="i", modality="CT")
+        with pytest.raises(BackendError, match="does not match any configured template"):
+            backend.generate("A sentence from nowhere.", "i", "CT", "mass", "liver")
+        # the seed must be rendered from the fields given with it
+        with pytest.raises(BackendError, match="does not match any configured template"):
+            backend.generate("There is a mass in the liver.", "i", "CT", "mass", "lung")
 
     def test_most_specific_template_reads_the_seed(self):
-        # the benign seed also matches the stock template, as organ
-        # "lung. It looks benign"; the longer fixed text is tried first
+        # the benign seed starts with a stock seed; the organ is the one given,
+        # never "lung. It looks benign"
         benign = "There is a {lesion_class} in the {organ_label}. It looks benign."
         backend = TemplateQaGenerator([DEFAULT_SEED_TEMPLATE, benign])
         for seed in ("There is a mass in the lung. It looks benign.",
                      "There is a mass in the lung."):
-            _, answer, cot = backend.generate(seed, image_id="i", modality="CT")
+            _, answer, cot = backend.generate(seed, "i", "CT", "mass", "lung")
             assert answer == "lung"
             assert cot.endswith("Therefore the mass is in the lung.")
-        _, answer, _ = backend.generate("There is a mass.", image_id="i", modality="CT")
+        _, answer, _ = backend.generate("There is a mass.", "i", "CT", "mass", None)
         assert answer == "mass"
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_equally_specific_templates_keep_their_order(self, swap):
+        # both templates render "cyst near liver", each from other fields;
+        # either order answers from the fields the seed came with
         templates = ["{lesion_class} near {organ_label}", "{organ_label} near {lesion_class}"]
         backend = TemplateQaGenerator(templates[::-1] if swap else templates)
-        _, answer, _ = backend.generate("cyst near liver", image_id="i", modality="CT")
-        assert answer == ("cyst" if swap else "liver")
+        _, answer, _ = backend.generate("cyst near liver", "i", "CT", "cyst", "liver")
+        assert answer == "liver"
+        _, answer, _ = backend.generate("cyst near liver", "i", "CT", "liver", "cyst")
+        assert answer == "cyst"
 
     def test_escaped_braces_are_literal_text(self):
         escaped = "A {{note}} {lesion_class} in the {organ_label}."
         backend = TemplateQaGenerator([DEFAULT_SEED_TEMPLATE, escaped])
         seed = escaped.format(lesion_class="cyst", organ_label="kidney")
         assert seed == "A {note} cyst in the kidney."
-        _, answer, cot = backend.generate(seed, image_id="i", modality="CT")
+        _, answer, cot = backend.generate(seed, "i", "CT", "cyst", "kidney")
         assert answer == "kidney"
         assert cot.endswith("Therefore the cyst is in the kidney.")
 
@@ -397,17 +405,14 @@ class TestTemplateQa:
         template = "{{lesion_class}}: {lesion_class} in the {organ_label}."
         backend = TemplateQaGenerator([template])
         seed = "{lesion_class}: mass in the liver."
-        _, answer, cot = backend.generate(seed, image_id="i", modality="CT")
+        _, answer, cot = backend.generate(seed, "i", "CT", "mass", "liver")
         assert answer == "liver"
         assert cot.startswith("The image shows a mass.")
 
-    @pytest.mark.parametrize("template", [DEFAULT_SEED_TEMPLATE, ORGAN_FREE_SEED_TEMPLATE])
-    def test_stock_template_regex_unchanged(self, template):
-        # the recipe before templates were parsed field by field
-        pattern = re.escape(template)
-        pattern = pattern.replace(re.escape("{lesion_class}"), r"(?P<lesion_class>.+?)")
-        pattern = pattern.replace(re.escape("{organ_label}"), r"(?P<organ_label>.+)")
-        assert _template_to_regex(template).pattern == "^" + pattern + "$"
+    @pytest.mark.parametrize("template", UNUSABLE_SEED_TEMPLATES)
+    def test_unusable_template_rejected(self, template):
+        with pytest.raises(ValidationError, match=r"^forge seed template .* no other placeholder$"):
+            TemplateQaGenerator([template])
 
 
 class _StubBackend:
@@ -418,7 +423,8 @@ class _StubBackend:
     def __init__(self, q="Q?", a="A", cot="One. Two."):
         self.q, self.a, self.cot = q, a, cot
 
-    def generate(self, seed, image_id, modality):
+    def generate(self, seed, image_id, modality, lesion_class, organ_label):
+        self.fields = (lesion_class, organ_label)
         return self.q, self.a, self.cot
 
 
@@ -427,26 +433,27 @@ class TestGenerateQa:
         image = make_image()
         backend = _StubBackend(cot="One. Two. Three. Four. Five. Six.")
         with caplog.at_level(logging.WARNING):
-            _, _, cot = generate_qa(image, "seed text", backend)
+            _, _, cot = generate_qa(image, "seed text", backend, "mass", "liver")
         assert cot == "One. Two. Three. Four."
+        assert backend.fields == ("mass", "liver")
         assert any("truncat" in r.message.lower() for r in caplog.records)
 
     def test_empty_fields_rejected(self):
         image = make_image()
         with pytest.raises(MalformedResponseError):
-            generate_qa(image, "seed text", _StubBackend(q=""))
+            generate_qa(image, "seed text", _StubBackend(q=""), "mass", None)
         with pytest.raises(MalformedResponseError):
-            generate_qa(image, "seed text", _StubBackend(a=""))
+            generate_qa(image, "seed text", _StubBackend(a=""), "mass", None)
         with pytest.raises(MalformedResponseError):
-            generate_qa(image, "seed text", _StubBackend(cot=""))
+            generate_qa(image, "seed text", _StubBackend(cot=""), "mass", None)
 
     def test_whitespace_cot_rejected(self):
         with pytest.raises(MalformedResponseError, match="empty fields"):
-            generate_qa(make_image(), "seed text", _StubBackend(cot=" \n\t "))
+            generate_qa(make_image(), "seed text", _StubBackend(cot=" \n\t "), "mass", None)
 
     def test_empty_seed_rejected(self):
         with pytest.raises(ValidationError):
-            generate_qa(make_image(), "", _StubBackend())
+            generate_qa(make_image(), "", _StubBackend(), "mass", None)
 
 
 def small_dataset():
@@ -523,7 +530,7 @@ class TestBuildCorpus:
         class Boom:
             generator_id = "boom"
 
-            def generate(self, seed, image_id, modality):
+            def generate(self, seed, image_id, modality, lesion_class, organ_label):
                 raise BackendError("connection refused")
 
         dataset, masks = small_dataset()
@@ -537,7 +544,7 @@ class TestBuildCorpus:
             def __init__(self):
                 self.calls = 0
 
-            def generate(self, seed, image_id, modality):
+            def generate(self, seed, image_id, modality, lesion_class, organ_label):
                 self.calls += 1
                 if self.calls == 2:
                     raise BackendError("transient")
@@ -597,6 +604,37 @@ class TestBuildCorpus:
             ("There is a cyst.", "cyst"),
             ("A {note} nodule in the left lung.", "left lung"),
         ]
+
+    def test_label_holding_another_templates_text_answers_from_its_fields(self):
+        # "There is a mass in the lung." is also the stock template's seed for
+        # a mass in the lung; the fields say which one it is
+        dataset = [make_image("ct_001", "CT", [
+            LesionAnnotation(BBox(0.1, 0.1, 0.5, 0.5), "mass in the lung")])]
+        result = build_corpus(dataset, {}, TemplateQaGenerator(),
+                              unassigned_policy="organ_free")
+        [record] = result.records
+        assert record.seed == "There is a mass in the lung."
+        assert (record.question, record.answer) == ("What abnormality is shown?",
+                                                    "mass in the lung")
+
+    def test_assigned_seed_of_an_organ_less_template_is_organ_free(self):
+        templates = [DEFAULT_SEED_TEMPLATE, "A {lesion_class} is seen."]
+        left = BBox(0.05, 0.05, 0.35, 0.35)
+        dataset = [make_image("ct_001", "CT", [LesionAnnotation(left, "mass"),
+                                               LesionAnnotation(left, "cyst")])]
+        masks = {"ct_001": [organ_mask("liver", half_mask(64, 64, "left"))]}
+        result = build_corpus(dataset, masks, TemplateQaGenerator(templates),
+                              seed_templates=templates)
+        assert [(r.seed, r.question, r.answer) for r in result.records] == [
+            ("There is a mass in the liver.", "Which organ contains the mass?", "liver"),
+            ("A cyst is seen.", "What abnormality is shown?", "cyst"),
+        ]
+
+    @pytest.mark.parametrize("template", UNUSABLE_SEED_TEMPLATES)
+    def test_unusable_template_rejected(self, template):
+        dataset, masks = small_dataset()
+        with pytest.raises(ValidationError, match=r"^forge seed template .* no other placeholder$"):
+            build_corpus(dataset, masks, _StubBackend(), seed_templates=[template])
 
 
 class TestForgeNeverDecodes:

@@ -93,6 +93,10 @@ class TestHappyPath:
             "image_id": "img_1",
             "modality": "CT",
         }]
+        # the fields the seed was rendered from are accepted, never sent
+        assert gen.generate("There is a mass in the liver.", "img_1", "CT",
+                            "mass", "liver") == result
+        assert server.requests[1:] == server.requests[:1]
 
     def test_generator_id_names_endpoint(self, server):
         gen, _ = client(server)
