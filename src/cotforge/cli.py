@@ -24,7 +24,7 @@ from .errors import BackendError, ConfigError, ValidationError
 from .forge import TemplateQaGenerator, build_corpus
 from .harness import run_toy_training
 from .remote import RemoteQaGenerator
-from .scheduler import Decision
+from .scheduler import Decision, Trace
 
 
 def _emit(summary: dict) -> None:
@@ -73,9 +73,9 @@ def _make_backend(cfg: ForgeConfig):
     return TemplateQaGenerator(cfg.template_list())
 
 
-def _write_trace(args, cfg, out_path: Path, header: dict, reports, hp,
-                 **summary) -> int:
+def _write_trace(args, cfg, out_path: Path, trace: Trace, **summary) -> int:
     """Write the trace and its optional CSV, then print the run's summary."""
+    header, reports = trace
     rows = [report.to_json_dict() for report in reports]
     _write(jsonl.write_trace, out_path, header, rows)
     csv_path = args.csv or cfg.io.csv
@@ -88,7 +88,7 @@ def _write_trace(args, cfg, out_path: Path, header: dict, reports, hp,
     _emit({
         **summary,
         "final_lambda_hard": (reports[-1].lambda_hard_after if reports
-                              else hp.lambda_hard_init),
+                              else header["hyperparams"]["lambda_hard_init"]),
         "decisions": decisions,
         "out": str(out_path),
     })
@@ -122,6 +122,7 @@ def cmd_forge(args) -> int:
         "command": "forge",
         "records": len(result.records),
         "skipped_unassigned": result.skipped_unassigned,
+        "truncated_cot": result.truncated_cot,
         "failures": len(result.failures),
         "out": str(out_path),
     })
@@ -142,8 +143,7 @@ def cmd_simulate(args) -> int:
     spec = DynamicsSpec.from_path(scenario_path)
 
     out_path = _resolve_path(args.out, cfg.io.out, "out")
-    header, reports = run_dynamics_sim(spec)
-    return _write_trace(args, cfg, out_path, header, reports, spec.hyperparams,
+    return _write_trace(args, cfg, out_path, run_dynamics_sim(spec),
                         command="simulate", scenario=spec.name, epochs=spec.epochs)
 
 
@@ -156,7 +156,7 @@ def cmd_train_toy(args) -> int:
 
     records = jsonl.read_corpus(corpus_path)
     trace = run_toy_training(records, params=cfg.harness, hp=cfg.scheduler)
-    return _write_trace(args, cfg, out_path, trace.header, trace.reports, cfg.scheduler,
+    return _write_trace(args, cfg, out_path, trace,
                         command="train-toy", epochs=cfg.harness.epochs,
                         corpus_size=len(records))
 

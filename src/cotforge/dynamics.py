@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .errors import ValidationError, load_json, read_object
-from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage
+from .scheduler import CurriculumScheduler, SchedulerHyperparams, Stage, Trace
 
 BUILTIN_SCENARIOS = ("plateau", "rise", "mixed")
 
@@ -131,8 +131,8 @@ class DynamicsSpec:
         return cls.from_json_dict(obj, f"scenario {path}")
 
 
-def run_dynamics_sim(spec: DynamicsSpec) -> Tuple[dict, List[EpochReport]]:
-    """Drive the scheduler with scripted losses; returns (header, reports)."""
+def run_dynamics_sim(spec: DynamicsSpec) -> Trace:
+    """Drive the scheduler with scripted losses; returns the run's trace."""
     scheduler = CurriculumScheduler(spec.hyperparams, domains=list(spec.domains),
                                     seed=spec.seed)
     rng = np.random.default_rng(spec.seed)
@@ -154,4 +154,4 @@ def run_dynamics_sim(spec: DynamicsSpec) -> Tuple[dict, List[EpochReport]]:
         "seed": spec.seed,
         "hyperparams": spec.hyperparams.to_json_dict(),
     }
-    return header, reports
+    return Trace(header, reports)

@@ -34,11 +34,11 @@ def load_json(path, context: str, error: type):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
-        raise error(f"{context} {path}: bad JSON ({exc})") from None
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # first: a UnicodeDecodeError is a ValueError
         reason = getattr(exc, "strerror", None) or exc
         raise error(f"cannot read {context} {path}: {reason}") from None
+    except (ValueError, RecursionError) as exc:  # also too long an int or too deep a nest
+        raise error(f"{context} {path}: bad JSON ({exc})") from None
 
 
 def read_object(cls, obj, context: str, error: type):

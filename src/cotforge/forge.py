@@ -8,7 +8,6 @@ IoU falls at or below the threshold stay unassigned and are skipped by
 default (or routed to an organ-free template, per config).
 """
 
-import logging
 import re
 import string
 from concurrent.futures import ThreadPoolExecutor
@@ -18,8 +17,6 @@ from typing import List, Optional, Protocol
 from .errors import BackendError, MalformedResponseError, ValidationError
 from .geometry import BBox, box_intersections, box_span, check_runs
 from .geometry import mask_iou  # noqa: F401  uncalled; the benchmark tracer wraps it here
-
-logger = logging.getLogger(__name__)
 
 MODALITIES = ("CT", "XRay", "MRI", "Mammo")
 
@@ -263,7 +260,8 @@ def generate_qa(image: ImageRecord, seed: str, backend: QaGenerator,
     """Run one seed through a QA backend and normalize the result.
 
     Enforces non-empty question/answer/cot and caps the chain of thought at
-    four sentences (truncating at a sentence boundary with a warning).
+    four sentences, truncating at a sentence boundary. Returns
+    ``(question, answer, cot, truncated)``.
     """
     if not seed:
         raise ValidationError("seed must be non-empty")
@@ -275,15 +273,10 @@ def generate_qa(image: ImageRecord, seed: str, backend: QaGenerator,
             f"for image {image.image_id!r}"
         )
     sentences = split_sentences(cot)
-    if len(sentences) > MAX_COT_SENTENCES:
-        logger.warning(
-            "truncating CoT for image %s from %d to %d sentences",
-            image.image_id,
-            len(sentences),
-            MAX_COT_SENTENCES,
-        )
+    truncated = len(sentences) > MAX_COT_SENTENCES
+    if truncated:
         cot = " ".join(sentences[:MAX_COT_SENTENCES])
-    return question, answer, cot
+    return question, answer, cot, truncated
 
 
 @dataclass
@@ -298,6 +291,7 @@ class ForgeResult:
     records: list
     skipped_unassigned: int
     failures: list = field(default_factory=list)
+    truncated_cot: int = 0  # records whose rationale was cut to MAX_COT_SENTENCES
 
 
 def build_corpus(
@@ -352,11 +346,11 @@ def build_corpus(
     def run_task(task):
         image, annotation_index, annotation, organ, seed = task
         try:
-            question, answer, cot = generate_qa(image, seed, backend,
-                                                annotation.lesion_class, organ)
+            question, answer, cot, truncated = generate_qa(
+                image, seed, backend, annotation.lesion_class, organ)
         except BackendError as exc:
             if skip_failed:
-                return ForgeFailure(image.image_id, annotation_index, str(exc))
+                return ForgeFailure(image.image_id, annotation_index, str(exc)), False
             raise type(exc)(
                 f"image {image.image_id!r} annotation {annotation_index}: {exc}"
             ) from exc
@@ -369,13 +363,14 @@ def build_corpus(
             domain=DomainKey(annotation.lesion_class, image.modality),
             seed=seed,
             generator_id=backend.generator_id,
-        )
+        ), truncated
 
     if concurrency > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             outcomes = list(pool.map(run_task, tasks))
     else:
         outcomes = [run_task(t) for t in tasks]
-    records = [o for o in outcomes if isinstance(o, VqaCotRecord)]
-    failures = [o for o in outcomes if isinstance(o, ForgeFailure)]
-    return ForgeResult(records=records, skipped_unassigned=skipped, failures=failures)
+    records = [o for o, _ in outcomes if isinstance(o, VqaCotRecord)]
+    failures = [o for o, _ in outcomes if isinstance(o, ForgeFailure)]
+    return ForgeResult(records=records, skipped_unassigned=skipped, failures=failures,
+                       truncated_cot=sum(truncated for _, truncated in outcomes))

@@ -17,11 +17,14 @@ import numpy as np
 from .errors import ValidationError
 from .forge import MAX_IMAGE_SIDE, VqaCotRecord
 from .geometry import box_span, build_soft_mask
-from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage
+from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage, Trace
 from .toymodel import StageLossWeights, ToyModel
 
 # Largest accepted feature dimension; the feature grid is allocated up front.
 MAX_FEATURE_DIM = 4096
+# Largest accepted attention grid, 64 x 64 (the default image's largest): the
+# model allocates corpus_size x cells logits and cells x feature_dim features.
+MAX_GRID_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,9 @@ class HarnessParams:
             raise ValidationError(
                 f"grid_dims {list(self.grid_dims)} must not exceed "
                 f"image_dims {list(self.image_dims)}")
+        if gh * gw > MAX_GRID_CELLS:
+            raise ValidationError(
+                f"grid_dims {list(self.grid_dims)} must have at most {MAX_GRID_CELLS} cells")
         if not 0.0 < self.mask_floor < 1.0 / (gh * gw):
             raise ValidationError(f"mask_floor must lie in (0, 1/{gh * gw})")
         if not 0.0 <= self.sigma <= max(height, width):
@@ -80,23 +86,10 @@ class HarnessParams:
         return asdict(self)
 
 
-@dataclass
-class TrainingTrace:
-    header: dict
-    reports: List[EpochReport]
-
-    def __post_init__(self):
-        for i, report in enumerate(self.reports):
-            if report.epoch != i + 1:
-                raise ValidationError(
-                    f"trace epochs must run 1..N, found {report.epoch} at row {i}"
-                )
-
-
 def run_toy_training(records: Sequence[VqaCotRecord],
                      params: HarnessParams = HarnessParams(),
                      hp: SchedulerHyperparams = SchedulerHyperparams(),
-                     model: Optional[ToyModel] = None) -> TrainingTrace:
+                     model: Optional[ToyModel] = None) -> Trace:
     """Train the toy model under the curriculum; returns the full trace.
 
     The whole corpus serves as both the main pool and the answer-only hard
@@ -172,4 +165,4 @@ def run_toy_training(records: Sequence[VqaCotRecord],
         "harness": params.to_json_dict(),
         "hyperparams": hp.to_json_dict(),
     }
-    return TrainingTrace(header=header, reports=reports)
+    return Trace(header, reports)

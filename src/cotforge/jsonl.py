@@ -56,7 +56,7 @@ def _iter_jsonl(path):
                     continue
                 try:
                     obj = json.loads(line)
-                except (json.JSONDecodeError, RecursionError) as exc:
+                except (ValueError, RecursionError) as exc:  # also too long an int
                     raise ValidationError(
                         f"{path}: line {lineno}: bad JSON: {exc}") from exc
                 yield lineno, obj

@@ -26,9 +26,9 @@ from __future__ import annotations
 import math
 import statistics
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Deque, Dict, List, Optional, Sequence, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -166,26 +166,6 @@ class DomainEma:
 
 
 @dataclass
-class SchedulerState:
-    epoch: int
-    lambda_hard: float
-    m_bar: Optional[float]
-    delta_history: Deque[float]
-    domains: Dict[str, DomainEma]
-
-    @classmethod
-    def initial(cls, hp: SchedulerHyperparams,
-                domains: Sequence[str] = ()) -> "SchedulerState":
-        return cls(
-            epoch=1,
-            lambda_hard=hp.lambda_hard_init,
-            m_bar=None,
-            delta_history=deque(maxlen=hp.q),
-            domains={key: DomainEma() for key in domains},
-        )
-
-
-@dataclass
 class DomainEpochStats:
     """Per-domain accumulators for one epoch plus the progress in effect."""
 
@@ -222,7 +202,7 @@ class EpochReport:
     cot_med_mean: Optional[float]
     cot_med_count: int
     counts: Dict[Stage, int]
-    # filled in by end_of_epoch
+    # filled in by close_epoch
     m_bar: Optional[float] = None
     delta_m_bar: Optional[float] = None
     gap_cot: Optional[float] = None
@@ -262,6 +242,13 @@ class EpochReport:
             "decision": None if self.decision is None else self.decision.value,
             "domains": {k: v.to_json_dict() for k, v in sorted(self.domains.items())},
         }
+
+
+class Trace(NamedTuple):
+    """A curriculum run: its header row, then one report per epoch."""
+
+    header: dict
+    reports: List[EpochReport]
 
 
 @dataclass
@@ -311,72 +298,6 @@ def plan_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
                      main_stages=stages)
 
 
-def end_of_epoch(state: SchedulerState, report: EpochReport,
-                 hp: SchedulerHyperparams) -> Decision:
-    """Fold one epoch's statistics into the state and move the budget.
-
-    Mutates ``state`` (EMAs, plateau history, lambda_hard, epoch counter)
-    and stamps the derived signals back onto ``report``.
-    """
-    if report.epoch != state.epoch:
-        raise ValidationError(
-            f"report is for epoch {report.epoch}, scheduler is at {state.epoch}"
-        )
-    for key, stats in report.domains.items():
-        ema = state.domains.setdefault(key, DomainEma())
-        if stats.count_easy > 0:
-            ema.ema_easy = update_ema(ema.ema_easy, stats.mean_easy, hp.rho)
-        if stats.count_med > 0:
-            ema.ema_med = update_ema(ema.ema_med, stats.mean_med, hp.rho)
-        stats.ema_easy = ema.ema_easy
-        stats.ema_med = ema.ema_med
-
-    delta: Optional[float] = None
-    if report.count_total > 0:
-        prev = state.m_bar
-        state.m_bar = update_ema(prev, report.mean_total, hp.rho)
-        if prev is not None:
-            delta = state.m_bar - prev
-            state.delta_history.append(delta)
-
-    if report.cot_easy_count > 0 and report.cot_med_count > 0:
-        gap = report.cot_med_mean - report.cot_easy_mean
-    else:
-        gap = math.inf
-
-    plateau = (len(state.delta_history) >= hp.q
-               and all(abs(d) <= hp.eps_plateau for d in state.delta_history))
-    progress_values = [s.progress_used for s in report.domains.values()
-                       if s.progress_used is not None]
-    median_g = median_progress(progress_values) if progress_values else None
-    median_ok = median_g is not None and median_g >= hp.gamma_hard
-    gap_ok = gap <= hp.eps_cot
-    rise = delta is not None and delta >= hp.delta_rise
-
-    if plateau and median_ok and gap_ok:
-        state.lambda_hard = min(state.lambda_hard + hp.eta_up, hp.lambda_hard_max)
-        decision = Decision.INCREASE_HARD
-    elif rise:
-        state.lambda_hard = (1.0 - hp.eta_down) * state.lambda_hard
-        decision = Decision.REDUCE_HARD
-    else:
-        decision = Decision.HOLD
-    state.lambda_hard = min(max(state.lambda_hard, 0.0), hp.lambda_hard_max)
-    state.epoch += 1
-
-    report.m_bar = state.m_bar
-    report.delta_m_bar = delta
-    report.gap_cot = gap
-    report.median_progress = median_g
-    report.plateau = plateau
-    report.median_ok = median_ok
-    report.gap_ok = gap_ok
-    report.rise = rise
-    report.decision = decision
-    report.lambda_hard_after = state.lambda_hard
-    return decision
-
-
 @dataclass(frozen=True)
 class EpochContext:
     """The open epoch: fixed by ``start_epoch``, read until ``end_of_epoch``."""
@@ -408,24 +329,29 @@ class CurriculumScheduler:
 
     Usage per epoch: ``start_epoch`` (fixes beta and per-domain medium
     probabilities), any number of ``plan_batch``/``observe`` calls, then
-    ``end_of_epoch`` which returns the epoch's report and moves the budget.
+    ``end_of_epoch`` which returns the epoch's report and moves the budget
+    through ``close_epoch``.
     """
 
     def __init__(self, hyperparams: SchedulerHyperparams,
                  domains: Sequence[str] = (), seed: int = 0):
         self.hp = hyperparams
-        self.state = SchedulerState.initial(hyperparams, domains)
+        self.epoch = 1  # the next epoch to close
+        self.lambda_hard = hyperparams.lambda_hard_init
+        self.m_bar: Optional[float] = None
+        self.delta_history = deque(maxlen=hyperparams.q)  # the last q changes of m_bar
+        self.domains: Dict[str, DomainEma] = {key: DomainEma() for key in domains}
         self.rng = np.random.default_rng(seed)
-        self._epoch: Optional[EpochContext] = None  # the open epoch, if any
+        self._open: Optional[EpochContext] = None  # the open epoch, if any
 
     def start_epoch(self) -> EpochContext:
-        if self._epoch is not None:
+        if self._open is not None:
             raise ValidationError("previous epoch was not closed")
         hp = self.hp
-        beta = ramp(self.state.epoch, hp.kappa, hp.warmup_epochs)
+        beta = ramp(self.epoch, hp.kappa, hp.warmup_epochs)
         progress: Dict[str, Optional[float]] = {}
         p_med: Dict[str, float] = {}
-        for key, ema in self.state.domains.items():
+        for key, ema in self.domains.items():
             g = domain_progress(ema.ema_easy, ema.ema_med, hp.eps)
             known = ema.ema_easy is not None and ema.ema_med is not None
             progress[key] = g if known else None
@@ -436,30 +362,30 @@ class CurriculumScheduler:
         self._total = _Accumulator()
         self._by_domain = {_EASY: {}, _MEDIUM: {}}
         self._cot = {_EASY: _Accumulator(), _MEDIUM: _Accumulator()}
-        self._epoch = EpochContext(epoch=self.state.epoch, beta=beta,
-                                   lambda_hard=self.state.lambda_hard,
+        self._open = EpochContext(epoch=self.epoch, beta=beta,
+                                   lambda_hard=self.lambda_hard,
                                    progress=progress, p_medium=p_med)
-        return self._epoch
+        return self._open
 
     def plan_batch(self, batch_size: int, hard_pool_size: int,
                    main_pool_domains: Sequence[str]) -> BatchPlan:
         """Assign stages for one batch; main_pool_domains aligns with the pool."""
-        if self._epoch is None:
+        if self._open is None:
             raise ValidationError("plan_batch called outside an epoch")
-        p_med = self._epoch.p_medium
+        p_med = self._open.p_medium
         p = np.array([p_med.get(d, 0.0) for d in main_pool_domains], dtype=float)
-        return plan_batch(batch_size, self.state.lambda_hard, hard_pool_size,
+        return plan_batch(batch_size, self.lambda_hard, hard_pool_size,
                           len(main_pool_domains), p, self.rng)
 
     def observe(self, domain: str, stage: Union[Stage, str], total_loss: float,
                 cot_loss: Optional[float] = None):
-        if self._epoch is None:
+        if self._open is None:
             raise ValidationError("observe called outside an epoch")
         if stage not in self._counts:  # one key per Stage; a value finds it
             raise ValidationError(f"unknown stage {stage!r}")
-        if domain not in self.state.domains:
+        if domain not in self.domains:
             # first seen mid-epoch: no progress or probability was fixed for it
-            self.state.domains[domain] = DomainEma()
+            self.domains[domain] = DomainEma()
         self._counts[stage] += 1
         self._total.add(total_loss)
         if stage != _HARD:
@@ -470,12 +396,12 @@ class CurriculumScheduler:
             raise ValidationError("hard items carry no rationale loss")
 
     def end_of_epoch(self) -> EpochReport:
-        ctx = self._epoch
+        ctx = self._open
         if ctx is None:
             raise ValidationError("end_of_epoch called outside an epoch")
         empty = _Accumulator()
         domains = {}
-        for key in self.state.domains:
+        for key in self.domains:
             easy = self._by_domain[_EASY].get(key, empty)
             med = self._by_domain[_MEDIUM].get(key, empty)
             domains[key] = DomainEpochStats(
@@ -496,6 +422,71 @@ class CurriculumScheduler:
             cot_med_count=self._cot[_MEDIUM].count,
             counts=dict(self._counts),
         )
-        end_of_epoch(self.state, report, self.hp)
-        self._epoch = None
+        self.close_epoch(report)
+        self._open = None
         return report
+
+    def close_epoch(self, report: EpochReport) -> Decision:
+        """Fold one epoch's statistics into the controller and move the budget.
+
+        Updates the EMAs, plateau history, ``lambda_hard`` and epoch counter,
+        and stamps the derived signals back onto ``report``.
+        """
+        hp = self.hp
+        if report.epoch != self.epoch:
+            raise ValidationError(
+                f"report is for epoch {report.epoch}, scheduler is at {self.epoch}"
+            )
+        for key, stats in report.domains.items():
+            ema = self.domains.setdefault(key, DomainEma())
+            if stats.count_easy > 0:
+                ema.ema_easy = update_ema(ema.ema_easy, stats.mean_easy, hp.rho)
+            if stats.count_med > 0:
+                ema.ema_med = update_ema(ema.ema_med, stats.mean_med, hp.rho)
+            stats.ema_easy = ema.ema_easy
+            stats.ema_med = ema.ema_med
+
+        delta: Optional[float] = None
+        if report.count_total > 0:
+            prev = self.m_bar
+            self.m_bar = update_ema(prev, report.mean_total, hp.rho)
+            if prev is not None:
+                delta = self.m_bar - prev
+                self.delta_history.append(delta)
+
+        if report.cot_easy_count > 0 and report.cot_med_count > 0:
+            gap = report.cot_med_mean - report.cot_easy_mean
+        else:
+            gap = math.inf
+
+        plateau = (len(self.delta_history) >= hp.q
+                   and all(abs(d) <= hp.eps_plateau for d in self.delta_history))
+        progress_values = [s.progress_used for s in report.domains.values()
+                           if s.progress_used is not None]
+        median_g = median_progress(progress_values) if progress_values else None
+        median_ok = median_g is not None and median_g >= hp.gamma_hard
+        gap_ok = gap <= hp.eps_cot
+        rise = delta is not None and delta >= hp.delta_rise
+
+        if plateau and median_ok and gap_ok:
+            self.lambda_hard = min(self.lambda_hard + hp.eta_up, hp.lambda_hard_max)
+            decision = Decision.INCREASE_HARD
+        elif rise:
+            self.lambda_hard = (1.0 - hp.eta_down) * self.lambda_hard
+            decision = Decision.REDUCE_HARD
+        else:
+            decision = Decision.HOLD
+        self.lambda_hard = min(max(self.lambda_hard, 0.0), hp.lambda_hard_max)
+        self.epoch += 1
+
+        report.m_bar = self.m_bar
+        report.delta_m_bar = delta
+        report.gap_cot = gap
+        report.median_progress = median_g
+        report.plateau = plateau
+        report.median_ok = median_ok
+        report.gap_ok = gap_ok
+        report.rise = rise
+        report.decision = decision
+        report.lambda_hard_after = self.lambda_hard
+        return decision

@@ -35,8 +35,6 @@ from cotforge.scheduler import (
     DomainEpochStats,
     EpochReport,
     SchedulerHyperparams,
-    SchedulerState,
-    end_of_epoch,
     p_medium,
     plan_batch,
     ramp,
@@ -157,7 +155,7 @@ def test_criterion_3_formula_identities():
 
 def _gate_probe(plateau_on: bool, median_on: bool, gap_on: bool):
     hp = SchedulerHyperparams()
-    state = SchedulerState.initial(hp, domains=("d|CT",))
+    state = CurriculumScheduler(hp, domains=("d|CT",))
     state.epoch = 20
     state.lambda_hard = 0.1
     state.m_bar = 1.0
@@ -175,7 +173,7 @@ def _gate_probe(plateau_on: bool, median_on: bool, gap_on: bool):
         cot_med_mean=0.2 if gap_on else 0.5, cot_med_count=4,
         counts={"easy": 4, "medium": 4, "hard": 0},
     )
-    end_of_epoch(state, report, hp)
+    state.close_epoch(report)
     return report.decision, state.lambda_hard
 
 

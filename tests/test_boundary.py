@@ -226,6 +226,9 @@ UNUSABLE_VALUE_CASES = [
     ("image-dims-unbounded", "train-toy", ("harness", "image_dims"),
      [1099511627776, 64]),
     ("feature-dim-unbounded", "train-toy", ("harness", "feature_dim"), 2**50),
+    # a dict sets several fields of the section: here an image that holds the grid
+    ("grid-cells-unbounded", "train-toy", ("harness", "grid_dims"),
+     {"image_dims": [4096, 4096], "grid_dims": [4096, 4096]}),
 ]
 
 
@@ -235,11 +238,12 @@ UNUSABLE_VALUE_CASES = [
 def test_unusable_config_value_is_one_error_line(tmp_path, command, path, value):
     if command == "forge":
         argv = forge_argv(tmp_path)
-        config = _patched(REMOTE, path, value)
+        config = copy.deepcopy(REMOTE)
     else:
         argv = ["train-toy", "--corpus", write_jsonl(tmp_path / "corpus.jsonl", CORPUS),
                 "--out", tmp_path / "trace.jsonl"]
-        config = _patched(CONFIG, path, value)
+        config = copy.deepcopy(CONFIG)
+    config[path[0]].update(value if isinstance(value, dict) else {path[1]: value})
     argv += ["--config", write_json(tmp_path / "c.json", config)]
     code, stderr = run_main(argv)
     assert_clean_exit(code, stderr, expected=2)
@@ -346,13 +350,17 @@ def test_unusable_path_is_one_error_line(tmp_path, command, flag, kind, code):
     assert str(bad) in stderr
 
 
-@pytest.mark.parametrize("flag,code", [("--dataset", 1), ("--config", 2)])
+@pytest.mark.parametrize("flag,code", [("--dataset", 1), ("--config", 2), ("--masks", 1),
+                                       ("--scenario", 1), ("--corpus", 1)])
 def test_too_deeply_nested_json_is_one_error_line(tmp_path, flag, code):
-    nested = tmp_path / "nested.json"
-    nested.write_text("[" * 100_000 + "\n", encoding="utf-8")
-    code_got, stderr = run_main(_argv_with(tmp_path, "forge", flag, nested))
-    assert_clean_exit(code_got, stderr, expected=code)
-    assert "bad JSON" in stderr
+    command = {"--scenario": "simulate", "--corpus": "validate"}.get(flag, "forge")
+    # too deep a nest ends in RecursionError, too long an int in a plain ValueError
+    for name, text in [("nested", "[" * 100_000), ("long_int", "7" * 5_000)]:
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(text + "\n", encoding="utf-8")
+        code_got, stderr = run_main(_argv_with(tmp_path, command, flag, bad))
+        assert_clean_exit(code_got, stderr, expected=code)
+        assert "bad JSON" in stderr
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,7 @@ def test_forge_happy_path(tmp_path, capsys, forge_inputs):
     assert summary["command"] == "forge"
     assert summary["records"] == 2
     assert summary["skipped_unassigned"] == 0
+    assert summary["truncated_cot"] == 0
     assert summary["failures"] == 0
     assert summary["out"] == str(out)
 
@@ -253,6 +254,21 @@ def test_simulate_zero_epochs_writes_header_only(tmp_path, capsys):
     summary = summary_of(stdout)
     assert summary["final_lambda_hard"] == 0.0
     assert summary["decisions"] == {"hold": 0, "increase_hard": 0, "reduce_hard": 0}
+
+
+def test_simulate_zero_epochs_reports_the_initial_budget(tmp_path, capsys):
+    # rise starts its budget at 0.2, so a default of 0.0 cannot pass for it
+    from cotforge.dynamics import builtin_scenario_path
+
+    spec = json.loads(builtin_scenario_path("rise").read_text())
+    spec["epochs"] = 0
+    scenario = tmp_path / "empty.json"
+    scenario.write_text(json.dumps(spec))
+    out = tmp_path / "trace.jsonl"
+    code, stdout, _ = run_cli(capsys, "simulate", "--scenario", str(scenario), "--out", str(out))
+    assert code == 0
+    assert read_trace(out)[1] == []
+    assert summary_of(stdout)["final_lambda_hard"] == 0.2
 
 
 def test_simulate_csv_sidecar(tmp_path, capsys):

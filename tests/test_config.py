@@ -131,9 +131,14 @@ class TestStrictness:
         ("image_dims", [1099511627776, 64]), ("image_dims", [64, 8193]),
         # and so would a feature dimension above MAX_FEATURE_DIM
         ("feature_dim", 2**50), ("feature_dim", 4097),
+        # and so would a grid above MAX_GRID_CELLS; a dict sets several fields,
+        # here an image large enough to hold the grid
+        ("grid_dims", {"image_dims": [4096, 4096], "grid_dims": [4096, 4096]}),
+        ("grid_dims", {"image_dims": [128, 128], "grid_dims": [128, 33]}),
     ])
     def test_out_of_range_harness_value(self, tmp_path, key, value):
-        path = write_config(tmp_path, {"harness": {key: value}})
+        fields = value if isinstance(value, dict) else {key: value}
+        path = write_config(tmp_path, {"harness": fields})
         with pytest.raises(ConfigError, match=f"harness.*{key}"):
             load_config(str(path), env={})
 

@@ -1,7 +1,6 @@
 """Corpus forge tests: organ assignment, seeds, template QA, corpus building."""
 
 import json
-import logging
 import tracemalloc
 from pathlib import Path
 
@@ -429,14 +428,20 @@ class _StubBackend:
 
 
 class TestGenerateQa:
-    def test_cot_longer_than_four_sentences_truncated(self, caplog):
+    def test_cot_longer_than_four_sentences_truncated(self, capsys):
         image = make_image()
         backend = _StubBackend(cot="One. Two. Three. Four. Five. Six.")
-        with caplog.at_level(logging.WARNING):
-            _, _, cot = generate_qa(image, "seed text", backend, "mass", "liver")
-        assert cot == "One. Two. Three. Four."
+        _, _, cot, truncated = generate_qa(image, "seed text", backend, "mass", "liver")
+        assert (cot, truncated) == ("One. Two. Three. Four.", True)
         assert backend.fields == ("mass", "liver")
-        assert any("truncat" in r.message.lower() for r in caplog.records)
+        assert generate_qa(image, "seed text", _StubBackend(), "mass", None)[3] is False
+        # build_corpus counts the truncations; nothing is printed
+        dataset, masks = small_dataset()
+        result = build_corpus(dataset, masks, backend)
+        assert [r.cot for r in result.records] == ["One. Two. Three. Four."] * 2
+        assert result.truncated_cot == 2
+        assert build_corpus(dataset, masks, _StubBackend()).truncated_cot == 0
+        assert capsys.readouterr() == ("", "")
 
     def test_empty_fields_rejected(self):
         image = make_image()

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from cotforge import harness
+from cotforge.dynamics import DynamicsSpec, builtin_scenario_path, run_dynamics_sim
 from cotforge.errors import ValidationError
 from cotforge.geometry import BBox
-from cotforge.harness import HarnessParams, TrainingTrace, run_toy_training
+from cotforge.harness import HarnessParams, run_toy_training
 from cotforge.jsonl import read_corpus
-from cotforge.scheduler import SchedulerHyperparams
+from cotforge.scheduler import SchedulerHyperparams, Trace
 from cotforge.toymodel import ToyModel
 
 from corpus_utils import record, tiny_corpus
@@ -125,12 +126,14 @@ class TestTraceShape:
             assert row["kind"] == "epoch"
             assert 0.0 <= row["realized"]["hard"] <= 1.0
 
-    def test_trace_rejects_gapped_epochs(self):
-        trace = run_toy_training(tiny_corpus(), small_params(epochs=3))
-        bad = list(trace.reports)
-        bad[1].epoch = 5
-        with pytest.raises(ValidationError):
-            TrainingTrace(header=trace.header, reports=bad)
+    def test_both_runs_return_one_trace_type(self):
+        spec = DynamicsSpec.from_path(builtin_scenario_path("mixed"))
+        for trace in (run_toy_training(tiny_corpus(), small_params(epochs=3)),
+                      run_dynamics_sim(spec)):
+            assert isinstance(trace, Trace)
+            header, reports = trace
+            assert header is trace.header and reports is trace.reports
+            assert [r.epoch for r in reports] == list(range(1, header["epochs"] + 1))
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):

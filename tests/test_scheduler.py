@@ -22,10 +22,8 @@ from cotforge.scheduler import (
     DomainEpochStats,
     EpochReport,
     SchedulerHyperparams,
-    SchedulerState,
     Stage,
     domain_progress,
-    end_of_epoch,
     median_progress,
     p_medium,
     plan_batch,
@@ -218,7 +216,7 @@ class TestSchedulerStateMachine:
                 cot_med=[0.2] * 5,
             )
             decisions.append(report.decision)
-            lam.append(sched.state.lambda_hard)
+            lam.append(sched.lambda_hard)
         assert decisions[:5] == [Decision.HOLD] * 5
         assert decisions[5] == Decision.INCREASE_HARD
         assert all(d == Decision.INCREASE_HARD for d in decisions[5:])
@@ -251,7 +249,7 @@ class TestSchedulerStateMachine:
         # the epoch-6 jump gives delta = 0.3 * (1.2667 - 0.9667) = 0.09 >= 0.05
         assert decisions[:5] == [Decision.HOLD] * 5
         assert decisions[5] == Decision.REDUCE_HARD
-        assert sched.state.lambda_hard == 0.1
+        assert sched.lambda_hard == 0.1
 
     def test_missing_stage_blocks_increase_via_infinite_gap(self):
         hp = SchedulerHyperparams()
@@ -260,26 +258,26 @@ class TestSchedulerStateMachine:
             report = drive_epoch(sched, easy=[2.0] * 10, cot_easy=[0.2] * 10)
         assert report.gap_cot == math.inf
         assert report.decision == Decision.HOLD
-        assert sched.state.lambda_hard == 0.0
+        assert sched.lambda_hard == 0.0
 
     def test_wrong_epoch_report_rejected(self):
         hp = SchedulerHyperparams()
-        state = SchedulerState.initial(hp)
+        state = CurriculumScheduler(hp)
         report = EpochReport(epoch=3, beta=0.0, lambda_hard=0.0, domains={},
                              mean_total=1.0, count_total=4,
                              cot_easy_mean=None, cot_easy_count=0,
                              cot_med_mean=None, cot_med_count=0,
                              counts={"easy": 4, "medium": 0, "hard": 0})
         with pytest.raises(ValidationError):
-            end_of_epoch(state, report, hp)
+            state.close_epoch(report)
 
     def test_delta_history_starts_at_epoch_two(self):
         hp = SchedulerHyperparams()
         sched = CurriculumScheduler(hp, domains=["mass|CT"], seed=0)
         drive_epoch(sched, easy=[1.0] * 4)
-        assert len(sched.state.delta_history) == 0
+        assert len(sched.delta_history) == 0
         drive_epoch(sched, easy=[1.0] * 4)
-        assert list(sched.state.delta_history) == [0.0]
+        assert list(sched.delta_history) == [0.0]
 
     def test_realized_fractions_sum_to_one(self):
         hp = SchedulerHyperparams(lambda_hard_init=0.2)
@@ -353,7 +351,7 @@ class TestStage:
 def run_gate_combo(plateau, median_ok, gap_ok, hp=None):
     """Build a synthetic state/report pair landing on the given gate flags."""
     hp = hp or SchedulerHyperparams()
-    state = SchedulerState.initial(hp)
+    state = CurriculumScheduler(hp)
     state.epoch = 9
     state.lambda_hard = 0.1
     state.m_bar = 1.0
@@ -376,7 +374,7 @@ def run_gate_combo(plateau, median_ok, gap_ok, hp=None):
         counts={"easy": 6, "medium": 4, "hard": 0},
     )
     before = state.lambda_hard
-    decision = end_of_epoch(state, report, hp)
+    decision = state.close_epoch(report)
     return decision, before, state.lambda_hard, report
 
 
@@ -427,7 +425,7 @@ class TestBudgetSafety:
                     cot_easy=list(rng.uniform(0.0, 1.0, size=n_e)),
                     cot_med=list(rng.uniform(0.0, 1.0, size=n_m)),
                 )
-                lam = sched.state.lambda_hard
+                lam = sched.lambda_hard
                 assert 0.0 <= lam <= hp.lambda_hard_max
                 assert report.lambda_hard <= hp.lambda_hard_max
 

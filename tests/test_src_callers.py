@@ -8,6 +8,10 @@ wraps names where their callers look them up). The tracer is read as
 text, as test_traced_names.py reads it, so nothing under perfbench/ is
 imported.
 
+Module-level imports get the same check within their module: an imported
+name that its module never reads fails, unless it is quoted in the tracer
+(``forge.mask_iou`` is imported only for the tracer to wrap).
+
 This is a name heuristic, not a call graph: a read of any name counts for
 every definition of that name, so two definitions with the same name hide
 each other, and a read that never runs still counts.
@@ -38,6 +42,24 @@ def src_definitions():
                 yield f"{path.stem}.{node.name}"
 
 
+def tracer_names():
+    return set(re.findall(r"""["'](\w+)["']""", TRACER.read_text(encoding="utf-8")))
+
+
+def unread_imports(path):
+    """(module.name) of each module-level import in ``path`` that it never reads."""
+    tree = parse(path)
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                node, "module", None) != "__future__":
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    yield f"{path.stem}.{name}"
+
+
 def names_read():
     """Every name or attribute read in src/ and scripts/, and every quoted
     identifier in the tracer."""
@@ -48,7 +70,7 @@ def names_read():
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    read.update(re.findall(r"""["'](\w+)["']""", TRACER.read_text(encoding="utf-8")))
+    read.update(tracer_names())
     return read
 
 
@@ -65,3 +87,19 @@ def test_the_scan_sees_definitions_and_reads():
     read = names_read()
     assert {"OrganMask", "check_runs", "rle_decode", "item_loss_and_grads"} <= read
     assert "read_trace" not in read  # the allowance is still needed
+
+
+def test_every_src_import_is_read_by_its_module():
+    exempt = tracer_names()
+    unread = [name for path in sorted(SRC.glob("*.py")) for name in unread_imports(path)
+              if name.split(".")[1] not in exempt]
+    assert not unread, f"imported in src/ but never read: {unread}"
+
+
+def test_the_import_scan_sees_an_unread_import(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("from __future__ import annotations\n"
+                      "import os.path\nfrom typing import List, Optional as Opt\n"
+                      "def f(x: Opt[int]):\n    return os.path.join('a', 'b')\n")
+    assert list(unread_imports(module)) == ["mod.List"]
+    assert "mask_iou" in tracer_names()  # forge's tracer-only import stays exempt
