@@ -2,9 +2,11 @@
 
 Each batch is planned by the scheduler (hard slots first, then per-item
 stage coins), evaluated on the toy model in one batch call, and applied as
-one plain gradient descent step on the batch-mean gradient. Medium items
-get the box-derived soft mask as their attention target, built the first
-time the item trains Medium and reused after that.
+one plain gradient descent step on the batch-mean gradient. The step
+updates the model's parameter arrays in place and touches only the batch's
+Medium attention rows, so a batch costs O(batch), not O(corpus). Medium
+items get the box-derived soft mask as their attention target, built the
+first time the item trains Medium and reused after that.
 """
 
 from __future__ import annotations

@@ -267,6 +267,23 @@ def plan_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
     ``p_medium_per_item`` is an array aligned with the main pool. Draws are
     without replacement within the batch; the budget never changes here.
     """
+    p = _checked_p_medium(p_medium_per_item, main_pool_size)
+    return _draw_batch(batch_size, lambda_hard, hard_pool_size, p, rng)
+
+
+def _checked_p_medium(p_medium_per_item, main_pool_size: int) -> np.ndarray:
+    p = np.asarray(p_medium_per_item, dtype=float)
+    if p.shape != (main_pool_size,):
+        raise ValidationError(f"p_medium_per_item must have length {main_pool_size}")
+    # written so that NaN, which fails every comparison, is rejected too
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+        raise ValidationError("medium probabilities must lie in [0, 1]")
+    return p
+
+
+def _draw_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
+                p: np.ndarray, rng: np.random.Generator) -> BatchPlan:
+    """``plan_batch`` on a main pool whose probabilities ``p`` are checked."""
     if batch_size < 1:
         raise ValidationError(f"batch_size must be at least 1, got {batch_size}")
     if not 0.0 <= lambda_hard <= 1.0:
@@ -277,23 +294,18 @@ def plan_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
             f"hard pool exhausted: need {n_hard} items, pool has {hard_pool_size}"
         )
     n_main = batch_size - n_hard
-    if n_main > main_pool_size:
+    if n_main > p.size:
         raise ValidationError(
-            f"main pool exhausted: need {n_main} items, pool has {main_pool_size}"
+            f"main pool exhausted: need {n_main} items, pool has {p.size}"
         )
-    p = np.asarray(p_medium_per_item, dtype=float)
-    if p.shape != (main_pool_size,):
-        raise ValidationError(f"p_medium_per_item must have length {main_pool_size}")
-    if p.size and (p.min() < 0.0 or p.max() > 1.0):
-        raise ValidationError("medium probabilities must lie in [0, 1]")
 
     hard_idx = (rng.choice(hard_pool_size, size=n_hard, replace=False)
                 if n_hard else np.empty(0, dtype=np.int64))
-    main_idx = (rng.choice(main_pool_size, size=n_main, replace=False)
+    main_idx = (rng.choice(p.size, size=n_main, replace=False)
                 if n_main else np.empty(0, dtype=np.int64))
     coins = rng.random(n_main)
-    stages = [_MEDIUM if coins[i] < p[main_idx[i]] else _EASY
-              for i in range(n_main)]
+    stages = [_MEDIUM if medium else _EASY
+              for medium in (coins < p[main_idx]).tolist()]
     return BatchPlan(hard_indices=hard_idx, main_indices=main_idx,
                      main_stages=stages)
 
@@ -362,6 +374,9 @@ class CurriculumScheduler:
         self._total = _Accumulator()
         self._by_domain = {_EASY: {}, _MEDIUM: {}}
         self._cot = {_EASY: _Accumulator(), _MEDIUM: _Accumulator()}
+        # the last main pool planned this epoch, and its checked probabilities
+        self._pool: Optional[List[str]] = None
+        self._pool_p_medium: Optional[np.ndarray] = None
         self._open = EpochContext(epoch=self.epoch, beta=beta,
                                    lambda_hard=self.lambda_hard,
                                    progress=progress, p_medium=p_med)
@@ -369,13 +384,22 @@ class CurriculumScheduler:
 
     def plan_batch(self, batch_size: int, hard_pool_size: int,
                    main_pool_domains: Sequence[str]) -> BatchPlan:
-        """Assign stages for one batch; main_pool_domains aligns with the pool."""
+        """Assign stages for one batch; main_pool_domains aligns with the pool.
+
+        The per-item probabilities are fixed for the epoch, so they are
+        built and checked once per epoch and pool, and reused while each
+        batch names an equal pool.
+        """
         if self._open is None:
             raise ValidationError("plan_batch called outside an epoch")
-        p_med = self._open.p_medium
-        p = np.array([p_med.get(d, 0.0) for d in main_pool_domains], dtype=float)
-        return plan_batch(batch_size, self.lambda_hard, hard_pool_size,
-                          len(main_pool_domains), p, self.rng)
+        pool = list(main_pool_domains)
+        if pool != self._pool:
+            p_med = self._open.p_medium
+            self._pool_p_medium = _checked_p_medium(
+                [p_med.get(d, 0.0) for d in pool], len(pool))
+            self._pool = pool
+        return _draw_batch(batch_size, self.lambda_hard, hard_pool_size,
+                           self._pool_p_medium, self.rng)
 
     def observe(self, domain: str, stage: Union[Stage, str], total_loss: float,
                 cot_loss: Optional[float] = None):

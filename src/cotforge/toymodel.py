@@ -15,6 +15,11 @@ pooled over the lesion box, and one anchor vector per (lesion, answer)
 pair. All gradients are derived in closed form. The tests hold the
 reference forward pass, the loss oracle and the finite-difference check,
 so the analytic route here can disagree with an independent one.
+
+A batch costs what its items cost, not what the corpus costs. The batch
+gradient carries only the Medium items' attention rows, and a step updates
+the parameter arrays in place, touching only those rows of the per-item
+attention logits.
 """
 
 from __future__ import annotations
@@ -30,6 +35,9 @@ from .geometry import BBox, kl_rows
 from .scheduler import _EASY, _HARD, Stage
 
 PARAM_KEYS = ("ans_logits", "cot_logits", "attn_logits", "features", "anchors")
+# the parameters whose batch gradient is a full-size array; the attention
+# logits get only the batch's Medium rows
+_DENSE_KEYS = ("ans_logits", "cot_logits", "features", "anchors")
 
 
 @dataclass(frozen=True)
@@ -76,8 +84,10 @@ def stage_loss(stage: Stage, weights: StageLossWeights, answer: float,
                               cot=cot, attention=attention)
 
 
-def roi_cells(box: BBox, image_dims: tuple, grid_dims: tuple) -> np.ndarray:
-    """Boolean grid of cells whose centers fall inside the box.
+def roi_cells(boxes: Sequence[BBox], image_dims: tuple,
+              grid_dims: tuple) -> np.ndarray:
+    """Boolean ``(len(boxes), gh, gw)`` grids of the cells whose centers fall
+    inside each box.
 
     Cell centers use the same closed-interval membership as pixel
     rasterization. A box too small to cover any center selects the single
@@ -89,19 +99,21 @@ def roi_cells(box: BBox, image_dims: tuple, grid_dims: tuple) -> np.ndarray:
         raise ValidationError("grid dims must be positive")
     cell_h = height / gh
     cell_w = width / gw
-    x_lo, y_lo = box.x1 * width, box.y1 * height
-    x_hi, y_hi = box.x2 * width, box.y2 * height
+    corners = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
+                       dtype=float).reshape(-1, 4)
+    x_lo, x_hi = corners[:, 0] * width, corners[:, 2] * width
+    y_lo, y_hi = corners[:, 1] * height, corners[:, 3] * height
     row_centers = (np.arange(gh) + 0.5) * cell_h
     col_centers = (np.arange(gw) + 0.5) * cell_w
-    rows = (row_centers >= y_lo) & (row_centers <= y_hi)
-    cols = (col_centers >= x_lo) & (col_centers <= x_hi)
-    cells = np.outer(rows, cols)
-    if not cells.any():
-        cx = 0.5 * (x_lo + x_hi)
-        cy = 0.5 * (y_lo + y_hi)
+    rows = (row_centers >= y_lo[:, np.newaxis]) & (row_centers <= y_hi[:, np.newaxis])
+    cols = (col_centers >= x_lo[:, np.newaxis]) & (col_centers <= x_hi[:, np.newaxis])
+    cells = rows[:, :, np.newaxis] & cols[:, np.newaxis, :]
+    for k in np.flatnonzero(~cells.any(axis=(1, 2))).tolist():
+        cx = 0.5 * (float(x_lo[k]) + float(x_hi[k]))
+        cy = 0.5 * (float(y_lo[k]) + float(y_hi[k]))
         gr = min(gh - 1, int(cy // cell_h))
         gc = min(gw - 1, int(cx // cell_w))
-        cells[gr, gc] = True
+        cells[k, gr, gc] = True
     return cells
 
 
@@ -130,14 +142,10 @@ class ToyModel:
         self._answer_index = {a: i for i, a in enumerate(self.answer_vocab)}
         self.answer_ids = [self._answer_index[r.answer] for r in self.items]
 
-        sentence_set = set()
-        for r in self.items:
-            sentence_set.update(split_sentences(r.cot))
-        self.cot_vocab = sorted(sentence_set)
+        sentences = [split_sentences(r.cot) for r in self.items]
+        self.cot_vocab = sorted({s for ss in sentences for s in ss})
         cot_index = {s: i for i, s in enumerate(self.cot_vocab)}
-        self.cot_ids = [
-            [cot_index[s] for s in split_sentences(r.cot)] for r in self.items
-        ]
+        self.cot_ids = [[cot_index[s] for s in ss] for ss in sentences]
 
         self.anchor_keys = sorted({(r.domain.lesion_class, r.answer)
                                    for r in self.items})
@@ -148,8 +156,8 @@ class ToyModel:
 
         # cell memberships are fixed by the boxes, so compute them once
         self._roi_cells = [
-            np.nonzero(roi_cells(r.box, self.image_dims, self.grid_dims))
-            for r in self.items]
+            np.nonzero(cells) for cells in roi_cells(
+                [r.box for r in self.items], self.image_dims, self.grid_dims)]
         self._roi_count = np.array([rows.size for rows, _ in self._roi_cells])
         self._answer_ids = np.array(self.answer_ids, dtype=np.intp)
         self._anchor_ids = np.array(self.anchor_ids, dtype=np.intp)
@@ -157,13 +165,13 @@ class ToyModel:
         # that sentence's share of the rationale: the rationale head's target
         self._cot_len = np.array([len(ids) for ids in self.cot_ids])
         width = int(self._cot_len.max())
+        used = np.arange(width) < self._cot_len[:, np.newaxis]
         self._cot_pad = np.zeros((len(self.items), width), dtype=np.intp)
-        self._cot_share = np.zeros((len(self.items), width))
-        for i, ids in enumerate(self.cot_ids):
-            if ids:
-                counts = np.bincount(ids, minlength=len(self.cot_vocab))
-                self._cot_pad[i, :len(ids)] = ids
-                self._cot_share[i, :len(ids)] = counts[ids].astype(float) / len(ids)
+        self._cot_pad[used] = [i for ids in self.cot_ids for i in ids]
+        counts = ((self._cot_pad[:, :, np.newaxis] == self._cot_pad[:, np.newaxis, :])
+                  & used[:, np.newaxis, :]).sum(axis=2)
+        self._cot_share = np.divide(counts, self._cot_len[:, np.newaxis],
+                                    out=np.zeros(used.shape), where=used)
 
         rng = np.random.default_rng(seed)
         gh, gw = self.grid_dims
@@ -173,11 +181,6 @@ class ToyModel:
         self.features = rng.normal(0.0, 0.1, size=(gh, gw, self.feature_dim))
         self.anchors = rng.normal(0.0, 0.1,
                                   size=(len(self.anchor_keys), self.feature_dim))
-
-    # ----- parameter plumbing -----
-
-    def _params(self) -> Dict[str, np.ndarray]:
-        return {key: getattr(self, key) for key in PARAM_KEYS}
 
     def _check_idx(self, idx: int):
         if not 0 <= idx < len(self.items):
@@ -193,15 +196,23 @@ class ToyModel:
     ) -> StageLossBreakdown:
         """Add this item's loss gradient into ``grads`` in place.
 
-        The one-item case of the batch routine. Only the rows the item
-        touches are updated; the caller owns (and zeroes) the buffer.
+        The one-item case of the batch routine. ``grads`` holds one
+        full-size buffer per parameter, the attention logits included; the
+        caller owns (and zeroes) it. Only the rows the item touches change.
         """
-        return self._add_loss_grads([idx], [stage], [target_attention],
-                                    weights, grads)[0]
+        [breakdown], rows, g_attn = self._add_loss_grads(
+            [idx], [stage], [target_attention], weights, grads)
+        grads["attn_logits"][rows] += g_attn
+        return breakdown
 
-    def _add_loss_grads(self, indices, stages, targets, weights,
-                        grads) -> List[StageLossBreakdown]:
-        """Every item's breakdown; each item's gradient added into ``grads``.
+    def _add_loss_grads(self, indices, stages, targets, weights, grads
+                        ) -> Tuple[List[StageLossBreakdown], np.ndarray, np.ndarray]:
+        """Every item's breakdown, with each item's gradient added in.
+
+        The heads, features and anchors add into the full-size buffers of
+        ``grads``. The attention gradient is returned as rows: the sorted
+        Medium item indices and their summed gradients, one ``grid_dims``
+        array each.
 
         Parameters do not change inside a batch, so each head's softmax is
         computed once and the Medium attention rows as one array.
@@ -251,14 +262,16 @@ class ToyModel:
 
         if easy.size:
             l_ground[easy] = self._add_grounding(items[easy], weights, grads)
+        rows, g_attn = np.empty(0, np.intp), np.zeros((0,) + self.grid_dims)
         if medium.size:
-            l_attn[medium] = self._add_attention(
-                items[medium], [targets[j] for j in medium], weights, grads)
+            l_attn[medium], rows, g_attn = self._attention_rows(
+                items[medium], [targets[j] for j in medium], weights)
 
-        return [stage_loss(stage, weights, ans, cot, ground, attn)
-                for stage, ans, cot, ground, attn in zip(
-                    stages, l_ans.tolist(), l_cot.tolist(), l_ground.tolist(),
-                    l_attn.tolist())]
+        breakdowns = [stage_loss(stage, weights, ans, cot, ground, attn)
+                      for stage, ans, cot, ground, attn in zip(
+                          stages, l_ans.tolist(), l_cot.tolist(),
+                          l_ground.tolist(), l_attn.tolist())]
+        return breakdowns, rows, g_attn
 
     def _add_grounding(self, items, weights, grads) -> np.ndarray:
         """Easy items' 1 - cosine(pooled ROI feature, anchor); adds its gradient."""
@@ -293,8 +306,13 @@ class ToyModel:
                   weights.w_ground * dl_da)
         return loss
 
-    def _add_attention(self, items, targets, weights, grads) -> np.ndarray:
-        """Medium items' KL(attention || soft mask), as rows; adds its gradient."""
+    def _attention_rows(self, items, targets, weights):
+        """Medium items' KL(attention || soft mask), and its gradient as rows.
+
+        The rows are the sorted unique items; each sums its items'
+        gradients in batch order, as ``np.add.at`` on a full-size buffer
+        would, so repeated items stay exact.
+        """
         for t in targets:
             if t is None:
                 raise ValidationError("medium stage needs a target attention mask")
@@ -306,28 +324,44 @@ class ToyModel:
         attention = e / e.sum(axis=1, keepdims=True)
         target = np.array(targets, dtype=float).reshape(items.size, -1)
         kl, g_attn = kl_rows(attention, target)
-        np.add.at(grads["attn_logits"], items,
+        rows, inverse = np.unique(items, return_inverse=True)
+        summed = np.zeros((rows.size,) + self.grid_dims)
+        np.add.at(summed, inverse,
                   (weights.w_attn * g_attn).reshape((-1,) + self.grid_dims))
-        return kl
+        return kl, rows, summed
 
     def batch_loss_and_grads(
         self, indices: Sequence[int], stages: Sequence,
         targets: Sequence[Optional[np.ndarray]],
         weights: StageLossWeights = StageLossWeights(),
     ) -> Tuple[List[StageLossBreakdown], Dict[str, np.ndarray]]:
-        """Per-item breakdowns in batch order, and the batch-mean gradient."""
+        """Per-item breakdowns in batch order, and the batch-mean gradient.
+
+        The gradient holds one full-size array per head, feature grid and
+        anchor table. The attention logits get rows only:
+        ``grads["attn_logits"][k]`` is the gradient of the item
+        ``grads["attn_rows"][k]``, for the batch's sorted unique Medium
+        items; every other item's attention gradient is zero.
+        """
         if not (len(indices) == len(stages) == len(targets)):
             raise ValidationError("indices, stages and targets must align")
         if not indices:
             raise ValidationError("empty batch")
-        grads = {key: np.zeros_like(value) for key, value in self._params().items()}
-        breakdowns = self._add_loss_grads(indices, stages, targets, weights, grads)
+        grads = {key: np.zeros_like(getattr(self, key)) for key in _DENSE_KEYS}
+        breakdowns, grads["attn_rows"], grads["attn_logits"] = self._add_loss_grads(
+            indices, stages, targets, weights, grads)
         scale = 1.0 / len(indices)
-        for key in grads:
+        for key in PARAM_KEYS:
             grads[key] *= scale
         return breakdowns, grads
 
     def step(self, grads: Dict[str, np.ndarray], lr: float):
-        for key in PARAM_KEYS:
-            setattr(self, key, self._params()[key] - lr * grads[key])
+        """One descent step ``p - lr * g``, in place, on the rows ``grads`` names.
 
+        The attention logits outside ``grads["attn_rows"]`` are not touched.
+        """
+        for key in _DENSE_KEYS:
+            param = getattr(self, key)
+            param -= lr * grads[key]
+        rows = grads["attn_rows"]
+        self.attn_logits[rows] = self.attn_logits[rows] - lr * grads["attn_logits"]

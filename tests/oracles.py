@@ -4,8 +4,9 @@ Everything here is written as straight-line code on purpose: slow, obvious,
 and independent of the vectorized production paths. The loss oracle is the
 toy model's forward pass and stage recipe, one item at a time, with its own
 copy of the recipe; the finite-difference check treats a loss as a black box.
-The helpers build organ masks from dense arrays, decode them back, and read
-or set the toy model's parameters as one flat vector.
+The helpers build organ masks from dense arrays, decode them back, read
+or set the toy model's parameters as one flat vector, and widen a batch
+gradient's attention rows to a full-size array.
 """
 
 import math
@@ -332,7 +333,7 @@ def oracle_forward(model, idx: int, stage: Union[Stage, str]) -> ModelOutputs:
     lp_cot = _log_softmax(model.cot_logits)
     cot_logprobs = lp_cot[ids] if ids else None
     attention = _softmax(model.attn_logits[idx].ravel()).reshape(model.grid_dims)
-    cells = roi_cells(item.box, model.image_dims, model.grid_dims)
+    [cells] = roi_cells([item.box], model.image_dims, model.grid_dims)
     feature_vec = model.features[cells].mean(axis=0)
     anchor_vec = model.anchors[model.anchor_ids[idx]]
     return ModelOutputs(
@@ -367,11 +368,22 @@ def oracle_batch_loss(model, indices, stages, targets,
     return float(np.mean(totals))
 
 
+def dense_grads(model, grads) -> dict:
+    """A batch gradient with one full-size array per parameter: the attention
+    rows ``grads["attn_rows"]`` scattered into zeros the shape of the
+    model's attention logits."""
+    dense = {key: grads[key] for key in PARAM_KEYS}
+    dense["attn_logits"] = np.zeros_like(model.attn_logits)
+    dense["attn_logits"][grads["attn_rows"]] = grads["attn_logits"]
+    return dense
+
+
 def batch_grad_vector(model, indices, stages, targets,
                       weights: StageLossWeights = StageLossWeights()) -> np.ndarray:
     """The model's analytic batch gradient, flattened in parameter order."""
     _, grads = model.batch_loss_and_grads(indices, stages, targets, weights)
-    return np.concatenate([grads[k].ravel() for k in PARAM_KEYS])
+    dense = dense_grads(model, grads)
+    return np.concatenate([dense[k].ravel() for k in PARAM_KEYS])
 
 
 def finite_difference_check(f: Callable[[np.ndarray], float],

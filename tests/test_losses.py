@@ -63,18 +63,28 @@ class TestRoi:
     def test_left_half_selects_left_columns(self):
         # 4x4 grid on 64x64: cell centers at columns 8,24,40,56; a box over
         # x in [0,32] contains 8 and 24 (closed test), so 2 columns x 4 rows
-        cells = roi_cells(BBox(0.0, 0.0, 0.5, 1.0), (64, 64), (4, 4))
+        [cells] = roi_cells([BBox(0.0, 0.0, 0.5, 1.0)], (64, 64), (4, 4))
         assert cells.sum() == 8
         assert cells[:, :2].all() and not cells[:, 2:].any()
 
     def test_full_box_selects_everything(self):
-        cells = roi_cells(BBox(0.0, 0.0, 1.0, 1.0), (64, 64), (4, 4))
+        [cells] = roi_cells([BBox(0.0, 0.0, 1.0, 1.0)], (64, 64), (4, 4))
         assert cells.all()
 
     def test_tiny_box_falls_back_to_center_cell(self):
-        cells = roi_cells(BBox(0.26, 0.26, 0.30, 0.30), (64, 64), (4, 4))
+        [cells] = roi_cells([BBox(0.26, 0.26, 0.30, 0.30)], (64, 64), (4, 4))
         assert cells.sum() == 1
         assert cells[1, 1]
+
+    def test_boxes_together_match_boxes_one_at_a_time(self):
+        # two fallback boxes among covering ones: each falls back in its own grid
+        boxes = [BBox(0.0, 0.0, 0.5, 1.0), BBox(0.26, 0.26, 0.30, 0.30),
+                 BBox(0.0, 0.0, 1.0, 1.0), BBox(0.80, 0.55, 0.85, 0.60)]
+        together = roi_cells(boxes, (64, 64), (4, 4))
+        assert together.shape == (4, 4, 4)
+        for box, cells in zip(boxes, together):
+            assert np.array_equal(cells, roi_cells([box], (64, 64), (4, 4))[0])
+        assert together[3].sum() == 1 and together[3][2, 3]
 
 
 def outputs_for(stage, answer=(-0.5,), cot=(-0.3,), with_grounding=True,

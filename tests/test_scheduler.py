@@ -174,6 +174,15 @@ class TestPlanBatch:
             with pytest.raises(ValidationError, match="must have length 40"):
                 plan_batch(10, 0.0, 0, 40, p, rng)
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_probabilities_outside_the_unit_interval_rejected(self, bad):
+        # NaN fails every comparison, so a min/max range test alone lets it by
+        p = np.full(40, 0.5)
+        p[7] = bad
+        with pytest.raises(ValidationError,
+                           match=r"medium probabilities must lie in \[0, 1\]"):
+            plan_batch(10, 0.0, 0, 40, p, np.random.default_rng(5))
+
     def test_per_item_probabilities(self):
         # items with p=0 can never be medium, items with p=1 always are
         rng = np.random.default_rng(8)
@@ -323,6 +332,63 @@ class TestSchedulerStateMachine:
         ctx = sched.start_epoch()
         assert ctx.progress == {"a": None, "b": domain_progress(1.0, 0.5, 1e-8)}
         assert sched.end_of_epoch().domains["b"].progress_used == ctx.progress["b"]
+
+
+class TestPoolProbabilities:
+    """The scheduler builds a pool's medium probabilities once per epoch and
+    reuses them while each batch names an equal pool."""
+
+    @staticmethod
+    def stages(sched, pool):
+        plan = sched.plan_batch(len(pool), hard_pool_size=len(pool),
+                                main_pool_domains=pool)
+        return {s.value for s in plan.main_stages}
+
+    def test_plans_equal_the_module_function(self):
+        hp = SchedulerHyperparams(warmup_epochs=0, kappa=2.0)
+        sched = CurriculumScheduler(hp, domains=["a", "b"], seed=11)
+        ctx = sched.start_epoch()
+        pool = ["a", "b", "c"] * 10
+        p = np.array([ctx.p_medium.get(d, 0.0) for d in pool])
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            got = sched.plan_batch(12, hard_pool_size=30, main_pool_domains=pool)
+            want = plan_batch(12, 0.0, 30, 30, p, rng)
+            assert got.main_indices.tolist() == want.main_indices.tolist()
+            assert got.main_stages == want.main_stages
+
+    def test_a_pool_changed_in_place_is_rebuilt(self):
+        hp = SchedulerHyperparams(warmup_epochs=0, kappa=1.0, gamma=-10.0)
+        sched = CurriculumScheduler(hp, domains=["a"], seed=0)
+        sched.start_epoch()
+        pool = ["a"] * 8
+        assert self.stages(sched, pool) == {"medium"}
+        pool[:] = ["z"] * 8  # a domain the epoch fixed no probability for
+        assert self.stages(sched, pool) == {"easy"}
+
+    def test_each_epoch_uses_its_own_probabilities(self):
+        # warmup keeps epoch 1 Easy; epoch 2 is fully ramped with p near 1
+        hp = SchedulerHyperparams(warmup_epochs=1, kappa=1.0, gamma=-10.0)
+        sched = CurriculumScheduler(hp, domains=["a"], seed=0)
+        pool = ["a"] * 8
+        sched.start_epoch()
+        assert self.stages(sched, pool) == {"easy"}
+        sched.end_of_epoch()
+        sched.start_epoch()
+        assert self.stages(sched, pool) == {"medium"}
+
+    def test_a_nan_probability_is_rejected(self):
+        # a NaN loss makes the domain's progress, and so its probability, NaN
+        hp = SchedulerHyperparams(warmup_epochs=0)
+        sched = CurriculumScheduler(hp, domains=["d"], seed=0)
+        sched.start_epoch()
+        sched.observe("d", Stage.EASY, math.nan)
+        sched.observe("d", Stage.MEDIUM, 1.0)
+        sched.end_of_epoch()
+        assert math.isnan(sched.start_epoch().p_medium["d"])
+        with pytest.raises(ValidationError,
+                           match=r"medium probabilities must lie in \[0, 1\]"):
+            sched.plan_batch(4, hard_pool_size=4, main_pool_domains=["d"] * 4)
 
 
 class TestStage:

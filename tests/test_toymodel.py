@@ -6,17 +6,21 @@ here from loss evaluations only. The two routes never share code.
 """
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cotforge.errors import ValidationError
 from cotforge.geometry import build_soft_mask
+from cotforge.jsonl import read_corpus
 from cotforge.toymodel import PARAM_KEYS, Stage, StageLossWeights, ToyModel
 
 from corpus_utils import tiny_corpus
 from oracles import (
     batch_grad_vector,
+    dense_grads,
     finite_difference_check,
     oracle_batch_loss,
     oracle_item_loss,
@@ -32,6 +36,15 @@ GRID_DIMS = (2, 2)
 def model():
     return ToyModel(tiny_corpus(), image_dims=IMAGE_DIMS, grid_dims=GRID_DIMS,
                     feature_dim=3, seed=0)
+
+
+@pytest.fixture
+def moved(model):
+    """The model with every parameter moved off its initial values."""
+    rng = np.random.default_rng(7)
+    base = param_vector(model)
+    set_param_vector(model, base + rng.normal(0.0, 0.3, size=base.shape))
+    return model
 
 
 def item_grads(model, idx, stage, **kwargs):
@@ -109,6 +122,7 @@ class TestGradientStructure:
         target = targets_for(model)[0] if stage == Stage.MEDIUM else None
         _, once = model.batch_loss_and_grads([0], [stage], [target])
         _, twice = model.batch_loss_and_grads([0, 0], [stage] * 2, [target] * 2)
+        once, twice = dense_grads(model, once), dense_grads(model, twice)
         for key in PARAM_KEYS:
             assert np.array_equal(twice[key], once[key])
 
@@ -191,13 +205,6 @@ class TestBatchMatchesItems:
     """One pass over a mixed batch gives, bit for bit, what the items give
     one at a time: the oracle's losses, and the gradients summed in order."""
 
-    @pytest.fixture
-    def moved(self, model):
-        rng = np.random.default_rng(7)
-        base = param_vector(model)
-        set_param_vector(model, base + rng.normal(0.0, 0.3, size=base.shape))
-        return model
-
     def test_breakdowns_equal_the_oracle(self, moved):
         targets = mixed_targets(moved)
         breakdowns, _ = moved.batch_loss_and_grads(
@@ -211,12 +218,101 @@ class TestBatchMatchesItems:
         targets = mixed_targets(moved)
         _, batch = moved.batch_loss_and_grads(
             MIXED_INDICES, MIXED_STAGES, targets, MIXED_WEIGHTS)
+        batch = dense_grads(moved, batch)
         one_by_one = {key: np.zeros_like(getattr(moved, key)) for key in PARAM_KEYS}
         for i, s, t in zip(MIXED_INDICES, MIXED_STAGES, targets):
             moved.item_loss_and_grads(i, s, t, MIXED_WEIGHTS, grads=one_by_one)
         for key in PARAM_KEYS:
             assert np.array_equal(batch[key],
                                   one_by_one[key] * (1.0 / len(MIXED_INDICES)))
+
+
+class TestAttentionRows:
+    """A batch gradient carries only its Medium items' attention rows, and a
+    step touches only those rows; both are bit for bit the full-size
+    accumulation and step that they replace."""
+
+    # item 3 three times as Medium, item 1 as Medium and as Easy, item 0 Hard
+    INDICES = [3, 1, 3, 0, 3, 1, 2]
+    STAGES = [Stage.MEDIUM, Stage.MEDIUM, Stage.MEDIUM, Stage.HARD,
+              Stage.MEDIUM, Stage.EASY, Stage.MEDIUM]
+
+    def batch(self, model):
+        soft = targets_for(model)
+        targets = [soft[i] if s == Stage.MEDIUM else None
+                   for i, s in zip(self.INDICES, self.STAGES)]
+        _, grads = model.batch_loss_and_grads(self.INDICES, self.STAGES,
+                                              targets, MIXED_WEIGHTS)
+        return targets, grads
+
+    def test_rows_are_the_sorted_medium_items(self, moved):
+        _, grads = self.batch(moved)
+        assert grads["attn_rows"].tolist() == [1, 2, 3]
+        assert grads["attn_logits"].shape == (3,) + GRID_DIMS
+
+    def test_densified_rows_equal_the_full_size_accumulation(self, moved):
+        targets, grads = self.batch(moved)
+        # each Medium item's own gradient row, added with np.add.at into a
+        # corpus-size buffer in batch order, then the batch mean
+        full = np.zeros_like(moved.attn_logits)
+        for i, s, t in zip(self.INDICES, self.STAGES, targets):
+            if s == Stage.MEDIUM:
+                _, own = item_grads(moved, i, s, target_attention=t,
+                                    weights=MIXED_WEIGHTS)
+                np.add.at(full, [i], own["attn_logits"][[i]])
+        full *= 1.0 / len(self.INDICES)
+        dense = dense_grads(moved, grads)["attn_logits"]
+        assert dense.shape == moved.attn_logits.shape
+        assert dense.tobytes() == full.tobytes()
+
+    def test_step_is_the_full_size_step_in_place(self, moved):
+        # the row outside the batch holds values a full-size step could
+        # disturb in their bits: a negative zero, a NaN and the extremes
+        moved.attn_logits[0] = [[-0.0, np.nan], [np.inf, -1e308]]
+        before = {key: getattr(moved, key).copy() for key in PARAM_KEYS}
+        arrays = {key: getattr(moved, key) for key in PARAM_KEYS}
+        _, grads = self.batch(moved)
+        dense = dense_grads(moved, grads)
+        moved.step(grads, lr=0.3)
+        for key in PARAM_KEYS:
+            assert getattr(moved, key) is arrays[key]
+            want = before[key] - 0.3 * dense[key]
+            assert getattr(moved, key).tobytes() == want.tobytes(), key
+        assert moved.attn_logits[0].tobytes() == before["attn_logits"][0].tobytes()
+
+
+FIXTURE_CORPUS = (Path(__file__).parents[1] / "src" / "cotforge" / "fixtures"
+                  / "toy_corpus.jsonl")
+
+
+def batch_step_peak_bytes(records, indices, stages):
+    """tracemalloc peak of one batch gradient plus its step, default model."""
+    model = ToyModel(records)
+    targets = [build_soft_mask(records[i].box, model.image_dims, model.grid_dims,
+                               sigma=16.0, floor=0.01).grid
+               if s == Stage.MEDIUM else None for i, s in zip(indices, stages)]
+    # one untraced batch first, so one-time allocations are not counted
+    model.step(model.batch_loss_and_grads(indices, stages, targets)[1], 0.005)
+    tracemalloc.start()
+    try:
+        _, grads = model.batch_loss_and_grads(indices, stages, targets)
+        model.step(grads, 0.005)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_memory_does_not_grow_with_the_corpus():
+    # a deterministic stand-in for a timing test: a corpus-size buffer in the
+    # batch or the step would show as 64 floats per record
+    records = read_corpus(str(FIXTURE_CORPUS))
+    assert len(records) == 200
+    indices = [(37 * k) % 200 for k in range(28)] + [0, 37, 0, 74]
+    cycle = [Stage.HARD, Stage.EASY, Stage.MEDIUM, Stage.MEDIUM]
+    stages = [cycle[k % 4] for k in range(len(indices))]
+    small = batch_step_peak_bytes(records, indices, stages)
+    large = batch_step_peak_bytes(records * 100, indices, stages)
+    assert abs(large - small) < len(indices) * 64 * 8, (small, large)
 
 
 class TestTraining:
@@ -239,8 +335,8 @@ class TestTraining:
         before = item_grads(model, 0, Stage.MEDIUM,
                             target_attention=target)[0].attention
         for _ in range(20):
-            _, grads = item_grads(model, 0, Stage.MEDIUM,
-                                  target_attention=target, weights=weights)
+            _, grads = model.batch_loss_and_grads([0], [Stage.MEDIUM], [target],
+                                                  weights)
             model.step(grads, lr=0.5)
         after = item_grads(model, 0, Stage.MEDIUM,
                            target_attention=target)[0].attention
@@ -259,7 +355,7 @@ class TestValidation:
             [0], [Stage.MEDIUM], [targets_for(model)[0]])
         assert math.isnan(breakdown.attention)
         assert math.isnan(breakdown.total)
-        assert np.isnan(grads["attn_logits"][0]).all()
+        assert np.isnan(dense_grads(model, grads)["attn_logits"][0]).all()
 
     def test_unknown_index_rejected(self, model):
         with pytest.raises(ValidationError):
