@@ -11,6 +11,7 @@ Coordinate conventions used throughout:
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
@@ -36,24 +37,6 @@ class BBox:
 
     def as_list(self):
         return [self.x1, self.y1, self.x2, self.y2]
-
-
-@dataclass
-class SoftMask:
-    """Floored, normalized attention target over a gh x gw grid."""
-
-    grid: np.ndarray
-    floor: float
-
-    def __post_init__(self):
-        self.grid = np.asarray(self.grid, dtype=float)
-        if self.grid.ndim != 2:
-            raise ValidationError("soft mask grid must be 2-D")
-        if abs(float(self.grid.sum()) - 1.0) > 1e-9:
-            raise ValidationError("soft mask must sum to 1")
-        n = self.grid.size
-        if float(self.grid.min()) < self.floor / (1.0 + n * self.floor) - 1e-12:
-            raise ValidationError("soft mask cell below the floor bound")
 
 
 def _center_range(lo, hi, n):
@@ -215,10 +198,12 @@ def _average_pool(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
-def build_soft_mask(box: BBox, image_dims, grid_dims, sigma=0.0, floor=1e-6) -> SoftMask:
-    """Soft attention target for a box: rasterize, blur, pool, floor, normalize.
+def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
+                    floor=1e-6) -> np.ndarray:
+    """Soft attention targets for boxes, as one ``(n, gh, gw)`` stack: each
+    box rasterized, blurred, pooled, floored and normalized.
 
-    The Gaussian blur of the box raster uses a kernel truncated at 3 sigma
+    The Gaussian blur of a box raster uses a kernel truncated at 3 sigma
     with reflected boundaries; sigma = 0 leaves the raster as it is. Average
     pooling reduces the image raster to the grid, the pooled mass is
     normalized to a distribution, and the floor is added to every cell
@@ -229,7 +214,8 @@ def build_soft_mask(box: BBox, image_dims, grid_dims, sigma=0.0, floor=1e-6) -> 
     indicator or all zeros, and the blur filters each column alike, so the
     2-D blur's axis-0 pass is the outer product of the blurred row
     indicator with the column indicator, bit for bit; only the axis-1 pass
-    runs on the image.
+    runs on the image. The filter treats every line of a stack alike, so
+    each mask of the stack equals the mask built on its own, bit for bit.
     """
     height, width = image_dims
     gh, gw = grid_dims
@@ -239,23 +225,34 @@ def build_soft_mask(box: BBox, image_dims, grid_dims, sigma=0.0, floor=1e-6) -> 
         raise ValidationError("sigma must be >= 0")
     if not 0.0 < floor < 1.0 / (gh * gw):
         raise ValidationError(f"floor must lie in (0, 1/{gh * gw})")
-    r0, r1, c0, c1 = box_span(box, height, width)
-    if r0 == r1:
-        raise ValidationError("box is degenerate after denormalization")
-    rows = np.zeros(height)
-    rows[r0:r1] = 1.0
-    cols = np.zeros(width)
-    cols[c0:c1] = 1.0
+    n = len(boxes)
+    rows = np.zeros((n, height))
+    cols = np.zeros((n, width))
+    for k, box in enumerate(boxes):
+        r0, r1, c0, c1 = box_span(box, height, width)
+        if r0 == r1:
+            raise ValidationError("box is degenerate after denormalization")
+        rows[k, r0:r1] = 1.0
+        cols[k, c0:c1] = 1.0
     # gaussian_filter, not gaussian_filter1d: it skips an axis whose sigma
     # is <= 1e-15, where the 1-D filter divides by zero on a subnormal sigma
-    rows = gaussian_filter(rows, sigma, mode="reflect", truncate=3.0)
-    blurred = gaussian_filter(np.outer(rows, cols), (0.0, sigma),
-                              mode="reflect", truncate=3.0)
-    pooled = _average_pool(blurred, gh, gw)
-    pooled /= pooled.sum()
-    pooled += floor
-    pooled /= pooled.sum()
-    return SoftMask(grid=pooled, floor=floor)
+    rows = gaussian_filter(rows, (0.0, sigma), mode="reflect", truncate=3.0)
+    blurred = rows[:, :, np.newaxis] * cols[:, np.newaxis, :]
+    gaussian_filter(blurred, (0.0, 0.0, sigma), output=blurred,
+                    mode="reflect", truncate=3.0)
+    masks = np.empty((n, gh, gw))
+    for k in range(n):
+        masks[k] = _average_pool(blurred[k], gh, gw)
+    # a row of a 2-D sum adds up in the order a 1-D sum does
+    flat = masks.reshape(n, gh * gw)
+    flat /= flat.sum(axis=1, keepdims=True)
+    flat += floor
+    flat /= flat.sum(axis=1, keepdims=True)
+    if np.any(np.abs(flat.sum(axis=1) - 1.0) > 1e-9):
+        raise ValidationError("soft mask must sum to 1")
+    if flat.min(initial=np.inf) < floor / (1.0 + gh * gw * floor) - 1e-12:
+        raise ValidationError("soft mask cell below the floor bound")
+    return masks
 
 
 def kl_rows(attn, target):

@@ -6,7 +6,8 @@ one plain gradient descent step on the batch-mean gradient. The step
 updates the model's parameter arrays in place and touches only the batch's
 Medium attention rows, so a batch costs O(batch), not O(corpus). Medium
 items get the box-derived soft mask as their attention target, built the
-first time the item trains Medium and reused after that.
+first time the item trains Medium and reused after that; a batch builds
+all of its new masks in one stacked call.
 """
 
 from __future__ import annotations
@@ -112,7 +113,9 @@ def run_toy_training(records: Sequence[VqaCotRecord],
         if r0 == r1:
             raise ValidationError(f"record {pos} (image {r.image_id!r}): "
                                   "box is degenerate after denormalization")
-    targets = {}  # item index -> soft mask, built on the item's first Medium use
+    # item index -> soft mask, built in one stacked call per batch for the
+    # batch's records on their first Medium use
+    targets = {}
     domain_keys = [r.domain.as_str() for r in records]
     scheduler = CurriculumScheduler(hp, domains=sorted(set(domain_keys)),
                                     seed=params.seed)
@@ -124,17 +127,18 @@ def run_toy_training(records: Sequence[VqaCotRecord],
             plan = scheduler.plan_batch(params.batch_size,
                                         hard_pool_size=len(records),
                                         main_pool_domains=domain_keys)
+            main = plan.main_indices.tolist()
+            fresh = list(dict.fromkeys(
+                idx for idx, stage in zip(main, plan.main_stages)
+                if stage is medium and idx not in targets))
+            if fresh:
+                targets.update(zip(fresh, build_soft_mask(
+                    [records[idx].box for idx in fresh], params.image_dims,
+                    params.grid_dims, sigma=params.sigma,
+                    floor=params.mask_floor)))
             batch = [(i, hard, None) for i in plan.hard_indices.tolist()]
-            for idx, stage in zip(plan.main_indices.tolist(), plan.main_stages):
-                target = None
-                if stage is medium:
-                    if idx not in targets:
-                        targets[idx] = build_soft_mask(
-                            records[idx].box, params.image_dims,
-                            params.grid_dims, sigma=params.sigma,
-                            floor=params.mask_floor).grid
-                    target = targets[idx]
-                batch.append((idx, stage, target))
+            batch += [(idx, stage, targets[idx] if stage is medium else None)
+                      for idx, stage in zip(main, plan.main_stages)]
             indices, stages, batch_targets = zip(*batch)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):

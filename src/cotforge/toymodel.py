@@ -24,6 +24,7 @@ attention logits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -154,11 +155,16 @@ class ToyModel:
             anchor_index[(r.domain.lesion_class, r.answer)] for r in self.items
         ]
 
-        # cell memberships are fixed by the boxes, so compute them once
-        self._roi_cells = [
-            np.nonzero(cells) for cells in roi_cells(
-                [r.box for r in self.items], self.image_dims, self.grid_dims)]
-        self._roi_count = np.array([rows.size for rows, _ in self._roi_cells])
+        # cell memberships are fixed by the boxes, so compute them once: each
+        # item's ROI as flat cell indices in row-major order, padded to the
+        # largest ROI
+        cells = roi_cells([r.box for r in self.items], self.image_dims,
+                          self.grid_dims).reshape(len(self.items), -1)
+        self._roi_count = np.count_nonzero(cells, axis=1)
+        self._roi_flat = np.zeros((len(self.items), int(self._roi_count.max())),
+                                  dtype=np.intp)
+        self._roi_flat[np.arange(self._roi_flat.shape[1])
+                       < self._roi_count[:, np.newaxis]] = np.nonzero(cells)[1]
         self._answer_ids = np.array(self.answer_ids, dtype=np.intp)
         self._anchor_ids = np.array(self.anchor_ids, dtype=np.intp)
         # sentence ids padded to the longest rationale, and at each position
@@ -274,37 +280,41 @@ class ToyModel:
         return breakdowns, rows, g_attn
 
     def _add_grounding(self, items, weights, grads) -> np.ndarray:
-        """Easy items' 1 - cosine(pooled ROI feature, anchor); adds its gradient."""
-        m = items.size
-        f = np.empty((m, self.feature_dim))
-        a = self.anchors[self._anchor_ids[items]]
-        loss = np.empty(m)
-        coef = np.empty((m, 3))  # cos / |f|^2, cos / |a|^2, |f| |a|
-        for row, idx in enumerate(items.tolist()):
-            # the ROI mean, as ndarray.mean computes it
-            f[row] = (np.add.reduce(self.features[self._roi_cells[idx]], axis=0)
-                      / self._roi_count[idx])
-            nf = np.sqrt(f[row].dot(f[row]))
-            na = np.sqrt(a[row].dot(a[row]))
-            if nf == 0.0 or na == 0.0:
-                raise ValidationError(
-                    "grounding is undefined for a zero-norm vector")
-            cos = f[row].dot(a[row]) / (nf * na)
-            loss[row] = 1.0 - cos
-            # a scalar's ** 2 is libm pow, which an array square does not match
-            coef[row] = cos / nf ** 2, cos / na ** 2, nf * na
-        dl_df = coef[:, :1] * f - a / coef[:, 2:]
-        dl_da = coef[:, 1:2] * a - f / coef[:, 2:]
+        """Easy items' 1 - cosine(pooled ROI feature, anchor); adds its gradient.
+
+        Bit for bit the per-item loop: each ROI mean sums its cells in order
+        (items grouped by cell count), the stacked ``matmul`` dots run the
+        BLAS ``ddot`` that ``ndarray.dot`` runs, and the norms are squared
+        with libm ``pow``, as a scalar ``** 2`` is (an array square differs).
+        The dots read rows of ``(m, d)`` arrays, as the loop did: some BLAS
+        kernels sum in an order that follows a vector's alignment.
+        """
         counts = self._roi_count[items]
+        flat = self._roi_flat[items]
+        cell_features = self.features.reshape(-1, self.feature_dim)
+        f = np.empty((items.size, self.feature_dim))
+        for k in np.unique(counts).tolist():
+            sel = np.flatnonzero(counts == k)
+            # the ROI mean, as ndarray.mean computes it
+            f[sel] = np.add.reduce(cell_features[flat[sel, :k]], axis=1) / k
+        a = self.anchors[self._anchor_ids[items]]
+        nf = np.sqrt(np.matmul(f[:, np.newaxis], f[:, :, np.newaxis]).ravel())
+        na = np.sqrt(np.matmul(a[:, np.newaxis], a[:, :, np.newaxis]).ravel())
+        if not (nf.all() and na.all()):
+            raise ValidationError("grounding is undefined for a zero-norm vector")
+        nfna = nf * na
+        cos = np.matmul(f[:, np.newaxis], a[:, :, np.newaxis]).ravel() / nfna
+        nf2, na2 = (np.array([math.pow(x, 2) for x in v.tolist()]) for v in (nf, na))
+        dl_df = (cos / nf2)[:, np.newaxis] * f - a / nfna[:, np.newaxis]
+        dl_da = (cos / na2)[:, np.newaxis] * a - f / nfna[:, np.newaxis]
         per_cell = np.repeat(weights.w_ground * dl_df / counts[:, np.newaxis],
                              counts, axis=0)
-        cells = [self._roi_cells[idx] for idx in items.tolist()]
-        np.add.at(grads["features"], (np.concatenate([c[0] for c in cells]),
-                                      np.concatenate([c[1] for c in cells])),
+        used = np.arange(flat.shape[1]) < counts[:, np.newaxis]
+        np.add.at(grads["features"], np.divmod(flat[used], self.grid_dims[1]),
                   per_cell)
         np.add.at(grads["anchors"], self._anchor_ids[items],
                   weights.w_ground * dl_da)
-        return loss
+        return 1.0 - cos
 
     def _attention_rows(self, items, targets, weights):
         """Medium items' KL(attention || soft mask), and its gradient as rows.

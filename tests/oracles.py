@@ -18,7 +18,7 @@ from scipy.ndimage import gaussian_filter
 
 from cotforge.errors import ValidationError
 from cotforge.forge import OrganMask
-from cotforge.geometry import BBox, SoftMask, encode_runs, expand_runs
+from cotforge.geometry import BBox, encode_runs, expand_runs
 from cotforge.toymodel import (
     PARAM_KEYS,
     Stage,
@@ -155,6 +155,24 @@ def rasterize_box(box: BBox, height: int, width: int) -> np.ndarray:
     raster = np.zeros((height, width), dtype=bool)
     raster[r0:r1, c0:c1] = True
     return raster
+
+
+@dataclass
+class SoftMask:
+    """Floored, normalized attention target over a gh x gw grid."""
+
+    grid: np.ndarray
+    floor: float
+
+    def __post_init__(self):
+        self.grid = np.asarray(self.grid, dtype=float)
+        if self.grid.ndim != 2:
+            raise ValidationError("soft mask grid must be 2-D")
+        if abs(float(self.grid.sum()) - 1.0) > 1e-9:
+            raise ValidationError("soft mask must sum to 1")
+        n = self.grid.size
+        if float(self.grid.min()) < self.floor / (1.0 + n * self.floor) - 1e-12:
+            raise ValidationError("soft mask cell below the floor bound")
 
 
 def _oracle_soft_mask_pool(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -366,6 +384,35 @@ def oracle_batch_loss(model, indices, stages, targets,
         for i, s, t in zip(indices, stages, targets)
     ]
     return float(np.mean(totals))
+
+
+def oracle_grounding(model, items, w_ground: float):
+    """The Easy grounding of a batch, one item at a time, as the toy model
+    computed it before it went batch-wide: per-item ROI sums, BLAS dots
+    through ``ndarray.dot`` and a scalar ``** 2``. Returns each item's loss
+    and the features and anchors gradients, added in batch order.
+
+    The pooled features and the anchors are rows of ``(m, d)`` arrays, as
+    in that loop: some OpenBLAS kernels (Prescott) sum a dot in an order
+    that depends on the vectors' alignment."""
+    g_features = np.zeros_like(model.features)
+    g_anchors = np.zeros_like(model.anchors)
+    f = np.empty((len(items), model.feature_dim))
+    a = model.anchors[[model.anchor_ids[idx] for idx in items]]
+    loss = []
+    for row, idx in enumerate(items):
+        [cells] = roi_cells([model.items[idx].box], model.image_dims, model.grid_dims)
+        rows, cols = np.nonzero(cells)
+        f[row] = np.add.reduce(model.features[rows, cols], axis=0) / rows.size
+        nf = np.sqrt(f[row].dot(f[row]))
+        na = np.sqrt(a[row].dot(a[row]))
+        cos = f[row].dot(a[row]) / (nf * na)
+        loss.append(1.0 - cos)
+        g_features[rows, cols] += (w_ground * (cos / nf ** 2 * f[row] - a[row] / (nf * na))
+                                   / rows.size)
+        g_anchors[model.anchor_ids[idx]] += w_ground * (cos / na ** 2 * a[row]
+                                                        - f[row] / (nf * na))
+    return np.array(loss), g_features, g_anchors
 
 
 def dense_grads(model, grads) -> dict:

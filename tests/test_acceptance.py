@@ -314,8 +314,8 @@ def test_criterion_7_kl_and_stage_gradients():
     model = ToyModel(corpus, image_dims=(16, 16), grid_dims=(2, 2),
                      feature_dim=3, seed=0)
     indices = list(range(len(corpus)))
-    soft = [build_soft_mask(r.box, (16, 16), (2, 2), sigma=2.0, floor=1e-3).grid
-            for r in corpus]
+    soft = list(build_soft_mask([r.box for r in corpus], (16, 16), (2, 2),
+                                sigma=2.0, floor=1e-3))
     base = param_vector(model)
     worst = 0.0
     for stage in (Stage.EASY, Stage.MEDIUM, Stage.HARD):

@@ -472,7 +472,7 @@ def test_fuzzed_harness_section(key, data):
             return
     # valid, but too large to build in a moment
     assume(max(params.image_dims) <= 256)
-    build_soft_mask(HARNESS_RECORDS[0].box, params.image_dims, params.grid_dims,
+    build_soft_mask([HARNESS_RECORDS[0].box], params.image_dims, params.grid_dims,
                     sigma=params.sigma, floor=params.mask_floor)
     ToyModel(HARNESS_RECORDS, image_dims=params.image_dims,
              grid_dims=params.grid_dims, feature_dim=params.feature_dim,

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cotforge.errors import ValidationError
 from cotforge.geometry import (
     BBox,
-    SoftMask,
     box_intersections,
     box_span,
     build_soft_mask,
@@ -24,6 +23,7 @@ from cotforge.geometry import (
     mask_iou,
 )
 from oracles import (
+    SoftMask,
     oracle_average_pool,
     oracle_box_pixels,
     oracle_box_span,
@@ -291,35 +291,42 @@ class TestMaskIou:
             mask_iou(BBox(0, 0, 1, 1), np.ones((4,), dtype=bool))
 
 
+def soft_mask(box, image_dims, grid_dims, sigma, floor):
+    """One box's soft mask, from a stacked build of one."""
+    masks = build_soft_mask([box], image_dims, grid_dims, sigma=sigma, floor=floor)
+    assert masks.shape == (1,) + tuple(grid_dims)
+    return masks[0]
+
+
 class TestBuildSoftMask:
     def test_quarter_box_on_2x2_grid(self):
         # 8x8 image, 4x4 box in the top-left, sigma 0, grid 2x2:
         # all mass lands in cell (0, 0) before the floor is applied
         box = BBox(0.0, 0.0, 0.5, 0.5)
         floor = 1e-6
-        sm = build_soft_mask(box, (8, 8), (2, 2), sigma=0.0, floor=floor)
+        grid = soft_mask(box, (8, 8), (2, 2), sigma=0.0, floor=floor)
         expected_hot = (1.0 + floor) / (1.0 + 4 * floor)
         expected_cold = floor / (1.0 + 4 * floor)
-        assert sm.grid[0, 0] == pytest.approx(expected_hot, abs=1e-15)
-        assert sm.grid[0, 1] == pytest.approx(expected_cold, abs=1e-15)
-        assert sm.grid[1, 0] == pytest.approx(expected_cold, abs=1e-15)
-        assert sm.grid[1, 1] == pytest.approx(expected_cold, abs=1e-15)
+        assert grid[0, 0] == pytest.approx(expected_hot, abs=1e-15)
+        assert grid[0, 1] == pytest.approx(expected_cold, abs=1e-15)
+        assert grid[1, 0] == pytest.approx(expected_cold, abs=1e-15)
+        assert grid[1, 1] == pytest.approx(expected_cold, abs=1e-15)
 
     def test_full_image_box_is_uniform(self):
-        sm = build_soft_mask(BBox(0, 0, 1, 1), (32, 32), (4, 4), sigma=0.0, floor=1e-6)
-        assert np.allclose(sm.grid, 1.0 / 16.0, atol=1e-12)
-        sm = build_soft_mask(BBox(0, 0, 1, 1), (32, 32), (4, 4), sigma=3.0, floor=1e-6)
-        assert np.allclose(sm.grid, 1.0 / 16.0, atol=1e-12)
+        grid = soft_mask(BBox(0, 0, 1, 1), (32, 32), (4, 4), sigma=0.0, floor=1e-6)
+        assert np.allclose(grid, 1.0 / 16.0, atol=1e-12)
+        grid = soft_mask(BBox(0, 0, 1, 1), (32, 32), (4, 4), sigma=3.0, floor=1e-6)
+        assert np.allclose(grid, 1.0 / 16.0, atol=1e-12)
 
     def test_sigma_zero_grid_equals_image_dims(self):
         # identity pooling: the floored, normalized binary box mask
         box = BBox(0.25, 0.25, 0.75, 0.75)
         floor = 1e-4
-        sm = build_soft_mask(box, (8, 8), (8, 8), sigma=0.0, floor=floor)
+        grid = soft_mask(box, (8, 8), (8, 8), sigma=0.0, floor=floor)
         raster = rasterize_box(box, 8, 8).astype(float)
         ref = raster / raster.sum() + floor
         ref /= ref.sum()
-        assert np.allclose(sm.grid, ref, atol=1e-15)
+        assert np.allclose(grid, ref, atol=1e-15)
 
     def test_matches_reference_average_pool(self):
         rng = np.random.default_rng(23)
@@ -328,21 +335,20 @@ class TestBuildSoftMask:
             h, w = 24, 20
             gh, gw = 6, 5
             floor = 1e-6
-            sm = build_soft_mask(box, (h, w), (gh, gw), sigma=0.0, floor=floor)
+            grid = soft_mask(box, (h, w), (gh, gw), sigma=0.0, floor=floor)
             raster = rasterize_box(box, h, w).astype(float)
             pooled = np.array(oracle_average_pool(raster.tolist(), gh, gw))
             ref = pooled / pooled.sum() + floor
             ref /= ref.sum()
-            assert np.allclose(sm.grid, ref, atol=1e-14)
+            assert np.allclose(grid, ref, atol=1e-14)
 
     def test_translation_equivariance_cell_aligned(self):
         # sigma 0, shifting the box by exactly one grid-cell stride shifts
         # the soft mask by one cell
         base = BBox(0.0, 0.25, 0.25, 0.5)
         shifted = BBox(0.25, 0.25, 0.5, 0.5)
-        a = build_soft_mask(base, (64, 64), (4, 4), sigma=0.0, floor=1e-6)
-        b = build_soft_mask(shifted, (64, 64), (4, 4), sigma=0.0, floor=1e-6)
-        assert np.allclose(np.roll(a.grid, 1, axis=1), b.grid, atol=1e-15)
+        a, b = build_soft_mask([base, shifted], (64, 64), (4, 4), sigma=0.0, floor=1e-6)
+        assert np.allclose(np.roll(a, 1, axis=1), b, atol=1e-15)
 
     @given(
         x1=st.floats(0.0, 0.7),
@@ -354,40 +360,62 @@ class TestBuildSoftMask:
     @settings(max_examples=60, deadline=None)
     def test_distribution_invariants(self, x1, y1, wfrac, sigma, floor):
         box = BBox(x1, y1, min(1.0, x1 + wfrac), min(1.0, y1 + wfrac))
-        sm = build_soft_mask(box, (32, 32), (4, 4), sigma=sigma, floor=floor)
-        assert abs(sm.grid.sum() - 1.0) <= 1e-9
+        grid = soft_mask(box, (32, 32), (4, 4), sigma=sigma, floor=floor)
+        assert abs(grid.sum() - 1.0) <= 1e-9
         lower = floor / (1.0 + 16 * floor)
-        assert sm.grid.min() >= lower - 1e-15
+        assert grid.min() >= lower - 1e-15
 
     def test_degenerate_raster_rejected(self):
-        # with the same error as the full-raster oracle build
+        # with the same error as the full-raster oracle build, also when
+        # the degenerate box comes after good ones in the stack
         box = BBox(10 / 64, 10 / 64, 10.4 / 64, 10.4 / 64)
+        good = BBox(0.1, 0.1, 0.5, 0.5)
         for sigma in (0.0, 2.0):
-            errors = []
-            for build in (build_soft_mask, oracle_build_soft_mask):
-                with pytest.raises(ValidationError) as exc:
-                    build(box, (64, 64), (4, 4), sigma=sigma, floor=1e-6)
-                errors.append(str(exc.value))
-            assert errors[0] == errors[1]
+            with pytest.raises(ValidationError) as want:
+                oracle_build_soft_mask(box, (64, 64), (4, 4), sigma=sigma, floor=1e-6)
+            for boxes in ([box], [good, good, box]):
+                with pytest.raises(ValidationError) as got:
+                    build_soft_mask(boxes, (64, 64), (4, 4), sigma=sigma, floor=1e-6)
+                assert str(got.value) == str(want.value)
 
     def test_floor_range_validated(self):
         box = BBox(0.0, 0.0, 0.5, 0.5)
         with pytest.raises(ValidationError):
-            build_soft_mask(box, (8, 8), (2, 2), sigma=0.0, floor=0.0)
+            build_soft_mask([box], (8, 8), (2, 2), sigma=0.0, floor=0.0)
         with pytest.raises(ValidationError):
-            build_soft_mask(box, (8, 8), (2, 2), sigma=0.0, floor=0.25)
+            build_soft_mask([box], (8, 8), (2, 2), sigma=0.0, floor=0.25)
+
+    def test_no_boxes_give_an_empty_stack(self):
+        masks = build_soft_mask([], (64, 48), (8, 6), sigma=16.0, floor=1e-6)
+        assert masks.shape == (0, 8, 6)
 
 
-def assert_soft_mask_matches_oracle(box, image_dims, grid_dims, sigma, floor=1e-6):
-    got = build_soft_mask(box, image_dims, grid_dims, sigma=sigma, floor=floor)
-    want = oracle_build_soft_mask(box, image_dims, grid_dims, sigma=sigma, floor=floor)
-    assert np.array_equal(got.grid, want.grid), (box, image_dims, grid_dims, sigma)
+def assert_soft_masks_match_oracle(boxes, image_dims, grid_dims, sigma, floor=1e-6):
+    """One stacked build equals the oracle's build of each box on its own."""
+    got = build_soft_mask(boxes, image_dims, grid_dims, sigma=sigma, floor=floor)
+    assert got.shape == (len(boxes),) + tuple(grid_dims)
+    for box, mask in zip(boxes, got):
+        want = oracle_build_soft_mask(box, image_dims, grid_dims, sigma=sigma, floor=floor)
+        assert np.array_equal(mask, want.grid), (box, image_dims, grid_dims, sigma)
+
+
+def random_boxes(rng, min_side, image_dims):
+    """One to five random boxes that cover a pixel center at image_dims, the
+    first repeated at the end."""
+    boxes = []
+    for _ in range(int(rng.integers(1, 6))):
+        box = random_box(rng, min_side)
+        while box_span(box, *image_dims)[1] == 0:
+            box = random_box(rng, min_side)
+        boxes.append(box)
+    return boxes + boxes[:1]
 
 
 class TestSoftMaskMatchesOracle:
-    """build_soft_mask equals the full-raster, 2-D blur, loop-pool build
-    (`oracle_build_soft_mask`) bit for bit, on each side of every condition
-    that picks the block-mean pool."""
+    """One stacked build_soft_mask call equals the full-raster, 2-D blur,
+    loop-pool build (`oracle_build_soft_mask`) of each box bit for bit, on
+    each side of every condition that picks the block-mean pool. Every stack
+    repeats its first box."""
 
     def test_random_boxes_grids_that_divide(self):
         rng = np.random.default_rng(41)
@@ -395,8 +423,9 @@ class TestSoftMaskMatchesOracle:
             gh, gw = (int(v) for v in rng.integers(1, 9, size=2))
             bh, bw = (int(v) for v in rng.integers(1, 13, size=2))
             sigma = float(rng.choice([0.0, 0.7, 2.5, 16.0]))
-            assert_soft_mask_matches_oracle(
-                random_box(rng, min_side=0.3), (gh * bh, gw * bw), (gh, gw), sigma)
+            image_dims = (gh * bh, gw * bw)
+            assert_soft_masks_match_oracle(
+                random_boxes(rng, 0.3, image_dims), image_dims, (gh, gw), sigma)
 
     def test_random_boxes_grids_that_do_not_divide(self):
         rng = np.random.default_rng(43)
@@ -405,8 +434,8 @@ class TestSoftMaskMatchesOracle:
             gh = int(rng.integers(1, h + 1))
             gw = int(rng.integers(1, w + 1))
             sigma = float(rng.choice([0.0, 0.7, 2.5, 16.0]))
-            assert_soft_mask_matches_oracle(
-                random_box(rng, min_side=0.5), (h, w), (gh, gw), sigma)
+            assert_soft_masks_match_oracle(
+                random_boxes(rng, 0.5, (h, w)), (h, w), (gh, gw), sigma)
 
     @pytest.mark.parametrize("bh", [7, 8, 16])
     def test_one_pixel_wide_blocks(self, bh):
@@ -417,8 +446,8 @@ class TestSoftMaskMatchesOracle:
             gh = int(rng.integers(1, 5))
             gw = int(rng.integers(2, 9))
             sigma = float(rng.uniform(0.3, 3.0))
-            assert_soft_mask_matches_oracle(
-                random_box(rng, min_side=0.5), (gh * bh, gw), (gh, gw), sigma)
+            assert_soft_masks_match_oracle(
+                random_boxes(rng, 0.5, (gh * bh, gw)), (gh * bh, gw), (gh, gw), sigma)
 
     @pytest.mark.parametrize("image_dims, cells", [
         ((128, 256), 8192),   # 64 x 128 blocks: one numpy buffer exactly
@@ -427,11 +456,12 @@ class TestSoftMaskMatchesOracle:
     ])
     def test_blocks_at_the_buffer_size(self, image_dims, cells):
         assert (image_dims[0] // 2) * (image_dims[1] // 2) == cells
+        assert cells >= np.getbufsize()
         rng = np.random.default_rng(cells)
         for _ in range(4):
             sigma = float(rng.uniform(0.5, 8.0))
-            assert_soft_mask_matches_oracle(
-                random_box(rng, min_side=0.3), image_dims, (2, 2), sigma)
+            assert_soft_masks_match_oracle(
+                random_boxes(rng, 0.3, image_dims), image_dims, (2, 2), sigma)
 
     @pytest.mark.parametrize("sigma", [0.0, 5e-324, 1e-16, 0.2, 16.0, 64.0])
     def test_sigma_edges(self, sigma):
@@ -441,8 +471,25 @@ class TestSoftMaskMatchesOracle:
         for image_dims, grid_dims in (((64, 48), (8, 8)), ((64, 48), (5, 7)),
                                       ((64, 48), (8, 48))):
             for _ in range(10):
-                assert_soft_mask_matches_oracle(
-                    random_box(rng, min_side=0.1), image_dims, grid_dims, sigma)
+                assert_soft_masks_match_oracle(
+                    random_boxes(rng, 0.1, image_dims), image_dims, grid_dims, sigma)
+
+    @pytest.mark.parametrize("image_dims, grid_dims", [
+        ((64, 64), (8, 8)),     # the default: the block mean
+        ((50, 37), (8, 6)),     # a grid that does not divide: the loop
+        ((16, 5), (2, 5)),      # bw == 1: the loop
+    ])
+    def test_a_stack_of_one(self, image_dims, grid_dims):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            assert_soft_masks_match_oracle(
+                [random_box(rng, min_side=0.4)], image_dims, grid_dims, 4.0)
+
+    def test_a_stack_of_one_box_repeated(self):
+        box = BBox(0.2, 0.3, 0.7, 0.6)
+        masks = build_soft_mask([box] * 5, (64, 64), (8, 8), sigma=16.0, floor=0.01)
+        assert all(np.array_equal(mask, masks[0]) for mask in masks)
+        assert_soft_masks_match_oracle([box] * 5, (64, 64), (8, 8), 16.0, floor=0.01)
 
 
 def kl_one(attn, target):

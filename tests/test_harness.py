@@ -13,7 +13,13 @@ from cotforge.errors import ValidationError
 from cotforge.geometry import BBox
 from cotforge.harness import HarnessParams, run_toy_training
 from cotforge.jsonl import read_corpus
-from cotforge.scheduler import SchedulerHyperparams, Trace
+from cotforge.scheduler import (
+    BatchPlan,
+    CurriculumScheduler,
+    SchedulerHyperparams,
+    Stage,
+    Trace,
+)
 from cotforge.toymodel import ToyModel
 
 from corpus_utils import record, tiny_corpus
@@ -145,16 +151,17 @@ class TestTraceShape:
 class TestSoftMasksOnFirstMediumUse:
     @pytest.fixture
     def built(self, monkeypatch):
-        """The box of every soft mask the harness builds, in build order."""
-        boxes = []
+        """The boxes of each stacked soft-mask build the harness makes, one
+        list per call, in call order."""
+        calls = []
         real = harness.build_soft_mask
 
-        def counting(box, *args, **kwargs):
-            boxes.append(box)
-            return real(box, *args, **kwargs)
+        def counting(boxes, *args, **kwargs):
+            calls.append(list(boxes))
+            return real(boxes, *args, **kwargs)
 
         monkeypatch.setattr(harness, "build_soft_mask", counting)
-        return boxes
+        return calls
 
     def test_warmup_run_builds_none(self, built):
         trace = run_toy_training(tiny_corpus(), small_params())
@@ -163,12 +170,29 @@ class TestSoftMasksOnFirstMediumUse:
 
     def test_default_run_builds_each_mask_at_most_once(self, built):
         records = read_corpus(str(FIXTURES / "toy_corpus.jsonl"))
-        trace = run_toy_training(records)
+        params = HarnessParams()
+        trace = run_toy_training(records, params)
         assert sum(r.counts["medium"] for r in trace.reports) > len(records)
-        per_record = Counter(id(box) for box in built)
+        # at most one stacked build per batch, and never an empty one
+        assert 0 < len(built) <= params.epochs * params.batches_per_epoch
+        assert all(built)
+        per_record = Counter(id(box) for boxes in built for box in boxes)
         assert 0 < len(per_record) <= len(records)
         assert max(per_record.values()) == 1
         assert {id(r.box) for r in records} >= set(per_record)
+
+    def test_a_fresh_medium_record_drawn_twice_in_a_batch_is_built_once(
+            self, built, monkeypatch):
+        def twice(scheduler, batch_size, hard_pool_size, main_pool_domains):
+            return BatchPlan(hard_indices=np.empty(0, dtype=np.int64),
+                             main_indices=np.array([2, 0, 2]),
+                             main_stages=[Stage.MEDIUM, Stage.EASY, Stage.MEDIUM])
+
+        monkeypatch.setattr(CurriculumScheduler, "plan_batch", twice)
+        corpus = tiny_corpus()
+        trace = run_toy_training(corpus, small_params(epochs=2))
+        assert sum(r.counts["medium"] for r in trace.reports) == 8
+        assert [[id(box) for box in boxes] for boxes in built] == [[id(corpus[2].box)]]
 
     def test_box_between_pixel_centers_rejected_before_training(self, built):
         corpus = tiny_corpus()

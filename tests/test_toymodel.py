@@ -5,7 +5,12 @@ central finite differences over the flattened parameter vector, computed
 here from loss evaluations only. The two routes never share code.
 """
 
+import ctypes
+import glob
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +28,7 @@ from oracles import (
     dense_grads,
     finite_difference_check,
     oracle_batch_loss,
+    oracle_grounding,
     oracle_item_loss,
     param_vector,
     set_param_vector,
@@ -55,10 +61,8 @@ def item_grads(model, idx, stage, **kwargs):
 
 
 def targets_for(model):
-    return [
-        build_soft_mask(r.box, IMAGE_DIMS, GRID_DIMS, sigma=0.0, floor=1e-4)
-        .grid for r in model.items
-    ]
+    return list(build_soft_mask([r.box for r in model.items], IMAGE_DIMS,
+                                GRID_DIMS, sigma=0.0, floor=1e-4))
 
 
 class TestConstruction:
@@ -288,8 +292,8 @@ FIXTURE_CORPUS = (Path(__file__).parents[1] / "src" / "cotforge" / "fixtures"
 def batch_step_peak_bytes(records, indices, stages):
     """tracemalloc peak of one batch gradient plus its step, default model."""
     model = ToyModel(records)
-    targets = [build_soft_mask(records[i].box, model.image_dims, model.grid_dims,
-                               sigma=16.0, floor=0.01).grid
+    targets = [build_soft_mask([records[i].box], model.image_dims, model.grid_dims,
+                               sigma=16.0, floor=0.01)[0]
                if s == Stage.MEDIUM else None for i, s in zip(indices, stages)]
     # one untraced batch first, so one-time allocations are not counted
     model.step(model.batch_loss_and_grads(indices, stages, targets)[1], 0.005)
@@ -365,3 +369,93 @@ class TestValidation:
         with pytest.raises(ValidationError):
             model.batch_loss_and_grads([0, 1], [Stage.HARD], [None, None],
                                        StageLossWeights())
+
+
+GROUNDING_DIMS = (1, 3, 16, 257)
+
+
+def assert_grounding_matches_oracle(feature_dim):
+    """The batch-wide grounding equals the per-item loop bit for bit: losses,
+    features gradient and anchors gradient, on random batches (repeats
+    included) of the bundled corpus, at two grids."""
+    records = read_corpus(str(Path(__file__).parents[1] / "src" / "cotforge"
+                              / "fixtures" / "toy_corpus.jsonl"))
+    rng = np.random.default_rng(feature_dim)
+    weights = StageLossWeights(w_ground=2.0)
+    for image_dims, grid_dims in (((64, 64), (8, 8)), ((50, 37), (7, 5))):
+        model = ToyModel(records, image_dims=image_dims, grid_dims=grid_dims,
+                         feature_dim=feature_dim, seed=feature_dim)
+        for _ in range(15):
+            items = rng.integers(0, len(records), size=int(rng.integers(1, 40)))
+            grads = {key: np.zeros_like(getattr(model, key))
+                     for key in ("features", "anchors")}
+            loss = model._add_grounding(items, weights, grads)
+            want = oracle_grounding(model, items.tolist(), weights.w_ground)
+            assert np.array_equal(loss, want[0])
+            assert np.array_equal(grads["features"], want[1])
+            assert np.array_equal(grads["anchors"], want[2])
+
+
+def openblas_corename():
+    """The kernel name of the OpenBLAS that numpy bundles, or None when numpy
+    bundles none this can find."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes = []
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def cpu_flags():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as info:
+            return {flag for line in info if line.startswith("flags")
+                    for flag in line.split(":", 1)[1].split()}
+    except OSError:
+        return set()
+
+
+class TestGroundingMatchesOracle:
+    @pytest.mark.parametrize("feature_dim", GROUNDING_DIMS)
+    def test_bit_for_bit(self, feature_dim):
+        assert_grounding_matches_oracle(feature_dim)
+
+    def test_zero_norm_rejected(self, model):
+        model.anchors[:] = 0.0
+        grads = {key: np.zeros_like(getattr(model, key)) for key in ("features", "anchors")}
+        with pytest.raises(ValidationError,
+                           match="grounding is undefined for a zero-norm vector"):
+            model._add_grounding(np.array([0, 1]), StageLossWeights(), grads)
+
+    # the CPU flags each OpenBLAS kernel needs, since forcing a kernel the
+    # CPU lacks stops the process with an illegal instruction; and the names
+    # OpenBLAS reports it by (a build without its older-core set aliases
+    # those cores to Prescott and names it after the first, Katmai)
+    @pytest.mark.parametrize("coretype, needs, names", [
+        ("Haswell", {"avx2", "fma"}, {"Haswell"}),
+        ("Sandybridge", {"avx"}, {"Sandybridge"}),
+        ("Prescott", {"pni"}, {"Prescott", "Katmai"}),  # pni: SSE3
+    ])
+    def test_bit_for_bit_under_openblas_kernel(self, coretype, needs, names):
+        """The stacked dots run the same ddot as ndarray.dot on other
+        kernels too, each of which sums in its own order."""
+        missing = needs - cpu_flags()
+        if missing:
+            pytest.skip(f"the CPU lacks {sorted(missing)} for {coretype}")
+        tests = os.path.dirname(__file__)
+        path = [tests, os.path.join(os.path.dirname(tests), "src"),
+                os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+               "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        code = ("import test_toymodel as t\n"
+                "for d in t.GROUNDING_DIMS: t.assert_grounding_matches_oracle(d)\n"
+                "print(t.openblas_corename())")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        corename = run.stdout.split()[-1]
+        if corename not in names | {"None"}:
+            pytest.skip(f"OpenBLAS ran {corename}, not {coretype}")
