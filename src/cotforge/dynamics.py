@@ -143,8 +143,8 @@ def run_dynamics_sim(spec: DynamicsSpec) -> Trace:
             for stage, dyn in stages.items():
                 total = dyn.total.value(epoch, rng)
                 cot = dyn.cot.value(epoch, rng) if dyn.cot is not None else None
-                for _ in range(dyn.count):
-                    scheduler.observe(domain, stage, total, cot_loss=cot)
+                n = dyn.count
+                scheduler.observe([domain] * n, [stage] * n, [total] * n, [cot] * n)
         reports.append(scheduler.end_of_epoch())
     header = {
         "kind": "header",

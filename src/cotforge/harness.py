@@ -1,8 +1,9 @@
 """End-to-end toy training: corpus in, per-epoch curriculum trace out.
 
 Each batch is planned by the scheduler (hard slots first, then per-item
-stage coins), evaluated on the toy model in one batch call, and applied as
-one plain gradient descent step on the batch-mean gradient. The step
+stage coins), evaluated on the toy model in one batch call, observed by the
+scheduler in one call, and applied as one plain gradient descent step on
+the batch-mean gradient. The step
 updates the model's parameter arrays in place and touches only the batch's
 Medium attention rows, so a batch costs O(batch), not O(corpus). Medium
 items get the box-derived soft mask as their attention target, built the
@@ -142,18 +143,20 @@ def run_toy_training(records: Sequence[VqaCotRecord],
             indices, stages, batch_targets = zip(*batch)
             try:
                 with np.errstate(over="raise", invalid="raise", divide="raise"):
-                    breakdowns, grads = model.batch_loss_and_grads(
+                    losses, grads = model.batch_loss_and_grads(
                         indices, stages, batch_targets, weights=params.weights
                     )
-                    for idx, breakdown in zip(indices, breakdowns):
-                        if not np.isfinite(breakdown.total):
-                            raise ValidationError(
-                                f"non-finite loss at epoch {epoch}, batch {batch_no}, "
-                                f"item {records[idx].image_id!r} "
-                                f"({breakdown.stage.value})"
-                            )
-                        scheduler.observe(domain_keys[idx], breakdown.stage,
-                                          breakdown.total, cot_loss=breakdown.cot)
+                    finite = np.isfinite(losses.total)
+                    if not finite.all():
+                        k = int(finite.argmin())  # the first non-finite item
+                        raise ValidationError(
+                            f"non-finite loss at epoch {epoch}, batch {batch_no}, "
+                            f"item {records[indices[k]].image_id!r} ({stages[k].value})")
+                    # the hard items come first and carry no rationale loss
+                    n_hard = plan.hard_indices.size
+                    scheduler.observe([domain_keys[idx] for idx in indices], stages,
+                                      losses.total.tolist(),
+                                      [None] * n_hard + losses.cot[n_hard:].tolist())
                     model.step(grads, params.lr)
             except FloatingPointError as exc:
                 raise ValidationError(

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
@@ -258,19 +258,6 @@ class BatchPlan:
     main_stages: List[Stage]
 
 
-def plan_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
-               main_pool_size: int,
-               p_medium_per_item: np.ndarray,
-               rng: np.random.Generator) -> BatchPlan:
-    """Draw one batch: hard slots first, then stage coins for the rest.
-
-    ``p_medium_per_item`` is an array aligned with the main pool. Draws are
-    without replacement within the batch; the budget never changes here.
-    """
-    p = _checked_p_medium(p_medium_per_item, main_pool_size)
-    return _draw_batch(batch_size, lambda_hard, hard_pool_size, p, rng)
-
-
 def _checked_p_medium(p_medium_per_item, main_pool_size: int) -> np.ndarray:
     p = np.asarray(p_medium_per_item, dtype=float)
     if p.shape != (main_pool_size,):
@@ -283,7 +270,8 @@ def _checked_p_medium(p_medium_per_item, main_pool_size: int) -> np.ndarray:
 
 def _draw_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
                 p: np.ndarray, rng: np.random.Generator) -> BatchPlan:
-    """``plan_batch`` on a main pool whose probabilities ``p`` are checked."""
+    """One batch, hard slots first, then stage coins for the rest, drawn
+    without replacement from a main pool whose probabilities ``p`` are checked."""
     if batch_size < 1:
         raise ValidationError(f"batch_size must be at least 1, got {batch_size}")
     if not 0.0 <= lambda_hard <= 1.0:
@@ -340,9 +328,9 @@ class CurriculumScheduler:
     """Stage assignment and budget control across a training run.
 
     Usage per epoch: ``start_epoch`` (fixes beta and per-domain medium
-    probabilities), any number of ``plan_batch``/``observe`` calls, then
-    ``end_of_epoch`` which returns the epoch's report and moves the budget
-    through ``close_epoch``.
+    probabilities), any number of ``plan_batch``/``observe`` calls (one
+    ``observe`` per batch of losses), then ``end_of_epoch`` which returns
+    the epoch's report and moves the budget through ``close_epoch``.
     """
 
     def __init__(self, hyperparams: SchedulerHyperparams,
@@ -372,7 +360,8 @@ class CurriculumScheduler:
         # the loss per domain and the rationale loss
         self._counts = {s: 0 for s in Stage}
         self._total = _Accumulator()
-        self._by_domain = {_EASY: {}, _MEDIUM: {}}
+        self._by_domain = {_EASY: defaultdict(_Accumulator),
+                           _MEDIUM: defaultdict(_Accumulator)}
         self._cot = {_EASY: _Accumulator(), _MEDIUM: _Accumulator()}
         # the last main pool planned this epoch, and its checked probabilities
         self._pool: Optional[List[str]] = None
@@ -401,33 +390,39 @@ class CurriculumScheduler:
         return _draw_batch(batch_size, self.lambda_hard, hard_pool_size,
                            self._pool_p_medium, self.rng)
 
-    def observe(self, domain: str, stage: Union[Stage, str], total_loss: float,
-                cot_loss: Optional[float] = None):
+    def observe(self, domains: Sequence[str], stages: Sequence[Union[Stage, str]],
+                totals: Sequence[float], cots: Sequence[Optional[float]]):
+        """Add a batch's losses, item by item in order, to the open epoch.
+
+        Per item: its domain, its stage (a member or its string), its total
+        loss, and its rationale loss, or None for none (a NaN is a loss).
+        """
         if self._open is None:
             raise ValidationError("observe called outside an epoch")
-        if stage not in self._counts:  # one key per Stage; a value finds it
-            raise ValidationError(f"unknown stage {stage!r}")
-        if domain not in self.domains:
-            # first seen mid-epoch: no progress or probability was fixed for it
-            self.domains[domain] = DomainEma()
-        self._counts[stage] += 1
-        self._total.add(total_loss)
-        if stage != _HARD:
-            self._by_domain[stage].setdefault(domain, _Accumulator()).add(total_loss)
-            if cot_loss is not None:
-                self._cot[stage].add(cot_loss)
-        elif cot_loss is not None:
-            raise ValidationError("hard items carry no rationale loss")
+        if not len(domains) == len(stages) == len(totals) == len(cots):
+            raise ValidationError("domains, stages, totals and cots must align")
+        for domain, stage, total, cot in zip(domains, stages, totals, cots):
+            if stage not in self._counts:  # one key per Stage; a value finds it
+                raise ValidationError(f"unknown stage {stage!r}")
+            if domain not in self.domains:
+                # first seen mid-epoch: no progress or probability was fixed for it
+                self.domains[domain] = DomainEma()
+            self._counts[stage] += 1
+            self._total.add(total)
+            if stage != _HARD:
+                self._by_domain[stage][domain].add(total)
+                if cot is not None:
+                    self._cot[stage].add(cot)
+            elif cot is not None:
+                raise ValidationError("hard items carry no rationale loss")
 
     def end_of_epoch(self) -> EpochReport:
         ctx = self._open
         if ctx is None:
             raise ValidationError("end_of_epoch called outside an epoch")
-        empty = _Accumulator()
         domains = {}
         for key in self.domains:
-            easy = self._by_domain[_EASY].get(key, empty)
-            med = self._by_domain[_MEDIUM].get(key, empty)
+            easy, med = self._by_domain[_EASY][key], self._by_domain[_MEDIUM][key]
             domains[key] = DomainEpochStats(
                 mean_easy=easy.mean(), count_easy=easy.count,
                 mean_med=med.mean(), count_med=med.count,

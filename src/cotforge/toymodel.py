@@ -16,24 +16,25 @@ pair. All gradients are derived in closed form. The tests hold the
 reference forward pass, the loss oracle and the finite-difference check,
 so the analytic route here can disagree with an independent one.
 
-A batch costs what its items cost, not what the corpus costs. The batch
-gradient carries only the Medium items' attention rows, and a step updates
-the parameter arrays in place, touching only those rows of the per-item
-attention logits.
+A batch costs what its items cost, not what the corpus costs. Its losses
+come back as one record of per-item arrays, ``StageLosses``, which one
+``stage_loss`` call per batch combines. The batch gradient carries only the
+Medium items' attention rows, and a step updates the parameter arrays in
+place, touching only those rows of the per-item attention logits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import ValidationError
 from .forge import VqaCotRecord, split_sentences
 from .geometry import BBox, kl_rows
-from .scheduler import _EASY, _HARD, Stage
+from .scheduler import _EASY, _MEDIUM, Stage
 
 PARAM_KEYS = ("ans_logits", "cot_logits", "attn_logits", "features", "anchors")
 # the parameters whose batch gradient is a full-size array; the attention
@@ -54,35 +55,35 @@ class StageLossWeights:
                 raise ValidationError(f"{name} must be non-negative")
 
 
-@dataclass
-class StageLossBreakdown:
-    stage: Stage
-    total: float
-    answer: float
-    cot: Optional[float] = None
-    grounding: Optional[float] = None
-    attention: Optional[float] = None
+class StageLosses(NamedTuple):
+    """A batch's losses, one float per item in batch order. A component the
+    item's stage does not use is NaN; Hard items use the answer alone."""
+
+    total: np.ndarray
+    answer: np.ndarray
+    cot: np.ndarray
+    grounding: np.ndarray
+    attention: np.ndarray
 
 
-def stage_loss(stage: Stage, weights: StageLossWeights, answer: float,
-               cot: float, grounding: float, attention: float) -> StageLossBreakdown:
-    """One item's breakdown: its loss components combined by the stage recipe.
+def stage_loss(easy: np.ndarray, medium: np.ndarray, weights: StageLossWeights,
+               answer: np.ndarray, cot: np.ndarray, grounding: np.ndarray,
+               attention: np.ndarray) -> StageLosses:
+    """A batch's components combined by the stage recipe; ``easy`` and
+    ``medium`` index those items, and every other item is Hard.
 
     Easy weighs answer, rationale and grounding; Medium weighs answer,
     rationale and attention; Hard is the answer loss alone, whatever the
-    weights. A component the stage does not use is ignored.
+    weights. Totals are those of Python floats: an overflow gives inf, not
+    an error, so the caller's finite check names the item.
     """
-    if stage == _HARD:
-        return StageLossBreakdown(stage=stage, total=answer, answer=answer)
-    if stage == _EASY:
-        total = (weights.w_ans * answer + weights.w_cot * cot
-                 + weights.w_ground * grounding)
-        return StageLossBreakdown(stage=stage, total=total, answer=answer,
-                                  cot=cot, grounding=grounding)
-    total = (weights.w_ans * answer + weights.w_cot * cot
-             + weights.w_attn * attention)
-    return StageLossBreakdown(stage=stage, total=total, answer=answer,
-                              cot=cot, attention=attention)
+    total = answer.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        total[easy] = (weights.w_ans * answer[easy] + weights.w_cot * cot[easy]
+                       + weights.w_ground * grounding[easy])
+        total[medium] = (weights.w_ans * answer[medium] + weights.w_cot * cot[medium]
+                         + weights.w_attn * attention[medium])
+    return StageLosses(total, answer, cot, grounding, attention)
 
 
 def roi_cells(boxes: Sequence[BBox], image_dims: tuple,
@@ -199,21 +200,21 @@ class ToyModel:
         target_attention: Optional[np.ndarray] = None,
         weights: StageLossWeights = StageLossWeights(),
         *, grads: Dict[str, np.ndarray],
-    ) -> StageLossBreakdown:
-        """Add this item's loss gradient into ``grads`` in place.
+    ) -> StageLosses:
+        """This item's losses; adds its loss gradient into ``grads`` in place.
 
         The one-item case of the batch routine. ``grads`` holds one
         full-size buffer per parameter, the attention logits included; the
         caller owns (and zeroes) it. Only the rows the item touches change.
         """
-        [breakdown], rows, g_attn = self._add_loss_grads(
+        losses, rows, g_attn = self._add_loss_grads(
             [idx], [stage], [target_attention], weights, grads)
         grads["attn_logits"][rows] += g_attn
-        return breakdown
+        return losses
 
     def _add_loss_grads(self, indices, stages, targets, weights, grads
-                        ) -> Tuple[List[StageLossBreakdown], np.ndarray, np.ndarray]:
-        """Every item's breakdown, with each item's gradient added in.
+                        ) -> Tuple[StageLosses, np.ndarray, np.ndarray]:
+        """The batch's losses, with each item's gradient added in.
 
         The heads, features and anchors add into the full-size buffers of
         ``grads``. The attention gradient is returned as rows: the sorted
@@ -222,7 +223,7 @@ class ToyModel:
 
         Parameters do not change inside a batch, so each head's softmax is
         computed once and the Medium attention rows as one array.
-        ``stage_loss`` combines each item's components, and every buffer
+        ``stage_loss`` combines the components in one call, and every buffer
         receives its items' contributions in batch order (``np.add.at`` adds
         repeated indices in turn), so the results are bit for bit those of
         adding the items one at a time.
@@ -232,12 +233,10 @@ class ToyModel:
         self._check_idx(int(items.min()))
         self._check_idx(int(items.max()))
         n = items.size
-        main, easy, medium = [], [], []
-        for i, s in enumerate(stages):
-            if s is not _HARD:
-                main.append(i)
-                (easy if s is _EASY else medium).append(i)
-        main, easy, medium = (np.array(ix, np.intp) for ix in (main, easy, medium))
+        is_easy, is_medium = (np.array([s is want for s in stages])
+                              for want in (_EASY, _MEDIUM))
+        main, easy, medium = (np.flatnonzero(m) for m in
+                              (is_easy | is_medium, is_easy, is_medium))
         l_cot, l_ground, l_attn = np.full((3, n), np.nan)
 
         answer_ids = self._answer_ids[items]
@@ -273,11 +272,8 @@ class ToyModel:
             l_attn[medium], rows, g_attn = self._attention_rows(
                 items[medium], [targets[j] for j in medium], weights)
 
-        breakdowns = [stage_loss(stage, weights, ans, cot, ground, attn)
-                      for stage, ans, cot, ground, attn in zip(
-                          stages, l_ans.tolist(), l_cot.tolist(),
-                          l_ground.tolist(), l_attn.tolist())]
-        return breakdowns, rows, g_attn
+        losses = stage_loss(easy, medium, weights, l_ans, l_cot, l_ground, l_attn)
+        return losses, rows, g_attn
 
     def _add_grounding(self, items, weights, grads) -> np.ndarray:
         """Easy items' 1 - cosine(pooled ROI feature, anchor); adds its gradient.
@@ -344,8 +340,8 @@ class ToyModel:
         self, indices: Sequence[int], stages: Sequence,
         targets: Sequence[Optional[np.ndarray]],
         weights: StageLossWeights = StageLossWeights(),
-    ) -> Tuple[List[StageLossBreakdown], Dict[str, np.ndarray]]:
-        """Per-item breakdowns in batch order, and the batch-mean gradient.
+    ) -> Tuple[StageLosses, Dict[str, np.ndarray]]:
+        """The per-item losses in batch order, and the batch-mean gradient.
 
         The gradient holds one full-size array per head, feature grid and
         anchor table. The attention logits get rows only:
@@ -358,12 +354,12 @@ class ToyModel:
         if not indices:
             raise ValidationError("empty batch")
         grads = {key: np.zeros_like(getattr(self, key)) for key in _DENSE_KEYS}
-        breakdowns, grads["attn_rows"], grads["attn_logits"] = self._add_loss_grads(
+        losses, grads["attn_rows"], grads["attn_logits"] = self._add_loss_grads(
             indices, stages, targets, weights, grads)
         scale = 1.0 / len(indices)
         for key in PARAM_KEYS:
             grads[key] *= scale
-        return breakdowns, grads
+        return losses, grads
 
     def step(self, grads: Dict[str, np.ndarray], lr: float):
         """One descent step ``p - lr * g``, in place, on the rows ``grads`` names.

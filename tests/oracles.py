@@ -4,9 +4,11 @@ Everything here is written as straight-line code on purpose: slow, obvious,
 and independent of the vectorized production paths. The loss oracle is the
 toy model's forward pass and stage recipe, one item at a time, with its own
 copy of the recipe; the finite-difference check treats a loss as a black box.
+The epoch oracle adds a scheduler's observed losses one item at a time.
 The helpers build organ masks from dense arrays, decode them back, read
-or set the toy model's parameters as one flat vector, and widen a batch
-gradient's attention rows to a full-size array.
+or set the toy model's parameters as one flat vector, widen a batch
+gradient's attention rows to a full-size array, and plan a batch from
+explicit per-item probabilities.
 """
 
 import math
@@ -19,13 +21,15 @@ from scipy.ndimage import gaussian_filter
 from cotforge.errors import ValidationError
 from cotforge.forge import OrganMask
 from cotforge.geometry import BBox, encode_runs, expand_runs
-from cotforge.toymodel import (
-    PARAM_KEYS,
-    Stage,
-    StageLossBreakdown,
-    StageLossWeights,
-    roi_cells,
+from cotforge.scheduler import (
+    BatchPlan,
+    DomainEpochStats,
+    EpochContext,
+    EpochReport,
+    _checked_p_medium,
+    _draw_batch,
 )
+from cotforge.toymodel import PARAM_KEYS, Stage, StageLossWeights, roi_cells
 
 
 def organ_mask(label, dense) -> OrganMask:
@@ -284,6 +288,19 @@ def oracle_grounding_loss(feature_vec: np.ndarray, anchor_vec: np.ndarray) -> fl
     return float(1.0 - f.dot(a) / (nf * na))
 
 
+@dataclass
+class StageLossBreakdown:
+    """One item's loss components and stage total; None where the stage
+    does not use a component."""
+
+    stage: Stage
+    total: float
+    answer: float
+    cot: Optional[float] = None
+    grounding: Optional[float] = None
+    attention: Optional[float] = None
+
+
 def _as_stage(stage: Union[Stage, str]) -> Stage:
     try:
         return Stage(stage)
@@ -457,3 +474,60 @@ def finite_difference_check(f: Callable[[np.ndarray], float],
         denom = max(abs(grad[i]), abs(numeric), guard)
         worst = max(worst, abs(grad[i] - numeric) / denom)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the scheduler's batch draw and epoch statistics
+
+
+def plan_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
+               main_pool_size: int, p_medium_per_item: np.ndarray,
+               rng: np.random.Generator) -> BatchPlan:
+    """One batch drawn as ``CurriculumScheduler.plan_batch`` draws it, from
+    explicit per-item medium probabilities aligned with the main pool."""
+    p = _checked_p_medium(p_medium_per_item, main_pool_size)
+    return _draw_batch(batch_size, lambda_hard, hard_pool_size, p, rng)
+
+
+def oracle_epoch_report(ctx: EpochContext, domains, items) -> EpochReport:
+    """The report ``end_of_epoch`` owes for an epoch's observed items, before
+    ``close_epoch`` stamps it: each loss added into its sums one item at a
+    time, in order. ``domains`` are the scheduler's domains when the epoch
+    opened; ``items`` are (domain, stage, total, cot) tuples, cot None when
+    the item carries no rationale loss."""
+    keys = list(domains)
+    counts = {s: 0 for s in Stage}
+    total, n_total = 0.0, 0
+    sums = {}  # (stage, domain) -> [sum, count]
+    cot = {Stage.EASY: [0.0, 0], Stage.MEDIUM: [0.0, 0]}
+    for domain, stage, loss, cot_loss in items:
+        stage = Stage(stage)
+        if domain not in keys:
+            keys.append(domain)
+        counts[stage] += 1
+        total += loss
+        n_total += 1
+        if stage != Stage.HARD:
+            acc = sums.setdefault((stage, domain), [0.0, 0])
+            acc[0] += loss
+            acc[1] += 1
+            if cot_loss is not None:
+                cot[stage][0] += cot_loss
+                cot[stage][1] += 1
+
+    def mean(acc):
+        return acc[0] / acc[1] if acc[1] else None
+
+    stats = {}
+    for key in keys:
+        easy = sums.get((Stage.EASY, key), [0.0, 0])
+        med = sums.get((Stage.MEDIUM, key), [0.0, 0])
+        stats[key] = DomainEpochStats(
+            mean_easy=mean(easy), count_easy=easy[1], mean_med=mean(med),
+            count_med=med[1], progress_used=ctx.progress.get(key))
+    return EpochReport(
+        epoch=ctx.epoch, beta=ctx.beta, lambda_hard=ctx.lambda_hard,
+        domains=stats, mean_total=mean([total, n_total]), count_total=n_total,
+        cot_easy_mean=mean(cot[Stage.EASY]), cot_easy_count=cot[Stage.EASY][1],
+        cot_med_mean=mean(cot[Stage.MEDIUM]), cot_med_count=cot[Stage.MEDIUM][1],
+        counts=counts)

@@ -23,6 +23,7 @@ from oracles import (
     oracle_batch_loss,
     organ_mask,
     param_vector,
+    plan_batch,
     set_param_vector,
 )
 from cotforge import cli, fixture_path
@@ -36,7 +37,6 @@ from cotforge.scheduler import (
     EpochReport,
     SchedulerHyperparams,
     p_medium,
-    plan_batch,
     ramp,
     update_ema,
 )
@@ -256,11 +256,11 @@ def test_criterion_5_budget_safety_randomized():
             ctx = sched.start_epoch()
             for _ in range(3):
                 stage = stages[int(rng.integers(0, 3))]
-                sched.observe("a|CT" if rng.random() < 0.5 else "b|MR",
-                              stage,
-                              float(rng.uniform(0.1, 3.0)),
-                              cot_loss=None if stage == "hard"
-                              else float(rng.uniform(0.0, 1.0)))
+                sched.observe(["a|CT" if rng.random() < 0.5 else "b|MR"],
+                              [stage],
+                              [float(rng.uniform(0.1, 3.0))],
+                              [None if stage == "hard"
+                               else float(rng.uniform(0.0, 1.0))])
             report = sched.end_of_epoch()
             if not 0.0 <= ctx.lambda_hard <= lam_max:
                 violations += 1

@@ -282,6 +282,24 @@ def test_overflowing_training_is_one_error_line(tmp_path, path):
     assert "overflow" in stderr
 
 
+@pytest.mark.parametrize("path,message", [
+    (("harness", "weights", "w_cot"),
+     "non-finite loss at epoch 1, batch 0, item 'ct_cyst_000' (easy)"),
+    (("harness", "weights", "w_attn"),
+     "non-finite loss at epoch 8, batch 1, item 'ct_mass_025' (medium)"),
+], ids=["w_cot", "w_attn"])
+def test_overflowing_loss_names_its_item(tmp_path, path, message):
+    # the weighted total overflows to inf, and the first such item in batch
+    # order is named; nothing else in the batch overflows first
+    config = _patched(TRAIN_CONFIG, path, 1e308)
+    argv = ["train-toy", "--corpus", write_jsonl(tmp_path / "corpus.jsonl", TRAIN_CORPUS),
+            "--out", tmp_path / "trace.jsonl",
+            "--config", write_json(tmp_path / "c.json", config)]
+    code, stderr = run_main(argv)
+    assert_clean_exit(code, stderr, expected=1)
+    assert stderr == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("width,height", [(8193, 64), (2**31, 2**31)],
                          ids=["width-8193", "side-2**31"])
 def test_oversized_image_is_one_error_line(tmp_path, width, height):

@@ -6,6 +6,7 @@ constant epoch means make delta-m-bar exactly 0 from epoch 2, so the
 plateau window (last q deltas) first fills at epoch q + 1.
 """
 
+import dataclasses
 import math
 import statistics
 from collections import deque
@@ -26,10 +27,11 @@ from cotforge.scheduler import (
     domain_progress,
     median_progress,
     p_medium,
-    plan_batch,
     ramp,
     update_ema,
 )
+
+from oracles import oracle_epoch_report, plan_batch
 
 
 class TestUpdateEma:
@@ -194,16 +196,13 @@ class TestPlanBatch:
 
 
 def drive_epoch(sched, easy=(), med=(), hard=(), cot_easy=None, cot_med=None):
-    """Feed one epoch of per-item losses through the scheduler."""
+    """Feed one epoch of per-item losses through the scheduler, one batch."""
     sched.start_epoch()
-    for i, loss in enumerate(easy):
-        c = None if cot_easy is None else cot_easy[i]
-        sched.observe("mass|CT", "easy", loss, cot_loss=c)
-    for i, loss in enumerate(med):
-        c = None if cot_med is None else cot_med[i]
-        sched.observe("mass|CT", "medium", loss, cot_loss=c)
-    for loss in hard:
-        sched.observe("mass|CT", "hard", loss)
+    stages = ["easy"] * len(easy) + ["medium"] * len(med) + ["hard"] * len(hard)
+    cots = ([None] * len(easy) if cot_easy is None else list(cot_easy))
+    cots += ([None] * len(med) if cot_med is None else list(cot_med))
+    cots += [None] * len(hard)
+    sched.observe(["mass|CT"] * len(stages), stages, [*easy, *med, *hard], cots)
     return sched.end_of_epoch()
 
 
@@ -311,27 +310,112 @@ class TestSchedulerStateMachine:
         with pytest.raises(ValidationError, match="plan_batch called outside"):
             sched.plan_batch(1, hard_pool_size=1, main_pool_domains=["d"])
         with pytest.raises(ValidationError, match="observe called outside"):
-            sched.observe("d", Stage.EASY, 1.0)
+            sched.observe(["d"], [Stage.EASY], [1.0], [None])
         with pytest.raises(ValidationError, match="end_of_epoch called outside"):
             sched.end_of_epoch()
         sched.start_epoch()
         with pytest.raises(ValidationError, match="not closed"):
             sched.start_epoch()
         with pytest.raises(ValidationError, match="unknown stage 'easiest'"):
-            sched.observe("d", "easiest", 1.0)
+            sched.observe(["d", "d"], [Stage.EASY, "easiest"], [1.0, 1.0], [None, None])
         sched.end_of_epoch()
         sched.start_epoch()  # closed, so a new epoch may open
+
+    @pytest.mark.parametrize("cot", [0.5, math.nan], ids=["loss", "nan"])
+    def test_a_hard_item_with_a_rationale_loss_rejected(self, cot):
+        # None marks "no rationale loss"; a NaN is a loss that arrived
+        sched = CurriculumScheduler(SchedulerHyperparams(), domains=["d"], seed=0)
+        sched.start_epoch()
+        with pytest.raises(ValidationError, match="hard items carry no rationale loss"):
+            sched.observe(["d", "new", "d"], [Stage.EASY, Stage.EASY, "hard"],
+                          [1.0, 2.0, 3.0], [0.5, None, cot])
+
+    def test_misaligned_batch_rejected(self):
+        sched = CurriculumScheduler(SchedulerHyperparams(), domains=["d"], seed=0)
+        sched.start_epoch()
+        with pytest.raises(ValidationError, match="must align"):
+            sched.observe(["d", "d"], [Stage.EASY], [1.0, 2.0], [None, None])
 
     def test_domain_first_seen_mid_epoch(self):
         sched = CurriculumScheduler(SchedulerHyperparams(), domains=["a"], seed=0)
         sched.start_epoch()
-        sched.observe("b", Stage.EASY, 1.0)
-        sched.observe("b", Stage.MEDIUM, 0.5)
+        sched.observe(["b", "b"], [Stage.EASY, Stage.MEDIUM], [1.0, 0.5], [None, None])
         stats = sched.end_of_epoch().domains["b"]
         assert (stats.count_easy, stats.count_med, stats.progress_used) == (1, 1, None)
         ctx = sched.start_epoch()
         assert ctx.progress == {"a": None, "b": domain_progress(1.0, 0.5, 1e-8)}
         assert sched.end_of_epoch().domains["b"].progress_used == ctx.progress["b"]
+
+
+def assert_same_report(got, want):
+    """Every field of two reports equal by ==, two NaNs counting as equal."""
+    def same(a, b):
+        return a == b or (a != a and b != b)
+
+    for f in dataclasses.fields(EpochReport):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name != "domains":
+            assert same(a, b), (f.name, a, b)
+            continue
+        assert list(a) == list(b)
+        for key in a:
+            for g in dataclasses.fields(DomainEpochStats):
+                x, y = getattr(a[key], g.name), getattr(b[key], g.name)
+                assert same(x, y), (key, g.name, x, y)
+
+
+def random_batch(rng, nan_totals):
+    """A batch of mixed stages (members and strings), known, repeated and
+    new domains, losses over many magnitudes so that the order of addition
+    shows, and Easy/Medium rationale losses that are missing or NaN."""
+    stages = [Stage.EASY, "easy", Stage.MEDIUM, "medium", Stage.HARD, "hard"]
+    domains = ["a|CT", "b|MR", "a|CT", "new0|CT", "new1|US"]
+    batch = []
+    for _ in range(int(rng.integers(0, 12))):
+        stage = stages[int(rng.integers(0, len(stages)))]
+        total = float(rng.uniform(0.0, 1.0) * 10.0 ** rng.integers(-8, 9))
+        if nan_totals and rng.random() < 0.1:
+            total = math.nan
+        u = rng.random()
+        cot = (None if stage == "hard" or u < 0.25 else math.nan if u < 0.35
+               else float(rng.uniform(0.0, 1.0) * 10.0 ** rng.integers(-8, 9)))
+        batch.append((domains[int(rng.integers(0, len(domains)))], stage, total, cot))
+    return batch
+
+
+class TestBatchObserve:
+    """A batch's statistics equal, bit for bit, those of adding its items one
+    at a time in order (the per-item loop in oracles.py)."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_reports_equal_the_per_item_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        hp = SchedulerHyperparams(warmup_epochs=1, kappa=2.0, q=2)
+        sched = CurriculumScheduler(hp, domains=["a|CT", "b|MR"], seed=seed)
+        reference = CurriculumScheduler(hp, domains=["a|CT", "b|MR"], seed=seed)
+        epochs = 6
+        for epoch in range(1, epochs + 1):
+            before = list(sched.domains)
+            ctx = sched.start_epoch()
+            items = []
+            for _ in range(int(rng.integers(0, 5))):
+                batch = random_batch(rng, nan_totals=epoch == epochs)
+                sched.observe(*[[item[k] for item in batch] for k in range(4)])
+                items += batch
+            got = sched.end_of_epoch()
+            want = oracle_epoch_report(ctx, before, items)
+            reference.close_epoch(want)
+            assert_same_report(got, want)
+        assert sched.lambda_hard == reference.lambda_hard
+
+    def test_none_is_no_rationale_loss_and_nan_is_one(self):
+        sched = CurriculumScheduler(SchedulerHyperparams(), domains=["d"], seed=0)
+        sched.start_epoch()
+        sched.observe(["d"] * 4, ["easy", "easy", "medium", "medium"],
+                      [1.0, 2.0, 3.0, 4.0], [None, 0.5, math.nan, None])
+        report = sched.end_of_epoch()
+        assert (report.cot_easy_count, report.cot_easy_mean) == (1, 0.5)
+        assert report.cot_med_count == 1 and math.isnan(report.cot_med_mean)
 
 
 class TestPoolProbabilities:
@@ -382,8 +466,8 @@ class TestPoolProbabilities:
         hp = SchedulerHyperparams(warmup_epochs=0)
         sched = CurriculumScheduler(hp, domains=["d"], seed=0)
         sched.start_epoch()
-        sched.observe("d", Stage.EASY, math.nan)
-        sched.observe("d", Stage.MEDIUM, 1.0)
+        sched.observe(["d", "d"], [Stage.EASY, Stage.MEDIUM], [math.nan, 1.0],
+                      [None, None])
         sched.end_of_epoch()
         assert math.isnan(sched.start_epoch().p_medium["d"])
         with pytest.raises(ValidationError,
@@ -402,8 +486,7 @@ class TestStage:
         sched.start_epoch()
         plan = sched.plan_batch(4, hard_pool_size=4, main_pool_domains=["d"] * 4)
         assert [type(s) for s in plan.main_stages] == [Stage] * 4
-        sched.observe("d", Stage.EASY, 1.0, cot_loss=0.5)
-        sched.observe("d", "easy", 3.0, cot_loss=0.5)
+        sched.observe(["d", "d"], [Stage.EASY, "easy"], [1.0, 3.0], [0.5, 0.5])
         report = sched.end_of_epoch()
         assert report.counts["easy"] == 2 and report.domains["d"].mean_easy == 2.0
         assert report.to_json_dict()["counts"] == {"easy": 2, "medium": 0, "hard": 0}

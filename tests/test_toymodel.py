@@ -20,7 +20,7 @@ import pytest
 from cotforge.errors import ValidationError
 from cotforge.geometry import build_soft_mask
 from cotforge.jsonl import read_corpus
-from cotforge.toymodel import PARAM_KEYS, Stage, StageLossWeights, ToyModel
+from cotforge.toymodel import PARAM_KEYS, Stage, StageLossWeights, ToyModel, stage_loss
 
 from corpus_utils import tiny_corpus
 from oracles import (
@@ -54,10 +54,10 @@ def moved(model):
 
 
 def item_grads(model, idx, stage, **kwargs):
-    """One item's loss breakdown and its gradient, added into a zeroed buffer."""
+    """One item's losses and its gradient, added into a zeroed buffer."""
     grads = {key: np.zeros_like(getattr(model, key)) for key in PARAM_KEYS}
-    breakdown = model.item_loss_and_grads(idx, stage, grads=grads, **kwargs)
-    return breakdown, grads
+    losses = model.item_loss_and_grads(idx, stage, grads=grads, **kwargs)
+    return losses, grads
 
 
 def targets_for(model):
@@ -73,8 +73,8 @@ class TestConstruction:
 
     def test_initial_answer_loss_is_log_vocab(self, model):
         # zero logits make the answer head uniform
-        breakdown, _ = item_grads(model, 0, Stage.HARD)
-        assert breakdown.total == pytest.approx(math.log(3.0), abs=1e-12)
+        losses, _ = item_grads(model, 0, Stage.HARD)
+        assert losses.total.tolist() == [pytest.approx(math.log(3.0), abs=1e-12)]
 
     def test_same_seed_same_params(self):
         a = ToyModel(tiny_corpus(), image_dims=IMAGE_DIMS, grid_dims=GRID_DIMS,
@@ -211,12 +211,17 @@ class TestBatchMatchesItems:
 
     def test_breakdowns_equal_the_oracle(self, moved):
         targets = mixed_targets(moved)
-        breakdowns, _ = moved.batch_loss_and_grads(
+        losses, _ = moved.batch_loss_and_grads(
             MIXED_INDICES, MIXED_STAGES, targets, MIXED_WEIGHTS)
-        for got, i, s, t in zip(breakdowns, MIXED_INDICES, MIXED_STAGES, targets):
+        assert all(len(column) == len(MIXED_INDICES) for column in losses)
+        for k, (i, s, t) in enumerate(zip(MIXED_INDICES, MIXED_STAGES, targets)):
             want = oracle_item_loss(moved, i, s, target_attention=t,
                                     weights=MIXED_WEIGHTS)
-            assert got == want  # every field, exactly
+            # every component, exactly; NaN where the oracle has none
+            for name, column in losses._asdict().items():
+                value = getattr(want, name)
+                got = column[k].item()
+                assert math.isnan(got) if value is None else got == value, (k, name)
 
     def test_gradient_equals_items_added_in_order(self, moved):
         targets = mixed_targets(moved)
@@ -327,23 +332,23 @@ class TestTraining:
         weights = StageLossWeights()
         losses = []
         for _ in range(5):
-            breakdowns, grads = model.batch_loss_and_grads(indices, stages,
-                                                           targets, weights)
-            losses.append(np.mean([b.total for b in breakdowns]))
+            batch, grads = model.batch_loss_and_grads(indices, stages,
+                                                      targets, weights)
+            losses.append(np.mean(batch.total))
             model.step(grads, lr=0.05)
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
     def test_medium_training_pulls_attention_toward_target(self, model):
         target = targets_for(model)[0]
         weights = StageLossWeights()
-        before = item_grads(model, 0, Stage.MEDIUM,
-                            target_attention=target)[0].attention
+        [before] = item_grads(model, 0, Stage.MEDIUM,
+                              target_attention=target)[0].attention
         for _ in range(20):
             _, grads = model.batch_loss_and_grads([0], [Stage.MEDIUM], [target],
                                                   weights)
             model.step(grads, lr=0.5)
-        after = item_grads(model, 0, Stage.MEDIUM,
-                           target_attention=target)[0].attention
+        [after] = item_grads(model, 0, Stage.MEDIUM,
+                             target_attention=target)[0].attention
         assert after < before
 
 
@@ -355,11 +360,28 @@ class TestValidation:
     def test_nan_attention_makes_the_loss_nan(self, model):
         # a NaN cell counts in the divergence, so the finite check downstream sees it
         model.attn_logits[0] = np.nan
-        [breakdown], grads = model.batch_loss_and_grads(
+        losses, grads = model.batch_loss_and_grads(
             [0], [Stage.MEDIUM], [targets_for(model)[0]])
-        assert math.isnan(breakdown.attention)
-        assert math.isnan(breakdown.total)
+        assert np.isnan(losses.attention).all() and losses.attention.shape == (1,)
+        assert np.isnan(losses.total).all()
         assert np.isnan(dense_grads(model, grads)["attn_logits"][0]).all()
+
+    def test_the_recipe_gives_python_float_totals_and_never_raises(self):
+        # the harness evaluates batches with overflow and invalid raising; a
+        # total that overflows (or is 0 * inf) must still reach its finite check
+        w = StageLossWeights(w_ans=0.5, w_cot=1e308, w_ground=0.0, w_attn=3.0)
+        answer = np.array([1.0, 1.0, 1.0, 0.3])
+        cot = np.array([2.0, 0.5, np.nan, 0.5])
+        grounding = np.array([0.5, math.inf, np.nan, np.nan])
+        attention = np.array([np.nan, np.nan, np.nan, 0.25])
+        with np.errstate(all="raise"):
+            losses = stage_loss(np.array([0, 1]), np.array([3]), w, answer, cot,
+                                grounding, attention)
+        easy = [0.5 * a + 1e308 * c + 0.0 * g
+                for a, c, g in zip([1.0, 1.0], [2.0, 0.5], [0.5, math.inf])]
+        want = easy + [1.0, 0.5 * 0.3 + 1e308 * 0.5 + 3.0 * 0.25]
+        assert math.isinf(want[0]) and math.isnan(want[1])
+        assert np.array_equal(losses.total, want, equal_nan=True)
 
     def test_unknown_index_rejected(self, model):
         with pytest.raises(ValidationError):
