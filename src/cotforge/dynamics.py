@@ -21,6 +21,8 @@ from .errors import ValidationError, load_json, read_object
 from .scheduler import CurriculumScheduler, SchedulerHyperparams, Stage, Trace
 
 BUILTIN_SCENARIOS = ("plateau", "rise", "mixed")
+# Largest item count of a domain's stage; each epoch lists every item.
+MAX_STAGE_COUNT = 1_000_000
 
 
 def builtin_scenario_path(name: str) -> Path:
@@ -90,8 +92,8 @@ class StageDynamics:
     cot: Optional[CurveSpec] = None
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValidationError("count must be a positive int")
+        if not 1 <= self.count <= MAX_STAGE_COUNT:
+            raise ValidationError(f"count must be an int in [1, {MAX_STAGE_COUNT}]")
 
 
 @dataclass(frozen=True)

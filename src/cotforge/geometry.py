@@ -18,6 +18,9 @@ from scipy.ndimage import gaussian_filter
 
 from .errors import ValidationError
 
+# Most image pixels in one stacked soft-mask build: 32 MiB of float64.
+MAX_SOFT_MASK_PIXELS = 1 << 22
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -215,7 +218,9 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     2-D blur's axis-0 pass is the outer product of the blurred row
     indicator with the column indicator, bit for bit; only the axis-1 pass
     runs on the image. The filter treats every line of a stack alike, so
-    each mask of the stack equals the mask built on its own, bit for bit.
+    each mask of the stack equals the mask built on its own, bit for bit;
+    that lets a long list build in chunks of at most ``MAX_SOFT_MASK_PIXELS``
+    image pixels (and at least one mask), which bounds the stack's memory.
     """
     height, width = image_dims
     gh, gw = grid_dims
@@ -226,23 +231,26 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     if not 0.0 < floor < 1.0 / (gh * gw):
         raise ValidationError(f"floor must lie in (0, 1/{gh * gw})")
     n = len(boxes)
-    rows = np.zeros((n, height))
-    cols = np.zeros((n, width))
-    for k, box in enumerate(boxes):
-        r0, r1, c0, c1 = box_span(box, height, width)
-        if r0 == r1:
-            raise ValidationError("box is degenerate after denormalization")
-        rows[k, r0:r1] = 1.0
-        cols[k, c0:c1] = 1.0
-    # gaussian_filter, not gaussian_filter1d: it skips an axis whose sigma
-    # is <= 1e-15, where the 1-D filter divides by zero on a subnormal sigma
-    rows = gaussian_filter(rows, (0.0, sigma), mode="reflect", truncate=3.0)
-    blurred = rows[:, :, np.newaxis] * cols[:, np.newaxis, :]
-    gaussian_filter(blurred, (0.0, 0.0, sigma), output=blurred,
-                    mode="reflect", truncate=3.0)
     masks = np.empty((n, gh, gw))
-    for k in range(n):
-        masks[k] = _average_pool(blurred[k], gh, gw)
+    chunk = max(1, MAX_SOFT_MASK_PIXELS // (height * width))
+    for start in range(0, n, chunk):
+        part = boxes[start:start + chunk]
+        rows = np.zeros((len(part), height))
+        cols = np.zeros((len(part), width))
+        for k, box in enumerate(part):
+            r0, r1, c0, c1 = box_span(box, height, width)
+            if r0 == r1:
+                raise ValidationError("box is degenerate after denormalization")
+            rows[k, r0:r1] = 1.0
+            cols[k, c0:c1] = 1.0
+        # gaussian_filter, not gaussian_filter1d: it skips an axis whose sigma
+        # is <= 1e-15, where the 1-D filter divides by zero on a subnormal sigma
+        rows = gaussian_filter(rows, (0.0, sigma), mode="reflect", truncate=3.0)
+        blurred = rows[:, :, np.newaxis] * cols[:, np.newaxis, :]
+        gaussian_filter(blurred, (0.0, 0.0, sigma), output=blurred,
+                        mode="reflect", truncate=3.0)
+        for k in range(len(part)):
+            masks[start + k] = _average_pool(blurred[k], gh, gw)
     # a row of a 2-D sum adds up in the order a 1-D sum does
     flat = masks.reshape(n, gh * gw)
     flat /= flat.sum(axis=1, keepdims=True)

@@ -123,11 +123,10 @@ def run_toy_training(records: Sequence[VqaCotRecord],
     hard, medium = Stage.HARD, Stage.MEDIUM
     reports: List[EpochReport] = []
     for epoch in range(1, params.epochs + 1):
-        scheduler.start_epoch()
+        scheduler.start_epoch(domain_keys)
         for batch_no in range(params.batches_per_epoch):
             plan = scheduler.plan_batch(params.batch_size,
-                                        hard_pool_size=len(records),
-                                        main_pool_domains=domain_keys)
+                                        hard_pool_size=len(records))
             main = plan.main_indices.tolist()
             fresh = list(dict.fromkeys(
                 idx for idx, stage in zip(main, plan.main_stages)

@@ -327,8 +327,9 @@ class _Accumulator:
 class CurriculumScheduler:
     """Stage assignment and budget control across a training run.
 
-    Usage per epoch: ``start_epoch`` (fixes beta and per-domain medium
-    probabilities), any number of ``plan_batch``/``observe`` calls (one
+    Usage per epoch: ``start_epoch`` (fixes beta, the per-domain medium
+    probabilities and, from the main pool's domains, each pool item's
+    probability), any number of ``plan_batch``/``observe`` calls (one
     ``observe`` per batch of losses), then ``end_of_epoch`` which returns
     the epoch's report and moves the budget through ``close_epoch``.
     """
@@ -344,7 +345,9 @@ class CurriculumScheduler:
         self.rng = np.random.default_rng(seed)
         self._open: Optional[EpochContext] = None  # the open epoch, if any
 
-    def start_epoch(self) -> EpochContext:
+    def start_epoch(self, main_pool_domains: Sequence[str] = ()) -> EpochContext:
+        """Open the next epoch; ``main_pool_domains`` names each main-pool
+        item's domain, and fixes the pool ``plan_batch`` draws from."""
         if self._open is not None:
             raise ValidationError("previous epoch was not closed")
         hp = self.hp
@@ -356,6 +359,9 @@ class CurriculumScheduler:
             known = ema.ema_easy is not None and ema.ema_med is not None
             progress[key] = g if known else None
             p_med[key] = p_medium(g, beta, hp.gamma, hp.tau)
+        # the main pool's per-item probabilities, fixed for the epoch
+        self._pool_p_medium = _checked_p_medium(
+            [p_med.get(d, 0.0) for d in main_pool_domains], len(main_pool_domains))
         # the epoch's items per stage and total loss; for Easy and Medium,
         # the loss per domain and the rationale loss
         self._counts = {s: 0 for s in Stage}
@@ -363,30 +369,15 @@ class CurriculumScheduler:
         self._by_domain = {_EASY: defaultdict(_Accumulator),
                            _MEDIUM: defaultdict(_Accumulator)}
         self._cot = {_EASY: _Accumulator(), _MEDIUM: _Accumulator()}
-        # the last main pool planned this epoch, and its checked probabilities
-        self._pool: Optional[List[str]] = None
-        self._pool_p_medium: Optional[np.ndarray] = None
         self._open = EpochContext(epoch=self.epoch, beta=beta,
                                    lambda_hard=self.lambda_hard,
                                    progress=progress, p_medium=p_med)
         return self._open
 
-    def plan_batch(self, batch_size: int, hard_pool_size: int,
-                   main_pool_domains: Sequence[str]) -> BatchPlan:
-        """Assign stages for one batch; main_pool_domains aligns with the pool.
-
-        The per-item probabilities are fixed for the epoch, so they are
-        built and checked once per epoch and pool, and reused while each
-        batch names an equal pool.
-        """
+    def plan_batch(self, batch_size: int, hard_pool_size: int) -> BatchPlan:
+        """Assign stages for one batch from the main pool the epoch opened with."""
         if self._open is None:
             raise ValidationError("plan_batch called outside an epoch")
-        pool = list(main_pool_domains)
-        if pool != self._pool:
-            p_med = self._open.p_medium
-            self._pool_p_medium = _checked_p_medium(
-                [p_med.get(d, 0.0) for d in pool], len(pool))
-            self._pool = pool
         return _draw_batch(batch_size, self.lambda_hard, hard_pool_size,
                            self._pool_p_medium, self.rng)
 

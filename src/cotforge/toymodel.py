@@ -16,11 +16,13 @@ pair. All gradients are derived in closed form. The tests hold the
 reference forward pass, the loss oracle and the finite-difference check,
 so the analytic route here can disagree with an independent one.
 
-A batch costs what its items cost, not what the corpus costs. Its losses
-come back as one record of per-item arrays, ``StageLosses``, which one
-``stage_loss`` call per batch combines. The batch gradient carries only the
-Medium items' attention rows, and a step updates the parameter arrays in
-place, touching only those rows of the per-item attention logits.
+A batch costs what its items cost, not what the corpus costs. One routine,
+``batch_loss_and_grads``, computes every loss and gradient; one item is a
+batch of one. Its losses come back as one record of per-item arrays,
+``StageLosses``, which one ``stage_loss`` call per batch combines. The batch
+gradient carries only the Medium items' attention rows, and a step updates
+the parameter arrays in place, touching only those rows of the per-item
+attention logits.
 """
 
 from __future__ import annotations
@@ -189,37 +191,28 @@ class ToyModel:
         self.anchors = rng.normal(0.0, 0.1,
                                   size=(len(self.anchor_keys), self.feature_dim))
 
-    def _check_idx(self, idx: int):
-        if not 0 <= idx < len(self.items):
-            raise ValidationError(f"item index {idx} out of range")
-
     # ----- losses and gradients -----
 
     def item_loss_and_grads(
         self, idx: int, stage: Union[Stage, str],
         target_attention: Optional[np.ndarray] = None,
         weights: StageLossWeights = StageLossWeights(),
-        *, grads: Dict[str, np.ndarray],
-    ) -> StageLosses:
-        """This item's losses; adds its loss gradient into ``grads`` in place.
+    ) -> Tuple[StageLosses, Dict[str, np.ndarray]]:
+        """One item's losses and gradient: the one-item batch."""
+        return self.batch_loss_and_grads([idx], [stage], [target_attention], weights)
 
-        The one-item case of the batch routine. ``grads`` holds one
-        full-size buffer per parameter, the attention logits included; the
-        caller owns (and zeroes) it. Only the rows the item touches change.
-        """
-        losses, rows, g_attn = self._add_loss_grads(
-            [idx], [stage], [target_attention], weights, grads)
-        grads["attn_logits"][rows] += g_attn
-        return losses
+    def batch_loss_and_grads(
+        self, indices: Sequence[int], stages: Sequence,
+        targets: Sequence[Optional[np.ndarray]],
+        weights: StageLossWeights = StageLossWeights(),
+    ) -> Tuple[StageLosses, Dict[str, np.ndarray]]:
+        """The per-item losses in batch order, and the batch-mean gradient.
 
-    def _add_loss_grads(self, indices, stages, targets, weights, grads
-                        ) -> Tuple[StageLosses, np.ndarray, np.ndarray]:
-        """The batch's losses, with each item's gradient added in.
-
-        The heads, features and anchors add into the full-size buffers of
-        ``grads``. The attention gradient is returned as rows: the sorted
-        Medium item indices and their summed gradients, one ``grid_dims``
-        array each.
+        The gradient holds one full-size array per head, feature grid and
+        anchor table. The attention logits get rows only:
+        ``grads["attn_logits"][k]`` is the gradient of the item
+        ``grads["attn_rows"][k]``, for the batch's sorted unique Medium
+        items; every other item's attention gradient is zero.
 
         Parameters do not change inside a batch, so each head's softmax is
         computed once and the Medium attention rows as one array.
@@ -228,11 +221,17 @@ class ToyModel:
         repeated indices in turn), so the results are bit for bit those of
         adding the items one at a time.
         """
+        if not (len(indices) == len(stages) == len(targets)):
+            raise ValidationError("indices, stages and targets must align")
+        if not indices:
+            raise ValidationError("empty batch")
         stages = [s if type(s) is Stage else Stage(s) for s in stages]
         items = np.asarray(indices, dtype=np.intp)
-        self._check_idx(int(items.min()))
-        self._check_idx(int(items.max()))
+        for idx in (int(items.min()), int(items.max())):
+            if not 0 <= idx < len(self.items):
+                raise ValidationError(f"item index {idx} out of range")
         n = items.size
+        grads = {key: np.zeros_like(getattr(self, key)) for key in _DENSE_KEYS}
         is_easy, is_medium = (np.array([s is want for s in stages])
                               for want in (_EASY, _MEDIUM))
         main, easy, medium = (np.flatnonzero(m) for m in
@@ -271,9 +270,13 @@ class ToyModel:
         if medium.size:
             l_attn[medium], rows, g_attn = self._attention_rows(
                 items[medium], [targets[j] for j in medium], weights)
+        grads["attn_rows"], grads["attn_logits"] = rows, g_attn
 
         losses = stage_loss(easy, medium, weights, l_ans, l_cot, l_ground, l_attn)
-        return losses, rows, g_attn
+        scale = 1.0 / n
+        for key in PARAM_KEYS:
+            grads[key] *= scale
+        return losses, grads
 
     def _add_grounding(self, items, weights, grads) -> np.ndarray:
         """Easy items' 1 - cosine(pooled ROI feature, anchor); adds its gradient.
@@ -335,31 +338,6 @@ class ToyModel:
         np.add.at(summed, inverse,
                   (weights.w_attn * g_attn).reshape((-1,) + self.grid_dims))
         return kl, rows, summed
-
-    def batch_loss_and_grads(
-        self, indices: Sequence[int], stages: Sequence,
-        targets: Sequence[Optional[np.ndarray]],
-        weights: StageLossWeights = StageLossWeights(),
-    ) -> Tuple[StageLosses, Dict[str, np.ndarray]]:
-        """The per-item losses in batch order, and the batch-mean gradient.
-
-        The gradient holds one full-size array per head, feature grid and
-        anchor table. The attention logits get rows only:
-        ``grads["attn_logits"][k]`` is the gradient of the item
-        ``grads["attn_rows"][k]``, for the batch's sorted unique Medium
-        items; every other item's attention gradient is zero.
-        """
-        if not (len(indices) == len(stages) == len(targets)):
-            raise ValidationError("indices, stages and targets must align")
-        if not indices:
-            raise ValidationError("empty batch")
-        grads = {key: np.zeros_like(getattr(self, key)) for key in _DENSE_KEYS}
-        losses, grads["attn_rows"], grads["attn_logits"] = self._add_loss_grads(
-            indices, stages, targets, weights, grads)
-        scale = 1.0 / len(indices)
-        for key in PARAM_KEYS:
-            grads[key] *= scale
-        return losses, grads
 
     def step(self, grads: Dict[str, np.ndarray], lr: float):
         """One descent step ``p - lr * g``, in place, on the rows ``grads`` names.

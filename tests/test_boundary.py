@@ -186,26 +186,91 @@ TYPE_CASES = [
 ]
 
 
+def _patched_argv(tmp: Path, kind: str, path, value):
+    """A command that reads one input of ``kind`` with ``path`` set to ``value``:
+    a config (through ``forge``), a scenario, a corpus or a dataset."""
+    if kind == "config":
+        io_paths = {"dataset": str(write_jsonl(tmp / "d.jsonl", DATASET)),
+                    "masks": str(write_jsonl(tmp / "m.jsonl", MASKS)),
+                    "out": str(tmp / "corpus.jsonl")}
+        config = _patched({**CONFIG, "io": {**CONFIG["io"], **io_paths}}, path, value)
+        return ["forge", "--config", write_json(tmp / "c.json", config)]
+    if kind == "scenario":
+        return ["simulate", "--scenario",
+                write_json(tmp / "s.json", _patched(SCENARIO, path, value)),
+                "--out", tmp / "trace.jsonl"]
+    if kind == "corpus":
+        return ["validate", "--corpus",
+                write_jsonl(tmp / "c.jsonl", _patched(CORPUS, path, value))]
+    return forge_argv(tmp, dataset=_patched(DATASET, path, value))
+
+
 @pytest.mark.parametrize("kind,path,value,code,names",
                          [case[1:] for case in TYPE_CASES],
                          ids=[case[0] for case in TYPE_CASES])
 def test_wrong_json_type_is_one_error_line(tmp_path, kind, path, value, code, names):
-    if kind == "config":
-        io_paths = {"dataset": str(write_jsonl(tmp_path / "d.jsonl", DATASET)),
-                    "masks": str(write_jsonl(tmp_path / "m.jsonl", MASKS)),
-                    "out": str(tmp_path / "corpus.jsonl")}
-        config = _patched({**CONFIG, "io": {**CONFIG["io"], **io_paths}}, path, value)
-        argv = ["forge", "--config", write_json(tmp_path / "c.json", config)]
-    elif kind == "scenario":
-        argv = ["simulate", "--scenario",
-                write_json(tmp_path / "s.json", _patched(SCENARIO, path, value)),
-                "--out", tmp_path / "trace.jsonl"]
-    elif kind == "corpus":
-        argv = ["validate", "--corpus",
-                write_jsonl(tmp_path / "c.jsonl", _patched(CORPUS, path, value))]
-    else:
-        argv = forge_argv(tmp_path, dataset=_patched(DATASET, path, value))
-    code_got, stderr = run_main(argv)
+    code_got, stderr = run_main(_patched_argv(tmp_path, kind, path, value))
+    assert_clean_exit(code_got, stderr, expected=code)
+    assert names in stderr
+
+
+# a value of the right type that breaks its field's rule
+
+EASY_TOTAL = ("domains", "mass|CT", "easy", "total")
+RULE_CASES = [
+    # (case id, input kind, path, value, exit code, text the error names)
+    ("forge-tau-negative", "config", ("forge", "tau_iou"), -0.5, 2,
+     "field 'forge': forge tau_iou must be non-negative"),
+    ("forge-concurrency-zero", "config", ("forge", "concurrency"), 0, 2,
+     "field 'forge': forge concurrency must be at least 1"),
+    ("forge-attempts-zero", "config", ("forge", "remote_attempts"), 0, 2,
+     "field 'forge': forge remote_attempts must be at least 1"),
+    ("forge-timeout-zero", "config", ("forge", "remote_timeout"), 0, 2,
+     "field 'forge': forge remote_timeout must be positive"),
+    ("forge-backoff-negative", "config", ("forge", "remote_backoff_base"), -0.5, 2,
+     "field 'forge': forge remote_backoff_base must be non-negative"),
+    ("scheduler-warmup-negative", "config", ("scheduler", "warmup_epochs"), -1, 2,
+     "field 'scheduler': warmup_epochs must be non-negative"),
+    ("scheduler-eps-cot-negative", "config", ("scheduler", "eps_cot"), -0.5, 2,
+     "field 'scheduler': eps_cot must be non-negative"),
+    ("scheduler-eta-up-negative", "config", ("scheduler", "eta_up"), -0.5, 2,
+     "field 'scheduler': eta_up must be non-negative"),
+    ("scenario-event-kind", "scenario", EASY_TOTAL + ("events", 0, "kind"), "spike", 1,
+     "total.events[0]': event kind must be plateau or rise"),
+    ("scenario-event-epoch-zero", "scenario", EASY_TOTAL + ("events", 0, "epoch"), 0, 1,
+     "total.events[0]': event epoch must be a positive int"),
+    ("scenario-rise-magnitude-zero", "scenario",
+     EASY_TOTAL + ("events", 0, "magnitude"), 0.0, 1,
+     "total.events[0]': rise needs a positive magnitude"),
+    ("scenario-noise-negative", "scenario", EASY_TOTAL + ("noise_std",), -0.1, 1,
+     """field 'domains["mass|CT"]["easy"].total': curve noise_std must be non-negative"""),
+    ("scenario-count-zero", "scenario", ("domains", "mass|CT", "easy", "count"), 0, 1,
+     """field 'domains["mass|CT"]["easy"]': count must be an int in [1, 1000000]"""),
+    # a legal 64-bit int that would allocate one list entry per item
+    ("scenario-count-2**62", "scenario", ("domains", "mass|CT", "easy", "count"),
+     2**62, 1, """field 'domains["mass|CT"]["easy"]': count must be an int in [1, 1000000]"""),
+    ("scenario-epochs-negative", "scenario", ("epochs",), -1, 1,
+     "scenario epochs must be a non-negative int"),
+    ("scenario-unknown-stage", "scenario", ("domains", "mass|CT", "extreme"),
+     {"count": 1, "total": {"base": 1.0}}, 1,
+     "domain 'mass|CT': stages must be one or more of ['easy', 'medium', 'hard'], "
+     "got ['easy', 'extreme', 'hard', 'medium']"),
+    ("dataset-image-id-empty", "dataset", (0, "image_id"), "", 1,
+     "line 1: image_id must be non-empty"),
+    ("dataset-width-zero", "dataset", (0, "width"), 0, 1,
+     "line 1: image 'ct_001': dims must be >= 1"),
+    ("dataset-lesion-class-empty", "dataset", (0, "annotations", 1, "lesion_class"), "",
+     1, "line 1: field 'annotations[1]': lesion_class must be non-empty"),
+    ("corpus-domain-lesion-empty", "corpus", (1, "domain", "lesion_class"), "", 1,
+     "line 2: field 'domain': domain key fields must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("kind,path,value,code,names",
+                         [case[1:] for case in RULE_CASES],
+                         ids=[case[0] for case in RULE_CASES])
+def test_broken_rule_is_one_error_line(tmp_path, kind, path, value, code, names):
+    code_got, stderr = run_main(_patched_argv(tmp_path, kind, path, value))
     assert_clean_exit(code_got, stderr, expected=code)
     assert names in stderr
 

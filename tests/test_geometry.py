@@ -5,12 +5,14 @@ oracles.py and frozen here before the vectorized implementations existed.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotforge import geometry
 from cotforge.errors import ValidationError
 from cotforge.geometry import (
     BBox,
@@ -490,6 +492,44 @@ class TestSoftMaskMatchesOracle:
         masks = build_soft_mask([box] * 5, (64, 64), (8, 8), sigma=16.0, floor=0.01)
         assert all(np.array_equal(mask, masks[0]) for mask in masks)
         assert_soft_masks_match_oracle([box] * 5, (64, 64), (8, 8), 16.0, floor=0.01)
+
+
+class TestSoftMaskChunks:
+    """A list of boxes longer than ``MAX_SOFT_MASK_PIXELS`` allows builds in
+    chunks of at least one mask: every mask still equals the oracle's, and
+    the build's memory follows the chunk, not the list."""
+
+    @pytest.mark.parametrize("masks_per_chunk", [0, 1, 2, 3, 7])
+    def test_chunked_masks_equal_the_oracle(self, monkeypatch, masks_per_chunk):
+        image_dims = (48, 40)
+        # 0 sets a budget below one mask: each chunk still holds one
+        monkeypatch.setattr(geometry, "MAX_SOFT_MASK_PIXELS",
+                            max(1, masks_per_chunk * 48 * 40))
+        rng = np.random.default_rng(59)
+        boxes = random_boxes(rng, 0.3, image_dims) + random_boxes(rng, 0.3, image_dims)
+        for grid_dims, sigma in (((8, 5), 3.0), ((7, 6), 0.0), ((4, 4), 16.0)):
+            assert_soft_masks_match_oracle(boxes, image_dims, grid_dims, sigma)
+
+    def test_peak_memory_follows_the_chunk(self, monkeypatch):
+        side = 256
+        one_mask = side * side * 8  # bytes of one float64 image
+        boxes = [BBox(0.1 + 0.01 * k, 0.2, 0.6, 0.9) for k in range(16)]
+
+        def peak(budget):
+            monkeypatch.setattr(geometry, "MAX_SOFT_MASK_PIXELS", budget)
+            build_soft_mask(boxes[:1], (side, side), (8, 8), sigma=4.0, floor=1e-4)
+            tracemalloc.start()
+            try:
+                masks = build_soft_mask(boxes, (side, side), (8, 8), sigma=4.0,
+                                        floor=1e-4)
+                return tracemalloc.get_traced_memory()[1], masks
+            finally:
+                tracemalloc.stop()
+
+        chunked, a = peak(side * side)
+        whole, b = peak(16 * side * side)
+        assert np.array_equal(a, b)
+        assert chunked < 4 * one_mask < 16 * one_mask < whole
 
 
 def kl_one(attn, target):

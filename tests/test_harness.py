@@ -183,7 +183,7 @@ class TestSoftMasksOnFirstMediumUse:
 
     def test_a_fresh_medium_record_drawn_twice_in_a_batch_is_built_once(
             self, built, monkeypatch):
-        def twice(scheduler, batch_size, hard_pool_size, main_pool_domains):
+        def twice(scheduler, batch_size, hard_pool_size):
             return BatchPlan(hard_indices=np.empty(0, dtype=np.int64),
                              main_indices=np.array([2, 0, 2]),
                              main_stages=[Stage.MEDIUM, Stage.EASY, Stage.MEDIUM])

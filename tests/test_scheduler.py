@@ -308,7 +308,7 @@ class TestSchedulerStateMachine:
     def test_calls_outside_an_epoch_rejected(self):
         sched = CurriculumScheduler(SchedulerHyperparams(), domains=["d"], seed=0)
         with pytest.raises(ValidationError, match="plan_batch called outside"):
-            sched.plan_batch(1, hard_pool_size=1, main_pool_domains=["d"])
+            sched.plan_batch(1, hard_pool_size=1)
         with pytest.raises(ValidationError, match="observe called outside"):
             sched.observe(["d"], [Stage.EASY], [1.0], [None])
         with pytest.raises(ValidationError, match="end_of_epoch called outside"):
@@ -419,47 +419,46 @@ class TestBatchObserve:
 
 
 class TestPoolProbabilities:
-    """The scheduler builds a pool's medium probabilities once per epoch and
-    reuses them while each batch names an equal pool."""
+    """The scheduler builds the main pool's medium probabilities once, when
+    the epoch opens, and every batch of the epoch draws from them."""
 
     @staticmethod
-    def stages(sched, pool):
-        plan = sched.plan_batch(len(pool), hard_pool_size=len(pool),
-                                main_pool_domains=pool)
+    def stages(sched, size):
+        plan = sched.plan_batch(size, hard_pool_size=size)
         return {s.value for s in plan.main_stages}
 
     def test_plans_equal_the_module_function(self):
         hp = SchedulerHyperparams(warmup_epochs=0, kappa=2.0)
         sched = CurriculumScheduler(hp, domains=["a", "b"], seed=11)
-        ctx = sched.start_epoch()
         pool = ["a", "b", "c"] * 10
+        ctx = sched.start_epoch(pool)
         p = np.array([ctx.p_medium.get(d, 0.0) for d in pool])
         rng = np.random.default_rng(11)
         for _ in range(5):
-            got = sched.plan_batch(12, hard_pool_size=30, main_pool_domains=pool)
+            got = sched.plan_batch(12, hard_pool_size=30)
             want = plan_batch(12, 0.0, 30, 30, p, rng)
             assert got.main_indices.tolist() == want.main_indices.tolist()
             assert got.main_stages == want.main_stages
 
-    def test_a_pool_changed_in_place_is_rebuilt(self):
+    def test_a_pool_mutated_after_start_epoch_changes_no_draw(self):
         hp = SchedulerHyperparams(warmup_epochs=0, kappa=1.0, gamma=-10.0)
         sched = CurriculumScheduler(hp, domains=["a"], seed=0)
-        sched.start_epoch()
         pool = ["a"] * 8
-        assert self.stages(sched, pool) == {"medium"}
+        sched.start_epoch(pool)
+        assert self.stages(sched, 8) == {"medium"}
         pool[:] = ["z"] * 8  # a domain the epoch fixed no probability for
-        assert self.stages(sched, pool) == {"easy"}
+        assert self.stages(sched, 8) == {"medium"}
 
     def test_each_epoch_uses_its_own_probabilities(self):
         # warmup keeps epoch 1 Easy; epoch 2 is fully ramped with p near 1
         hp = SchedulerHyperparams(warmup_epochs=1, kappa=1.0, gamma=-10.0)
         sched = CurriculumScheduler(hp, domains=["a"], seed=0)
         pool = ["a"] * 8
-        sched.start_epoch()
-        assert self.stages(sched, pool) == {"easy"}
+        sched.start_epoch(pool)
+        assert self.stages(sched, 8) == {"easy"}
         sched.end_of_epoch()
-        sched.start_epoch()
-        assert self.stages(sched, pool) == {"medium"}
+        sched.start_epoch(pool)
+        assert self.stages(sched, 8) == {"medium"}
 
     def test_a_nan_probability_is_rejected(self):
         # a NaN loss makes the domain's progress, and so its probability, NaN
@@ -469,10 +468,11 @@ class TestPoolProbabilities:
         sched.observe(["d", "d"], [Stage.EASY, Stage.MEDIUM], [math.nan, 1.0],
                       [None, None])
         sched.end_of_epoch()
-        assert math.isnan(sched.start_epoch().p_medium["d"])
         with pytest.raises(ValidationError,
                            match=r"medium probabilities must lie in \[0, 1\]"):
-            sched.plan_batch(4, hard_pool_size=4, main_pool_domains=["d"] * 4)
+            sched.start_epoch(["d"] * 4)
+        # the failed start left no epoch open, and the next one sees the NaN
+        assert math.isnan(sched.start_epoch().p_medium["d"])
 
 
 class TestStage:
@@ -483,8 +483,8 @@ class TestStage:
 
     def test_plan_gives_members_and_observe_takes_either_form(self):
         sched = CurriculumScheduler(SchedulerHyperparams(), domains=["d"], seed=0)
-        sched.start_epoch()
-        plan = sched.plan_batch(4, hard_pool_size=4, main_pool_domains=["d"] * 4)
+        sched.start_epoch(["d"] * 4)
+        plan = sched.plan_batch(4, hard_pool_size=4)
         assert [type(s) for s in plan.main_stages] == [Stage] * 4
         sched.observe(["d", "d"], [Stage.EASY, "easy"], [1.0, 3.0], [0.5, 0.5])
         report = sched.end_of_epoch()

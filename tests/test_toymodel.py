@@ -54,10 +54,9 @@ def moved(model):
 
 
 def item_grads(model, idx, stage, **kwargs):
-    """One item's losses and its gradient, added into a zeroed buffer."""
-    grads = {key: np.zeros_like(getattr(model, key)) for key in PARAM_KEYS}
-    losses = model.item_loss_and_grads(idx, stage, grads=grads, **kwargs)
-    return losses, grads
+    """One item's losses and its gradient, one full-size array per parameter."""
+    losses, grads = model.item_loss_and_grads(idx, stage, **kwargs)
+    return losses, dense_grads(model, grads)
 
 
 def targets_for(model):
@@ -230,7 +229,9 @@ class TestBatchMatchesItems:
         batch = dense_grads(moved, batch)
         one_by_one = {key: np.zeros_like(getattr(moved, key)) for key in PARAM_KEYS}
         for i, s, t in zip(MIXED_INDICES, MIXED_STAGES, targets):
-            moved.item_loss_and_grads(i, s, t, MIXED_WEIGHTS, grads=one_by_one)
+            _, own = moved.item_loss_and_grads(i, s, t, MIXED_WEIGHTS)
+            for key, g in dense_grads(moved, own).items():
+                one_by_one[key] += g
         for key in PARAM_KEYS:
             assert np.array_equal(batch[key],
                                   one_by_one[key] * (1.0 / len(MIXED_INDICES)))
