@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Protocol
 
 from .errors import BackendError, MalformedResponseError, ValidationError
-from .geometry import BBox, box_intersections, box_span, check_runs
+from .geometry import (FORGE_CHUNK, BBox, box_intersections, box_span, check_runs,
+                       runs_array)
 from .geometry import mask_iou  # noqa: F401  uncalled; the benchmark tracer wraps it here
 
 MODALITIES = ("CT", "XRay", "MRI", "Mammo")
@@ -61,25 +62,43 @@ class OrganMask:
     height * width (`geometry.check_runs`); `area`, the set-pixel count, is
     the sum of the odd runs. An int array given as the runs is kept, not
     copied, and made read-only. A dense mask is encoded with
-    `geometry.encode_runs`.
+    `geometry.encode_runs`. One mask is checked as a chunk of one by
+    `organ_masks`, after its dims and the shape and dtype of its runs.
     """
 
     __slots__ = ("organ_label", "runs", "height", "width", "area")
 
-    def __init__(self, organ_label: str, runs, height: int, width: int):
+    def __new__(cls, organ_label: str, runs, height: int, width: int):
         if height < 1 or width < 1:
             raise ValidationError(f"mask dims {(height, width)} must be positive")
-        runs = check_runs(runs, height, width)
+        [mask] = organ_masks([(organ_label, runs_array(runs), height, width)])
+        return mask
+
+
+def organ_masks(lines):
+    """Check a chunk of (organ_label, runs, height, width) mask lines and
+    yield each line's OrganMask, in order.
+
+    Each line's runs are a `geometry.runs_array` array and its dims are
+    positive; one `check_runs` pass checks every line's runs. Each line is
+    then checked as OrganMask checks it: its runs, its label, then its
+    area. The first faulty line raises ValidationError in its turn, once
+    the masks before it are yielded.
+    """
+    areas, faults = check_runs([runs for _, runs, _, _ in lines],
+                               [height * width for _, _, height, width in lines])
+    for k, (organ_label, runs, height, width) in enumerate(lines):
+        if k in faults:
+            raise ValidationError(faults[k])
         if not organ_label:
             raise ValidationError("organ_label must be non-empty")
-        self.organ_label = organ_label
-        runs.flags.writeable = False
-        self.runs = runs
-        self.height = height
-        self.width = width
-        self.area = int(runs[1::2].sum())
-        if self.area == 0:
+        if not areas[k]:
             raise ValidationError(f"organ mask {organ_label!r} is empty")
+        mask = object.__new__(OrganMask)
+        runs.flags.writeable = False
+        mask.organ_label, mask.runs, mask.height, mask.width = lines[k]
+        mask.area = areas[k]
+        yield mask
 
 
 @dataclass
@@ -147,36 +166,45 @@ class QaGenerator(Protocol):
         the lesion class and organ label (None for an organ-free seed)."""
 
 
-def assign_organ(annotations, masks, tau_iou=0.0) -> list:
-    """Pick, for each of an image's annotations, the organ mask with the
-    highest IoU against its box.
+def assign_organ(images, tau_iou=0.0) -> list:
+    """Pick, for each annotation of each image's (annotations, masks), the
+    organ mask of its image with the highest IoU against its box.
 
-    Returns one (organ_label, iou) pair per annotation, in order. The IoU is
-    pixel-count IoU, counted from the masks' runs in exact integers. Ties
-    break to the lowest mask index; a best IoU <= tau_iou leaves the
-    annotation unassigned, with label None and the score still given.
+    Returns, per image, one (organ_label, iou) pair per annotation, in
+    order. The IoU is pixel-count IoU, counted from the masks' runs in exact
+    integers, for every image in one `box_intersections` pass. Ties break to
+    the lowest mask index; a best IoU <= tau_iou leaves the annotation
+    unassigned, with label None and the score still given.
     """
-    if not masks:
-        raise ValidationError("assign_organ requires at least one mask")
-    height, width = masks[0].height, masks[0].width
-    for om in masks:
-        if (om.height, om.width) != (height, width):
-            raise ValidationError("all masks for an image must share dims")
-    spans = [box_span(ann.box, height, width) for ann in annotations]
-    covered = iter(box_intersections([s for s in spans if s[0] < s[1]],
-                                     [om.runs for om in masks], height, width).tolist())
+    scored, spans_of = [], []
+    for annotations, masks in images:
+        if not masks:
+            raise ValidationError("assign_organ requires at least one mask")
+        height, width = masks[0].height, masks[0].width
+        for om in masks:
+            if (om.height, om.width) != (height, width):
+                raise ValidationError("all masks for an image must share dims")
+        spans = [box_span(ann.box, height, width) for ann in annotations]
+        spans_of.append(spans)
+        scored.append(([s for s in spans if s[0] < s[1]], [om.runs for om in masks],
+                       height, width))
+    covered = iter(box_intersections(scored).tolist())
     outcomes = []
-    for r0, r1, c0, c1 in spans:
-        box_pixels = (r1 - r0) * (c1 - c0)
-        inters = next(covered) if box_pixels else [0] * len(masks)
-        best_idx = 0
-        best = -1.0
-        for k, (om, inter) in enumerate(zip(masks, inters)):
-            iou = inter / (box_pixels + om.area - inter)  # the area is >= 1
-            if iou > best:
-                best = iou
-                best_idx = k
-        outcomes.append((masks[best_idx].organ_label if best > tau_iou else None, best))
+    for spans, (_, masks) in zip(spans_of, images):
+        image_outcomes = []
+        for r0, r1, c0, c1 in spans:
+            box_pixels = (r1 - r0) * (c1 - c0)
+            inters = next(covered) if box_pixels else [0] * len(masks)
+            best_idx = 0
+            best = -1.0
+            for k, (om, inter) in enumerate(zip(masks, inters)):
+                iou = inter / (box_pixels + om.area - inter)  # the area is >= 1
+                if iou > best:
+                    best = iou
+                    best_idx = k
+            image_outcomes.append(
+                (masks[best_idx].organ_label if best > tau_iou else None, best))
+        outcomes.append(image_outcomes)
     return outcomes
 
 
@@ -294,6 +322,53 @@ class ForgeResult:
     truncated_cot: int = 0  # records whose rationale was cut to MAX_COT_SENTENCES
 
 
+def _assign_in_chunks(dataset, masks_by_image, tau_iou):
+    """Each image's organ labels, one per annotation (None where unassigned),
+    in dataset order.
+
+    The images with masks and annotations are scored a chunk of consecutive
+    images per `assign_organ` call. A chunk holds at most FORGE_CHUNK runs,
+    and about as many mask-row queries (two per box row and mask of the
+    chunk's image with the most, as `box_intersections` counts them, from
+    an upper bound on each box's rows), or else a single image.
+    """
+    labels, chunk, members = [], [], []
+    runs = rows = most = 0
+
+    def score():
+        for i, outcomes in zip(members, assign_organ(chunk, tau_iou)):
+            labels[i] = [label for label, _ in outcomes]
+
+    for image in dataset:
+        masks = masks_by_image.get(image.image_id, ())
+        for om in masks:
+            if (om.height, om.width) != (image.height, image.width):
+                raise ValidationError(
+                    f"mask {om.organ_label!r} dims {(om.height, om.width)} do not "
+                    f"match image {image.image_id!r} dims {(image.height, image.width)}"
+                )
+        labels.append([None] * len(image.annotations))
+        if not masks or not image.annotations:
+            continue
+        # a box spans at most floor(its height in pixels) + 1 pixel centers
+        image_rows = sum(int((ann.box.y2 - ann.box.y1) * image.height) + 2
+                         for ann in image.annotations)
+        image_runs = sum(len(om.runs) for om in masks)
+        if chunk and (runs + image_runs > FORGE_CHUNK or 2 * max(most, len(masks))
+                      * (rows + image_rows) > FORGE_CHUNK):
+            score()
+            chunk, members = [], []
+            runs = rows = most = 0
+        chunk.append((image.annotations, masks))
+        members.append(len(labels) - 1)
+        runs += image_runs
+        rows += image_rows
+        most = max(most, len(masks))
+    if chunk:
+        score()
+    return labels
+
+
 def build_corpus(
     dataset,
     masks_by_image,
@@ -320,16 +395,7 @@ def build_corpus(
     tasks = []
     skipped = 0
     ordinal = 0
-    for image in dataset:
-        masks = masks_by_image.get(image.image_id, ())
-        for om in masks:
-            if (om.height, om.width) != (image.height, image.width):
-                raise ValidationError(
-                    f"mask {om.organ_label!r} dims {(om.height, om.width)} do not "
-                    f"match image {image.image_id!r} dims {(image.height, image.width)}"
-                )
-        organs = ([label for label, _ in assign_organ(image.annotations, masks, tau_iou)]
-                  if masks else [None] * len(image.annotations))
+    for image, organs in zip(dataset, _assign_in_chunks(dataset, masks_by_image, tau_iou)):
         for j, (ann, organ) in enumerate(zip(image.annotations, organs)):
             if organ is not None:
                 template = templates[ordinal % len(templates)]

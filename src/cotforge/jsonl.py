@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError, read_object
-from .forge import ImageRecord, OrganMask, VqaCotRecord
-from .geometry import check_runs, encode_runs, expand_runs
+from .forge import ImageRecord, VqaCotRecord, organ_masks
+from .geometry import FORGE_CHUNK, check_runs, encode_runs, expand_runs, runs_array
 
 
 @contextlib.contextmanager
@@ -48,6 +48,7 @@ def _write_jsonl(path, dicts):
 
 
 def _iter_jsonl(path):
+    """(line number, stripped text, parsed value) of each non-blank line."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
@@ -59,20 +60,24 @@ def _iter_jsonl(path):
                 except (ValueError, RecursionError) as exc:  # also too long an int
                     raise ValidationError(
                         f"{path}: line {lineno}: bad JSON: {exc}") from exc
-                yield lineno, obj
+                yield lineno, line, obj
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
         raise ValidationError(f"cannot read {path}: {reason}") from None
 
 
 def _iter_objects(path, cls):
-    for lineno, obj in _iter_jsonl(path):
+    for lineno, _, obj in _iter_jsonl(path):
         yield lineno, read_object(cls, obj, f"{path}: line {lineno}", ValidationError)
 
 
 def rle_decode(runs, height, width) -> np.ndarray:
     """Decode alternating zero/one run lengths (row-major, zeros first)."""
-    return expand_runs(check_runs(runs, height, width), height, width)
+    runs = runs_array(runs)
+    _, faults = check_runs([runs], [height * width])
+    if faults:
+        raise ValidationError(faults[0])
+    return expand_runs(runs, height, width)
 
 
 def rle_encode(mask) -> list:
@@ -86,7 +91,7 @@ class _MaskLine:
     organ_label: str
     height: int
     width: int
-    rle: list  # checked by check_runs as one array, not run by run
+    rle: list  # made one array by runs_array, not checked run by run
 
 
 def read_dataset(path):
@@ -104,31 +109,75 @@ def read_masks(path, images_by_id):
     """Read the organ-mask sidecar: image id -> its masks, file order kept.
 
     Every line is checked here: its image must be known and its dims must
-    match that image's, its runs must be valid RLE for those dims, and its
-    organ label and mask must be non-empty (the mask's area is the sum of
-    its odd runs). Each mask is kept as its checked runs and nothing is
-    decoded; the returned mapping is read-only and holds a tuple per image.
+    match that image's, its runs must be valid RLE for those dims (a JSON
+    true or false is not a run), and its organ label and mask must be
+    non-empty (the mask's area is the sum of its odd runs). Each line's
+    runs become one array as the line is read; the lines are then checked
+    a chunk at a time (`forge.organ_masks`), once FORGE_CHUNK runs wait and
+    before any later line's own fault is raised, so the first faulty line
+    in the file is the one reported. Each mask is kept as its checked runs
+    and nothing is decoded; the returned mapping is read-only and holds a
+    tuple per image.
     """
     masks_by_image = {}
-    for lineno, line in _iter_objects(path, _MaskLine):
-        image = images_by_id.get(line.image_id)
-        if image is None:
-            raise ValidationError(
-                f"{path}: line {lineno}: mask references unknown image {line.image_id!r}"
-            )
-        if (line.height, line.width) != (image.height, image.width):
-            raise ValidationError(
-                f"{path}: line {lineno}: mask dims {(line.height, line.width)} "
-                f"do not match image {line.image_id!r} dims {(image.height, image.width)}"
-            )
-        try:
-            mask = OrganMask(line.organ_label, line.rle, line.height, line.width)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-        masks_by_image.setdefault(line.image_id, []).append(mask)
+    pending, waiting = [], 0
+    try:
+        for lineno, text, obj in _iter_jsonl(path):
+            where = f"{path}: line {lineno}"
+            line = read_object(_MaskLine, obj, where, ValidationError)
+            image = images_by_id.get(line.image_id)
+            if image is None:
+                raise ValidationError(
+                    f"{where}: mask references unknown image {line.image_id!r}")
+            if (line.height, line.width) != (image.height, image.width):
+                raise ValidationError(
+                    f"{where}: mask dims {(line.height, line.width)} do not match "
+                    f"image {line.image_id!r} dims {(image.height, image.width)}"
+                )
+            try:
+                runs = runs_array(line.rle)
+                if _holds_json_boolean(text, line.rle):  # it would read as 1 or 0
+                    raise ValidationError("RLE runs must be non-negative integers")
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from exc
+            pending.append((lineno, line.image_id,
+                            (line.organ_label, runs, line.height, line.width)))
+            waiting += len(runs)
+            if waiting >= FORGE_CHUNK:
+                _add_masks(path, pending, masks_by_image)
+                waiting = 0
+    except ValidationError:
+        _add_masks(path, pending, masks_by_image)  # an earlier line's fault comes first
+        raise
+    _add_masks(path, pending, masks_by_image)
     for image_id, masks in masks_by_image.items():
         masks_by_image[image_id] = tuple(masks)
     return types.MappingProxyType(masks_by_image)
+
+
+def _holds_json_boolean(text, values):
+    """Whether a list parsed from the JSON line `text` holds true or false.
+
+    The list is scanned only when the text spells "true" or "false", and
+    the text is searched for those only when it holds a "u" or an "f",
+    which a single-character search finds at once.
+    """
+    return (("u" in text or "f" in text) and ("true" in text or "false" in text)
+            and any(type(value) is bool for value in values))
+
+
+def _add_masks(path, pending, masks_by_image):
+    """Check the pending mask lines as one chunk, empty the list, and add
+    their masks to their images; the first faulty line raises, named."""
+    lines = pending[:]
+    pending.clear()
+    masks = organ_masks([mask_line for _, _, mask_line in lines])
+    for lineno, image_id, _ in lines:
+        try:
+            mask = next(masks)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
+        masks_by_image.setdefault(image_id, []).append(mask)
 
 
 def write_corpus(path, records):
@@ -156,7 +205,7 @@ def write_trace(path, header, rows):
 
 
 def read_trace(path):
-    rows = [obj for _, obj in _iter_jsonl(path)]
+    rows = [obj for _, _, obj in _iter_jsonl(path)]
     if not rows:
         raise ValidationError(f"{path}: empty trace file")
     header, epochs = rows[0], rows[1:]

@@ -1,9 +1,10 @@
 """Shared pytest plumbing: surfaces acceptance verdict lines in the summary,
-and a fixture that makes every mask decode fail."""
+a fixture that makes every mask decode fail, and one that shrinks the
+forge's chunk budget."""
 
 import pytest
 
-from cotforge import geometry, jsonl
+from cotforge import forge, geometry, jsonl
 
 acceptance_verdicts = []
 
@@ -18,6 +19,17 @@ def no_decoding(monkeypatch):
     for module in (geometry, jsonl):
         monkeypatch.setattr(module, "expand_runs", refuse)
     monkeypatch.setattr(jsonl, "rle_decode", refuse)
+
+
+@pytest.fixture
+def chunk_budget(monkeypatch):
+    """Set the forge's chunk budget (`geometry.FORGE_CHUNK`) wherever it is
+    read, so chunk edges fall inside a small input."""
+    def set_budget(runs):
+        for module in (geometry, forge, jsonl):
+            monkeypatch.setattr(module, "FORGE_CHUNK", runs)
+
+    return set_budget
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

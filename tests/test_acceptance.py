@@ -79,7 +79,7 @@ def test_criterion_1_assignment_matches_bruteforce_oracle():
                        min(1.0, x1 + float(rng.uniform(0.05, 0.5))),
                        min(1.0, y1 + float(rng.uniform(0.05, 0.5))))
             annotations.append(LesionAnnotation(box=box, lesion_class="mass"))
-        outcomes = assign_organ(annotations, masks, tau_iou=0.0)
+        [outcomes] = assign_organ([(annotations, masks)], tau_iou=0.0)
         for ann, (label, iou) in zip(annotations, outcomes, strict=True):
             idx, best = oracle_assign(ann.box, [decode(om) for om in masks], tau_iou=0.0)
             expected = None if idx is None else masks[idx].organ_label

@@ -127,6 +127,24 @@ def test_forge_bad_dataset_exits_1(tmp_path, capsys, forge_inputs):
     assert "line 1" in stderr
 
 
+def test_forge_json_boolean_run_exits_1(tmp_path, capsys, forge_inputs):
+    # [0, true, ...] would otherwise read as a first run of 0 and a run of 1
+    dataset, _ = forge_inputs
+    rle = half_mask("left")
+    masks = tmp_path / "bool-masks.jsonl"
+    masks.write_text(json.dumps({"image_id": "ct_001", "organ_label": "liver",
+                                 "height": 16, "width": 16, "rle": rle}) + "\n"
+                     + json.dumps({"image_id": "ct_001", "organ_label": "kidney",
+                                   "height": 16, "width": 16,
+                                   "rle": [0, True, 255]}) + "\n")
+    out = tmp_path / "c.jsonl"
+    code, stdout, stderr = run_cli(capsys, "forge", "--dataset", str(dataset),
+                                   "--masks", str(masks), "--out", str(out))
+    assert code == 1
+    assert stdout == "" and not out.exists()
+    assert stderr.splitlines() == [
+        f"error: {masks}: line 2: RLE runs must be non-negative integers"]
+
 def test_forge_missing_paths_exit_2(tmp_path, capsys):
     code, _, stderr = run_cli(capsys, "forge", "--out", str(tmp_path / "c.jsonl"))
     assert code == 2

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cotforge import cli, fixture_path
+from cotforge import cli, fixture_path, forge
 from cotforge.errors import BackendError, MalformedResponseError, ValidationError, read_object
 from cotforge.forge import (
     DEFAULT_SEED_TEMPLATE,
@@ -59,7 +59,7 @@ def make_image(image_id="img1", modality="CT", annotations=(), width=64, height=
 
 
 def assign_one(ann, masks, tau_iou=0.0):
-    [outcome] = assign_organ([ann], masks, tau_iou)
+    [[outcome]] = assign_organ([([ann], masks)], tau_iou)
     return outcome
 
 
@@ -99,7 +99,7 @@ class TestAssignOrgan:
     def test_empty_mask_list_rejected(self):
         ann = LesionAnnotation(box=BBox(0.1, 0.1, 0.4, 0.4), lesion_class="mass")
         with pytest.raises(ValidationError):
-            assign_organ([ann], [])
+            assign_organ([([ann], [])])
 
     def test_matches_oracle_on_random_instances(self):
         rng = np.random.default_rng(RNG_SEED)
@@ -169,7 +169,7 @@ def assert_matches_oracle(dense_masks, boxes, tau_iou=0.0):
     and IoU, compared with ==, for every box; returns the oracle's results."""
     masks = [organ_mask(f"organ{k}", m) for k, m in enumerate(dense_masks)]
     anns = [LesionAnnotation(box=box, lesion_class="mass") for box in boxes]
-    got = assign_organ(anns, masks, tau_iou)
+    [got] = assign_organ([(anns, masks)], tau_iou)
     lists = [m.tolist() for m in dense_masks]
     expected = []
     for box in boxes:
@@ -267,14 +267,106 @@ class TestAssignOrganFromRuns:
             assert_matches_oracle(masks, boxes)
 
     def test_empty_annotation_list(self):
-        assert assign_organ([], [organ_mask("x", np.ones((4, 4), dtype=bool))]) == []
+        assert assign_organ([([], [organ_mask("x", np.ones((4, 4), dtype=bool))])]) == [[]]
 
     def test_mixed_dims_rejected(self):
         ann = LesionAnnotation(box=BBox(0.1, 0.1, 0.4, 0.4), lesion_class="mass")
         masks = [organ_mask("a", np.ones((4, 4), dtype=bool)),
                  organ_mask("b", np.ones((4, 5), dtype=bool))]
         with pytest.raises(ValidationError, match="share dims"):
-            assign_organ([ann], masks)
+            assign_organ([([ann], masks)])
+
+
+def random_scoring_corpus(rng, n_images):
+    """Images of mixed dims with 0-4 boxes each, some covering no pixel
+    center, and 0-5 masks each: odd and even run counts, a leading 0 run,
+    and repeated masks that tie."""
+    dataset, masks_by_image, dense_by_image = [], {}, {}
+    for i in range(n_images):
+        h, w = (int(v) for v in rng.integers(1, 30, size=2))
+        boxes = [random_box(rng) for _ in range(int(rng.integers(0, 5)))]
+        if rng.random() < 0.3:  # between two pixel centers on each axis
+            r, c = int(rng.integers(h)), int(rng.integers(w))
+            boxes.append(BBox((c + 0.55) / w, (r + 0.55) / h,
+                              (c + 0.95) / w, (r + 0.95) / h))
+        image = make_image(f"im{i}", width=w, height=h, annotations=[
+            LesionAnnotation(box, "mass") for box in boxes])
+        dataset.append(image)
+        dense = []
+        for _ in range(int(rng.integers(0, 6))):
+            if dense and rng.random() < 0.2:
+                dense.append(dense[int(rng.integers(len(dense)))].copy())
+                continue
+            m = rng.random((h, w)) < rng.uniform(0.05, 0.95)
+            m.flat[int(rng.integers(h * w))] = True
+            if rng.random() < 0.3:
+                m.flat[0] = True  # runs start with a 0 run
+            dense.append(m)
+        if dense:
+            dense_by_image[image.image_id] = dense
+            masks_by_image[image.image_id] = tuple(
+                organ_mask(f"organ{k}", m) for k, m in enumerate(dense))
+    return dataset, masks_by_image, dense_by_image
+
+
+class TestChunkedScoring:
+    """Scoring a chunk of images in one pass gives what scoring each image
+    alone gives, and the brute-force oracle's choice."""
+
+    def test_one_call_equals_one_image_at_a_time_and_the_oracle(self):
+        rng = np.random.default_rng(RNG_SEED + 8)
+        for _ in range(8):
+            dataset, masks_by_image, dense_by_image = random_scoring_corpus(rng, 12)
+            images = [(image.annotations, masks_by_image[image.image_id])
+                      for image in dataset if image.image_id in masks_by_image]
+            got = assign_organ(images)
+            assert got == [assign_organ([one])[0] for one in images]
+            expected = []
+            for image in dataset:
+                for ann in image.annotations if image.image_id in dense_by_image else ():
+                    idx, best = oracle_assign(ann.box, dense_by_image[image.image_id])
+                    expected.append((None if idx is None else f"organ{idx}", best))
+            assert [outcome for outcomes in got for outcome in outcomes] == expected
+            assert any(outcome[0] is None for outcome in expected)
+
+    @pytest.mark.parametrize("budget", [1, 40, 120, 400, None])
+    def test_the_forge_gives_the_oracle_organs_across_chunk_edges(
+            self, chunk_budget, monkeypatch, budget):
+        if budget is not None:
+            chunk_budget(budget)
+        chunks = []
+
+        def spy(images, tau_iou=0.0):
+            chunks.append(len(images))
+            return assign_organ(images, tau_iou)
+
+        monkeypatch.setattr(forge, "assign_organ", spy)
+        rng = np.random.default_rng(RNG_SEED + 9)
+        dataset, masks_by_image, dense_by_image = random_scoring_corpus(rng, 40)
+        expected = []
+        for image in dataset:
+            for ann in image.annotations:
+                idx = None
+                if image.image_id in dense_by_image:
+                    idx, _ = oracle_assign(ann.box, dense_by_image[image.image_id])
+                expected.append(ann.lesion_class if idx is None else f"organ{idx}")
+        result = build_corpus(dataset, masks_by_image, TemplateQaGenerator(),
+                              unassigned_policy="organ_free")
+        assert [r.answer for r in result.records] == expected
+        scored = sum(1 for image in dataset
+                     if image.annotations and image.image_id in masks_by_image)
+        assert sum(chunks) == scored
+        if budget == 1:
+            assert chunks == [1] * scored
+        elif budget is None:
+            assert chunks == [scored]
+        else:
+            assert 1 < len(chunks) < scored  # chunk edges fall mid-corpus
+
+    def test_an_area_past_int64_stays_exact(self):
+        big = 2**62
+        om = OrganMask("x", np.array([big, big, big, big]), 2**32, 2**32)
+        assert om.area == 2 * big
 
 
 class TestOrganMask:

@@ -19,6 +19,7 @@ from cotforge.geometry import (
     box_intersections,
     box_span,
     build_soft_mask,
+    check_runs,
     encode_runs,
     expand_runs,
     kl_rows,
@@ -213,7 +214,7 @@ class TestBoxIntersections:
             spans = self.random_spans(rng, h, w, int(rng.integers(1, 6)))
             spans += [(0, h, 0, w), (h - 1, h, w - 1, w), (0, 1, 0, 1)]
             runs = [encode_runs(m) for m in masks]
-            got = box_intersections(spans, runs, h, w)
+            got = box_intersections([(spans, runs, h, w)])
             assert got.dtype == np.int64
             assert np.array_equal(got, dense_intersections(spans, masks))
 
@@ -227,12 +228,98 @@ class TestBoxIntersections:
         masks = [empty, full, inner, empty, corner, full, inner]
         assert [len(encode_runs(m)) % 2 for m in masks] == [1, 0, 1, 1, 0, 0, 1]
         spans = [(0, 4, 0, 6), (1, 3, 2, 5), (3, 4, 5, 6), (0, 2, 0, 3)]
-        got = box_intersections(spans, [encode_runs(m) for m in masks], 4, 6)
+        got = box_intersections([(spans, [encode_runs(m) for m in masks], 4, 6)])
         assert np.array_equal(got, dense_intersections(spans, masks))
 
     def test_no_spans(self):
         runs = [encode_runs(np.ones((3, 3), dtype=bool))] * 2
-        assert box_intersections([], runs, 3, 3).shape == (0, 2)
+        assert box_intersections([([], runs, 3, 3)]).shape == (0, 2)
+
+    def test_images_of_mixed_dims_in_one_pass(self):
+        # each image's rows equal its own counts, then zeros past its masks
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            images, dense = [], []
+            for _ in range(int(rng.integers(1, 7))):
+                h, w = (int(v) for v in rng.integers(1, 25, size=2))
+                masks = [rng.random((h, w)) < rng.uniform(0.0, 1.0)
+                         for _ in range(int(rng.integers(0, 5)))]
+                spans = self.random_spans(rng, h, w, int(rng.integers(0, 4)))
+                images.append((spans, [encode_runs(m) for m in masks], h, w))
+                dense.append((spans, masks))
+            most = max(len(masks) for _, masks in dense)
+            expected = [np.pad(dense_intersections(spans, masks), ((0, 0), (0, most - len(masks))))
+                        for spans, masks in dense]
+            got = box_intersections(images)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.concatenate(expected))
+
+
+def reference_check(runs, total):
+    """One run array's area, or the message of its first fault, in Python
+    integers."""
+    values = runs.tolist()
+    if min(values, default=0) < 0:
+        return "RLE runs must be non-negative integers"
+    if sum(values) != total:
+        return f"RLE runs sum to {sum(values)}, expected {total}"
+    return sum(values[1::2])
+
+
+class TestCheckRuns:
+    """One pass over a chunk gives each array's own outcome."""
+
+    def outcomes(self, masks_runs, totals):
+        areas, faults = check_runs(masks_runs, totals)
+        return [faults.get(k, area) for k, area in enumerate(areas)]
+
+    def test_random_chunks_of_mixed_dtypes(self):
+        rng = np.random.default_rng(37)
+        dtypes = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                  np.uint32, np.uint64]
+        for _ in range(60):
+            masks_runs, totals = [], []
+            for _ in range(int(rng.integers(1, 9))):
+                h, w = (int(v) for v in rng.integers(1, 12, size=2))
+                runs = encode_runs(rng.random((h, w)) < rng.uniform(0.0, 1.0))
+                fault = int(rng.integers(4))
+                if fault == 1:
+                    runs = runs[:-1]  # short: odd or even count, maybe empty
+                elif fault == 2:
+                    runs = np.append(runs, 1)
+                elif fault == 3 and len(runs) > 1:
+                    runs = runs.copy()
+                    runs[-1] -= h * w + 1  # negative
+                dtype = dtypes[int(rng.integers(len(dtypes)))]
+                if runs.min(initial=0) >= 0 and runs.max(initial=0) <= np.iinfo(dtype).max:
+                    runs = runs.astype(dtype)
+                masks_runs.append(runs)
+                totals.append(h * w)
+            assert self.outcomes(masks_runs, totals) == [
+                reference_check(r, t) for r, t in zip(masks_runs, totals)]
+
+    def test_runs_beyond_the_exact_int64_sum(self):
+        big = 2**62
+        cases = [
+            (np.array([2**63, 2**63], dtype=np.uint64), 2**64),  # valid, past int64
+            (np.array([2**63], dtype=np.uint64), 8),
+            (np.array([2**64 - 1, 1], dtype=np.uint64), 2**64),
+            (np.array([big, big, big, big]), 2**64),  # the int64 sum wraps to 0
+            (np.array([big - 1, 2, 0, big - 1]), 2**63),
+            (np.array([0, 2**63 - 1]), 2**63 - 1),
+            (np.array([2**63 - 1, 2**63 - 1]), 2**63 - 2),
+            (np.array([], dtype=np.int64), 2**70),
+            (np.array([3, 5]), 8),
+        ]
+        masks_runs, totals = zip(*cases)
+        got = self.outcomes(list(masks_runs), list(totals))
+        assert got == [reference_check(r, t) for r, t in cases]
+        assert got[0] == got[3] == 2**63  # areas past int64 stay exact
+
+    def test_an_empty_chunk_element_and_single_runs(self):
+        got = self.outcomes([np.array([], dtype=np.int64), np.array([8]), np.array([0, 8]),
+                             np.array([8, 0])], [8, 8, 8, 8])
+        assert got == ["RLE runs sum to 0, expected 8", 0, 8, 0]
 
 
 class TestRuns:

@@ -9,7 +9,7 @@ import pytest
 
 from cotforge import fixture_path
 from cotforge.errors import ValidationError
-from cotforge.forge import DomainKey, ImageRecord, VqaCotRecord
+from cotforge.forge import DomainKey, ImageRecord, OrganMask, VqaCotRecord
 from cotforge.geometry import BBox
 from cotforge.jsonl import (
     atomic_writer,
@@ -323,6 +323,153 @@ class TestMasksReader:
         path = self.write_masks(tmp_path, lines)
         masks_by_image = read_masks(path, {im.image_id: im for im in images})
         assert_lookups_match(masks_by_image, images, decode_each_line(path))
+
+
+    @pytest.mark.parametrize("rle", [[0, True, 7], [2, 3, 3, False], [True, False]])
+    def test_a_json_boolean_run_is_rejected(self, tmp_path, rle):
+        # true and false would read as runs of 1 and 0
+        path = self.write_masks(tmp_path, [self.line(), self.line(rle=rle)])
+        with pytest.raises(ValidationError,
+                           match="line 2: RLE runs must be non-negative integers$"):
+            read_masks(path, self.images())
+
+    def test_a_label_spelling_true_or_false_is_no_boolean_run(self, tmp_path):
+        path = self.write_masks(tmp_path, [self.line("true"), self.line("false", (0, 1, 7))])
+        got = read_masks(path, self.images())["a"]
+        assert [(m.organ_label, m.runs.tolist()) for m in got] == [
+            ("true", [2, 3, 3]), ("false", [0, 1, 7])]
+
+
+MASK_FAULTS = {  # one line's fault (raw text or fields over a good line)
+    "bad-json": '{"image_id": "a", "rle": [8',
+    "schema": {"height": "2"},
+    "unknown-image": {"image_id": "zz", "rle": [2, 3]},
+    "dims": {"height": 3, "rle": [2, 3]},
+    "dtype": {"rle": [1.5, 6.5]},
+    "boolean": {"rle": [0, True, 7]},
+    "negative": {"rle": [-1, 9], "organ_label": ""},
+    "sum": {"rle": [2, 3], "organ_label": ""},
+    "label": {"organ_label": "", "rle": [8]},
+    "empty": {"rle": [8]},
+}
+
+
+class TestFirstFaultAcrossChunks:
+    """With the runs checked a chunk of lines at a time, the error is still
+    the first faulty line's own first fault, wherever the chunk edges fall.
+    The reference reads each line alone, behind blank lines that keep its
+    line number."""
+
+    def images(self):
+        return {"a": ImageRecord("a", 4, 2, "CT", [])}
+
+    def good(self, rng):
+        mask = rng.random(8) < 0.5
+        mask[int(rng.integers(8))] = True
+        return {"image_id": "a", "organ_label": f"organ{int(rng.integers(99))}",
+                "height": 2, "width": 4, "rle": rle_encode(mask.reshape(2, 4))}
+
+    def text(self, line):
+        if isinstance(line, str):
+            return line
+        return json.dumps(line)
+
+    def write(self, path, lines):
+        path.write_text("".join(self.text(line) + "\n" for line in lines), encoding="utf-8")
+        return path
+
+    def outcome(self, path):
+        try:
+            masks = read_masks(path, self.images())
+        except ValidationError as exc:
+            return str(exc)
+        return [(m.organ_label, m.runs.tolist(), m.area) for m in masks.get("a", ())]
+
+    def reference(self, tmp_path, lines):
+        for i, line in enumerate(lines):
+            alone = self.write(tmp_path / "alone.jsonl", [""] * i + [line])
+            got = self.outcome(alone)
+            if isinstance(got, str):
+                return got.replace(str(alone), str(tmp_path / "masks.jsonl"))
+        return self.outcome(self.write(tmp_path / "masks.jsonl", lines))
+
+    def fault(self, name, rng):
+        fault = MASK_FAULTS[name]
+        return fault if isinstance(fault, str) else {**self.good(rng), **fault}
+
+    @pytest.mark.parametrize("budget", [1, 2, 3, 5, 8, 13, None])
+    def test_random_files_report_the_reference_fault(self, tmp_path, chunk_budget, budget):
+        if budget is not None:
+            chunk_budget(budget)
+        rng = np.random.default_rng(20240 + (budget or 0))
+        names = sorted(MASK_FAULTS)
+        for _ in range(40):
+            lines = [self.good(rng) for _ in range(int(rng.integers(1, 12)))]
+            for _ in range(int(rng.integers(0, 4))):
+                name = names[int(rng.integers(len(names)))]
+                lines.insert(int(rng.integers(len(lines) + 1)), self.fault(name, rng))
+            path = self.write(tmp_path / "masks.jsonl", lines)
+            assert self.outcome(path) == self.reference(tmp_path, lines)
+
+    @pytest.mark.parametrize("later", ["bad-json", "unknown-image", "schema", "dims", "dtype"])
+    def test_a_runs_fault_in_an_earlier_chunk_comes_first(self, tmp_path, chunk_budget, later):
+        # 3-run lines and a budget of 6: lines 1-2 make a chunk, then 3-4
+        chunk_budget(6)
+        rng = np.random.default_rng(7)
+        good = {**self.good(rng), "rle": [2, 3, 3]}
+        lines = [good, {**good, "rle": [2, 3, 2]}, good, good, good, self.fault(later, rng)]
+        path = self.write(tmp_path / "masks.jsonl", lines)
+        with pytest.raises(ValidationError, match="line 2: RLE runs sum to 7, expected 8$"):
+            read_masks(path, self.images())
+
+    @pytest.mark.parametrize("name", sorted(MASK_FAULTS))
+    def test_a_fault_in_the_last_line_of_a_chunk(self, tmp_path, chunk_budget, name):
+        chunk_budget(6)
+        rng = np.random.default_rng(8)
+        good = {**self.good(rng), "rle": [2, 3, 3]}
+        lines = [good, good, good, self.fault(name, rng), {**good, "image_id": "zz"}]
+        assert self.outcome(self.write(tmp_path / "masks.jsonl", lines)) == self.reference(
+            tmp_path, lines)
+        assert "line 4: " in self.reference(tmp_path, lines)
+
+    @pytest.mark.parametrize("faults,message", [
+        ({"image_id": "zz", "rle": [2, 3]}, "mask references unknown image 'zz'"),
+        ({"height": 3, "rle": [2, 3]},
+         r"mask dims \(3, 4\) do not match image 'a' dims \(2, 4\)"),
+        ({"rle": [2, 3], "organ_label": ""}, "RLE runs sum to 5, expected 8"),
+        ({"organ_label": "", "rle": [8]}, "organ_label must be non-empty"),
+    ], ids=["unknown-image", "dims", "runs", "label"])
+    @pytest.mark.parametrize("before", [0, 1, 2, 3])
+    def test_a_line_with_two_faults_reports_the_first_in_any_chunk(
+            self, tmp_path, chunk_budget, faults, message, before):
+        chunk_budget(6)
+        rng = np.random.default_rng(9)
+        good = {**self.good(rng), "rle": [2, 3, 3]}
+        lines = [good] * before + [{**good, **faults}, {**good, "organ_label": ""}]
+        with pytest.raises(ValidationError, match=f"line {before + 1}: {message}$"):
+            read_masks(self.write(tmp_path / "masks.jsonl", lines), self.images())
+
+    @pytest.mark.parametrize("rle", [
+        [2**63], [2**63, 2**63], [2**64 - 1], [2**64], [2**63, 1], [-1, 2**63], [-(2**63), 8],
+        [8.0], [1.5, 6.5], ["2", 6], [[2], [6]], [[2], 6], [None], [], [[]], [0, 8], [2, 3, 3],
+    ], ids=repr)
+    @pytest.mark.parametrize("before", [0, 3])
+    def test_unusual_runs_fare_as_in_organ_mask(self, tmp_path, chunk_budget, rle, before):
+        chunk_budget(5)
+        try:
+            om = OrganMask("liver", rle, 2, 4)
+            expected = [("liver", om.runs.tolist(), om.area)]
+        except ValidationError as exc:
+            expected = str(exc)
+        good = {"image_id": "a", "organ_label": "lung", "height": 2, "width": 4,
+                "rle": [1, 2, 5]}
+        path = self.write(tmp_path / "masks.jsonl",
+                          [good] * before + [{**good, "organ_label": "liver", "rle": rle}])
+        got = self.outcome(path)
+        if isinstance(expected, str):
+            assert got == f"{path}: line {before + 1}: {expected}"
+        else:
+            assert got == [("lung", [1, 2, 5], 2)] * before + expected
 
 
 class TestCorpusIo:

@@ -3,13 +3,17 @@
 perfbench/tracer.py replaces each (owner, attribute) of its TARGETS with a
 timing wrapper, and fails when one is missing. Checking the names here makes
 a refactor that drops or moves one fail in the tests, not only when the
-benchmark runs. A short traced run checks that the per-batch rows count
-batches. The tracer's source is compiled and run in a fresh namespace, so
-nothing is written next to it.
+benchmark runs. Short traced runs check that the per-batch rows count
+batches, and that the forge rows record calls, with `forge.assign_organ`
+counting chunks of images. The tracer's source is compiled and run in a
+fresh namespace, so nothing is written next to it.
 """
 
 from pathlib import Path
 
+import pytest
+
+from cotforge import fixture_path, forge, jsonl
 from cotforge.harness import HarnessParams, run_toy_training
 from cotforge.scheduler import SchedulerHyperparams
 
@@ -46,3 +50,24 @@ def test_the_loss_recipe_and_observe_rows_count_batches():
     batches = params.epochs * params.batches_per_epoch
     assert metrics["losses.stage_loss.calls"] == batches
     assert metrics["scheduler.observe.calls"] == batches
+
+
+@pytest.mark.parametrize("budget,chunks", [(None, 1), (1, 3)])
+def test_the_forge_rows_record_calls_and_assign_organ_counts_chunks(
+        chunk_budget, budget, chunks):
+    # the bundled fixture's three images fit one chunk; a budget of one run
+    # makes each image a chunk of its own
+    if budget is not None:
+        chunk_budget(budget)
+    tracer = tracer_namespace()
+    spans = tracer["Tracer"]()
+    with tracer["traced"](spans):
+        images = jsonl.read_dataset(fixture_path("forge_dataset.jsonl"))
+        masks = jsonl.read_masks(fixture_path("forge_masks.jsonl"),
+                                 {image.image_id: image for image in images})
+        forge.build_corpus(images, masks, forge.TemplateQaGenerator())
+    metrics = tracer["summarize"](spans.spans)
+    assert len(images) == 3
+    assert metrics["jsonl.read_masks.calls"] == 1
+    assert metrics["forge.build_corpus.calls"] == 1
+    assert metrics["forge.assign_organ.calls"] == chunks
