@@ -8,6 +8,7 @@ IoU falls at or below the threshold stay unassigned and are skipped by
 default (or routed to an organ-free template, per config).
 """
 
+import itertools
 import re
 import string
 from concurrent.futures import ThreadPoolExecutor
@@ -15,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Protocol
 
 from .errors import BackendError, MalformedResponseError, ValidationError
-from .geometry import (FORGE_CHUNK, BBox, box_intersections, box_span, check_runs,
-                       runs_array)
+from .geometry import BBox, box_intersections, box_span, check_runs, runs_array
 from .geometry import mask_iou  # noqa: F401  uncalled; the benchmark tracer wraps it here
 
 MODALITIES = ("CT", "XRay", "MRI", "Mammo")
@@ -62,7 +62,7 @@ class OrganMask:
     height * width (`geometry.check_runs`); `area`, the set-pixel count, is
     the sum of the odd runs. An int array given as the runs is kept, not
     copied, and made read-only. A dense mask is encoded with
-    `geometry.encode_runs`. One mask is checked as a chunk of one by
+    `geometry.encode_runs`. One mask is checked as a list of one by
     `organ_masks`, after its dims and the shape and dtype of its runs.
     """
 
@@ -76,11 +76,11 @@ class OrganMask:
 
 
 def organ_masks(lines):
-    """Check a chunk of (organ_label, runs, height, width) mask lines and
-    yield each line's OrganMask, in order.
+    """Check (organ_label, runs, height, width) mask lines and yield each
+    line's OrganMask, in order.
 
     Each line's runs are a `geometry.runs_array` array and its dims are
-    positive; one `check_runs` pass checks every line's runs. Each line is
+    positive; one `check_runs` call checks every line's runs. Each line is
     then checked as OrganMask checks it: its runs, its label, then its
     area. The first faulty line raises ValidationError in its turn, once
     the masks before it are yielded.
@@ -172,7 +172,7 @@ def assign_organ(images, tau_iou=0.0) -> list:
 
     Returns, per image, one (organ_label, iou) pair per annotation, in
     order. The IoU is pixel-count IoU, counted from the masks' runs in exact
-    integers, for every image in one `box_intersections` pass. Ties break to
+    integers, for every image in one `box_intersections` call. Ties break to
     the lowest mask index; a best IoU <= tau_iou leaves the annotation
     unassigned, with label None and the score still given.
     """
@@ -194,7 +194,8 @@ def assign_organ(images, tau_iou=0.0) -> list:
         image_outcomes = []
         for r0, r1, c0, c1 in spans:
             box_pixels = (r1 - r0) * (c1 - c0)
-            inters = next(covered) if box_pixels else [0] * len(masks)
+            # zip stops at the last mask, so it takes one count per mask
+            inters = covered if box_pixels else itertools.repeat(0)
             best_idx = 0
             best = -1.0
             for k, (om, inter) in enumerate(zip(masks, inters)):
@@ -322,53 +323,6 @@ class ForgeResult:
     truncated_cot: int = 0  # records whose rationale was cut to MAX_COT_SENTENCES
 
 
-def _assign_in_chunks(dataset, masks_by_image, tau_iou):
-    """Each image's organ labels, one per annotation (None where unassigned),
-    in dataset order.
-
-    The images with masks and annotations are scored a chunk of consecutive
-    images per `assign_organ` call. A chunk holds at most FORGE_CHUNK runs,
-    and about as many mask-row queries (two per box row and mask of the
-    chunk's image with the most, as `box_intersections` counts them, from
-    an upper bound on each box's rows), or else a single image.
-    """
-    labels, chunk, members = [], [], []
-    runs = rows = most = 0
-
-    def score():
-        for i, outcomes in zip(members, assign_organ(chunk, tau_iou)):
-            labels[i] = [label for label, _ in outcomes]
-
-    for image in dataset:
-        masks = masks_by_image.get(image.image_id, ())
-        for om in masks:
-            if (om.height, om.width) != (image.height, image.width):
-                raise ValidationError(
-                    f"mask {om.organ_label!r} dims {(om.height, om.width)} do not "
-                    f"match image {image.image_id!r} dims {(image.height, image.width)}"
-                )
-        labels.append([None] * len(image.annotations))
-        if not masks or not image.annotations:
-            continue
-        # a box spans at most floor(its height in pixels) + 1 pixel centers
-        image_rows = sum(int((ann.box.y2 - ann.box.y1) * image.height) + 2
-                         for ann in image.annotations)
-        image_runs = sum(len(om.runs) for om in masks)
-        if chunk and (runs + image_runs > FORGE_CHUNK or 2 * max(most, len(masks))
-                      * (rows + image_rows) > FORGE_CHUNK):
-            score()
-            chunk, members = [], []
-            runs = rows = most = 0
-        chunk.append((image.annotations, masks))
-        members.append(len(labels) - 1)
-        runs += image_runs
-        rows += image_rows
-        most = max(most, len(masks))
-    if chunk:
-        score()
-    return labels
-
-
 def build_corpus(
     dataset,
     masks_by_image,
@@ -392,10 +346,26 @@ def build_corpus(
     for template in templates:
         parse_seed_template(template)
 
+    labels, scored, members = [], [], []
+    for image in dataset:
+        masks = masks_by_image.get(image.image_id, ())
+        for om in masks:
+            if (om.height, om.width) != (image.height, image.width):
+                raise ValidationError(
+                    f"mask {om.organ_label!r} dims {(om.height, om.width)} do not "
+                    f"match image {image.image_id!r} dims {(image.height, image.width)}"
+                )
+        labels.append([None] * len(image.annotations))
+        if masks and image.annotations:
+            scored.append((image.annotations, masks))
+            members.append(len(labels) - 1)
+    for i, outcomes in zip(members, assign_organ(scored, tau_iou)):
+        labels[i] = [label for label, _ in outcomes]
+
     tasks = []
     skipped = 0
     ordinal = 0
-    for image, organs in zip(dataset, _assign_in_chunks(dataset, masks_by_image, tau_iou)):
+    for image, organs in zip(dataset, labels):
         for j, (ann, organ) in enumerate(zip(image.annotations, organs)):
             if organ is not None:
                 template = templates[ordinal % len(templates)]

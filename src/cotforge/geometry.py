@@ -21,8 +21,9 @@ from .errors import ValidationError
 # Most image pixels in one stacked soft-mask build: 32 MiB of float64.
 MAX_SOFT_MASK_PIXELS = 1 << 22
 
-# Most RLE runs, or mask-row queries, in one chunk of the forge's numpy
-# passes (`check_runs`, `box_intersections`): 128 KiB per int64 array.
+# Most RLE runs and mask-row queries in one chunk of the forge's numpy
+# passes (`check_runs`, `box_intersections`): 128 KiB per int64 array. The
+# passes split their inputs themselves; no other module reads it.
 FORGE_CHUNK = 1 << 14
 
 
@@ -126,45 +127,63 @@ def runs_array(runs) -> np.ndarray:
 _ZERO_PADS = tuple(np.zeros(n, dtype=np.int64) for n in range(3))
 
 
-def check_runs(masks_runs, totals):
-    """Check a chunk of RLE masks' runs, each against its pixel total, in one
-    numpy pass.
+def _chunks(costs):
+    """(start, stop) of each chunk of consecutive items, in order: a chunk
+    holds a single item, or items whose costs sum to at most FORGE_CHUNK."""
+    start = total = 0
+    for k, cost in enumerate(costs):
+        if k > start and total + cost > FORGE_CHUNK:
+            yield start, k
+            start, total = k, 0
+        total += cost
+    if costs:
+        yield start, len(costs)
 
-    `masks_runs` are one or more `runs_array` arrays. Returns (areas, faults): areas[k]
+
+def check_runs(masks_runs, totals):
+    """Check RLE masks' runs, each against its pixel total, a chunk of
+    masks per numpy pass.
+
+    `masks_runs` are `runs_array` arrays. Returns (areas, faults): areas[k]
     is mask k's set-pixel count, the sum of its odd runs, and faults maps
     the index of each mask with a negative run, or whose runs do not sum to
     its total, to the message naming that fault. A faulty mask's area means
     nothing.
 
-    The runs are joined into one int64 sequence, each mask padded with zero
-    runs to an even length of at least 2, so one minimum, maximum and add
-    reduceat each give every mask's bounds and sum, and the odd runs its
-    area. A mask's sums are exact while no partial sum can reach 2**63:
-    its runs lie in [0, total] and its padded run count times its total is
-    below 2**63. Any other mask, and any mask the pass finds faulty, is
-    checked again on its own, in Python integers.
+    A chunk holds at most FORGE_CHUNK runs, or a single mask. Its runs are
+    joined into one int64 sequence, each mask padded with zero runs to an
+    even length of at least 2, so one minimum, maximum and add reduceat
+    each give every mask's bounds and sum, and the odd runs its area. A
+    mask's sums are exact while no partial sum can reach 2**63: its runs
+    lie in [0, total] and its padded run count times its total is below
+    2**63. Any other mask, and any mask the pass finds faulty, is checked
+    again on its own, in Python integers.
     """
-    sizes = [len(runs) for runs in masks_runs]
-    padded = [size + (size & 1) or 2 for size in sizes]
-    starts = list(itertools.accumulate(padded[:-1], initial=0))
-    # a uint64 run past the int64 range turns negative and fails the pass
-    joined = np.concatenate([piece for runs, size, length in zip(masks_runs, sizes, padded)
-                             for piece in (runs, _ZERO_PADS[length - size])], dtype=np.int64)
-    guarded = np.array([total if length * total < 2**63 else -1
-                        for length, total in zip(padded, totals)], dtype=np.int64)
-    ok = ((np.minimum.reduceat(joined, starts) >= 0)
-          & (np.maximum.reduceat(joined, starts) <= guarded)
-          & (np.add.reduceat(joined, starts) == guarded))
-    areas = np.add.reduceat(joined[1::2], np.array(starts) // 2).tolist()
-    faults = {}
-    for k in np.flatnonzero(~ok).tolist():
-        runs, total = masks_runs[k].tolist(), totals[k]
-        if min(runs, default=0) < 0:
-            faults[k] = "RLE runs must be non-negative integers"
-        elif (got := sum(runs)) != total:
-            faults[k] = f"RLE runs sum to {got}, expected {total}"
-        else:
-            areas[k] = sum(runs[1::2])
+    lengths = [len(runs) for runs in masks_runs]
+    areas, faults = [], {}
+    for first, stop in _chunks(lengths):
+        chunk, sizes = masks_runs[first:stop], lengths[first:stop]
+        padded = [size + (size & 1) or 2 for size in sizes]
+        starts = list(itertools.accumulate(padded[:-1], initial=0))
+        # a uint64 run past the int64 range turns negative and fails the pass
+        joined = np.concatenate([piece for runs, size, length in zip(chunk, sizes, padded)
+                                 for piece in (runs, _ZERO_PADS[length - size])],
+                                dtype=np.int64)
+        guarded = np.array([total if length * total < 2**63 else -1
+                            for length, total in zip(padded, totals[first:stop])],
+                           dtype=np.int64)
+        ok = ((np.minimum.reduceat(joined, starts) >= 0)
+              & (np.maximum.reduceat(joined, starts) <= guarded)
+              & (np.add.reduceat(joined, starts) == guarded))
+        areas += np.add.reduceat(joined[1::2], np.array(starts) // 2).tolist()
+        for k in (first + np.flatnonzero(~ok)).tolist():
+            runs, total = masks_runs[k].tolist(), totals[k]
+            if min(runs, default=0) < 0:
+                faults[k] = "RLE runs must be non-negative integers"
+            elif (got := sum(runs)) != total:
+                faults[k] = f"RLE runs sum to {got}, expected {total}"
+            else:
+                areas[k] = sum(runs[1::2])
     return areas, faults
 
 
@@ -176,72 +195,66 @@ def expand_runs(runs, height, width) -> np.ndarray:
     return np.repeat(values, runs).reshape(height, width)
 
 
-_EMPTY_RUN = np.zeros(1, dtype=np.int64)
-
-
 def box_intersections(images) -> np.ndarray:
     """Set pixels of each RLE mask inside each pixel rectangle, decoding none.
 
-    `images` are (spans, masks_runs, height, width) of one or more images:
+    `images` are (spans, masks_runs, height, width) of any number of images:
     `spans` are non-empty half-open rectangles (r0, r1, c0, c1) as
     `box_span` gives them, and `masks_runs` are valid runs of (height,
-    width) masks. Returns the exact counts as an int64 array with a row per
-    span, in image order, and a column per mask of the image with the most;
-    a span's row holds its counts against its own image's masks, in order,
-    then zeros.
+    width) masks. Returns the exact counts as one int64 array: for each
+    span, in image order, its counts against its own image's masks, in
+    order.
 
     Let B(x) be the number of set pixels before flat offset x. A rectangle
-    holds the sum over its rows r of B(r*W + c1) - B(r*W + c0). All masks'
-    runs are joined into one sequence, with a zero-length run after any mask
-    of odd run count, so every mask's zero runs sit at even indices, and a
-    zero run fills each mask out to the chunk's largest image, S pixels; an
-    image's mask k then starts at offset k*S past its image's first mask.
-    One cumulative pass plus one searchsorted answer every (mask, rectangle
-    row) query, a broadcast of the rows' offsets and the masks' bases. A
-    query past an image's last mask reads the next image's runs, or a final
-    zero run long enough for any query, and its count is dropped.
+    holds the sum over its rows r of B(r*W + c1) - B(r*W + c0). The images
+    are scored a chunk at a time, a chunk holding a single image or at most
+    FORGE_CHUNK runs and queries, where an image costs its masks' runs and
+    two queries per box row and mask. A chunk's runs are joined into one
+    sequence, with a zero-length run after any mask of odd run count, so
+    every mask's zero runs sit at even indices, and each mask's offsets
+    start where the previous mask's end. One cumulative pass plus one
+    searchsorted then answer every (mask, box row) query of the chunk.
     """
-    most = max((len(masks_runs) for _, masks_runs, _, _ in images), default=0)
-    stride = max((h * w for _, _, h, w in images), default=0)
-    pieces = []
-    spans_at, table, lengths, counts = [], [], [], []
-    base = n = 0
+    costs = [sum(map(len, masks_runs)) + 2 * len(masks_runs) * sum(
+        r1 - r0 for r0, r1, _, _ in spans) for spans, masks_runs, _, _ in images]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *(
+        _count_chunk(images[start:stop]) for start, stop in _chunks(costs))])
+
+
+def _count_chunk(images):
+    """`box_intersections` of one chunk of images, in one numpy pass."""
+    pieces, table, counts = [], [], []
+    base = 0
     for spans, masks_runs, height, width in images:
-        fill = [np.array([stride - height * width, 0])] if height * width < stride else []
         for runs in masks_runs:
-            pieces.append(runs)
-            if len(runs) % 2:
-                pieces.append(_EMPTY_RUN)
-            pieces += fill
+            pieces += runs, _ZERO_PADS[len(runs) % 2]
         for r0, r1, c0, c1 in spans:
-            spans_at.append(n)
-            # the chunk's box row j, if in this span, starts at lead + j * width
-            table.append((base + (r0 - n) * width + c0, width, c1 - c0))
-            lengths.append(r1 - r0)
+            table.append((base + r0 * width + c0, height * width, width, c1 - c0, r1 - r0))
             counts.append(len(masks_runs))
-            n += r1 - r0
-        base += len(masks_runs) * stride
-    if not n:
-        return np.zeros((0, most), dtype=np.int64)
-    pieces.append(np.array([most * stride]))
+        base += len(masks_runs) * height * width
+    # one group of box rows per (span, mask of its image); mask k of a
+    # span's image starts k * height * width past the image's first mask
+    lead, pixels, step, extent, rows = np.repeat(
+        np.array(table, dtype=np.int64).reshape(-1, 5), counts, axis=0).T
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64)
+    k = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    groups_at = np.cumsum(rows) - rows
+    n = int(rows.sum())
+    # the chunk's box row j, in group g, starts at lead[g] + j * step[g]
+    lead += k * pixels - groups_at * step
+    lead, step, extent = np.repeat(np.stack((lead, step, extent)), rows, axis=1)
+    row_starts = lead + np.arange(n) * step
+    offsets = np.concatenate((row_starts, row_starts + extent))
     runs = np.concatenate(pieces, dtype=np.int64)  # a fresh array
     ends = runs.cumsum()
     runs[::2] = 0
     ones_through = runs.cumsum()  # set pixels up to the end of each run
-
-    # every box row's start, then every box row's stop
-    lead, step, extent = np.repeat(np.array(table), lengths, axis=0).T
-    row_starts = lead + np.arange(n) * step
-    offsets = (np.concatenate((row_starts, row_starts + extent))
-               + np.arange(0, most * stride, stride, dtype=np.int64)[:, None])
     # the first run ending at or after each offset: all runs before it count,
     # and a ones run loses its part past the offset
     i = ends.searchsorted(offsets)
     before = ones_through[i] - (ends[i] - offsets) * (i & 1)
-    counted = np.add.reduceat(before[:, n:] - before[:, :n], spans_at, axis=1).T
-    if min(counts) < most:
-        counted[np.arange(most) >= np.array(counts)[:, None]] = 0
-    return counted
+    return np.add.reduceat(before[n:] - before[:n], groups_at)
 
 
 def _average_pool(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .forge import MAX_IMAGE_SIDE, VqaCotRecord
-from .geometry import box_span, build_soft_mask
+from .geometry import MAX_SOFT_MASK_PIXELS, box_span, build_soft_mask
 from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage, Trace
 from .toymodel import StageLossWeights, ToyModel
 
@@ -84,6 +84,10 @@ class HarnessParams:
         if not 0.0 <= self.sigma <= max(height, width):
             raise ValidationError(
                 f"sigma must lie in [0, {max(height, width)}], the larger image dim")
+        # one soft mask's build peaks at a few float64 copies of its image
+        if height * width > MAX_SOFT_MASK_PIXELS:
+            raise ValidationError(f"image_dims {list(self.image_dims)} must hold at most "
+                                  f"{MAX_SOFT_MASK_PIXELS} pixels")
 
     def to_json_dict(self) -> dict:
         """Field order, with tuples as arrays once serialized; traces pin it."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError, read_object
 from .forge import ImageRecord, VqaCotRecord, organ_masks
-from .geometry import FORGE_CHUNK, check_runs, encode_runs, expand_runs, runs_array
+from .geometry import check_runs, encode_runs, expand_runs, runs_array
 
 
 @contextlib.contextmanager
@@ -112,15 +112,13 @@ def read_masks(path, images_by_id):
     match that image's, its runs must be valid RLE for those dims (a JSON
     true or false is not a run), and its organ label and mask must be
     non-empty (the mask's area is the sum of its odd runs). Each line's
-    runs become one array as the line is read; the lines are then checked
-    a chunk at a time (`forge.organ_masks`), once FORGE_CHUNK runs wait and
-    before any later line's own fault is raised, so the first faulty line
-    in the file is the one reported. Each mask is kept as its checked runs
-    and nothing is decoded; the returned mapping is read-only and holds a
-    tuple per image.
+    runs become one array as the line is read; the lines read are checked
+    together (`forge.organ_masks`) at the end, and before any later line's
+    own fault is raised, so the first faulty line in the file is the one
+    reported. Each mask is kept as its checked runs and nothing is decoded;
+    the returned mapping is read-only and holds a tuple per image.
     """
-    masks_by_image = {}
-    pending, waiting = [], 0
+    pending = []
     try:
         for lineno, text, obj in _iter_jsonl(path):
             where = f"{path}: line {lineno}"
@@ -142,17 +140,10 @@ def read_masks(path, images_by_id):
                 raise ValidationError(f"{where}: {exc}") from exc
             pending.append((lineno, line.image_id,
                             (line.organ_label, runs, line.height, line.width)))
-            waiting += len(runs)
-            if waiting >= FORGE_CHUNK:
-                _add_masks(path, pending, masks_by_image)
-                waiting = 0
     except ValidationError:
-        _add_masks(path, pending, masks_by_image)  # an earlier line's fault comes first
+        _checked_masks(path, pending)  # an earlier line's fault comes first
         raise
-    _add_masks(path, pending, masks_by_image)
-    for image_id, masks in masks_by_image.items():
-        masks_by_image[image_id] = tuple(masks)
-    return types.MappingProxyType(masks_by_image)
+    return _checked_masks(path, pending)
 
 
 def _holds_json_boolean(text, values):
@@ -166,11 +157,10 @@ def _holds_json_boolean(text, values):
             and any(type(value) is bool for value in values))
 
 
-def _add_masks(path, pending, masks_by_image):
-    """Check the pending mask lines as one chunk, empty the list, and add
-    their masks to their images; the first faulty line raises, named."""
-    lines = pending[:]
-    pending.clear()
+def _checked_masks(path, lines):
+    """Check the read mask lines and map each image id to a tuple of its
+    masks, read-only; the first faulty line raises, named."""
+    masks_by_image = {}
     masks = organ_masks([mask_line for _, _, mask_line in lines])
     for lineno, image_id, _ in lines:
         try:
@@ -178,6 +168,8 @@ def _add_masks(path, pending, masks_by_image):
         except ValidationError as exc:
             raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
         masks_by_image.setdefault(image_id, []).append(mask)
+    return types.MappingProxyType({image_id: tuple(masks)
+                                   for image_id, masks in masks_by_image.items()})
 
 
 def write_corpus(path, records):
@@ -209,7 +201,7 @@ def read_trace(path):
     if not rows:
         raise ValidationError(f"{path}: empty trace file")
     header, epochs = rows[0], rows[1:]
-    if header.get("kind") != "header":
+    if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValidationError(f"{path}: first record must be the header")
     return header, epochs
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import statistics
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Dict, List, NamedTuple, Optional, Sequence, Union
 
@@ -105,7 +105,8 @@ class SchedulerHyperparams:
             raise ValidationError("eps must be positive")
 
     def to_json_dict(self) -> dict:
-        return {k: v for k, v in self.__dict__.items()}
+        """Field order; traces pin it."""
+        return asdict(self)
 
 
 def update_ema(prev: Optional[float], mean: float, rho: float) -> float:

@@ -144,7 +144,8 @@ class ToyModel:
 
         self.answer_vocab = sorted({r.answer for r in self.items})
         self._answer_index = {a: i for i, a in enumerate(self.answer_vocab)}
-        self.answer_ids = [self._answer_index[r.answer] for r in self.items]
+        self.answer_ids = np.array([self._answer_index[r.answer] for r in self.items],
+                                   dtype=np.intp)
 
         sentences = [split_sentences(r.cot) for r in self.items]
         self.cot_vocab = sorted({s for ss in sentences for s in ss})
@@ -154,9 +155,9 @@ class ToyModel:
         self.anchor_keys = sorted({(r.domain.lesion_class, r.answer)
                                    for r in self.items})
         anchor_index = {k: i for i, k in enumerate(self.anchor_keys)}
-        self.anchor_ids = [
-            anchor_index[(r.domain.lesion_class, r.answer)] for r in self.items
-        ]
+        self.anchor_ids = np.array(
+            [anchor_index[(r.domain.lesion_class, r.answer)] for r in self.items],
+            dtype=np.intp)
 
         # cell memberships are fixed by the boxes, so compute them once: each
         # item's ROI as flat cell indices in row-major order, padded to the
@@ -168,8 +169,6 @@ class ToyModel:
                                   dtype=np.intp)
         self._roi_flat[np.arange(self._roi_flat.shape[1])
                        < self._roi_count[:, np.newaxis]] = np.nonzero(cells)[1]
-        self._answer_ids = np.array(self.answer_ids, dtype=np.intp)
-        self._anchor_ids = np.array(self.anchor_ids, dtype=np.intp)
         # sentence ids padded to the longest rationale, and at each position
         # that sentence's share of the rationale: the rationale head's target
         self._cot_len = np.array([len(ids) for ids in self.cot_ids])
@@ -238,7 +237,7 @@ class ToyModel:
                               (is_easy | is_medium, is_easy, is_medium))
         l_cot, l_ground, l_attn = np.full((3, n), np.nan)
 
-        answer_ids = self._answer_ids[items]
+        answer_ids = self.answer_ids[items]
         l_ans = -_log_softmax(self.ans_logits)[answer_ids]
         g_ans = np.tile(_softmax(self.ans_logits), (n, 1))
         g_ans[np.arange(n), answer_ids] -= 1.0
@@ -296,7 +295,7 @@ class ToyModel:
             sel = np.flatnonzero(counts == k)
             # the ROI mean, as ndarray.mean computes it
             f[sel] = np.add.reduce(cell_features[flat[sel, :k]], axis=1) / k
-        a = self.anchors[self._anchor_ids[items]]
+        a = self.anchors[self.anchor_ids[items]]
         nf = np.sqrt(np.matmul(f[:, np.newaxis], f[:, :, np.newaxis]).ravel())
         na = np.sqrt(np.matmul(a[:, np.newaxis], a[:, :, np.newaxis]).ravel())
         if not (nf.all() and na.all()):
@@ -311,7 +310,7 @@ class ToyModel:
         used = np.arange(flat.shape[1]) < counts[:, np.newaxis]
         np.add.at(grads["features"], np.divmod(flat[used], self.grid_dims[1]),
                   per_cell)
-        np.add.at(grads["anchors"], self._anchor_ids[items],
+        np.add.at(grads["anchors"], self.anchor_ids[items],
                   weights.w_ground * dl_da)
         return 1.0 - cos
 

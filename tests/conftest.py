@@ -4,7 +4,7 @@ forge's chunk budget."""
 
 import pytest
 
-from cotforge import forge, geometry, jsonl
+from cotforge import geometry, jsonl
 
 acceptance_verdicts = []
 
@@ -23,11 +23,10 @@ def no_decoding(monkeypatch):
 
 @pytest.fixture
 def chunk_budget(monkeypatch):
-    """Set the forge's chunk budget (`geometry.FORGE_CHUNK`) wherever it is
-    read, so chunk edges fall inside a small input."""
+    """Set the forge's chunk budget, `geometry.FORGE_CHUNK`, the one place it
+    is read, so chunk edges fall inside a small input."""
     def set_budget(runs):
-        for module in (geometry, forge, jsonl):
-            monkeypatch.setattr(module, "FORGE_CHUNK", runs)
+        monkeypatch.setattr(geometry, "FORGE_CHUNK", runs)
 
     return set_budget
 

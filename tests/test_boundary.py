@@ -290,6 +290,8 @@ UNUSABLE_VALUE_CASES = [
     ("grid-exceeds-image", "train-toy", ("harness", "grid_dims"), [128, 8]),
     ("image-dims-unbounded", "train-toy", ("harness", "image_dims"),
      [1099511627776, 64]),
+    ("image-dims-past-soft-mask-pixels", "train-toy", ("harness", "image_dims"),
+     [8192, 8192]),
     ("feature-dim-unbounded", "train-toy", ("harness", "feature_dim"), 2**50),
     # a dict sets several fields of the section: here an image that holds the grid
     ("grid-cells-unbounded", "train-toy", ("harness", "grid_dims"),

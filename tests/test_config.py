@@ -129,6 +129,8 @@ class TestStrictness:
         ("image_dims", [4, 4]),
         # a side above MAX_IMAGE_SIDE would exhaust memory once training starts
         ("image_dims", [1099511627776, 64]), ("image_dims", [64, 8193]),
+        # and so would an image above MAX_SOFT_MASK_PIXELS, each side in range
+        ("image_dims", [8192, 8192]), ("image_dims", [2049, 2048]),
         # and so would a feature dimension above MAX_FEATURE_DIM
         ("feature_dim", 2**50), ("feature_dim", 4097),
         # and so would a grid above MAX_GRID_CELLS; a dict sets several fields,

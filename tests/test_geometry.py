@@ -189,21 +189,36 @@ class TestBoxSpan:
 
 
 def dense_intersections(spans, masks):
-    return np.array([[int(np.count_nonzero(m[r0:r1, c0:c1])) for m in masks]
-                     for r0, r1, c0, c1 in spans], dtype=np.int64).reshape(len(spans),
-                                                                           len(masks))
+    """Each span's counts against each mask, span by span, as one int64 array."""
+    return np.array([int(np.count_nonzero(m[r0:r1, c0:c1]))
+                     for r0, r1, c0, c1 in spans for m in masks], dtype=np.int64)
+
+
+def random_spans(rng, h, w, n):
+    spans = []
+    for _ in range(n):
+        r0, r1 = sorted(rng.choice(h + 1, size=2, replace=False).tolist())
+        c0, c1 = sorted(rng.choice(w + 1, size=2, replace=False).tolist())
+        spans.append((r0, r1, c0, c1))
+    return spans
+
+
+def random_images(rng):
+    """(spans, masks_runs, height, width) of 1-6 images of mixed dims, with
+    0-4 masks and 0-3 spans each, and the dense counts of them all."""
+    images, dense = [], []
+    for _ in range(int(rng.integers(1, 7))):
+        h, w = (int(v) for v in rng.integers(1, 25, size=2))
+        masks = [rng.random((h, w)) < rng.uniform(0.0, 1.0)
+                 for _ in range(int(rng.integers(0, 5)))]
+        spans = random_spans(rng, h, w, int(rng.integers(0, 4)))
+        images.append((spans, [encode_runs(m) for m in masks], h, w))
+        dense.append(dense_intersections(spans, masks))
+    return images, np.concatenate(dense)
 
 
 class TestBoxIntersections:
     """Counts read from the runs equal counts over the decoded pixels."""
-
-    def random_spans(self, rng, h, w, n):
-        spans = []
-        for _ in range(n):
-            r0, r1 = sorted(rng.choice(h + 1, size=2, replace=False).tolist())
-            c0, c1 = sorted(rng.choice(w + 1, size=2, replace=False).tolist())
-            spans.append((r0, r1, c0, c1))
-        return spans
 
     def test_matches_dense_counts(self):
         rng = np.random.default_rng(23)
@@ -211,7 +226,7 @@ class TestBoxIntersections:
             h, w = (int(v) for v in rng.integers(1, 30, size=2))
             masks = [rng.random((h, w)) < rng.uniform(0.0, 1.0)
                      for _ in range(int(rng.integers(1, 6)))]
-            spans = self.random_spans(rng, h, w, int(rng.integers(1, 6)))
+            spans = random_spans(rng, h, w, int(rng.integers(1, 6)))
             spans += [(0, h, 0, w), (h - 1, h, w - 1, w), (0, 1, 0, 1)]
             runs = [encode_runs(m) for m in masks]
             got = box_intersections([(spans, runs, h, w)])
@@ -233,26 +248,92 @@ class TestBoxIntersections:
 
     def test_no_spans(self):
         runs = [encode_runs(np.ones((3, 3), dtype=bool))] * 2
-        assert box_intersections([([], runs, 3, 3)]).shape == (0, 2)
+        got = box_intersections([([], runs, 3, 3)])
+        assert got.shape == (0,) and got.dtype == np.int64
+        assert box_intersections([]).shape == (0,)
 
     def test_images_of_mixed_dims_in_one_pass(self):
-        # each image's rows equal its own counts, then zeros past its masks
+        # each span's counts against its own image's masks, image by image
         rng = np.random.default_rng(31)
         for _ in range(30):
-            images, dense = [], []
-            for _ in range(int(rng.integers(1, 7))):
-                h, w = (int(v) for v in rng.integers(1, 25, size=2))
-                masks = [rng.random((h, w)) < rng.uniform(0.0, 1.0)
-                         for _ in range(int(rng.integers(0, 5)))]
-                spans = self.random_spans(rng, h, w, int(rng.integers(0, 4)))
-                images.append((spans, [encode_runs(m) for m in masks], h, w))
-                dense.append((spans, masks))
-            most = max(len(masks) for _, masks in dense)
-            expected = [np.pad(dense_intersections(spans, masks), ((0, 0), (0, most - len(masks))))
-                        for spans, masks in dense]
+            images, expected = random_images(rng)
             got = box_intersections(images)
             assert got.dtype == np.int64
-            assert np.array_equal(got, np.concatenate(expected))
+            assert np.array_equal(got, expected)
+
+
+@pytest.fixture
+def chunks_seen(monkeypatch):
+    """The item costs and (start, stop) chunks of each call to
+    `geometry._chunks`."""
+    seen = []
+    split = geometry._chunks
+
+    def spy(costs):
+        seen.append((costs, list(split(costs))))
+        return iter(seen[-1][1])
+
+    monkeypatch.setattr(geometry, "_chunks", spy)
+    return seen
+
+
+class TestChunkEdges:
+    """The forge's passes split their inputs into chunks themselves and give
+    the one-pass result at any budget: one item a chunk, a budget that
+    splits the input mid-way, and the default."""
+
+    def test_a_chunk_is_one_item_or_within_the_budget(self, chunk_budget):
+        chunk_budget(6)
+        assert list(geometry._chunks([3, 3, 1, 5, 9, 0, 6])) == [
+            (0, 2), (2, 4), (4, 5), (5, 7)]
+        assert list(geometry._chunks([])) == []
+
+    def assert_split(self, chunks_seen, budget):
+        for costs, chunks in chunks_seen:
+            assert [k for start, stop in chunks for k in range(start, stop)] == list(
+                range(len(costs)))
+            for start, stop in chunks:
+                held = [cost for cost in costs[start:stop] if cost]
+                assert len(held) <= 1 or sum(held) <= geometry.FORGE_CHUNK
+                if budget == 1:  # an item that costs nothing may join one
+                    assert len(held) <= 1
+        if budget is None:
+            assert all(len(chunks) == 1 for _, chunks in chunks_seen)
+        elif budget > 1:  # chunk edges fall mid-input, and a chunk holds several items
+            assert max(len(chunks) for _, chunks in chunks_seen) > 1
+            assert max(stop - start for _, chunks in chunks_seen
+                       for start, stop in chunks) > 1
+
+    @pytest.mark.parametrize("budget", [1, 200, None])
+    def test_box_intersections_equal_the_dense_counts(self, chunk_budget, chunks_seen,
+                                                      budget):
+        if budget is not None:
+            chunk_budget(budget)
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            images, expected = random_images(rng)
+            assert np.array_equal(box_intersections(images), expected)
+        self.assert_split(chunks_seen, budget)
+
+    @pytest.mark.parametrize("budget", [1, 40, None])
+    def test_check_runs_equals_the_per_mask_reference(self, chunk_budget, chunks_seen,
+                                                      budget):
+        if budget is not None:
+            chunk_budget(budget)
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            masks_runs, totals = [], []
+            for _ in range(int(rng.integers(1, 12))):
+                h, w = (int(v) for v in rng.integers(1, 12, size=2))
+                runs = encode_runs(rng.random((h, w)) < rng.uniform(0.0, 1.0))
+                if rng.random() < 0.2:
+                    runs = runs[:-1]  # short: a fault
+                masks_runs.append(runs)
+                totals.append(h * w)
+            areas, faults = check_runs(masks_runs, totals)
+            assert [faults.get(k, area) for k, area in enumerate(areas)] == [
+                reference_check(r, t) for r, t in zip(masks_runs, totals)]
+        self.assert_split(chunks_seen, budget)
 
 
 def reference_check(runs, total):

@@ -355,8 +355,9 @@ MASK_FAULTS = {  # one line's fault (raw text or fields over a good line)
 
 
 class TestFirstFaultAcrossChunks:
-    """With the runs checked a chunk of lines at a time, the error is still
-    the first faulty line's own first fault, wherever the chunk edges fall.
+    """With the runs checked a chunk of lines at a time (`check_runs` splits
+    them), the error is still the first faulty line's own first fault,
+    wherever the chunk edges fall.
     The reference reads each line alone, behind blank lines that keep its
     line number."""
 
@@ -558,6 +559,14 @@ class TestTraceIo:
         assert got_header == header
         assert got_rows[0]["gap_cot"] == math.inf
         assert got_rows[1]["epoch"] == 2
+
+    @pytest.mark.parametrize("first", ['[1, 2]', '"header"', '7', 'null',
+                                       '{"kind": "epoch"}'])
+    def test_a_first_record_other_than_the_header_is_rejected(self, tmp_path, first):
+        path = tmp_path / "trace.jsonl"
+        path.write_text(first + "\n" + json.dumps(self.rows()[0]) + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="first record must be the header$"):
+            read_trace(path)
 
     def test_csv_export_columns(self, tmp_path):
         path = tmp_path / "trace.csv"

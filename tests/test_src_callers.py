@@ -12,6 +12,9 @@ Module-level imports get the same check within their module: an imported
 name that its module never reads fails, unless it is quoted in the tracer
 (``forge.mask_iou`` is imported only for the tracer to wrap).
 
+The same scan checks that only geometry.py reads the forge's chunk
+budget, FORGE_CHUNK: its numpy passes split their inputs themselves.
+
 This is a name heuristic, not a call graph: a read of any name counts for
 every definition of that name, so two definitions with the same name hide
 each other, and a read that never runs still counts.
@@ -94,6 +97,33 @@ def test_every_src_import_is_read_by_its_module():
     unread = [name for path in sorted(SRC.glob("*.py")) for name in unread_imports(path)
               if name.split(".")[1] not in exempt]
     assert not unread, f"imported in src/ but never read: {unread}"
+
+
+def modules_reading(name, paths):
+    """Stems of the modules among ``paths`` that read or import ``name``."""
+    readers = set()
+    for path in paths:
+        for node in ast.walk(parse(path)):
+            if (isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    or isinstance(node, ast.ImportFrom)
+                    and any(alias.name == name for alias in node.names)):
+                readers.add(path.stem)
+    return readers
+
+
+def test_only_geometry_reads_the_forge_chunk_budget():
+    assert modules_reading("FORGE_CHUNK", sorted(SRC.glob("*.py"))) == {"geometry"}
+
+
+def test_the_budget_scan_sees_an_import_and_a_read(tmp_path):
+    paths = []
+    for stem, text in [("imports", "from .geometry import FORGE_CHUNK as budget\n"),
+                       ("reads", "from . import geometry\nx = geometry.FORGE_CHUNK\n"),
+                       ("neither", "FORGE = 1\n")]:
+        paths.append(tmp_path / f"{stem}.py")
+        paths[-1].write_text(text)
+    assert modules_reading("FORGE_CHUNK", paths) == {"imports", "reads"}
 
 
 def test_the_import_scan_sees_an_unread_import(tmp_path):

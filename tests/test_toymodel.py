@@ -67,7 +67,7 @@ def targets_for(model):
 class TestConstruction:
     def test_vocab_sorted_and_deduplicated(self, model):
         assert model.answer_vocab == ["kidney", "liver", "lung"]
-        assert model.answer_ids == [1, 0, 1, 2]
+        assert model.answer_ids.tolist() == [1, 0, 1, 2]
         assert len(model.anchor_keys) == 3  # (mass,liver),(cyst,kidney),(nodule,lung)
 
     def test_initial_answer_loss_is_log_vocab(self, model):

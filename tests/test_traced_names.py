@@ -5,7 +5,7 @@ timing wrapper, and fails when one is missing. Checking the names here makes
 a refactor that drops or moves one fail in the tests, not only when the
 benchmark runs. Short traced runs check that the per-batch rows count
 batches, and that the forge rows record calls, with `forge.assign_organ`
-counting chunks of images. The tracer's source is compiled and run in a
+counting one call per forge. The tracer's source is compiled and run in a
 fresh namespace, so nothing is written next to it.
 """
 
@@ -52,11 +52,9 @@ def test_the_loss_recipe_and_observe_rows_count_batches():
     assert metrics["scheduler.observe.calls"] == batches
 
 
-@pytest.mark.parametrize("budget,chunks", [(None, 1), (1, 3)])
-def test_the_forge_rows_record_calls_and_assign_organ_counts_chunks(
-        chunk_budget, budget, chunks):
-    # the bundled fixture's three images fit one chunk; a budget of one run
-    # makes each image a chunk of its own
+@pytest.mark.parametrize("budget", [None, 1])
+def test_the_forge_rows_record_calls_and_assign_organ_counts_forges(chunk_budget, budget):
+    # one assign_organ call scores every image, however geometry chunks it
     if budget is not None:
         chunk_budget(budget)
     tracer = tracer_namespace()
@@ -70,4 +68,4 @@ def test_the_forge_rows_record_calls_and_assign_organ_counts_chunks(
     assert len(images) == 3
     assert metrics["jsonl.read_masks.calls"] == 1
     assert metrics["forge.build_corpus.calls"] == 1
-    assert metrics["forge.assign_organ.calls"] == chunks
+    assert metrics["forge.assign_organ.calls"] == 1
