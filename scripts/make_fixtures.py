@@ -109,7 +109,7 @@ def make_forge_demo():
             "organ_label": organ,
             "height": IMAGE_SIZE,
             "width": IMAGE_SIZE,
-            "rle": jsonl.rle_encode(rect_mask(*rect)),
+            "rle": encode_runs(rect_mask(*rect)).tolist(),
         }
         for image_id, organ, rect in DEMO_MASKS
     ]

@@ -40,7 +40,8 @@ def _resolve_path(flag_value, io_value, name: str) -> Path:
 
 def _refuse_overwrite(args, inputs: dict, outputs: dict) -> None:
     """Stop, before any data is read, if an output path (symlinks resolved)
-    is the config file, an input or the other output."""
+    is the config file, an input or the other output, or exists and is not
+    a regular file (a directory, a FIFO or a device)."""
     files = {}
     for role, path in [("config", config_path(args.config)), *inputs.items(),
                        *outputs.items()]:
@@ -49,8 +50,12 @@ def _refuse_overwrite(args, inputs: dict, outputs: dict) -> None:
                 real = os.path.realpath(path)
             except ValueError:  # a NUL byte, which only a config's io section can hold
                 raise ConfigError(f"{role} path {str(path)!r} is not a usable path") from None
-            if real in files and role in outputs:
-                raise ConfigError(f"{role} path {path} would overwrite the {files[real]} file")
+            if role in outputs:
+                if real in files:
+                    raise ConfigError(
+                        f"{role} path {path} would overwrite the {files[real]} file")
+                if os.path.exists(real) and not os.path.isfile(real):
+                    raise ConfigError(f"{role} path {path} is not a regular file")
             files.setdefault(real, role)
 
 

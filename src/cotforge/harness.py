@@ -33,8 +33,7 @@ MAX_GRID_CELLS = 4096
 
 @dataclass(frozen=True)
 class HarnessParams:
-    """Toy-run knobs. The stage weights tilt Easy totals toward grounding and
-    keep the shared answer/rationale heads from drowning out the stage gap."""
+    """Toy-run knobs; the stage weights are ``StageLossWeights``' defaults."""
 
     epochs: int = 40
     batch_size: int = 32
@@ -48,8 +47,7 @@ class HarnessParams:
     # wide blur and a generous floor keep fresh attention targets cheap
     sigma: float = 16.0
     mask_floor: float = 0.01
-    weights: StageLossWeights = field(default_factory=lambda: StageLossWeights(
-        w_ans=0.25, w_cot=0.25, w_ground=2.0, w_attn=1.0))
+    weights: StageLossWeights = field(default_factory=StageLossWeights)
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -110,8 +108,7 @@ def run_toy_training(records: Sequence[VqaCotRecord],
         raise ValidationError("corpus must be non-empty")
     records = list(records)
     if model is None:
-        model = ToyModel(records, image_dims=params.image_dims,
-                         grid_dims=params.grid_dims,
+        model = ToyModel(records, grid_dims=params.grid_dims,
                          feature_dim=params.feature_dim, seed=params.seed)
     for pos, r in enumerate(records, start=1):  # the soft-mask rule, up front
         r0, r1, _, _ = box_span(r.box, *params.image_dims)

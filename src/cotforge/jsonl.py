@@ -9,7 +9,6 @@ import contextlib
 import csv
 import json
 import os
-import tempfile
 import types
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,17 +17,19 @@ import numpy as np
 
 from .errors import ValidationError, read_object
 from .forge import ImageRecord, VqaCotRecord, organ_masks
-from .geometry import check_runs, encode_runs, expand_runs, runs_array
+from .geometry import check_runs, expand_runs, runs_array
 
 
 @contextlib.contextmanager
 def atomic_writer(path):
-    """Context manager yielding a text handle; commits via rename on success."""
+    """Context manager yielding a text handle; commits via rename on success.
+
+    The file gets mode 0666 less the umask, as ``open`` would give it."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(
-        dir=path.parent, prefix=f".{path.name}.", suffix=".tmp"
-    )
+    # not mkstemp, whose files are 0600 whatever the umask
+    tmp_name = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             yield handle
@@ -78,11 +79,6 @@ def rle_decode(runs, height, width) -> np.ndarray:
     if faults:
         raise ValidationError(faults[0])
     return expand_runs(runs, height, width)
-
-
-def rle_encode(mask) -> list:
-    """Inverse of rle_decode; the first run counts zeros (possibly 0)."""
-    return encode_runs(mask).tolist()
 
 
 @dataclass
@@ -194,16 +190,6 @@ def write_trace(path, header, rows):
     Non-finite floats round-trip through the json module's Infinity literal.
     """
     _write_jsonl(path, [header, *rows])
-
-
-def read_trace(path):
-    rows = [obj for _, _, obj in _iter_jsonl(path)]
-    if not rows:
-        raise ValidationError(f"{path}: empty trace file")
-    header, epochs = rows[0], rows[1:]
-    if not isinstance(header, dict) or header.get("kind") != "header":
-        raise ValidationError(f"{path}: first record must be the header")
-    return header, epochs
 
 
 TRACE_CSV_COLUMNS = ("epoch", "lambda_easy", "lambda_medium", "lambda_hard",

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .forge import VqaCotRecord, split_sentences
-from .geometry import BBox, kl_rows
+from .geometry import BBox, box_span, kl_rows
 from .scheduler import _EASY, _MEDIUM, Stage
 
 PARAM_KEYS = ("ans_logits", "cot_logits", "attn_logits", "features", "anchors")
@@ -46,9 +46,13 @@ _DENSE_KEYS = ("ans_logits", "cot_logits", "features", "anchors")
 
 @dataclass(frozen=True)
 class StageLossWeights:
-    w_ans: float = 1.0
-    w_cot: float = 1.0
-    w_ground: float = 1.0
+    """The stage recipe's weights. The defaults tilt Easy totals toward
+    grounding and keep the shared answer/rationale heads from drowning out
+    the stage gap."""
+
+    w_ans: float = 0.25
+    w_cot: float = 0.25
+    w_ground: float = 2.0
     w_attn: float = 1.0
 
     def __post_init__(self):
@@ -88,43 +92,32 @@ def stage_loss(easy: np.ndarray, medium: np.ndarray, weights: StageLossWeights,
     return StageLosses(total, answer, cot, grounding, attention)
 
 
-def roi_cells(boxes: Sequence[BBox], image_dims: tuple,
-              grid_dims: tuple) -> np.ndarray:
+def roi_cells(boxes: Sequence[BBox], grid_dims: tuple) -> np.ndarray:
     """Boolean ``(len(boxes), gh, gw)`` grids of the cells whose centers fall
     inside each box.
 
-    Cell centers use the same closed-interval membership as pixel
-    rasterization. A box too small to cover any center selects the single
-    cell containing the box center, so pooling never sees an empty region.
+    Each box's cells are its ``box_span`` on the grid read as a raster. A
+    box too small to cover any center selects the single cell containing
+    the box center, so pooling never sees an empty region.
     """
-    height, width = image_dims
     gh, gw = grid_dims
     if gh < 1 or gw < 1:
         raise ValidationError("grid dims must be positive")
-    cell_h = height / gh
-    cell_w = width / gw
-    corners = np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes],
-                       dtype=float).reshape(-1, 4)
-    x_lo, x_hi = corners[:, 0] * width, corners[:, 2] * width
-    y_lo, y_hi = corners[:, 1] * height, corners[:, 3] * height
-    row_centers = (np.arange(gh) + 0.5) * cell_h
-    col_centers = (np.arange(gw) + 0.5) * cell_w
-    rows = (row_centers >= y_lo[:, np.newaxis]) & (row_centers <= y_hi[:, np.newaxis])
-    cols = (col_centers >= x_lo[:, np.newaxis]) & (col_centers <= x_hi[:, np.newaxis])
-    cells = rows[:, :, np.newaxis] & cols[:, np.newaxis, :]
-    for k in np.flatnonzero(~cells.any(axis=(1, 2))).tolist():
-        cx = 0.5 * (float(x_lo[k]) + float(x_hi[k]))
-        cy = 0.5 * (float(y_lo[k]) + float(y_hi[k]))
-        gr = min(gh - 1, int(cy // cell_h))
-        gc = min(gw - 1, int(cx // cell_w))
-        cells[k, gr, gc] = True
+    cells = np.zeros((len(boxes), gh, gw), dtype=bool)
+    for k, b in enumerate(boxes):
+        r0, r1, c0, c1 = box_span(b, gh, gw)
+        if r0 == r1:
+            r0 = min(gh - 1, int((b.y1 * gh + b.y2 * gh) / 2))
+            c0 = min(gw - 1, int((b.x1 * gw + b.x2 * gw) / 2))
+            r1, c1 = r0 + 1, c0 + 1
+        cells[k, r0:r1, c0:c1] = True
     return cells
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
+    """Softmax along the last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_softmax(z: np.ndarray) -> np.ndarray:
@@ -133,12 +126,11 @@ def _log_softmax(z: np.ndarray) -> np.ndarray:
 
 
 class ToyModel:
-    def __init__(self, items: Sequence[VqaCotRecord], image_dims=(64, 64),
-                 grid_dims=(8, 8), feature_dim: int = 16, seed: int = 0):
+    def __init__(self, items: Sequence[VqaCotRecord], grid_dims=(8, 8),
+                 feature_dim: int = 16, seed: int = 0):
         if not items:
             raise ValidationError("toy model needs at least one item")
         self.items: List[VqaCotRecord] = list(items)
-        self.image_dims = tuple(image_dims)
         self.grid_dims = tuple(grid_dims)
         self.feature_dim = int(feature_dim)
 
@@ -162,7 +154,7 @@ class ToyModel:
         # cell memberships are fixed by the boxes, so compute them once: each
         # item's ROI as flat cell indices in row-major order, padded to the
         # largest ROI
-        cells = roi_cells([r.box for r in self.items], self.image_dims,
+        cells = roi_cells([r.box for r in self.items],
                           self.grid_dims).reshape(len(self.items), -1)
         self._roi_count = np.count_nonzero(cells, axis=1)
         self._roi_flat = np.zeros((len(self.items), int(self._roi_count.max())),
@@ -327,9 +319,7 @@ class ToyModel:
             if np.shape(t) != self.grid_dims:
                 raise ValidationError(
                     f"shape mismatch: attn {self.grid_dims} vs target {np.shape(t)}")
-        z = self.attn_logits[items].reshape(items.size, -1)
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        attention = e / e.sum(axis=1, keepdims=True)
+        attention = _softmax(self.attn_logits[items].reshape(items.size, -1))
         target = np.array(targets, dtype=float).reshape(items.size, -1)
         kl, g_attn = kl_rows(attention, target)
         rows, inverse = np.unique(items, return_inverse=True)

@@ -7,10 +7,11 @@ copy of the recipe; the finite-difference check treats a loss as a black box.
 The epoch oracle adds a scheduler's observed losses one item at a time.
 The helpers build organ masks from dense arrays, decode them back, read
 or set the toy model's parameters as one flat vector, widen a batch
-gradient's attention rows to a full-size array, and plan a batch from
-explicit per-item probabilities.
+gradient's attention rows to a full-size array, plan a batch from
+explicit per-item probabilities, and read a trace file back.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -29,7 +30,23 @@ from cotforge.scheduler import (
     _checked_p_medium,
     _draw_batch,
 )
-from cotforge.toymodel import PARAM_KEYS, Stage, StageLossWeights, roi_cells
+from cotforge.toymodel import PARAM_KEYS, Stage, StageLossWeights
+
+
+def read_trace(path):
+    """A trace file's header and epoch rows: one header object first, then
+    one epoch object per line (blank lines skipped)."""
+    with open(path, encoding="utf-8") as f:
+        rows = [json.loads(line) for line in f if line.strip()]
+    if not rows:
+        raise ValidationError(f"{path}: empty trace file")
+    header, epochs = rows[0], rows[1:]
+    if not isinstance(header, dict) or header.get("kind") != "header":
+        raise ValidationError(f"{path}: first record must be the header")
+    for number, row in enumerate(epochs, start=2):
+        if not isinstance(row, dict) or row.get("kind") != "epoch":
+            raise ValidationError(f"{path}: record {number} is not an epoch")
+    return header, epochs
 
 
 def organ_mask(label, dense) -> OrganMask:
@@ -159,6 +176,22 @@ def rasterize_box(box: BBox, height: int, width: int) -> np.ndarray:
     raster = np.zeros((height, width), dtype=bool)
     raster[r0:r1, c0:c1] = True
     return raster
+
+
+def oracle_roi_cells(box: BBox, grid_dims) -> np.ndarray:
+    """The toy model's ROI: the (gh, gw) cells whose centers lie in the box,
+    the grid read as a raster. A box that covers no cell center gets the one
+    cell holding its center, (y1 * gh + y2 * gh) / 2 down the rows and the
+    same across the columns: the last cell whose top (left) edge is not
+    past it."""
+    gh, gw = grid_dims
+    cells = rasterize_box(box, gh, gw)
+    if not cells.any():
+        cy = (box.y1 * gh + box.y2 * gh) / 2
+        cx = (box.x1 * gw + box.x2 * gw) / 2
+        cells[np.flatnonzero(np.arange(gh) <= cy)[-1],
+              np.flatnonzero(np.arange(gw) <= cx)[-1]] = True
+    return cells
 
 
 @dataclass
@@ -368,7 +401,7 @@ def oracle_forward(model, idx: int, stage: Union[Stage, str]) -> ModelOutputs:
     lp_cot = _log_softmax(model.cot_logits)
     cot_logprobs = lp_cot[ids] if ids else None
     attention = _softmax(model.attn_logits[idx].ravel()).reshape(model.grid_dims)
-    [cells] = roi_cells([item.box], model.image_dims, model.grid_dims)
+    cells = oracle_roi_cells(item.box, model.grid_dims)
     feature_vec = model.features[cells].mean(axis=0)
     anchor_vec = model.anchors[model.anchor_ids[idx]]
     return ModelOutputs(
@@ -418,7 +451,7 @@ def oracle_grounding(model, items, w_ground: float):
     a = model.anchors[[model.anchor_ids[idx] for idx in items]]
     loss = []
     for row, idx in enumerate(items):
-        [cells] = roi_cells([model.items[idx].box], model.image_dims, model.grid_dims)
+        cells = oracle_roi_cells(model.items[idx].box, model.grid_dims)
         rows, cols = np.nonzero(cells)
         f[row] = np.add.reduce(model.features[rows, cols], axis=0) / rows.size
         nf = np.sqrt(f[row].dot(f[row]))

@@ -311,8 +311,7 @@ def test_criterion_7_kl_and_stage_gradients():
             break
 
     corpus = tiny_corpus()
-    model = ToyModel(corpus, image_dims=(16, 16), grid_dims=(2, 2),
-                     feature_dim=3, seed=0)
+    model = ToyModel(corpus, grid_dims=(2, 2), feature_dim=3, seed=0)
     indices = list(range(len(corpus)))
     soft = list(build_soft_mask([r.box for r in corpus], (16, 16), (2, 2),
                                 sigma=2.0, floor=1e-3))

@@ -559,9 +559,8 @@ def test_fuzzed_harness_section(key, data):
     assume(max(params.image_dims) <= 256)
     build_soft_mask([HARNESS_RECORDS[0].box], params.image_dims, params.grid_dims,
                     sigma=params.sigma, floor=params.mask_floor)
-    ToyModel(HARNESS_RECORDS, image_dims=params.image_dims,
-             grid_dims=params.grid_dims, feature_dim=params.feature_dim,
-             seed=params.seed)
+    ToyModel(HARNESS_RECORDS, grid_dims=params.grid_dims,
+             feature_dim=params.feature_dim, seed=params.seed)
 
 
 @settings(FUZZ, max_examples=150)

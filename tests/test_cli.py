@@ -5,14 +5,18 @@ the one-line JSON summary on stdout, and the files written.
 """
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from corpus_utils import tiny_corpus
-from cotforge import cli, fixture_path, jsonl
-from cotforge.jsonl import TRACE_CSV_COLUMNS, read_corpus, read_trace, write_corpus
+from cotforge import cli, fixture_path
+from cotforge.geometry import encode_runs
+from cotforge.jsonl import TRACE_CSV_COLUMNS, read_corpus, write_corpus
+from oracles import read_trace
 
 
 def run_cli(capsys, *argv):
@@ -38,7 +42,7 @@ def half_mask(side: str, height=16, width=16) -> list:
         mask[:, : width // 2] = True
     else:
         mask[:, width // 2 :] = True
-    return jsonl.rle_encode(mask)
+    return encode_runs(mask).tolist()
 
 
 @pytest.fixture
@@ -568,6 +572,60 @@ def test_out_over_the_env_var_config_exits_2(tmp_path, capsys, monkeypatch):
     line = assert_refused(capsys, [config], "simulate", "--scenario", "plateau",
                           "--out", str(config))
     assert line == f"error: out path {config} would overwrite the config file"
+
+
+def non_regular(tmp_path, kind) -> Path:
+    """A FIFO, a directory, or a symlink to a FIFO, under tmp_path."""
+    path = tmp_path / f"{kind}-out"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        fifo = tmp_path / "fifo" if kind == "link-to-fifo" else path
+        os.mkfifo(fifo)
+        if kind == "link-to-fifo":
+            path.symlink_to(fifo)
+    return path
+
+
+@pytest.fixture
+def no_reading(monkeypatch):
+    """Make every input reader of the CLI raise."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("read_dataset", "read_masks", "read_corpus"):
+        monkeypatch.setattr(cli.jsonl, name, refuse)
+    monkeypatch.setattr(cli.DynamicsSpec, "from_path", refuse)
+
+
+@pytest.mark.parametrize("kind", ["fifo", "directory", "link-to-fifo"])
+@pytest.mark.parametrize("command,role,via_config", [
+    ("forge", "out", False), ("simulate", "out", False), ("simulate", "csv", False),
+    ("train-toy", "out", False), ("train-toy", "csv", False),
+    ("simulate", "csv", True), ("train-toy", "out", True)])
+def test_an_output_that_is_not_a_regular_file_exits_2(
+        tmp_path, capsys, forge_inputs, no_reading, kind, command, role, via_config):
+    dataset, masks = forge_inputs
+    target = non_regular(tmp_path, kind)
+    paths = {"dataset": str(dataset), "masks": str(masks), "corpus": str(dataset),
+             "scenario": "plateau", "out": str(tmp_path / "t.jsonl"), role: str(target)}
+    needed = {"forge": ("dataset", "masks", "out"), "simulate": ("scenario", "out"),
+              "train-toy": ("corpus", "out")}[command] + ((role,) if role == "csv" else ())
+    if via_config:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"io": {key: paths[key] for key in needed}}))
+        argv = ["--config", str(config)]
+    else:
+        argv = [arg for key in needed for arg in (f"--{key}", paths[key])]
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, stderr = run_cli(capsys, command, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {role} path {target} is not a regular file\n"
+    assert sorted(tmp_path.rglob("*")) == before  # nothing written, the trace neither
+    if kind == "directory":
+        assert target.is_dir() and not any(target.iterdir())
+    else:
+        assert stat.S_ISFIFO(target.stat().st_mode)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from cotforge.config import AppConfig, load_config
 from cotforge.errors import ConfigError
+from cotforge.harness import HarnessParams
+from cotforge.toymodel import StageLossWeights
 
 
 def write_config(tmp_path, obj, name="config.json"):
@@ -55,7 +57,13 @@ class TestSections:
         assert cfg.harness.epochs == 10
         assert cfg.harness.grid_dims == (4, 4)
         assert cfg.harness.weights.w_ground == 2.0
-        assert cfg.harness.weights.w_ans == 1.0
+        assert cfg.harness.weights.w_ans == 0.25  # an omitted weight: the default
+
+    def test_empty_weights_are_the_harness_defaults(self, tmp_path):
+        path = write_config(tmp_path, {"harness": {"weights": {}}})
+        weights = load_config(str(path), env={}).harness.weights
+        assert weights == HarnessParams().weights == StageLossWeights()
+        assert weights == StageLossWeights(w_ans=0.25, w_cot=0.25, w_ground=2.0, w_attn=1.0)
 
     def test_forge_remote_backend(self, tmp_path):
         path = write_config(tmp_path, {"forge": {

@@ -95,8 +95,7 @@ class TestAbort:
     def test_non_finite_loss_aborts_with_location(self):
         corpus = tiny_corpus()
         params = small_params()
-        model = ToyModel(corpus, image_dims=params.image_dims,
-                         grid_dims=params.grid_dims,
+        model = ToyModel(corpus, grid_dims=params.grid_dims,
                          feature_dim=params.feature_dim, seed=0)
         model.features[:] = np.nan
         with pytest.raises(ValidationError, match=r"epoch 1, batch 0, item"):
@@ -107,8 +106,7 @@ class TestAbort:
         hp = SchedulerHyperparams(warmup_epochs=0, kappa=1.0, gamma=-10.0)
         corpus = tiny_corpus()
         params = small_params()
-        model = ToyModel(corpus, image_dims=params.image_dims,
-                         grid_dims=params.grid_dims,
+        model = ToyModel(corpus, grid_dims=params.grid_dims,
                          feature_dim=params.feature_dim, seed=0)
         model.attn_logits[0] = np.nan
         with pytest.raises(ValidationError,
@@ -200,8 +198,7 @@ class TestSoftMasksOnFirstMediumUse:
         corpus.append(record("e", BBox(0.55 / 16, 0.55 / 16, 0.95 / 16, 0.95 / 16),
                              "liver", "The image shows a mass. It is in the liver."))
         params = small_params()
-        model = ToyModel(corpus, image_dims=params.image_dims,
-                         grid_dims=params.grid_dims,
+        model = ToyModel(corpus, grid_dims=params.grid_dims,
                          feature_dim=params.feature_dim, seed=0)
 
         def trained(*args, **kwargs):

@@ -2,7 +2,12 @@
 
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 from collections.abc import Mapping, MutableMapping
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,20 +15,18 @@ import pytest
 from cotforge import fixture_path
 from cotforge.errors import ValidationError
 from cotforge.forge import DomainKey, ImageRecord, OrganMask, VqaCotRecord
-from cotforge.geometry import BBox
+from cotforge.geometry import BBox, encode_runs
 from cotforge.jsonl import (
     atomic_writer,
     read_corpus,
     read_dataset,
     read_masks,
-    read_trace,
     rle_decode,
-    rle_encode,
     write_corpus,
     write_trace,
     write_trace_csv,
 )
-from oracles import decode
+from oracles import decode, read_trace
 
 
 def make_record(image_id="img", cot="One. Two."):
@@ -83,7 +86,7 @@ class TestRle:
                   np.zeros((1, 1), bool), np.ones((1, 1), bool)]
         for mask in masks:
             h, w = mask.shape
-            runs = rle_encode(mask)
+            runs = encode_runs(mask).tolist()
             decoded = rle_decode(runs, h, w)
             assert decoded.dtype == bool
             assert (decoded == mask).all()
@@ -318,7 +321,7 @@ class TestMasksReader:
                 mask = rng.random((h, w)) < rng.uniform(0.05, 0.95)
                 mask.flat[int(rng.integers(h * w))] = True
                 lines.append({"image_id": f"im{i}", "organ_label": f"organ{k}",
-                              "height": h, "width": w, "rle": rle_encode(mask)})
+                              "height": h, "width": w, "rle": encode_runs(mask).tolist()})
         rng.shuffle(lines)  # one image's lines need not be adjacent
         path = self.write_masks(tmp_path, lines)
         masks_by_image = read_masks(path, {im.image_id: im for im in images})
@@ -368,7 +371,7 @@ class TestFirstFaultAcrossChunks:
         mask = rng.random(8) < 0.5
         mask[int(rng.integers(8))] = True
         return {"image_id": "a", "organ_label": f"organ{int(rng.integers(99))}",
-                "height": 2, "width": 4, "rle": rle_encode(mask.reshape(2, 4))}
+                "height": 2, "width": 4, "rle": encode_runs(mask.reshape(2, 4)).tolist()}
 
     def text(self, line):
         if isinstance(line, str):
@@ -541,6 +544,28 @@ class TestAtomicWriter:
             f.write("done")
         assert target.read_text(encoding="utf-8") == "done"
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+    def test_outputs_take_their_mode_from_the_umask(self, tmp_path, umask):
+        # the umask is process-wide, so a child process sets it; it writes
+        # a corpus, and a trace with its CSV through the CLI
+        code = (f"import os, sys\nos.umask({umask:#o})\n"
+                "from cotforge import cli, jsonl\n"
+                "out = sys.argv[1]\n"
+                "jsonl.write_corpus(os.path.join(out, 'corpus.jsonl'), [])\n"
+                "sys.exit(cli.main(['simulate', '--scenario', 'rise',\n"
+                "                   '--out', os.path.join(out, 'trace.jsonl'),\n"
+                "                   '--csv', os.path.join(out, 'trace.csv')]))\n")
+        src = str(Path(__file__).parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH", "")]))}
+        run = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        modes = {path.name: stat.S_IMODE(path.stat().st_mode)
+                 for path in tmp_path.iterdir()}
+        want = 0o666 & ~umask
+        assert modes == {"corpus.jsonl": want, "trace.jsonl": want, "trace.csv": want}
+
 
 class TestTraceIo:
     def rows(self):
@@ -566,6 +591,13 @@ class TestTraceIo:
         path = tmp_path / "trace.jsonl"
         path.write_text(first + "\n" + json.dumps(self.rows()[0]) + "\n", encoding="utf-8")
         with pytest.raises(ValidationError, match="first record must be the header$"):
+            read_trace(path)
+
+    @pytest.mark.parametrize("second", ['[1, 2]', '{"kind": "header"}', '{"epoch": 1}'])
+    def test_a_later_record_other_than_an_epoch_is_rejected(self, tmp_path, second):
+        path = tmp_path / "trace.jsonl"
+        path.write_text('{"kind": "header"}\n' + second + "\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match="record 2 is not an epoch$"):
             read_trace(path)
 
     def test_csv_export_columns(self, tmp_path):

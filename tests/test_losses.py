@@ -11,11 +11,36 @@ from cotforge.toymodel import Stage, StageLossWeights, roi_cells
 
 from oracles import (
     ModelOutputs,
+    oracle_box_span,
     oracle_grounding_loss,
     oracle_kl,
     oracle_nll_loss,
+    oracle_roi_cells,
     oracle_stage_loss,
 )
+
+
+def boundary_edge(rng, n):
+    """A box edge on a multiple of 1 / (4n) of an n-cell axis (every cell
+    edge, center and quarter) or one ulp either side, inside [0, 1]."""
+    x = int(rng.integers(0, 4 * n + 1)) / (4 * n)
+    return float(np.nextafter(x, rng.choice([0.0, x, 1.0])))
+
+
+def boundary_boxes(rng, gh, gw, count):
+    """Boxes with every edge at a grid boundary, an ulp off one, or between
+    two cell centers; about half cover no cell center on some axis."""
+    boxes = []
+    while len(boxes) < count:
+        y1, y2 = sorted(boundary_edge(rng, gh) for _ in range(2))
+        x1, x2 = sorted(boundary_edge(rng, gw) for _ in range(2))
+        if rng.random() < 0.5:  # squeeze one axis between neighbouring centers
+            k = int(rng.integers(-1, gh))
+            y1, y2 = sorted(min(1.0, max(0.0, (k + 0.5 + u) / gh))
+                            for u in rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=2))
+        if y1 < y2 and x1 < x2:
+            boxes.append(BBox(x1, y1, x2, y2))
+    return boxes
 
 
 class TestNll:
@@ -61,18 +86,18 @@ class TestGrounding:
 
 class TestRoi:
     def test_left_half_selects_left_columns(self):
-        # 4x4 grid on 64x64: cell centers at columns 8,24,40,56; a box over
-        # x in [0,32] contains 8 and 24 (closed test), so 2 columns x 4 rows
-        [cells] = roi_cells([BBox(0.0, 0.0, 0.5, 1.0)], (64, 64), (4, 4))
+        # 4x4 grid: cell centers at columns 0.5, 1.5, 2.5, 3.5; a box over
+        # x in [0, 2] contains 0.5 and 1.5 (closed test), so 2 columns x 4 rows
+        [cells] = roi_cells([BBox(0.0, 0.0, 0.5, 1.0)], (4, 4))
         assert cells.sum() == 8
         assert cells[:, :2].all() and not cells[:, 2:].any()
 
     def test_full_box_selects_everything(self):
-        [cells] = roi_cells([BBox(0.0, 0.0, 1.0, 1.0)], (64, 64), (4, 4))
+        [cells] = roi_cells([BBox(0.0, 0.0, 1.0, 1.0)], (4, 4))
         assert cells.all()
 
     def test_tiny_box_falls_back_to_center_cell(self):
-        [cells] = roi_cells([BBox(0.26, 0.26, 0.30, 0.30)], (64, 64), (4, 4))
+        [cells] = roi_cells([BBox(0.26, 0.26, 0.30, 0.30)], (4, 4))
         assert cells.sum() == 1
         assert cells[1, 1]
 
@@ -80,11 +105,33 @@ class TestRoi:
         # two fallback boxes among covering ones: each falls back in its own grid
         boxes = [BBox(0.0, 0.0, 0.5, 1.0), BBox(0.26, 0.26, 0.30, 0.30),
                  BBox(0.0, 0.0, 1.0, 1.0), BBox(0.80, 0.55, 0.85, 0.60)]
-        together = roi_cells(boxes, (64, 64), (4, 4))
+        together = roi_cells(boxes, (4, 4))
         assert together.shape == (4, 4, 4)
         for box, cells in zip(boxes, together):
-            assert np.array_equal(cells, roi_cells([box], (64, 64), (4, 4))[0])
+            assert np.array_equal(cells, roi_cells([box], (4, 4))[0])
         assert together[3].sum() == 1 and together[3][2, 3]
+
+    @pytest.mark.parametrize("grid_dims", [(1, 1), (2, 4), (8, 8), (64, 16),
+                                           (3, 3), (5, 7), (37, 6), (1, 9)])
+    def test_matches_oracle_on_boundary_boxes(self, grid_dims):
+        rng = np.random.default_rng(grid_dims[0] * 100 + grid_dims[1])
+        boxes = boundary_boxes(rng, *grid_dims, 400)
+        got = roi_cells(boxes, grid_dims)
+        fallbacks = 0
+        for box, cells in zip(boxes, got):
+            assert np.array_equal(cells, oracle_roi_cells(box, grid_dims)), box
+            fallbacks += oracle_box_span(box, *grid_dims) == (0, 0, 0, 0)
+        assert fallbacks >= 50  # the single-cell fallback is exercised
+
+    def test_fallback_center_on_a_cell_edge_takes_the_later_cell(self):
+        # y in [0.75, 1.25] cells: no center, and the box center is the edge 1
+        [cells] = roi_cells([BBox(0.75 / 4, 0.75 / 4, 1.25 / 4, 1.25 / 4)], (4, 4))
+        assert np.array_equal(np.argwhere(cells), [[1, 1]])
+
+    def test_non_positive_grid_rejected(self):
+        for grid_dims in ((0, 4), (4, 0), (-1, 2)):
+            with pytest.raises(ValidationError, match="grid dims must be positive"):
+                roi_cells([BBox(0.0, 0.0, 1.0, 1.0)], grid_dims)
 
 
 def outputs_for(stage, answer=(-0.5,), cot=(-0.3,), with_grounding=True,
@@ -104,6 +151,9 @@ def outputs_for(stage, answer=(-0.5,), cot=(-0.3,), with_grounding=True,
     )
 
 
+UNIT_WEIGHTS = StageLossWeights(w_ans=1.0, w_cot=1.0, w_ground=1.0, w_attn=1.0)
+
+
 class TestStageLoss:
     def test_easy_frozen_sum(self):
         # answer 0.5, cot 0.3, grounding 0.2 with unit weights -> 1.0
@@ -115,7 +165,7 @@ class TestStageLoss:
             anchor_vec=np.array([0.8, 0.6]),  # cos = 0.8 -> grounding 0.2
             box=None,
         )
-        breakdown = oracle_stage_loss(Stage.EASY, out)
+        breakdown = oracle_stage_loss(Stage.EASY, out, weights=UNIT_WEIGHTS)
         assert breakdown.answer == pytest.approx(0.5, abs=1e-12)
         assert breakdown.cot == pytest.approx(0.3, abs=1e-12)
         assert breakdown.grounding == pytest.approx(0.2, abs=1e-12)
@@ -140,7 +190,8 @@ class TestStageLoss:
             anchor_vec=None,
             box=None,
         )
-        breakdown = oracle_stage_loss(Stage.MEDIUM, out, target_attention=target)
+        breakdown = oracle_stage_loss(Stage.MEDIUM, out, target_attention=target,
+                                      weights=UNIT_WEIGHTS)
         expected_kl = oracle_kl(attn.ravel(), target.ravel())
         assert breakdown.attention == pytest.approx(expected_kl, abs=1e-12)
         assert breakdown.grounding is None

@@ -28,9 +28,6 @@ ROOT = Path(__file__).parents[1]
 SRC = ROOT / "src" / "cotforge"
 TRACER = ROOT / "perfbench" / "tracer.py"
 
-# the trace format's reader: the format keeps both halves, writer and reader
-ALLOWED = {"jsonl.read_trace"}
-
 
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
@@ -80,16 +77,15 @@ def names_read():
 def test_every_src_name_has_a_caller_outside_the_tests():
     read = names_read()
     unread = [name for name in src_definitions()
-              if name.split(".")[1] not in read and name not in ALLOWED]
+              if name.split(".")[1] not in read]
     assert not unread, f"defined in src/ but only the tests use: {unread}"
 
 
 def test_the_scan_sees_definitions_and_reads():
     defined = set(src_definitions())
-    assert {"forge.OrganMask", "geometry.check_runs", "jsonl.read_trace"} <= defined
+    assert {"forge.OrganMask", "geometry.check_runs", "jsonl.rle_decode"} <= defined
     read = names_read()
     assert {"OrganMask", "check_runs", "rle_decode", "item_loss_and_grads"} <= read
-    assert "read_trace" not in read  # the allowance is still needed
 
 
 def test_every_src_import_is_read_by_its_module():

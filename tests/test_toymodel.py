@@ -40,8 +40,7 @@ GRID_DIMS = (2, 2)
 
 @pytest.fixture
 def model():
-    return ToyModel(tiny_corpus(), image_dims=IMAGE_DIMS, grid_dims=GRID_DIMS,
-                    feature_dim=3, seed=0)
+    return ToyModel(tiny_corpus(), grid_dims=GRID_DIMS, feature_dim=3, seed=0)
 
 
 @pytest.fixture
@@ -76,10 +75,8 @@ class TestConstruction:
         assert losses.total.tolist() == [pytest.approx(math.log(3.0), abs=1e-12)]
 
     def test_same_seed_same_params(self):
-        a = ToyModel(tiny_corpus(), image_dims=IMAGE_DIMS, grid_dims=GRID_DIMS,
-                     feature_dim=3, seed=5)
-        b = ToyModel(tiny_corpus(), image_dims=IMAGE_DIMS, grid_dims=GRID_DIMS,
-                     feature_dim=3, seed=5)
+        a = ToyModel(tiny_corpus(), grid_dims=GRID_DIMS, feature_dim=3, seed=5)
+        b = ToyModel(tiny_corpus(), grid_dims=GRID_DIMS, feature_dim=3, seed=5)
         assert np.array_equal(param_vector(a), param_vector(b))
 
     def test_param_vector_roundtrip(self, model):
@@ -298,7 +295,7 @@ FIXTURE_CORPUS = (Path(__file__).parents[1] / "src" / "cotforge" / "fixtures"
 def batch_step_peak_bytes(records, indices, stages):
     """tracemalloc peak of one batch gradient plus its step, default model."""
     model = ToyModel(records)
-    targets = [build_soft_mask([records[i].box], model.image_dims, model.grid_dims,
+    targets = [build_soft_mask([records[i].box], (64, 64), model.grid_dims,
                                sigma=16.0, floor=0.01)[0]
                if s == Stage.MEDIUM else None for i, s in zip(indices, stages)]
     # one untraced batch first, so one-time allocations are not counted
@@ -405,9 +402,9 @@ def assert_grounding_matches_oracle(feature_dim):
                               / "fixtures" / "toy_corpus.jsonl"))
     rng = np.random.default_rng(feature_dim)
     weights = StageLossWeights(w_ground=2.0)
-    for image_dims, grid_dims in (((64, 64), (8, 8)), ((50, 37), (7, 5))):
-        model = ToyModel(records, image_dims=image_dims, grid_dims=grid_dims,
-                         feature_dim=feature_dim, seed=feature_dim)
+    for grid_dims in ((8, 8), (7, 5)):
+        model = ToyModel(records, grid_dims=grid_dims, feature_dim=feature_dim,
+                         seed=feature_dim)
         for _ in range(15):
             items = rng.integers(0, len(records), size=int(rng.integers(1, 40)))
             grads = {key: np.zeros_like(getattr(model, key))
