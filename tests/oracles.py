@@ -34,8 +34,8 @@ from cotforge.toymodel import PARAM_KEYS, Stage, StageLossWeights
 
 
 def read_trace(path):
-    """A trace file's header and epoch rows: one header object first, then
-    one epoch object per line (blank lines skipped)."""
+    """A trace file's header object and the rows after it (blank lines
+    skipped)."""
     with open(path, encoding="utf-8") as f:
         rows = [json.loads(line) for line in f if line.strip()]
     if not rows:
@@ -43,9 +43,6 @@ def read_trace(path):
     header, epochs = rows[0], rows[1:]
     if not isinstance(header, dict) or header.get("kind") != "header":
         raise ValidationError(f"{path}: first record must be the header")
-    for number, row in enumerate(epochs, start=2):
-        if not isinstance(row, dict) or row.get("kind") != "epoch":
-            raise ValidationError(f"{path}: record {number} is not an epoch")
     return header, epochs
 
 
