@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
-from .errors import ConfigError, load_json, read_object
-from .forge import DEFAULT_SEED_TEMPLATE, parse_seed_template
+from .errors import ConfigError, load_json
+from .forge import DEFAULT_SEED_TEMPLATE, MAX_CONCURRENCY, parse_seed_template
 from .harness import HarnessParams
 from .scheduler import SchedulerHyperparams
 
@@ -62,8 +62,9 @@ class ForgeConfig:
                 f"forge unassigned_policy must be 'skip' or 'organ_free', "
                 f"got {self.unassigned_policy!r}"
             )
-        if self.concurrency < 1:
-            raise ConfigError("forge concurrency must be at least 1")
+        if not 1 <= self.concurrency <= MAX_CONCURRENCY:
+            raise ConfigError(
+                f"forge concurrency must be at least 1 and at most {MAX_CONCURRENCY}")
         if self.remote_attempts < 1:
             raise ConfigError("forge remote_attempts must be at least 1")
         if self.remote_timeout <= 0.0:
@@ -107,5 +108,4 @@ def load_config(path: Optional[str],
     effective = config_path(path, env)
     if effective is None:
         return AppConfig()
-    document = load_json(effective, "config", ConfigError)
-    return read_object(AppConfig, document, f"config {effective}", ConfigError)
+    return load_json(effective, AppConfig, "config", ConfigError)

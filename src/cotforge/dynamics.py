@@ -11,13 +11,13 @@ losses synthesized.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import ValidationError, load_json, read_object
+from .errors import ValidationError, load_json
 from .scheduler import CurriculumScheduler, SchedulerHyperparams, Stage, Trace
 
 BUILTIN_SCENARIOS = ("plateau", "rise", "mixed")
@@ -124,13 +124,8 @@ class DynamicsSpec:
                 )
 
     @classmethod
-    def from_json_dict(cls, obj, context: str = "scenario") -> "DynamicsSpec":
-        return read_object(cls, obj, context, ValidationError)
-
-    @classmethod
     def from_path(cls, path) -> "DynamicsSpec":
-        obj = load_json(path, "scenario", ValidationError)
-        return cls.from_json_dict(obj, f"scenario {path}")
+        return load_json(path, cls, "scenario", ValidationError)
 
 
 def run_dynamics_sim(spec: DynamicsSpec) -> Trace:
@@ -154,6 +149,6 @@ def run_dynamics_sim(spec: DynamicsSpec) -> Trace:
         "scenario": spec.name,
         "epochs": spec.epochs,
         "seed": spec.seed,
-        "hyperparams": spec.hyperparams.to_json_dict(),
+        "hyperparams": asdict(spec.hyperparams),
     }
     return Trace(header, reports)

@@ -1,10 +1,11 @@
 """Exception types shared across the package, and the one reader of JSON input.
 
 The CLI maps these onto process exit codes: ValidationError -> 1,
-ConfigError -> 2, BackendError (and subclasses) -> 3. Config, scenario,
-dataset, mask and corpus JSON all go through ``read_object``.
+ConfigError -> 2, BackendError (and subclasses) -> 3. Every JSON input,
+files and remote replies alike, goes through ``parse_json`` and ``read_object``.
 """
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -26,19 +27,46 @@ class BackendError(RuntimeError):
 
 
 class MalformedResponseError(BackendError):
-    """A QA backend answered but the payload is missing required fields."""
+    """A QA backend answered, but not with a well-formed reply."""
 
 
-def load_json(path, context: str, error: type):
-    """Parse the JSON file at ``path``; any failure to read it raises ``error``."""
+@contextlib.contextmanager
+def open_text(path, error: type):
+    """Open ``path`` as UTF-8 text; a failure to open or read it raises ``error``."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:  # first: a UnicodeDecodeError is a ValueError
+            yield fh
+    except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        raise error(f"cannot read {context} {path}: {reason}") from None
-    except (ValueError, RecursionError) as exc:  # also too long an int or too deep a nest
-        raise error(f"{context} {path}: bad JSON ({exc})") from None
+        raise error(f"cannot read {path}: {reason}") from None
+
+
+def load_json(path, cls, context: str, error: type):
+    """Read dataclass ``cls`` from the JSON file at ``path``; any fault raises ``error``."""
+    where = f"{context} {path}"
+    with open_text(path, error) as fh:
+        obj = parse_json(fh.read(), lambda: where, error)
+    return read_object(cls, obj, where, error)
+
+
+def parse_json(text, where, error: type):
+    """Parse one JSON document: a str, or bytes read as strict UTF-8 (RFC 8259).
+
+    Bad syntax, too deep a nest, too long an integer, or a string holding a
+    lone UTF-16 surrogate raises ``error`` as ``"{where()}: bad JSON: ..."``.
+    """
+    try:
+        if type(text) is bytes:
+            text = text.decode("utf-8")  # json.loads would let surrogates pass
+        value = json.loads(text)
+        # a one-character search first: it runs many times faster than one for "\\u"
+        if "\\" in text and "\\u" in text:  # only a \u escape spells a lone surrogate
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise error(f"{where()}: bad JSON: a string holds a lone UTF-16 surrogate") from None
+    except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8
+        raise error(f"{where()}: bad JSON: {exc}") from None
+    return value
 
 
 def read_object(cls, obj, context: str, error: type):

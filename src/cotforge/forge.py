@@ -28,6 +28,8 @@ MAX_COT_SENTENCES = 4
 
 # Largest accepted image side in pixels; a full-field mammogram fits.
 MAX_IMAGE_SIDE = 8192
+# Most QA requests in flight at once; the pool runs one thread per request.
+MAX_CONCURRENCY = 64
 
 
 @dataclass(frozen=True)
@@ -342,6 +344,8 @@ def build_corpus(
     """
     if unassigned_policy not in ("skip", "organ_free"):
         raise ValidationError(f"unknown unassigned_policy {unassigned_policy!r}")
+    if not 1 <= concurrency <= MAX_CONCURRENCY:
+        raise ValidationError(f"concurrency must be at least 1 and at most {MAX_CONCURRENCY}")
     templates = list(seed_templates or [DEFAULT_SEED_TEMPLATE])
     for template in templates:
         parse_seed_template(template)

@@ -87,10 +87,6 @@ class HarnessParams:
             raise ValidationError(f"image_dims {list(self.image_dims)} must hold at most "
                                   f"{MAX_SOFT_MASK_PIXELS} pixels")
 
-    def to_json_dict(self) -> dict:
-        """Field order, with tuples as arrays once serialized; traces pin it."""
-        return asdict(self)
-
 
 def run_toy_training(records: Sequence[VqaCotRecord],
                      params: HarnessParams = HarnessParams(),
@@ -171,7 +167,7 @@ def run_toy_training(records: Sequence[VqaCotRecord],
         "epochs": params.epochs,
         "corpus_size": len(records),
         "domains": sorted(set(domain_keys)),
-        "harness": params.to_json_dict(),
-        "hyperparams": hp.to_json_dict(),
+        "harness": asdict(params),  # field order, tuples as arrays; traces pin it
+        "hyperparams": asdict(hp),
     }
     return Trace(header, reports)

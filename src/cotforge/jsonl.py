@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, read_object
+from .errors import ValidationError, open_text, parse_json, read_object
 from .forge import ImageRecord, VqaCotRecord, organ_masks
 from .geometry import check_runs, expand_runs, runs_array
 
@@ -50,21 +50,12 @@ def _write_jsonl(path, dicts):
 
 def _iter_jsonl(path):
     """(line number, stripped text, parsed value) of each non-blank line."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except (ValueError, RecursionError) as exc:  # also too long an int
-                    raise ValidationError(
-                        f"{path}: line {lineno}: bad JSON: {exc}") from exc
-                yield lineno, line, obj
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ValidationError(f"cannot read {path}: {reason}") from None
+    with open_text(path, ValidationError) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if line:
+                yield lineno, line, parse_json(
+                    line, lambda: f"{path}: line {lineno}", ValidationError)
 
 
 def _iter_objects(path, cls):

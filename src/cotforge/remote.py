@@ -1,24 +1,39 @@
 """HTTP question-generation backend with bounded retries.
 
-Wire format: POST JSON ``{"seed", "image_id", "modality"}``, expecting
-``{"question", "answer", "cot"}`` back. Transport failures and 5xx
-responses are retried with exponential backoff; anything the service
-answered deliberately (4xx, malformed bodies) is not, since a retry would
-send the exact same request; nor is a request that could not be built or
-sent for any other reason, such as a malformed URL.
+Wire format: POST JSON ``{"seed", "image_id", "modality"}``, expecting a
+UTF-8 JSON object ``{"question", "answer", "cot"}`` of non-empty strings
+back; other keys are ignored. Transport failures and 5xx responses are
+retried with exponential backoff; anything the service answered
+deliberately (4xx, malformed bodies) is not, since a retry would send the
+exact same request; nor is a request that could not be built or sent for
+any other reason, such as a malformed URL.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 import time
 from typing import Callable, Optional, Tuple
 
 import requests
 
-from .errors import BackendError, MalformedResponseError, ValidationError
+from .errors import (BackendError, MalformedResponseError, ValidationError, parse_json,
+                     read_object)
 
-_REQUIRED_FIELDS = ("question", "answer", "cot")
+
+@dataclasses.dataclass(frozen=True)
+class _Reply:
+    """The fields a reply must carry, each a non-empty string."""
+
+    question: str
+    answer: str
+    cot: str
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not value:
+                raise ValidationError(f"field {name!r} is empty")
 
 
 class RemoteQaGenerator:
@@ -83,22 +98,9 @@ class RemoteQaGenerator:
         raise last_error
 
     def _parse(self, response) -> Tuple[str, str, str]:
-        try:
-            obj = response.json()
-        except ValueError:
-            raise MalformedResponseError(
-                f"{self.endpoint}: response body is not JSON"
-            ) from None
-        if not isinstance(obj, dict):
-            raise MalformedResponseError(
-                f"{self.endpoint}: response must be a JSON object"
-            )
-        values = []
-        for name in _REQUIRED_FIELDS:
-            value = obj.get(name)
-            if not isinstance(value, str) or not value:
-                raise MalformedResponseError(
-                    f"{self.endpoint}: missing or empty field {name!r}"
-                )
-            values.append(value)
-        return tuple(values)
+        obj = parse_json(response.content, lambda: self.endpoint, MalformedResponseError)
+        if type(obj) is not dict:  # read_object would also take an array of 3
+            raise MalformedResponseError(f"{self.endpoint}: reply must be a JSON object")
+        known = {f.name: obj[f.name] for f in dataclasses.fields(_Reply) if f.name in obj}
+        reply = read_object(_Reply, known, self.endpoint, MalformedResponseError)
+        return reply.question, reply.answer, reply.cot

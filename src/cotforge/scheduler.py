@@ -104,10 +104,6 @@ class SchedulerHyperparams:
         if self.eps <= 0.0:
             raise ValidationError("eps must be positive")
 
-    def to_json_dict(self) -> dict:
-        """Field order; traces pin it."""
-        return asdict(self)
-
 
 def update_ema(prev: Optional[float], mean: float, rho: float) -> float:
     """Exponential smoothing; an unset value snaps to the first observation."""
@@ -168,26 +164,15 @@ class DomainEma:
 
 @dataclass
 class DomainEpochStats:
-    """Per-domain accumulators for one epoch plus the progress in effect."""
+    """One epoch's per-domain accumulators and progress; traces pin the field order."""
 
     mean_easy: Optional[float]
     count_easy: int
     mean_med: Optional[float]
     count_med: int
-    progress_used: Optional[float]
+    progress: Optional[float]
     ema_easy: Optional[float] = None
     ema_med: Optional[float] = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean_easy": self.mean_easy,
-            "count_easy": self.count_easy,
-            "mean_med": self.mean_med,
-            "count_med": self.count_med,
-            "progress": self.progress_used,
-            "ema_easy": self.ema_easy,
-            "ema_med": self.ema_med,
-        }
 
 
 @dataclass
@@ -196,8 +181,7 @@ class EpochReport:
     beta: float
     lambda_hard: float
     domains: Dict[str, DomainEpochStats]
-    mean_total: Optional[float]
-    count_total: int
+    mean_total: Optional[float]  # None for an epoch without items
     cot_easy_mean: Optional[float]
     cot_easy_count: int
     cot_med_mean: Optional[float]
@@ -241,7 +225,7 @@ class EpochReport:
                 "rise": self.rise,
             },
             "decision": None if self.decision is None else self.decision.value,
-            "domains": {k: v.to_json_dict() for k, v in sorted(self.domains.items())},
+            "domains": {k: asdict(v) for k, v in sorted(self.domains.items())},
         }
 
 
@@ -418,7 +402,7 @@ class CurriculumScheduler:
             domains[key] = DomainEpochStats(
                 mean_easy=easy.mean(), count_easy=easy.count,
                 mean_med=med.mean(), count_med=med.count,
-                progress_used=ctx.progress.get(key),
+                progress=ctx.progress.get(key),
             )
         report = EpochReport(
             epoch=ctx.epoch,
@@ -426,7 +410,6 @@ class CurriculumScheduler:
             lambda_hard=ctx.lambda_hard,
             domains=domains,
             mean_total=self._total.mean(),
-            count_total=self._total.count,
             cot_easy_mean=self._cot[_EASY].mean(),
             cot_easy_count=self._cot[_EASY].count,
             cot_med_mean=self._cot[_MEDIUM].mean(),
@@ -458,7 +441,7 @@ class CurriculumScheduler:
             stats.ema_med = ema.ema_med
 
         delta: Optional[float] = None
-        if report.count_total > 0:
+        if report.mean_total is not None:
             prev = self.m_bar
             self.m_bar = update_ema(prev, report.mean_total, hp.rho)
             if prev is not None:
@@ -472,8 +455,8 @@ class CurriculumScheduler:
 
         plateau = (len(self.delta_history) >= hp.q
                    and all(abs(d) <= hp.eps_plateau for d in self.delta_history))
-        progress_values = [s.progress_used for s in report.domains.values()
-                           if s.progress_used is not None]
+        progress_values = [s.progress for s in report.domains.values()
+                           if s.progress is not None]
         median_g = median_progress(progress_values) if progress_values else None
         median_ok = median_g is not None and median_g >= hp.gamma_hard
         gap_ok = gap <= hp.eps_cot

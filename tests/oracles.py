@@ -554,10 +554,10 @@ def oracle_epoch_report(ctx: EpochContext, domains, items) -> EpochReport:
         med = sums.get((Stage.MEDIUM, key), [0.0, 0])
         stats[key] = DomainEpochStats(
             mean_easy=mean(easy), count_easy=easy[1], mean_med=mean(med),
-            count_med=med[1], progress_used=ctx.progress.get(key))
+            count_med=med[1], progress=ctx.progress.get(key))
     return EpochReport(
         epoch=ctx.epoch, beta=ctx.beta, lambda_hard=ctx.lambda_hard,
-        domains=stats, mean_total=mean([total, n_total]), count_total=n_total,
+        domains=stats, mean_total=mean([total, n_total]),
         cot_easy_mean=mean(cot[Stage.EASY]), cot_easy_count=cot[Stage.EASY][1],
         cot_med_mean=mean(cot[Stage.MEDIUM]), cot_med_count=cot[Stage.MEDIUM][1],
         counts=counts)

@@ -167,8 +167,8 @@ def _gate_probe(plateau_on: bool, median_on: bool, gap_on: bool):
         epoch=20, beta=1.0, lambda_hard=0.1,
         domains={"d|CT": DomainEpochStats(
             mean_easy=1.0, count_easy=4, mean_med=0.5, count_med=4,
-            progress_used=0.5 if median_on else 0.0)},
-        mean_total=mean_total, count_total=8,
+            progress=0.5 if median_on else 0.0)},
+        mean_total=mean_total,
         cot_easy_mean=0.2, cot_easy_count=4,
         cot_med_mean=0.2 if gap_on else 0.5, cot_med_count=4,
         counts={"easy": 4, "medium": 4, "hard": 0},

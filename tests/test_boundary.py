@@ -11,6 +11,7 @@ import copy
 import io
 import json
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ CORPUS = [json.loads(line) for line in
           fixture_path("toy_corpus.jsonl").read_text().splitlines()[:4]]
 SCENARIO = json.loads(fixture_path("scenario_rise.json").read_text())
 # every hyperparameter spelled out, so the fuzz can replace each of them
-SCENARIO["hyperparams"] = {**SchedulerHyperparams().to_json_dict(),
+SCENARIO["hyperparams"] = {**asdict(SchedulerHyperparams()),
                            **SCENARIO["hyperparams"]}
 
 
@@ -214,6 +215,34 @@ def test_wrong_json_type_is_one_error_line(tmp_path, kind, path, value, code, na
     assert names in stderr
 
 
+# json.dumps writes a lone surrogate as a \u escape, which json.loads reads
+# back, but which no UTF-8 writer can encode
+LONE_SURROGATE = "bad JSON: a string holds a lone UTF-16 surrogate"
+SURROGATE_CASES = [
+    # (case id, input kind, path, value, exit code, text the error names)
+    ("dataset-value", "dataset", (0, "annotations", 1, "lesion_class"), "m\ud800", 1,
+     f"dataset.jsonl: line 1: {LONE_SURROGATE}"),
+    ("dataset-key", "dataset", (1, "\udc00"), 1, 1,
+     f"dataset.jsonl: line 2: {LONE_SURROGATE}"),
+    ("corpus-value", "corpus", (1, "cot"), "One\udfff.", 1,
+     f"c.jsonl: line 2: {LONE_SURROGATE}"),
+    ("scenario-name", "scenario", ("name",), "p\ud800", 1, f"s.json: {LONE_SURROGATE}"),
+    ("config-seed-template", "config", ("forge", "seed_templates"),
+     ["A {lesion_class} \ud800"], 2, f"c.json: {LONE_SURROGATE}"),
+    # a pair of escapes is one character, and is read as it
+    ("corpus-pair", "corpus", (1, "cot"), "One \U0001F600.", 0, ""),
+]
+
+
+@pytest.mark.parametrize("kind,path,value,code,names",
+                         [case[1:] for case in SURROGATE_CASES],
+                         ids=[case[0] for case in SURROGATE_CASES])
+def test_lone_surrogate_is_one_error_line(tmp_path, kind, path, value, code, names):
+    code_got, stderr = run_main(_patched_argv(tmp_path, kind, path, value))
+    assert_clean_exit(code_got, stderr, expected=code)
+    assert names in stderr
+
+
 # a value of the right type that breaks its field's rule
 
 EASY_TOTAL = ("domains", "mass|CT", "easy", "total")
@@ -223,6 +252,8 @@ RULE_CASES = [
      "field 'forge': forge tau_iou must be non-negative"),
     ("forge-concurrency-zero", "config", ("forge", "concurrency"), 0, 2,
      "field 'forge': forge concurrency must be at least 1"),
+    ("forge-concurrency-65", "config", ("forge", "concurrency"), 65, 2,
+     "field 'forge': forge concurrency must be at least 1 and at most 64"),
     ("forge-attempts-zero", "config", ("forge", "remote_attempts"), 0, 2,
      "field 'forge': forge remote_attempts must be at least 1"),
     ("forge-timeout-zero", "config", ("forge", "remote_timeout"), 0, 2,

@@ -19,7 +19,7 @@ from cotforge.dynamics import (
     builtin_scenario_path,
     run_dynamics_sim,
 )
-from cotforge.errors import ValidationError
+from cotforge.errors import ValidationError, read_object
 from cotforge.scheduler import Decision
 
 
@@ -65,26 +65,26 @@ class TestSpecParsing:
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match="unknown keys"):
-            DynamicsSpec.from_json_dict({
+            read_object(DynamicsSpec, {
                 "name": "x", "epochs": 1, "bogus": True,
                 "domains": {"a|CT": {"easy": {"count": 1, "total": {"base": 1.0}}}},
-            })
+            }, "scenario", ValidationError)
 
     def test_hard_stage_cot_rejected(self):
         with pytest.raises(ValidationError, match="rationale"):
-            DynamicsSpec.from_json_dict({
+            read_object(DynamicsSpec, {
                 "name": "x", "epochs": 1,
                 "domains": {"a|CT": {"hard": {
                     "count": 1, "total": {"base": 1.0}, "cot": {"base": 0.1},
                 }}},
-            })
+            }, "scenario", ValidationError)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
-            DynamicsSpec.from_json_dict({
+            read_object(DynamicsSpec, {
                 "name": "x", "epochs": 1, "seed": -1,
                 "domains": {"a|CT": {"easy": {"count": 1, "total": {"base": 1.0}}}},
-            })
+            }, "scenario", ValidationError)
 
     def test_hyperparam_overrides_applied(self):
         spec = DynamicsSpec.from_path(builtin_scenario_path("plateau"))
@@ -143,10 +143,10 @@ class TestMixedScenario:
 
 class TestSimMechanics:
     def test_zero_epochs_gives_header_only(self):
-        spec = DynamicsSpec.from_json_dict({
+        spec = read_object(DynamicsSpec, {
             "name": "empty", "epochs": 0,
             "domains": {"a|CT": {"easy": {"count": 1, "total": {"base": 1.0}}}},
-        })
+        }, "scenario", ValidationError)
         header, reports = run_dynamics_sim(spec)
         assert header["kind"] == "header"
         assert header["epochs"] == 0

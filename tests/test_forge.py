@@ -1,6 +1,7 @@
 """Corpus forge tests: organ assignment, seeds, template QA, corpus building."""
 
 import json
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from cotforge.forge import (
     generate_qa,
 )
 from cotforge.geometry import BBox, encode_runs
-from cotforge.jsonl import read_masks, rle_decode
+from cotforge.jsonl import read_dataset, read_masks, rle_decode
 from oracles import decode, oracle_assign, organ_mask
 from test_config import UNUSABLE_SEED_TEMPLATES
 
@@ -606,6 +607,36 @@ class TestBuildCorpus:
         assert [r.to_json_dict() for r in seq.records] == [
             r.to_json_dict() for r in par.records
         ]
+
+    @pytest.mark.parametrize("concurrency", [0, forge.MAX_CONCURRENCY + 1])
+    def test_concurrency_out_of_bounds_starts_no_thread(self, monkeypatch, concurrency):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(forge, "ThreadPoolExecutor", no_pool)
+        dataset, masks = small_dataset()
+        with pytest.raises(ValidationError,
+                           match="^concurrency must be at least 1 and at most 64$"):
+            build_corpus(dataset, masks, TemplateQaGenerator(), concurrency=concurrency)
+
+    def test_concurrency_at_the_bound_starts_a_thread_per_task_at_most(self):
+        images = read_dataset(fixture_path("forge_dataset.jsonl"))
+        masks = read_masks(fixture_path("forge_masks.jsonl"),
+                           {image.image_id: image for image in images})
+        threads = set()
+
+        class Recording(TemplateQaGenerator):
+            def generate(self, *args):
+                threads.add(threading.current_thread().name)
+                return super().generate(*args)
+
+        kwargs = dict(unassigned_policy="organ_free")
+        seq = build_corpus(images, masks, TemplateQaGenerator(), **kwargs)
+        par = build_corpus(images, masks, Recording(),
+                           concurrency=forge.MAX_CONCURRENCY, **kwargs)
+        assert len(par.records) == 5
+        assert 1 <= len(threads) <= 5
+        assert par.records == seq.records
 
     def test_organ_free_policy(self):
         dataset, masks = small_dataset()

@@ -9,6 +9,7 @@ from pathlib import Path
 from cotforge import cli, jsonl
 from cotforge.config import AppConfig, load_config
 from cotforge.dynamics import DynamicsSpec
+from cotforge.errors import ValidationError, read_object
 from cotforge.forge import ImageRecord, VqaCotRecord
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,7 +54,7 @@ def test_corpus_line_reads_as_a_record(tmp_path):
 
 
 def test_scenario_block_reads_as_a_spec():
-    spec = DynamicsSpec.from_json_dict(json_block('"domains"'))
+    spec = read_object(DynamicsSpec, json_block('"domains"'), "scenario", ValidationError)
     assert isinstance(spec, DynamicsSpec)
     assert spec.name == "rise"
 

@@ -7,7 +7,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from cotforge import remote
+from cotforge import cli, fixture_path, remote
 from cotforge.errors import BackendError, MalformedResponseError, ValidationError
 from cotforge.remote import RemoteQaGenerator
 
@@ -15,6 +15,19 @@ GOOD_BODY = {
     "question": "Which organ contains the mass?",
     "answer": "liver",
     "cot": "The image shows a mass. It overlaps the liver.",
+}
+# reply bodies by the name of their action
+BODIES = {
+    "ok": json.dumps(GOOD_BODY).encode(),
+    "missing-answer": json.dumps({"question": "q?", "cot": "c."}).encode(),
+    "not-json": b"<html>oops</html>",
+    "extra-keys": json.dumps({**GOOD_BODY, "model": "qa-7", "usage": {"tokens": 9}}).encode(),
+    "deep": b"[" * 100_000 + b"]" * 100_000,
+    "array": json.dumps(list(GOOD_BODY.values())).encode(),
+    "empty-cot": json.dumps({**GOOD_BODY, "cot": ""}).encode(),
+    "lone-surrogate": json.dumps({**GOOD_BODY, "answer": "liver\ud800"}).encode(),
+    "surrogate-key": json.dumps({**GOOD_BODY, "\udc00": 1}).encode(),
+    "not-utf8": json.dumps(GOOD_BODY).encode().replace(b"liver", b"f\xf3ie"),
 }
 
 
@@ -25,15 +38,11 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.requests.append(body)
         script = self.server.script
         action = script[min(len(self.server.requests) - 1, len(script) - 1)]
-        if action == "ok":
-            payload = json.dumps(GOOD_BODY).encode()
-        elif action == "missing-answer":
-            payload = json.dumps({"question": "q?", "cot": "c."}).encode()
-        elif action == "not-json":
-            payload = b"<html>oops</html>"
+        if action in BODIES:
+            payload = BODIES[action]
         elif action == "slow":
             time.sleep(0.5)
-            payload = json.dumps(GOOD_BODY).encode()
+            payload = BODIES["ok"]
         elif isinstance(action, int):
             self.send_response(action)
             self.end_headers()
@@ -157,8 +166,50 @@ class TestMalformedResponses:
     def test_non_json_body(self, server):
         server.script = ["not-json"]
         gen, _ = client(server)
-        with pytest.raises(MalformedResponseError, match="not JSON"):
+        with pytest.raises(MalformedResponseError, match="bad JSON"):
             gen.generate("seed text", "img", "CT")
+
+    @pytest.mark.parametrize("action,message", [
+        # deeper than the recursion limit: a RecursionError inside json
+        ("deep", "bad JSON: maximum recursion depth"),
+        ("array", "reply must be a JSON object"),
+        ("empty-cot", "field 'cot' is empty"),
+        ("lone-surrogate", "bad JSON: a string holds a lone UTF-16 surrogate"),
+        ("surrogate-key", "bad JSON: a string holds a lone UTF-16 surrogate"),
+        ("not-utf8", "bad JSON: 'utf-8' codec can't decode"),
+    ])
+    def test_malformed_reply_no_retry(self, server, action, message):
+        server.script = [action]
+        gen, sleeps = client(server)
+        with pytest.raises(MalformedResponseError, match=f"^{gen.endpoint}: {message}"):
+            gen.generate("seed text", "img", "CT")
+        assert len(server.requests) == 1
+        assert sleeps == []
+
+    def test_extra_keys_are_ignored(self, server):
+        server.script = ["extra-keys"]
+        gen, _ = client(server)
+        assert gen.generate("seed text", "img", "CT") == (
+            GOOD_BODY["question"], GOOD_BODY["answer"], GOOD_BODY["cot"])
+
+    def test_too_deep_reply_exits_3_with_one_error_line(self, server, tmp_path, capsys):
+        server.script = ["deep"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"forge": {
+            "backend": "remote",
+            "remote_endpoint": f"http://127.0.0.1:{server.server_address[1]}/qa",
+            "remote_backoff_base": 0.0,
+        }}))
+        code = cli.main(["forge", "--config", str(config),
+                         "--dataset", str(fixture_path("forge_dataset.jsonl")),
+                         "--masks", str(fixture_path("forge_masks.jsonl")),
+                         "--out", str(tmp_path / "corpus.jsonl")])
+        stderr = capsys.readouterr().err
+        assert code == 3
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+        assert "bad JSON: maximum recursion depth" in stderr
+        assert len(server.requests) == 1
+        assert not (tmp_path / "corpus.jsonl").exists()
 
     def test_malformed_is_a_backend_error(self):
         assert issubclass(MalformedResponseError, BackendError)
@@ -170,9 +221,7 @@ class TestThreads:
 
         class FakeResponse:
             status_code = 200
-
-            def json(self):
-                return GOOD_BODY
+            content = json.dumps(GOOD_BODY).encode()
 
         class FakeSession:
             def __init__(self):

@@ -272,7 +272,7 @@ class TestSchedulerStateMachine:
         hp = SchedulerHyperparams()
         state = CurriculumScheduler(hp)
         report = EpochReport(epoch=3, beta=0.0, lambda_hard=0.0, domains={},
-                             mean_total=1.0, count_total=4,
+                             mean_total=1.0,
                              cot_easy_mean=None, cot_easy_count=0,
                              cot_med_mean=None, cot_med_count=0,
                              counts={"easy": 4, "medium": 0, "hard": 0})
@@ -341,10 +341,10 @@ class TestSchedulerStateMachine:
         sched.start_epoch()
         sched.observe(["b", "b"], [Stage.EASY, Stage.MEDIUM], [1.0, 0.5], [None, None])
         stats = sched.end_of_epoch().domains["b"]
-        assert (stats.count_easy, stats.count_med, stats.progress_used) == (1, 1, None)
+        assert (stats.count_easy, stats.count_med, stats.progress) == (1, 1, None)
         ctx = sched.start_epoch()
         assert ctx.progress == {"a": None, "b": domain_progress(1.0, 0.5, 1e-8)}
-        assert sched.end_of_epoch().domains["b"].progress_used == ctx.progress["b"]
+        assert sched.end_of_epoch().domains["b"].progress == ctx.progress["b"]
 
 
 def assert_same_report(got, want):
@@ -514,10 +514,10 @@ def run_gate_combo(plateau, median_ok, gap_ok, hp=None):
         domains={
             "mass|CT": DomainEpochStats(
                 mean_easy=1.2, count_easy=6, mean_med=1.0, count_med=4,
-                progress_used=progress,
+                progress=progress,
             )
         },
-        mean_total=mean_total, count_total=10,
+        mean_total=mean_total,
         cot_easy_mean=0.2, cot_easy_count=6,
         cot_med_mean=cot_med, cot_med_count=4,
         counts={"easy": 6, "medium": 4, "hard": 0},

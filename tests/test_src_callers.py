@@ -13,7 +13,10 @@ name that its module never reads fails, unless it is quoted in the tracer
 (``forge.mask_iou`` is imported only for the tracer to wrap).
 
 The same scan checks that only geometry.py reads the forge's chunk
-budget, FORGE_CHUNK: its numpy passes split their inputs themselves.
+budget, FORGE_CHUNK: its numpy passes split their inputs themselves; and
+that only errors.py decodes JSON (json.load or json.loads), and no module
+calls a ``.json()`` method such as requests' response decoder, so every
+JSON input meets the same checks.
 
 This is a name heuristic, not a call graph: a read of any name counts for
 every definition of that name, so two definitions with the same name hide
@@ -129,3 +132,46 @@ def test_the_import_scan_sees_an_unread_import(tmp_path):
                       "def f(x: Opt[int]):\n    return os.path.join('a', 'b')\n")
     assert list(unread_imports(module)) == ["mod.List"]
     assert "mask_iou" in tracer_names()  # forge's tracer-only import stays exempt
+
+
+def json_decoders(paths):
+    """(module stem, decoder) for each JSON decode among ``paths``: a call of
+    json.load or json.loads, also through ``import json as`` another name,
+    an import of either from json, or a call of any ``.json()`` method."""
+    found = set()
+    for path in paths:
+        tree = parse(path)
+        json_names = {alias.asname or alias.name for node in ast.walk(tree)
+                      if isinstance(node, ast.Import)
+                      for alias in node.names if alias.name == "json"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                attr, owner = node.func.attr, node.func.value
+                if attr == "json":
+                    found.add((path.stem, ".json()"))
+                elif (attr in ("load", "loads") and isinstance(owner, ast.Name)
+                      and owner.id in json_names):
+                    found.add((path.stem, f"json.{attr}"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.update((path.stem, f"json.{alias.name}") for alias in node.names
+                             if alias.name in ("load", "loads"))
+    return found
+
+
+def test_only_errors_decodes_json():
+    found = json_decoders(sorted(SRC.glob("*.py")))
+    assert {stem for stem, _ in found} == {"errors"}, found
+    assert ".json()" not in {decoder for _, decoder in found}, found
+
+
+def test_the_json_scan_sees_calls_imports_and_methods(tmp_path):
+    paths = []
+    for stem, text in [("calls", "import json\njson.loads('1')\n"),
+                       ("renamed", "import json as j\nj.load(open('x'))\n"),
+                       ("imports", "from json import loads as decode\n"),
+                       ("method", "def f(response):\n    return response.json()\n"),
+                       ("neither", "import json\njson.dumps(1)\nloads = 1\n")]:
+        paths.append(tmp_path / f"{stem}.py")
+        paths[-1].write_text(text)
+    assert json_decoders(paths) == {("calls", "json.loads"), ("renamed", "json.load"),
+                                    ("imports", "json.loads"), ("method", ".json()")}
