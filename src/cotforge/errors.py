@@ -3,6 +3,9 @@
 The CLI maps these onto process exit codes: ValidationError -> 1,
 ConfigError -> 2, BackendError (and subclasses) -> 3. Every JSON input,
 files and remote replies alike, goes through ``parse_json`` and ``read_object``.
+Both take ``where``, a zero-argument callable naming the input (a file, a
+line, an endpoint), called only to report a fault. A record is a JSON object;
+a box, whose class sets ``JSON_ARRAY``, is an array of its fields in order.
 """
 
 import contextlib
@@ -43,9 +46,9 @@ def open_text(path, error: type):
 
 def load_json(path, cls, context: str, error: type):
     """Read dataclass ``cls`` from the JSON file at ``path``; any fault raises ``error``."""
-    where = f"{context} {path}"
+    where = lambda: f"{context} {path}"
     with open_text(path, error) as fh:
-        obj = parse_json(fh.read(), lambda: where, error)
+        obj = parse_json(fh.read(), where, error)
     return read_object(cls, obj, where, error)
 
 
@@ -69,23 +72,24 @@ def parse_json(text, where, error: type):
     return value
 
 
-def read_object(cls, obj, context: str, error: type):
+def read_object(cls, obj, where, error: type):
     """Build dataclass ``cls`` from a parsed JSON object, checking every value.
 
     The dataclass's fields and annotations are the schema. Unknown keys and
     missing required fields are errors; true/false is never a number; an
     integer is accepted where a float is annotated, and integers must fit
-    in 64 bits; tuples and lists come from arrays; a nested dataclass comes
-    from an object or from an array of all its fields in order. Errors,
-    including a ValidationError or ConfigError raised by a constructor, are
-    raised as ``error`` with ``context`` and the field's path in front.
+    in 64 bits; tuples and lists come from arrays; a dataclass comes from an
+    object, or, if it sets ``JSON_ARRAY``, from an array of all its fields
+    in order, and from nothing else. Errors, including a ValidationError or
+    ConfigError raised by a constructor, are raised as ``error`` with
+    ``where()`` and the field's path in front.
     """
     try:
         return _reader(cls)(obj)
     except _Mismatch as exc:
-        where = "".join(reversed(exc.path)).lstrip(".")
-        message = f"field '{where}'{exc.args[0]}" if where else exc.args[0]
-        raise error(f"{context}: {message.lstrip(': ')}") from None
+        field = "".join(reversed(exc.path)).lstrip(".")
+        message = f"field '{field}'{exc.args[0]}" if field else exc.args[0]
+        raise error(f"{where()}: {message.lstrip(': ')}") from None
 
 
 class _Mismatch(Exception):
@@ -191,17 +195,15 @@ def _object_reader(cls):
                 and f.default is f.default_factory is dataclasses.MISSING]
     # fields whose JSON value is kept as it is (a float if finite), without a call
     exact = {name: hints[name] for name in readers if hints[name] in (float, str, bool)}
+    shape = list if getattr(cls, "JSON_ARRAY", False) else dict
 
     def read(value):
-        if type(value) is dict:
-            items = value.items()
-        elif type(value) is list and len(value) == len(readers):
-            items = zip(readers, value)  # every field, in declaration order
-        elif type(value) is list:
-            raise _Mismatch(f" must be an object or an array of {len(readers)} "
-                            f"items, got {len(value)} items")
-        else:
-            raise _wrong_type(dict, value)
+        if type(value) is not shape:
+            raise _wrong_type(shape, value)
+        if shape is list and len(value) != len(readers):
+            raise _Mismatch(f" must be an array of {len(readers)} items, got {len(value)}")
+        # an array holds every field, in declaration order
+        items = value.items() if shape is dict else zip(readers, value)
         kwargs = {}
         for name, item in items:
             kind = exact.get(name)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Protocol
 
 from .errors import BackendError, MalformedResponseError, ValidationError
-from .geometry import BBox, box_intersections, box_span, check_runs, runs_array
+from .geometry import (MAX_IMAGE_SIDE, BBox, box_intersections, box_span, check_runs,
+                       runs_array)
 from .geometry import mask_iou  # noqa: F401  uncalled; the benchmark tracer wraps it here
 
 MODALITIES = ("CT", "XRay", "MRI", "Mammo")
@@ -26,8 +27,6 @@ ORGAN_FREE_SEED_TEMPLATE = "There is a {lesion_class}."
 
 MAX_COT_SENTENCES = 4
 
-# Largest accepted image side in pixels; a full-field mammogram fits.
-MAX_IMAGE_SIDE = 8192
 # Most QA requests in flight at once; the pool runs one thread per request.
 MAX_CONCURRENCY = 64
 
@@ -73,34 +72,39 @@ class OrganMask:
     def __new__(cls, organ_label: str, runs, height: int, width: int):
         if height < 1 or width < 1:
             raise ValidationError(f"mask dims {(height, width)} must be positive")
-        [mask] = organ_masks([(organ_label, runs_array(runs), height, width)])
+        [mask], faults = organ_masks([(organ_label, runs_array(runs), height, width)])
+        if faults:
+            raise ValidationError(faults[0])
         return mask
 
 
 def organ_masks(lines):
-    """Check (organ_label, runs, height, width) mask lines and yield each
-    line's OrganMask, in order.
+    """Check (organ_label, runs, height, width) mask lines and build each
+    line's OrganMask.
 
     Each line's runs are a `geometry.runs_array` array and its dims are
     positive; one `check_runs` call checks every line's runs. Each line is
     then checked as OrganMask checks it: its runs, its label, then its
-    area. The first faulty line raises ValidationError in its turn, once
-    the masks before it are yielded.
+    area. Returns (masks, faults), as `check_runs` returns (areas, faults):
+    masks[k] is line k's OrganMask, or None when the line is faulty, and
+    faults maps the index of each faulty line to its first fault's message.
     """
     areas, faults = check_runs([runs for _, runs, _, _ in lines],
                                [height * width for _, _, height, width in lines])
-    for k, (organ_label, runs, height, width) in enumerate(lines):
+    masks = [None] * len(lines)
+    for k, (organ_label, runs, _, _) in enumerate(lines):
         if k in faults:
-            raise ValidationError(faults[k])
+            continue
         if not organ_label:
-            raise ValidationError("organ_label must be non-empty")
-        if not areas[k]:
-            raise ValidationError(f"organ mask {organ_label!r} is empty")
-        mask = object.__new__(OrganMask)
-        runs.flags.writeable = False
-        mask.organ_label, mask.runs, mask.height, mask.width = lines[k]
-        mask.area = areas[k]
-        yield mask
+            faults[k] = "organ_label must be non-empty"
+        elif not areas[k]:
+            faults[k] = f"organ mask {organ_label!r} is empty"
+        else:
+            mask = masks[k] = object.__new__(OrganMask)
+            runs.flags.writeable = False
+            mask.organ_label, mask.runs, mask.height, mask.width = lines[k]
+            mask.area = areas[k]
+    return masks, faults
 
 
 @dataclass

@@ -21,6 +21,9 @@ from .errors import ValidationError
 # Most image pixels in one stacked soft-mask build: 32 MiB of float64.
 MAX_SOFT_MASK_PIXELS = 1 << 22
 
+# Largest accepted image side in pixels (a full-field mammogram fits) and blur sigma.
+MAX_IMAGE_SIDE = 8192
+
 # Most RLE runs and mask-row queries in one chunk of the forge's numpy
 # passes (`check_runs`, `box_intersections`): 128 KiB per int64 array. The
 # passes split their inputs themselves; no other module reads it.
@@ -31,6 +34,7 @@ FORGE_CHUNK = 1 << 14
 class BBox:
     """Normalized box with a strictly positive area."""
 
+    JSON_ARRAY = True  # read from an array of its four coordinates, in order
     x1: float
     y1: float
     x2: float
@@ -304,8 +308,8 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     gh, gw = grid_dims
     if gh < 1 or gw < 1 or gh > height or gw > width:
         raise ValidationError(f"grid dims {grid_dims} must be in [1, image dims]")
-    if sigma < 0:
-        raise ValidationError("sigma must be >= 0")
+    if not 0 <= sigma <= MAX_IMAGE_SIDE:  # NaN fails the test too
+        raise ValidationError(f"sigma must lie in [0, {MAX_IMAGE_SIDE}]")
     if not 0.0 < floor < 1.0 / (gh * gw):
         raise ValidationError(f"floor must lie in (0, 1/{gh * gw})")
     n = len(boxes)

@@ -19,8 +19,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .forge import MAX_IMAGE_SIDE, VqaCotRecord
-from .geometry import MAX_SOFT_MASK_PIXELS, box_span, build_soft_mask
+from .forge import VqaCotRecord
+from .geometry import MAX_IMAGE_SIDE, MAX_SOFT_MASK_PIXELS, box_span, build_soft_mask
 from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage, Trace
 from .toymodel import StageLossWeights, ToyModel
 

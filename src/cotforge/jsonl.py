@@ -49,18 +49,20 @@ def _write_jsonl(path, dicts):
 
 
 def _iter_jsonl(path):
-    """(line number, stripped text, parsed value) of each non-blank line."""
+    """(where, stripped text, parsed value) of each non-blank line; ``where()``
+    names the line ("{path}: line {lineno}") for an error message."""
     with open_text(path, ValidationError) as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if line:
-                yield lineno, line, parse_json(
-                    line, lambda: f"{path}: line {lineno}", ValidationError)
+                # formatted only on a fault; the default keeps this line's number
+                where = lambda lineno=lineno: f"{path}: line {lineno}"
+                yield where, line, parse_json(line, where, ValidationError)
 
 
 def _iter_objects(path, cls):
-    for lineno, _, obj in _iter_jsonl(path):
-        yield lineno, read_object(cls, obj, f"{path}: line {lineno}", ValidationError)
+    for where, _, obj in _iter_jsonl(path):
+        yield where, read_object(cls, obj, where, ValidationError)
 
 
 def rle_decode(runs, height, width) -> np.ndarray:
@@ -84,10 +86,9 @@ class _MaskLine:
 def read_dataset(path):
     """Read detection records; returns images in file order."""
     images = {}
-    for lineno, image in _iter_objects(path, ImageRecord):
+    for where, image in _iter_objects(path, ImageRecord):
         if image.image_id in images:
-            raise ValidationError(
-                f"{path}: line {lineno}: duplicate image_id {image.image_id!r}")
+            raise ValidationError(f"{where()}: duplicate image_id {image.image_id!r}")
         images[image.image_id] = image
     return list(images.values())
 
@@ -100,23 +101,23 @@ def read_masks(path, images_by_id):
     true or false is not a run), and its organ label and mask must be
     non-empty (the mask's area is the sum of its odd runs). Each line's
     runs become one array as the line is read; the lines read are checked
-    together (`forge.organ_masks`) at the end, and before any later line's
-    own fault is raised, so the first faulty line in the file is the one
-    reported. Each mask is kept as its checked runs and nothing is decoded;
-    the returned mapping is read-only and holds a tuple per image.
+    together by `forge.organ_masks`, which returns each faulty line's fault
+    by index. The first faulty line in the file is the one reported: the
+    earliest of those faults, or else the fault that stopped the read. Each
+    mask is kept as its checked runs and nothing is decoded; the returned
+    mapping is read-only and holds a tuple per image.
     """
-    pending = []
+    lines, stop = [], None  # (where, image id, mask line) of each line read
     try:
-        for lineno, text, obj in _iter_jsonl(path):
-            where = f"{path}: line {lineno}"
+        for where, text, obj in _iter_jsonl(path):
             line = read_object(_MaskLine, obj, where, ValidationError)
             image = images_by_id.get(line.image_id)
             if image is None:
                 raise ValidationError(
-                    f"{where}: mask references unknown image {line.image_id!r}")
+                    f"{where()}: mask references unknown image {line.image_id!r}")
             if (line.height, line.width) != (image.height, image.width):
                 raise ValidationError(
-                    f"{where}: mask dims {(line.height, line.width)} do not match "
+                    f"{where()}: mask dims {(line.height, line.width)} do not match "
                     f"image {line.image_id!r} dims {(image.height, image.width)}"
                 )
             try:
@@ -124,13 +125,22 @@ def read_masks(path, images_by_id):
                 if _holds_json_boolean(text, line.rle):  # it would read as 1 or 0
                     raise ValidationError("RLE runs must be non-negative integers")
             except ValidationError as exc:
-                raise ValidationError(f"{where}: {exc}") from exc
-            pending.append((lineno, line.image_id,
-                            (line.organ_label, runs, line.height, line.width)))
-    except ValidationError:
-        _checked_masks(path, pending)  # an earlier line's fault comes first
-        raise
-    return _checked_masks(path, pending)
+                raise ValidationError(f"{where()}: {exc}") from exc
+            lines.append((where, line.image_id,
+                          (line.organ_label, runs, line.height, line.width)))
+    except ValidationError as exc:
+        stop = exc
+    masks, faults = organ_masks([mask_line for _, _, mask_line in lines])
+    if faults:
+        k = min(faults)
+        raise ValidationError(f"{lines[k][0]()}: {faults[k]}")
+    if stop is not None:
+        raise stop
+    masks_by_image = {}
+    for (_, image_id, _), mask in zip(lines, masks):
+        masks_by_image.setdefault(image_id, []).append(mask)
+    return types.MappingProxyType({image_id: tuple(masks)
+                                   for image_id, masks in masks_by_image.items()})
 
 
 def _holds_json_boolean(text, values):
@@ -144,21 +154,6 @@ def _holds_json_boolean(text, values):
             and any(type(value) is bool for value in values))
 
 
-def _checked_masks(path, lines):
-    """Check the read mask lines and map each image id to a tuple of its
-    masks, read-only; the first faulty line raises, named."""
-    masks_by_image = {}
-    masks = organ_masks([mask_line for _, _, mask_line in lines])
-    for lineno, image_id, _ in lines:
-        try:
-            mask = next(masks)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: line {lineno}: {exc}") from exc
-        masks_by_image.setdefault(image_id, []).append(mask)
-    return types.MappingProxyType({image_id: tuple(masks)
-                                   for image_id, masks in masks_by_image.items()})
-
-
 def write_corpus(path, records):
     _write_jsonl(path, (r.to_json_dict() for r in records))
 
@@ -166,11 +161,9 @@ def write_corpus(path, records):
 def read_corpus(path, allow_empty_cot=False):
     """Read VQA-CoT records; empty rationales are rejected unless allowed."""
     records = []
-    for lineno, record in _iter_objects(path, VqaCotRecord):
+    for where, record in _iter_objects(path, VqaCotRecord):
         if not record.cot.strip() and not allow_empty_cot:
-            raise ValidationError(
-                f"{path}: line {lineno}: empty cot outside a Hard pool"
-            )
+            raise ValidationError(f"{where()}: empty cot outside a Hard pool")
         records.append(record)
     return records
 

@@ -98,9 +98,10 @@ class RemoteQaGenerator:
         raise last_error
 
     def _parse(self, response) -> Tuple[str, str, str]:
-        obj = parse_json(response.content, lambda: self.endpoint, MalformedResponseError)
-        if type(obj) is not dict:  # read_object would also take an array of 3
+        where = lambda: self.endpoint
+        obj = parse_json(response.content, where, MalformedResponseError)
+        if type(obj) is not dict:  # checked here, as the known keys are picked first
             raise MalformedResponseError(f"{self.endpoint}: reply must be a JSON object")
         known = {f.name: obj[f.name] for f in dataclasses.fields(_Reply) if f.name in obj}
-        reply = read_object(_Reply, known, self.endpoint, MalformedResponseError)
+        reply = read_object(_Reply, known, where, MalformedResponseError)
         return reply.question, reply.answer, reply.cot

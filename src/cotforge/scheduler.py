@@ -149,13 +149,6 @@ def p_medium(progress: float, beta: float, gamma: float, tau: float) -> float:
     return beta * _sigmoid((progress - gamma) / tau)
 
 
-def median_progress(values: Sequence[float]) -> float:
-    """Median with the usual even-count mean-of-middle-pair convention."""
-    if not values:
-        raise ValidationError("median of empty progress list")
-    return float(statistics.median(values))
-
-
 @dataclass
 class DomainEma:
     ema_easy: Optional[float] = None
@@ -164,7 +157,8 @@ class DomainEma:
 
 @dataclass
 class DomainEpochStats:
-    """One epoch's per-domain accumulators and progress; traces pin the field order."""
+    """One epoch's per-domain accumulators and progress (a mean is None without
+    items); traces pin the field order."""
 
     mean_easy: Optional[float]
     count_easy: int
@@ -181,11 +175,10 @@ class EpochReport:
     beta: float
     lambda_hard: float
     domains: Dict[str, DomainEpochStats]
-    mean_total: Optional[float]  # None for an epoch without items
+    # each mean is None when the epoch has no such loss
+    mean_total: Optional[float]
     cot_easy_mean: Optional[float]
-    cot_easy_count: int
     cot_med_mean: Optional[float]
-    cot_med_count: int
     counts: Dict[Stage, int]
     # filled in by close_epoch
     m_bar: Optional[float] = None
@@ -411,9 +404,7 @@ class CurriculumScheduler:
             domains=domains,
             mean_total=self._total.mean(),
             cot_easy_mean=self._cot[_EASY].mean(),
-            cot_easy_count=self._cot[_EASY].count,
             cot_med_mean=self._cot[_MEDIUM].mean(),
-            cot_med_count=self._cot[_MEDIUM].count,
             counts=dict(self._counts),
         )
         self.close_epoch(report)
@@ -433,9 +424,9 @@ class CurriculumScheduler:
             )
         for key, stats in report.domains.items():
             ema = self.domains.setdefault(key, DomainEma())
-            if stats.count_easy > 0:
+            if stats.mean_easy is not None:
                 ema.ema_easy = update_ema(ema.ema_easy, stats.mean_easy, hp.rho)
-            if stats.count_med > 0:
+            if stats.mean_med is not None:
                 ema.ema_med = update_ema(ema.ema_med, stats.mean_med, hp.rho)
             stats.ema_easy = ema.ema_easy
             stats.ema_med = ema.ema_med
@@ -448,16 +439,17 @@ class CurriculumScheduler:
                 delta = self.m_bar - prev
                 self.delta_history.append(delta)
 
-        if report.cot_easy_count > 0 and report.cot_med_count > 0:
-            gap = report.cot_med_mean - report.cot_easy_mean
-        else:
+        if report.cot_easy_mean is None or report.cot_med_mean is None:
             gap = math.inf
+        else:
+            gap = report.cot_med_mean - report.cot_easy_mean
 
         plateau = (len(self.delta_history) >= hp.q
                    and all(abs(d) <= hp.eps_plateau for d in self.delta_history))
         progress_values = [s.progress for s in report.domains.values()
                            if s.progress is not None]
-        median_g = median_progress(progress_values) if progress_values else None
+        # an even count takes the mean of the middle pair
+        median_g = float(statistics.median(progress_values)) if progress_values else None
         median_ok = median_g is not None and median_g >= hp.gamma_hard
         gap_ok = gap <= hp.eps_cot
         rise = delta is not None and delta >= hp.delta_rise

@@ -558,6 +558,5 @@ def oracle_epoch_report(ctx: EpochContext, domains, items) -> EpochReport:
     return EpochReport(
         epoch=ctx.epoch, beta=ctx.beta, lambda_hard=ctx.lambda_hard,
         domains=stats, mean_total=mean([total, n_total]),
-        cot_easy_mean=mean(cot[Stage.EASY]), cot_easy_count=cot[Stage.EASY][1],
-        cot_med_mean=mean(cot[Stage.MEDIUM]), cot_med_count=cot[Stage.MEDIUM][1],
+        cot_easy_mean=mean(cot[Stage.EASY]), cot_med_mean=mean(cot[Stage.MEDIUM]),
         counts=counts)

@@ -169,8 +169,7 @@ def _gate_probe(plateau_on: bool, median_on: bool, gap_on: bool):
             mean_easy=1.0, count_easy=4, mean_med=0.5, count_med=4,
             progress=0.5 if median_on else 0.0)},
         mean_total=mean_total,
-        cot_easy_mean=0.2, cot_easy_count=4,
-        cot_med_mean=0.2 if gap_on else 0.5, cot_med_count=4,
+        cot_easy_mean=0.2, cot_med_mean=0.2 if gap_on else 0.5,
         counts={"easy": 4, "medium": 4, "hard": 0},
     )
     state.close_epoch(report)

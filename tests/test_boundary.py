@@ -10,6 +10,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -19,9 +20,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cotforge import cli, fixture_path, jsonl
-from cotforge.config import load_config
-from cotforge.errors import ConfigError, ValidationError, read_object
-from cotforge.forge import ImageRecord
+from cotforge.config import AppConfig, load_config
+from cotforge.dynamics import DynamicsSpec
+from cotforge.errors import ConfigError, ValidationError, parse_json, read_object
+from cotforge.forge import ImageRecord, VqaCotRecord
 from cotforge.geometry import build_soft_mask
 from cotforge.scheduler import SchedulerHyperparams
 from cotforge.toymodel import ToyModel
@@ -105,19 +107,19 @@ class TestReadObject:
         line["annotations"][1]["box"][2] = "0.9"
         with pytest.raises(ValidationError,
                            match=r"^ctx: field 'annotations\[1\]\.box\.x2' must be a number"):
-            read_object(ImageRecord, line, "ctx", ValidationError)
+            read_object(ImageRecord, line, lambda: "ctx", ValidationError)
 
     def test_constructor_error_carries_path_and_callers_type(self):
         line = copy.deepcopy(DATASET[0])
         line["annotations"][0]["box"] = [0.5, 0.1, 0.5, 0.9]
         with pytest.raises(ConfigError,
                            match=r"^ctx: field 'annotations\[0\]\.box': degenerate"):
-            read_object(ImageRecord, line, "ctx", ConfigError)
+            read_object(ImageRecord, line, lambda: "ctx", ConfigError)
 
     def test_int_widens_to_float_and_box_reads_from_array(self):
         line = copy.deepcopy(DATASET[0])
         line["annotations"][0]["box"] = [0, 0, 1, 1]
-        image = read_object(ImageRecord, line, "ctx", ValidationError)
+        image = read_object(ImageRecord, line, lambda: "ctx", ValidationError)
         assert image.annotations[0].box.as_list() == [0.0, 0.0, 1.0, 1.0]
         assert all(type(v) is float for v in image.annotations[0].box.as_list())
 
@@ -132,18 +134,59 @@ class TestReadObject:
     def test_type_rules(self, patch, message):
         line = {**DATASET[0], **patch}
         with pytest.raises(ValidationError) as info:
-            read_object(ImageRecord, line, "ctx", ValidationError)
+            read_object(ImageRecord, line, lambda: "ctx", ValidationError)
         assert message in str(info.value)
 
     def test_missing_field_named(self):
         line = {k: v for k, v in DATASET[0].items() if k != "height"}
         with pytest.raises(ValidationError, match="^ctx: field 'height' is missing$"):
-            read_object(ImageRecord, line, "ctx", ValidationError)
+            read_object(ImageRecord, line, lambda: "ctx", ValidationError)
 
     def test_non_object_top_level(self):
         with pytest.raises(ValidationError,
                            match="^ctx: must be an object, got an integer$"):
-            read_object(ImageRecord, 5, "ctx", ValidationError)
+            read_object(ImageRecord, 5, lambda: "ctx", ValidationError)
+
+
+def never_called(*_):
+    raise AssertionError("an error context was built for a good input")
+
+
+class _UnprintablePath(os.PathLike):
+    """Opens as ``path``, but fails the test when formatted, as only an error
+    message formats it."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __fspath__(self):
+        return os.fspath(self.path)
+
+    __format__ = __str__ = __repr__ = never_called
+
+
+class TestContextOnlyOnFailure:
+    """``where`` names an input only for an error: a good input never calls it."""
+
+    @pytest.mark.parametrize("cls,value", [
+        (ImageRecord, DATASET[0]), (VqaCotRecord, CORPUS[0]),
+        (AppConfig, CONFIG), (DynamicsSpec, SCENARIO),
+    ])
+    def test_read_object_and_parse_json(self, cls, value):
+        obj = parse_json(json.dumps(value).encode(), never_called, ValidationError)
+        read_object(cls, obj, never_called, ValidationError)
+
+    def test_each_reader_on_good_lines(self, tmp_path):
+        def unprintable(name):
+            return _UnprintablePath(fixture_path(name))
+
+        images = jsonl.read_dataset(unprintable("forge_dataset.jsonl"))
+        masks = jsonl.read_masks(unprintable("forge_masks.jsonl"),
+                                 {image.image_id: image for image in images})
+        assert sum(map(len, masks.values())) == len(MASKS)
+        assert jsonl.read_corpus(unprintable("toy_corpus.jsonl"))
+        load_config(_UnprintablePath(write_json(tmp_path / "c.json", CONFIG)))
+        DynamicsSpec.from_path(unprintable("scenario_rise.json"))
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +227,17 @@ TYPE_CASES = [
      NAN, 1, "total.base' must be a finite number, got nan"),
     ("dataset-box-infinity", "dataset", (0, "annotations", 0, "box", 2), -INF, 1,
      "line 1: field 'annotations[0].box.x2' must be a finite number, got -inf"),
+    # a box is an array of its four coordinates, every other record an object
+    ("dataset-line-array", "dataset", (0,),
+     ["ct_001", 64, 64, "CT", [[{"x1": 0.08, "y1": 0.12, "x2": 0.42, "y2": 0.82}, "mass"]]],
+     1, "dataset.jsonl: line 1: must be an object, got an array"),
+    ("corpus-box-object", "corpus", (1, "box"),
+     {"x1": 0.08, "y1": 0.12, "x2": 0.42, "y2": 0.82}, 1,
+     "c.jsonl: line 2: field 'box' must be an array, got an object"),
+    ("corpus-box-three-items", "corpus", (1, "box"), [0.08, 0.12, 0.42], 1,
+     "c.jsonl: line 2: field 'box' must be an array of 4 items, got 3"),
+    ("harness-weights-array", "config", ("harness", "weights"), [0.25, 0.25, 2.0, 1.0], 2,
+     "c.json: field 'harness.weights' must be an object, got an array"),
 ]
 
 
@@ -213,6 +267,14 @@ def test_wrong_json_type_is_one_error_line(tmp_path, kind, path, value, code, na
     code_got, stderr = run_main(_patched_argv(tmp_path, kind, path, value))
     assert_clean_exit(code_got, stderr, expected=code)
     assert names in stderr
+
+
+def test_a_config_array_of_its_sections_is_one_error_line(tmp_path):
+    # a record is an object; only a box is read from an array of its fields
+    config = write_json(tmp_path / "c.json", [{}, {}, {}, {}])
+    code, stderr = run_main(["forge", "--config", config])
+    assert_clean_exit(code, stderr, expected=2)
+    assert stderr == f"error: config {config}: must be an object, got an array\n"
 
 
 # json.dumps writes a lone surrogate as a \u escape, which json.loads reads

@@ -68,7 +68,7 @@ class TestSpecParsing:
             read_object(DynamicsSpec, {
                 "name": "x", "epochs": 1, "bogus": True,
                 "domains": {"a|CT": {"easy": {"count": 1, "total": {"base": 1.0}}}},
-            }, "scenario", ValidationError)
+            }, lambda: "scenario", ValidationError)
 
     def test_hard_stage_cot_rejected(self):
         with pytest.raises(ValidationError, match="rationale"):
@@ -77,14 +77,14 @@ class TestSpecParsing:
                 "domains": {"a|CT": {"hard": {
                     "count": 1, "total": {"base": 1.0}, "cot": {"base": 0.1},
                 }}},
-            }, "scenario", ValidationError)
+            }, lambda: "scenario", ValidationError)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed"):
             read_object(DynamicsSpec, {
                 "name": "x", "epochs": 1, "seed": -1,
                 "domains": {"a|CT": {"easy": {"count": 1, "total": {"base": 1.0}}}},
-            }, "scenario", ValidationError)
+            }, lambda: "scenario", ValidationError)
 
     def test_hyperparam_overrides_applied(self):
         spec = DynamicsSpec.from_path(builtin_scenario_path("plateau"))
@@ -146,7 +146,7 @@ class TestSimMechanics:
         spec = read_object(DynamicsSpec, {
             "name": "empty", "epochs": 0,
             "domains": {"a|CT": {"easy": {"count": 1, "total": {"base": 1.0}}}},
-        }, "scenario", ValidationError)
+        }, lambda: "scenario", ValidationError)
         header, reports = run_dynamics_sim(spec)
         assert header["kind"] == "header"
         assert header["epochs"] == 0

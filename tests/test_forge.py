@@ -22,6 +22,7 @@ from cotforge.forge import (
     assign_organ,
     build_corpus,
     generate_qa,
+    organ_masks,
 )
 from cotforge.geometry import BBox, encode_runs
 from cotforge.jsonl import read_dataset, read_masks, rle_decode
@@ -412,6 +413,21 @@ class TestOrganMask:
         for dims in ((-1, -2), (0, 4), (2, 0)):  # runs [1, 1] sum to (-1)*(-2)
             with pytest.raises(ValidationError, match=r"^mask dims .* must be positive$"):
                 OrganMask("liver", [1, 1], *dims)
+
+
+    def test_organ_masks_returns_each_faulty_lines_first_fault_by_index(self):
+        lines = [("liver", np.array([2, 3, 3]), 2, 4),
+                 ("", np.array([2, 3, 2]), 2, 4),  # a runs fault comes before the label
+                 ("", np.array([2, 3, 3]), 2, 4),
+                 ("kidney", np.array([8]), 2, 4),
+                 ("spleen", np.array([0, 8]), 2, 4)]
+        masks, faults = organ_masks(lines)
+        assert faults == {1: "RLE runs sum to 7, expected 8",
+                          2: "organ_label must be non-empty",
+                          3: "organ mask 'kidney' is empty"}
+        assert [m and (m.organ_label, m.area) for m in masks] == [
+            ("liver", 3), None, None, None, ("spleen", 8)]
+        assert not lines[0][1].flags.writeable and lines[1][1].flags.writeable
 
 
 class TestTemplateQa:
@@ -859,7 +875,8 @@ class TestRecordTypes:
             seed=DEFAULT_SEED_TEMPLATE.format(lesion_class="mass", organ_label="liver"),
             generator_id="template-v1",
         )
-        again = read_object(VqaCotRecord, rec.to_json_dict(), "record", ValidationError)
+        again = read_object(VqaCotRecord, rec.to_json_dict(), lambda: "record",
+                            ValidationError)
         assert again == rec
 
     def test_record_requires_question_and_answer(self):

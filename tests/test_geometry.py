@@ -555,6 +555,17 @@ class TestBuildSoftMask:
         with pytest.raises(ValidationError):
             build_soft_mask([box], (8, 8), (2, 2), sigma=0.0, floor=0.25)
 
+    @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf, 1e308, 8192.5])
+    def test_sigma_outside_zero_to_the_largest_image_side_rejected(self, sigma):
+        # NaN used to build the sigma-0 mask; inf and 1e308 overflowed in scipy
+        with pytest.raises(ValidationError, match=r"^sigma must lie in \[0, 8192\]$"):
+            build_soft_mask([BBox(0.0, 0.0, 0.5, 0.5)], (8, 8), (2, 2), sigma=sigma)
+
+    def test_the_largest_sigma_builds_on_a_small_image(self):
+        # a sigma far above the image's sides stays valid
+        [mask] = build_soft_mask([BBox(0.0, 0.0, 0.5, 0.5)], (8, 8), (2, 2), sigma=8192.0)
+        assert mask.shape == (2, 2) and mask.sum() == pytest.approx(1.0)
+
     def test_no_boxes_give_an_empty_stack(self):
         masks = build_soft_mask([], (64, 48), (8, 6), sigma=16.0, floor=1e-6)
         assert masks.shape == (0, 8, 6)

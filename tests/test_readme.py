@@ -6,7 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
-from cotforge import cli, jsonl
+from cotforge import cli, fixture_path, jsonl
 from cotforge.config import AppConfig, load_config
 from cotforge.dynamics import DynamicsSpec
 from cotforge.errors import ValidationError, read_object
@@ -50,11 +50,18 @@ def test_corpus_line_reads_as_a_record(tmp_path):
     assert record.generator_id == "template-v1"
 
 
-# The mask line is not checked: its runs are elided with "...".
+def test_mask_line_is_the_bundled_first_line_cut_short():
+    shown = json_block('"rle"')
+    first = json.loads(fixture_path("forge_masks.jsonl").read_text().splitlines()[0])
+    *runs, elided = shown.pop("rle")
+    assert elided == "..." and runs
+    assert first.pop("rle")[:len(runs)] == runs
+    assert shown == first
 
 
 def test_scenario_block_reads_as_a_spec():
-    spec = read_object(DynamicsSpec, json_block('"domains"'), "scenario", ValidationError)
+    spec = read_object(DynamicsSpec, json_block('"domains"'), lambda: "scenario",
+                       ValidationError)
     assert isinstance(spec, DynamicsSpec)
     assert spec.name == "rise"
 

@@ -25,7 +25,6 @@ from cotforge.scheduler import (
     SchedulerHyperparams,
     Stage,
     domain_progress,
-    median_progress,
     p_medium,
     ramp,
     update_ema,
@@ -107,15 +106,6 @@ class TestPMedium:
         for g in (-10.0, 0.0, 10.0):
             p = p_medium(g, 0.6, 0.2, 0.1)
             assert 0.0 <= p <= 0.6
-
-
-class TestMedianProgress:
-    def test_even_count_averages_middle_pair(self):
-        assert median_progress([0.1, 0.3]) == pytest.approx(0.2)
-
-    def test_matches_statistics_median(self):
-        vals = [0.4, 0.1, 0.9, 0.3, 0.2]
-        assert median_progress(vals) == statistics.median(vals)
 
 
 class TestPlanBatch:
@@ -273,8 +263,7 @@ class TestSchedulerStateMachine:
         state = CurriculumScheduler(hp)
         report = EpochReport(epoch=3, beta=0.0, lambda_hard=0.0, domains={},
                              mean_total=1.0,
-                             cot_easy_mean=None, cot_easy_count=0,
-                             cot_med_mean=None, cot_med_count=0,
+                             cot_easy_mean=None, cot_med_mean=None,
                              counts={"easy": 4, "medium": 0, "hard": 0})
         with pytest.raises(ValidationError):
             state.close_epoch(report)
@@ -414,8 +403,8 @@ class TestBatchObserve:
         sched.observe(["d"] * 4, ["easy", "easy", "medium", "medium"],
                       [1.0, 2.0, 3.0, 4.0], [None, 0.5, math.nan, None])
         report = sched.end_of_epoch()
-        assert (report.cot_easy_count, report.cot_easy_mean) == (1, 0.5)
-        assert report.cot_med_count == 1 and math.isnan(report.cot_med_mean)
+        assert report.cot_easy_mean == 0.5
+        assert math.isnan(report.cot_med_mean)
 
 
 class TestPoolProbabilities:
@@ -497,6 +486,47 @@ class TestStage:
         assert toymodel.Stage is Stage
 
 
+def hand_report(domains, cot_easy_mean=0.2, cot_med_mean=0.2):
+    """An epoch-1 report built by hand, as a caller of close_epoch builds one."""
+    return EpochReport(epoch=1, beta=0.0, lambda_hard=0.0, domains=domains,
+                       mean_total=1.0, cot_easy_mean=cot_easy_mean,
+                       cot_med_mean=cot_med_mean,
+                       counts={"easy": 4, "medium": 4, "hard": 0})
+
+
+class TestHandBuiltReports:
+    """close_epoch on reports built by hand: None is the one sign of no evidence."""
+
+    @staticmethod
+    def median_of(progress):
+        domains = {f"d{i}|CT": DomainEpochStats(1.0, 2, 0.5, 2, g)
+                   for i, g in enumerate(progress)}
+        domains["new|CT"] = DomainEpochStats(1.0, 2, None, 0, None)  # no progress yet
+        report = hand_report(domains)
+        CurriculumScheduler(SchedulerHyperparams()).close_epoch(report)
+        return report.median_progress
+
+    def test_two_domains_take_the_mean_of_the_middle_pair(self):
+        assert self.median_of([0.1, 0.3]) == pytest.approx(0.2)
+
+    def test_median_matches_statistics_median(self):
+        vals = [0.4, 0.1, 0.9, 0.3, 0.2]
+        assert self.median_of(vals) == statistics.median(vals)
+
+    def test_a_domain_mean_of_none_leaves_its_ema_unset(self):
+        # the counts say items trained; the None means say there is no loss
+        report = hand_report({"d|CT": DomainEpochStats(None, 3, None, 2, None)})
+        sched = CurriculumScheduler(SchedulerHyperparams())
+        assert sched.close_epoch(report) == Decision.HOLD
+        assert (sched.domains["d|CT"].ema_easy, sched.domains["d|CT"].ema_med) == (None, None)
+
+    @pytest.mark.parametrize("means", [(None, 0.2), (0.2, None), (None, None)])
+    def test_a_rationale_mean_of_none_makes_the_gap_infinite(self, means):
+        report = hand_report({}, *means)
+        assert CurriculumScheduler(SchedulerHyperparams()).close_epoch(report) == Decision.HOLD
+        assert report.gap_cot == math.inf and not report.gap_ok
+
+
 def run_gate_combo(plateau, median_ok, gap_ok, hp=None):
     """Build a synthetic state/report pair landing on the given gate flags."""
     hp = hp or SchedulerHyperparams()
@@ -518,8 +548,7 @@ def run_gate_combo(plateau, median_ok, gap_ok, hp=None):
             )
         },
         mean_total=mean_total,
-        cot_easy_mean=0.2, cot_easy_count=6,
-        cot_med_mean=cot_med, cot_med_count=4,
+        cot_easy_mean=0.2, cot_med_mean=cot_med,
         counts={"easy": 6, "medium": 4, "hard": 0},
     )
     before = state.lambda_hard
