@@ -78,12 +78,11 @@ def _make_backend(cfg: ForgeConfig):
     return TemplateQaGenerator(cfg.template_list())
 
 
-def _write_trace(args, cfg, out_path: Path, trace: Trace, **summary) -> int:
+def _write_trace(out_path: Path, csv_path, trace: Trace, **summary) -> int:
     """Write the trace and its optional CSV, then print the run's summary."""
     header, reports = trace
     rows = [report.to_json_dict() for report in reports]
     _write(jsonl.write_trace, out_path, header, rows)
-    csv_path = args.csv or cfg.io.csv
     if csv_path:
         _write(jsonl.write_trace_csv, Path(csv_path), rows)
     decisions = {decision.value: 0 for decision in Decision}
@@ -143,12 +142,13 @@ def cmd_simulate(args) -> int:
         scenario_path = builtin_scenario_path(scenario)
     else:
         scenario_path = Path(scenario)
-    _refuse_overwrite(args, {"scenario": scenario_path},
-                      {"out": args.out or cfg.io.out, "csv": args.csv or cfg.io.csv})
-    spec = DynamicsSpec.from_path(scenario_path)
-
     out_path = _resolve_path(args.out, cfg.io.out, "out")
-    return _write_trace(args, cfg, out_path, run_dynamics_sim(spec),
+    csv_path = args.csv or cfg.io.csv
+    _refuse_overwrite(args, {"scenario": scenario_path},
+                      {"out": out_path, "csv": csv_path})
+
+    spec = DynamicsSpec.from_path(scenario_path)
+    return _write_trace(out_path, csv_path, run_dynamics_sim(spec),
                         command="simulate", scenario=spec.name, epochs=spec.epochs)
 
 
@@ -156,12 +156,12 @@ def cmd_train_toy(args) -> int:
     cfg = load_config(args.config)
     corpus_path = _resolve_path(args.corpus, cfg.io.corpus, "corpus")
     out_path = _resolve_path(args.out, cfg.io.out, "out")
-    _refuse_overwrite(args, {"corpus": corpus_path},
-                      {"out": out_path, "csv": args.csv or cfg.io.csv})
+    csv_path = args.csv or cfg.io.csv
+    _refuse_overwrite(args, {"corpus": corpus_path}, {"out": out_path, "csv": csv_path})
 
     records = jsonl.read_corpus(corpus_path)
     trace = run_toy_training(records, params=cfg.harness, hp=cfg.scheduler)
-    return _write_trace(args, cfg, out_path, trace,
+    return _write_trace(out_path, csv_path, trace,
                         command="train-toy", epochs=cfg.harness.epochs,
                         corpus_size=len(records))
 

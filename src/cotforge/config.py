@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
-from .errors import ConfigError, load_json
-from .forge import DEFAULT_SEED_TEMPLATE, MAX_CONCURRENCY, parse_seed_template
+from .errors import ConfigError, ValidationError, load_json
+from .forge import DEFAULT_SEED_TEMPLATE, check_options
 from .harness import HarnessParams
 from .scheduler import SchedulerHyperparams
 
@@ -45,34 +45,23 @@ class ForgeConfig:
 
     def __post_init__(self):
         if self.backend not in ("template", "remote"):
-            raise ConfigError(
-                f"forge backend must be 'template' or 'remote', got {self.backend!r}"
-            )
+            raise ValidationError(
+                f"backend must be 'template' or 'remote', got {self.backend!r}")
         if self.backend == "remote" and not self.remote_endpoint:
-            raise ConfigError("forge backend 'remote' needs a remote_endpoint")
+            raise ValidationError("backend 'remote' needs a remote_endpoint")
         if self.remote_endpoint is not None and not _is_http_url(self.remote_endpoint):
-            raise ConfigError(
-                f"forge remote_endpoint must be an http:// or https:// URL with a "
+            raise ValidationError(
+                f"remote_endpoint must be an http:// or https:// URL with a "
                 f"host, got {self.remote_endpoint!r}"
             )
-        if self.tau_iou < 0.0:
-            raise ConfigError("forge tau_iou must be non-negative")
-        if self.unassigned_policy not in ("skip", "organ_free"):
-            raise ConfigError(
-                f"forge unassigned_policy must be 'skip' or 'organ_free', "
-                f"got {self.unassigned_policy!r}"
-            )
-        if not 1 <= self.concurrency <= MAX_CONCURRENCY:
-            raise ConfigError(
-                f"forge concurrency must be at least 1 and at most {MAX_CONCURRENCY}")
         if self.remote_attempts < 1:
-            raise ConfigError("forge remote_attempts must be at least 1")
+            raise ValidationError("remote_attempts must be at least 1")
         if self.remote_timeout <= 0.0:
-            raise ConfigError("forge remote_timeout must be positive")
+            raise ValidationError("remote_timeout must be positive")
         if self.remote_backoff_base < 0.0:
-            raise ConfigError("forge remote_backoff_base must be non-negative")
-        for template in self.seed_templates:
-            parse_seed_template(template)
+            raise ValidationError("remote_backoff_base must be non-negative")
+        check_options(self.tau_iou, self.unassigned_policy, self.concurrency,
+                      self.seed_templates)
 
     def template_list(self) -> List[str]:
         """Rotation order for seeds: the stock template, then configured extras."""

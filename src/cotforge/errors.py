@@ -1,8 +1,12 @@
 """Exception types shared across the package, and the one reader of JSON input.
 
 The CLI maps these onto process exit codes: ValidationError -> 1,
-ConfigError -> 2, BackendError (and subclasses) -> 3. Every JSON input,
-files and remote replies alike, goes through ``parse_json`` and ``read_object``.
+ConfigError -> 2, BackendError (and subclasses) -> 3. A record's constructor
+raises ValidationError, never ConfigError; the reader of an input raises
+each fault as that input's error type, so a broken rule exits 2 in the
+config and 1 in a scenario or data file. Only the CLI constructs a
+ConfigError by name. Every JSON input, files and remote replies alike,
+goes through ``parse_json`` and ``read_object``.
 Both take ``where``, a zero-argument callable naming the input (a file, a
 line, an endpoint), called only to report a fault. A record is a JSON object;
 a box, whose class sets ``JSON_ARRAY``, is an array of its fields in order.
@@ -80,8 +84,8 @@ def read_object(cls, obj, where, error: type):
     integer is accepted where a float is annotated, and integers must fit
     in 64 bits; tuples and lists come from arrays; a dataclass comes from an
     object, or, if it sets ``JSON_ARRAY``, from an array of all its fields
-    in order, and from nothing else. Errors, including a ValidationError or
-    ConfigError raised by a constructor, are raised as ``error`` with
+    in order, and from nothing else. Errors, including the ValidationError
+    a constructor raises for a broken rule, are raised as ``error`` with
     ``where()`` and the field's path in front.
     """
     try:
@@ -224,7 +228,7 @@ def _object_reader(cls):
                     raise _Mismatch(" is missing", [f".{name}"])
         try:
             return cls(**kwargs)
-        except (ValidationError, ConfigError) as exc:
+        except ValidationError as exc:
             raise _Mismatch(f": {exc}") from None
 
     return read

@@ -239,6 +239,24 @@ def parse_seed_template(template: str) -> list:
     return names
 
 
+def check_options(tau_iou, unassigned_policy, concurrency, seed_templates) -> None:
+    """Check the forge's options; the first broken rule raises ValidationError.
+
+    ``tau_iou`` is a non-negative number (NaN fails), ``unassigned_policy``
+    is 'skip' or 'organ_free', ``concurrency`` lies in [1, MAX_CONCURRENCY],
+    and every seed template passes `parse_seed_template`.
+    """
+    if not tau_iou >= 0.0:  # written so that NaN fails too
+        raise ValidationError(f"tau_iou must be non-negative, got {tau_iou}")
+    if unassigned_policy not in ("skip", "organ_free"):
+        raise ValidationError(
+            f"unassigned_policy must be 'skip' or 'organ_free', got {unassigned_policy!r}")
+    if not 1 <= concurrency <= MAX_CONCURRENCY:
+        raise ValidationError(f"concurrency must be at least 1 and at most {MAX_CONCURRENCY}")
+    for template in seed_templates:
+        parse_seed_template(template)
+
+
 class TemplateQaGenerator:
     """Deterministic QA backend that fills fixed question/answer/CoT templates.
 
@@ -346,13 +364,8 @@ def build_corpus(
     identical inputs produce identical corpora. QA generation may fan out
     over `concurrency` threads; results keep task order either way.
     """
-    if unassigned_policy not in ("skip", "organ_free"):
-        raise ValidationError(f"unknown unassigned_policy {unassigned_policy!r}")
-    if not 1 <= concurrency <= MAX_CONCURRENCY:
-        raise ValidationError(f"concurrency must be at least 1 and at most {MAX_CONCURRENCY}")
     templates = list(seed_templates or [DEFAULT_SEED_TEMPLATE])
-    for template in templates:
-        parse_seed_template(template)
+    check_options(tau_iou, unassigned_policy, concurrency, templates)
 
     labels, scored, members = [], [], []
     for image in dataset:

@@ -122,14 +122,11 @@ def ramp(epoch: int, kappa: float, warmup_epochs: int = 5) -> float:
 
 
 def domain_progress(ema_easy: Optional[float], ema_med: Optional[float],
-                    eps: float) -> float:
-    """Relative improvement of the medium stage over the easy one.
-
-    Returns 0 until both smoothed means exist, so a domain without medium
-    evidence neither promotes nor demotes itself.
-    """
+                    eps: float) -> Optional[float]:
+    """Relative improvement of the medium stage over the easy one, or None
+    until both smoothed means exist."""
     if ema_easy is None or ema_med is None:
-        return 0.0
+        return None
     return (ema_easy - ema_med) / (ema_easy + eps)
 
 
@@ -333,10 +330,10 @@ class CurriculumScheduler:
         progress: Dict[str, Optional[float]] = {}
         p_med: Dict[str, float] = {}
         for key, ema in self.domains.items():
-            g = domain_progress(ema.ema_easy, ema.ema_med, hp.eps)
-            known = ema.ema_easy is not None and ema.ema_med is not None
-            progress[key] = g if known else None
-            p_med[key] = p_medium(g, beta, hp.gamma, hp.tau)
+            g = progress[key] = domain_progress(ema.ema_easy, ema.ema_med, hp.eps)
+            # gated as progress 0, a domain without evidence neither promotes
+            # nor demotes itself
+            p_med[key] = p_medium(0.0 if g is None else g, beta, hp.gamma, hp.tau)
         # the main pool's per-item probabilities, fixed for the epoch
         self._pool_p_medium = _checked_p_medium(
             [p_med.get(d, 0.0) for d in main_pool_domains], len(main_pool_domains))
@@ -415,7 +412,7 @@ class CurriculumScheduler:
         """Fold one epoch's statistics into the controller and move the budget.
 
         Updates the EMAs, plateau history, ``lambda_hard`` and epoch counter,
-        and stamps the derived signals back onto ``report``.
+        writing each derived signal onto ``report`` as it is computed.
         """
         hp = self.hp
         if report.epoch != self.epoch:
@@ -431,48 +428,41 @@ class CurriculumScheduler:
             stats.ema_easy = ema.ema_easy
             stats.ema_med = ema.ema_med
 
-        delta: Optional[float] = None
+        report.delta_m_bar = None
         if report.mean_total is not None:
             prev = self.m_bar
             self.m_bar = update_ema(prev, report.mean_total, hp.rho)
             if prev is not None:
-                delta = self.m_bar - prev
-                self.delta_history.append(delta)
+                report.delta_m_bar = self.m_bar - prev
+                self.delta_history.append(report.delta_m_bar)
+        report.m_bar = self.m_bar
 
         if report.cot_easy_mean is None or report.cot_med_mean is None:
-            gap = math.inf
+            report.gap_cot = math.inf
         else:
-            gap = report.cot_med_mean - report.cot_easy_mean
+            report.gap_cot = report.cot_med_mean - report.cot_easy_mean
 
-        plateau = (len(self.delta_history) >= hp.q
-                   and all(abs(d) <= hp.eps_plateau for d in self.delta_history))
+        report.plateau = (len(self.delta_history) >= hp.q
+                          and all(abs(d) <= hp.eps_plateau for d in self.delta_history))
         progress_values = [s.progress for s in report.domains.values()
                            if s.progress is not None]
         # an even count takes the mean of the middle pair
-        median_g = float(statistics.median(progress_values)) if progress_values else None
-        median_ok = median_g is not None and median_g >= hp.gamma_hard
-        gap_ok = gap <= hp.eps_cot
-        rise = delta is not None and delta >= hp.delta_rise
+        report.median_progress = (float(statistics.median(progress_values))
+                                  if progress_values else None)
+        report.median_ok = (report.median_progress is not None
+                            and report.median_progress >= hp.gamma_hard)
+        report.gap_ok = report.gap_cot <= hp.eps_cot
+        report.rise = report.delta_m_bar is not None and report.delta_m_bar >= hp.delta_rise
 
-        if plateau and median_ok and gap_ok:
+        if report.plateau and report.median_ok and report.gap_ok:
             self.lambda_hard = min(self.lambda_hard + hp.eta_up, hp.lambda_hard_max)
-            decision = Decision.INCREASE_HARD
-        elif rise:
+            report.decision = Decision.INCREASE_HARD
+        elif report.rise:
             self.lambda_hard = (1.0 - hp.eta_down) * self.lambda_hard
-            decision = Decision.REDUCE_HARD
+            report.decision = Decision.REDUCE_HARD
         else:
-            decision = Decision.HOLD
+            report.decision = Decision.HOLD
         self.lambda_hard = min(max(self.lambda_hard, 0.0), hp.lambda_hard_max)
-        self.epoch += 1
-
-        report.m_bar = self.m_bar
-        report.delta_m_bar = delta
-        report.gap_cot = gap
-        report.median_progress = median_g
-        report.plateau = plateau
-        report.median_ok = median_ok
-        report.gap_ok = gap_ok
-        report.rise = rise
-        report.decision = decision
         report.lambda_hard_after = self.lambda_hard
-        return decision
+        self.epoch += 1
+        return report.decision

@@ -311,17 +311,17 @@ EASY_TOTAL = ("domains", "mass|CT", "easy", "total")
 RULE_CASES = [
     # (case id, input kind, path, value, exit code, text the error names)
     ("forge-tau-negative", "config", ("forge", "tau_iou"), -0.5, 2,
-     "field 'forge': forge tau_iou must be non-negative"),
+     "field 'forge': tau_iou must be non-negative"),
     ("forge-concurrency-zero", "config", ("forge", "concurrency"), 0, 2,
-     "field 'forge': forge concurrency must be at least 1"),
+     "field 'forge': concurrency must be at least 1"),
     ("forge-concurrency-65", "config", ("forge", "concurrency"), 65, 2,
-     "field 'forge': forge concurrency must be at least 1 and at most 64"),
+     "field 'forge': concurrency must be at least 1 and at most 64"),
     ("forge-attempts-zero", "config", ("forge", "remote_attempts"), 0, 2,
-     "field 'forge': forge remote_attempts must be at least 1"),
+     "field 'forge': remote_attempts must be at least 1"),
     ("forge-timeout-zero", "config", ("forge", "remote_timeout"), 0, 2,
-     "field 'forge': forge remote_timeout must be positive"),
+     "field 'forge': remote_timeout must be positive"),
     ("forge-backoff-negative", "config", ("forge", "remote_backoff_base"), -0.5, 2,
-     "field 'forge': forge remote_backoff_base must be non-negative"),
+     "field 'forge': remote_backoff_base must be non-negative"),
     ("scheduler-warmup-negative", "config", ("scheduler", "warmup_epochs"), -1, 2,
      "field 'scheduler': warmup_epochs must be non-negative"),
     ("scheduler-eps-cot-negative", "config", ("scheduler", "eps_cot"), -0.5, 2,

@@ -314,6 +314,12 @@ def test_simulate_unknown_scenario_exits_1(tmp_path, capsys):
     assert stderr.startswith("error:")
 
 
+def test_simulate_without_a_scenario_exits_2(tmp_path, capsys):
+    code, stdout, stderr = run_cli(capsys, "simulate", "--out", str(tmp_path / "t.jsonl"))
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: no scenario given (pass --scenario or set io.scenario)\n"
+
+
 # ---------------------------------------------------------------------------
 # train-toy
 
@@ -626,6 +632,33 @@ def test_an_output_that_is_not_a_regular_file_exits_2(
         assert target.is_dir() and not any(target.iterdir())
     else:
         assert stat.S_ISFIFO(target.stat().st_mode)
+
+
+@pytest.mark.parametrize("command,inputs", [
+    ("forge", ("--dataset", "d.jsonl", "--masks", "m.jsonl")),
+    ("simulate", ("--scenario", "broken.json")),
+    ("train-toy", ("--corpus", "c.jsonl")),
+])
+def test_a_missing_out_path_exits_2_before_any_input_is_read(
+        tmp_path, capsys, no_reading, command, inputs):
+    argv = []
+    for flag, name in zip(inputs[::2], inputs[1::2]):
+        (tmp_path / name).write_text("{broken\n")
+        argv += [flag, str(tmp_path / name)]
+    code, stdout, stderr = run_cli(capsys, command, *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: no out path given (pass --out or set io.out)\n"
+
+
+def test_an_out_path_under_a_regular_file_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file\n")
+    out = blocker / "trace.jsonl"
+    code, stdout, stderr = run_cli(capsys, "simulate", "--scenario", "plateau",
+                                   "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: cannot write {out}: File exists\n"
+    assert blocker.read_text() == "a file\n"
 
 
 # ---------------------------------------------------------------------------

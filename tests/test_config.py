@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from cotforge.config import AppConfig, load_config
-from cotforge.errors import ConfigError
+from cotforge.config import AppConfig, ForgeConfig, load_config
+from cotforge.errors import ConfigError, ValidationError
 from cotforge.harness import HarnessParams
 from cotforge.toymodel import StageLossWeights
 
@@ -167,6 +167,16 @@ class TestStrictness:
         path.write_text("{nope", encoding="utf-8")
         with pytest.raises(ConfigError, match="JSON"):
             load_config(str(path), env={})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("concurrency", 0, r"^concurrency must be at least 1 and at most 64$"),
+        ("backend", "oracle", r"^backend must be 'template' or 'remote', got 'oracle'$"),
+    ])
+    def test_a_forge_record_built_directly_raises_validation_error(self, field, value,
+                                                                  message):
+        # the record states the rule; only the config reader makes it a ConfigError
+        with pytest.raises(ValidationError, match=message):
+            ForgeConfig(**{field: value})
 
     def test_bad_unassigned_policy(self, tmp_path):
         path = write_config(tmp_path, {"forge": {"unassigned_policy": "invent"}})

@@ -49,6 +49,10 @@ class TestCurveSpec:
         with pytest.raises(ValidationError):
             curve.value(3)
 
+    def test_epoch_must_be_positive(self):
+        with pytest.raises(ValidationError, match="^curve epoch must be at least 1$"):
+            CurveSpec(base=1.0).value(0)
+
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValidationError):
             CurveSpec(base=-1.0)

@@ -635,6 +635,19 @@ class TestBuildCorpus:
                            match="^concurrency must be at least 1 and at most 64$"):
             build_corpus(dataset, masks, TemplateQaGenerator(), concurrency=concurrency)
 
+    @pytest.mark.parametrize("option,value,message", [
+        # a negative threshold assigned a box with no overlap to an organ,
+        # and NaN left every annotation unassigned without a word
+        ("tau_iou", -0.5, r"^tau_iou must be non-negative, got -0\.5$"),
+        ("tau_iou", float("nan"), r"^tau_iou must be non-negative, got nan$"),
+        ("unassigned_policy", "keep",
+         r"^unassigned_policy must be 'skip' or 'organ_free', got 'keep'$"),
+    ])
+    def test_unusable_option_rejected(self, option, value, message):
+        dataset, masks = small_dataset()
+        with pytest.raises(ValidationError, match=message):
+            build_corpus(dataset, masks, TemplateQaGenerator(), **{option: value})
+
     def test_concurrency_at_the_bound_starts_a_thread_per_task_at_most(self):
         images = read_dataset(fixture_path("forge_dataset.jsonl"))
         masks = read_masks(fixture_path("forge_masks.jsonl"),

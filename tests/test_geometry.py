@@ -548,6 +548,12 @@ class TestBuildSoftMask:
                     build_soft_mask(boxes, (64, 64), (4, 4), sigma=sigma, floor=1e-6)
                 assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("grid_dims", [(0, 2), (2, 0), (9, 2), (2, 9)])
+    def test_grid_dims_outside_one_to_the_image_dims_rejected(self, grid_dims):
+        with pytest.raises(ValidationError, match=r"must be in \[1, image dims\]$"):
+            build_soft_mask([BBox(0.0, 0.0, 0.5, 0.5)], (8, 8), grid_dims,
+                            sigma=0.0, floor=1e-6)
+
     def test_floor_range_validated(self):
         box = BBox(0.0, 0.0, 0.5, 0.5)
         with pytest.raises(ValidationError):

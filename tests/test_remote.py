@@ -255,3 +255,7 @@ class TestConstruction:
             RemoteQaGenerator("http://x", attempts=0)
         with pytest.raises(ValidationError):
             RemoteQaGenerator("http://x", timeout=0.0)
+
+    def test_negative_backoff_rejected(self):
+        with pytest.raises(ValidationError, match="^backoff_base must be non-negative$"):
+            RemoteQaGenerator("http://x", backoff_base=-0.5)

@@ -66,9 +66,9 @@ class TestRamp:
 
 
 class TestDomainProgress:
-    def test_unset_gives_zero(self):
-        assert domain_progress(None, 1.0, 1e-8) == 0.0
-        assert domain_progress(1.0, None, 1e-8) == 0.0
+    def test_unset_gives_none(self):
+        assert domain_progress(None, 1.0, 1e-8) is None
+        assert domain_progress(1.0, None, 1e-8) is None
 
     def test_relative_improvement(self):
         g = domain_progress(2.0, 1.0, 1e-8)
@@ -101,6 +101,16 @@ class TestPMedium:
     def test_monotone_in_progress(self, g1, g2, beta):
         lo, hi = sorted([g1, g2])
         assert p_medium(lo, beta, 0.2, 0.1) <= p_medium(hi, beta, 0.2, 0.1)
+
+    @pytest.mark.parametrize("beta,tau,message", [
+        (-0.1, 0.1, r"^beta must be in \[0, 1\], got -0\.1$"),
+        (1.5, 0.1, r"^beta must be in \[0, 1\], got 1\.5$"),
+        (0.5, 0.0, r"^tau must be positive, got 0\.0$"),
+        (0.5, -1.0, r"^tau must be positive, got -1\.0$"),
+    ])
+    def test_out_of_range_arguments_rejected(self, beta, tau, message):
+        with pytest.raises(ValidationError, match=message):
+            p_medium(0.2, beta, 0.2, tau)
 
     def test_bounded_by_beta(self):
         for g in (-10.0, 0.0, 10.0):
@@ -152,6 +162,16 @@ class TestPlanBatch:
             plan_batch(10, 0.5, 3, 50, np.full(50, 0.5), rng)
         with pytest.raises(ValidationError):
             plan_batch(10, 0.0, 0, 5, np.full(5, 0.5), rng)
+
+    @pytest.mark.parametrize("batch_size,lambda_hard,message", [
+        (0, 0.0, r"^batch_size must be at least 1, got 0$"),
+        (10, -0.1, r"^lambda_hard must be in \[0, 1\], got -0\.1$"),
+        (10, 1.5, r"^lambda_hard must be in \[0, 1\], got 1\.5$"),
+    ])
+    def test_out_of_range_batch_arguments_rejected(self, batch_size, lambda_hard, message):
+        with pytest.raises(ValidationError, match=message):
+            plan_batch(batch_size, lambda_hard, 50, 50, np.full(50, 0.5),
+                       np.random.default_rng(6))
 
     def test_reproducible_with_seed(self):
         a = plan_batch(16, 0.25, 20, 40, np.full(40, 0.4), np.random.default_rng(7))

@@ -16,7 +16,9 @@ The same scan checks that only geometry.py reads the forge's chunk
 budget, FORGE_CHUNK: its numpy passes split their inputs themselves; and
 that only errors.py decodes JSON (json.load or json.loads), and no module
 calls a ``.json()`` method such as requests' response decoder, so every
-JSON input meets the same checks.
+JSON input meets the same checks; and that only cli.py constructs a
+ConfigError: a record raises ValidationError, and the reader of the input
+it came from picks the error type, and so the exit code.
 
 This is a name heuristic, not a call graph: a read of any name counts for
 every definition of that name, so two definitions with the same name hide
@@ -175,3 +177,39 @@ def test_the_json_scan_sees_calls_imports_and_methods(tmp_path):
         paths[-1].write_text(text)
     assert json_decoders(paths) == {("calls", "json.loads"), ("renamed", "json.load"),
                                     ("imports", "json.loads"), ("method", ".json()")}
+
+
+def config_error_callers(paths):
+    """Stems of the modules among ``paths`` that call ConfigError: by its
+    name, by an ``import ... as`` name, or as an attribute."""
+    callers = set()
+    for path in paths:
+        tree = parse(path)
+        names = {"ConfigError"} | {alias.asname for node in ast.walk(tree)
+                                   if isinstance(node, ast.ImportFrom)
+                                   for alias in node.names
+                                   if alias.name == "ConfigError" and alias.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Name) and node.func.id in names
+                    or isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "ConfigError"):
+                callers.add(path.stem)
+    return callers
+
+
+def test_only_the_cli_constructs_a_config_error():
+    assert config_error_callers(sorted(SRC.glob("*.py"))) == {"cli"}
+
+
+def test_the_config_error_scan_sees_calls_aliases_and_attributes(tmp_path):
+    paths = []
+    for stem, text in [("calls", "from .errors import ConfigError\nraise ConfigError('x')\n"),
+                       ("renamed", "from .errors import ConfigError as Bad\nraise Bad('x')\n"),
+                       ("attribute", "from . import errors\nraise errors.ConfigError('x')\n"),
+                       # passing the type for a reader to raise is not a call
+                       ("passes", "from .errors import ConfigError, load_json\n"
+                                  "load_json('c.json', dict, 'config', ConfigError)\n")]:
+        paths.append(tmp_path / f"{stem}.py")
+        paths[-1].write_text(text)
+    assert config_error_callers(paths) == {"calls", "renamed", "attribute"}

@@ -6,6 +6,7 @@ here from loss evaluations only. The two routes never share code.
 """
 
 import ctypes
+import dataclasses
 import glob
 import math
 import os
@@ -85,6 +86,10 @@ class TestConstruction:
         assert np.allclose(param_vector(model), vec * 1.5)
         set_param_vector(model, vec)
         assert np.array_equal(param_vector(model), vec)
+
+    def test_no_items_rejected(self):
+        with pytest.raises(ValidationError, match="^toy model needs at least one item$"):
+            ToyModel([], grid_dims=GRID_DIMS, feature_dim=3, seed=0)
 
     def test_wrong_length_vector_rejected(self, model):
         with pytest.raises(ValidationError):
@@ -384,6 +389,25 @@ class TestValidation:
     def test_unknown_index_rejected(self, model):
         with pytest.raises(ValidationError):
             item_grads(model, 99, Stage.HARD)
+
+    def test_empty_batch_rejected(self, model):
+        with pytest.raises(ValidationError, match="^empty batch$"):
+            model.batch_loss_and_grads([], [], [], StageLossWeights())
+
+    @pytest.mark.parametrize("stage", [Stage.EASY, Stage.MEDIUM])
+    def test_a_main_stage_item_without_a_rationale_rejected(self, stage):
+        records = tiny_corpus()
+        records[1] = dataclasses.replace(records[1], cot="")
+        model = ToyModel(records, grid_dims=GRID_DIMS, feature_dim=3, seed=0)
+        target = targets_for(model)[1] if stage is Stage.MEDIUM else None
+        with pytest.raises(ValidationError,
+                           match=f"^{stage.value} stage needs rationale log probs$"):
+            model.batch_loss_and_grads([0, 1], [Stage.EASY, stage], [None, target])
+
+    def test_medium_target_of_the_wrong_shape_rejected(self, model):
+        with pytest.raises(ValidationError,
+                           match=r"^shape mismatch: attn \(2, 2\) vs target \(3, 3\)$"):
+            model.batch_loss_and_grads([0], [Stage.MEDIUM], [np.full((3, 3), 1 / 9)])
 
     def test_batch_shape_mismatch_rejected(self, model):
         with pytest.raises(ValidationError):
