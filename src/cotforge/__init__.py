@@ -6,7 +6,6 @@ domain-aware feedback controller, and ships a small numpy training harness
 that exercises the whole loop end to end.
 """
 
-from importlib import resources as _resources
 from pathlib import Path as _Path
 
 __version__ = "0.1.0"
@@ -14,4 +13,4 @@ __version__ = "0.1.0"
 
 def fixture_path(name: str) -> _Path:
     """Path of a bundled data file (scenarios, demo dataset, toy corpus)."""
-    return _Path(_resources.files(__package__) / "fixtures" / name)
+    return _Path(__file__).parent / "fixtures" / name

@@ -23,7 +23,6 @@ from .dynamics import BUILTIN_SCENARIOS, DynamicsSpec, builtin_scenario_path, ru
 from .errors import BackendError, ConfigError, ValidationError
 from .forge import TemplateQaGenerator, build_corpus
 from .harness import run_toy_training
-from .remote import RemoteQaGenerator
 from .scheduler import Decision, Trace
 
 
@@ -69,6 +68,7 @@ def _write(write, path, *args) -> None:
 
 def _make_backend(cfg: ForgeConfig):
     if cfg.backend == "remote":
+        from .remote import RemoteQaGenerator  # here: only this backend needs requests
         return RemoteQaGenerator(
             cfg.remote_endpoint,
             timeout=cfg.remote_timeout,

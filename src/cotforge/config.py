@@ -16,7 +16,7 @@ from typing import List, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
 from .errors import ConfigError, ValidationError, load_json
-from .forge import DEFAULT_SEED_TEMPLATE, check_options
+from .forge import DEFAULT_SEED_TEMPLATE, check_options, check_remote_options
 from .harness import HarnessParams
 from .scheduler import SchedulerHyperparams
 
@@ -54,12 +54,8 @@ class ForgeConfig:
                 f"remote_endpoint must be an http:// or https:// URL with a "
                 f"host, got {self.remote_endpoint!r}"
             )
-        if self.remote_attempts < 1:
-            raise ValidationError("remote_attempts must be at least 1")
-        if self.remote_timeout <= 0.0:
-            raise ValidationError("remote_timeout must be positive")
-        if self.remote_backoff_base < 0.0:
-            raise ValidationError("remote_backoff_base must be non-negative")
+        check_remote_options(self.remote_timeout, self.remote_attempts,
+                             self.remote_backoff_base, prefix="remote_")
         check_options(self.tau_iou, self.unassigned_policy, self.concurrency,
                       self.seed_templates)
 

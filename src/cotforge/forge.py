@@ -30,6 +30,10 @@ MAX_COT_SENTENCES = 4
 # Most QA requests in flight at once; the pool runs one thread per request.
 MAX_CONCURRENCY = 64
 
+# Longest remote timeout or backoff base in seconds: a day, well inside the
+# range socket.settimeout and time.sleep accept.
+MAX_REMOTE_SECONDS = 86_400
+
 
 @dataclass(frozen=True)
 class DomainKey:
@@ -255,6 +259,20 @@ def check_options(tau_iou, unassigned_policy, concurrency, seed_templates) -> No
         raise ValidationError(f"concurrency must be at least 1 and at most {MAX_CONCURRENCY}")
     for template in seed_templates:
         parse_seed_template(template)
+
+
+def check_remote_options(timeout, attempts, backoff_base, prefix="") -> None:
+    """Check the remote backend's options, each name led by ``prefix``; the
+    first broken rule raises ValidationError. NaN fails every rule."""
+    if not attempts >= 1:
+        raise ValidationError(f"{prefix}attempts must be at least 1")
+    if not 0.0 < timeout <= MAX_REMOTE_SECONDS:
+        raise ValidationError(
+            f"{prefix}timeout must be positive and at most {MAX_REMOTE_SECONDS} seconds")
+    if not backoff_base >= 0.0:
+        raise ValidationError(f"{prefix}backoff_base must be non-negative")
+    if backoff_base > MAX_REMOTE_SECONDS:
+        raise ValidationError(f"{prefix}backoff_base must be at most {MAX_REMOTE_SECONDS} seconds")
 
 
 class TemplateQaGenerator:

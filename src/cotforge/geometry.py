@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .errors import ValidationError
 
@@ -312,6 +311,7 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
         raise ValidationError(f"sigma must lie in [0, {MAX_IMAGE_SIDE}]")
     if not 0.0 < floor < 1.0 / (gh * gw):
         raise ValidationError(f"floor must lie in (0, 1/{gh * gw})")
+    from scipy.ndimage import gaussian_filter  # here: only soft masks need scipy
     n = len(boxes)
     masks = np.empty((n, gh, gw))
     chunk = max(1, MAX_SOFT_MASK_PIXELS // (height * width))

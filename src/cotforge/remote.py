@@ -20,6 +20,7 @@ import requests
 
 from .errors import (BackendError, MalformedResponseError, ValidationError, parse_json,
                      read_object)
+from .forge import check_remote_options
 
 
 @dataclasses.dataclass(frozen=True)
@@ -45,12 +46,7 @@ class RemoteQaGenerator:
                  sleeper: Callable[[float], None] = time.sleep):
         if not endpoint:
             raise ValidationError("remote endpoint must be non-empty")
-        if attempts < 1:
-            raise ValidationError("attempts must be at least 1")
-        if timeout <= 0.0:
-            raise ValidationError("timeout must be positive")
-        if backoff_base < 0.0:
-            raise ValidationError("backoff_base must be non-negative")
+        check_remote_options(timeout, attempts, backoff_base)
         self.endpoint = endpoint
         self.timeout = timeout
         self.attempts = attempts

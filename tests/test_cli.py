@@ -201,6 +201,27 @@ def test_forge_backend_failure_exits_3(tmp_path, capsys, forge_inputs):
     assert stderr.startswith("error:")
 
 
+def test_forge_remote_timeout_above_a_day_exits_2(tmp_path, capsys, forge_inputs):
+    # socket.settimeout overflows far above a day; the config must stop it first
+    dataset, masks = forge_inputs
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"forge": {
+        "backend": "remote",
+        "remote_endpoint": "http://127.0.0.1:9/qa",
+        "remote_attempts": 1,
+        "remote_timeout": 1e300,
+    }}))
+    out = tmp_path / "c.jsonl"
+    code, stdout, stderr = run_cli(
+        capsys, "forge", "--config", str(config), "--dataset", str(dataset),
+        "--masks", str(masks), "--out", str(out),
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"error: config {config}: field 'forge': remote_timeout must be "
+                      f"positive and at most 86400 seconds\n")
+    assert not out.exists()
+
+
 def test_forge_skip_failed_records_failures(tmp_path, capsys, forge_inputs):
     dataset, masks = forge_inputs
     config = tmp_path / "config.json"

@@ -1,6 +1,7 @@
 """Configuration loading: strict schema, env override, section wiring."""
 
 import json
+import math
 
 import pytest
 
@@ -177,6 +178,25 @@ class TestStrictness:
         # the record states the rule; only the config reader makes it a ConfigError
         with pytest.raises(ValidationError, match=message):
             ForgeConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,message", [
+        ("remote_attempts", r"^remote_attempts must be at least 1$"),
+        ("remote_timeout", r"^remote_timeout must be positive and at most 86400 seconds$"),
+        ("remote_backoff_base", r"^remote_backoff_base must be non-negative$"),
+    ])
+    def test_nan_remote_option_rejected(self, field, message):
+        # the config reader rejects NaN itself; a record built directly must too
+        with pytest.raises(ValidationError, match=message):
+            ForgeConfig(**{field: math.nan})
+
+    @pytest.mark.parametrize("field,message", [
+        ("remote_timeout", "remote_timeout must be positive and at most 86400 seconds"),
+        ("remote_backoff_base", "remote_backoff_base must be at most 86400 seconds"),
+    ])
+    def test_remote_seconds_above_a_day_rejected(self, tmp_path, field, message):
+        path = write_config(tmp_path, {"forge": {field: 1e300}})
+        with pytest.raises(ConfigError, match=f"^config {path}: field 'forge': {message}$"):
+            load_config(str(path), env={})
 
     def test_bad_unassigned_policy(self, tmp_path):
         path = write_config(tmp_path, {"forge": {"unassigned_policy": "invent"}})

@@ -1,6 +1,7 @@
 """Remote backend retry behavior against a real local HTTP server."""
 
 import json
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -259,3 +260,20 @@ class TestConstruction:
     def test_negative_backoff_rejected(self):
         with pytest.raises(ValidationError, match="^backoff_base must be non-negative$"):
             RemoteQaGenerator("http://x", backoff_base=-0.5)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("attempts", math.nan, "^attempts must be at least 1$"),
+        ("timeout", math.nan, "^timeout must be positive and at most 86400 seconds$"),
+        ("backoff_base", math.nan, "^backoff_base must be non-negative$"),
+        # socket.settimeout and time.sleep raise OverflowError far above a day
+        ("timeout", math.inf, "^timeout must be positive and at most 86400 seconds$"),
+        ("timeout", 1e300, "^timeout must be positive and at most 86400 seconds$"),
+        ("backoff_base", 1e300, "^backoff_base must be at most 86400 seconds$"),
+    ])
+    def test_nan_and_huge_numbers_rejected(self, field, value, message):
+        with pytest.raises(ValidationError, match=message):
+            RemoteQaGenerator("http://x", **{field: value})
+
+    def test_a_day_is_accepted(self):
+        generator = RemoteQaGenerator("http://x", timeout=86400, backoff_base=86400)
+        assert (generator.timeout, generator.backoff_base) == (86400, 86400)
