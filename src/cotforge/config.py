@@ -12,52 +12,34 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Tuple
-from urllib.parse import urlsplit
+from typing import Annotated, List, Mapping, Optional, Tuple
 
-from .errors import ConfigError, ValidationError, load_json
-from .forge import DEFAULT_SEED_TEMPLATE, check_options, check_remote_options
+from .errors import (ConfigError, NonNegative, PositiveInt, Record, ValidationError, load_json,
+                     one_of)
+from .forge import (DEFAULT_SEED_TEMPLATE, Concurrency, HttpUrl, RemoteBackoff, RemoteTimeout,
+                    SeedTemplate, UnassignedPolicy)
 from .harness import HarnessParams
 from .scheduler import SchedulerHyperparams
 
 ENV_VAR = "COTFORGE_CONFIG"
 
 
-def _is_http_url(url: str) -> bool:
-    try:
-        parts = urlsplit(url)
-    except ValueError:  # e.g. an unclosed IPv6 bracket
-        return False
-    return parts.scheme.lower() in ("http", "https") and bool(parts.netloc)
-
-
 @dataclass(frozen=True)
-class ForgeConfig:
-    backend: str = "template"
-    tau_iou: float = 0.0
-    seed_templates: Tuple[str, ...] = ()
-    unassigned_policy: str = "skip"
-    concurrency: int = 1
-    remote_endpoint: Optional[str] = None
-    remote_timeout: float = 10.0
-    remote_attempts: int = 3
-    remote_backoff_base: float = 0.5
+class ForgeConfig(Record):
+    backend: Annotated[str, one_of("template", "remote")] = "template"
+    tau_iou: NonNegative = 0.0
+    seed_templates: Tuple[SeedTemplate, ...] = ()
+    unassigned_policy: UnassignedPolicy = "skip"
+    concurrency: Concurrency = 1
+    remote_endpoint: Optional[HttpUrl] = None
+    remote_timeout: RemoteTimeout = 10.0
+    remote_attempts: PositiveInt = 3
+    remote_backoff_base: RemoteBackoff = 0.5
 
     def __post_init__(self):
-        if self.backend not in ("template", "remote"):
-            raise ValidationError(
-                f"backend must be 'template' or 'remote', got {self.backend!r}")
-        if self.backend == "remote" and not self.remote_endpoint:
+        super().__post_init__()
+        if self.backend == "remote" and self.remote_endpoint is None:
             raise ValidationError("backend 'remote' needs a remote_endpoint")
-        if self.remote_endpoint is not None and not _is_http_url(self.remote_endpoint):
-            raise ValidationError(
-                f"remote_endpoint must be an http:// or https:// URL with a "
-                f"host, got {self.remote_endpoint!r}"
-            )
-        check_remote_options(self.remote_timeout, self.remote_attempts,
-                             self.remote_backoff_base, prefix="remote_")
-        check_options(self.tau_iou, self.unassigned_policy, self.concurrency,
-                      self.seed_templates)
 
     def template_list(self) -> List[str]:
         """Rotation order for seeds: the stock template, then configured extras."""
@@ -65,7 +47,7 @@ class ForgeConfig:
 
 
 @dataclass(frozen=True)
-class IoConfig:
+class IoConfig(Record):
     dataset: Optional[str] = None
     masks: Optional[str] = None
     corpus: Optional[str] = None
@@ -75,7 +57,7 @@ class IoConfig:
 
 
 @dataclass(frozen=True)
-class AppConfig:
+class AppConfig(Record):
     forge: ForgeConfig = field(default_factory=ForgeConfig)
     scheduler: SchedulerHyperparams = field(default_factory=SchedulerHyperparams)
     harness: HarnessParams = field(default_factory=HarnessParams)

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Annotated, Dict, Optional, Tuple
 
 import numpy as np
 
-from .errors import ValidationError, load_json
+from .errors import (NON_EMPTY, NonEmptyStr, NonNegative, NonNegativeInt, PositiveInt, Record,
+                     Rule, ValidationError, checked, in_range, load_json, one_of)
 from .scheduler import CurriculumScheduler, SchedulerHyperparams, Stage, Trace
 
 BUILTIN_SCENARIOS = ("plateau", "rise", "mixed")
@@ -36,41 +37,28 @@ def builtin_scenario_path(name: str) -> Path:
 
 
 @dataclass(frozen=True)
-class CurveEvent:
-    kind: str
-    epoch: int
+class CurveEvent(Record):
+    kind: Annotated[str, one_of("plateau", "rise")]
+    epoch: PositiveInt
     magnitude: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("plateau", "rise"):
-            raise ValidationError("event kind must be plateau or rise")
-        if self.epoch < 1:
-            raise ValidationError("event epoch must be a positive int")
+        super().__post_init__()
         if self.kind == "rise" and self.magnitude <= 0.0:
             raise ValidationError("rise needs a positive magnitude")
 
 
 @dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     """Mean loss as a function of epoch: base * exp(-decay * (e - 1))."""
 
-    base: float
-    decay: float = 0.0
-    noise_std: float = 0.0
+    base: NonNegative
+    decay: NonNegative = 0.0
+    noise_std: NonNegative = 0.0
     events: Tuple[CurveEvent, ...] = ()
 
-    def __post_init__(self):
-        if self.base < 0.0:
-            raise ValidationError("curve base must be non-negative")
-        if self.decay < 0.0:
-            raise ValidationError("curve decay must be non-negative")
-        if self.noise_std < 0.0:
-            raise ValidationError("curve noise_std must be non-negative")
-
     def value(self, epoch: int, rng: Optional[np.random.Generator] = None) -> float:
-        if epoch < 1:
-            raise ValidationError("curve epoch must be at least 1")
-        effective = epoch
+        effective = epoch = checked("epoch", epoch, PositiveInt)
         shift = 0.0
         for event in self.events:
             if event.kind == "plateau":
@@ -86,38 +74,29 @@ class CurveSpec:
 
 
 @dataclass(frozen=True)
-class StageDynamics:
-    count: int
+class StageDynamics(Record):
+    count: Annotated[int, in_range(1, MAX_STAGE_COUNT)]
     total: CurveSpec
     cot: Optional[CurveSpec] = None
 
-    def __post_init__(self):
-        if not 1 <= self.count <= MAX_STAGE_COUNT:
-            raise ValidationError(f"count must be an int in [1, {MAX_STAGE_COUNT}]")
+
+# a domain's stages: one or more of Stage's values
+Stages = Annotated[Dict[str, StageDynamics], Rule(
+    lambda stages: stages and set(stages) <= set(Stage),
+    f"name one or more of the stages {[s.value for s in Stage]}", sorted)]
 
 
 @dataclass(frozen=True)
-class DynamicsSpec:
-    name: str
-    epochs: int
-    domains: Dict[str, Dict[str, StageDynamics]]
-    seed: int = 0
+class DynamicsSpec(Record):
+    name: NonEmptyStr
+    epochs: NonNegativeInt
+    domains: Annotated[Dict[str, Stages], NON_EMPTY]
+    seed: NonNegativeInt = 0
     hyperparams: SchedulerHyperparams = field(default_factory=SchedulerHyperparams)
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("scenario needs a non-empty name")
-        if self.epochs < 0:
-            raise ValidationError("scenario epochs must be a non-negative int")
-        if self.seed < 0:
-            raise ValidationError("scenario seed must be non-negative")
-        if not self.domains:
-            raise ValidationError("scenario needs at least one domain")
+        super().__post_init__()
         for key, stages in self.domains.items():
-            if not stages or not set(stages) <= set(Stage):
-                raise ValidationError(
-                    f"domain {key!r}: stages must be one or more of "
-                    f"{[s.value for s in Stage]}, got {sorted(stages)}")
             if "hard" in stages and stages["hard"].cot is not None:
                 raise ValidationError(
                     f"domain {key!r} stage 'hard': hard stage has no rationale curve"

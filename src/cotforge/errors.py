@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one reader of JSON input.
+"""Exception types shared across the package, the one JSON reader, and the schema.
 
 The CLI maps these onto process exit codes: ValidationError -> 1,
 ConfigError -> 2, BackendError (and subclasses) -> 3. A record's constructor
@@ -10,6 +10,14 @@ goes through ``parse_json`` and ``read_object``.
 Both take ``where``, a zero-argument callable naming the input (a file, a
 line, an endpoint), called only to report a fault. A record is a JSON object;
 a box, whose class sets ``JSON_ARRAY``, is an array of its fields in order.
+
+The reader owns structure and the schema owns values: ``read_object``
+checks shapes and keys and builds nested records; a `Record` field's
+annotation declares its type, and ``typing.Annotated`` its rules, checked
+whenever the record is built, from JSON or from Python (``checked`` applies
+them to an argument). A broken rule raises FieldError with one message on
+either path, ``field 'lr' must be positive, got 0.0``, which the reader
+prefixes with its input and the field's full path.
 """
 
 import contextlib
@@ -18,7 +26,9 @@ import functools
 import itertools
 import json
 import math
+import operator
 import typing
+from typing import Annotated, Callable, NamedTuple
 
 
 class ValidationError(ValueError):
@@ -35,6 +45,60 @@ class BackendError(RuntimeError):
 
 class MalformedResponseError(BackendError):
     """A QA backend answered, but not with a well-formed reply."""
+
+
+class FieldError(ValidationError):
+    """A value that breaks its field's declared type or rule, or its record's
+    shape. ``detail`` starts with its own separator; ``path`` grows as the
+    reader unwinds, innermost segment first."""
+
+    def __init__(self, detail: str, path=None):
+        super().__init__(detail)
+        self.detail, self.path = detail, path or []
+
+    def __str__(self):
+        field = "".join(reversed(self.path)).lstrip(".")
+        return f"field '{field}'{self.detail}" if field else self.detail.lstrip(": ")
+
+
+class Rule(NamedTuple):
+    """A value rule for ``typing.Annotated``: ``holds(value)`` is true for a
+    good value, and a bad one is reported as "must {need}, got {shown(value)}"."""
+
+    holds: Callable
+    need: str
+    shown: Callable = repr
+
+
+NON_EMPTY = Rule(bool, "be non-empty")
+
+
+def one_of(*values) -> Rule:
+    return Rule(frozenset(values).__contains__, f"be one of {list(values)}")
+
+
+def in_range(lo, hi=math.inf, lo_open=False) -> Rule:
+    """A number in [lo, hi], or in (lo, hi] if ``lo_open``. NaN breaks it."""
+
+    def holds(value):
+        return (lo < value if lo_open else lo <= value) and value <= hi
+
+    if hi < math.inf:
+        need = f"lie in {'(' if lo_open else '['}{lo}, {hi}]"
+    elif lo == 0:
+        need = "be positive" if lo_open else "be non-negative"
+    else:
+        need = f"be {'above' if lo_open else 'at least'} {lo}"
+    return Rule(holds, need)
+
+
+# rules that several records and functions share
+NonEmptyStr = Annotated[str, NON_EMPTY]
+PositiveInt = Annotated[int, in_range(1)]
+NonNegativeInt = Annotated[int, in_range(0)]
+Positive = Annotated[float, in_range(0, lo_open=True)]
+NonNegative = Annotated[float, in_range(0)]
+UnitInterval = Annotated[float, in_range(0, 1)]
 
 
 @contextlib.contextmanager
@@ -77,158 +141,217 @@ def parse_json(text, where, error: type):
 
 
 def read_object(cls, obj, where, error: type):
-    """Build dataclass ``cls`` from a parsed JSON object, checking every value.
+    """Build dataclass ``cls`` from a parsed JSON object.
 
-    The dataclass's fields and annotations are the schema. Unknown keys and
-    missing required fields are errors; true/false is never a number; an
-    integer is accepted where a float is annotated, and integers must fit
-    in 64 bits; tuples and lists come from arrays; a dataclass comes from an
-    object, or, if it sets ``JSON_ARRAY``, from an array of all its fields
-    in order, and from nothing else. Errors, including the ValidationError
-    a constructor raises for a broken rule, are raised as ``error`` with
+    The dataclass's fields are the structure: unknown keys and missing
+    required fields are errors; a dataclass comes from an object, or, if it
+    sets ``JSON_ARRAY``, from an array of all its fields in order, and from
+    nothing else; lists, tuples and dicts of records come from arrays and
+    objects. Every other value goes to the record's constructor as it is,
+    which checks it (see `Record`). Errors, including the ValidationError a
+    constructor raises for a broken rule, are raised as ``error`` with
     ``where()`` and the field's path in front.
     """
     try:
-        return _reader(cls)(obj)
-    except _Mismatch as exc:
-        field = "".join(reversed(exc.path)).lstrip(".")
-        message = f"field '{field}'{exc.args[0]}" if field else exc.args[0]
-        raise error(f"{where()}: {message.lstrip(': ')}") from None
+        return _checker(cls, True)(obj)
+    except FieldError as exc:
+        raise error(f"{where()}: {exc}") from None
 
 
-class _Mismatch(Exception):
-    """A value that does not fit its annotation. Its message starts with its
-    own separator; ``path`` grows as it unwinds, innermost segment first."""
+class Record:
+    """A dataclass whose fields' types and rules are checked when it is built.
 
-    def __init__(self, message: str, path=None):
-        super().__init__(message)
-        self.path = path or []
+    Types compare exactly, so a bool never passes for a number; a float must
+    be finite and an integer fit in 64 bits; an int given for a float is
+    stored as a float, a list for a tuple as a tuple. Then each ``Annotated``
+    rule applies in order. A rule across fields goes in a subclass's
+    ``__post_init__``."""
+
+    def __post_init__(self):
+        for name, check in _field_checkers(type(self)):
+            value = getattr(self, name)
+            try:
+                good = check(value)
+            except FieldError as exc:
+                exc.path.append(f".{name}")
+                raise
+            if good is not value:
+                object.__setattr__(self, name, good)
 
 
+def checked(name: str, value, tp):
+    """``value`` checked, and stored, as a record's field of annotation
+    ``tp`` would be; a fault raises FieldError naming ``name``."""
+    return _check_item(_checker(tp), value, f".{name}")
+
+
+@functools.lru_cache(maxsize=None)
+def _field_checkers(cls):
+    hints = typing.get_type_hints(cls, include_extras=True)
+    return [(f.name, _checker(hints[f.name])) for f in dataclasses.fields(cls)]
+
+
+# the rules every int and float obeys; wider integers cannot become the
+# fixed-width sizes they feed
+_TYPE_RULES = {int: (Rule(lambda value: -2**63 <= value < 2**63, "fit in 64 bits"),),
+               float: (Rule(math.isfinite, "be a finite number"),)}
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
                int: "an integer", float: "a number", bool: "true or false",
                type(None): "null"}
 
 
-def _wrong_type(tp, value) -> _Mismatch:
+def _wrong_type(expected: str, value) -> FieldError:
     got = _JSON_NAMES.get(type(value), type(value).__name__)
-    return _Mismatch(f" must be {_JSON_NAMES[tp]}, got {got}")
+    return FieldError(f" must be {expected}, got {got}")
+
+
+def _check_item(check, value, segment):
+    try:
+        return check(value)
+    except FieldError as exc:
+        exc.path.append(segment)
+        raise
+
+
+def _is_leaf(tp) -> bool:
+    return tp in _JSON_NAMES or dataclasses.is_dataclass(tp)
+
+
+def _has_record(tp) -> bool:
+    return dataclasses.is_dataclass(tp) or any(map(_has_record, typing.get_args(tp)))
 
 
 @functools.lru_cache(maxsize=None)
-def _reader(tp):
-    """The checker for annotation ``tp``: value -> value, or raises _Mismatch.
-
-    Built once per annotation and cached. Types compare exactly, so a bool
-    never passes for an int.
-    """
-    if dataclasses.is_dataclass(tp):
-        return _object_reader(tp)
-    if tp in _JSON_NAMES:
-        return _scalar_reader(tp)
+def _checker(tp, reading=False):
+    """The checker for annotation ``tp``: value -> the value as stored, or
+    raises FieldError. When ``reading``, the reader's builder instead, which
+    builds the records that ``tp`` holds from JSON, checking only their
+    structure, or None if it holds none. Built once and cached."""
     origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if reading and not _has_record(tp):
+        return None  # the value goes to its record's constructor as it is
+    if origin is Annotated:
+        if reading:
+            return _checker(args[0], True)
+        if _is_leaf(args[0]):
+            return _leaf_checker(args[0], tp.__metadata__)
+        inner, rules = _checker(args[0]), tp.__metadata__
+        return lambda value: _apply(rules, inner(value))
+    if _is_leaf(tp):
+        return _object_reader(tp) if reading else _leaf_checker(tp, ())
     if origin is typing.Union and type(None) in args:  # Optional[X]
-        inner = _reader(next(a for a in args if a is not type(None)))
+        inner = _checker(next(a for a in args if a is not type(None)), reading)
         return lambda value: None if value is None else inner(value)
-    if origin is list or origin is tuple and args[-1] is Ellipsis:
-        return _array_reader(itertools.repeat(_reader(args[0])), None, origin)
-    if origin is tuple:
-        return _array_reader([_reader(a) for a in args], len(args), tuple)
+    if origin is list or origin is tuple:
+        fixed = origin is tuple and args[-1] is not Ellipsis
+        return _sequence_checker(origin, [_checker(a, reading) for a in args
+                                          if a is not Ellipsis], len(args) if fixed else None)
     if origin is dict:
-        return _dict_reader(_reader(args[1]))
-    raise TypeError(f"no JSON reader for annotation {tp!r}")
+        return _dict_checker(_checker(args[1], reading))
+    raise TypeError(f"no checker for annotation {tp!r}")
 
 
-def _scalar_reader(tp):
-    def read(value):
-        if type(value) is tp and tp is not int:
-            if tp is not float or math.isfinite(value):
-                return value
-            raise _Mismatch(f" must be a finite number, got {value}")
-        if type(value) is int and tp in (int, float):
-            # wider integers cannot become the fixed-width sizes they feed
-            if -2**63 <= value < 2**63:
-                return float(value) if tp is float else value
-            raise _Mismatch(" is outside the 64-bit integer range")
-        raise _wrong_type(tp, value)
-
-    return read
+def _apply(rules, value):
+    for holds, need, shown in rules:
+        if not holds(value):
+            raise FieldError(f" must {need}, got {shown(value)}")
+    return value
 
 
-def _array_reader(item_readers, length, build):
-    """Arrays of ``length`` items read slot by slot, or of any length (None)."""
+def _leaf_checker(tp, rules):
+    """A scalar or a record of type ``tp``, then its rules."""
+    expected = _JSON_NAMES.get(tp) or f"a {tp.__name__}"
+    rules = _TYPE_RULES.get(tp, ()) + rules
 
-    def read(value):
-        if type(value) is not list:
-            raise _wrong_type(list, value)
+    def check(value):
+        kind = type(value)
+        if kind is not tp:  # an int, or a numpy float64, for a float
+            if not (tp is float and (kind is int or isinstance(value, float))):
+                raise _wrong_type(expected, value)
+            value = float(_apply(_TYPE_RULES.get(kind, ()), value))
+        for holds, need, shown in rules:
+            if not holds(value):
+                raise FieldError(f" must {need}, got {shown(value)}")
+        return value
+
+    return check
+
+
+def _sequence_checker(build, checks, length):
+    """Lists and tuples of ``length`` items checked slot by slot, or of any
+    length (None) checked by ``checks[0]``; either is stored as ``build``."""
+
+    def check(value):
+        if type(value) is not list and type(value) is not tuple:
+            raise _wrong_type("an array", value)
         if length is not None and len(value) != length:
-            raise _Mismatch(f" must be an array of {length} items, got {len(value)}")
-        out = []
-        for i, (reader, item) in enumerate(zip(item_readers, value)):
-            try:
-                out.append(reader(item))
-            except _Mismatch as exc:
-                exc.path.append(f"[{i}]")
-                raise
-        return build(out)
+            raise FieldError(f" must be an array of {length} items, got {len(value)}")
+        items = []
+        try:
+            for check_item, item in zip(
+                    checks if length is not None else itertools.repeat(checks[0]), value):
+                items.append(check_item(item))
+        except FieldError as exc:
+            exc.path.append(f"[{len(items)}]")  # the items before it passed
+            raise
+        if type(value) is build and all(map(operator.is_, items, value)):
+            return value  # the caller's own list or tuple, unchanged
+        return build(items)
 
-    return read
+    return check
 
 
-def _dict_reader(value_reader):
-    def read(value):
+def _dict_checker(check_value):
+    def check(value):
         if type(value) is not dict:
-            raise _wrong_type(dict, value)
-        out = {}
-        for key, item in value.items():
-            try:
-                out[key] = value_reader(item)
-            except _Mismatch as exc:
-                exc.path.append(f"[{json.dumps(key)}]")
-                raise
-        return out
+            raise _wrong_type("an object", value)
+        for key in value:
+            if type(key) is not str:
+                raise _wrong_type("an object with string keys", key)
+        return {key: _check_item(check_value, item, f"[{json.dumps(key)}]")
+                for key, item in value.items()}
 
-    return read
+    return check
 
 
 def _object_reader(cls):
-    hints = typing.get_type_hints(cls)
-    readers = {f.name: _reader(hints[f.name])
-               for f in dataclasses.fields(cls) if f.init}
-    required = [f.name for f in dataclasses.fields(cls) if f.init
-                and f.default is f.default_factory is dataclasses.MISSING]
-    # fields whose JSON value is kept as it is (a float if finite), without a call
-    exact = {name: hints[name] for name in readers if hints[name] in (float, str, bool)}
+    hints = typing.get_type_hints(cls, include_extras=True)
+    names = [f.name for f in dataclasses.fields(cls)]
+    allowed = set(names)
+    builders = [(name, build) for name in names
+                if (build := _checker(hints[name], True)) is not None]
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is f.default_factory is dataclasses.MISSING]
     shape = list if getattr(cls, "JSON_ARRAY", False) else dict
 
     def read(value):
         if type(value) is not shape:
-            raise _wrong_type(shape, value)
-        if shape is list and len(value) != len(readers):
-            raise _Mismatch(f" must be an array of {len(readers)} items, got {len(value)}")
-        # an array holds every field, in declaration order
-        items = value.items() if shape is dict else zip(readers, value)
-        kwargs = {}
-        for name, item in items:
-            kind = exact.get(name)
-            if type(item) is kind and (kind is not float or math.isfinite(item)):
-                kwargs[name] = item
-                continue
-            if name not in readers:
-                raise _Mismatch(f": unknown keys {sorted(set(value) - set(readers))}; "
-                                f"allowed: {sorted(readers)}")
-            try:
-                kwargs[name] = readers[name](item)
-            except _Mismatch as exc:
-                exc.path.append(f".{name}")
-                raise
-        if len(kwargs) < len(readers):
+            raise _wrong_type(_JSON_NAMES[shape], value)
+        if shape is list:
+            if len(value) != len(names):
+                raise FieldError(f" must be an array of {len(names)} items, got {len(value)}")
+            kwargs = dict(zip(names, value))  # an array holds every field, in order
+        elif not value.keys() <= allowed:
+            raise FieldError(f": unknown keys {sorted(set(value) - allowed)}; "
+                             f"allowed: {sorted(allowed)}")
+        else:  # a copy only if a record is built into it
+            kwargs = dict(value) if builders else value
+        for name, build in builders:
+            if name in kwargs:
+                try:
+                    kwargs[name] = build(kwargs[name])
+                except FieldError as exc:
+                    exc.path.append(f".{name}")
+                    raise
+        if len(kwargs) < len(names):
             for name in required:
                 if name not in kwargs:
-                    raise _Mismatch(" is missing", [f".{name}"])
+                    raise FieldError(" is missing", [f".{name}"])
         try:
             return cls(**kwargs)
+        except FieldError:
+            raise  # its path starts at this record
         except ValidationError as exc:
-            raise _Mismatch(f": {exc}") from None
+            raise FieldError(f": {exc}") from None
 
     return read

@@ -13,11 +13,12 @@ import re
 import string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import List, Optional, Protocol
+from typing import Annotated, List, Optional, Protocol
+from urllib.parse import urlsplit
 
-from .errors import BackendError, MalformedResponseError, ValidationError
-from .geometry import (MAX_IMAGE_SIDE, BBox, box_intersections, box_span, check_runs,
-                       runs_array)
+from .errors import (BackendError, MalformedResponseError, NonEmptyStr, NonNegative,
+                     PositiveInt, Record, Rule, ValidationError, checked, in_range, one_of)
+from .geometry import BBox, Side, box_intersections, box_span, check_runs, runs_array
 from .geometry import mask_iou  # noqa: F401  uncalled; the benchmark tracer wraps it here
 
 MODALITIES = ("CT", "XRay", "MRI", "Mammo")
@@ -29,35 +30,43 @@ MAX_COT_SENTENCES = 4
 
 # Most QA requests in flight at once; the pool runs one thread per request.
 MAX_CONCURRENCY = 64
+Concurrency = Annotated[int, in_range(1, MAX_CONCURRENCY)]
+
+UnassignedPolicy = Annotated[str, one_of("skip", "organ_free")]
 
 # Longest remote timeout or backoff base in seconds: a day, well inside the
 # range socket.settimeout and time.sleep accept.
 MAX_REMOTE_SECONDS = 86_400
+RemoteTimeout = Annotated[float, in_range(0, MAX_REMOTE_SECONDS, lo_open=True)]
+RemoteBackoff = Annotated[float, in_range(0, MAX_REMOTE_SECONDS)]
+
+
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        return False
+    return parts.scheme.lower() in ("http", "https") and bool(parts.hostname)
+
+
+HttpUrl = Annotated[str, Rule(_is_http_url, "be an http:// or https:// URL with a host")]
 
 
 @dataclass(frozen=True)
-class DomainKey:
+class DomainKey(Record):
     """Curriculum domain: a (lesion class, modality) pair."""
 
-    lesion_class: str
-    modality: str
-
-    def __post_init__(self):
-        if not self.lesion_class or not self.modality:
-            raise ValidationError("domain key fields must be non-empty")
+    lesion_class: NonEmptyStr
+    modality: NonEmptyStr
 
     def as_str(self) -> str:
         return f"{self.lesion_class}|{self.modality}"
 
 
 @dataclass(frozen=True)
-class LesionAnnotation:
+class LesionAnnotation(Record):
     box: BBox
-    lesion_class: str
-
-    def __post_init__(self):
-        if not self.lesion_class:
-            raise ValidationError("lesion_class must be non-empty")
+    lesion_class: NonEmptyStr
 
 
 class OrganMask:
@@ -74,8 +83,8 @@ class OrganMask:
     __slots__ = ("organ_label", "runs", "height", "width", "area")
 
     def __new__(cls, organ_label: str, runs, height: int, width: int):
-        if height < 1 or width < 1:
-            raise ValidationError(f"mask dims {(height, width)} must be positive")
+        height = checked("height", height, PositiveInt)
+        width = checked("width", width, PositiveInt)
         [mask], faults = organ_masks([(organ_label, runs_array(runs), height, width)])
         if faults:
             raise ValidationError(faults[0])
@@ -112,44 +121,24 @@ def organ_masks(lines):
 
 
 @dataclass
-class ImageRecord:
-    image_id: str
-    width: int
-    height: int
-    modality: str
+class ImageRecord(Record):
+    image_id: NonEmptyStr
+    width: Side
+    height: Side
+    modality: Annotated[str, one_of(*MODALITIES)]
     annotations: List[LesionAnnotation]
-
-    def __post_init__(self):
-        if not self.image_id:
-            raise ValidationError("image_id must be non-empty")
-        if self.width < 1 or self.height < 1:
-            raise ValidationError(f"image {self.image_id!r}: dims must be >= 1")
-        if max(self.width, self.height) > MAX_IMAGE_SIDE:
-            raise ValidationError(f"image {self.image_id!r}: sides must be at "
-                                  f"most {MAX_IMAGE_SIDE} pixels")
-        if self.modality not in MODALITIES:
-            raise ValidationError(
-                f"image {self.image_id!r}: modality {self.modality!r} "
-                f"not one of {MODALITIES}"
-            )
 
 
 @dataclass
-class VqaCotRecord:
-    image_id: str
+class VqaCotRecord(Record):
+    image_id: NonEmptyStr
     box: BBox
-    question: str
-    answer: str
-    cot: str
+    question: NonEmptyStr
+    answer: NonEmptyStr
+    cot: str  # empty only in derived Hard pools, never in stored corpora
     domain: DomainKey
-    seed: str
-    generator_id: str
-
-    def __post_init__(self):
-        for name in ("image_id", "question", "answer", "seed", "generator_id"):
-            if not getattr(self, name):
-                raise ValidationError(f"record field {name!r} must be non-empty")
-        # cot may be empty only in derived Hard pools, never in stored corpora
+    seed: NonEmptyStr
+    generator_id: NonEmptyStr
 
     def to_json_dict(self) -> dict:
         return {
@@ -219,60 +208,30 @@ def assign_organ(images, tau_iou=0.0) -> list:
     return outcomes
 
 
-def parse_seed_template(template: str) -> list:
-    """Check a seed template and return its placeholder names in order.
+def seed_fields(template: str) -> Optional[list]:
+    """A seed template's placeholder names in order, or None when it is not one.
 
     A seed names its lesion once and its organ at most once, so a template
     holds a bare `{lesion_class}` once, a bare `{organ_label}` at most once,
     and no other placeholder (no format spec, no conversion); `{{` and `}}`
-    are literal braces, as in `str.format`. Raises ValidationError otherwise.
+    are literal braces, as in `str.format`.
     """
     try:
         fields = [(name, spec or conversion) for _, name, spec, conversion
                   in string.Formatter().parse(template) if name is not None]
     except ValueError:  # unbalanced braces
-        fields = []
+        return None
     names = [name for name, extra in fields
              if name in ("lesion_class", "organ_label") and not extra]
     if (len(names) < len(fields) or names.count("lesion_class") != 1
             or names.count("organ_label") > 1):
-        raise ValidationError(
-            f"forge seed template {template!r} must contain {{lesion_class}} "
-            "once, {organ_label} at most once, and no other placeholder"
-        )
+        return None
     return names
 
 
-def check_options(tau_iou, unassigned_policy, concurrency, seed_templates) -> None:
-    """Check the forge's options; the first broken rule raises ValidationError.
-
-    ``tau_iou`` is a non-negative number (NaN fails), ``unassigned_policy``
-    is 'skip' or 'organ_free', ``concurrency`` lies in [1, MAX_CONCURRENCY],
-    and every seed template passes `parse_seed_template`.
-    """
-    if not tau_iou >= 0.0:  # written so that NaN fails too
-        raise ValidationError(f"tau_iou must be non-negative, got {tau_iou}")
-    if unassigned_policy not in ("skip", "organ_free"):
-        raise ValidationError(
-            f"unassigned_policy must be 'skip' or 'organ_free', got {unassigned_policy!r}")
-    if not 1 <= concurrency <= MAX_CONCURRENCY:
-        raise ValidationError(f"concurrency must be at least 1 and at most {MAX_CONCURRENCY}")
-    for template in seed_templates:
-        parse_seed_template(template)
-
-
-def check_remote_options(timeout, attempts, backoff_base, prefix="") -> None:
-    """Check the remote backend's options, each name led by ``prefix``; the
-    first broken rule raises ValidationError. NaN fails every rule."""
-    if not attempts >= 1:
-        raise ValidationError(f"{prefix}attempts must be at least 1")
-    if not 0.0 < timeout <= MAX_REMOTE_SECONDS:
-        raise ValidationError(
-            f"{prefix}timeout must be positive and at most {MAX_REMOTE_SECONDS} seconds")
-    if not backoff_base >= 0.0:
-        raise ValidationError(f"{prefix}backoff_base must be non-negative")
-    if backoff_base > MAX_REMOTE_SECONDS:
-        raise ValidationError(f"{prefix}backoff_base must be at most {MAX_REMOTE_SECONDS} seconds")
+SeedTemplate = Annotated[str, Rule(
+    lambda template: seed_fields(template) is not None,
+    "contain {lesion_class} once, {organ_label} at most once, and no other placeholder")]
 
 
 class TemplateQaGenerator:
@@ -287,8 +246,9 @@ class TemplateQaGenerator:
     generator_id = "template-v1"
 
     def __init__(self, seed_templates=None):
-        templates = [*(seed_templates or [DEFAULT_SEED_TEMPLATE]), ORGAN_FREE_SEED_TEMPLATE]
-        self._templates = [(t, "organ_label" in parse_seed_template(t)) for t in templates]
+        templates = [*checked("seed_templates", seed_templates or [DEFAULT_SEED_TEMPLATE],
+                              List[SeedTemplate]), ORGAN_FREE_SEED_TEMPLATE]
+        self._templates = [(t, "organ_label" in seed_fields(t)) for t in templates]
 
     def generate(self, seed: str, image_id: str, modality: str,
                  lesion_class: str, organ_label: Optional[str]) -> tuple:
@@ -382,8 +342,11 @@ def build_corpus(
     identical inputs produce identical corpora. QA generation may fan out
     over `concurrency` threads; results keep task order either way.
     """
-    templates = list(seed_templates or [DEFAULT_SEED_TEMPLATE])
-    check_options(tau_iou, unassigned_policy, concurrency, templates)
+    tau_iou = checked("tau_iou", tau_iou, NonNegative)
+    checked("unassigned_policy", unassigned_policy, UnassignedPolicy)
+    checked("concurrency", concurrency, Concurrency)
+    templates = checked("seed_templates", list(seed_templates or [DEFAULT_SEED_TEMPLATE]),
+                        List[SeedTemplate])
 
     labels, scored, members = [], [], []
     for image in dataset:

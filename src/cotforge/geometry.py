@@ -11,17 +11,19 @@ Coordinate conventions used throughout:
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Annotated, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Record, ValidationError, checked, in_range
 
 # Most image pixels in one stacked soft-mask build: 32 MiB of float64.
 MAX_SOFT_MASK_PIXELS = 1 << 22
 
 # Largest accepted image side in pixels (a full-field mammogram fits) and blur sigma.
 MAX_IMAGE_SIDE = 8192
+Side = Annotated[int, in_range(1, MAX_IMAGE_SIDE)]
+Sigma = Annotated[float, in_range(0, MAX_IMAGE_SIDE)]
 
 # Most RLE runs and mask-row queries in one chunk of the forge's numpy
 # passes (`check_runs`, `box_intersections`): 128 KiB per int64 array. The
@@ -30,7 +32,7 @@ FORGE_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
-class BBox:
+class BBox(Record):
     """Normalized box with a strictly positive area."""
 
     JSON_ARRAY = True  # read from an array of its four coordinates, in order
@@ -40,6 +42,7 @@ class BBox:
     y2: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (0.0 <= self.x1 < self.x2 <= 1.0 and 0.0 <= self.y1 < self.y2 <= 1.0):
             raise ValidationError(
                 f"degenerate or out-of-range box: "
@@ -307,8 +310,7 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     gh, gw = grid_dims
     if gh < 1 or gw < 1 or gh > height or gw > width:
         raise ValidationError(f"grid dims {grid_dims} must be in [1, image dims]")
-    if not 0 <= sigma <= MAX_IMAGE_SIDE:  # NaN fails the test too
-        raise ValidationError(f"sigma must lie in [0, {MAX_IMAGE_SIDE}]")
+    sigma = checked("sigma", sigma, Sigma)
     if not 0.0 < floor < 1.0 / (gh * gw):
         raise ValidationError(f"floor must lie in (0, 1/{gh * gw})")
     from scipy.ndimage import gaussian_filter  # here: only soft masks need scipy

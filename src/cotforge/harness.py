@@ -14,78 +14,54 @@ all of its new masks in one stacked call.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Annotated, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import (NonNegative, NonNegativeInt, Positive, PositiveInt, Record, Rule,
+                     ValidationError)
 from .forge import VqaCotRecord
-from .geometry import MAX_IMAGE_SIDE, MAX_SOFT_MASK_PIXELS, box_span, build_soft_mask
+from .geometry import MAX_SOFT_MASK_PIXELS, Side, box_span, build_soft_mask
 from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage, Trace
-from .toymodel import StageLossWeights, ToyModel
+from .toymodel import FeatureDim, GridDims, StageLossWeights, ToyModel
 
-# Largest accepted feature dimension; the feature grid is allocated up front.
-MAX_FEATURE_DIM = 4096
-# Largest accepted attention grid, 64 x 64 (the default image's largest): the
-# model allocates corpus_size x cells logits and cells x feature_dim features.
-MAX_GRID_CELLS = 4096
+# one soft mask's build peaks at a few float64 copies of its image
+ImageDims = Annotated[Tuple[Side, Side], Rule(
+    lambda dims: dims[0] * dims[1] <= MAX_SOFT_MASK_PIXELS,
+    f"hold at most {MAX_SOFT_MASK_PIXELS} pixels", list)]
 
 
 @dataclass(frozen=True)
-class HarnessParams:
+class HarnessParams(Record):
     """Toy-run knobs; the stage weights are ``StageLossWeights``' defaults."""
 
-    epochs: int = 40
-    batch_size: int = 32
-    batches_per_epoch: int = 16
+    epochs: PositiveInt = 40
+    batch_size: PositiveInt = 32
+    batches_per_epoch: PositiveInt = 16
     # small steps: the grounding surplus must outlive the mixing ramp
-    lr: float = 0.005
-    seed: int = 0
-    image_dims: Tuple[int, int] = (64, 64)
-    grid_dims: Tuple[int, int] = (8, 8)
-    feature_dim: int = 16
+    lr: Positive = 0.005
+    seed: NonNegativeInt = 0
+    image_dims: ImageDims = (64, 64)
+    grid_dims: GridDims = (8, 8)
+    feature_dim: FeatureDim = 16
     # wide blur and a generous floor keep fresh attention targets cheap
-    sigma: float = 16.0
-    mask_floor: float = 0.01
+    sigma: NonNegative = 16.0
+    mask_floor: Positive = 0.01
     weights: StageLossWeights = field(default_factory=StageLossWeights)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValidationError("batch_size must be at least 1")
-        if self.batches_per_epoch < 1:
-            raise ValidationError("batches_per_epoch must be at least 1")
-        if self.lr <= 0.0:
-            raise ValidationError("lr must be positive")
-        if self.seed < 0:
-            raise ValidationError("seed must be non-negative")
-        if not 1 <= self.feature_dim <= MAX_FEATURE_DIM:
-            raise ValidationError(f"feature_dim must lie in [1, {MAX_FEATURE_DIM}]")
-        for name in ("image_dims", "grid_dims"):
-            if min(getattr(self, name)) < 1:
-                raise ValidationError(f"{name} must be two positive ints")
-        if max(self.image_dims) > MAX_IMAGE_SIDE:
-            raise ValidationError(
-                f"image_dims sides must be at most {MAX_IMAGE_SIDE} pixels")
+        super().__post_init__()
         # the soft-mask rules of build_soft_mask, checked before any training
         (height, width), (gh, gw) = self.image_dims, self.grid_dims
         if gh > height or gw > width:
             raise ValidationError(
                 f"grid_dims {list(self.grid_dims)} must not exceed "
                 f"image_dims {list(self.image_dims)}")
-        if gh * gw > MAX_GRID_CELLS:
-            raise ValidationError(
-                f"grid_dims {list(self.grid_dims)} must have at most {MAX_GRID_CELLS} cells")
-        if not 0.0 < self.mask_floor < 1.0 / (gh * gw):
+        if not self.mask_floor < 1.0 / (gh * gw):
             raise ValidationError(f"mask_floor must lie in (0, 1/{gh * gw})")
-        if not 0.0 <= self.sigma <= max(height, width):
+        if not self.sigma <= max(height, width):
             raise ValidationError(
                 f"sigma must lie in [0, {max(height, width)}], the larger image dim")
-        # one soft mask's build peaks at a few float64 copies of its image
-        if height * width > MAX_SOFT_MASK_PIXELS:
-            raise ValidationError(f"image_dims {list(self.image_dims)} must hold at most "
-                                  f"{MAX_SOFT_MASK_PIXELS} pixels")
 
 
 def run_toy_training(records: Sequence[VqaCotRecord],

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError, open_text, parse_json, read_object
+from .errors import Record, ValidationError, open_text, parse_json, read_object
 from .forge import ImageRecord, VqaCotRecord, organ_masks
 from .geometry import check_runs, expand_runs, runs_array
 
@@ -75,7 +75,7 @@ def rle_decode(runs, height, width) -> np.ndarray:
 
 
 @dataclass
-class _MaskLine:
+class _MaskLine(Record):
     image_id: str
     organ_label: str
     height: int

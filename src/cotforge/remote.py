@@ -18,39 +18,34 @@ from typing import Callable, Optional, Tuple
 
 import requests
 
-from .errors import (BackendError, MalformedResponseError, ValidationError, parse_json,
-                     read_object)
-from .forge import check_remote_options
+from .errors import (BackendError, MalformedResponseError, NonEmptyStr, PositiveInt, Record,
+                     checked, parse_json, read_object)
+from .forge import HttpUrl, RemoteBackoff, RemoteTimeout
 
 
 @dataclasses.dataclass(frozen=True)
-class _Reply:
+class _Reply(Record):
     """The fields a reply must carry, each a non-empty string."""
 
-    question: str
-    answer: str
-    cot: str
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not value:
-                raise ValidationError(f"field {name!r} is empty")
+    question: NonEmptyStr
+    answer: NonEmptyStr
+    cot: NonEmptyStr
 
 
 class RemoteQaGenerator:
-    """QA backend speaking to a remote service; satisfies the forge protocol."""
+    """QA backend speaking to a remote service; satisfies the forge protocol.
+
+    Its arguments follow the rules of the config's ``forge.remote_*`` fields.
+    """
 
     def __init__(self, endpoint: str, timeout: float = 10.0, attempts: int = 3,
                  backoff_base: float = 0.5,
                  session: Optional[requests.Session] = None,
                  sleeper: Callable[[float], None] = time.sleep):
-        if not endpoint:
-            raise ValidationError("remote endpoint must be non-empty")
-        check_remote_options(timeout, attempts, backoff_base)
-        self.endpoint = endpoint
-        self.timeout = timeout
-        self.attempts = attempts
-        self.backoff_base = backoff_base
+        self.endpoint = checked("endpoint", endpoint, HttpUrl)
+        self.timeout = checked("timeout", timeout, RemoteTimeout)
+        self.attempts = checked("attempts", attempts, PositiveInt)
+        self.backoff_base = checked("backoff_base", backoff_base, RemoteBackoff)
         self.generator_id = f"remote:{endpoint}"
         self._session = session
         self._local = threading.local()

@@ -28,11 +28,12 @@ import statistics
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass
 from enum import Enum
-from typing import Dict, List, NamedTuple, Optional, Sequence, Union
+from typing import Annotated, Dict, List, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import (NonNegative, NonNegativeInt, Positive, PositiveInt, Record, UnitInterval,
+                     ValidationError, checked, in_range)
 
 
 class Stage(str, Enum):
@@ -54,55 +55,31 @@ class Decision(str, Enum):
 
 
 @dataclass(frozen=True)
-class SchedulerHyperparams:
+class SchedulerHyperparams(Record):
     """Feedback controller constants. Defaults are the reference operating point."""
 
-    rho: float = 0.3
-    kappa: float = 10.0
-    warmup_epochs: int = 5
+    rho: Annotated[float, in_range(0, 1, lo_open=True)] = 0.3
+    kappa: Positive = 10.0
+    warmup_epochs: NonNegativeInt = 5
     gamma: float = 0.2
-    tau: float = 0.1
+    tau: Positive = 0.1
     gamma_hard: float = 0.3
-    eps_plateau: float = 0.01
-    q: int = 5
-    eps_cot: float = 0.05
-    delta_rise: float = 0.05
-    eta_up: float = 0.05
-    eta_down: float = 0.5
-    lambda_hard_max: float = 0.3
-    eps: float = 1e-8
-    lambda_hard_init: float = 0.0
+    eps_plateau: NonNegative = 0.01
+    q: PositiveInt = 5
+    eps_cot: NonNegative = 0.05
+    delta_rise: Positive = 0.05
+    eta_up: NonNegative = 0.05
+    eta_down: UnitInterval = 0.5
+    lambda_hard_max: UnitInterval = 0.3
+    eps: Positive = 1e-8
+    lambda_hard_init: NonNegative = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.rho <= 1.0:
-            raise ValidationError(f"rho must be in (0, 1], got {self.rho}")
-        if self.kappa <= 0.0:
-            raise ValidationError(f"kappa must be positive, got {self.kappa}")
-        if self.warmup_epochs < 0:
-            raise ValidationError("warmup_epochs must be non-negative")
-        if self.tau <= 0.0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
-        if self.q < 1:
-            raise ValidationError(f"q must be at least 1, got {self.q}")
-        if self.eps_plateau < 0.0:
-            raise ValidationError("eps_plateau must be non-negative")
-        if self.eps_cot < 0.0:
-            raise ValidationError("eps_cot must be non-negative")
-        if self.delta_rise <= 0.0:
-            raise ValidationError("delta_rise must be positive")
-        if self.eta_up < 0.0:
-            raise ValidationError("eta_up must be non-negative")
-        if not 0.0 <= self.eta_down <= 1.0:
-            raise ValidationError(f"eta_down must be in [0, 1], got {self.eta_down}")
-        if not 0.0 <= self.lambda_hard_max <= 1.0:
-            raise ValidationError("lambda_hard_max must be in [0, 1]")
-        if not 0.0 <= self.lambda_hard_init <= self.lambda_hard_max:
+        super().__post_init__()
+        if self.lambda_hard_init > self.lambda_hard_max:
             raise ValidationError(
-                "lambda_hard_init must be in [0, lambda_hard_max], got "
-                f"{self.lambda_hard_init}"
-            )
-        if self.eps <= 0.0:
-            raise ValidationError("eps must be positive")
+                f"lambda_hard_init must be at most lambda_hard_max "
+                f"{self.lambda_hard_max}, got {self.lambda_hard_init}")
 
 
 def update_ema(prev: Optional[float], mean: float, rho: float) -> float:
@@ -114,9 +91,7 @@ def update_ema(prev: Optional[float], mean: float, rho: float) -> float:
 
 def ramp(epoch: int, kappa: float, warmup_epochs: int = 5) -> float:
     """Medium-stage availability: 0 through warmup, then linear to 1 over kappa."""
-    if epoch < 1:
-        raise ValidationError(f"epoch must be at least 1, got {epoch}")
-    if epoch <= warmup_epochs:
+    if checked("epoch", epoch, PositiveInt) <= warmup_epochs:
         return 0.0
     return min(1.0, (epoch - warmup_epochs) / kappa)
 
@@ -139,10 +114,7 @@ def _sigmoid(x: float) -> float:
 
 def p_medium(progress: float, beta: float, gamma: float, tau: float) -> float:
     """Probability that a main-pool item is assigned the medium stage."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValidationError(f"beta must be in [0, 1], got {beta}")
-    if tau <= 0.0:
-        raise ValidationError(f"tau must be positive, got {tau}")
+    beta, tau = checked("beta", beta, UnitInterval), checked("tau", tau, Positive)
     return beta * _sigmoid((progress - gamma) / tau)
 
 
@@ -247,10 +219,8 @@ def _draw_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
                 p: np.ndarray, rng: np.random.Generator) -> BatchPlan:
     """One batch, hard slots first, then stage coins for the rest, drawn
     without replacement from a main pool whose probabilities ``p`` are checked."""
-    if batch_size < 1:
-        raise ValidationError(f"batch_size must be at least 1, got {batch_size}")
-    if not 0.0 <= lambda_hard <= 1.0:
-        raise ValidationError(f"lambda_hard must be in [0, 1], got {lambda_hard}")
+    batch_size = checked("batch_size", batch_size, PositiveInt)
+    lambda_hard = checked("lambda_hard", lambda_hard, UnitInterval)
     n_hard = int(math.floor(lambda_hard * batch_size))
     if n_hard > hard_pool_size:
         raise ValidationError(
@@ -317,7 +287,7 @@ class CurriculumScheduler:
         self.m_bar: Optional[float] = None
         self.delta_history = deque(maxlen=hyperparams.q)  # the last q changes of m_bar
         self.domains: Dict[str, DomainEma] = {key: DomainEma() for key in domains}
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(checked("seed", seed, NonNegativeInt))
         self._open: Optional[EpochContext] = None  # the open epoch, if any
 
     def start_epoch(self, main_pool_domains: Sequence[str] = ()) -> EpochContext:

@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Annotated, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import (NonNegative, NonNegativeInt, PositiveInt, Record, Rule, ValidationError,
+                     checked, in_range)
 from .forge import VqaCotRecord, split_sentences
 from .geometry import BBox, box_span, kl_rows
 from .scheduler import _EASY, _MEDIUM, Stage
@@ -43,22 +44,27 @@ PARAM_KEYS = ("ans_logits", "cot_logits", "attn_logits", "features", "anchors")
 # logits get only the batch's Medium rows
 _DENSE_KEYS = ("ans_logits", "cot_logits", "features", "anchors")
 
+# Largest accepted feature dimension; the feature grid is allocated up front.
+MAX_FEATURE_DIM = 4096
+FeatureDim = Annotated[int, in_range(1, MAX_FEATURE_DIM)]
+# Largest accepted attention grid, 64 x 64 (the default image's largest): the
+# model allocates corpus_size x cells logits and cells x feature_dim features.
+MAX_GRID_CELLS = 4096
+GridDims = Annotated[Tuple[PositiveInt, PositiveInt], Rule(
+    lambda dims: dims[0] * dims[1] <= MAX_GRID_CELLS,
+    f"have at most {MAX_GRID_CELLS} cells", list)]
+
 
 @dataclass(frozen=True)
-class StageLossWeights:
+class StageLossWeights(Record):
     """The stage recipe's weights. The defaults tilt Easy totals toward
     grounding and keep the shared answer/rationale heads from drowning out
     the stage gap."""
 
-    w_ans: float = 0.25
-    w_cot: float = 0.25
-    w_ground: float = 2.0
-    w_attn: float = 1.0
-
-    def __post_init__(self):
-        for name in ("w_ans", "w_cot", "w_ground", "w_attn"):
-            if getattr(self, name) < 0.0:
-                raise ValidationError(f"{name} must be non-negative")
+    w_ans: NonNegative = 0.25
+    w_cot: NonNegative = 0.25
+    w_ground: NonNegative = 2.0
+    w_attn: NonNegative = 1.0
 
 
 class StageLosses(NamedTuple):
@@ -131,8 +137,8 @@ class ToyModel:
         if not items:
             raise ValidationError("toy model needs at least one item")
         self.items: List[VqaCotRecord] = list(items)
-        self.grid_dims = tuple(grid_dims)
-        self.feature_dim = int(feature_dim)
+        self.grid_dims = checked("grid_dims", grid_dims, GridDims)
+        self.feature_dim = checked("feature_dim", feature_dim, FeatureDim)
 
         self.answer_vocab = sorted({r.answer for r in self.items})
         self._answer_index = {a: i for i, a in enumerate(self.answer_vocab)}
@@ -173,7 +179,7 @@ class ToyModel:
         self._cot_share = np.divide(counts, self._cot_len[:, np.newaxis],
                                     out=np.zeros(used.shape), where=used)
 
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(checked("seed", seed, NonNegativeInt))
         gh, gw = self.grid_dims
         self.ans_logits = np.zeros(len(self.answer_vocab))
         self.cot_logits = np.zeros(len(self.cot_vocab))

@@ -217,8 +217,8 @@ def test_forge_remote_timeout_above_a_day_exits_2(tmp_path, capsys, forge_inputs
         "--masks", str(masks), "--out", str(out),
     )
     assert (code, stdout) == (2, "")
-    assert stderr == (f"error: config {config}: field 'forge': remote_timeout must be "
-                      f"positive and at most 86400 seconds\n")
+    assert stderr == (f"error: config {config}: field 'forge.remote_timeout' must lie in "
+                      f"(0, 86400], got 1e+300\n")
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -24,6 +25,12 @@ UNUSABLE_SEED_TEMPLATES = [
     # an escaped name is literal text, not a placeholder
     "A {{lesion_class}} in the {organ_label}.",
 ]
+
+
+def seed_template_fault(template, field="seed_templates[0]"):
+    """The pattern of the message that rejects ``template`` at ``field``."""
+    return re.escape(f"field '{field}' must contain {{lesion_class}} once, {{organ_label}} "
+                     f"at most once, and no other placeholder, got {template!r}") + "$"
 
 
 class TestDefaults:
@@ -118,7 +125,8 @@ class TestStrictness:
     @pytest.mark.parametrize("template", UNUSABLE_SEED_TEMPLATES)
     def test_unusable_seed_template(self, tmp_path, template):
         path = write_config(tmp_path, {"forge": {"seed_templates": [template]}})
-        with pytest.raises(ConfigError, match=r"template .* must contain \{lesion_class\} once"):
+        with pytest.raises(ConfigError,
+                           match=seed_template_fault(template, "forge.seed_templates[0]")):
             load_config(str(path), env={})
 
     @pytest.mark.parametrize("template", [
@@ -143,8 +151,8 @@ class TestStrictness:
         # and so would a feature dimension above MAX_FEATURE_DIM
         ("feature_dim", 2**50), ("feature_dim", 4097),
         # and so would a grid above MAX_GRID_CELLS; a dict sets several fields,
-        # here an image large enough to hold the grid
-        ("grid_dims", {"image_dims": [4096, 4096], "grid_dims": [4096, 4096]}),
+        # here an image that holds the grid and breaks no rule of its own
+        ("grid_dims", {"image_dims": [4096, 1024], "grid_dims": [4096, 1024]}),
         ("grid_dims", {"image_dims": [128, 128], "grid_dims": [128, 33]}),
     ])
     def test_out_of_range_harness_value(self, tmp_path, key, value):
@@ -170,8 +178,9 @@ class TestStrictness:
             load_config(str(path), env={})
 
     @pytest.mark.parametrize("field,value,message", [
-        ("concurrency", 0, r"^concurrency must be at least 1 and at most 64$"),
-        ("backend", "oracle", r"^backend must be 'template' or 'remote', got 'oracle'$"),
+        ("concurrency", 0, r"^field 'concurrency' must lie in \[1, 64\], got 0$"),
+        ("backend", "oracle",
+         r"^field 'backend' must be one of \['template', 'remote'\], got 'oracle'$"),
     ])
     def test_a_forge_record_built_directly_raises_validation_error(self, field, value,
                                                                   message):
@@ -180,9 +189,10 @@ class TestStrictness:
             ForgeConfig(**{field: value})
 
     @pytest.mark.parametrize("field,message", [
-        ("remote_attempts", r"^remote_attempts must be at least 1$"),
-        ("remote_timeout", r"^remote_timeout must be positive and at most 86400 seconds$"),
-        ("remote_backoff_base", r"^remote_backoff_base must be non-negative$"),
+        ("remote_attempts", r"^field 'remote_attempts' must be an integer, got a number$"),
+        ("remote_timeout", r"^field 'remote_timeout' must be a finite number, got nan$"),
+        ("remote_backoff_base",
+         r"^field 'remote_backoff_base' must be a finite number, got nan$"),
     ])
     def test_nan_remote_option_rejected(self, field, message):
         # the config reader rejects NaN itself; a record built directly must too
@@ -190,12 +200,12 @@ class TestStrictness:
             ForgeConfig(**{field: math.nan})
 
     @pytest.mark.parametrize("field,message", [
-        ("remote_timeout", "remote_timeout must be positive and at most 86400 seconds"),
-        ("remote_backoff_base", "remote_backoff_base must be at most 86400 seconds"),
+        ("remote_timeout", r"remote_timeout' must lie in \(0, 86400\], got 1e\+300"),
+        ("remote_backoff_base", r"remote_backoff_base' must lie in \[0, 86400\], got 1e\+300"),
     ])
     def test_remote_seconds_above_a_day_rejected(self, tmp_path, field, message):
         path = write_config(tmp_path, {"forge": {field: 1e300}})
-        with pytest.raises(ConfigError, match=f"^config {path}: field 'forge': {message}$"):
+        with pytest.raises(ConfigError, match=f"^config {path}: field 'forge.{message}$"):
             load_config(str(path), env={})
 
     def test_bad_unassigned_policy(self, tmp_path):

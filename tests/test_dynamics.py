@@ -50,7 +50,7 @@ class TestCurveSpec:
             curve.value(3)
 
     def test_epoch_must_be_positive(self):
-        with pytest.raises(ValidationError, match="^curve epoch must be at least 1$"):
+        with pytest.raises(ValidationError, match="^field 'epoch' must be at least 1, got 0$"):
             CurveSpec(base=1.0).value(0)
 
     def test_negative_parameters_rejected(self):

@@ -27,7 +27,7 @@ from cotforge.forge import (
 from cotforge.geometry import BBox, encode_runs
 from cotforge.jsonl import read_dataset, read_masks, rle_decode
 from oracles import decode, oracle_assign, organ_mask
-from test_config import UNUSABLE_SEED_TEMPLATES
+from test_config import UNUSABLE_SEED_TEMPLATES, seed_template_fault
 
 RNG_SEED = 20240
 GOLDEN = Path(__file__).parent / "golden"
@@ -410,9 +410,18 @@ class TestOrganMask:
         with pytest.raises(ValidationError, match=r"^RLE runs sum to 7, expected 8$"):
             OrganMask("liver", wrong_sum, 2, 4)
         assert wrong_sum.flags.writeable  # a rejected array is left as it was
-        for dims in ((-1, -2), (0, 4), (2, 0)):  # runs [1, 1] sum to (-1)*(-2)
-            with pytest.raises(ValidationError, match=r"^mask dims .* must be positive$"):
+        for dims, name, got in [((-1, -2), "height", -1), ((0, 4), "height", 0),
+                                ((2, 0), "width", 0)]:  # runs [1, 1] sum to (-1)*(-2)
+            with pytest.raises(ValidationError,
+                               match=rf"^field '{name}' must be at least 1, got {got}$"):
                 OrganMask("liver", [1, 1], *dims)
+        # a bool or a float is not a dimension, even one that equals an int
+        for dims, name, got in [((2.0, 1), "height", "a number"),
+                                ((True, 1), "height", "true or false"),
+                                ((1, 2.0), "width", "a number")]:
+            with pytest.raises(ValidationError,
+                               match=rf"^field '{name}' must be an integer, got {got}$"):
+                OrganMask("liver", [0, 2], *dims)
 
 
     def test_organ_masks_returns_each_faulty_lines_first_fault_by_index(self):
@@ -514,7 +523,7 @@ class TestTemplateQa:
 
     @pytest.mark.parametrize("template", UNUSABLE_SEED_TEMPLATES)
     def test_unusable_template_rejected(self, template):
-        with pytest.raises(ValidationError, match=r"^forge seed template .* no other placeholder$"):
+        with pytest.raises(ValidationError, match=seed_template_fault(template)):
             TemplateQaGenerator([template])
 
 
@@ -631,17 +640,17 @@ class TestBuildCorpus:
 
         monkeypatch.setattr(forge, "ThreadPoolExecutor", no_pool)
         dataset, masks = small_dataset()
-        with pytest.raises(ValidationError,
-                           match="^concurrency must be at least 1 and at most 64$"):
+        message = rf"^field 'concurrency' must lie in \[1, 64\], got {concurrency}$"
+        with pytest.raises(ValidationError, match=message):
             build_corpus(dataset, masks, TemplateQaGenerator(), concurrency=concurrency)
 
     @pytest.mark.parametrize("option,value,message", [
         # a negative threshold assigned a box with no overlap to an organ,
         # and NaN left every annotation unassigned without a word
-        ("tau_iou", -0.5, r"^tau_iou must be non-negative, got -0\.5$"),
-        ("tau_iou", float("nan"), r"^tau_iou must be non-negative, got nan$"),
+        ("tau_iou", -0.5, r"^field 'tau_iou' must be non-negative, got -0\.5$"),
+        ("tau_iou", float("nan"), r"^field 'tau_iou' must be a finite number, got nan$"),
         ("unassigned_policy", "keep",
-         r"^unassigned_policy must be 'skip' or 'organ_free', got 'keep'$"),
+         r"^field 'unassigned_policy' must be one of \['skip', 'organ_free'\], got 'keep'$"),
     ])
     def test_unusable_option_rejected(self, option, value, message):
         dataset, masks = small_dataset()
@@ -785,7 +794,7 @@ class TestBuildCorpus:
     @pytest.mark.parametrize("template", UNUSABLE_SEED_TEMPLATES)
     def test_unusable_template_rejected(self, template):
         dataset, masks = small_dataset()
-        with pytest.raises(ValidationError, match=r"^forge seed template .* no other placeholder$"):
+        with pytest.raises(ValidationError, match=seed_template_fault(template)):
             build_corpus(dataset, masks, _StubBackend(), seed_templates=[template])
 
 

@@ -146,9 +146,10 @@ class TestRetries:
         assert sleeps == [0.01]
 
 
-    @pytest.mark.parametrize("endpoint", ["not-a-url", "http://"])
+    @pytest.mark.parametrize("endpoint", ["http://h:abc/qa", "http://h:99999/qa"])
     def test_unusable_url_fails_without_retry(self, endpoint):
-        # requests rejects these before anything is sent
+        # http URLs with a host, but with a port requests rejects before
+        # anything is sent
         sleeps = []
         gen = RemoteQaGenerator(endpoint, attempts=3, sleeper=sleeps.append)
         with pytest.raises(BackendError, match="request failed"):
@@ -174,7 +175,7 @@ class TestMalformedResponses:
         # deeper than the recursion limit: a RecursionError inside json
         ("deep", "bad JSON: maximum recursion depth"),
         ("array", "reply must be a JSON object"),
-        ("empty-cot", "field 'cot' is empty"),
+        ("empty-cot", "field 'cot' must be non-empty, got ''"),
         ("lone-surrogate", "bad JSON: a string holds a lone UTF-16 surrogate"),
         ("surrogate-key", "bad JSON: a string holds a lone UTF-16 surrogate"),
         ("not-utf8", "bad JSON: 'utf-8' codec can't decode"),
@@ -258,21 +259,37 @@ class TestConstruction:
             RemoteQaGenerator("http://x", timeout=0.0)
 
     def test_negative_backoff_rejected(self):
-        with pytest.raises(ValidationError, match="^backoff_base must be non-negative$"):
+        with pytest.raises(ValidationError,
+                           match=r"^field 'backoff_base' must lie in \[0, 86400\], got -0\.5$"):
             RemoteQaGenerator("http://x", backoff_base=-0.5)
 
     @pytest.mark.parametrize("field,value,message", [
-        ("attempts", math.nan, "^attempts must be at least 1$"),
-        ("timeout", math.nan, "^timeout must be positive and at most 86400 seconds$"),
-        ("backoff_base", math.nan, "^backoff_base must be non-negative$"),
+        ("attempts", math.nan, "^field 'attempts' must be an integer, got a number$"),
+        ("timeout", math.nan, "^field 'timeout' must be a finite number, got nan$"),
+        ("backoff_base", math.nan, "^field 'backoff_base' must be a finite number, got nan$"),
         # socket.settimeout and time.sleep raise OverflowError far above a day
-        ("timeout", math.inf, "^timeout must be positive and at most 86400 seconds$"),
-        ("timeout", 1e300, "^timeout must be positive and at most 86400 seconds$"),
-        ("backoff_base", 1e300, "^backoff_base must be at most 86400 seconds$"),
+        ("timeout", math.inf, "^field 'timeout' must be a finite number, got inf$"),
+        ("timeout", 1e300, r"^field 'timeout' must lie in \(0, 86400\], got 1e\+300$"),
+        ("backoff_base", 1e300, r"^field 'backoff_base' must lie in \[0, 86400\], got 1e\+300$"),
     ])
     def test_nan_and_huge_numbers_rejected(self, field, value, message):
         with pytest.raises(ValidationError, match=message):
             RemoteQaGenerator("http://x", **{field: value})
+
+    @pytest.mark.parametrize("field,value,message", [
+        # range() would raise TypeError at the first request
+        ("attempts", 1.5, "^field 'attempts' must be an integer, got a number$"),
+        # requests would refuse it only at the first request
+        ("endpoint", "ftp://h",
+         "^field 'endpoint' must be an http:// or https:// URL with a host, got 'ftp://h'$"),
+        ("endpoint", "http://:80/qa",
+         "^field 'endpoint' must be an http:// or https:// URL with a host, "
+         "got 'http://:80/qa'$"),
+    ])
+    def test_unusable_argument_rejected_at_construction(self, field, value, message):
+        # the rules of the config's forge.remote_* fields
+        with pytest.raises(ValidationError, match=message):
+            RemoteQaGenerator(**{"endpoint": "http://x", field: value})
 
     def test_a_day_is_accepted(self):
         generator = RemoteQaGenerator("http://x", timeout=86400, backoff_base=86400)

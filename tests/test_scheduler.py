@@ -103,10 +103,10 @@ class TestPMedium:
         assert p_medium(lo, beta, 0.2, 0.1) <= p_medium(hi, beta, 0.2, 0.1)
 
     @pytest.mark.parametrize("beta,tau,message", [
-        (-0.1, 0.1, r"^beta must be in \[0, 1\], got -0\.1$"),
-        (1.5, 0.1, r"^beta must be in \[0, 1\], got 1\.5$"),
-        (0.5, 0.0, r"^tau must be positive, got 0\.0$"),
-        (0.5, -1.0, r"^tau must be positive, got -1\.0$"),
+        (-0.1, 0.1, r"^field 'beta' must lie in \[0, 1\], got -0\.1$"),
+        (1.5, 0.1, r"^field 'beta' must lie in \[0, 1\], got 1\.5$"),
+        (0.5, 0.0, r"^field 'tau' must be positive, got 0\.0$"),
+        (0.5, -1.0, r"^field 'tau' must be positive, got -1\.0$"),
     ])
     def test_out_of_range_arguments_rejected(self, beta, tau, message):
         with pytest.raises(ValidationError, match=message):
@@ -164,9 +164,9 @@ class TestPlanBatch:
             plan_batch(10, 0.0, 0, 5, np.full(5, 0.5), rng)
 
     @pytest.mark.parametrize("batch_size,lambda_hard,message", [
-        (0, 0.0, r"^batch_size must be at least 1, got 0$"),
-        (10, -0.1, r"^lambda_hard must be in \[0, 1\], got -0\.1$"),
-        (10, 1.5, r"^lambda_hard must be in \[0, 1\], got 1\.5$"),
+        (0, 0.0, r"^field 'batch_size' must be at least 1, got 0$"),
+        (10, -0.1, r"^field 'lambda_hard' must lie in \[0, 1\], got -0\.1$"),
+        (10, 1.5, r"^field 'lambda_hard' must lie in \[0, 1\], got 1\.5$"),
     ])
     def test_out_of_range_batch_arguments_rejected(self, batch_size, lambda_hard, message):
         with pytest.raises(ValidationError, match=message):

@@ -1,0 +1,324 @@
+"""Each input record checks its fields' declared types and rules when it is
+built, from JSON or from Python, with one message shape.
+
+The guard test finds the records itself, by walking the annotations from
+the reader's roots, so a new record or field is covered as soon as one of
+them holds it. It builds each record from arbitrary Python values: nothing
+may raise but ValidationError, and a record that builds holds its declared
+types. The declared-type oracle here is independent of ``errors``'s
+checker; it reads only the annotations and each ``Annotated`` rule's
+predicate.
+"""
+
+import dataclasses
+import json
+import math
+import re
+import typing
+from dataclasses import asdict
+from typing import Annotated
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from cotforge import fixture_path, jsonl, remote
+from cotforge.config import AppConfig, ForgeConfig, load_config
+from cotforge.dynamics import (BUILTIN_SCENARIOS, CurveSpec, DynamicsSpec, StageDynamics,
+                               builtin_scenario_path)
+from cotforge.errors import ConfigError, Record, ValidationError, read_object
+from cotforge.forge import DomainKey, ImageRecord, OrganMask, VqaCotRecord
+from cotforge.geometry import BBox
+from cotforge.harness import HarnessParams
+from cotforge.scheduler import CurriculumScheduler, SchedulerHyperparams
+from cotforge.toymodel import StageLossWeights, ToyModel
+
+from corpus_utils import tiny_corpus
+
+ROOTS = (AppConfig, DynamicsSpec, ImageRecord, VqaCotRecord, jsonl._MaskLine, remote._Reply)
+
+
+def records_under(tp, found):
+    """Append to ``found`` every dataclass that annotation ``tp`` holds, at
+    any depth, each once."""
+    if dataclasses.is_dataclass(tp):
+        if tp not in found:
+            found.append(tp)
+            for hint in typing.get_type_hints(tp, include_extras=True).values():
+                records_under(hint, found)
+        return
+    for arg in typing.get_args(tp):  # an Annotated rule holds no type, and adds none
+        records_under(arg, found)
+
+
+RECORDS = []
+for _root in ROOTS:
+    records_under(_root, RECORDS)
+
+
+def instances(obj):
+    """Every dataclass instance that ``obj`` holds, itself first."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        yield obj
+        obj = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from instances(item)
+
+
+def _samples():
+    """One good instance per record class, taken from the defaults and the
+    bundled inputs."""
+    masks = [json.loads(line) for line in
+             fixture_path("forge_masks.jsonl").read_text().splitlines()[:1]]
+    roots = [AppConfig(), jsonl.read_dataset(fixture_path("forge_dataset.jsonl")),
+             jsonl.read_corpus(fixture_path("toy_corpus.jsonl"))[:2],
+             [DynamicsSpec.from_path(builtin_scenario_path(name))
+              for name in BUILTIN_SCENARIOS],
+             [read_object(jsonl._MaskLine, line, lambda: "mask", ValidationError)
+              for line in masks],
+             read_object(remote._Reply, {"question": "Q?", "answer": "A", "cot": "C."},
+                         lambda: "reply", ValidationError)]
+    found = {}
+    for record in instances(roots):
+        found.setdefault(type(record), record)
+    return found
+
+
+SAMPLES = _samples()
+
+
+def test_the_walk_finds_every_input_record():
+    assert {AppConfig, ForgeConfig, SchedulerHyperparams, HarnessParams, StageLossWeights,
+            DynamicsSpec, StageDynamics, CurveSpec, ImageRecord, BBox, VqaCotRecord,
+            DomainKey, jsonl._MaskLine, remote._Reply} <= set(RECORDS)
+    assert set(RECORDS) <= set(SAMPLES)
+    assert all(issubclass(cls, Record) for cls in RECORDS)
+
+
+def holds_declared(tp, value) -> bool:
+    """Whether ``value`` is of annotation ``tp`` exactly, with every
+    ``Annotated`` rule holding."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Annotated:
+        return holds_declared(args[0], value) and all(
+            rule.holds(value) for rule in tp.__metadata__)
+    if tp is float:
+        return type(value) is float and math.isfinite(value)
+    if tp is int:
+        return type(value) is int and -2**63 <= value < 2**63
+    if tp in (str, list) or dataclasses.is_dataclass(tp):
+        return type(value) is tp
+    if origin is typing.Union:
+        return value is None or holds_declared(args[0], value)
+    if origin is list:
+        return type(value) is list and all(holds_declared(args[0], v) for v in value)
+    if origin is tuple and args[-1] is Ellipsis:
+        return type(value) is tuple and all(holds_declared(args[0], v) for v in value)
+    if origin is tuple:
+        return (type(value) is tuple and len(value) == len(args)
+                and all(map(holds_declared, args, value)))
+    if origin is dict:
+        return type(value) is dict and all(
+            type(k) is str and holds_declared(args[1], v) for k, v in value.items())
+    raise AssertionError(f"no oracle for annotation {tp!r}")
+
+
+HOSTILE = st.sampled_from([
+    math.nan, math.inf, -math.inf, True, False, 2.5, -0.0, 0, -1, 2**63, -2**63 - 1,
+    2**70, "", "x", None, [], {}, (), [1, 2], (1, 2), [1.5, 2], {"a": 1}, b"x",
+    np.float64(1.0), np.int64(1),
+])
+
+
+def values_for(tp):
+    """Values of annotation ``tp``'s shape, often outside its rules."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is Annotated:
+        return values_for(args[0])
+    if tp is int:
+        return st.integers(-3, 10) | st.integers(2**62, 2**70) | st.floats(-3, 10)
+    if tp is float:
+        return st.floats() | st.integers(-3, 10)
+    if tp is str:
+        return st.text(max_size=4)
+    if tp is list:
+        return st.lists(st.integers(0, 5), max_size=3)
+    if dataclasses.is_dataclass(tp):
+        return st.just(SAMPLES[tp])
+    if origin is typing.Union:
+        return st.none() | values_for(args[0])
+    if origin in (list, tuple):
+        items = st.lists(values_for(args[0]), max_size=3)
+        return items | items.map(tuple)
+    if origin is dict:
+        keys = st.sampled_from(["easy", "medium", "hard", "mass|CT", ""])
+        return st.dictionaries(keys, values_for(args[1]), max_size=3)
+    raise AssertionError(f"no strategy for annotation {tp!r}")
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@settings(max_examples=120, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_any_python_values_build_a_well_typed_record_or_raise_validation_error(cls, data):
+    hints = typing.get_type_hints(cls, include_extras=True)
+    names = [f.name for f in dataclasses.fields(cls)]
+    changed = data.draw(st.sets(st.sampled_from(names), min_size=1, max_size=3))
+    kwargs = {name: getattr(SAMPLES[cls], name) for name in names}
+    for name in changed:
+        kwargs[name] = data.draw(HOSTILE | values_for(hints[name]), label=name)
+    try:
+        record = cls(**kwargs)
+    except ValidationError:
+        return
+    for name in names:
+        assert holds_declared(hints[name], getattr(record, name)), name
+
+
+TINY = tiny_corpus()
+HP = SchedulerHyperparams()
+CURVE = CurveSpec(1.0)
+
+# every value the record or object was once built from, and the fault it
+# now raises when built
+BUILD_CASES = [
+    ("harness-epochs-float", lambda: HarnessParams(epochs=2.5),
+     "field 'epochs' must be an integer, got a number"),
+    ("harness-batch-size-bool", lambda: HarnessParams(batch_size=True),
+     "field 'batch_size' must be an integer, got true or false"),
+    ("harness-lr-nan", lambda: HarnessParams(lr=math.nan),
+     "field 'lr' must be a finite number, got nan"),
+    ("scheduler-q-float", lambda: SchedulerHyperparams(q=2.5),
+     "field 'q' must be an integer, got a number"),
+    ("scheduler-kappa-nan", lambda: SchedulerHyperparams(kappa=math.nan),
+     "field 'kappa' must be a finite number, got nan"),
+    ("scheduler-eps-plateau-nan", lambda: SchedulerHyperparams(eps_plateau=math.nan),
+     "field 'eps_plateau' must be a finite number, got nan"),
+    ("weights-w-ans-nan", lambda: StageLossWeights(w_ans=math.nan),
+     "field 'w_ans' must be a finite number, got nan"),
+    ("curve-base-nan", lambda: CurveSpec(base=math.nan),
+     "field 'base' must be a finite number, got nan"),
+    ("curve-base-inf", lambda: CurveSpec(base=math.inf),
+     "field 'base' must be a finite number, got inf"),
+    ("stage-count-float", lambda: StageDynamics(count=2.5, total=CURVE),
+     "field 'count' must be an integer, got a number"),
+    ("bbox-bool", lambda: BBox(0, 0, 1, True),
+     "field 'y2' must be a number, got true or false"),
+    ("domain-key-int", lambda: DomainKey(1, "CT"),
+     "field 'lesion_class' must be a string, got an integer"),
+    ("image-width-float", lambda: ImageRecord("a", 2.5, 3, "CT", []),
+     "field 'width' must be an integer, got a number"),
+    ("forge-concurrency-float", lambda: ForgeConfig(concurrency=1.5),
+     "field 'concurrency' must be an integer, got a number"),
+    ("forge-remote-attempts-float", lambda: ForgeConfig(remote_attempts=1.5),
+     "field 'remote_attempts' must be an integer, got a number"),
+    ("remote-attempts-float", lambda: remote.RemoteQaGenerator("http://h", attempts=1.5),
+     "field 'attempts' must be an integer, got a number"),
+    ("remote-endpoint-ftp", lambda: remote.RemoteQaGenerator("ftp://h"),
+     "field 'endpoint' must be an http:// or https:// URL with a host, got 'ftp://h'"),
+    ("toy-feature-dim-zero", lambda: ToyModel(TINY, feature_dim=0),
+     "field 'feature_dim' must lie in [1, 4096], got 0"),
+    ("toy-feature-dim-float", lambda: ToyModel(TINY, feature_dim=2.7),
+     "field 'feature_dim' must be an integer, got a number"),
+    ("toy-seed-negative", lambda: ToyModel(TINY, seed=-1),
+     "field 'seed' must be non-negative, got -1"),
+    ("toy-grid-dims-float", lambda: ToyModel(TINY, grid_dims=(2.5, 2)),
+     "field 'grid_dims[0]' must be an integer, got a number"),
+    ("scheduler-seed-float", lambda: CurriculumScheduler(HP, seed=2.5),
+     "field 'seed' must be an integer, got a number"),
+    ("mask-height-float", lambda: OrganMask("liver", [0, 2], 2.0, 1),
+     "field 'height' must be an integer, got a number"),
+    ("mask-height-bool", lambda: OrganMask("liver", [0, 1], True, 1),
+     "field 'height' must be an integer, got true or false"),
+]
+
+
+STAGE = StageDynamics(1, CURVE)
+
+# a value of the right type that breaks a rule no other test reaches
+RULE_CASES = [
+    ("scenario-name-empty", lambda: DynamicsSpec("", 1, {"d": {"easy": STAGE}}),
+     "field 'name' must be non-empty, got ''"),
+    ("scenario-domains-empty", lambda: DynamicsSpec("s", 1, {}),
+     "field 'domains' must be non-empty, got {}"),
+    ("domain-key-modality-empty", lambda: DomainKey("mass", ""),
+     "field 'modality' must be non-empty, got ''"),
+    ("image-height-above-side", lambda: ImageRecord("a", 64, 8193, "CT", []),
+     "field 'height' must lie in [1, 8192], got 8193"),
+    ("record-image-id-empty", lambda: dataclasses.replace(TINY[0], image_id=""),
+     "field 'image_id' must be non-empty, got ''"),
+    ("record-seed-empty", lambda: dataclasses.replace(TINY[0], seed=""),
+     "field 'seed' must be non-empty, got ''"),
+    ("record-generator-id-empty", lambda: dataclasses.replace(TINY[0], generator_id=""),
+     "field 'generator_id' must be non-empty, got ''"),
+    ("reply-question-empty", lambda: remote._Reply("", "A", "C."),
+     "field 'question' must be non-empty, got ''"),
+    ("reply-answer-empty", lambda: remote._Reply("Q?", "", "C."),
+     "field 'answer' must be non-empty, got ''"),
+    ("harness-image-height-above-side", lambda: HarnessParams(image_dims=(8193, 64)),
+     "field 'image_dims[0]' must lie in [1, 8192], got 8193"),
+    ("harness-batch-size-zero", lambda: HarnessParams(batch_size=0),
+     "field 'batch_size' must be at least 1, got 0"),
+    ("harness-batches-per-epoch-zero", lambda: HarnessParams(batches_per_epoch=0),
+     "field 'batches_per_epoch' must be at least 1, got 0"),
+    ("scheduler-eps-plateau-negative", lambda: SchedulerHyperparams(eps_plateau=-0.5),
+     "field 'eps_plateau' must be non-negative, got -0.5"),
+    ("scheduler-delta-rise-zero", lambda: SchedulerHyperparams(delta_rise=0),
+     "field 'delta_rise' must be positive, got 0.0"),
+    ("scheduler-lambda-hard-init-negative",
+     lambda: SchedulerHyperparams(lambda_hard_init=-0.1),
+     "field 'lambda_hard_init' must be non-negative, got -0.1"),
+    ("scheduler-lambda-hard-init-above-max",
+     lambda: SchedulerHyperparams(lambda_hard_init=0.5),
+     "lambda_hard_init must be at most lambda_hard_max 0.3, got 0.5"),
+    ("scheduler-seed-negative", lambda: CurriculumScheduler(HP, seed=-1),
+     "field 'seed' must be non-negative, got -1"),
+    *[(f"weights-{name}-negative", lambda name=name: StageLossWeights(**{name: -1}),
+       f"field '{name}' must be non-negative, got -1.0")
+      for name in ("w_ans", "w_cot", "w_ground", "w_attn")],
+]
+
+
+@pytest.mark.parametrize("build,message", [case[1:] for case in BUILD_CASES + RULE_CASES],
+                         ids=[case[0] for case in BUILD_CASES + RULE_CASES])
+def test_a_bad_value_raises_validation_error_when_built(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+# (section, key, value, the record built directly, the message after the path)
+SAME_MESSAGE_CASES = [
+    ("harness", "lr", 0, lambda: HarnessParams(lr=0), " must be positive, got 0.0"),
+    ("scheduler", "rho", 1.5, lambda: SchedulerHyperparams(rho=1.5),
+     " must lie in (0, 1], got 1.5"),
+    ("forge", "unassigned_policy", "keep", lambda: ForgeConfig(unassigned_policy="keep"),
+     " must be one of ['skip', 'organ_free'], got 'keep'"),
+]
+
+
+@pytest.mark.parametrize("section,key,value,build,rest", SAME_MESSAGE_CASES,
+                         ids=[case[0] + "." + case[1] for case in SAME_MESSAGE_CASES])
+def test_the_reader_and_the_constructor_give_one_message(tmp_path, section, key, value,
+                                                         build, rest):
+    with pytest.raises(ValidationError, match="^" + re.escape(f"field '{key}'{rest}") + "$"):
+        build()
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({section: {key: value}}), encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path), env={})
+    assert str(info.value) == f"config {path}: field '{section}.{key}'{rest}"
+
+
+def test_an_int_for_a_float_is_stored_as_a_float():
+    # trace headers echo asdict(params): their bytes must not depend on how
+    # the caller wrote a value
+    by_int, by_float = HarnessParams(lr=1, sigma=2), HarnessParams(lr=1.0, sigma=2.0)
+    assert json.dumps(asdict(by_int)) == json.dumps(asdict(by_float))
+    assert type(SchedulerHyperparams(kappa=3).kappa) is float
+    # a list for a tuple is stored as a tuple
+    assert HarnessParams(image_dims=[32, 32]).image_dims == (32, 32)
