@@ -18,6 +18,17 @@ whenever the record is built, from JSON or from Python (``checked`` applies
 them to an argument). A broken rule raises FieldError with one message on
 either path, ``field 'lr' must be positive, got 0.0``, which the reader
 prefixes with its input and the field's full path.
+
+The reader and the checks run as code built for each record class at its
+first build, as ``dataclasses`` builds ``__init__``. A field whose value has
+the field's exact type and keeps its rules passes in line, with no call; an
+object with exactly the record's keys, or a box's array of all its fields,
+becomes the record in one constructor call. Everything else takes the
+generic path: an int for a float, a numpy float or a list for a tuple goes
+through its field's checker, and any fault (a broken rule, a missing or
+unknown key, a rule across fields) reruns the generic path from the start.
+So the generic path is the only source of conversions and of messages, in
+its own order.
 """
 
 import contextlib
@@ -83,6 +94,7 @@ def in_range(lo, hi=math.inf, lo_open=False) -> Rule:
     def holds(value):
         return (lo < value if lo_open else lo <= value) and value <= hi
 
+    holds.bounds = lo, hi, lo_open  # the built code tests them inline
     if hi < math.inf:
         need = f"lie in {'(' if lo_open else '['}{lo}, {hi}]"
     elif lo == 0:
@@ -165,18 +177,32 @@ class Record:
     be finite and an integer fit in 64 bits; an int given for a float is
     stored as a float, a list for a tuple as a tuple. Then each ``Annotated``
     rule applies in order. A rule across fields goes in a subclass's
-    ``__post_init__``."""
+    ``__post_init__``.
+
+    The checks run as the class's built code (`_built_post_init`): a value
+    of the field's exact type within its rules passes in line, any other
+    goes through its field's generic checker, and a fault reruns the
+    generic path (`_check_fields`) from the start, which raises it."""
 
     def __post_init__(self):
-        for name, check in _field_checkers(type(self)):
-            value = getattr(self, name)
-            try:
-                good = check(value)
-            except FieldError as exc:
-                exc.path.append(f".{name}")
-                raise
-            if good is not value:
-                object.__setattr__(self, name, good)
+        try:
+            _built_post_init(type(self))(self)
+        except FieldError:
+            _check_fields(self)  # the generic path, from the start, raises the fault
+            raise
+
+
+def _check_fields(record):
+    """The generic path: each field through its checker, in order."""
+    for name, check in _field_checkers(type(record)):
+        value = getattr(record, name)
+        try:
+            good = check(value)
+        except FieldError as exc:
+            exc.path.append(f".{name}")
+            raise
+        if good is not value:
+            object.__setattr__(record, name, good)
 
 
 def checked(name: str, value, tp):
@@ -193,7 +219,7 @@ def _field_checkers(cls):
 
 # the rules every int and float obeys; wider integers cannot become the
 # fixed-width sizes they feed
-_TYPE_RULES = {int: (Rule(lambda value: -2**63 <= value < 2**63, "fit in 64 bits"),),
+_TYPE_RULES = {int: (Rule(in_range(-2**63, 2**63 - 1).holds, "fit in 64 bits"),),
                float: (Rule(math.isfinite, "be a finite number"),)}
 _JSON_NAMES = {dict: "an object", list: "an array", str: "a string",
                int: "an integer", float: "a number", bool: "true or false",
@@ -238,7 +264,7 @@ def _checker(tp, reading=False):
         inner, rules = _checker(args[0]), tp.__metadata__
         return lambda value: _apply(rules, inner(value))
     if _is_leaf(tp):
-        return _object_reader(tp) if reading else _leaf_checker(tp, ())
+        return _built_reader(tp) if reading else _leaf_checker(tp, ())
     if origin is typing.Union and type(None) in args:  # Optional[X]
         inner = _checker(next(a for a in args if a is not type(None)), reading)
         return lambda value: None if value is None else inner(value)
@@ -314,7 +340,9 @@ def _dict_checker(check_value):
     return check
 
 
+@functools.lru_cache(maxsize=None)
 def _object_reader(cls):
+    """The generic reader of record ``cls``."""
     hints = typing.get_type_hints(cls, include_extras=True)
     names = [f.name for f in dataclasses.fields(cls)]
     allowed = set(names)
@@ -355,3 +383,94 @@ def _object_reader(cls):
             raise FieldError(f": {exc}") from None
 
     return read
+
+
+def _built_reader(cls):
+    """The reader of record ``cls``: from an object with exactly its fields'
+    keys, or an array of all its fields if it sets ``JSON_ARRAY``, one
+    constructor call builds it; anything else, and any fault, reruns the
+    generic reader (`_object_reader`) from the start."""
+    env = {"cls": cls, "generic": _object_reader(cls), "ValidationError": ValidationError}
+    hints = typing.get_type_hints(cls, include_extras=True)
+    array = getattr(cls, "JSON_ARRAY", False)
+    args = []
+    for k, f in enumerate(dataclasses.fields(cls)):
+        item = f"value[{k if array else repr(f.name)}]"
+        if (build := _checker(hints[f.name], True)) is not None:
+            item = f"{_bind(env, build)}({item})"
+        args.append(f"{f.name}={item}")
+    return _compile(f"read_{cls.__name__}", "value", env, [
+        f"if type(value) is {'list' if array else 'dict'} and len(value) == {len(args)}:",
+        "    try:",
+        f"        return cls({', '.join(args)})",
+        "    except (KeyError, ValidationError):",  # a key missing, or a fault
+        "        pass",
+        "return generic(value)"])
+
+
+@functools.lru_cache(maxsize=None)
+def _built_post_init(cls):
+    """``cls``'s field checks, built at its first build: per field, a test
+    that the value is of the field's exact type and keeps its rules
+    (`_fast_test`); a value that fails it goes through the field's generic
+    checker."""
+    env = {"object_setattr": object.__setattr__}
+    hints = typing.get_type_hints(cls, include_extras=True)
+    body = []
+    for name, check in _field_checkers(cls):
+        generic = [f"good = {_bind(env, check)}(value)",
+                   "if good is not value:",
+                   f"    object_setattr(self, {name!r}, good)"]
+        test = _fast_test(hints[name], "value", env)
+        body.append(f"value = self.{name}")
+        body += generic if test is None else [f"if not ({test}):",
+                                              *("    " + line for line in generic)]
+    return _compile(f"check_{cls.__name__}", "self", env, body or ["pass"])
+
+
+def _fast_test(tp, value, env):
+    """Source of a test that holds only if ``value`` passes annotation ``tp``
+    unchanged: a scalar or record of its exact type that keeps its rules.
+    None where ``tp`` has no such test, as for a list, tuple, dict or
+    Optional, whose checker the built code calls."""
+    rules = ()
+    if typing.get_origin(tp) is Annotated:
+        tp, rules = typing.get_args(tp)[0], tp.__metadata__
+    if not _is_leaf(tp):
+        return None
+    return " and ".join([f"type({value}) is {_bind(env, tp)}", *(
+        _inline_rule(rule, value, env) for rule in _TYPE_RULES.get(tp, ()) + rules)])
+
+
+def _inline_rule(rule, value, env):
+    """Source of ``rule``'s test on ``value``: this module's own rules in
+    line, any other as a call of its predicate."""
+    holds = rule.holds
+    if holds is bool:  # NON_EMPTY
+        return value
+    if holds is math.isfinite:
+        return f"{_bind(env, -math.inf)} < {value} < {_bind(env, math.inf)}"
+    if hasattr(holds, "bounds"):  # in_range
+        lo, hi, lo_open = holds.bounds
+        test = f"{_bind(env, lo)} {'<' if lo_open else '<='} {value}"
+        return test + (f" <= {_bind(env, hi)}" if hi < math.inf else "")
+    if type(getattr(holds, "__self__", None)) is frozenset:  # one_of
+        return f"{value} in {_bind(env, holds.__self__)}"
+    return f"{_bind(env, holds)}({value})"
+
+
+def _bind(env, obj) -> str:
+    """A name for ``obj`` in the built code."""
+    name = f"c{len(env)}"
+    env[name] = obj
+    return name
+
+
+def _compile(name, params, env, body):
+    """The function ``name(params)`` whose body is the source lines ``body``;
+    ``env``'s names are bound as closure variables."""
+    source = "\n".join([f"def make({', '.join(env)}):", f"    def {name}({params}):",
+                        *(" " * 8 + line for line in body), f"    return {name}"])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["make"](**env)

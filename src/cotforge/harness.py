@@ -65,8 +65,8 @@ class HarnessParams(Record):
 
 
 def run_toy_training(records: Sequence[VqaCotRecord],
-                     params: HarnessParams = HarnessParams(),
-                     hp: SchedulerHyperparams = SchedulerHyperparams(),
+                     params: Optional[HarnessParams] = None,
+                     hp: Optional[SchedulerHyperparams] = None,
                      model: Optional[ToyModel] = None) -> Trace:
     """Train the toy model under the curriculum; returns the full trace.
 
@@ -74,8 +74,11 @@ def run_toy_training(records: Sequence[VqaCotRecord],
     pool (hard items are simply scored without their rationale). A non-finite
     loss aborts immediately with the offending epoch, batch, and item; a
     floating-point overflow, invalid operation or division by zero in a batch
-    aborts with its epoch and batch.
+    aborts with its epoch and batch. ``params`` and ``hp`` default to
+    ``HarnessParams()`` and ``SchedulerHyperparams()``.
     """
+    params = HarnessParams() if params is None else params
+    hp = SchedulerHyperparams() if hp is None else hp
     if not records:
         raise ValidationError("corpus must be non-empty")
     records = list(records)

@@ -193,7 +193,7 @@ class ToyModel:
     def item_loss_and_grads(
         self, idx: int, stage: Union[Stage, str],
         target_attention: Optional[np.ndarray] = None,
-        weights: StageLossWeights = StageLossWeights(),
+        weights: Optional[StageLossWeights] = None,
     ) -> Tuple[StageLosses, Dict[str, np.ndarray]]:
         """One item's losses and gradient: the one-item batch."""
         return self.batch_loss_and_grads([idx], [stage], [target_attention], weights)
@@ -201,12 +201,13 @@ class ToyModel:
     def batch_loss_and_grads(
         self, indices: Sequence[int], stages: Sequence,
         targets: Sequence[Optional[np.ndarray]],
-        weights: StageLossWeights = StageLossWeights(),
+        weights: Optional[StageLossWeights] = None,
     ) -> Tuple[StageLosses, Dict[str, np.ndarray]]:
         """The per-item losses in batch order, and the batch-mean gradient.
 
-        The gradient holds one full-size array per head, feature grid and
-        anchor table. The attention logits get rows only:
+        ``weights`` defaults to ``StageLossWeights()``. The gradient holds
+        one full-size array per head, feature grid and anchor table. The
+        attention logits get rows only:
         ``grads["attn_logits"][k]`` is the gradient of the item
         ``grads["attn_rows"][k]``, for the batch's sorted unique Medium
         items; every other item's attention gradient is zero.
@@ -222,6 +223,8 @@ class ToyModel:
             raise ValidationError("indices, stages and targets must align")
         if not indices:
             raise ValidationError("empty batch")
+        if weights is None:
+            weights = StageLossWeights()
         stages = [s if type(s) is Stage else Stage(s) for s in stages]
         items = np.asarray(indices, dtype=np.intp)
         for idx in (int(items.min()), int(items.max())):

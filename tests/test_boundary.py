@@ -11,7 +11,6 @@ import copy
 import io
 import json
 import os
-import re
 import tempfile
 from dataclasses import asdict
 from pathlib import Path
@@ -373,31 +372,44 @@ def test_broken_rule_is_one_error_line(tmp_path, kind, path, value, code, names)
 # a value of the right type that can never work: a config error before any work
 
 REMOTE = _patched(CONFIG, ("forge", "backend"), "remote")
+URL_RULE = "must be an http:// or https:// URL with a host"
 UNUSABLE_VALUE_CASES = [
-    # (case id, command, config path, value)
-    ("endpoint-no-scheme", "forge", ("forge", "remote_endpoint"), "not-a-url"),
-    ("endpoint-ftp", "forge", ("forge", "remote_endpoint"), "ftp://qa/x"),
-    ("endpoint-no-host", "forge", ("forge", "remote_endpoint"), "http://"),
-    ("endpoint-bad-ipv6", "forge", ("forge", "remote_endpoint"), "http://[::1/qa"),
-    ("sigma-overflows-blur", "train-toy", ("harness", "sigma"), 1e308),
-    ("sigma-negative", "train-toy", ("harness", "sigma"), -1),
-    ("mask-floor-too-large", "train-toy", ("harness", "mask_floor"), 0.5),
-    ("grid-exceeds-image", "train-toy", ("harness", "grid_dims"), [128, 8]),
+    # (case id, command, config path, value, the message after the config's name)
+    ("endpoint-no-scheme", "forge", ("forge", "remote_endpoint"), "not-a-url",
+     f"field 'forge.remote_endpoint' {URL_RULE}, got 'not-a-url'"),
+    ("endpoint-ftp", "forge", ("forge", "remote_endpoint"), "ftp://qa/x",
+     f"field 'forge.remote_endpoint' {URL_RULE}, got 'ftp://qa/x'"),
+    ("endpoint-no-host", "forge", ("forge", "remote_endpoint"), "http://",
+     f"field 'forge.remote_endpoint' {URL_RULE}, got 'http://'"),
+    ("endpoint-bad-ipv6", "forge", ("forge", "remote_endpoint"), "http://[::1/qa",
+     f"field 'forge.remote_endpoint' {URL_RULE}, got 'http://[::1/qa'"),
+    ("sigma-overflows-blur", "train-toy", ("harness", "sigma"), 1e308,
+     "field 'harness': sigma must lie in [0, 64], the larger image dim"),
+    ("sigma-negative", "train-toy", ("harness", "sigma"), -1,
+     "field 'harness.sigma' must be non-negative, got -1.0"),
+    ("mask-floor-too-large", "train-toy", ("harness", "mask_floor"), 0.5,
+     "field 'harness': mask_floor must lie in (0, 1/64)"),
+    ("grid-exceeds-image", "train-toy", ("harness", "grid_dims"), [128, 8],
+     "field 'harness': grid_dims [128, 8] must not exceed image_dims [64, 64]"),
     ("image-dims-unbounded", "train-toy", ("harness", "image_dims"),
-     [1099511627776, 64]),
+     [1099511627776, 64],
+     "field 'harness.image_dims[0]' must lie in [1, 8192], got 1099511627776"),
     ("image-dims-past-soft-mask-pixels", "train-toy", ("harness", "image_dims"),
-     [8192, 8192]),
-    ("feature-dim-unbounded", "train-toy", ("harness", "feature_dim"), 2**50),
+     [8192, 8192],
+     "field 'harness.image_dims' must hold at most 4194304 pixels, got [8192, 8192]"),
+    ("feature-dim-unbounded", "train-toy", ("harness", "feature_dim"), 2**50,
+     "field 'harness.feature_dim' must lie in [1, 4096], got 1125899906842624"),
     # a dict sets several fields of the section: here an image that holds the grid
     ("grid-cells-unbounded", "train-toy", ("harness", "grid_dims"),
-     {"image_dims": [4096, 1024], "grid_dims": [4096, 1024]}),
+     {"image_dims": [4096, 1024], "grid_dims": [4096, 1024]},
+     "field 'harness.grid_dims' must have at most 4096 cells, got [4096, 1024]"),
 ]
 
 
-@pytest.mark.parametrize("command,path,value",
+@pytest.mark.parametrize("command,path,value,message",
                          [case[1:] for case in UNUSABLE_VALUE_CASES],
                          ids=[case[0] for case in UNUSABLE_VALUE_CASES])
-def test_unusable_config_value_is_one_error_line(tmp_path, command, path, value):
+def test_unusable_config_value_is_one_error_line(tmp_path, command, path, value, message):
     if command == "forge":
         argv = forge_argv(tmp_path)
         config = copy.deepcopy(REMOTE)
@@ -406,11 +418,11 @@ def test_unusable_config_value_is_one_error_line(tmp_path, command, path, value)
                 "--out", tmp_path / "trace.jsonl"]
         config = copy.deepcopy(CONFIG)
     config[path[0]].update(value if isinstance(value, dict) else {path[1]: value})
-    argv += ["--config", write_json(tmp_path / "c.json", config)]
-    code, stderr = run_main(argv)
+    config_file = write_json(tmp_path / "c.json", config)
+    code, stderr = run_main(argv + ["--config", config_file])
     assert_clean_exit(code, stderr, expected=2)
-    # a field's own rule names its path, a rule across fields its record
-    assert re.search(rf"field '{path[0]}(\.|': ){path[1]}", stderr), stderr
+    # the whole line: an input that broke a second rule first would fail here
+    assert stderr == f"error: config {config_file}: {message}\n"
 
 
 @pytest.mark.parametrize("command,path", [("simulate", ("scheduler", "kappa")),

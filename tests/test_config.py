@@ -138,27 +138,48 @@ class TestStrictness:
         path = write_config(tmp_path, {"forge": {"seed_templates": [template]}})
         assert load_config(str(path), env={}).forge.seed_templates == (template,)
 
-    @pytest.mark.parametrize("key,value", [
-        ("seed", -1), ("feature_dim", 0), ("grid_dims", [0, 4]), ("image_dims", [4]),
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", -1, "field 'harness.seed' must be non-negative, got -1"),
+        ("feature_dim", 0, "field 'harness.feature_dim' must lie in [1, 4096], got 0"),
+        ("grid_dims", [0, 4], "field 'harness.grid_dims[0]' must be at least 1, got 0"),
+        ("image_dims", [4], "field 'harness.image_dims' must be an array of 2 items, got 1"),
         # build_soft_mask would reject these only once training starts
-        ("sigma", 1e308), ("sigma", -1), ("sigma", 64.5), ("mask_floor", 0.5),
-        ("mask_floor", 0.0), ("mask_floor", 1 / 64), ("grid_dims", [128, 8]),
-        ("image_dims", [4, 4]),
+        ("sigma", 1e308, "field 'harness': sigma must lie in [0, 64], the larger image dim"),
+        ("sigma", -1, "field 'harness.sigma' must be non-negative, got -1.0"),
+        ("sigma", 64.5, "field 'harness': sigma must lie in [0, 64], the larger image dim"),
+        ("mask_floor", 0.5, "field 'harness': mask_floor must lie in (0, 1/64)"),
+        ("mask_floor", 0.0, "field 'harness.mask_floor' must be positive, got 0.0"),
+        ("mask_floor", 1 / 64, "field 'harness': mask_floor must lie in (0, 1/64)"),
+        ("grid_dims", [128, 8],
+         "field 'harness': grid_dims [128, 8] must not exceed image_dims [64, 64]"),
+        ("image_dims", [4, 4],
+         "field 'harness': grid_dims [8, 8] must not exceed image_dims [4, 4]"),
         # a side above MAX_IMAGE_SIDE would exhaust memory once training starts
-        ("image_dims", [1099511627776, 64]), ("image_dims", [64, 8193]),
+        ("image_dims", [1099511627776, 64],
+         "field 'harness.image_dims[0]' must lie in [1, 8192], got 1099511627776"),
+        ("image_dims", [64, 8193],
+         "field 'harness.image_dims[1]' must lie in [1, 8192], got 8193"),
         # and so would an image above MAX_SOFT_MASK_PIXELS, each side in range
-        ("image_dims", [8192, 8192]), ("image_dims", [2049, 2048]),
+        ("image_dims", [8192, 8192],
+         "field 'harness.image_dims' must hold at most 4194304 pixels, got [8192, 8192]"),
+        ("image_dims", [2049, 2048],
+         "field 'harness.image_dims' must hold at most 4194304 pixels, got [2049, 2048]"),
         # and so would a feature dimension above MAX_FEATURE_DIM
-        ("feature_dim", 2**50), ("feature_dim", 4097),
+        ("feature_dim", 2**50,
+         "field 'harness.feature_dim' must lie in [1, 4096], got 1125899906842624"),
+        ("feature_dim", 4097, "field 'harness.feature_dim' must lie in [1, 4096], got 4097"),
         # and so would a grid above MAX_GRID_CELLS; a dict sets several fields,
         # here an image that holds the grid and breaks no rule of its own
-        ("grid_dims", {"image_dims": [4096, 1024], "grid_dims": [4096, 1024]}),
-        ("grid_dims", {"image_dims": [128, 128], "grid_dims": [128, 33]}),
+        ("grid_dims", {"image_dims": [4096, 1024], "grid_dims": [4096, 1024]},
+         "field 'harness.grid_dims' must have at most 4096 cells, got [4096, 1024]"),
+        ("grid_dims", {"image_dims": [128, 128], "grid_dims": [128, 33]},
+         "field 'harness.grid_dims' must have at most 4096 cells, got [128, 33]"),
     ])
-    def test_out_of_range_harness_value(self, tmp_path, key, value):
+    def test_out_of_range_harness_value(self, tmp_path, key, value, message):
+        # the whole message: an input that broke a second rule first would fail here
         fields = value if isinstance(value, dict) else {key: value}
         path = write_config(tmp_path, {"harness": fields})
-        with pytest.raises(ConfigError, match=f"harness.*{key}"):
+        with pytest.raises(ConfigError, match="^" + re.escape(f"config {path}: {message}") + "$"):
             load_config(str(path), env={})
 
     def test_missing_file(self):

@@ -1,6 +1,10 @@
 """Corpus forge tests: organ assignment, seeds, template QA, corpus building."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import tracemalloc
 from pathlib import Path
@@ -31,6 +35,7 @@ from test_config import UNUSABLE_SEED_TEMPLATES, seed_template_fault
 
 RNG_SEED = 20240
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).parents[1] / "src"
 
 def half_mask(h, w, which):
     m = np.zeros((h, w), dtype=bool)
@@ -675,6 +680,30 @@ class TestBuildCorpus:
         assert len(par.records) == 5
         assert 1 <= len(threads) <= 5
         assert par.records == seq.records
+
+    def test_first_build_on_pool_threads_gives_the_golden_corpus(self, tmp_path):
+        # a fresh interpreter: VqaCotRecord and DomainKey get their built code
+        # at their first build, here on the forge's pool threads
+        script = textwrap.dedent("""
+            import sys
+            from cotforge import errors, fixture_path, forge, jsonl
+            images = jsonl.read_dataset(fixture_path("forge_dataset.jsonl"))
+            masks = jsonl.read_masks(fixture_path("forge_masks.jsonl"),
+                                     {image.image_id: image for image in images})
+            built = errors._built_post_init.cache_info().currsize
+            sys.setswitchinterval(1e-6)  # threads interleave inside the first build
+            result = forge.build_corpus(images, masks, forge.TemplateQaGenerator(),
+                                        concurrency=forge.MAX_CONCURRENCY)
+            assert errors._built_post_init.cache_info().currsize == built + 2
+            jsonl.write_corpus(sys.argv[1], result.records)
+        """)
+        out = tmp_path / "corpus.jsonl"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH", "")]))}
+        run = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert out.read_bytes() == (GOLDEN / "forge_corpus.jsonl").read_bytes()
 
     def test_organ_free_policy(self):
         dataset, masks = small_dataset()

@@ -1,4 +1,5 @@
-"""Each command loads only the libraries it runs.
+"""Each command loads only the libraries it runs, and importing the CLI
+builds nothing.
 
 scipy serves only the soft masks `train-toy` builds, and requests only the
 remote QA backend. Every case runs in a fresh interpreter, since this test
@@ -54,3 +55,11 @@ CASES = [
                          ids=[case[0] for case in CASES])
 def test_command_loads_only_what_it_runs(tmp_path, code, argv, loaded):
     assert deferred_loaded_after(code, *argv(tmp_path)) == loaded
+
+
+def test_importing_the_cli_builds_no_record_code():
+    # each record class's code is built at its first build, never at import
+    script = ("import cotforge.cli\nfrom cotforge import errors\n"
+              "assert errors._built_post_init.cache_info().currsize == 0\n"
+              "assert errors._checker.cache_info().currsize == 0\n")
+    assert deferred_loaded_after(script) == []

@@ -10,20 +10,25 @@ checker; it reads only the annotations and each ``Annotated`` rule's
 predicate.
 """
 
+import contextlib
+import copy
 import dataclasses
+import functools
 import json
 import math
+import operator
 import re
 import typing
 from dataclasses import asdict
 from typing import Annotated
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cotforge import fixture_path, jsonl, remote
+from cotforge import errors, fixture_path, jsonl, remote
 from cotforge.config import AppConfig, ForgeConfig, load_config
 from cotforge.dynamics import (BUILTIN_SCENARIOS, CurveSpec, DynamicsSpec, StageDynamics,
                                builtin_scenario_path)
@@ -160,23 +165,151 @@ def values_for(tp):
     raise AssertionError(f"no strategy for annotation {tp!r}")
 
 
-@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
-@settings(max_examples=120, derandomize=True, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_any_python_values_build_a_well_typed_record_or_raise_validation_error(cls, data):
+def draw_fields(cls, data) -> dict:
+    """``cls``'s sample fields, one to three of them replaced by drawn values."""
     hints = typing.get_type_hints(cls, include_extras=True)
     names = [f.name for f in dataclasses.fields(cls)]
     changed = data.draw(st.sets(st.sampled_from(names), min_size=1, max_size=3))
     kwargs = {name: getattr(SAMPLES[cls], name) for name in names}
     for name in changed:
         kwargs[name] = data.draw(HOSTILE | values_for(hints[name]), label=name)
+    return kwargs
+
+
+FUZZ = settings(max_examples=120, derandomize=True, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@FUZZ
+@given(data=st.data())
+def test_any_python_values_build_a_well_typed_record_or_raise_validation_error(cls, data):
+    hints = typing.get_type_hints(cls, include_extras=True)
     try:
-        record = cls(**kwargs)
+        record = cls(**draw_fields(cls, data))
     except ValidationError:
         return
-    for name in names:
+    for name in hints:
         assert holds_declared(hints[name], getattr(record, name)), name
+
+
+# Each record class's checks and reader also run as built code, which takes
+# the common case and hands the rest to the generic path. Built that way and
+# by the generic path alone, a record must come out the same, or fail with
+# the same message.
+
+@contextlib.contextmanager
+def generic_path():
+    """Records built inside run only the generic checks."""
+    with mock.patch.object(errors, "_built_post_init", lambda cls: errors._check_fields):
+        yield
+
+
+def outcome(build):
+    """The record ``build()`` gives, with its repr and its fields' types, or
+    the message of the ValidationError it raises."""
+    try:
+        record = build()
+    except ValidationError as exc:
+        return str(exc)
+    return record, repr(record), [type(getattr(record, f.name))
+                                  for f in dataclasses.fields(record)]
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@FUZZ
+@given(data=st.data())
+def test_the_built_checks_and_the_generic_path_agree(cls, data):
+    kwargs = draw_fields(cls, data)
+    built = outcome(lambda: cls(**kwargs))
+    with generic_path():
+        assert outcome(lambda: cls(**kwargs)) == built
+
+
+def as_json(value):
+    """``value`` as the readers read it: a record as an object of its
+    fields, or as an array of them if it sets ``JSON_ARRAY``."""
+    if dataclasses.is_dataclass(value):
+        fields = [as_json(getattr(value, f.name)) for f in dataclasses.fields(value)]
+        if getattr(value, "JSON_ARRAY", False):
+            return fields
+        return dict(zip([f.name for f in dataclasses.fields(value)], fields))
+    if isinstance(value, (list, tuple)):
+        return [as_json(item) for item in value]
+    if isinstance(value, dict):
+        return {key: as_json(item) for key, item in value.items()}
+    return value
+
+
+def nodes(value, path=()):
+    """(path, value) of ``value`` and of everything it holds."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from nodes(item, path + (key,))
+
+
+def edited(obj, path, edit):
+    """A deep copy of ``obj`` with ``edit`` applied to the value at ``path``."""
+    obj = copy.deepcopy(obj)
+    if not path:
+        return edit(obj)
+    parent = functools.reduce(operator.getitem, path[:-1], obj)
+    parent[path[-1]] = edit(parent[path[-1]])
+    return obj
+
+
+def key_dropped(obj, data):
+    key = data.draw(st.sampled_from(sorted(obj)))
+    return {k: v for k, v in obj.items() if k != key}
+
+
+def key_renamed(obj, data):
+    """``obj`` with a key the record does not know in place of one of its
+    own: the key count is unchanged."""
+    key = data.draw(st.sampled_from(sorted(obj)))
+    return {("unknown" if k == key else k): v for k, v in obj.items()}
+
+
+# (edit, the values it applies to, what it does to one)
+JSON_EDITS = {
+    "exact-keys": (lambda value: True, lambda value, data: value),
+    "missing-key": (lambda value: isinstance(value, dict) and value, key_dropped),
+    "unknown-key": (lambda value: isinstance(value, dict) and value, key_renamed),
+    # a box's coordinate, among others: an int for a float
+    "int-for-float": (lambda value: type(value) is float,
+                      lambda value, data: data.draw(st.sampled_from(
+                          [math.floor(value), math.ceil(value)]))),
+    "true-for-int": (lambda value: type(value) is int, lambda value, data: True),
+    "nan": (lambda value: type(value) in (int, float), lambda value, data: math.nan),
+    "2**63": (lambda value: type(value) in (int, float), lambda value, data: 2**63),
+    "-0.0": (lambda value: type(value) in (int, float), lambda value, data: -0.0),
+}
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+@FUZZ
+@given(data=st.data())
+def test_the_built_reader_and_the_generic_reader_agree(cls, data):
+    # the generic reader still reads nested records with their built
+    # readers; each of those classes is checked here on its own
+    obj = as_json(SAMPLES[cls])
+    targets = {edit: [path for path, value in nodes(obj) if applies(value)]
+               for edit, (applies, _) in JSON_EDITS.items()}
+    edit = data.draw(st.sampled_from([edit for edit in JSON_EDITS if targets[edit]]))
+    obj = edited(obj, data.draw(st.sampled_from(targets[edit])),
+                 lambda value: JSON_EDITS[edit][1](value, data))
+
+    def generic_read():
+        try:
+            return errors._object_reader(cls)(obj)
+        except errors.FieldError as exc:
+            raise ValidationError(f"in: {exc}") from None
+
+    built = outcome(lambda: read_object(cls, obj, lambda: "in", ValidationError))
+    with generic_path():
+        assert outcome(generic_read) == built
 
 
 TINY = tiny_corpus()
