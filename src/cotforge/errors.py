@@ -21,14 +21,11 @@ prefixes with its input and the field's full path.
 
 The reader and the checks run as code built for each record class at its
 first build, as ``dataclasses`` builds ``__init__``. A field whose value has
-the field's exact type and keeps its rules passes in line, with no call; an
-object with exactly the record's keys, or a box's array of all its fields,
-becomes the record in one constructor call. Everything else takes the
-generic path: an int for a float, a numpy float or a list for a tuple goes
-through its field's checker, and any fault (a broken rule, a missing or
-unknown key, a rule across fields) reruns the generic path from the start.
-So the generic path is the only source of conversions and of messages, in
-its own order.
+the field's exact type and keeps its rules passes in line, with no call; any
+other value goes through its field's checker, the one source of conversions
+and of messages. An object with exactly the record's keys, or a box's array
+of all its fields, becomes the record in one constructor call; anything
+else, and any fault, reruns the generic reader from the start.
 """
 
 import contextlib
@@ -177,44 +174,17 @@ class Record:
     be finite and an integer fit in 64 bits; an int given for a float is
     stored as a float, a list for a tuple as a tuple. Then each ``Annotated``
     rule applies in order. A rule across fields goes in a subclass's
-    ``__post_init__``.
-
-    The checks run as the class's built code (`_built_post_init`): a value
-    of the field's exact type within its rules passes in line, any other
-    goes through its field's generic checker, and a fault reruns the
-    generic path (`_check_fields`) from the start, which raises it."""
+    ``__post_init__``. The checks run as the class's built code
+    (`_built_post_init`)."""
 
     def __post_init__(self):
-        try:
-            _built_post_init(type(self))(self)
-        except FieldError:
-            _check_fields(self)  # the generic path, from the start, raises the fault
-            raise
-
-
-def _check_fields(record):
-    """The generic path: each field through its checker, in order."""
-    for name, check in _field_checkers(type(record)):
-        value = getattr(record, name)
-        try:
-            good = check(value)
-        except FieldError as exc:
-            exc.path.append(f".{name}")
-            raise
-        if good is not value:
-            object.__setattr__(record, name, good)
+        _built_post_init(type(self))(self)
 
 
 def checked(name: str, value, tp):
     """``value`` checked, and stored, as a record's field of annotation
     ``tp`` would be; a fault raises FieldError naming ``name``."""
     return _check_item(_checker(tp), value, f".{name}")
-
-
-@functools.lru_cache(maxsize=None)
-def _field_checkers(cls):
-    hints = typing.get_type_hints(cls, include_extras=True)
-    return [(f.name, _checker(hints[f.name])) for f in dataclasses.fields(cls)]
 
 
 # the rules every int and float obeys; wider integers cannot become the
@@ -410,21 +380,25 @@ def _built_reader(cls):
 
 @functools.lru_cache(maxsize=None)
 def _built_post_init(cls):
-    """``cls``'s field checks, built at its first build: per field, a test
-    that the value is of the field's exact type and keeps its rules
-    (`_fast_test`); a value that fails it goes through the field's generic
-    checker."""
-    env = {"object_setattr": object.__setattr__}
+    """``cls``'s field checks, built at its first build, in field order: per
+    field, a test that the value is of the field's exact type and keeps its
+    rules (`_fast_test`); a value that fails it goes through the field's
+    checker, whose fault gets the field's name on its path."""
+    env = {"object_setattr": object.__setattr__, "FieldError": FieldError}
     hints = typing.get_type_hints(cls, include_extras=True)
     body = []
-    for name, check in _field_checkers(cls):
-        generic = [f"good = {_bind(env, check)}(value)",
-                   "if good is not value:",
-                   f"    object_setattr(self, {name!r}, good)"]
+    for name in [f.name for f in dataclasses.fields(cls)]:
+        check = ["try:",
+                 f"    good = {_bind(env, _checker(hints[name]))}(value)",
+                 "except FieldError as exc:",
+                 f"    exc.path.append({'.' + name!r})",
+                 "    raise",
+                 "if good is not value:",
+                 f"    object_setattr(self, {name!r}, good)"]
         test = _fast_test(hints[name], "value", env)
         body.append(f"value = self.{name}")
-        body += generic if test is None else [f"if not ({test}):",
-                                              *("    " + line for line in generic)]
+        body += check if test is None else [f"if not ({test}):",
+                                            *("    " + line for line in check)]
     return _compile(f"check_{cls.__name__}", "self", env, body or ["pass"])
 
 

@@ -193,14 +193,6 @@ def check_runs(masks_runs, totals):
     return areas, faults
 
 
-def expand_runs(runs, height, width) -> np.ndarray:
-    """Decode valid runs (non-negative, summing to height * width) into a
-    2-D bool mask."""
-    values = np.zeros(len(runs), dtype=bool)
-    values[1::2] = True
-    return np.repeat(values, runs).reshape(height, width)
-
-
 def box_intersections(images) -> np.ndarray:
     """Set pixels of each RLE mask inside each pixel rectangle, decoding none.
 

@@ -66,8 +66,7 @@ class HarnessParams(Record):
 
 def run_toy_training(records: Sequence[VqaCotRecord],
                      params: Optional[HarnessParams] = None,
-                     hp: Optional[SchedulerHyperparams] = None,
-                     model: Optional[ToyModel] = None) -> Trace:
+                     hp: Optional[SchedulerHyperparams] = None) -> Trace:
     """Train the toy model under the curriculum; returns the full trace.
 
     The whole corpus serves as both the main pool and the answer-only hard
@@ -82,9 +81,8 @@ def run_toy_training(records: Sequence[VqaCotRecord],
     if not records:
         raise ValidationError("corpus must be non-empty")
     records = list(records)
-    if model is None:
-        model = ToyModel(records, grid_dims=params.grid_dims,
-                         feature_dim=params.feature_dim, seed=params.seed)
+    model = ToyModel(records, grid_dims=params.grid_dims,
+                     feature_dim=params.feature_dim, seed=params.seed)
     for pos, r in enumerate(records, start=1):  # the soft-mask rule, up front
         r0, r1, _, _ = box_span(r.box, *params.image_dims)
         if r0 == r1:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Record, ValidationError, open_text, parse_json, read_object
 from .forge import ImageRecord, VqaCotRecord, organ_masks
-from .geometry import check_runs, expand_runs, runs_array
+from .geometry import check_runs, runs_array
 
 
 @contextlib.contextmanager
@@ -71,7 +71,9 @@ def rle_decode(runs, height, width) -> np.ndarray:
     _, faults = check_runs([runs], [height * width])
     if faults:
         raise ValidationError(faults[0])
-    return expand_runs(runs, height, width)
+    values = np.zeros(len(runs), dtype=bool)
+    values[1::2] = True
+    return np.repeat(values, runs).reshape(height, width)
 
 
 @dataclass

@@ -1,6 +1,6 @@
 """Shared pytest plumbing: surfaces acceptance verdict lines in the summary,
-a fixture that makes every mask decode fail, and one that shrinks the
-forge's chunk budget."""
+a fixture that makes mask decoding fail, and one that shrinks the forge's
+chunk budget."""
 
 import pytest
 
@@ -11,13 +11,10 @@ acceptance_verdicts = []
 
 @pytest.fixture
 def no_decoding(monkeypatch):
-    """Make every way to decode a mask raise: the run expansion wherever it is
-    looked up, and `jsonl.rle_decode`."""
+    """Make `jsonl.rle_decode`, the one mask decoder, raise."""
     def refuse(*args):
         raise AssertionError("a mask was decoded")
 
-    for module in (geometry, jsonl):
-        monkeypatch.setattr(module, "expand_runs", refuse)
     monkeypatch.setattr(jsonl, "rle_decode", refuse)
 
 

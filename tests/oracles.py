@@ -8,20 +8,25 @@ The epoch oracle adds a scheduler's observed losses one item at a time.
 The helpers build organ masks from dense arrays, decode them back, read
 or set the toy model's parameters as one flat vector, widen a batch
 gradient's attention rows to a full-size array, plan a batch from
-explicit per-item probabilities, and read a trace file back.
+explicit per-item probabilities, read a trace file back, and compare two
+traces field by field. The reference record check is the plain loop over a
+record's field checkers that the built one must agree with.
 """
 
+import dataclasses
 import json
 import math
+import typing
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from cotforge.errors import ValidationError
+from cotforge.errors import FieldError, ValidationError, _checker
 from cotforge.forge import OrganMask
-from cotforge.geometry import BBox, encode_runs, expand_runs
+from cotforge.geometry import BBox, encode_runs
+from cotforge.jsonl import rle_decode
 from cotforge.scheduler import (
     BatchPlan,
     DomainEpochStats,
@@ -46,6 +51,59 @@ def read_trace(path):
     return header, epochs
 
 
+# the golden tests' tolerance: across math kernels the toy and simulate
+# traces moved by at most 1.3e-13 relative, and in nothing but floats
+TRACE_REL = 1e-12
+
+
+def compare_traces(a, b, rel):
+    """Where two parsed traces differ, as one "path: a != b" line each; empty
+    when they agree. Keys, counts, decisions, booleans, strings and nulls
+    must match exactly, and so must each value's JSON type. Two finite
+    floats agree when they differ by at most ``rel`` times the larger
+    magnitude; an infinity or a NaN matches only itself."""
+    diffs = []
+
+    def walk(x, y, path):
+        if type(x) is not type(y):
+            diffs.append(f"{path}: {x!r} != {y!r}")
+        elif type(x) is dict:
+            if x.keys() != y.keys():
+                diffs.append(f"{path}: keys {sorted(x.keys() ^ y.keys())} in one only")
+            for key in x:
+                if key in y:
+                    walk(x[key], y[key], f"{path}[{key!r}]")
+        elif type(x) in (list, tuple):
+            if len(x) != len(y):
+                diffs.append(f"{path}: {len(x)} items != {len(y)}")
+            for k, (item_x, item_y) in enumerate(zip(x, y)):
+                walk(item_x, item_y, f"{path}[{k}]")
+        elif type(x) is float and math.isfinite(x) and math.isfinite(y):
+            if abs(x - y) > rel * max(abs(x), abs(y)):
+                diffs.append(f"{path}: {x!r} != {y!r}")
+        elif x != y and not (x != x and y != y):  # a NaN matches a NaN
+            diffs.append(f"{path}: {x!r} != {y!r}")
+
+    walk(a, b, "")
+    return diffs
+
+
+def check_fields(record):
+    """The reference record check: each field, in order, through its own
+    checker, the field's name put on the path of a fault; a converted value
+    is stored."""
+    hints = typing.get_type_hints(type(record), include_extras=True)
+    for field in dataclasses.fields(record):
+        value = getattr(record, field.name)
+        try:
+            good = _checker(hints[field.name])(value)
+        except FieldError as exc:
+            exc.path.append(f".{field.name}")
+            raise
+        if good is not value:
+            object.__setattr__(record, field.name, good)
+
+
 def organ_mask(label, dense) -> OrganMask:
     """An organ mask of a dense 2-D array, encoded once."""
     dense = np.asarray(dense)
@@ -54,7 +112,7 @@ def organ_mask(label, dense) -> OrganMask:
 
 def decode(om: OrganMask) -> np.ndarray:
     """A fresh dense bool array of an organ mask's runs."""
-    return expand_runs(om.runs, om.height, om.width)
+    return rle_decode(om.runs, om.height, om.width)
 
 
 def param_vector(model) -> np.ndarray:

@@ -16,7 +16,9 @@ import numpy as np
 import conftest
 from corpus_utils import tiny_corpus
 from oracles import (
+    TRACE_REL,
     batch_grad_vector,
+    compare_traces,
     decode,
     finite_difference_check,
     oracle_assign,
@@ -24,6 +26,7 @@ from oracles import (
     organ_mask,
     param_vector,
     plan_batch,
+    read_trace,
     set_param_vector,
 )
 from cotforge import cli, fixture_path
@@ -351,6 +354,8 @@ def test_criterion_8_default_trace_reproduces_golden(tmp_path, capsys):
                      "--out", str(out)])
     capsys.readouterr()
     elapsed = time.perf_counter() - t0
+    assert compare_traces(read_trace(out), read_trace(GOLDEN / "trace_toy_40ep.jsonl"),
+                          TRACE_REL) == []
     produced = out.read_bytes()
     golden = (GOLDEN / "trace_toy_40ep.jsonl").read_bytes()
     rows = [json.loads(line) for line in produced.decode().splitlines()]

@@ -5,6 +5,7 @@ the one-line JSON summary on stdout, and the files written.
 """
 
 import json
+import math
 import os
 import stat
 from pathlib import Path
@@ -16,7 +17,7 @@ from corpus_utils import tiny_corpus
 from cotforge import cli, fixture_path
 from cotforge.geometry import encode_runs
 from cotforge.jsonl import TRACE_CSV_COLUMNS, read_corpus, write_corpus
-from oracles import read_trace
+from oracles import TRACE_REL, compare_traces, read_trace
 
 
 def run_cli(capsys, *argv):
@@ -733,6 +734,8 @@ def test_train_toy_ten_epochs_matches_golden(tmp_path, capsys):
         "--corpus", str(fixture_path("toy_corpus.jsonl")), "--out", str(out),
     )
     assert code == 0
+    assert compare_traces(read_trace(out), read_trace(GOLDEN / "trace_toy_10ep.jsonl"),
+                          TRACE_REL) == []
     assert out.read_bytes() == (GOLDEN / "trace_toy_10ep.jsonl").read_bytes()
 
 
@@ -745,5 +748,51 @@ def test_simulate_builtin_scenario_matches_golden(tmp_path, capsys, scenario):
         "--out", str(out), "--csv", str(csv_path),
     )
     assert code == 0
+    assert compare_traces(read_trace(out), read_trace(GOLDEN / f"trace_sim_{scenario}.jsonl"),
+                          TRACE_REL) == []
     assert out.read_bytes() == (GOLDEN / f"trace_sim_{scenario}.jsonl").read_bytes()
     assert csv_path.read_bytes() == (GOLDEN / f"trace_sim_{scenario}.csv").read_bytes()
+
+
+def golden_toy_trace(edit=None):
+    """The 10-epoch toy golden, parsed, with ``edit`` applied to its first epoch row."""
+    header, rows = read_trace(GOLDEN / "trace_toy_10ep.jsonl")
+    if edit is not None:
+        edit(rows[0])
+    return header, rows
+
+
+def test_compare_traces_passes_a_one_ulp_nudge_only_within_its_tolerance():
+    def nudge(row):
+        row["mean_total"] = math.nextafter(row["mean_total"], math.inf)
+
+    golden, nudged = golden_toy_trace(), golden_toy_trace(nudge)
+    assert compare_traces(golden, golden_toy_trace(), 0) == []
+    assert compare_traces(golden, nudged, 1e-12) == []
+    assert compare_traces(golden, nudged, 0) == [
+        f"[1][0]['mean_total']: {golden[1][0]['mean_total']!r} != "
+        f"{nudged[1][0]['mean_total']!r}"]
+
+
+def test_compare_traces_matches_an_infinity_or_a_nan_only_to_itself():
+    assert compare_traces([math.inf, math.nan], [math.inf, math.nan], 0) == []
+    assert compare_traces([math.inf, -math.inf, math.nan, 1e308],
+                          [math.nan, math.inf, 1.0, math.inf], 1.0) == [
+        "[0]: inf != nan", "[1]: -inf != inf", "[2]: nan != 1.0", "[3]: 1e+308 != inf"]
+
+
+# each edit changes one value that must match exactly
+TRACE_EDITS = {
+    "decision-flipped": lambda row: row.update(decision="increase_hard"),
+    "count-changed": lambda row: row["counts"].update(easy=row["counts"]["easy"] + 1),
+    "condition-flipped": lambda row: row["conditions"].update(
+        plateau=not row["conditions"]["plateau"]),
+    "key-added": lambda row: row.update(extra=None),
+    "null-for-a-number": lambda row: row.update(mean_total=None),
+    "int-for-a-float": lambda row: row.update(beta=0),
+}
+
+
+@pytest.mark.parametrize("edit", TRACE_EDITS.values(), ids=TRACE_EDITS.keys())
+def test_compare_traces_fails_a_change_in_behaviour(edit):
+    assert len(compare_traces(golden_toy_trace(), golden_toy_trace(edit), 1e-12)) == 1

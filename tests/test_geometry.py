@@ -21,10 +21,10 @@ from cotforge.geometry import (
     build_soft_mask,
     check_runs,
     encode_runs,
-    expand_runs,
     kl_rows,
     mask_iou,
 )
+from cotforge.jsonl import rle_decode
 from oracles import (
     SoftMask,
     oracle_average_pool,
@@ -412,7 +412,7 @@ class TestRuns:
             runs = encode_runs(m)
             assert runs.dtype == np.int64 and runs.sum() == h * w
             assert (runs[1:] > 0).all()  # only the first run may be 0
-            expanded = expand_runs(runs, h, w)
+            expanded = rle_decode(runs, h, w)
             assert expanded.dtype == bool and np.array_equal(expanded, m)
 
 

@@ -35,6 +35,16 @@ def json_rows(trace):
     return [trace.header] + [r.to_json_dict() for r in trace.reports]
 
 
+def poison_model(monkeypatch, poison):
+    """Make ``run_toy_training`` apply ``poison`` to the toy model it builds."""
+    def build(*args, **kwargs):
+        model = ToyModel(*args, **kwargs)
+        poison(model)
+        return model
+
+    monkeypatch.setattr(harness, "ToyModel", build)
+
+
 def small_params(**overrides):
     # batch size must not exceed the 4-item corpus: in-batch draws are
     # without replacement (items may still recur across batches)
@@ -91,27 +101,26 @@ class TestTrainingDynamics:
 
 
 class TestAbort:
-    def test_non_finite_loss_aborts_with_location(self):
-        corpus = tiny_corpus()
-        params = small_params()
-        model = ToyModel(corpus, grid_dims=params.grid_dims,
-                         feature_dim=params.feature_dim, seed=0)
-        model.features[:] = np.nan
-        with pytest.raises(ValidationError, match=r"epoch 1, batch 0, item"):
-            run_toy_training(corpus, params, model=model)
+    def test_non_finite_loss_aborts_with_location(self, monkeypatch):
+        def poison(model):
+            model.features[:] = np.nan
 
-    def test_nan_attention_aborts_with_location(self):
+        poison_model(monkeypatch, poison)
+        with pytest.raises(ValidationError, match=r"epoch 1, batch 0, item"):
+            run_toy_training(tiny_corpus(), small_params())
+
+    def test_nan_attention_aborts_with_location(self, monkeypatch):
         # no warmup and a medium coin that always lands: every item is Medium
         hp = SchedulerHyperparams(warmup_epochs=0, kappa=1.0, gamma=-10.0)
-        corpus = tiny_corpus()
-        params = small_params()
-        model = ToyModel(corpus, grid_dims=params.grid_dims,
-                         feature_dim=params.feature_dim, seed=0)
-        model.attn_logits[0] = np.nan
+
+        def poison(model):
+            model.attn_logits[0] = np.nan
+
+        poison_model(monkeypatch, poison)
         with pytest.raises(ValidationError,
                            match=r"^non-finite loss at epoch 1, batch 0, "
                                  r"item 'a' \(medium\)$"):
-            run_toy_training(corpus, params, hp, model=model)
+            run_toy_training(tiny_corpus(), small_params(), hp)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
@@ -191,22 +200,23 @@ class TestSoftMasksOnFirstMediumUse:
         assert sum(r.counts["medium"] for r in trace.reports) == 8
         assert [[id(box) for box in boxes] for boxes in built] == [[id(corpus[2].box)]]
 
-    def test_box_between_pixel_centers_rejected_before_training(self, built):
+    def test_box_between_pixel_centers_rejected_before_training(self, built,
+                                                                  monkeypatch):
         corpus = tiny_corpus()
         # at 16 px the box spans x, y in [0.55, 0.95] px: no pixel center
         corpus.append(record("e", BBox(0.55 / 16, 0.55 / 16, 0.95 / 16, 0.95 / 16),
                              "liver", "The image shows a mass. It is in the liver."))
-        params = small_params()
-        model = ToyModel(corpus, grid_dims=params.grid_dims,
-                         feature_dim=params.feature_dim, seed=0)
 
         def trained(*args, **kwargs):
             raise AssertionError("a batch was trained")
 
-        model.batch_loss_and_grads = trained
+        def poison(model):
+            model.batch_loss_and_grads = trained
+
+        poison_model(monkeypatch, poison)
         with pytest.raises(ValidationError,
                            match="box is degenerate after denormalization"):
-            run_toy_training(corpus, params, model=model)
+            run_toy_training(corpus, small_params())
         assert built == []
 
 

@@ -32,7 +32,7 @@ from cotforge import errors, fixture_path, jsonl, remote
 from cotforge.config import AppConfig, ForgeConfig, load_config
 from cotforge.dynamics import (BUILTIN_SCENARIOS, CurveSpec, DynamicsSpec, StageDynamics,
                                builtin_scenario_path)
-from cotforge.errors import ConfigError, Record, ValidationError, read_object
+from cotforge.errors import ConfigError, Record, Rule, ValidationError, in_range, read_object
 from cotforge.forge import DomainKey, ImageRecord, OrganMask, VqaCotRecord
 from cotforge.geometry import BBox
 from cotforge.harness import HarnessParams
@@ -40,6 +40,7 @@ from cotforge.scheduler import CurriculumScheduler, SchedulerHyperparams
 from cotforge.toymodel import StageLossWeights, ToyModel
 
 from corpus_utils import tiny_corpus
+from oracles import check_fields
 
 ROOTS = (AppConfig, DynamicsSpec, ImageRecord, VqaCotRecord, jsonl._MaskLine, remote._Reply)
 
@@ -193,15 +194,16 @@ def test_any_python_values_build_a_well_typed_record_or_raise_validation_error(c
         assert holds_declared(hints[name], getattr(record, name)), name
 
 
-# Each record class's checks and reader also run as built code, which takes
-# the common case and hands the rest to the generic path. Built that way and
-# by the generic path alone, a record must come out the same, or fail with
-# the same message.
+# Each record class's checks and reader run as built code, which takes the
+# common case in line and hands the rest to each field's checker. Built that
+# way and by the reference loop over the field checkers alone
+# (`oracles.check_fields`), a record must come out the same, or fail with the
+# same message.
 
 @contextlib.contextmanager
 def generic_path():
-    """Records built inside run only the generic checks."""
-    with mock.patch.object(errors, "_built_post_init", lambda cls: errors._check_fields):
+    """Records built inside run only the reference loop over the field checkers."""
+    with mock.patch.object(errors, "_built_post_init", lambda cls: check_fields):
         yield
 
 
@@ -455,3 +457,23 @@ def test_an_int_for_a_float_is_stored_as_a_float():
     assert type(SchedulerHyperparams(kappa=3).kappa) is float
     # a list for a tuple is stored as a tuple
     assert HarnessParams(image_dims=[32, 32]).image_dims == (32, 32)
+
+
+def test_a_fault_checks_each_field_once():
+    # the built code raises a field's fault itself; nothing checks the
+    # fields before it a second time
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return True
+
+    @dataclasses.dataclass
+    class Pair(Record):
+        a: Annotated[float, Rule(counted, "be counted")]
+        b: Annotated[int, in_range(1)]
+
+    with pytest.raises(ValidationError) as info:
+        Pair(1, 0)
+    assert str(info.value) == "field 'b' must be at least 1, got 0"
+    assert calls == [1.0]
