@@ -119,6 +119,11 @@ def run_dynamics_sim(spec: DynamicsSpec) -> Trace:
             for stage, dyn in stages.items():
                 total = dyn.total.value(epoch, rng)
                 cot = dyn.cot.value(epoch, rng) if dyn.cot is not None else None
+                for curve, loss in (("total", total), ("cot", cot)):
+                    if loss is not None and not math.isfinite(loss):
+                        raise ValidationError(
+                            f"non-finite scripted loss at epoch {epoch}, domain {domain!r}, "
+                            f"stage {stage!r}, curve {curve!r}: {loss}")
                 n = dyn.count
                 scheduler.observe([domain] * n, [stage] * n, [total] * n, [cot] * n)
         reports.append(scheduler.end_of_epoch())

@@ -17,7 +17,7 @@ from typing import Annotated, List, Optional, Protocol
 from urllib.parse import urlsplit
 
 from .errors import (BackendError, MalformedResponseError, NonEmptyStr, NonNegative,
-                     PositiveInt, Record, Rule, ValidationError, checked, in_range, one_of)
+                     Record, Rule, ValidationError, checked, in_range, one_of)
 from .geometry import BBox, Side, box_intersections, box_span, check_runs, runs_array
 from .geometry import mask_iou  # noqa: F401  uncalled; the benchmark tracer wraps it here
 
@@ -72,19 +72,20 @@ class LesionAnnotation(Record):
 class OrganMask:
     """Named binary mask kept as row-major RLE runs; at least one pixel set.
 
-    The runs alternate zeros and ones, zeros first, and must sum to
-    height * width (`geometry.check_runs`); `area`, the set-pixel count, is
-    the sum of the odd runs. An int array given as the runs is kept, not
-    copied, and made read-only. A dense mask is encoded with
-    `geometry.encode_runs`. One mask is checked as a list of one by
-    `organ_masks`, after its dims and the shape and dtype of its runs.
+    Its sides are `geometry.Side`s, as its image's are. The runs alternate
+    zeros and ones, zeros first, and must sum to height * width
+    (`geometry.check_runs`); `area`, the set-pixel count, is the sum of the
+    odd runs. An int array given as the runs is kept, not copied, and made
+    read-only. A dense mask is encoded with `geometry.encode_runs`. One
+    mask is checked as a list of one by `organ_masks`, after its dims and
+    the shape and dtype of its runs.
     """
 
     __slots__ = ("organ_label", "runs", "height", "width", "area")
 
     def __new__(cls, organ_label: str, runs, height: int, width: int):
-        height = checked("height", height, PositiveInt)
-        width = checked("width", width, PositiveInt)
+        height = checked("height", height, Side)
+        width = checked("width", width, Side)
         [mask], faults = organ_masks([(organ_label, runs_array(runs), height, width)])
         if faults:
             raise ValidationError(faults[0])
@@ -96,9 +97,9 @@ def organ_masks(lines):
     line's OrganMask.
 
     Each line's runs are a `geometry.runs_array` array and its dims are
-    positive; one `check_runs` call checks every line's runs. Each line is
-    then checked as OrganMask checks it: its runs, its label, then its
-    area. Returns (masks, faults), as `check_runs` returns (areas, faults):
+    `geometry.Side`s; one `check_runs` call checks every line's runs. Each
+    line is then checked as OrganMask checks it: its runs, its label, then
+    its area. Returns (masks, faults), as `check_runs` returns (areas, faults):
     masks[k] is line k's OrganMask, or None when the line is faulty, and
     faults maps the index of each faulty line to its first fault's message.
     """

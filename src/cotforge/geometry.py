@@ -11,11 +11,11 @@ Coordinate conventions used throughout:
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Annotated, Sequence
+from typing import Annotated, Sequence, Tuple
 
 import numpy as np
 
-from .errors import Record, ValidationError, checked, in_range
+from .errors import Record, Rule, ValidationError, checked, in_range
 
 # Most image pixels in one stacked soft-mask build: 32 MiB of float64.
 MAX_SOFT_MASK_PIXELS = 1 << 22
@@ -24,6 +24,10 @@ MAX_SOFT_MASK_PIXELS = 1 << 22
 MAX_IMAGE_SIDE = 8192
 Side = Annotated[int, in_range(1, MAX_IMAGE_SIDE)]
 Sigma = Annotated[float, in_range(0, MAX_IMAGE_SIDE)]
+# a soft-mask image: one mask's build peaks at a few float64 copies of it
+ImageDims = Annotated[Tuple[Side, Side], Rule(
+    lambda dims: dims[0] * dims[1] <= MAX_SOFT_MASK_PIXELS,
+    f"hold at most {MAX_SOFT_MASK_PIXELS} pixels", list)]
 
 # Most RLE runs and mask-row queries in one chunk of the forge's numpy
 # passes (`check_runs`, `box_intersections`): 128 KiB per int64 array. The
@@ -150,20 +154,20 @@ def check_runs(masks_runs, totals):
     """Check RLE masks' runs, each against its pixel total, a chunk of
     masks per numpy pass.
 
-    `masks_runs` are `runs_array` arrays. Returns (areas, faults): areas[k]
-    is mask k's set-pixel count, the sum of its odd runs, and faults maps
-    the index of each mask with a negative run, or whose runs do not sum to
-    its total, to the message naming that fault. A faulty mask's area means
-    nothing.
+    `masks_runs` are `runs_array` arrays, and each total is the pixel count
+    of two `Side`s, below 2**26. Returns (areas, faults): areas[k] is mask
+    k's set-pixel count, the sum of its odd runs, and faults maps the index
+    of each mask with a negative run, or whose runs do not sum to its total,
+    to the message naming that fault. A faulty mask's area means nothing.
 
     A chunk holds at most FORGE_CHUNK runs, or a single mask. Its runs are
     joined into one int64 sequence, each mask padded with zero runs to an
     even length of at least 2, so one minimum, maximum and add reduceat
     each give every mask's bounds and sum, and the odd runs its area. A
-    mask's sums are exact while no partial sum can reach 2**63: its runs
-    lie in [0, total] and its padded run count times its total is below
-    2**63. Any other mask, and any mask the pass finds faulty, is checked
-    again on its own, in Python integers.
+    mask passes only with every run in [0, total], and a uint64 run past
+    int64 turns negative and fails, so a passing mask's sums are exact (a
+    wrap would take 2**37 runs). A faulty mask's runs are read again in
+    Python integers, only to word its fault.
     """
     lengths = [len(runs) for runs in masks_runs]
     areas, faults = [], {}
@@ -171,25 +175,18 @@ def check_runs(masks_runs, totals):
         chunk, sizes = masks_runs[first:stop], lengths[first:stop]
         padded = [size + (size & 1) or 2 for size in sizes]
         starts = list(itertools.accumulate(padded[:-1], initial=0))
-        # a uint64 run past the int64 range turns negative and fails the pass
         joined = np.concatenate([piece for runs, size, length in zip(chunk, sizes, padded)
                                  for piece in (runs, _ZERO_PADS[length - size])],
                                 dtype=np.int64)
-        guarded = np.array([total if length * total < 2**63 else -1
-                            for length, total in zip(padded, totals[first:stop])],
-                           dtype=np.int64)
+        chunk_totals = np.array(totals[first:stop], dtype=np.int64)
         ok = ((np.minimum.reduceat(joined, starts) >= 0)
-              & (np.maximum.reduceat(joined, starts) <= guarded)
-              & (np.add.reduceat(joined, starts) == guarded))
+              & (np.maximum.reduceat(joined, starts) <= chunk_totals)
+              & (np.add.reduceat(joined, starts) == chunk_totals))
         areas += np.add.reduceat(joined[1::2], np.array(starts) // 2).tolist()
         for k in (first + np.flatnonzero(~ok)).tolist():
-            runs, total = masks_runs[k].tolist(), totals[k]
-            if min(runs, default=0) < 0:
-                faults[k] = "RLE runs must be non-negative integers"
-            elif (got := sum(runs)) != total:
-                faults[k] = f"RLE runs sum to {got}, expected {total}"
-            else:
-                areas[k] = sum(runs[1::2])
+            runs = masks_runs[k].tolist()
+            faults[k] = ("RLE runs must be non-negative integers" if min(runs, default=0) < 0
+                         else f"RLE runs sum to {sum(runs)}, expected {totals[k]}")
     return areas, faults
 
 
@@ -296,9 +293,10 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     runs on the image. The filter treats every line of a stack alike, so
     each mask of the stack equals the mask built on its own, bit for bit;
     that lets a long list build in chunks of at most ``MAX_SOFT_MASK_PIXELS``
-    image pixels (and at least one mask), which bounds the stack's memory.
+    image pixels, which bounds the stack's memory; ``image_dims`` follows
+    ``ImageDims``, so a chunk holds at least one mask.
     """
-    height, width = image_dims
+    height, width = checked("image_dims", image_dims, ImageDims)
     gh, gw = grid_dims
     if gh < 1 or gw < 1 or gh > height or gw > width:
         raise ValidationError(f"grid dims {grid_dims} must be in [1, image dims]")
@@ -308,7 +306,7 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     from scipy.ndimage import gaussian_filter  # here: only soft masks need scipy
     n = len(boxes)
     masks = np.empty((n, gh, gw))
-    chunk = max(1, MAX_SOFT_MASK_PIXELS // (height * width))
+    chunk = MAX_SOFT_MASK_PIXELS // (height * width)
     for start in range(0, n, chunk):
         part = boxes[start:start + chunk]
         rows = np.zeros((len(part), height))

@@ -14,21 +14,15 @@ all of its new masks in one stacked call.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Annotated, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import (NonNegative, NonNegativeInt, Positive, PositiveInt, Record, Rule,
-                     ValidationError)
+from .errors import NonNegative, NonNegativeInt, Positive, PositiveInt, Record, ValidationError
 from .forge import VqaCotRecord
-from .geometry import MAX_SOFT_MASK_PIXELS, Side, box_span, build_soft_mask
+from .geometry import ImageDims, box_span, build_soft_mask
 from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage, Trace
 from .toymodel import FeatureDim, GridDims, StageLossWeights, ToyModel
-
-# one soft mask's build peaks at a few float64 copies of its image
-ImageDims = Annotated[Tuple[Side, Side], Rule(
-    lambda dims: dims[0] * dims[1] <= MAX_SOFT_MASK_PIXELS,
-    f"hold at most {MAX_SOFT_MASK_PIXELS} pixels", list)]
 
 
 @dataclass(frozen=True)

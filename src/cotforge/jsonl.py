@@ -15,9 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import Record, ValidationError, open_text, parse_json, read_object
+from .errors import Record, ValidationError, checked, open_text, parse_json, read_object
 from .forge import ImageRecord, VqaCotRecord, organ_masks
-from .geometry import check_runs, runs_array
+from .geometry import Side, check_runs, runs_array
 
 
 @contextlib.contextmanager
@@ -67,6 +67,7 @@ def _iter_objects(path, cls):
 
 def rle_decode(runs, height, width) -> np.ndarray:
     """Decode alternating zero/one run lengths (row-major, zeros first)."""
+    height, width = checked("height", height, Side), checked("width", width, Side)
     runs = runs_array(runs)
     _, faults = check_runs([runs], [height * width])
     if faults:

@@ -4,6 +4,8 @@ Everything here is written as straight-line code on purpose: slow, obvious,
 and independent of the vectorized production paths. The loss oracle is the
 toy model's forward pass and stage recipe, one item at a time, with its own
 copy of the recipe; the finite-difference check treats a loss as a black box.
+The gradient oracle gives one item's gradient in closed form, from the
+quantities the forward pass reads.
 The epoch oracle adds a scheduler's observed losses one item at a time.
 The helpers build organ masks from dense arrays, decode them back, read
 or set the toy model's parameters as one flat vector, widen a batch
@@ -518,6 +520,60 @@ def oracle_grounding(model, items, w_ground: float):
         g_anchors[model.anchor_ids[idx]] += w_ground * (cos / na ** 2 * a[row]
                                                         - f[row] / (nf * na))
     return np.array(loss), g_features, g_anchors
+
+
+def oracle_item_grads(model, idx: int, stage: Union[Stage, str],
+                      target_attention: Optional[np.ndarray] = None,
+                      weights: StageLossWeights = StageLossWeights()) -> dict:
+    """One item's stage-total gradient in closed form, one full-size array
+    per parameter, from the quantities ``oracle_forward`` reads.
+
+    Per term: the answer NLL -log p[answer], with p the softmax of the
+    answer logits, gives p - onehot(answer). The rationale NLL, the mean of
+    -log p over the item's k sentences, gives p - counts / k. The grounding
+    1 - cos(f, a) gives cos f / |f|^2 - a / (|f| |a|) for the pooled
+    feature f, shared evenly by the ROI cells f is the mean of, and
+    cos a / |a|^2 - f / (|f| |a|) for the anchor a. The divergence
+    KL(p || q) of the attention p = softmax(z) from the target q gives
+    p (log(p / q) - KL) for z, and 0 where p is 0. Each term is scaled by
+    its stage weight; Hard's answer term is not.
+    """
+    stage = _as_stage(stage)
+    out = oracle_forward(model, idx, stage)
+    grads = {key: np.zeros_like(getattr(model, key)) for key in PARAM_KEYS}
+    grads["ans_logits"] += _softmax(model.ans_logits)
+    grads["ans_logits"][model.answer_ids[idx]] -= 1.0
+    if stage == Stage.HARD:
+        return grads
+    grads["ans_logits"] *= weights.w_ans
+
+    if out.cot_logprobs is None:
+        raise ValidationError(f"{stage.value} stage needs rationale log probs")
+    ids = model.cot_ids[idx]
+    counts = np.bincount(ids, minlength=model.cot_logits.size)
+    grads["cot_logits"] = weights.w_cot * (_softmax(model.cot_logits) - counts / len(ids))
+
+    if stage == Stage.EASY:
+        f, a = out.feature_vec, out.anchor_vec
+        nf, na = np.linalg.norm(f), np.linalg.norm(a)
+        cos = f.dot(a) / (nf * na)
+        cells = oracle_roi_cells(out.box, model.grid_dims)
+        grads["features"][cells] = (weights.w_ground * (cos * f / nf**2 - a / (nf * na))
+                                    / np.count_nonzero(cells))
+        grads["anchors"][model.anchor_ids[idx]] = weights.w_ground * (
+            cos * a / na**2 - f / (nf * na))
+        return grads
+
+    if target_attention is None:
+        raise ValidationError("medium stage needs a target attention mask")
+    p = out.attention
+    kl = oracle_kl_divergence(p, target_attention)
+    support = p > 0.0
+    g = np.zeros_like(p)
+    g[support] = p[support] * (np.log(p[support] / np.asarray(target_attention)[support])
+                               - kl)
+    grads["attn_logits"][idx] = weights.w_attn * g
+    return grads
 
 
 def dense_grads(model, grads) -> dict:

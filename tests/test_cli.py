@@ -327,6 +327,21 @@ def test_simulate_csv_sidecar(tmp_path, capsys):
     assert len(lines) == 31
 
 
+def test_simulate_overflowing_scenario_exits_1(tmp_path, capsys):
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps({"name": "overflow", "epochs": 3, "domains": {
+        "mass|CT": {"easy": {"count": 2, "total": {"base": 1.0, "events": [
+            {"kind": "rise", "epoch": 1, "magnitude": 1e308},
+            {"kind": "rise", "epoch": 2, "magnitude": 1e308}]}}}}}))
+    out = tmp_path / "trace.jsonl"
+    code, stdout, stderr = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                   "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: non-finite scripted loss at epoch 2, domain 'mass|CT', "
+                      "stage 'easy', curve 'total': inf\n")
+    assert not out.exists()
+
+
 def test_simulate_unknown_scenario_exits_1(tmp_path, capsys):
     code, _, stderr = run_cli(
         capsys, "simulate", "--scenario", "no-such-scenario",

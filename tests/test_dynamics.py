@@ -7,6 +7,7 @@ and a curve frozen from epoch 6 the first budget increase lands at 11.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -155,6 +156,28 @@ class TestSimMechanics:
         assert header["kind"] == "header"
         assert header["epochs"] == 0
         assert reports == []
+
+    @pytest.mark.parametrize("stages, fault", [
+        # each rise is finite, their sum is not
+        ({"easy": {"count": 2, "total": {"base": 1.0, "events": [
+            {"kind": "rise", "epoch": 2, "magnitude": 1e308},
+            {"kind": "rise", "epoch": 3, "magnitude": 1e308}]}}},
+         "epoch 3, domain 'a|CT', stage 'easy', curve 'total': inf"),
+        # seed 0's first draw past 1.8 standard deviations
+        ({"easy": {"count": 1, "total": {"base": 1.0, "noise_std": 1e308}}},
+         "epoch 13, domain 'a|CT', stage 'easy', curve 'total': -inf"),
+        ({"hard": {"count": 1, "total": {"base": 1.0}},
+          "medium": {"count": 1, "total": {"base": 1.0}, "cot": {"base": 1e308, "events": [
+              {"kind": "rise", "epoch": 4, "magnitude": 1e308}]}}},
+         "epoch 4, domain 'a|CT', stage 'medium', curve 'cot': inf"),
+    ], ids=["rises", "noise", "cot"])
+    def test_a_non_finite_scripted_loss_stops_the_run(self, stages, fault):
+        spec = read_object(DynamicsSpec, {"name": "overflow", "epochs": 20,
+                                          "domains": {"a|CT": stages}},
+                           lambda: "scenario", ValidationError)
+        with pytest.raises(ValidationError,
+                           match=f"^non-finite scripted loss at {re.escape(fault)}$"):
+            run_dynamics_sim(spec)
 
     def test_deterministic_for_fixed_seed(self):
         spec = DynamicsSpec.from_path(builtin_scenario_path("rise"))

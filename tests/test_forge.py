@@ -366,10 +366,11 @@ class TestChunkedScoring:
                      if image.annotations and image.image_id in masks_by_image)
         assert chunks == [scored]
 
-    def test_an_area_past_int64_stays_exact(self):
+    def test_a_side_of_2_to_the_32_is_rejected(self):
         big = 2**62
-        om = OrganMask("x", np.array([big, big, big, big]), 2**32, 2**32)
-        assert om.area == 2 * big
+        with pytest.raises(ValidationError,
+                           match=r"^field 'height' must lie in \[1, 8192\], got 4294967296$"):
+            OrganMask("x", np.array([big, big, big, big]), 2**32, 2**32)
 
 
 class TestOrganMask:
@@ -418,7 +419,7 @@ class TestOrganMask:
         for dims, name, got in [((-1, -2), "height", -1), ((0, 4), "height", 0),
                                 ((2, 0), "width", 0)]:  # runs [1, 1] sum to (-1)*(-2)
             with pytest.raises(ValidationError,
-                               match=rf"^field '{name}' must be at least 1, got {got}$"):
+                               match=rf"^field '{name}' must lie in \[1, 8192\], got {got}$"):
                 OrganMask("liver", [1, 1], *dims)
         # a bool or a float is not a dimension, even one that equals an int
         for dims, name, got in [((2.0, 1), "height", "a number"),
@@ -427,6 +428,18 @@ class TestOrganMask:
             with pytest.raises(ValidationError,
                                match=rf"^field '{name}' must be an integer, got {got}$"):
                 OrganMask("liver", [0, 2], *dims)
+
+    def test_a_side_past_any_image_is_a_field_fault(self):
+        # 8192 is the longest image side; one more is no image's mask, so
+        # assign_organ never receives a mask past the sides it scores
+        for dims, name in [((8193, 1), "height"), ((1, 8193), "width")]:
+            with pytest.raises(ValidationError,
+                               match=rf"^field '{name}' must lie in \[1, 8192\], got 8193$"):
+                OrganMask("liver", [0, 8193], *dims)
+        last_row = OrganMask("liver", [8191, 1], 8192, 1)  # the longest side holds
+        box = BBox(0.0, 8191 / 8192, 1.0, 1.0)
+        assert assign_organ([([LesionAnnotation(box, "mass")], [last_row])]) == [
+            [("liver", 1.0)]]
 
 
     def test_organ_masks_returns_each_faulty_lines_first_fault_by_index(self):

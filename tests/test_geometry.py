@@ -380,22 +380,21 @@ class TestCheckRuns:
                 reference_check(r, t) for r, t in zip(masks_runs, totals)]
 
     def test_runs_beyond_the_exact_int64_sum(self):
-        big = 2**62
+        # every total is the pixel count of two image sides, at most 8192**2
+        big, most = 2**62, 8192 * 8192
         cases = [
-            (np.array([2**63, 2**63], dtype=np.uint64), 2**64),  # valid, past int64
-            (np.array([2**63], dtype=np.uint64), 8),
-            (np.array([2**64 - 1, 1], dtype=np.uint64), 2**64),
-            (np.array([big, big, big, big]), 2**64),  # the int64 sum wraps to 0
-            (np.array([big - 1, 2, 0, big - 1]), 2**63),
-            (np.array([0, 2**63 - 1]), 2**63 - 1),
-            (np.array([2**63 - 1, 2**63 - 1]), 2**63 - 2),
-            (np.array([], dtype=np.int64), 2**70),
+            (np.array([2**63], dtype=np.uint64), 8),  # past int64: reads negative
+            (np.array([2**64 - 1, 1], dtype=np.uint64), most),
+            (np.array([big, big, big, big]), most),  # the int64 sum wraps to 0
+            (np.array([big - 1, 2, 0, big - 1]), most),  # ... and to -2**63
+            (np.array([2**63 - 1, 2**63 - 1]), most),  # ... and to -2
+            (np.array([0, most]), most),
             (np.array([3, 5]), 8),
         ]
         masks_runs, totals = zip(*cases)
         got = self.outcomes(list(masks_runs), list(totals))
         assert got == [reference_check(r, t) for r, t in cases]
-        assert got[0] == got[3] == 2**63  # areas past int64 stay exact
+        assert got[-2:] == [most, 5] and all(type(g) is str for g in got[:-2])
 
     def test_an_empty_chunk_element_and_single_runs(self):
         got = self.outcomes([np.array([], dtype=np.int64), np.array([8]), np.array([0, 8]),
@@ -640,7 +639,7 @@ class TestSoftMaskMatchesOracle:
     @pytest.mark.parametrize("image_dims, cells", [
         ((128, 256), 8192),   # 64 x 128 blocks: one numpy buffer exactly
         ((182, 182), 8281),   # 91 x 91 blocks: more than one buffer
-        ((4, 8194), 8194),    # 2 x 4097 blocks: more than one buffer
+        ((6, 8192), 12288),   # 3 x 4096 blocks: more than one buffer
     ])
     def test_blocks_at_the_buffer_size(self, image_dims, cells):
         assert (image_dims[0] // 2) * (image_dims[1] // 2) == cells
@@ -685,16 +684,23 @@ class TestSoftMaskChunks:
     chunks of at least one mask: every mask still equals the oracle's, and
     the build's memory follows the chunk, not the list."""
 
-    @pytest.mark.parametrize("masks_per_chunk", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("masks_per_chunk", [1, 2, 3, 7])
     def test_chunked_masks_equal_the_oracle(self, monkeypatch, masks_per_chunk):
         image_dims = (48, 40)
-        # 0 sets a budget below one mask: each chunk still holds one
-        monkeypatch.setattr(geometry, "MAX_SOFT_MASK_PIXELS",
-                            max(1, masks_per_chunk * 48 * 40))
+        monkeypatch.setattr(geometry, "MAX_SOFT_MASK_PIXELS", masks_per_chunk * 48 * 40)
         rng = np.random.default_rng(59)
         boxes = random_boxes(rng, 0.3, image_dims) + random_boxes(rng, 0.3, image_dims)
         for grid_dims, sigma in (((8, 5), 3.0), ((7, 6), 0.0), ((4, 4), 16.0)):
             assert_soft_masks_match_oracle(boxes, image_dims, grid_dims, sigma)
+
+    @pytest.mark.parametrize("image_dims, fault", [
+        ((8193, 1), r"image_dims\[0\]' must lie in \[1, 8192\], got 8193"),
+        ((4096, 2048), r"image_dims' must hold at most 4194304 pixels, got \[4096, 2048\]"),
+    ], ids=["side", "pixels"])
+    def test_an_image_past_the_budget_is_rejected(self, image_dims, fault):
+        # rejected before any buffer is allocated, not by a MemoryError
+        with pytest.raises(ValidationError, match=rf"^field '{fault}$"):
+            build_soft_mask([BBox(0.1, 0.1, 0.9, 0.9)], image_dims, (1, 1))
 
     def test_peak_memory_follows_the_chunk(self, monkeypatch):
         side = 256

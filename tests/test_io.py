@@ -67,6 +67,13 @@ class TestRle:
         with pytest.raises(ValidationError):
             rle_decode([-1, 9], 2, 4)
 
+    def test_sides_are_image_sides(self):
+        # a mask has its image's sides: 8192 decodes, one more is a field fault
+        assert rle_decode([8191, 1], 8192, 1)[-1, 0]
+        for dims, name in [((8193, 1), "height"), ((1, 8193), "width"), ((0, 4), "height")]:
+            with pytest.raises(ValidationError, match=rf"^field '{name}' must lie in \[1, 8192\]"):
+                rle_decode([0, dims[0] * dims[1]], *dims)
+
     @pytest.mark.parametrize("runs", [
         [[1, 2], 5],                 # ragged nesting
         [2.0, 3.0, 3.0],             # floats

@@ -13,8 +13,10 @@ name that its module never reads fails, unless it is quoted in the tracer
 (``forge.mask_iou`` is imported only for the tracer to wrap).
 
 The same scan checks that only geometry.py reads the forge's chunk
-budget, FORGE_CHUNK: its numpy passes split their inputs themselves; and
-that only errors.py decodes JSON (json.load or json.loads), and no module
+budget, FORGE_CHUNK: its numpy passes split their inputs themselves; that
+only geometry.py reads the soft-mask budget, MAX_SOFT_MASK_PIXELS: its
+ImageDims rule and the soft-mask build's chunks are one rule, in one place;
+and that only errors.py decodes JSON (json.load or json.loads), and no module
 calls a ``.json()`` method such as requests' response decoder, so every
 JSON input meets the same checks; and that only cli.py constructs a
 ConfigError: a record raises ValidationError, and the reader of the input
@@ -115,6 +117,10 @@ def modules_reading(name, paths):
 
 def test_only_geometry_reads_the_forge_chunk_budget():
     assert modules_reading("FORGE_CHUNK", sorted(SRC.glob("*.py"))) == {"geometry"}
+
+
+def test_only_geometry_reads_the_soft_mask_budget():
+    assert modules_reading("MAX_SOFT_MASK_PIXELS", sorted(SRC.glob("*.py"))) == {"geometry"}
 
 
 def test_the_budget_scan_sees_an_import_and_a_read(tmp_path):

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cotforge import fixture_path
 from cotforge.errors import ValidationError
 from cotforge.geometry import build_soft_mask
 from cotforge.jsonl import read_corpus
@@ -30,6 +31,7 @@ from oracles import (
     finite_difference_check,
     oracle_batch_loss,
     oracle_grounding,
+    oracle_item_grads,
     oracle_item_loss,
     param_vector,
     set_param_vector,
@@ -204,6 +206,48 @@ class TestGradientsMatchFiniteDifferences:
                                   MIXED_WEIGHTS)
             err = finite_difference_check(f, g, x)
             assert err <= 1e-5, f"mixed batch: max rel err {err}"
+
+
+class TestItemGradsOracle:
+    """The closed-form oracle, written apart from the model's gradient code,
+    agrees with finite differences and with the model, item by item, on the
+    bundled corpus. Only Easy reads the ROI: item 1's box covers no cell
+    center of the 3 x 3 grid (the ROI is the cell holding its center), item
+    6's covers two."""
+
+    @pytest.fixture(scope="class")
+    def bundled(self):
+        records = read_corpus(fixture_path("toy_corpus.jsonl"))
+        model = ToyModel(records, grid_dims=(3, 3), feature_dim=4, seed=0)
+        rng = np.random.default_rng(11)
+        base = param_vector(model)
+        set_param_vector(model, base + rng.normal(0.0, 0.3, size=base.shape))
+        return model
+
+    @pytest.mark.parametrize("stage, idx", [(Stage.EASY, 1), (Stage.EASY, 6),
+                                            (Stage.MEDIUM, 6), (Stage.HARD, 6)])
+    def test_against_finite_differences_and_the_model(self, bundled, stage, idx):
+        model, x = bundled, param_vector(bundled)
+        target = None
+        if stage is Stage.MEDIUM:
+            [target] = build_soft_mask([model.items[idx].box], IMAGE_DIMS, (3, 3),
+                                       sigma=2.0, floor=1e-3)
+        want = oracle_item_grads(model, idx, stage, target)
+
+        def f(vec):
+            set_param_vector(model, vec)
+            return oracle_item_loss(model, idx, stage, target_attention=target).total
+
+        try:
+            err = finite_difference_check(
+                f, np.concatenate([want[key].ravel() for key in PARAM_KEYS]), x)
+        finally:
+            set_param_vector(model, x)
+        assert err <= 1e-5, f"{stage}: max rel err {err}"
+        got = dense_grads(model, model.item_loss_and_grads(idx, stage, target)[1])
+        for key in PARAM_KEYS:
+            scale = np.abs(want[key]).max()
+            assert np.abs(got[key] - want[key]).max() <= 1e-10 * scale, key
 
 
 class TestBatchMatchesItems:
