@@ -23,9 +23,9 @@ The reader and the checks run as code built for each record class at its
 first build, as ``dataclasses`` builds ``__init__``. A field whose value has
 the field's exact type and keeps its rules passes in line, with no call; any
 other value goes through its field's checker, the one source of conversions
-and of messages. An object with exactly the record's keys, or a box's array
-of all its fields, becomes the record in one constructor call; anything
-else, and any fault, reruns the generic reader from the start.
+and of messages. The reader builds each record at most once and words a
+fault where it finds it: an object with exactly the record's keys, or a box's
+array of all its fields, is read in line, anything else after a shape check.
 """
 
 import contextlib
@@ -157,8 +157,8 @@ def read_object(cls, obj, where, error: type):
     sets ``JSON_ARRAY``, from an array of all its fields in order, and from
     nothing else; lists, tuples and dicts of records come from arrays and
     objects. Every other value goes to the record's constructor as it is,
-    which checks it (see `Record`). Errors, including the ValidationError a
-    constructor raises for a broken rule, are raised as ``error`` with
+    which checks it (see `Record`). The first fault (see `_check_shape`), or
+    else the constructor's ValidationError, is raised as ``error`` with
     ``where()`` and the field's path in front.
     """
     try:
@@ -265,10 +265,7 @@ def _leaf_checker(tp, rules):
             if not (tp is float and (kind is int or isinstance(value, float))):
                 raise _wrong_type(expected, value)
             value = float(_apply(_TYPE_RULES.get(kind, ()), value))
-        for holds, need, shown in rules:
-            if not holds(value):
-                raise FieldError(f" must {need}, got {shown(value)}")
-        return value
+        return _apply(rules, value)
 
     return check
 
@@ -310,72 +307,70 @@ def _dict_checker(check_value):
     return check
 
 
-@functools.lru_cache(maxsize=None)
-def _object_reader(cls):
-    """The generic reader of record ``cls``."""
-    hints = typing.get_type_hints(cls, include_extras=True)
-    names = [f.name for f in dataclasses.fields(cls)]
-    allowed = set(names)
-    builders = [(name, build) for name in names
-                if (build := _checker(hints[name], True)) is not None]
-    required = [f.name for f in dataclasses.fields(cls)
-                if f.default is f.default_factory is dataclasses.MISSING]
-    shape = list if getattr(cls, "JSON_ARRAY", False) else dict
-
-    def read(value):
-        if type(value) is not shape:
-            raise _wrong_type(_JSON_NAMES[shape], value)
-        if shape is list:
-            if len(value) != len(names):
-                raise FieldError(f" must be an array of {len(names)} items, got {len(value)}")
-            kwargs = dict(zip(names, value))  # an array holds every field, in order
-        elif not value.keys() <= allowed:
-            raise FieldError(f": unknown keys {sorted(set(value) - allowed)}; "
-                             f"allowed: {sorted(allowed)}")
-        else:  # a copy only if a record is built into it
-            kwargs = dict(value) if builders else value
-        for name, build in builders:
-            if name in kwargs:
-                try:
-                    kwargs[name] = build(kwargs[name])
-                except FieldError as exc:
-                    exc.path.append(f".{name}")
-                    raise
-        if len(kwargs) < len(names):
-            for name in required:
-                if name not in kwargs:
-                    raise FieldError(" is missing", [f".{name}"])
-        try:
-            return cls(**kwargs)
-        except FieldError:
-            raise  # its path starts at this record
-        except ValidationError as exc:
-            raise FieldError(f": {exc}") from None
-
-    return read
-
-
 def _built_reader(cls):
-    """The reader of record ``cls``: from an object with exactly its fields'
-    keys, or an array of all its fields if it sets ``JSON_ARRAY``, one
-    constructor call builds it; anything else, and any fault, reruns the
-    generic reader (`_object_reader`) from the start."""
-    env = {"cls": cls, "generic": _object_reader(cls), "ValidationError": ValidationError}
+    """The reader of record ``cls``, built at its first read: its fields
+    looked up, its nested records built in field order, then one constructor
+    call. A value that is not an object with exactly its keys, or a box's
+    array of all its fields, first has its shape checked (`_check_shape`)."""
+    env = {"cls": cls, "check_shape": _check_shape, "FieldError": FieldError,
+           "ValidationError": ValidationError}
     hints = typing.get_type_hints(cls, include_extras=True)
-    array = getattr(cls, "JSON_ARRAY", False)
-    args = []
-    for k, f in enumerate(dataclasses.fields(cls)):
-        item = f"value[{k if array else repr(f.name)}]"
-        if (build := _checker(hints[f.name], True)) is not None:
-            item = f"{_bind(env, build)}({item})"
-        args.append(f"{f.name}={item}")
+    fields = dataclasses.fields(cls)
+    array = getattr(cls, "JSON_ARRAY", False)  # an array holds every field
+    required = [array or f.default is f.default_factory is dataclasses.MISSING for f in fields]
+    gate = f"type(value) is {'list' if array else 'dict'} and len(value) == {len(fields)}"
+    if not all(required):  # an unknown key may stand in for a defaulted one
+        gate += f" and value.keys() <= {_bind(env, frozenset(f.name for f in fields))}"
+    lookups, builds = [], []
+    for k, f in enumerate(fields):
+        build, item = _checker(hints[f.name], True), f"value[{k if array else repr(f.name)}]"
+        fill = "" if required[k] else f" if {f.name!r} in value else " + (  # absent: its default
+            _bind(env, f.default) if f.default is not dataclasses.MISSING
+            else f"{_bind(env, f.default_factory)}()")
+        if required[k]:
+            lookups.append(f"v{k} = {item}")
+            item = f"v{k}"
+        if build is not None or fill:
+            call = "" if build is None else _bind(env, build)
+            builds += [f"field = {'.' + f.name!r}", f"v{k} = {call}({item}){fill}"]
     return _compile(f"read_{cls.__name__}", "value", env, [
-        f"if type(value) is {'list' if array else 'dict'} and len(value) == {len(args)}:",
-        "    try:",
-        f"        return cls({', '.join(args)})",
-        "    except (KeyError, ValidationError):",  # a key missing, or a fault
-        "        pass",
-        "return generic(value)"])
+        f"if not ({gate}):",
+        "    check_shape(cls, value)",
+        "try:",
+        *("    " + line for line in lookups + builds),
+        "    field = ''",  # the constructor's FieldError has its path already
+        f"    return cls({', '.join(f'v{k}' for k in range(len(fields)))})",
+        "except KeyError:",  # a full-length object that lacks a key has an unknown one
+        "    check_shape(cls, value)",
+        "    raise",
+        "except ValidationError as exc:",  # a field's fault, or the constructor's
+        "    exc = exc if isinstance(exc, FieldError) else FieldError(': ' + str(exc))",
+        "    exc.path.append(field)",
+        "    raise exc from None"])
+
+
+def _check_shape(cls, value):
+    """Raise the first fault of ``value`` read as record ``cls``: its type;
+    its item count, or unknown keys; a nested record's fault; a missing
+    field. Pass an object that lacks only fields with defaults."""
+    fields = dataclasses.fields(cls)
+    shape = list if getattr(cls, "JSON_ARRAY", False) else dict
+    if type(value) is not shape:
+        raise _wrong_type(_JSON_NAMES[shape], value)
+    if shape is list:  # only a wrong length fails the built reader's gate
+        raise FieldError(f" must be an array of {len(fields)} items, got {len(value)}")
+    names = {f.name for f in fields}
+    if not value.keys() <= names:
+        raise FieldError(f": unknown keys {sorted(value.keys() - names)}; "
+                         f"allowed: {sorted(names)}")
+    missing = [f.name for f in fields if f.name not in value
+               and f.default is f.default_factory is dataclasses.MISSING]
+    if missing:
+        hints = typing.get_type_hints(cls, include_extras=True)
+        for f in fields:
+            if f.name in value and (build := _checker(hints[f.name], True)) is not None:
+                _check_item(build, value[f.name], f".{f.name}")
+        raise FieldError(" is missing", [f".{missing[0]}"])
 
 
 @functools.lru_cache(maxsize=None)

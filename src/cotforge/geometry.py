@@ -15,7 +15,7 @@ from typing import Annotated, Sequence, Tuple
 
 import numpy as np
 
-from .errors import Record, Rule, ValidationError, checked, in_range
+from .errors import PositiveInt, Record, Rule, ValidationError, checked, in_range
 
 # Most image pixels in one stacked soft-mask build: 32 MiB of float64.
 MAX_SOFT_MASK_PIXELS = 1 << 22
@@ -28,6 +28,12 @@ Sigma = Annotated[float, in_range(0, MAX_IMAGE_SIDE)]
 ImageDims = Annotated[Tuple[Side, Side], Rule(
     lambda dims: dims[0] * dims[1] <= MAX_SOFT_MASK_PIXELS,
     f"hold at most {MAX_SOFT_MASK_PIXELS} pixels", list)]
+# Largest accepted attention grid, 64 x 64 (the default image's largest): the
+# toy model allocates corpus_size x cells logits and cells x feature_dim features.
+MAX_GRID_CELLS = 4096
+GridDims = Annotated[Tuple[PositiveInt, PositiveInt], Rule(
+    lambda dims: dims[0] * dims[1] <= MAX_GRID_CELLS,
+    f"have at most {MAX_GRID_CELLS} cells", list)]
 
 # Most RLE runs and mask-row queries in one chunk of the forge's numpy
 # passes (`check_runs`, `box_intersections`): 128 KiB per int64 array. The
@@ -297,8 +303,8 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     ``ImageDims``, so a chunk holds at least one mask.
     """
     height, width = checked("image_dims", image_dims, ImageDims)
-    gh, gw = grid_dims
-    if gh < 1 or gw < 1 or gh > height or gw > width:
+    gh, gw = checked("grid_dims", grid_dims, GridDims)
+    if gh > height or gw > width:
         raise ValidationError(f"grid dims {grid_dims} must be in [1, image dims]")
     sigma = checked("sigma", sigma, Sigma)
     if not 0.0 < floor < 1.0 / (gh * gw):

@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import NonNegative, NonNegativeInt, Positive, PositiveInt, Record, ValidationError
 from .forge import VqaCotRecord
-from .geometry import ImageDims, box_span, build_soft_mask
+from .geometry import GridDims, ImageDims, box_span, build_soft_mask
 from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage, Trace
-from .toymodel import FeatureDim, GridDims, StageLossWeights, ToyModel
+from .toymodel import FeatureDim, StageLossWeights, ToyModel
 
 
 @dataclass(frozen=True)

@@ -376,6 +376,11 @@ class CurriculumScheduler:
         )
         self.close_epoch(report)
         self._open = None
+        # an infinite mean is a sum that overflowed; a NaN is a loss that arrived
+        means = [report.mean_total, report.m_bar, report.cot_easy_mean, report.cot_med_mean,
+                 *(m for stats in domains.values() for m in (stats.mean_easy, stats.mean_med))]
+        if any(m is not None and math.isinf(m) for m in means):
+            raise ValidationError(f"non-finite epoch mean or m_bar at epoch {ctx.epoch}")
         return report
 
     def close_epoch(self, report: EpochReport) -> Decision:

@@ -33,10 +33,9 @@ from typing import Annotated, Dict, List, NamedTuple, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from .errors import (NonNegative, NonNegativeInt, PositiveInt, Record, Rule, ValidationError,
-                     checked, in_range)
+from .errors import NonNegative, NonNegativeInt, Record, ValidationError, checked, in_range
 from .forge import VqaCotRecord, split_sentences
-from .geometry import BBox, box_span, kl_rows
+from .geometry import BBox, GridDims, box_span, kl_rows
 from .scheduler import _EASY, _MEDIUM, Stage
 
 PARAM_KEYS = ("ans_logits", "cot_logits", "attn_logits", "features", "anchors")
@@ -47,12 +46,6 @@ _DENSE_KEYS = ("ans_logits", "cot_logits", "features", "anchors")
 # Largest accepted feature dimension; the feature grid is allocated up front.
 MAX_FEATURE_DIM = 4096
 FeatureDim = Annotated[int, in_range(1, MAX_FEATURE_DIM)]
-# Largest accepted attention grid, 64 x 64 (the default image's largest): the
-# model allocates corpus_size x cells logits and cells x feature_dim features.
-MAX_GRID_CELLS = 4096
-GridDims = Annotated[Tuple[PositiveInt, PositiveInt], Rule(
-    lambda dims: dims[0] * dims[1] <= MAX_GRID_CELLS,
-    f"have at most {MAX_GRID_CELLS} cells", list)]
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,17 @@ and independent of the vectorized production paths. The loss oracle is the
 toy model's forward pass and stage recipe, one item at a time, with its own
 copy of the recipe; the finite-difference check treats a loss as a black box.
 The gradient oracle gives one item's gradient in closed form, from the
-quantities the forward pass reads.
+quantities the forward pass reads, and the trainer oracle runs a whole toy
+run on those oracles, one item at a time, under the real scheduler.
 The epoch oracle adds a scheduler's observed losses one item at a time.
 The helpers build organ masks from dense arrays, decode them back, read
 or set the toy model's parameters as one flat vector, widen a batch
 gradient's attention rows to a full-size array, plan a batch from
 explicit per-item probabilities, read a trace file back, and compare two
 traces field by field. The reference record check is the plain loop over a
-record's field checkers that the built one must agree with.
+record's field checkers that the built one must agree with, and the
+reference record reader the plain walk over an object's shape, keys and
+fields that the built reader must agree with.
 """
 
 import dataclasses
@@ -25,19 +28,20 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from cotforge.errors import FieldError, ValidationError, _checker
+from cotforge.errors import _JSON_NAMES, FieldError, ValidationError, _checker, _wrong_type
 from cotforge.forge import OrganMask
 from cotforge.geometry import BBox, encode_runs
 from cotforge.jsonl import rle_decode
 from cotforge.scheduler import (
     BatchPlan,
+    CurriculumScheduler,
     DomainEpochStats,
     EpochContext,
     EpochReport,
     _checked_p_medium,
     _draw_batch,
 )
-from cotforge.toymodel import PARAM_KEYS, Stage, StageLossWeights
+from cotforge.toymodel import PARAM_KEYS, Stage, StageLossWeights, ToyModel
 
 
 def read_trace(path):
@@ -104,6 +108,51 @@ def check_fields(record):
             raise
         if good is not value:
             object.__setattr__(record, field.name, good)
+
+
+def object_reader(cls):
+    """The reference reader of record ``cls``: its shape, then its keys, then
+    its nested records in field order (read by their own built readers),
+    then its missing fields, then its constructor."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    names = [f.name for f in dataclasses.fields(cls)]
+    allowed = set(names)
+    builders = [(name, build) for name in names
+                if (build := _checker(hints[name], True)) is not None]
+    required = [f.name for f in dataclasses.fields(cls)
+                if f.default is f.default_factory is dataclasses.MISSING]
+    shape = list if getattr(cls, "JSON_ARRAY", False) else dict
+
+    def read(value):
+        if type(value) is not shape:
+            raise _wrong_type(_JSON_NAMES[shape], value)
+        if shape is list:
+            if len(value) != len(names):
+                raise FieldError(f" must be an array of {len(names)} items, got {len(value)}")
+            kwargs = dict(zip(names, value))  # an array holds every field, in order
+        elif not value.keys() <= allowed:
+            raise FieldError(f": unknown keys {sorted(set(value) - allowed)}; "
+                             f"allowed: {sorted(allowed)}")
+        else:
+            kwargs = dict(value)
+        for name, build in builders:
+            if name in kwargs:
+                try:
+                    kwargs[name] = build(kwargs[name])
+                except FieldError as exc:
+                    exc.path.append(f".{name}")
+                    raise
+        for name in required:
+            if name not in kwargs:
+                raise FieldError(" is missing", [f".{name}"])
+        try:
+            return cls(**kwargs)
+        except FieldError:
+            raise  # its path starts at this record
+        except ValidationError as exc:
+            raise FieldError(f": {exc}") from None
+
+    return read
 
 
 def organ_mask(label, dense) -> OrganMask:
@@ -574,6 +623,48 @@ def oracle_item_grads(model, idx: int, stage: Union[Stage, str],
                                - kl)
     grads["attn_logits"][idx] = weights.w_attn * g
     return grads
+
+
+def oracle_train(records, params, hp) -> list:
+    """The toy run of ``harness.run_toy_training``, item by item: its trace's
+    epoch rows, as JSON parses them.
+
+    The real ``CurriculumScheduler`` plans each batch, observes its losses
+    and closes each epoch; the batch's hard slots come first. Each item's
+    loss and gradient come one at a time from ``oracle_item_loss`` and
+    ``oracle_item_grads``; a Medium item's target is its
+    ``oracle_build_soft_mask``, built at its first Medium use. A step moves
+    each parameter by ``-lr`` times the batch's mean gradient."""
+    records = list(records)
+    model = ToyModel(records, grid_dims=params.grid_dims, feature_dim=params.feature_dim,
+                     seed=params.seed)
+    domains = [r.domain.as_str() for r in records]
+    scheduler = CurriculumScheduler(hp, domains=sorted(set(domains)), seed=params.seed)
+    targets, rows = {}, []
+    for _ in range(params.epochs):
+        scheduler.start_epoch(domains)
+        for _ in range(params.batches_per_epoch):
+            plan = scheduler.plan_batch(params.batch_size, hard_pool_size=len(records))
+            batch = ([(idx, Stage.HARD) for idx in plan.hard_indices.tolist()]
+                     + list(zip(plan.main_indices.tolist(), plan.main_stages)))
+            total = {key: np.zeros_like(getattr(model, key)) for key in PARAM_KEYS}
+            losses = []
+            for idx, stage in batch:
+                if stage == Stage.MEDIUM and idx not in targets:
+                    targets[idx] = oracle_build_soft_mask(
+                        records[idx].box, params.image_dims, params.grid_dims,
+                        params.sigma, params.mask_floor).grid
+                target = targets[idx] if stage == Stage.MEDIUM else None
+                losses.append(oracle_item_loss(model, idx, stage, target, params.weights))
+                grads = oracle_item_grads(model, idx, stage, target, params.weights)
+                for key in PARAM_KEYS:
+                    total[key] += grads[key]
+            scheduler.observe([domains[idx] for idx, _ in batch], [s for _, s in batch],
+                              [loss.total for loss in losses], [loss.cot for loss in losses])
+            for key in PARAM_KEYS:
+                getattr(model, key)[...] -= params.lr * (total[key] / len(batch))
+        rows.append(json.loads(json.dumps(scheduler.end_of_epoch().to_json_dict())))
+    return rows
 
 
 def dense_grads(model, grads) -> dict:

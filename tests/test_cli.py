@@ -328,9 +328,10 @@ def test_simulate_csv_sidecar(tmp_path, capsys):
 
 
 def test_simulate_overflowing_scenario_exits_1(tmp_path, capsys):
+    # one item: the curve overflows before any epoch's sum of losses does
     scenario = tmp_path / "overflow.json"
     scenario.write_text(json.dumps({"name": "overflow", "epochs": 3, "domains": {
-        "mass|CT": {"easy": {"count": 2, "total": {"base": 1.0, "events": [
+        "mass|CT": {"easy": {"count": 1, "total": {"base": 1.0, "events": [
             {"kind": "rise", "epoch": 1, "magnitude": 1e308},
             {"kind": "rise", "epoch": 2, "magnitude": 1e308}]}}}}}))
     out = tmp_path / "trace.jsonl"

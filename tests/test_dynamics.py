@@ -158,8 +158,9 @@ class TestSimMechanics:
         assert reports == []
 
     @pytest.mark.parametrize("stages, fault", [
-        # each rise is finite, their sum is not
-        ({"easy": {"count": 2, "total": {"base": 1.0, "events": [
+        # each rise is finite, their sum is not; with one item, no epoch's
+        # sum of losses overflows before the curve does
+        ({"easy": {"count": 1, "total": {"base": 1.0, "events": [
             {"kind": "rise", "epoch": 2, "magnitude": 1e308},
             {"kind": "rise", "epoch": 3, "magnitude": 1e308}]}}},
          "epoch 3, domain 'a|CT', stage 'easy', curve 'total': inf"),
@@ -177,6 +178,14 @@ class TestSimMechanics:
                            lambda: "scenario", ValidationError)
         with pytest.raises(ValidationError,
                            match=f"^non-finite scripted loss at {re.escape(fault)}$"):
+            run_dynamics_sim(spec)
+
+    def test_finite_losses_whose_sum_overflows_stop_the_run(self):
+        # each scripted loss is 1e308; three of them sum to inf
+        spec = read_object(DynamicsSpec, {"name": "big", "epochs": 3, "domains": {
+            "mass|CT": {"easy": {"count": 3, "total": {"base": 1e308}}}}},
+                           lambda: "scenario", ValidationError)
+        with pytest.raises(ValidationError, match="^non-finite epoch mean or m_bar at epoch 1$"):
             run_dynamics_sim(spec)
 
     def test_deterministic_for_fixed_seed(self):

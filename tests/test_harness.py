@@ -9,7 +9,7 @@ import pytest
 
 from cotforge import harness
 from cotforge.dynamics import DynamicsSpec, builtin_scenario_path, run_dynamics_sim
-from cotforge.errors import ValidationError
+from cotforge.errors import ValidationError, read_object
 from cotforge.geometry import BBox
 from cotforge.harness import HarnessParams, run_toy_training
 from cotforge.jsonl import read_corpus
@@ -23,6 +23,7 @@ from cotforge.scheduler import (
 from cotforge.toymodel import ToyModel
 
 from corpus_utils import record, tiny_corpus
+from oracles import TRACE_REL, compare_traces, oracle_train, read_trace
 
 FIXTURES = Path(__file__).parent.parent / "src" / "cotforge" / "fixtures"
 
@@ -255,3 +256,14 @@ class TestBundledTraceGolden:
                     assert stats["progress"] > gate
                     defined += 1
         assert defined >= 8 * 4  # every domain is live from epoch 8 at latest
+
+
+def test_the_item_by_item_trainer_reproduces_the_ten_epoch_golden():
+    # a whole run checked apart from the toy model's batch code: the same
+    # scheduler, with every loss and gradient from the per-item oracles
+    header, golden = read_trace(Path(__file__).parent / "golden" / "trace_toy_10ep.jsonl")
+    params = read_object(HarnessParams, header["harness"], lambda: "header", ValidationError)
+    hp = read_object(SchedulerHyperparams, header["hyperparams"], lambda: "header",
+                     ValidationError)
+    rows = oracle_train(read_corpus(FIXTURES / "toy_corpus.jsonl"), params, hp)
+    assert compare_traces(rows, golden, TRACE_REL) == []

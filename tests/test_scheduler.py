@@ -426,6 +426,26 @@ class TestBatchObserve:
         assert report.cot_easy_mean == 0.5
         assert math.isnan(report.cot_med_mean)
 
+    @pytest.mark.parametrize("batches", [
+        [(["d", "d"], ["medium", "medium"], [1.0, 1.0], [1e308, 1e308])],
+        # negative losses: each epoch's mean is finite, the smoothing step is not
+        [(["d"], ["easy"], [-1.7e308], [None]), (["d"], ["easy"], [1.7e308], [None])],
+        # the domains' sums cancel in the total
+        [(["a", "b", "a", "b"], ["easy"] * 4, [1e308, -1e308] * 2, [None] * 4)],
+    ], ids=["rationale", "m-bar", "domain"])
+    def test_an_infinite_mean_raises_naming_the_epoch(self, batches):
+        # one batch per epoch; the last epoch's close raises
+        sched = CurriculumScheduler(SchedulerHyperparams(), seed=0)
+        for batch in batches[:-1]:
+            sched.start_epoch()
+            sched.observe(*batch)
+            sched.end_of_epoch()
+        sched.start_epoch()
+        sched.observe(*batches[-1])
+        with pytest.raises(ValidationError,
+                           match=f"^non-finite epoch mean or m_bar at epoch {len(batches)}$"):
+            sched.end_of_epoch()
+
 
 class TestPoolProbabilities:
     """The scheduler builds the main pool's medium probabilities once, when

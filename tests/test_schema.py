@@ -40,7 +40,7 @@ from cotforge.scheduler import CurriculumScheduler, SchedulerHyperparams
 from cotforge.toymodel import StageLossWeights, ToyModel
 
 from corpus_utils import tiny_corpus
-from oracles import check_fields
+from oracles import check_fields, object_reader
 
 ROOTS = (AppConfig, DynamicsSpec, ImageRecord, VqaCotRecord, jsonl._MaskLine, remote._Reply)
 
@@ -305,7 +305,7 @@ def test_the_built_reader_and_the_generic_reader_agree(cls, data):
 
     def generic_read():
         try:
-            return errors._object_reader(cls)(obj)
+            return object_reader(cls)(obj)
         except errors.FieldError as exc:
             raise ValidationError(f"in: {exc}") from None
 
@@ -477,3 +477,84 @@ def test_a_fault_checks_each_field_once():
         Pair(1, 0)
     assert str(info.value) == "field 'b' must be at least 1, got 0"
     assert calls == [1.0]
+
+
+def with_box(box, edit):
+    """A dataset line whose one annotation has ``box``, then ``edit``ed."""
+    line = {"image_id": "a", "width": 64, "height": 64, "modality": "CT",
+            "annotations": [{"box": box, "lesion_class": "mass"}]}
+    edit(line)
+    return line
+
+
+def with_base(base, edit):
+    """A full scenario, every default given, whose one curve has ``base``,
+    then ``edit``ed."""
+    spec = {"name": "s", "epochs": 1, "seed": 0, "hyperparams": {},
+            "domains": {"mass|CT": {"easy": {"count": 2, "total": {"base": base}}}}}
+    edit(spec)
+    return spec
+
+
+def renamed(key):
+    return lambda obj: obj.update(unknown=obj.pop(key))
+
+
+UNKNOWN_KEYS = "unknown keys ['unknown']; allowed: "
+BAD_BOX = "field 'annotations[0].box' must be an array of 4 items, got 3"
+BAD_BASE = "field 'domains[\"mass|CT\"][\"easy\"].total.base' must be non-negative, got -1.0"
+
+# two faults in one input: the reader reports the first in its order (type;
+# item count or unknown keys; a nested record's fault; a missing field),
+# whichever path the input's length sends it down
+FAULT_ORDER_CASES = [
+    ("unknown-added-and-bad-box", ImageRecord,
+     with_box([0.1, 0.1, 0.5], lambda line: line.update(unknown=1)),
+     UNKNOWN_KEYS + "['annotations', 'height', 'image_id', 'modality', 'width']"),
+    ("unknown-for-required-and-bad-box", ImageRecord,
+     with_box([0.1, 0.1, 0.5], renamed("modality")),
+     UNKNOWN_KEYS + "['annotations', 'height', 'image_id', 'modality', 'width']"),
+    ("missing-and-bad-box", ImageRecord,
+     with_box([0.1, 0.1, 0.5], lambda line: line.pop("modality")), BAD_BOX),
+    ("unknown-for-defaulted-and-bad-base", DynamicsSpec, with_base(-1.0, renamed("seed")),
+     UNKNOWN_KEYS + "['domains', 'epochs', 'hyperparams', 'name', 'seed']"),
+    ("missing-and-bad-base", DynamicsSpec,
+     with_base(-1.0, lambda spec: spec.pop("epochs")), BAD_BASE),
+    ("defaults-absent-and-bad-base", DynamicsSpec,
+     with_base(-1.0, lambda spec: spec.pop("hyperparams")), BAD_BASE),
+]
+
+
+@pytest.mark.parametrize("cls,obj,message", [case[1:] for case in FAULT_ORDER_CASES],
+                         ids=[case[0] for case in FAULT_ORDER_CASES])
+def test_the_reader_reports_the_first_of_two_faults(cls, obj, message):
+    with pytest.raises(ValidationError) as info:
+        read_object(cls, obj, lambda: "in", ValidationError)
+    assert str(info.value) == "in: " + message
+
+
+def test_a_faulty_read_runs_a_rule_as_often_as_one_python_build():
+    # the reader builds each record it holds once, also on a fault
+    calls = []
+
+    def counted(value):
+        calls.append(value)
+        return False
+
+    @dataclasses.dataclass
+    class Leaf(Record):
+        a: Annotated[float, Rule(counted, "be counted")]
+
+    @dataclasses.dataclass
+    class Outer(Record):
+        leaf: Leaf
+
+    with pytest.raises(ValidationError):
+        Leaf(2.0)
+    per_build = len(calls)
+    for cls, obj, path in [(Leaf, {"a": 2.0}, "a"), (Outer, {"leaf": {"a": 2.0}}, "leaf.a")]:
+        calls.clear()
+        with pytest.raises(ValidationError) as info:
+            read_object(cls, obj, lambda: "in", ValidationError)
+        assert str(info.value) == f"in: field '{path}' must be counted, got 2.0"
+        assert len(calls) == per_build, cls.__name__
