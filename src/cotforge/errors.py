@@ -21,11 +21,12 @@ prefixes with its input and the field's full path.
 
 The reader and the checks run as code built for each record class at its
 first build, as ``dataclasses`` builds ``__init__``. A field whose value has
-the field's exact type and keeps its rules passes in line, with no call; any
-other value goes through its field's checker, the one source of conversions
-and of messages. The reader builds each record at most once and words a
-fault where it finds it: an object with exactly the record's keys, or a box's
-array of all its fields, is read in line, anything else after a shape check.
+the field's exact type passes on a call of each of its rules' own predicates;
+any other value, or one that breaks a rule, goes through its field's checker,
+the one source of conversions and of messages. The reader builds each record
+at most once and words a fault where it finds it: an object with exactly the
+record's keys, or a box's array of all its fields, is read in line, anything
+else after a shape check.
 """
 
 import contextlib
@@ -91,7 +92,6 @@ def in_range(lo, hi=math.inf, lo_open=False) -> Rule:
     def holds(value):
         return (lo < value if lo_open else lo <= value) and value <= hi
 
-    holds.bounds = lo, hi, lo_open  # the built code tests them inline
     if hi < math.inf:
         need = f"lie in {'(' if lo_open else '['}{lo}, {hi}]"
     elif lo == 0:
@@ -399,7 +399,8 @@ def _built_post_init(cls):
 
 def _fast_test(tp, value, env):
     """Source of a test that holds only if ``value`` passes annotation ``tp``
-    unchanged: a scalar or record of its exact type that keeps its rules.
+    unchanged: a scalar or record of its exact type on which each of its
+    rules' predicates holds, each called as the field's checker calls it.
     None where ``tp`` has no such test, as for a list, tuple, dict or
     Optional, whose checker the built code calls."""
     rules = ()
@@ -408,24 +409,7 @@ def _fast_test(tp, value, env):
     if not _is_leaf(tp):
         return None
     return " and ".join([f"type({value}) is {_bind(env, tp)}", *(
-        _inline_rule(rule, value, env) for rule in _TYPE_RULES.get(tp, ()) + rules)])
-
-
-def _inline_rule(rule, value, env):
-    """Source of ``rule``'s test on ``value``: this module's own rules in
-    line, any other as a call of its predicate."""
-    holds = rule.holds
-    if holds is bool:  # NON_EMPTY
-        return value
-    if holds is math.isfinite:
-        return f"{_bind(env, -math.inf)} < {value} < {_bind(env, math.inf)}"
-    if hasattr(holds, "bounds"):  # in_range
-        lo, hi, lo_open = holds.bounds
-        test = f"{_bind(env, lo)} {'<' if lo_open else '<='} {value}"
-        return test + (f" <= {_bind(env, hi)}" if hi < math.inf else "")
-    if type(getattr(holds, "__self__", None)) is frozenset:  # one_of
-        return f"{value} in {_bind(env, holds.__self__)}"
-    return f"{_bind(env, holds)}({value})"
+        f"{_bind(env, rule.holds)}({value})" for rule in _TYPE_RULES.get(tp, ()) + rules)])
 
 
 def _bind(env, obj) -> str:

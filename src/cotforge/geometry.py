@@ -307,6 +307,7 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     if gh > height or gw > width:
         raise ValidationError(f"grid dims {grid_dims} must be in [1, image dims]")
     sigma = checked("sigma", sigma, Sigma)
+    floor = checked("floor", floor, float)
     if not 0.0 < floor < 1.0 / (gh * gw):
         raise ValidationError(f"floor must lie in (0, 1/{gh * gw})")
     from scipy.ndimage import gaussian_filter  # here: only soft masks need scipy

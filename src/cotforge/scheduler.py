@@ -221,6 +221,7 @@ def _draw_batch(batch_size: int, lambda_hard: float, hard_pool_size: int,
     without replacement from a main pool whose probabilities ``p`` are checked."""
     batch_size = checked("batch_size", batch_size, PositiveInt)
     lambda_hard = checked("lambda_hard", lambda_hard, UnitInterval)
+    hard_pool_size = checked("hard_pool_size", hard_pool_size, NonNegativeInt)
     n_hard = int(math.floor(lambda_hard * batch_size))
     if n_hard > hard_pool_size:
         raise ValidationError(

@@ -91,7 +91,7 @@ def stage_loss(easy: np.ndarray, medium: np.ndarray, weights: StageLossWeights,
     return StageLosses(total, answer, cot, grounding, attention)
 
 
-def roi_cells(boxes: Sequence[BBox], grid_dims: tuple) -> np.ndarray:
+def roi_cells(boxes: Sequence[BBox], grid_dims: GridDims) -> np.ndarray:
     """Boolean ``(len(boxes), gh, gw)`` grids of the cells whose centers fall
     inside each box.
 
@@ -99,9 +99,7 @@ def roi_cells(boxes: Sequence[BBox], grid_dims: tuple) -> np.ndarray:
     box too small to cover any center selects the single cell containing
     the box center, so pooling never sees an empty region.
     """
-    gh, gw = grid_dims
-    if gh < 1 or gw < 1:
-        raise ValidationError("grid dims must be positive")
+    gh, gw = checked("grid_dims", grid_dims, GridDims)
     cells = np.zeros((len(boxes), gh, gw), dtype=bool)
     for k, b in enumerate(boxes):
         r0, r1, c0, c1 = box_span(b, gh, gw)

@@ -573,6 +573,17 @@ class TestBuildSoftMask:
         with pytest.raises(ValidationError):
             build_soft_mask([box], (8, 8), (2, 2), sigma=0.0, floor=0.25)
 
+    @pytest.mark.parametrize("floor, fault", [
+        (None, "must be a number, got null"),
+        ("0.01", "must be a number, got a string"),
+        (True, "must be a number, got true or false"),
+    ], ids=["null", "string", "bool"])
+    def test_a_floor_that_is_not_a_number_is_rejected(self, floor, fault):
+        # these once ended in a bare TypeError from the range test
+        with pytest.raises(ValidationError) as info:
+            build_soft_mask([BBox(0.0, 0.0, 0.5, 0.5)], (8, 8), (2, 2), floor=floor)
+        assert str(info.value) == f"field 'floor' {fault}"
+
     @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf, 1e308, 8192.5])
     def test_sigma_outside_zero_to_the_largest_image_side_rejected(self, sigma):
         # NaN used to build the sigma-0 mask; inf and 1e308 overflowed in scipy

@@ -129,9 +129,27 @@ class TestRoi:
         assert np.array_equal(np.argwhere(cells), [[1, 1]])
 
     def test_non_positive_grid_rejected(self):
-        for grid_dims in ((0, 4), (4, 0), (-1, 2)):
-            with pytest.raises(ValidationError, match="grid dims must be positive"):
+        for grid_dims, fault in (((0, 4), "[0]' must be at least 1, got 0"),
+                                 ((4, 0), "[1]' must be at least 1, got 0"),
+                                 ((-1, 2), "[0]' must be at least 1, got -1")):
+            with pytest.raises(ValidationError) as info:
                 roi_cells([BBox(0.0, 0.0, 1.0, 1.0)], grid_dims)
+            assert str(info.value) == f"field 'grid_dims{fault}"
+
+    @pytest.mark.parametrize("grid_dims, fault", [
+        ((2.0, 2.0), "[0]' must be an integer, got a number"),
+        ((True, 2), "[0]' must be an integer, got true or false"),
+        ((100000, 100000), "' must have at most 4096 cells, got [100000, 100000]"),
+    ], ids=["floats", "bool", "cells"])
+    def test_grid_dims_follow_the_grid_rule(self, monkeypatch, grid_dims, fault):
+        # these once ended in numpy's TypeError, or its MemoryError for 9.31 GiB
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated before the grid was checked")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ValidationError) as info:
+            roi_cells([BBox(0.1, 0.1, 0.5, 0.5)], grid_dims)
+        assert str(info.value) == f"field 'grid_dims{fault}"
 
 
 def outputs_for(stage, answer=(-0.5,), cot=(-0.3,), with_grounding=True,

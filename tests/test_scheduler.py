@@ -173,6 +173,19 @@ class TestPlanBatch:
             plan_batch(batch_size, lambda_hard, 50, 50, np.full(50, 0.5),
                        np.random.default_rng(6))
 
+    @pytest.mark.parametrize("hard_pool_size, fault", [
+        (None, "must be an integer, got null"),
+        (2.0, "must be an integer, got a number"),
+        (-1, "must be non-negative, got -1"),
+    ], ids=["null", "float", "negative"])
+    def test_a_bad_hard_pool_size_is_rejected(self, hard_pool_size, fault):
+        # None and 2.0 once ended in a bare TypeError or numpy's ValueError
+        sched = CurriculumScheduler(SchedulerHyperparams(), domains=["a"], seed=0)
+        sched.start_epoch(["a"] * 8)
+        with pytest.raises(ValidationError) as info:
+            sched.plan_batch(4, hard_pool_size=hard_pool_size)
+        assert str(info.value) == f"field 'hard_pool_size' {fault}"
+
     def test_reproducible_with_seed(self):
         a = plan_batch(16, 0.25, 20, 40, np.full(40, 0.4), np.random.default_rng(7))
         b = plan_batch(16, 0.25, 20, 40, np.full(40, 0.4), np.random.default_rng(7))

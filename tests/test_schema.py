@@ -194,9 +194,10 @@ def test_any_python_values_build_a_well_typed_record_or_raise_validation_error(c
         assert holds_declared(hints[name], getattr(record, name)), name
 
 
-# Each record class's checks and reader run as built code, which takes the
-# common case in line and hands the rest to each field's checker. Built that
-# way and by the reference loop over the field checkers alone
+# Each record class's checks and reader run as built code: a value of its
+# field's exact type passes on calls of the field's rules' own predicates,
+# and any other value goes to the field's checker. Built that way and by the
+# reference loop over the field checkers alone
 # (`oracles.check_fields`), a record must come out the same, or fail with the
 # same message.
 
@@ -226,6 +227,88 @@ def test_the_built_checks_and_the_generic_path_agree(cls, data):
     built = outcome(lambda: cls(**kwargs))
     with generic_path():
         assert outcome(lambda: cls(**kwargs)) == built
+
+
+def test_a_rule_is_judged_by_its_own_predicate():
+    # the built code calls the predicate; no attribute of it stands in for it
+    def holds(value):
+        return value == 0.5
+
+    holds.bounds = (0, 1, False)
+
+    @dataclasses.dataclass
+    class Half(Record):
+        x: Annotated[float, Rule(holds, "be one half")]
+
+    assert outcome(lambda: Half(0.25)) == "field 'x' must be one half, got 0.25"
+    with generic_path():
+        assert outcome(lambda: Half(0.25)) == "field 'x' must be one half, got 0.25"
+
+
+def in_range_bounds(rule):
+    """(lo, hi, lo_open) of an ``in_range`` rule, read from its predicate's
+    closure, or None for any other rule."""
+    holds = rule.holds
+    if getattr(holds, "__qualname__", None) != "in_range.<locals>.holds":
+        return None
+    cells = [cell.cell_contents for cell in holds.__closure__]
+    bound = dict(zip(holds.__code__.co_freevars, cells))
+    return bound["lo"], bound["hi"], bound["lo_open"]
+
+
+def boundary_values(kind, lo, hi, lo_open):
+    """The values of type ``kind`` at and next to each finite bound of an
+    ``in_range`` rule, and -0.0 at a float's lower bound of 0."""
+    if kind is int:
+        return [lo - 1, lo, lo + 1] + ([hi - 1, hi, hi + 1] if hi < math.inf else [])
+    bounds = [float(lo)] + ([float(hi)] if hi < math.inf else [])
+    values = [math.nextafter(b, step) for b in bounds for step in (-math.inf, b, math.inf)]
+    return values + ([-0.0] if lo == 0 else [])
+
+
+def in_range_fields():
+    """(class, field, values) for each int or float field of the records in
+    ``RECORDS``, with the boundary values of each of its ``in_range`` rules,
+    the 64-bit rule of an int among them. A rule on a tuple's items is left
+    out: the built code hands a tuple to its checker on either path."""
+    cases = []
+    for cls in RECORDS:
+        for name, tp in typing.get_type_hints(cls, include_extras=True).items():
+            kind, rules = tp, ()
+            if typing.get_origin(tp) is Annotated:
+                kind, rules = typing.get_args(tp)[0], tp.__metadata__
+            if kind not in (int, float):
+                continue
+            bounds = [b for rule in errors._TYPE_RULES[kind] + rules
+                      if (b := in_range_bounds(rule)) is not None]
+            values = [v for b in bounds for v in boundary_values(kind, *b)]
+            if values:
+                cases.append((cls, name, values))
+    return cases
+
+
+IN_RANGE_FIELDS = in_range_fields()
+
+
+def test_the_boundary_walk_finds_the_64_bit_rule():
+    [(_, _, values)] = [case for case in IN_RANGE_FIELDS
+                        if case[:2] == (SchedulerHyperparams, "q")]
+    assert {-2**63 - 1, -2**63, 2**63 - 1, 2**63} <= set(values)
+
+
+@pytest.mark.parametrize("cls,name,values", IN_RANGE_FIELDS,
+                         ids=[f"{case[0].__name__}.{case[1]}" for case in IN_RANGE_FIELDS])
+def test_the_built_checks_and_the_generic_path_agree_at_each_bound(cls, name, values):
+    # HOSTILE and the drawn values reach some of these values, not all
+    sample = {f.name: getattr(SAMPLES[cls], f.name) for f in dataclasses.fields(cls)}
+    rejected = []
+    for value in values:
+        kwargs = {**sample, name: value}
+        built = outcome(lambda: cls(**kwargs))
+        with generic_path():
+            assert outcome(lambda: cls(**kwargs)) == built, value
+        rejected.append(isinstance(built, str))
+    assert any(rejected) and not all(rejected)  # the values straddle a bound
 
 
 def as_json(value):
