@@ -76,9 +76,11 @@ class OrganMask:
     zeros and ones, zeros first, and must sum to height * width
     (`geometry.check_runs`); `area`, the set-pixel count, is the sum of the
     odd runs. An int array given as the runs is kept, not copied, and made
-    read-only. A dense mask is encoded with `geometry.encode_runs`. One
-    mask is checked as a list of one by `organ_masks`, after its dims and
-    the shape and dtype of its runs.
+    read-only; a mask read by `jsonl.read_masks` keeps a read-only int64
+    view of its chunk's buffer (`geometry.ChunkedRuns`). A dense mask is
+    encoded with `geometry.encode_runs`. One mask is checked as a list of
+    one by `organ_masks`, after its dims and the shape and dtype of its
+    runs.
     """
 
     __slots__ = ("organ_label", "runs", "height", "width", "area")
@@ -96,12 +98,14 @@ def organ_masks(lines):
     """Check (organ_label, runs, height, width) mask lines and build each
     line's OrganMask.
 
-    Each line's runs are a `geometry.runs_array` array and its dims are
-    `geometry.Side`s; one `check_runs` call checks every line's runs. Each
-    line is then checked as OrganMask checks it: its runs, its label, then
-    its area. Returns (masks, faults), as `check_runs` returns (areas, faults):
-    masks[k] is line k's OrganMask, or None when the line is faulty, and
-    faults maps the index of each faulty line to its first fault's message.
+    Each line's runs are an int array, as `geometry.runs_array` or
+    `geometry.ChunkedRuns` gives it, and its dims are `geometry.Side`s; one
+    `check_runs` call checks every line's runs. Each line is then checked
+    as OrganMask checks it: its runs, its label, then its area. A good
+    line's mask keeps its runs, made read-only, not copied. Returns
+    (masks, faults), as `check_runs` returns (areas, faults): masks[k] is
+    line k's OrganMask, or None when the line is faulty, and faults maps
+    the index of each faulty line to its first fault's message.
     """
     areas, faults = check_runs([runs for _, runs, _, _ in lines],
                                [height * width for _, _, height, width in lines])

@@ -10,6 +10,7 @@ Coordinate conventions used throughout:
 
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Annotated, Sequence, Tuple
 
@@ -36,8 +37,9 @@ GridDims = Annotated[Tuple[PositiveInt, PositiveInt], Rule(
     f"have at most {MAX_GRID_CELLS} cells", list)]
 
 # Most RLE runs and mask-row queries in one chunk of the forge's numpy
-# passes (`check_runs`, `box_intersections`): 128 KiB per int64 array. The
-# passes split their inputs themselves; no other module reads it.
+# passes (`ChunkedRuns`, `check_runs`, `box_intersections`): 128 KiB per
+# int64 array. The passes split their inputs themselves; no other module
+# reads it.
 FORGE_CHUNK = 1 << 14
 
 
@@ -138,6 +140,53 @@ def runs_array(runs) -> np.ndarray:
     if not valid:
         raise ValidationError("RLE runs must be non-negative integers")
     return runs
+
+
+class ChunkedRuns:
+    """Lines' RLE run lists made int arrays a chunk of lines at a time.
+
+    `add` queues a line's run list. The queued lines are converted when the
+    next line's runs would take them past FORGE_CHUNK runs, so a chunk holds
+    at most FORGE_CHUNK runs or a single line, and no more than one chunk's
+    Python lists are held; `flush` converts what is queued. A chunk's runs
+    are packed into one int64 buffer by `struct`, which takes only ints
+    within int64, where `runs_array` gives the same values: it refuses a
+    float (2.0 too), a string, null, a nested list and anything outside
+    int64, though not a bool, which the caller must refuse. The buffer is
+    immutable bytes, so each line's array, a view of it, is read-only for
+    good. A chunk that does not pack goes through `runs_array` line by
+    line, which words each fault and keeps its uint64 arrays.
+
+    After a flush, arrays[k] is line k's array, or None when the line is
+    faulty, and faults maps the index of each faulty line to its message,
+    as `check_runs` returns them.
+    """
+
+    def __init__(self):
+        self.arrays, self.faults = [], {}
+        self._runs, self._lengths = [], []
+
+    def add(self, runs):
+        if self._lengths and len(self._runs) + len(runs) > FORGE_CHUNK:
+            self.flush()
+        self._runs += runs
+        self._lengths.append(len(runs))
+
+    def flush(self):
+        runs, bounds = self._runs, list(itertools.pairwise(
+            itertools.accumulate(self._lengths, initial=0)))
+        self._runs, self._lengths = [], []
+        try:
+            buffer = np.frombuffer(struct.pack(f"{len(runs)}q", *runs), dtype=np.int64)
+        except struct.error:
+            for start, stop in bounds:
+                try:
+                    self.arrays.append(runs_array(runs[start:stop]))
+                except ValidationError as exc:
+                    self.faults[len(self.arrays)] = str(exc)
+                    self.arrays.append(None)
+        else:
+            self.arrays += [buffer[start:stop] for start, stop in bounds]
 
 
 _ZERO_PADS = tuple(np.zeros(n, dtype=np.int64) for n in range(3))

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import Record, ValidationError, checked, open_text, parse_json, read_object
 from .forge import ImageRecord, VqaCotRecord, organ_masks
-from .geometry import Side, check_runs, runs_array
+from .geometry import ChunkedRuns, Side, check_runs, runs_array
 
 
 @contextlib.contextmanager
@@ -102,15 +102,19 @@ def read_masks(path, images_by_id):
     Every line is checked here: its image must be known and its dims must
     match that image's, its runs must be valid RLE for those dims (a JSON
     true or false is not a run), and its organ label and mask must be
-    non-empty (the mask's area is the sum of its odd runs). Each line's
-    runs become one array as the line is read; the lines read are checked
-    together by `forge.organ_masks`, which returns each faulty line's fault
-    by index. The first faulty line in the file is the one reported: the
-    earliest of those faults, or else the fault that stopped the read. Each
-    mask is kept as its checked runs and nothing is decoded; the returned
-    mapping is read-only and holds a tuple per image.
+    non-empty (the mask's area is the sum of its odd runs). The runs become
+    int64 arrays a chunk of lines at a time as the file is read
+    (`geometry.ChunkedRuns`): one read-only buffer per chunk, each mask's
+    runs a view of it, and at most one chunk's run lists held. The lines
+    read are then checked together by `forge.organ_masks`, which returns
+    each faulty line's fault by index. The first faulty line in the file
+    is the one reported: the earliest of the conversion faults and those
+    faults, or else the fault that stopped the read. Each mask is kept as
+    its checked runs and nothing is decoded; the returned mapping is
+    read-only and holds a tuple per image.
     """
-    lines, stop = [], None  # (where, image id, mask line) of each line read
+    lines, stop = [], None  # (where, image id, organ label, height, width) of each line
+    runs = ChunkedRuns()
     try:
         for where, text, obj in _iter_jsonl(path):
             line = read_object(_MaskLine, obj, where, ValidationError)
@@ -123,24 +127,26 @@ def read_masks(path, images_by_id):
                     f"{where()}: mask dims {(line.height, line.width)} do not match "
                     f"image {line.image_id!r} dims {(image.height, image.width)}"
                 )
-            try:
-                runs = runs_array(line.rle)
-                if _holds_json_boolean(text, line.rle):  # it would read as 1 or 0
-                    raise ValidationError("RLE runs must be non-negative integers")
-            except ValidationError as exc:
-                raise ValidationError(f"{where()}: {exc}") from exc
-            lines.append((where, line.image_id,
-                          (line.organ_label, runs, line.height, line.width)))
+            if _holds_json_boolean(text, line.rle):  # it would read as 1 or 0
+                raise ValidationError(f"{where()}: RLE runs must be non-negative integers")
+            lines.append((where, line.image_id, line.organ_label, line.height, line.width))
+            runs.add(line.rle)
+            if runs.faults:  # no later line can hold the first fault
+                break
     except ValidationError as exc:
         stop = exc
-    masks, faults = organ_masks([mask_line for _, _, mask_line in lines])
+    runs.flush()
+    checked_lines = lines[:min(runs.faults, default=len(lines))]  # before any bad run
+    masks, faults = organ_masks([(label, line_runs, height, width) for (
+        _, _, label, height, width), line_runs in zip(checked_lines, runs.arrays)])
+    faults.update(runs.faults)
     if faults:
         k = min(faults)
         raise ValidationError(f"{lines[k][0]()}: {faults[k]}")
     if stop is not None:
         raise stop
     masks_by_image = {}
-    for (_, image_id, _), mask in zip(lines, masks):
+    for (_, image_id, *_), mask in zip(lines, masks):
         masks_by_image.setdefault(image_id, []).append(mask)
     return types.MappingProxyType({image_id: tuple(masks)
                                    for image_id, masks in masks_by_image.items()})

@@ -288,6 +288,21 @@ class TestChunkEdges:
             (0, 2), (2, 4), (4, 5), (5, 7)]
         assert list(geometry._chunks([])) == []
 
+    def test_chunked_runs_pack_a_line_or_lines_within_the_budget(self, chunk_budget):
+        chunk_budget(6)
+        runs = geometry.ChunkedRuns()
+        lines = [[1, 2, 3], [4, 5, 6], [7], [1] * 9, [], [2, 2], [3]]
+        for line in lines:
+            runs.add(line)
+        runs.flush()
+        assert [array.tolist() for array in runs.arrays] == lines and not runs.faults
+        assert all(array.dtype == np.int64 for array in runs.arrays)
+        # the lines of a chunk are views of one buffer
+        bases = [id(array.base) for array in runs.arrays]
+        chunks = [[k for k, base in enumerate(bases) if base == chunk]
+                  for chunk in dict.fromkeys(bases)]
+        assert chunks == [[0, 1], [2], [3], [4, 5, 6]]
+
     def assert_split(self, chunks_seen, budget):
         for costs, chunks in chunks_seen:
             assert [k for start, stop in chunks for k in range(start, stop)] == list(

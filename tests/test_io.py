@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from collections.abc import Mapping, MutableMapping
 from pathlib import Path
 
@@ -349,6 +350,27 @@ class TestMasksReader:
         assert [(m.organ_label, m.runs.tolist()) for m in got] == [
             ("true", [2, 3, 3]), ("false", [0, 1, 7])]
 
+    def test_transient_memory_holds_one_chunk_of_run_lists(self, tmp_path):
+        # 400 lines of 300 runs at 512x512: their Python lists would take
+        # about 5.6 MB, the int64 runs returned 0.92 MB
+        rng = np.random.default_rng(12)
+        images = {f"im{i}": ImageRecord(f"im{i}", 512, 512, "CT", []) for i in range(40)}
+        lines = []
+        for k in range(400):
+            runs = rng.integers(600, 1100, 299).tolist()
+            lines.append({"image_id": f"im{k // 10}", "organ_label": f"organ{k % 10}",
+                          "height": 512, "width": 512, "rle": runs + [512 * 512 - sum(runs)]})
+        path = self.write_masks(tmp_path, lines)
+        tracemalloc.start()
+        try:
+            masks_by_image = read_masks(path, images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = sum(m.runs.nbytes for masks in masks_by_image.values() for m in masks)
+        assert held == 400 * 300 * 8
+        assert peak <= held + 1.5 * 2**20
+
 
 MASK_FAULTS = {  # one line's fault (raw text or fields over a good line)
     "bad-json": '{"image_id": "a", "rle": [8',
@@ -460,8 +482,33 @@ class TestFirstFaultAcrossChunks:
         with pytest.raises(ValidationError, match=f"line {before + 1}: {message}$"):
             read_masks(self.write(tmp_path / "masks.jsonl", lines), self.images())
 
+    @pytest.mark.parametrize("bad", [[2.0, 6], [1.5, 6.5], [2**63, 8], [[2], 6]], ids=repr)
+    def test_one_bad_line_among_many_in_a_chunk(self, tmp_path, bad):
+        # the default budget: every line shares one chunk with the bad one
+        rng = np.random.default_rng(10)
+        lines = [self.good(rng) for _ in range(200)]
+        lines.insert(97, {**self.good(rng), "rle": bad})
+        path = self.write(tmp_path / "masks.jsonl", lines)
+        got = self.outcome(path)
+        assert got == self.reference(tmp_path, lines)
+        assert got.startswith(f"{path}: line 98: ")
+
+    def test_a_good_files_runs_are_read_only_int64_views(self, tmp_path, chunk_budget):
+        chunk_budget(50)
+        rng = np.random.default_rng(11)
+        lines = [self.good(rng) for _ in range(120)]
+        masks = read_masks(self.write(tmp_path / "masks.jsonl", lines), self.images())["a"]
+        assert len(masks) == len(lines)
+        for mask, line in zip(masks, lines):
+            assert mask.runs.dtype == np.int64
+            assert mask.runs.tolist() == line["rle"]
+            assert not mask.runs.flags.writeable
+            with pytest.raises(ValueError):
+                mask.runs.flags.writeable = True
+
     @pytest.mark.parametrize("rle", [
         [2**63], [2**63, 2**63], [2**64 - 1], [2**64], [2**63, 1], [-1, 2**63], [-(2**63), 8],
+        [2**63 - 1], [-(2**63) - 1, 8], [8, 2**64],
         [8.0], [1.5, 6.5], ["2", 6], [[2], [6]], [[2], 6], [None], [], [[]], [0, 8], [2, 3, 3],
     ], ids=repr)
     @pytest.mark.parametrize("before", [0, 3])
