@@ -6,7 +6,10 @@ raises ValidationError, never ConfigError; the reader of an input raises
 each fault as that input's error type, so a broken rule exits 2 in the
 config and 1 in a scenario or data file. Only the CLI constructs a
 ConfigError by name. Every JSON input, files and remote replies alike,
-goes through ``parse_json`` and ``read_object``.
+goes through ``parse_json`` and ``read_object``. ``parse_json`` reads each
+document (each JSONL line) with one raw decode of the C scanner, and
+``json.loads`` words the faults: a document the raw decode does not take
+whole is read again by it.
 Both take ``where``, a zero-argument callable naming the input (a file, a
 line, an endpoint), called only to report a fault. A record is a JSON object;
 a box, whose class sets ``JSON_ARRAY``, is an array of its fields in order.
@@ -129,16 +132,30 @@ def load_json(path, cls, context: str, error: type):
     return read_object(cls, obj, where, error)
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+_JSON_SPACE = " \t\n\r"  # what json.loads skips around a document
+
+
 def parse_json(text, where, error: type):
     """Parse one JSON document: a str, or bytes read as strict UTF-8 (RFC 8259).
 
     Bad syntax, too deep a nest, too long an integer, or a string holding a
     lone UTF-16 surrogate raises ``error`` as ``"{where()}: bad JSON: ..."``.
+    The document is read by one raw decode, kept when only JSON whitespace
+    follows it; any other outcome (a fault, leading whitespace, a BOM) is
+    read again by ``json.loads``, which accepts what it accepts and words
+    every fault, so both paths give the same value or the same message.
     """
     try:
         if type(text) is bytes:
             text = text.decode("utf-8")  # json.loads would let surrogates pass
-        value = json.loads(text)
+        try:
+            value, end = _raw_decode(text)
+            whole = end == len(text) or not text[end:].strip(_JSON_SPACE)
+        except (ValueError, RecursionError, TypeError):
+            whole = False
+        if not whole:
+            value = json.loads(text)
         # a one-character search first: it runs many times faster than one for "\\u"
         if "\\" in text and "\\u" in text:  # only a \u escape spells a lone surrogate
             json.dumps(value, ensure_ascii=False).encode("utf-8")

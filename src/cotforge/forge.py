@@ -18,7 +18,7 @@ from urllib.parse import urlsplit
 
 from .errors import (BackendError, MalformedResponseError, NonEmptyStr, NonNegative,
                      Record, Rule, ValidationError, checked, in_range, one_of)
-from .geometry import BBox, Side, box_intersections, box_span, check_runs, runs_array
+from .geometry import BBox, Side, box_intersections, box_span, check_runs, frozen_runs
 from .geometry import mask_iou  # noqa: F401  uncalled; the benchmark tracer wraps it here
 
 MODALITIES = ("CT", "XRay", "MRI", "Mammo")
@@ -75,12 +75,14 @@ class OrganMask:
     Its sides are `geometry.Side`s, as its image's are. The runs alternate
     zeros and ones, zeros first, and must sum to height * width
     (`geometry.check_runs`); `area`, the set-pixel count, is the sum of the
-    odd runs. An int array given as the runs is kept, not copied, and made
-    read-only; a mask read by `jsonl.read_masks` keeps a read-only int64
-    view of its chunk's buffer (`geometry.ChunkedRuns`). A dense mask is
-    encoded with `geometry.encode_runs`. One mask is checked as a list of
-    one by `organ_masks`, after its dims and the shape and dtype of its
-    runs.
+    odd runs. Its runs are a read-only view of an immutable copy
+    (`geometry.frozen_runs`): the caller's array is left as it was, and the
+    mask's runs cannot be made writeable again, so they cannot drift from
+    its area. A mask read by `jsonl.read_masks` keeps a read-only int64
+    view of its chunk's immutable buffer (`geometry.ChunkedRuns`). A dense
+    mask is encoded with `geometry.encode_runs`. One mask is checked as a
+    list of one by `organ_masks`, after its dims and the shape and dtype of
+    its runs.
     """
 
     __slots__ = ("organ_label", "runs", "height", "width", "area")
@@ -88,29 +90,29 @@ class OrganMask:
     def __new__(cls, organ_label: str, runs, height: int, width: int):
         height = checked("height", height, Side)
         width = checked("width", width, Side)
-        [mask], faults = organ_masks([(organ_label, runs_array(runs), height, width)])
+        [mask], faults = organ_masks([(organ_label, height, width)], [frozen_runs(runs)])
         if faults:
             raise ValidationError(faults[0])
         return mask
 
 
-def organ_masks(lines):
-    """Check (organ_label, runs, height, width) mask lines and build each
-    line's OrganMask.
+def organ_masks(lines, runs):
+    """Check mask lines, (organ_label, height, width) each with its runs
+    array in ``runs``, and build each line's OrganMask.
 
-    Each line's runs are an int array, as `geometry.runs_array` or
-    `geometry.ChunkedRuns` gives it, and its dims are `geometry.Side`s; one
-    `check_runs` call checks every line's runs. Each line is then checked
-    as OrganMask checks it: its runs, its label, then its area. A good
-    line's mask keeps its runs, made read-only, not copied. Returns
-    (masks, faults), as `check_runs` returns (areas, faults): masks[k] is
-    line k's OrganMask, or None when the line is faulty, and faults maps
-    the index of each faulty line to its first fault's message.
+    Each line's runs are a read-only int array that cannot be made
+    writeable again, as `geometry.ChunkedRuns` and `geometry.frozen_runs`
+    give them, and its dims are `geometry.Side`s; one `check_runs` call
+    checks every line's runs. Each line is then checked as OrganMask checks
+    it: its runs, its label, then its area. A good line's mask keeps its
+    runs as they are. Returns (masks, faults), as `check_runs` returns
+    (areas, faults): masks[k] is line k's OrganMask, or None when the line
+    is faulty, and faults maps the index of each faulty line to its first
+    fault's message.
     """
-    areas, faults = check_runs([runs for _, runs, _, _ in lines],
-                               [height * width for _, _, height, width in lines])
+    areas, faults = check_runs(runs, [height * width for _, height, width in lines])
     masks = [None] * len(lines)
-    for k, (organ_label, runs, _, _) in enumerate(lines):
+    for k, (organ_label, height, width) in enumerate(lines):
         if k in faults:
             continue
         if not organ_label:
@@ -119,8 +121,8 @@ def organ_masks(lines):
             faults[k] = f"organ mask {organ_label!r} is empty"
         else:
             mask = masks[k] = object.__new__(OrganMask)
-            runs.flags.writeable = False
-            mask.organ_label, mask.runs, mask.height, mask.width = lines[k]
+            mask.organ_label, mask.runs, mask.height, mask.width = (
+                organ_label, runs[k], height, width)
             mask.area = areas[k]
     return masks, faults
 

@@ -142,6 +142,13 @@ def runs_array(runs) -> np.ndarray:
     return runs
 
 
+def frozen_runs(runs) -> np.ndarray:
+    """`runs_array(runs)` as a read-only view of an immutable copy, which no
+    one can make writeable again; the given runs are left as they are."""
+    runs = runs_array(runs)
+    return np.frombuffer(runs.tobytes(), dtype=runs.dtype)
+
+
 class ChunkedRuns:
     """Lines' RLE run lists made int arrays a chunk of lines at a time.
 
@@ -154,8 +161,9 @@ class ChunkedRuns:
     float (2.0 too), a string, null, a nested list and anything outside
     int64, though not a bool, which the caller must refuse. The buffer is
     immutable bytes, so each line's array, a view of it, is read-only for
-    good. A chunk that does not pack goes through `runs_array` line by
-    line, which words each fault and keeps its uint64 arrays.
+    good. A chunk that does not pack goes through `frozen_runs` line by
+    line, which words each fault and keeps its uint64 arrays, read-only
+    for good too.
 
     After a flush, arrays[k] is line k's array, or None when the line is
     faulty, and faults maps the index of each faulty line to its message,
@@ -181,7 +189,7 @@ class ChunkedRuns:
         except struct.error:
             for start, stop in bounds:
                 try:
-                    self.arrays.append(runs_array(runs[start:stop]))
+                    self.arrays.append(frozen_runs(runs[start:stop]))
                 except ValidationError as exc:
                     self.faults[len(self.arrays)] = str(exc)
                     self.arrays.append(None)

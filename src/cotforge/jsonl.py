@@ -42,10 +42,15 @@ def atomic_writer(path):
         raise
 
 
+# json.dumps(obj, ensure_ascii=False) builds an encoder per call; this one
+# writes the same text
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _write_jsonl(path, dicts):
     with atomic_writer(path) as f:
         for obj in dicts:
-            f.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            f.write(_encode(obj) + "\n")
 
 
 def _iter_jsonl(path):
@@ -102,18 +107,20 @@ def read_masks(path, images_by_id):
     Every line is checked here: its image must be known and its dims must
     match that image's, its runs must be valid RLE for those dims (a JSON
     true or false is not a run), and its organ label and mask must be
-    non-empty (the mask's area is the sum of its odd runs). The runs become
-    int64 arrays a chunk of lines at a time as the file is read
-    (`geometry.ChunkedRuns`): one read-only buffer per chunk, each mask's
-    runs a view of it, and at most one chunk's run lists held. The lines
-    read are then checked together by `forge.organ_masks`, which returns
-    each faulty line's fault by index. The first faulty line in the file
-    is the one reported: the earliest of the conversion faults and those
-    faults, or else the fault that stopped the read. Each mask is kept as
-    its checked runs and nothing is decoded; the returned mapping is
-    read-only and holds a tuple per image.
+    non-empty (the mask's area is the sum of its odd runs). The file is
+    read in one loop; per line: one parse, one `_MaskLine` read, the image,
+    dims and boolean checks, and one `geometry.ChunkedRuns.add`, which
+    makes the runs int64 arrays a chunk of lines at a time: one read-only
+    buffer per chunk, each mask's runs a view of it, and at most one
+    chunk's run lists held. The lines read are then checked together by
+    `forge.organ_masks`, which returns each faulty line's fault by index.
+    The first faulty line in the file is the one reported: the earliest of
+    the conversion faults and those faults, or else the fault that stopped
+    the read. Each mask is kept as its checked runs and nothing is decoded;
+    the masks are then grouped per image in one pass, and the returned
+    mapping is read-only and holds a tuple per image.
     """
-    lines, stop = [], None  # (where, image id, organ label, height, width) of each line
+    lines, sources, stop = [], [], None  # organ_masks' line, and (where, image id), per line
     runs = ChunkedRuns()
     try:
         for where, text, obj in _iter_jsonl(path):
@@ -122,31 +129,31 @@ def read_masks(path, images_by_id):
             if image is None:
                 raise ValidationError(
                     f"{where()}: mask references unknown image {line.image_id!r}")
-            if (line.height, line.width) != (image.height, image.width):
+            if line.height != image.height or line.width != image.width:
                 raise ValidationError(
                     f"{where()}: mask dims {(line.height, line.width)} do not match "
                     f"image {line.image_id!r} dims {(image.height, image.width)}"
                 )
             if _holds_json_boolean(text, line.rle):  # it would read as 1 or 0
                 raise ValidationError(f"{where()}: RLE runs must be non-negative integers")
-            lines.append((where, line.image_id, line.organ_label, line.height, line.width))
+            lines.append((line.organ_label, line.height, line.width))
+            sources.append((where, line.image_id))
             runs.add(line.rle)
             if runs.faults:  # no later line can hold the first fault
                 break
     except ValidationError as exc:
         stop = exc
     runs.flush()
-    checked_lines = lines[:min(runs.faults, default=len(lines))]  # before any bad run
-    masks, faults = organ_masks([(label, line_runs, height, width) for (
-        _, _, label, height, width), line_runs in zip(checked_lines, runs.arrays)])
+    good = min(runs.faults, default=len(lines))  # the lines before any bad run
+    masks, faults = organ_masks(lines[:good], runs.arrays[:good])
     faults.update(runs.faults)
     if faults:
         k = min(faults)
-        raise ValidationError(f"{lines[k][0]()}: {faults[k]}")
+        raise ValidationError(f"{sources[k][0]()}: {faults[k]}")
     if stop is not None:
         raise stop
     masks_by_image = {}
-    for (_, image_id, *_), mask in zip(lines, masks):
+    for (_, image_id), mask in zip(sources, masks):
         masks_by_image.setdefault(image_id, []).append(mask)
     return types.MappingProxyType({image_id: tuple(masks)
                                    for image_id, masks in masks_by_image.items()})

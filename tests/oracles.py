@@ -15,7 +15,8 @@ explicit per-item probabilities, read a trace file back, and compare two
 traces field by field. The reference record check is the plain loop over a
 record's field checkers that the built one must agree with, and the
 reference record reader the plain walk over an object's shape, keys and
-fields that the built reader must agree with.
+fields that the built reader must agree with, and the reference JSON reader
+the plain ``json.loads`` call that the raw-decode path must agree with.
 """
 
 import dataclasses
@@ -153,6 +154,23 @@ def object_reader(cls):
             raise FieldError(f": {exc}") from None
 
     return read
+
+
+def oracle_parse_json(text, where, error: type):
+    """The reference JSON reader: one ``json.loads`` call, then the
+    lone-surrogate check; ``errors.parse_json`` must give the same value or
+    raise the same message."""
+    try:
+        if type(text) is bytes:
+            text = text.decode("utf-8")  # json.loads would let surrogates pass
+        value = json.loads(text)
+        if "\\" in text and "\\u" in text:  # only a \u escape spells a lone surrogate
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        raise error(f"{where()}: bad JSON: a string holds a lone UTF-16 surrogate") from None
+    except (ValueError, RecursionError) as exc:  # ValueError: also bad UTF-8
+        raise error(f"{where()}: bad JSON: {exc}") from None
+    return value
 
 
 def organ_mask(label, dense) -> OrganMask:

@@ -381,15 +381,20 @@ class TestOrganMask:
 
     def test_runs_are_kept_read_only(self):
         m = half_mask(8, 8, "top")
-        om = organ_mask("liver", m)
-        assert m.flags.writeable
+        encoded = encode_runs(m)
+        om = OrganMask("liver", encoded, *m.shape)
+        assert m.flags.writeable and encoded.flags.writeable
         assert not om.runs.flags.writeable
         with pytest.raises(ValueError):
             om.runs[0] = 1
-        m[:] = True  # the caller's array is encoded once, not kept
+        m[:] = True  # the caller's arrays are encoded and copied once, not kept
+        encoded[:] = 0
         assert np.array_equal(decode(om), half_mask(8, 8, "top")) and om.area == 32
         listed = OrganMask("liver", [2, 3, 3], 2, 4)
         assert listed.runs.tolist() == [2, 3, 3] and not listed.runs.flags.writeable
+        for mask in (om, listed):  # a copy held by immutable bytes cannot drift from its area
+            with pytest.raises(ValueError):
+                mask.runs.flags.writeable = True
 
     @pytest.mark.parametrize("dtype", [np.uint8, float])
     def test_non_bool_mask_is_converted(self, dtype):
@@ -407,7 +412,10 @@ class TestOrganMask:
     def test_constructor_keeps_the_runs(self):
         runs = np.array([2, 3, 3])
         om = OrganMask("liver", runs, 2, 4)
-        assert om.runs is runs and not runs.flags.writeable
+        assert om.runs.tolist() == [2, 3, 3] and om.runs.dtype == runs.dtype
+        assert om.runs is not runs and runs.flags.writeable  # the caller's array is left alone
+        runs[1] = 0
+        assert om.runs.tolist() == [2, 3, 3]
         assert (om.height, om.width, om.area) == (2, 4, 3)
         assert np.array_equal(decode(om), rle_decode([2, 3, 3], 2, 4))
         with pytest.raises(ValidationError, match="empty"):
@@ -443,18 +451,20 @@ class TestOrganMask:
 
 
     def test_organ_masks_returns_each_faulty_lines_first_fault_by_index(self):
-        lines = [("liver", np.array([2, 3, 3]), 2, 4),
-                 ("", np.array([2, 3, 2]), 2, 4),  # a runs fault comes before the label
-                 ("", np.array([2, 3, 3]), 2, 4),
-                 ("kidney", np.array([8]), 2, 4),
-                 ("spleen", np.array([0, 8]), 2, 4)]
-        masks, faults = organ_masks(lines)
+        lines = [("liver", 2, 4),
+                 ("", 2, 4),  # a runs fault comes before the label
+                 ("", 2, 4),
+                 ("kidney", 2, 4),
+                 ("spleen", 2, 4)]
+        runs = [np.array([2, 3, 3]), np.array([2, 3, 2]), np.array([2, 3, 3]),
+                np.array([8]), np.array([0, 8])]
+        masks, faults = organ_masks(lines, runs)
         assert faults == {1: "RLE runs sum to 7, expected 8",
                           2: "organ_label must be non-empty",
                           3: "organ mask 'kidney' is empty"}
         assert [m and (m.organ_label, m.area) for m in masks] == [
             ("liver", 3), None, None, None, ("spleen", 8)]
-        assert not lines[0][1].flags.writeable and lines[1][1].flags.writeable
+        assert masks[0].runs is runs[0]  # kept as given: the caller passes read-only runs
 
 
 class TestTemplateQa:

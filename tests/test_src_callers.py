@@ -16,11 +16,13 @@ The same scan checks that only geometry.py reads the forge's chunk
 budget, FORGE_CHUNK: its numpy passes split their inputs themselves; that
 only geometry.py reads the soft-mask budget, MAX_SOFT_MASK_PIXELS: its
 ImageDims rule and the soft-mask build's chunks are one rule, in one place;
-and that only errors.py decodes JSON (json.load or json.loads), and no module
-calls a ``.json()`` method such as requests' response decoder, so every
-JSON input meets the same checks; and that only cli.py constructs a
-ConfigError: a record raises ValidationError, and the reader of the input
-it came from picks the error type, and so the exit code.
+that only errors.py decodes JSON (json.load, json.loads or a JSONDecoder),
+and no module calls a ``.json()`` method such as requests' response decoder,
+so every JSON input takes the same raw-decode path and meets the same
+checks; that jsonl.py encodes JSON only in its one shared encoder, read only
+by ``_write_jsonl``, through which its JSONL writers write; and that only
+cli.py constructs a ConfigError: a record raises ValidationError, and the
+reader of the input it came from picks the error type, and so the exit code.
 
 This is a name heuristic, not a call graph: a read of any name counts for
 every definition of that name, so two definitions with the same name hide
@@ -142,34 +144,40 @@ def test_the_import_scan_sees_an_unread_import(tmp_path):
     assert "mask_iou" in tracer_names()  # forge's tracer-only import stays exempt
 
 
+def json_names(tree):
+    """The names ``import json`` binds in ``tree``, ``import json as`` too."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for alias in node.names if alias.name == "json"}
+
+
 def json_decoders(paths):
     """(module stem, decoder) for each JSON decode among ``paths``: a call of
     json.load or json.loads, also through ``import json as`` another name,
-    an import of either from json, or a call of any ``.json()`` method."""
+    any read of a ``JSONDecoder`` attribute, an import of any of the three
+    from json or json.decoder, or a call of any ``.json()`` method."""
     found = set()
     for path in paths:
         tree = parse(path)
-        json_names = {alias.asname or alias.name for node in ast.walk(tree)
-                      if isinstance(node, ast.Import)
-                      for alias in node.names if alias.name == "json"}
+        names = json_names(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 attr, owner = node.func.attr, node.func.value
                 if attr == "json":
                     found.add((path.stem, ".json()"))
                 elif (attr in ("load", "loads") and isinstance(owner, ast.Name)
-                      and owner.id in json_names):
+                      and owner.id in names):
                     found.add((path.stem, f"json.{attr}"))
-            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            elif isinstance(node, ast.Attribute) and node.attr == "JSONDecoder":
+                found.add((path.stem, "json.JSONDecoder"))
+            elif isinstance(node, ast.ImportFrom) and node.module in ("json", "json.decoder"):
                 found.update((path.stem, f"json.{alias.name}") for alias in node.names
-                             if alias.name in ("load", "loads"))
+                             if alias.name in ("load", "loads", "JSONDecoder"))
     return found
 
 
 def test_only_errors_decodes_json():
     found = json_decoders(sorted(SRC.glob("*.py")))
-    assert {stem for stem, _ in found} == {"errors"}, found
-    assert ".json()" not in {decoder for _, decoder in found}, found
+    assert found == {("errors", "json.loads"), ("errors", "json.JSONDecoder")}, found
 
 
 def test_the_json_scan_sees_calls_imports_and_methods(tmp_path):
@@ -178,11 +186,59 @@ def test_the_json_scan_sees_calls_imports_and_methods(tmp_path):
                        ("renamed", "import json as j\nj.load(open('x'))\n"),
                        ("imports", "from json import loads as decode\n"),
                        ("method", "def f(response):\n    return response.json()\n"),
+                       ("decoder", "import json\nparse = json.JSONDecoder().raw_decode\n"),
+                       ("deep", "from json.decoder import JSONDecoder as D\n"),
                        ("neither", "import json\njson.dumps(1)\nloads = 1\n")]:
         paths.append(tmp_path / f"{stem}.py")
         paths[-1].write_text(text)
     assert json_decoders(paths) == {("calls", "json.loads"), ("renamed", "json.load"),
-                                    ("imports", "json.loads"), ("method", ".json()")}
+                                    ("imports", "json.loads"), ("method", ".json()"),
+                                    ("decoder", "json.JSONDecoder"),
+                                    ("deep", "json.JSONDecoder")}
+
+
+JSON_ENCODERS = ("dump", "dumps", "JSONEncoder")
+
+
+def top_level_readers(path, names):
+    """The top-level definitions of ``path`` (a function's or class's name,
+    an assignment's targets) that read any of ``names``: as a name, as an
+    attribute, or through a ``from`` import."""
+    readers = set()
+    for stmt in parse(path).body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            owner = stmt.name
+        elif isinstance(stmt, ast.Assign):
+            owner = ", ".join(ast.unparse(target) for target in stmt.targets)
+        else:
+            owner = "<module>"
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id in names
+                    or isinstance(node, ast.Attribute) and node.attr in names
+                    or isinstance(node, ast.ImportFrom)
+                    and any(alias.name in names for alias in node.names)):
+                readers.add(owner)
+    return readers
+
+
+def test_jsonl_writes_jsonl_only_through_write_jsonl():
+    # one shared encoder, read by one writer, which every JSONL writer calls
+    jsonl = SRC / "jsonl.py"
+    assert top_level_readers(jsonl, JSON_ENCODERS) == {"_encode"}
+    assert top_level_readers(jsonl, {"_encode"}) == {"_write_jsonl"}
+    assert {"write_corpus", "write_trace"} <= top_level_readers(jsonl, {"_write_jsonl"})
+
+
+def test_the_encoder_scan_sees_names_attributes_and_imports(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text("import json\nfrom json import dumps as d\n"
+                      "enc = json.JSONEncoder().encode\n"
+                      "def f(x):\n    return d(x)\n"
+                      "class C:\n    def g(self, x):\n        return json.dump(x)\n"
+                      "def h(x):\n    return json.loads(x)\n")
+    assert top_level_readers(module, JSON_ENCODERS) == {"<module>", "enc", "C"}
+    assert top_level_readers(module, {"d"}) == {"f"}
 
 
 def config_error_callers(paths):
