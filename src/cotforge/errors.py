@@ -133,7 +133,7 @@ def load_json(path, cls, context: str, error: type):
 
 
 _raw_decode = json.JSONDecoder().raw_decode
-_JSON_SPACE = " \t\n\r"  # what json.loads skips around a document
+JSON_SPACE = " \t\n\r"  # what json.loads skips around a document
 
 
 def parse_json(text, where, error: type):
@@ -151,7 +151,7 @@ def parse_json(text, where, error: type):
             text = text.decode("utf-8")  # json.loads would let surrogates pass
         try:
             value, end = _raw_decode(text)
-            whole = end == len(text) or not text[end:].strip(_JSON_SPACE)
+            whole = end == len(text) or not text[end:].strip(JSON_SPACE)
         except (ValueError, RecursionError, TypeError):
             whole = False
         if not whole:

@@ -18,7 +18,7 @@ from urllib.parse import urlsplit
 
 from .errors import (BackendError, MalformedResponseError, NonEmptyStr, NonNegative,
                      Record, Rule, ValidationError, checked, in_range, one_of)
-from .geometry import BBox, Side, box_intersections, box_span, check_runs, frozen_runs
+from .geometry import BBox, ChunkedRuns, Side, box_intersections, box_span
 from .geometry import mask_iou  # noqa: F401  uncalled; the benchmark tracer wraps it here
 
 MODALITIES = ("CT", "XRay", "MRI", "Mammo")
@@ -73,16 +73,16 @@ class OrganMask:
     """Named binary mask kept as row-major RLE runs; at least one pixel set.
 
     Its sides are `geometry.Side`s, as its image's are. The runs alternate
-    zeros and ones, zeros first, and must sum to height * width
-    (`geometry.check_runs`); `area`, the set-pixel count, is the sum of the
-    odd runs. Its runs are a read-only view of an immutable copy
-    (`geometry.frozen_runs`): the caller's array is left as it was, and the
-    mask's runs cannot be made writeable again, so they cannot drift from
-    its area. A mask read by `jsonl.read_masks` keeps a read-only int64
-    view of its chunk's immutable buffer (`geometry.ChunkedRuns`). A dense
-    mask is encoded with `geometry.encode_runs`. One mask is checked as a
-    list of one by `organ_masks`, after its dims and the shape and dtype of
-    its runs.
+    zeros and ones, zeros first, and must sum to height * width; `area`,
+    the set-pixel count, is the sum of the odd runs. The runs are
+    converted and checked by `geometry.ChunkedRuns`, as a chunk of one
+    line, after their shape and dtype (`geometry.runs_array`): the mask
+    keeps a read-only int64 view of immutable bytes, so the caller's array
+    is left as it was, and the mask's runs cannot be made writeable again,
+    so they cannot drift from its area. A mask read by `jsonl.read_masks`
+    keeps such a view of its chunk's buffer. A dense mask is encoded with
+    `geometry.encode_runs`. The label and area are checked by
+    `organ_masks`, after the dims and runs.
     """
 
     __slots__ = ("organ_label", "runs", "height", "width", "area")
@@ -90,40 +90,38 @@ class OrganMask:
     def __new__(cls, organ_label: str, runs, height: int, width: int):
         height = checked("height", height, Side)
         width = checked("width", width, Side)
-        [mask], faults = organ_masks([(organ_label, height, width)], [frozen_runs(runs)])
+        [mask], faults = organ_masks([(organ_label, height, width)],
+                                     ChunkedRuns.of_line(runs, height * width))
         if faults:
             raise ValidationError(faults[0])
         return mask
 
 
 def organ_masks(lines, runs):
-    """Check mask lines, (organ_label, height, width) each with its runs
-    array in ``runs``, and build each line's OrganMask.
+    """Build the OrganMask of each mask line, (organ_label, height, width),
+    whose runs a flushed `geometry.ChunkedRuns` has converted and checked.
 
-    Each line's runs are a read-only int array that cannot be made
-    writeable again, as `geometry.ChunkedRuns` and `geometry.frozen_runs`
-    give them, and its dims are `geometry.Side`s; one `check_runs` call
-    checks every line's runs. Each line is then checked as OrganMask checks
-    it: its runs, its label, then its area. A good line's mask keeps its
-    runs as they are. Returns (masks, faults), as `check_runs` returns
-    (areas, faults): masks[k] is line k's OrganMask, or None when the line
+    Each line's dims are `geometry.Side`s, and its runs were added with
+    the total height * width. A line whose runs passed is then checked as
+    OrganMask checks it: its label, then its area (`runs.areas`). A good
+    line's mask keeps its array from `runs.arrays` as it is. Returns
+    (masks, faults): masks[k] is line k's OrganMask, or None when the line
     is faulty, and faults maps the index of each faulty line to its first
-    fault's message.
+    fault's message, its runs' fault from `runs.faults` first.
     """
-    areas, faults = check_runs(runs, [height * width for _, height, width in lines])
-    masks = [None] * len(lines)
-    for k, (organ_label, height, width) in enumerate(lines):
-        if k in faults:
+    masks, faults = [None] * len(lines), dict(runs.faults)
+    for k, ((organ_label, height, width), array, area) in enumerate(
+            zip(lines, runs.arrays, runs.areas)):
+        if array is None:
             continue
         if not organ_label:
             faults[k] = "organ_label must be non-empty"
-        elif not areas[k]:
+        elif not area:
             faults[k] = f"organ mask {organ_label!r} is empty"
         else:
             mask = masks[k] = object.__new__(OrganMask)
-            mask.organ_label, mask.runs, mask.height, mask.width = (
-                organ_label, runs[k], height, width)
-            mask.area = areas[k]
+            mask.organ_label, mask.runs, mask.height, mask.width, mask.area = (
+                organ_label, array, height, width, area)
     return masks, faults
 
 

@@ -8,7 +8,6 @@ Coordinate conventions used throughout:
     on both sides)
 """
 
-import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -37,9 +36,9 @@ GridDims = Annotated[Tuple[PositiveInt, PositiveInt], Rule(
     f"have at most {MAX_GRID_CELLS} cells", list)]
 
 # Most RLE runs and mask-row queries in one chunk of the forge's numpy
-# passes (`ChunkedRuns`, `check_runs`, `box_intersections`): 128 KiB per
-# int64 array. The passes split their inputs themselves; no other module
-# reads it.
+# passes (`ChunkedRuns`, `box_intersections`): 128 KiB per int64 array,
+# besides a chunk's padding. The passes split their inputs themselves; no
+# other module reads it.
 FORGE_CHUNK = 1 << 14
 
 
@@ -129,7 +128,7 @@ def encode_runs(mask) -> np.ndarray:
 def runs_array(runs) -> np.ndarray:
     """RLE runs as a 1-D integer array, the given array itself when it is
     one (an empty list reads as int64). Raises ValidationError for any other
-    shape or dtype; `check_runs` checks the values."""
+    shape or dtype; `ChunkedRuns` checks the values."""
     try:
         runs = np.asarray(runs)
         if runs.size == 0:  # an empty list reads as float64
@@ -142,62 +141,100 @@ def runs_array(runs) -> np.ndarray:
     return runs
 
 
-def frozen_runs(runs) -> np.ndarray:
-    """`runs_array(runs)` as a read-only view of an immutable copy, which no
-    one can make writeable again; the given runs are left as they are."""
-    runs = runs_array(runs)
-    return np.frombuffer(runs.tobytes(), dtype=runs.dtype)
+def _runs_fault(runs, total):
+    """The message of runs that fail their check against total:
+    `runs_array`'s fault, or else the fault of their values in Python ints."""
+    try:
+        values = runs_array(runs).tolist()
+    except ValidationError as exc:
+        return str(exc)
+    if min(values, default=0) < 0:
+        return "RLE runs must be non-negative integers"
+    return f"RLE runs sum to {sum(values)}, expected {total}"
 
 
 class ChunkedRuns:
-    """Lines' RLE run lists made int arrays a chunk of lines at a time.
+    """Lines' RLE runs made int64 arrays and checked a chunk of lines at a time.
 
-    `add` queues a line's run list. The queued lines are converted when the
-    next line's runs would take them past FORGE_CHUNK runs, so a chunk holds
-    at most FORGE_CHUNK runs or a single line, and no more than one chunk's
-    Python lists are held; `flush` converts what is queued. A chunk's runs
-    are packed into one int64 buffer by `struct`, which takes only ints
-    within int64, where `runs_array` gives the same values: it refuses a
-    float (2.0 too), a string, null, a nested list and anything outside
-    int64, though not a bool, which the caller must refuse. The buffer is
-    immutable bytes, so each line's array, a view of it, is read-only for
-    good. A chunk that does not pack goes through `frozen_runs` line by
-    line, which words each fault and keeps its uint64 arrays, read-only
-    for good too.
+    `add(runs, total)` queues a line's runs, a list or an int array, with
+    its pixel total, the count of two `Side`s. The queued lines are packed
+    and checked when the next line's runs would take them past FORGE_CHUNK
+    runs, so a chunk holds at most FORGE_CHUNK runs or a single line, and
+    at most one chunk's lists are held; `flush` packs and checks what is
+    queued. Each line is padded with zero runs to an even length of at
+    least 2, and `struct` packs the chunk into one int64 buffer of
+    immutable bytes, so one minimum, maximum and add reduceat each give
+    every line's bounds and sum, and the odd slots its area. A line passes
+    only with every run in [0, total], so its sums are exact (a wrap would
+    take 2**37 runs), and its array, a view of the buffer, is read-only
+    for good. `struct` takes only ints within int64, where `runs_array`
+    gives the same values: it refuses a float (2.0 too), a string, null, a
+    nested list and anything outside int64, though not a bool, which the
+    caller must refuse. A chunk it refuses is packed again a line at a
+    time; a line it refuses gets `runs_array`'s fault, or, a uint64 array
+    past int64, the fault of its sum.
 
     After a flush, arrays[k] is line k's array, or None when the line is
-    faulty, and faults maps the index of each faulty line to its message,
-    as `check_runs` returns them.
+    faulty, areas[k] the sum of its odd runs (meaningless for a faulty
+    line), and faults maps the index of each faulty line to its message.
     """
 
     def __init__(self):
-        self.arrays, self.faults = [], {}
-        self._runs, self._lengths = [], []
+        self.arrays, self.areas, self.faults = [], [], {}
+        self._runs, self._lines, self._held = [], [], 0
 
-    def add(self, runs):
-        if self._lengths and len(self._runs) + len(runs) > FORGE_CHUNK:
+    @classmethod
+    def of_line(cls, runs, total):
+        """One line's `runs_array(runs)` checked against total, flushed."""
+        line = cls()
+        line.add(runs_array(runs), total)  # numpy ints: a refused line keeps its dtype
+        line.flush()
+        return line
+
+    def add(self, runs, total):
+        size = len(runs)
+        if self._lines and self._held + size > FORGE_CHUNK:
             self.flush()
-        self._runs += runs
-        self._lengths.append(len(runs))
+        self._lines.append((len(self._runs), size, total))
+        self._held += size
+        self._runs.extend(runs)
+        self._runs += [0] * (size & 1 if size else 2)
 
     def flush(self):
-        runs, bounds = self._runs, list(itertools.pairwise(
-            itertools.accumulate(self._lengths, initial=0)))
-        self._runs, self._lengths = [], []
+        runs, lines = self._runs, self._lines
+        self._runs, self._lines, self._held = [], [], 0
         try:
             buffer = np.frombuffer(struct.pack(f"{len(runs)}q", *runs), dtype=np.int64)
-        except struct.error:
-            for start, stop in bounds:
-                try:
-                    self.arrays.append(frozen_runs(runs[start:stop]))
-                except ValidationError as exc:
-                    self.faults[len(self.arrays)] = str(exc)
-                    self.arrays.append(None)
+        except struct.error:  # some run is no int64
+            if len(lines) > 1:  # pack each line alone
+                for start, size, total in lines:
+                    self.add(runs[start:start + size], total)
+                    self.flush()
+            else:
+                [(_, size, total)] = lines
+                self.faults[len(self.arrays)] = _runs_fault(runs[:size], total)
+                self.arrays.append(None)
+                self.areas.append(0)
         else:
-            self.arrays += [buffer[start:stop] for start, stop in bounds]
+            self._check(buffer, lines)
+
+    def _check(self, buffer, lines):
+        """Check the packed lines, (start, size, total) each, in one numpy pass."""
+        starts = [start for start, _, _ in lines]
+        totals = np.array([total for _, _, total in lines], dtype=np.int64)
+        good = ((np.minimum.reduceat(buffer, starts) >= 0)
+                & (np.maximum.reduceat(buffer, starts) <= totals)
+                & (np.add.reduceat(buffer, starts) == totals)).tolist()
+        self.areas += np.add.reduceat(buffer[1::2], [start // 2 for start in starts]).tolist()
+        for (start, size, total), ok in zip(lines, good):
+            runs = buffer[start:start + size]
+            if not ok:
+                self.faults[len(self.arrays)] = _runs_fault(runs, total)
+                runs = None
+            self.arrays.append(runs)
 
 
-_ZERO_PADS = tuple(np.zeros(n, dtype=np.int64) for n in range(3))
+_ZERO_PADS = tuple(np.zeros(n, dtype=np.int64) for n in range(2))
 
 
 def _chunks(costs):
@@ -211,46 +248,6 @@ def _chunks(costs):
         total += cost
     if costs:
         yield start, len(costs)
-
-
-def check_runs(masks_runs, totals):
-    """Check RLE masks' runs, each against its pixel total, a chunk of
-    masks per numpy pass.
-
-    `masks_runs` are `runs_array` arrays, and each total is the pixel count
-    of two `Side`s, below 2**26. Returns (areas, faults): areas[k] is mask
-    k's set-pixel count, the sum of its odd runs, and faults maps the index
-    of each mask with a negative run, or whose runs do not sum to its total,
-    to the message naming that fault. A faulty mask's area means nothing.
-
-    A chunk holds at most FORGE_CHUNK runs, or a single mask. Its runs are
-    joined into one int64 sequence, each mask padded with zero runs to an
-    even length of at least 2, so one minimum, maximum and add reduceat
-    each give every mask's bounds and sum, and the odd runs its area. A
-    mask passes only with every run in [0, total], and a uint64 run past
-    int64 turns negative and fails, so a passing mask's sums are exact (a
-    wrap would take 2**37 runs). A faulty mask's runs are read again in
-    Python integers, only to word its fault.
-    """
-    lengths = [len(runs) for runs in masks_runs]
-    areas, faults = [], {}
-    for first, stop in _chunks(lengths):
-        chunk, sizes = masks_runs[first:stop], lengths[first:stop]
-        padded = [size + (size & 1) or 2 for size in sizes]
-        starts = list(itertools.accumulate(padded[:-1], initial=0))
-        joined = np.concatenate([piece for runs, size, length in zip(chunk, sizes, padded)
-                                 for piece in (runs, _ZERO_PADS[length - size])],
-                                dtype=np.int64)
-        chunk_totals = np.array(totals[first:stop], dtype=np.int64)
-        ok = ((np.minimum.reduceat(joined, starts) >= 0)
-              & (np.maximum.reduceat(joined, starts) <= chunk_totals)
-              & (np.add.reduceat(joined, starts) == chunk_totals))
-        areas += np.add.reduceat(joined[1::2], np.array(starts) // 2).tolist()
-        for k in (first + np.flatnonzero(~ok)).tolist():
-            runs = masks_runs[k].tolist()
-            faults[k] = ("RLE runs must be non-negative integers" if min(runs, default=0) < 0
-                         else f"RLE runs sum to {sum(runs)}, expected {totals[k]}")
-    return areas, faults
 
 
 def box_intersections(images) -> np.ndarray:

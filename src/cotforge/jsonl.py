@@ -15,9 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import Record, ValidationError, checked, open_text, parse_json, read_object
+from .errors import (JSON_SPACE, Record, ValidationError, checked, open_text, parse_json,
+                     read_object)
 from .forge import ImageRecord, VqaCotRecord, organ_masks
-from .geometry import ChunkedRuns, Side, check_runs, runs_array
+from .geometry import ChunkedRuns, Side
 
 
 @contextlib.contextmanager
@@ -58,7 +59,7 @@ def _iter_jsonl(path):
     names the line ("{path}: line {lineno}") for an error message."""
     with open_text(path, ValidationError) as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
+            line = line.strip(JSON_SPACE)  # str.strip() would take Unicode spaces too
             if line:
                 # formatted only on a fault; the default keeps this line's number
                 where = lambda lineno=lineno: f"{path}: line {lineno}"
@@ -73,10 +74,10 @@ def _iter_objects(path, cls):
 def rle_decode(runs, height, width) -> np.ndarray:
     """Decode alternating zero/one run lengths (row-major, zeros first)."""
     height, width = checked("height", height, Side), checked("width", width, Side)
-    runs = runs_array(runs)
-    _, faults = check_runs([runs], [height * width])
-    if faults:
-        raise ValidationError(faults[0])
+    line = ChunkedRuns.of_line(runs, height * width)
+    if line.faults:
+        raise ValidationError(line.faults[0])
+    [runs] = line.arrays
     values = np.zeros(len(runs), dtype=bool)
     values[1::2] = True
     return np.repeat(values, runs).reshape(height, width)
@@ -88,7 +89,7 @@ class _MaskLine(Record):
     organ_label: str
     height: int
     width: int
-    rle: list  # made one array by runs_array, not checked run by run
+    rle: list  # converted and checked by ChunkedRuns, not run by run
 
 
 def read_dataset(path):
@@ -110,15 +111,14 @@ def read_masks(path, images_by_id):
     non-empty (the mask's area is the sum of its odd runs). The file is
     read in one loop; per line: one parse, one `_MaskLine` read, the image,
     dims and boolean checks, and one `geometry.ChunkedRuns.add`, which
-    makes the runs int64 arrays a chunk of lines at a time: one read-only
+    converts and checks the runs a chunk of lines at a time: one read-only
     buffer per chunk, each mask's runs a view of it, and at most one
-    chunk's run lists held. The lines read are then checked together by
-    `forge.organ_masks`, which returns each faulty line's fault by index.
-    The first faulty line in the file is the one reported: the earliest of
-    the conversion faults and those faults, or else the fault that stopped
-    the read. Each mask is kept as its checked runs and nothing is decoded;
-    the masks are then grouped per image in one pass, and the returned
-    mapping is read-only and holds a tuple per image.
+    chunk's run lists held. `forge.organ_masks` then checks the labels and
+    areas of the lines read, and the first faulty line in the file is the
+    one reported: the earliest of its faults, or else the fault that
+    stopped the read. Each mask is kept as its checked runs and nothing is
+    decoded; the masks are then grouped per image in one pass, and the
+    returned mapping is read-only and holds a tuple per image.
     """
     lines, sources, stop = [], [], None  # organ_masks' line, and (where, image id), per line
     runs = ChunkedRuns()
@@ -138,15 +138,13 @@ def read_masks(path, images_by_id):
                 raise ValidationError(f"{where()}: RLE runs must be non-negative integers")
             lines.append((line.organ_label, line.height, line.width))
             sources.append((where, line.image_id))
-            runs.add(line.rle)
+            runs.add(line.rle, line.height * line.width)
             if runs.faults:  # no later line can hold the first fault
                 break
     except ValidationError as exc:
         stop = exc
     runs.flush()
-    good = min(runs.faults, default=len(lines))  # the lines before any bad run
-    masks, faults = organ_masks(lines[:good], runs.arrays[:good])
-    faults.update(runs.faults)
+    masks, faults = organ_masks(lines, runs)
     if faults:
         k = min(faults)
         raise ValidationError(f"{sources[k][0]()}: {faults[k]}")

@@ -28,7 +28,7 @@ from cotforge.forge import (
     generate_qa,
     organ_masks,
 )
-from cotforge.geometry import BBox, encode_runs
+from cotforge.geometry import BBox, ChunkedRuns, encode_runs
 from cotforge.jsonl import read_dataset, read_masks, rle_decode
 from oracles import decode, oracle_assign, organ_mask
 from test_config import UNUSABLE_SEED_TEMPLATES, seed_template_fault
@@ -456,15 +456,18 @@ class TestOrganMask:
                  ("", 2, 4),
                  ("kidney", 2, 4),
                  ("spleen", 2, 4)]
-        runs = [np.array([2, 3, 3]), np.array([2, 3, 2]), np.array([2, 3, 3]),
-                np.array([8]), np.array([0, 8])]
+        runs = ChunkedRuns()
+        for line in [[2, 3, 3], [2, 3, 2], [2, 3, 3], [8], [0, 8]]:
+            runs.add(line, 8)
+        runs.flush()
         masks, faults = organ_masks(lines, runs)
         assert faults == {1: "RLE runs sum to 7, expected 8",
                           2: "organ_label must be non-empty",
                           3: "organ mask 'kidney' is empty"}
+        assert runs.faults == {1: "RLE runs sum to 7, expected 8"}  # left as it was
         assert [m and (m.organ_label, m.area) for m in masks] == [
             ("liver", 3), None, None, None, ("spleen", 8)]
-        assert masks[0].runs is runs[0]  # kept as given: the caller passes read-only runs
+        assert masks[0].runs is runs.arrays[0]  # kept as given: ChunkedRuns' read-only view
 
 
 class TestTemplateQa:

@@ -16,15 +16,16 @@ from cotforge import geometry
 from cotforge.errors import ValidationError
 from cotforge.geometry import (
     BBox,
+    ChunkedRuns,
     box_intersections,
     box_span,
     build_soft_mask,
-    check_runs,
     encode_runs,
     kl_rows,
     mask_iou,
 )
-from cotforge.jsonl import rle_decode
+from cotforge.forge import ImageRecord
+from cotforge.jsonl import read_masks, rle_decode
 from oracles import (
     SoftMask,
     oracle_average_pool,
@@ -290,12 +291,13 @@ class TestChunkEdges:
 
     def test_chunked_runs_pack_a_line_or_lines_within_the_budget(self, chunk_budget):
         chunk_budget(6)
-        runs = geometry.ChunkedRuns()
+        runs = ChunkedRuns()
         lines = [[1, 2, 3], [4, 5, 6], [7], [1] * 9, [], [2, 2], [3]]
         for line in lines:
-            runs.add(line)
+            runs.add(line, sum(line))
         runs.flush()
         assert [array.tolist() for array in runs.arrays] == lines and not runs.faults
+        assert runs.areas == [sum(line[1::2]) for line in lines]
         assert all(array.dtype == np.int64 for array in runs.arrays)
         # the lines of a chunk are views of one buffer
         bases = [id(array.base) for array in runs.arrays]
@@ -331,11 +333,11 @@ class TestChunkEdges:
         self.assert_split(chunks_seen, budget)
 
     @pytest.mark.parametrize("budget", [1, 40, None])
-    def test_check_runs_equals_the_per_mask_reference(self, chunk_budget, chunks_seen,
-                                                      budget):
+    def test_chunked_runs_check_as_the_per_mask_reference(self, chunk_budget, budget):
         if budget is not None:
             chunk_budget(budget)
         rng = np.random.default_rng(43)
+        buffers_seen = []  # per input, the good lines' count per buffer
         for _ in range(30):
             masks_runs, totals = [], []
             for _ in range(int(rng.integers(1, 12))):
@@ -345,10 +347,18 @@ class TestChunkEdges:
                     runs = runs[:-1]  # short: a fault
                 masks_runs.append(runs)
                 totals.append(h * w)
-            areas, faults = check_runs(masks_runs, totals)
-            assert [faults.get(k, area) for k, area in enumerate(areas)] == [
-                reference_check(r, t) for r, t in zip(masks_runs, totals)]
-        self.assert_split(chunks_seen, budget)
+            runs = checked_runs(masks_runs, totals)
+            assert outcomes(runs) == [reference_check(r, t)
+                                      for r, t in zip(masks_runs, totals)]
+            bases = [id(array.base) for array in runs.arrays if array is not None]
+            buffers_seen.append([bases.count(base) for base in set(bases)])
+        if budget == 1:  # a good line holds runs, so it has a buffer of its own
+            assert all(count == 1 for counts in buffers_seen for count in counts)
+        elif budget is None:
+            assert all(len(counts) <= 1 for counts in buffers_seen)
+        else:  # chunk edges fall mid-input, and a chunk holds several lines
+            assert max(len(counts) for counts in buffers_seen) > 1
+            assert max(count for counts in buffers_seen for count in counts) > 1
 
 
 def reference_check(runs, total):
@@ -362,12 +372,35 @@ def reference_check(runs, total):
     return sum(values[1::2])
 
 
-class TestCheckRuns:
+def reference_line(line, total):
+    """`reference_check` of a run list made an array by `runs_array`, or
+    the message of the array's fault."""
+    try:
+        return reference_check(geometry.runs_array(line), total)
+    except ValidationError as exc:
+        return str(exc)
+
+
+def outcomes(runs):
+    """Each line's area, or its fault's message, from a flushed ChunkedRuns."""
+    assert len(runs.arrays) == len(runs.areas)
+    return [runs.faults.get(k, area) for k, area in enumerate(runs.areas)]
+
+
+def checked_runs(masks_runs, totals, convert=geometry.runs_array):
+    """A flushed ChunkedRuns of run arrays, each added as OrganMask adds one."""
+    runs = ChunkedRuns()
+    for mask_runs, total in zip(masks_runs, totals):
+        runs.add(convert(mask_runs), total)
+    runs.flush()
+    return runs
+
+
+class TestChunkedRunsCheck:
     """One pass over a chunk gives each array's own outcome."""
 
     def outcomes(self, masks_runs, totals):
-        areas, faults = check_runs(masks_runs, totals)
-        return [faults.get(k, area) for k, area in enumerate(areas)]
+        return outcomes(checked_runs(masks_runs, totals))
 
     def test_random_chunks_of_mixed_dtypes(self):
         rng = np.random.default_rng(37)
@@ -398,11 +431,12 @@ class TestCheckRuns:
         # every total is the pixel count of two image sides, at most 8192**2
         big, most = 2**62, 8192 * 8192
         cases = [
-            (np.array([2**63], dtype=np.uint64), 8),  # past int64: reads negative
+            (np.array([2**63], dtype=np.uint64), 8),  # past int64: struct refuses it
             (np.array([2**64 - 1, 1], dtype=np.uint64), most),
             (np.array([big, big, big, big]), most),  # the int64 sum wraps to 0
             (np.array([big - 1, 2, 0, big - 1]), most),  # ... and to -2**63
             (np.array([2**63 - 1, 2**63 - 1]), most),  # ... and to -2
+            (np.array([big, big, big, big + 8]), 8),  # ... and to the total itself
             (np.array([0, most]), most),
             (np.array([3, 5]), 8),
         ]
@@ -410,11 +444,91 @@ class TestCheckRuns:
         got = self.outcomes(list(masks_runs), list(totals))
         assert got == [reference_check(r, t) for r, t in cases]
         assert got[-2:] == [most, 5] and all(type(g) is str for g in got[:-2])
+        assert got[0] == f"RLE runs sum to {2**63}, expected 8"
 
     def test_an_empty_chunk_element_and_single_runs(self):
         got = self.outcomes([np.array([], dtype=np.int64), np.array([8]), np.array([0, 8]),
                              np.array([8, 0])], [8, 8, 8, 8])
         assert got == ["RLE runs sum to 0, expected 8", 0, 8, 0]
+
+
+# a run that is no int64, or no int at all
+ODD_RUNS = st.one_of(
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1]),
+    st.floats(), st.text(max_size=2), st.none(), st.lists(st.integers(0, 9), max_size=2))
+
+
+@st.composite
+def run_lines(draw, total):
+    """A JSON-like run list for a mask of `total` pixels, good or faulty."""
+    cuts = sorted(draw(st.lists(st.integers(0, total), max_size=6)))
+    line = [stop - start for start, stop in zip([0, *cuts], [*cuts, total])]
+    kind = draw(st.sampled_from(
+        ["good", "good", "sum", "wrap", "negative", "empty", "nested", "odd", "uint64"]))
+    at = draw(st.integers(0, len(line) - 1))
+    if kind == "sum":
+        line[at] += draw(st.sampled_from([-1, 1]))
+    elif kind == "wrap":  # the int64 sum wraps to the total
+        line[at:at] = [2**62] * 4
+    elif kind == "negative":
+        line[at] = -draw(st.integers(1, 3))
+    elif kind == "empty":
+        line = []
+    elif kind == "nested":
+        line = [[run] for run in line]
+    elif kind == "odd":
+        line.insert(at, draw(ODD_RUNS))
+    elif kind == "uint64":  # only runs past int64 make a uint64 array
+        line = draw(st.lists(st.integers(2**63, 2**64 - 1), min_size=1, max_size=3))
+    return line
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chunked_runs_check_each_line_as_alone(data):
+    budget = data.draw(st.one_of(st.none(), st.integers(1, 30)), label="budget")
+    totals = data.draw(st.lists(st.integers(1, 40), min_size=1, max_size=12), label="totals")
+    lines = [data.draw(run_lines(total)) for total in totals]
+    with pytest.MonkeyPatch.context() as patch:
+        if budget is not None:
+            patch.setattr(geometry, "FORGE_CHUNK", budget)
+        runs = checked_runs(lines, totals, convert=list)
+        alone = [outcomes(checked_runs([line], [total], convert=list))[0]
+                 for line, total in zip(lines, totals)]
+    expected = [reference_line(line, total) for line, total in zip(lines, totals)]
+    assert outcomes(runs) == alone == expected
+    for array, line, outcome in zip(runs.arrays, lines, expected):
+        assert (array is None) == (type(outcome) is str)
+        if array is not None:  # a good line's array is read-only for good
+            assert array.dtype == np.int64 and array.tolist() == line
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+
+
+@pytest.mark.parametrize("bad", [None, [2.0, 6]], ids=["good", "fallback"])
+def test_read_masks_joins_no_arrays(tmp_path, monkeypatch, chunk_budget, bad):
+    # the runs are checked in the buffer each chunk is packed into
+    joins = []
+    concatenate = np.concatenate
+    monkeypatch.setattr(np, "concatenate",
+                        lambda *args, **kwargs: joins.append(args) or concatenate(*args, **kwargs))
+    chunk_budget(7)
+    lines = [[2, 3, 3], [0, 8], [1, 1, 1, 1, 1, 1, 1, 1], [2, 6]] * 4
+    if bad is not None:
+        lines[9] = bad
+    path = tmp_path / "masks.jsonl"
+    path.write_text("".join(
+        f'{{"image_id": "a", "organ_label": "o{k}", "height": 2, "width": 4, '
+        f'"rle": {line}}}\n' for k, line in enumerate(lines)), encoding="utf-8")
+    images = {"a": ImageRecord("a", 4, 2, "CT", [])}
+    if bad is None:
+        masks = read_masks(path, images)["a"]
+        assert [mask.runs.tolist() for mask in masks] == lines
+    else:
+        with pytest.raises(ValidationError,
+                           match="line 10: RLE runs must be non-negative integers$"):
+            read_masks(path, images)
+    assert joins == []
 
 
 class TestRuns:

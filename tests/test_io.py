@@ -387,8 +387,8 @@ MASK_FAULTS = {  # one line's fault (raw text or fields over a good line)
 
 
 class TestFirstFaultAcrossChunks:
-    """With the runs checked a chunk of lines at a time (`check_runs` splits
-    them), the error is still the first faulty line's own first fault,
+    """With the runs packed and checked a chunk of lines at a time
+    (`ChunkedRuns`), the error is still the first faulty line's own first fault,
     wherever the chunk edges fall.
     The reference reads each line alone, behind blank lines that keep its
     line number."""

@@ -6,10 +6,13 @@ reader (``oracles.oracle_parse_json``, one ``json.loads`` call) on every
 document: the same value, types and signs of zero included, or the same
 message. ``jsonl._write_jsonl`` encodes with one shared encoder and must
 write exactly what ``json.dumps(obj, ensure_ascii=False)`` gives per line.
+``jsonl._iter_jsonl`` strips a line of JSON whitespace alone, so any other
+space around a document is a fault, as it is to ``json.loads``.
 """
 
 import json
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -18,8 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cotforge import cli, fixture_path
 from cotforge.errors import ValidationError, parse_json
-from cotforge.jsonl import _write_jsonl
+from cotforge.jsonl import _iter_jsonl, _write_jsonl
 from oracles import oracle_parse_json
 
 SETTINGS = settings(max_examples=300, derandomize=True, deadline=None)
@@ -174,3 +178,32 @@ def test_write_jsonl_writes_json_dumps_lines(rows):
         path = Path(tmp) / "rows.jsonl"
         _write_jsonl(path, rows)
         assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"a": 1}\u00a0\n', "line 4: bad JSON: Extra data: line 1 column 9 (char 8)"),
+    ("\u3000\n", "line 4: bad JSON: Expecting value: line 1 column 1 (char 0)"),
+    ("\u2028\n", "line 4: bad JSON: Expecting value: line 1 column 1 (char 0)"),
+    ('\x0c{"a": 1}\n', "line 4: bad JSON: Expecting value: line 1 column 1 (char 0)"),
+], ids=["nbsp-after", "ideographic-space", "line-separator", "form-feed-before"])
+def test_a_jsonl_line_is_stripped_of_json_whitespace_only(tmp_path, text, message):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(('{"a": 0}\r\n \t\r\n\n' + text).encode("utf-8"))
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        list(_iter_jsonl(path))
+    path.write_bytes(b'{"a": 0}\r\n \t\r\n\n\t{"a": 1} \r\n')  # blank and CRLF lines
+    assert [(at(), line, value) for at, line, value in _iter_jsonl(path)] == [
+        (f"{path}: line 1", '{"a": 0}', {"a": 0}), (f"{path}: line 4", '{"a": 1}', {"a": 1})]
+
+
+def test_forge_refuses_a_dataset_line_ending_in_a_unicode_space(tmp_path, capsys):
+    dataset = tmp_path / "dataset.jsonl"
+    dataset.write_text(
+        fixture_path("forge_dataset.jsonl").read_text(encoding="utf-8").rstrip("\n")
+        + "\u00a0\n", encoding="utf-8")
+    code = cli.main(["forge", "--dataset", str(dataset),
+                     "--masks", str(fixture_path("forge_masks.jsonl")),
+                     "--out", str(tmp_path / "corpus.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 1 and err.count("\n") == 1, err
+    assert err.startswith(f"error: {dataset}: line 3: bad JSON: Extra data")

@@ -92,9 +92,9 @@ def test_every_src_name_has_a_caller_outside_the_tests():
 
 def test_the_scan_sees_definitions_and_reads():
     defined = set(src_definitions())
-    assert {"forge.OrganMask", "geometry.check_runs", "jsonl.rle_decode"} <= defined
+    assert {"forge.OrganMask", "geometry.ChunkedRuns", "jsonl.rle_decode"} <= defined
     read = names_read()
-    assert {"OrganMask", "check_runs", "rle_decode", "item_loss_and_grads"} <= read
+    assert {"OrganMask", "ChunkedRuns", "rle_decode", "item_loss_and_grads"} <= read
 
 
 def test_every_src_import_is_read_by_its_module():
