@@ -74,13 +74,13 @@ class OrganMask:
 
     Its sides are `geometry.Side`s, as its image's are. The runs alternate
     zeros and ones, zeros first, and must sum to height * width; `area`,
-    the set-pixel count, is the sum of the odd runs. The runs are
-    converted and checked by `geometry.ChunkedRuns`, as a chunk of one
-    line, after their shape and dtype (`geometry.runs_array`): the mask
-    keeps a read-only int64 view of immutable bytes, so the caller's array
-    is left as it was, and the mask's runs cannot be made writeable again,
-    so they cannot drift from its area. A mask read by `jsonl.read_masks`
-    keeps such a view of its chunk's buffer. A dense mask is encoded with
+    the set-pixel count, is the sum of the odd runs. The runs, a list, a
+    tuple or an int array but no bool, are converted and checked as a
+    chunk of one line (`geometry.ChunkedRuns.of_line`): the mask keeps a
+    read-only int64 view of immutable bytes, so the caller's array is left
+    as it was, and the mask's runs cannot be made writeable again, so they
+    cannot drift from its area. A mask read by `jsonl.read_masks` keeps
+    such a view of its chunk's buffer. A dense mask is encoded with
     `geometry.encode_runs`. The label and area are checked by
     `organ_masks`, after the dims and runs.
     """

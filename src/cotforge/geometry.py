@@ -9,6 +9,7 @@ Coordinate conventions used throughout:
 """
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Annotated, Sequence, Tuple
@@ -40,6 +41,9 @@ GridDims = Annotated[Tuple[PositiveInt, PositiveInt], Rule(
 # besides a chunk's padding. The passes split their inputs themselves; no
 # other module reads it.
 FORGE_CHUNK = 1 << 14
+
+# The fault of RLE runs that are not all non-negative integers.
+NOT_RUNS = "RLE runs must be non-negative integers"
 
 
 @dataclass(frozen=True)
@@ -125,40 +129,25 @@ def encode_runs(mask) -> np.ndarray:
     return runs
 
 
-def runs_array(runs) -> np.ndarray:
-    """RLE runs as a 1-D integer array, the given array itself when it is
-    one (an empty list reads as int64). Raises ValidationError for any other
-    shape or dtype; `ChunkedRuns` checks the values."""
-    try:
-        runs = np.asarray(runs)
-        if runs.size == 0:  # an empty list reads as float64
-            runs = runs.astype(np.int64)
-        valid = runs.ndim == 1 and runs.dtype.kind in "iu"
-    except ValueError:  # ragged nesting
-        valid = False
-    if not valid:
-        raise ValidationError("RLE runs must be non-negative integers")
-    return runs
-
-
 def _runs_fault(runs, total):
-    """The message of runs that fail their check against total:
-    `runs_array`'s fault, or else the fault of their values in Python ints."""
+    """The message of one line's runs that fail their check against total,
+    worded by their values: their sum, when every run is an integer
+    (`operator.index` takes it, and it is no bool) and none is negative."""
     try:
-        values = runs_array(runs).tolist()
-    except ValidationError as exc:
-        return str(exc)
-    if min(values, default=0) < 0:
-        return "RLE runs must be non-negative integers"
+        values = [operator.index(run) for run in runs]
+    except TypeError:  # a float, a string, None, a list
+        return NOT_RUNS
+    if bool in map(type, runs) or min(values, default=0) < 0:
+        return NOT_RUNS
     return f"RLE runs sum to {sum(values)}, expected {total}"
 
 
 class ChunkedRuns:
     """Lines' RLE runs made int64 arrays and checked a chunk of lines at a time.
 
-    `add(runs, total)` queues a line's runs, a list or an int array, with
-    its pixel total, the count of two `Side`s. The queued lines are packed
-    and checked when the next line's runs would take them past FORGE_CHUNK
+    `add(runs, total)` queues a line's runs, a list of ints, with its pixel
+    total, the count of two `Side`s. The queued lines are packed and
+    checked when the next line's runs would take them past FORGE_CHUNK
     runs, so a chunk holds at most FORGE_CHUNK runs or a single line, and
     at most one chunk's lists are held; `flush` packs and checks what is
     queued. Each line is padded with zero runs to an even length of at
@@ -167,12 +156,11 @@ class ChunkedRuns:
     every line's bounds and sum, and the odd slots its area. A line passes
     only with every run in [0, total], so its sums are exact (a wrap would
     take 2**37 runs), and its array, a view of the buffer, is read-only
-    for good. `struct` takes only ints within int64, where `runs_array`
-    gives the same values: it refuses a float (2.0 too), a string, null, a
-    nested list and anything outside int64, though not a bool, which the
-    caller must refuse. A chunk it refuses is packed again a line at a
-    time; a line it refuses gets `runs_array`'s fault, or, a uint64 array
-    past int64, the fault of its sum.
+    for good. `struct` takes only ints within int64: it refuses a float
+    (2.0 too), a string, null, a nested list and anything outside int64,
+    though not a bool, which the caller must refuse. A chunk it refuses is
+    packed again a line at a time. A faulty line's message follows its
+    values alone (`_runs_fault`), however they were given.
 
     After a flush, arrays[k] is line k's array, or None when the line is
     faulty, areas[k] the sum of its odd runs (meaningless for a faulty
@@ -185,9 +173,14 @@ class ChunkedRuns:
 
     @classmethod
     def of_line(cls, runs, total):
-        """One line's `runs_array(runs)` checked against total, flushed."""
+        """One line's runs, a list, a tuple or an array (read with `tolist`),
+        checked against total and flushed; a bool or a non-sequence raises."""
+        if isinstance(runs, np.ndarray):
+            runs = runs.tolist()
+        if not isinstance(runs, (list, tuple)) or bool in map(type, runs):
+            raise ValidationError(NOT_RUNS)
         line = cls()
-        line.add(runs_array(runs), total)  # numpy ints: a refused line keeps its dtype
+        line.add(runs, total)
         line.flush()
         return line
 

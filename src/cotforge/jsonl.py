@@ -18,7 +18,7 @@ import numpy as np
 from .errors import (JSON_SPACE, Record, ValidationError, checked, open_text, parse_json,
                      read_object)
 from .forge import ImageRecord, VqaCotRecord, organ_masks
-from .geometry import ChunkedRuns, Side
+from .geometry import NOT_RUNS, ChunkedRuns, Side
 
 
 @contextlib.contextmanager
@@ -135,7 +135,7 @@ def read_masks(path, images_by_id):
                     f"image {line.image_id!r} dims {(image.height, image.width)}"
                 )
             if _holds_json_boolean(text, line.rle):  # it would read as 1 or 0
-                raise ValidationError(f"{where()}: RLE runs must be non-negative integers")
+                raise ValidationError(f"{where()}: {NOT_RUNS}")
             lines.append((line.organ_label, line.height, line.width))
             sources.append((where, line.image_id))
             runs.add(line.rle, line.height * line.width)

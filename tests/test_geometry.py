@@ -24,7 +24,7 @@ from cotforge.geometry import (
     kl_rows,
     mask_iou,
 )
-from cotforge.forge import ImageRecord
+from cotforge.forge import ImageRecord, OrganMask
 from cotforge.jsonl import read_masks, rle_decode
 from oracles import (
     SoftMask,
@@ -361,24 +361,26 @@ class TestChunkEdges:
             assert max(count for counts in buffers_seen for count in counts) > 1
 
 
+NOT_RUNS = "RLE runs must be non-negative integers"
+
+
 def reference_check(runs, total):
-    """One run array's area, or the message of its first fault, in Python
-    integers."""
-    values = runs.tolist()
+    """One run list's or array's area, or the message of its first fault,
+    in Python integers."""
+    values = [int(run) for run in runs]
     if min(values, default=0) < 0:
-        return "RLE runs must be non-negative integers"
+        return NOT_RUNS
     if sum(values) != total:
         return f"RLE runs sum to {sum(values)}, expected {total}"
     return sum(values[1::2])
 
 
 def reference_line(line, total):
-    """`reference_check` of a run list made an array by `runs_array`, or
-    the message of the array's fault."""
-    try:
-        return reference_check(geometry.runs_array(line), total)
-    except ValidationError as exc:
-        return str(exc)
+    """`reference_check` of a run list whose runs are all ints or numpy
+    integers, none a bool, or else the message of a list that is not."""
+    if all(isinstance(run, (int, np.integer)) and type(run) is not bool for run in line):
+        return reference_check(line, total)
+    return NOT_RUNS
 
 
 def outcomes(runs):
@@ -387,8 +389,9 @@ def outcomes(runs):
     return [runs.faults.get(k, area) for k, area in enumerate(runs.areas)]
 
 
-def checked_runs(masks_runs, totals, convert=geometry.runs_array):
-    """A flushed ChunkedRuns of run arrays, each added as OrganMask adds one."""
+def checked_runs(masks_runs, totals, convert=np.ndarray.tolist):
+    """A flushed ChunkedRuns of run arrays, each added as `ChunkedRuns.of_line`
+    adds one."""
     runs = ChunkedRuns()
     for mask_runs, total in zip(masks_runs, totals):
         runs.add(convert(mask_runs), total)
@@ -451,10 +454,52 @@ class TestChunkedRunsCheck:
                              np.array([8, 0])], [8, 8, 8, 8])
         assert got == ["RLE runs sum to 0, expected 8", 0, 8, 0]
 
+    def test_runs_past_int64_are_worded_by_their_values(self):
+        # numpy reads the first list as float64; the fault follows the values
+        lines = [[3, 2**63, 4085], [2**64], [np.int64(3), np.uint64(2**63), 4085]]
+        assert outcomes(checked_runs(lines, [4096] * 3, convert=list)) == [
+            f"RLE runs sum to {2**63 + 4088}, expected 4096",
+            f"RLE runs sum to {2**64}, expected 4096",
+            f"RLE runs sum to {2**63 + 4088}, expected 4096"]
+
+
+@pytest.mark.parametrize("build", [lambda runs: OrganMask("liver", runs, 64, 64),
+                                   lambda runs: rle_decode(runs, 64, 64)],
+                         ids=["OrganMask", "rle_decode"])
+@pytest.mark.parametrize("runs, fault", [
+    ([4000, True, 95], NOT_RUNS),  # True would read as 1
+    ([4000, np.True_, 95], NOT_RUNS),
+    (np.array([False, True]), NOT_RUNS),
+    (np.array([4000, 96.0]), NOT_RUNS),
+    (np.array([[4000, 96]]), NOT_RUNS),
+    (np.int64(4096), NOT_RUNS),
+    ("4096", NOT_RUNS),
+    ([3, 2**63, 4085], f"RLE runs sum to {2**63 + 4088}, expected 4096"),
+    ([2**64], f"RLE runs sum to {2**64}, expected 4096"),
+    ([np.int64(3), np.uint64(2**63), 4085], f"RLE runs sum to {2**63 + 4088}, expected 4096"),
+    (np.array([3, 2**63, 4085], dtype=np.uint64),
+     f"RLE runs sum to {2**63 + 4088}, expected 4096"),
+], ids=["true", "numpy-true", "bool-array", "float-array", "2-d-array", "scalar", "str",
+        "past-int64", "past-uint64", "numpy-ints", "uint64-array"])
+def test_a_library_callers_runs_are_worded_by_their_values(build, runs, fault):
+    # a bool is no run, and a fault is worded as a mask file's line would be
+    with pytest.raises(ValidationError, match=f"^{fault}$"):
+        build(runs)
+
+
+@pytest.mark.parametrize("runs", [[4000, 96], (4000, 96), np.array([4000, 96], dtype=np.uint16),
+                                  np.array([4000, 96], dtype=np.uint64),
+                                  [np.int16(4000), np.uint64(96)]])
+def test_a_library_caller_gives_runs_as_a_list_a_tuple_or_an_int_array(runs):
+    mask = OrganMask("liver", runs, 64, 64)
+    assert mask.runs.dtype == np.int64 and mask.runs.tolist() == [4000, 96] and mask.area == 96
+    assert rle_decode(runs, 64, 64).sum() == 96
+
 
 # a run that is no int64, or no int at all
 ODD_RUNS = st.one_of(
-    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1]),
+    st.sampled_from([2**63 - 1, 2**63, 2**64 - 1, 2**64, -(2**63), -(2**63) - 1,
+                     np.uint64(2**63), np.uint64(2**64 - 1), np.int64(-1), np.float64(2.0)]),
     st.floats(), st.text(max_size=2), st.none(), st.lists(st.integers(0, 9), max_size=2))
 
 
@@ -464,7 +509,7 @@ def run_lines(draw, total):
     cuts = sorted(draw(st.lists(st.integers(0, total), max_size=6)))
     line = [stop - start for start, stop in zip([0, *cuts], [*cuts, total])]
     kind = draw(st.sampled_from(
-        ["good", "good", "sum", "wrap", "negative", "empty", "nested", "odd", "uint64"]))
+        ["good", "good", "sum", "wrap", "negative", "empty", "nested", "odd", "numpy", "uint64"]))
     at = draw(st.integers(0, len(line) - 1))
     if kind == "sum":
         line[at] += draw(st.sampled_from([-1, 1]))
@@ -478,7 +523,10 @@ def run_lines(draw, total):
         line = [[run] for run in line]
     elif kind == "odd":
         line.insert(at, draw(ODD_RUNS))
-    elif kind == "uint64":  # only runs past int64 make a uint64 array
+    elif kind == "numpy":  # numpy ints, as a library caller may list them
+        line = [np.int64(run) for run in line]
+        line.insert(at, draw(ODD_RUNS))
+    elif kind == "uint64":  # runs past int64, which numpy reads as uint64
         line = draw(st.lists(st.integers(2**63, 2**64 - 1), min_size=1, max_size=3))
     return line
 

@@ -452,6 +452,12 @@ BUILD_CASES = [
      "field 'height' must be an integer, got a number"),
     ("mask-height-bool", lambda: OrganMask("liver", [0, 1], True, 1),
      "field 'height' must be an integer, got true or false"),
+    ("scenario-domain-key-int",
+     lambda: DynamicsSpec(name="x", epochs=1, domains={1: {"easy": StageDynamics(1, CURVE)}}),
+     "field 'domains' must be an object with string keys, got an integer"),
+    ("scenario-stage-key-int",
+     lambda: DynamicsSpec(name="x", epochs=1, domains={"a|b": {1: StageDynamics(1, CURVE)}}),
+     "field 'domains[\"a|b\"]' must be an object with string keys, got an integer"),
 ]
 
 
