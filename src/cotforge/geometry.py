@@ -16,15 +16,15 @@ from typing import Annotated, Sequence, Tuple
 
 import numpy as np
 
-from .errors import PositiveInt, Record, Rule, ValidationError, checked, in_range
+from .errors import (NonNegative, Positive, PositiveInt, Record, Rule, ValidationError, checked,
+                     in_range)
 
 # Most image pixels in one stacked soft-mask build: 32 MiB of float64.
 MAX_SOFT_MASK_PIXELS = 1 << 22
 
-# Largest accepted image side in pixels (a full-field mammogram fits) and blur sigma.
+# Largest accepted image side in pixels (a full-field mammogram fits).
 MAX_IMAGE_SIDE = 8192
 Side = Annotated[int, in_range(1, MAX_IMAGE_SIDE)]
-Sigma = Annotated[float, in_range(0, MAX_IMAGE_SIDE)]
 # a soft-mask image: one mask's build peaks at a few float64 copies of it
 ImageDims = Annotated[Tuple[Side, Side], Rule(
     lambda dims: dims[0] * dims[1] <= MAX_SOFT_MASK_PIXELS,
@@ -327,8 +327,24 @@ def _average_pool(grid: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return out
 
 
+def soft_mask_params(image_dims, grid_dims, sigma, mask_floor):
+    """The soft-mask arguments as stored, by HarnessParams' rules: sigma <= the larger side."""
+    image_dims = (height, width) = checked("image_dims", image_dims, ImageDims)
+    grid_dims = (gh, gw) = checked("grid_dims", grid_dims, GridDims)
+    sigma = checked("sigma", sigma, NonNegative)
+    mask_floor = checked("mask_floor", mask_floor, Positive)
+    if gh > height or gw > width:
+        raise ValidationError(
+            f"grid_dims {list(grid_dims)} must not exceed image_dims {list(image_dims)}")
+    if not mask_floor < 1.0 / (gh * gw):
+        raise ValidationError(f"mask_floor must lie in (0, 1/{gh * gw})")
+    if not sigma <= max(image_dims):
+        raise ValidationError(f"sigma must lie in [0, {max(image_dims)}], the larger image dim")
+    return image_dims, grid_dims, sigma, mask_floor
+
+
 def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
-                    floor=1e-6) -> np.ndarray:
+                    mask_floor=1e-6) -> np.ndarray:
     """Soft attention targets for boxes, as one ``(n, gh, gw)`` stack: each
     box rasterized, blurred, pooled, floored and normalized.
 
@@ -337,7 +353,7 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     pooling reduces the image raster to the grid, the pooled mass is
     normalized to a distribution, and the floor is added to every cell
     before the final renormalization, so every cell ends up
-    >= floor / (1 + gh*gw*floor).
+    >= mask_floor / (1 + gh*gw*mask_floor).
 
     The raster itself is never built. Each of its columns is the box's row
     indicator or all zeros, and the blur filters each column alike, so the
@@ -346,17 +362,11 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     runs on the image. The filter treats every line of a stack alike, so
     each mask of the stack equals the mask built on its own, bit for bit;
     that lets a long list build in chunks of at most ``MAX_SOFT_MASK_PIXELS``
-    image pixels, which bounds the stack's memory; ``image_dims`` follows
-    ``ImageDims``, so a chunk holds at least one mask.
+    image pixels, which bounds the stack's memory; the arguments follow
+    ``soft_mask_params``, so a chunk holds at least one mask.
     """
-    height, width = checked("image_dims", image_dims, ImageDims)
-    gh, gw = checked("grid_dims", grid_dims, GridDims)
-    if gh > height or gw > width:
-        raise ValidationError(f"grid dims {grid_dims} must be in [1, image dims]")
-    sigma = checked("sigma", sigma, Sigma)
-    floor = checked("floor", floor, float)
-    if not 0.0 < floor < 1.0 / (gh * gw):
-        raise ValidationError(f"floor must lie in (0, 1/{gh * gw})")
+    (height, width), (gh, gw), sigma, mask_floor = soft_mask_params(
+        image_dims, grid_dims, sigma, mask_floor)
     from scipy.ndimage import gaussian_filter  # here: only soft masks need scipy
     n = len(boxes)
     masks = np.empty((n, gh, gw))
@@ -382,11 +392,11 @@ def build_soft_mask(boxes: Sequence[BBox], image_dims, grid_dims, sigma=0.0,
     # a row of a 2-D sum adds up in the order a 1-D sum does
     flat = masks.reshape(n, gh * gw)
     flat /= flat.sum(axis=1, keepdims=True)
-    flat += floor
+    flat += mask_floor
     flat /= flat.sum(axis=1, keepdims=True)
     if np.any(np.abs(flat.sum(axis=1) - 1.0) > 1e-9):
         raise ValidationError("soft mask must sum to 1")
-    if flat.min(initial=np.inf) < floor / (1.0 + gh * gw * floor) - 1e-12:
+    if flat.min(initial=np.inf) < mask_floor / (1.0 + gh * gw * mask_floor) - 1e-12:
         raise ValidationError("soft mask cell below the floor bound")
     return masks
 

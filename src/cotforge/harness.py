@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NonNegative, NonNegativeInt, Positive, PositiveInt, Record, ValidationError
 from .forge import VqaCotRecord
-from .geometry import GridDims, ImageDims, box_span, build_soft_mask
+from .geometry import GridDims, ImageDims, box_span, build_soft_mask, soft_mask_params
 from .scheduler import CurriculumScheduler, EpochReport, SchedulerHyperparams, Stage, Trace
 from .toymodel import FeatureDim, StageLossWeights, ToyModel
 
@@ -45,17 +45,7 @@ class HarnessParams(Record):
 
     def __post_init__(self):
         super().__post_init__()
-        # the soft-mask rules of build_soft_mask, checked before any training
-        (height, width), (gh, gw) = self.image_dims, self.grid_dims
-        if gh > height or gw > width:
-            raise ValidationError(
-                f"grid_dims {list(self.grid_dims)} must not exceed "
-                f"image_dims {list(self.image_dims)}")
-        if not self.mask_floor < 1.0 / (gh * gw):
-            raise ValidationError(f"mask_floor must lie in (0, 1/{gh * gw})")
-        if not self.sigma <= max(height, width):
-            raise ValidationError(
-                f"sigma must lie in [0, {max(height, width)}], the larger image dim")
+        soft_mask_params(self.image_dims, self.grid_dims, self.sigma, self.mask_floor)
 
 
 def run_toy_training(records: Sequence[VqaCotRecord],
@@ -102,8 +92,7 @@ def run_toy_training(records: Sequence[VqaCotRecord],
             if fresh:
                 targets.update(zip(fresh, build_soft_mask(
                     [records[idx].box for idx in fresh], params.image_dims,
-                    params.grid_dims, sigma=params.sigma,
-                    floor=params.mask_floor)))
+                    params.grid_dims, sigma=params.sigma, mask_floor=params.mask_floor)))
             batch = [(i, hard, None) for i in plan.hard_indices.tolist()]
             batch += [(idx, stage, targets[idx] if stage is medium else None)
                       for idx, stage in zip(main, plan.main_stages)]

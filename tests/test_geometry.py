@@ -25,6 +25,7 @@ from cotforge.geometry import (
     mask_iou,
 )
 from cotforge.forge import ImageRecord, OrganMask
+from cotforge.harness import HarnessParams
 from cotforge.jsonl import read_masks, rle_decode
 from oracles import (
     SoftMask,
@@ -639,7 +640,7 @@ class TestMaskIou:
 
 def soft_mask(box, image_dims, grid_dims, sigma, floor):
     """One box's soft mask, from a stacked build of one."""
-    masks = build_soft_mask([box], image_dims, grid_dims, sigma=sigma, floor=floor)
+    masks = build_soft_mask([box], image_dims, grid_dims, sigma=sigma, mask_floor=floor)
     assert masks.shape == (1,) + tuple(grid_dims)
     return masks[0]
 
@@ -693,7 +694,7 @@ class TestBuildSoftMask:
         # the soft mask by one cell
         base = BBox(0.0, 0.25, 0.25, 0.5)
         shifted = BBox(0.25, 0.25, 0.5, 0.5)
-        a, b = build_soft_mask([base, shifted], (64, 64), (4, 4), sigma=0.0, floor=1e-6)
+        a, b = build_soft_mask([base, shifted], (64, 64), (4, 4), sigma=0.0, mask_floor=1e-6)
         assert np.allclose(np.roll(a, 1, axis=1), b, atol=1e-15)
 
     @given(
@@ -721,14 +722,16 @@ class TestBuildSoftMask:
                 oracle_build_soft_mask(box, (64, 64), (4, 4), sigma=sigma, floor=1e-6)
             for boxes in ([box], [good, good, box]):
                 with pytest.raises(ValidationError) as got:
-                    build_soft_mask(boxes, (64, 64), (4, 4), sigma=sigma, floor=1e-6)
+                    build_soft_mask(boxes, (64, 64), (4, 4), sigma=sigma, mask_floor=1e-6)
                 assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("grid_dims", [(9, 2), (2, 9)])
     def test_grid_dims_outside_one_to_the_image_dims_rejected(self, grid_dims):
-        with pytest.raises(ValidationError, match=r"must be in \[1, image dims\]$"):
+        with pytest.raises(ValidationError) as info:
             build_soft_mask([BBox(0.0, 0.0, 0.5, 0.5)], (8, 8), grid_dims,
-                            sigma=0.0, floor=1e-6)
+                            sigma=0.0, mask_floor=1e-6)
+        assert str(info.value) == (
+            f"grid_dims {list(grid_dims)} must not exceed image_dims [8, 8]")
 
     @pytest.mark.parametrize("grid_dims, fault", [
         ((0, 2), "grid_dims[0]' must be at least 1, got 0"),
@@ -743,12 +746,17 @@ class TestBuildSoftMask:
             build_soft_mask([BBox(0.1, 0.1, 0.5, 0.5)], (128, 128), grid_dims)
         assert str(info.value) == f"field '{fault}"
 
-    def test_floor_range_validated(self):
-        box = BBox(0.0, 0.0, 0.5, 0.5)
-        with pytest.raises(ValidationError):
-            build_soft_mask([box], (8, 8), (2, 2), sigma=0.0, floor=0.0)
-        with pytest.raises(ValidationError):
-            build_soft_mask([box], (8, 8), (2, 2), sigma=0.0, floor=0.25)
+    @pytest.mark.parametrize("floor, fault", [
+        (0.0, "field 'mask_floor' must be positive, got 0.0"),
+        (-1e-6, "field 'mask_floor' must be positive, got -1e-06"),
+        (0.25, "mask_floor must lie in (0, 1/4)"),
+        (0.5, "mask_floor must lie in (0, 1/4)"),
+    ])
+    def test_floor_range_validated(self, floor, fault):
+        with pytest.raises(ValidationError) as info:
+            build_soft_mask([BBox(0.0, 0.0, 0.5, 0.5)], (8, 8), (2, 2), sigma=0.0,
+                            mask_floor=floor)
+        assert str(info.value) == fault
 
     @pytest.mark.parametrize("floor, fault", [
         (None, "must be a number, got null"),
@@ -758,29 +766,81 @@ class TestBuildSoftMask:
     def test_a_floor_that_is_not_a_number_is_rejected(self, floor, fault):
         # these once ended in a bare TypeError from the range test
         with pytest.raises(ValidationError) as info:
-            build_soft_mask([BBox(0.0, 0.0, 0.5, 0.5)], (8, 8), (2, 2), floor=floor)
-        assert str(info.value) == f"field 'floor' {fault}"
+            build_soft_mask([BBox(0.0, 0.0, 0.5, 0.5)], (8, 8), (2, 2), mask_floor=floor)
+        assert str(info.value) == f"field 'mask_floor' {fault}"
 
-    @pytest.mark.parametrize("sigma", [-0.5, math.nan, math.inf, 1e308, 8192.5])
-    def test_sigma_outside_zero_to_the_largest_image_side_rejected(self, sigma):
+    @pytest.mark.parametrize("sigma, fault", [
+        (-0.5, "field 'sigma' must be non-negative, got -0.5"),
+        (math.nan, "field 'sigma' must be a finite number, got nan"),
+        (math.inf, "field 'sigma' must be a finite number, got inf"),
+        (1e308, "sigma must lie in [0, 8], the larger image dim"),
+        (8192.5, "sigma must lie in [0, 8], the larger image dim"),
+        (8.5, "sigma must lie in [0, 8], the larger image dim"),
+    ])
+    def test_sigma_outside_zero_to_the_largest_image_side_rejected(self, sigma, fault):
         # NaN used to build the sigma-0 mask; inf and 1e308 overflowed in scipy
-        message = r"^field 'sigma' must (lie in \[0, 8192\]|be a finite number), got "
-        with pytest.raises(ValidationError, match=message):
+        with pytest.raises(ValidationError) as info:
             build_soft_mask([BBox(0.0, 0.0, 0.5, 0.5)], (8, 8), (2, 2), sigma=sigma)
+        assert str(info.value) == fault
 
-    def test_the_largest_sigma_builds_on_a_small_image(self):
-        # a sigma far above the image's sides stays valid
-        [mask] = build_soft_mask([BBox(0.0, 0.0, 0.5, 0.5)], (8, 8), (2, 2), sigma=8192.0)
-        assert mask.shape == (2, 2) and mask.sum() == pytest.approx(1.0)
+    def test_the_largest_sigma_is_the_larger_image_side(self):
+        # a sigma above the larger side is refused, as the harness refuses it:
+        # its blur's work grows with pixels times sigma
+        box = BBox(0.0, 0.0, 0.5, 0.5)
+        with pytest.raises(ValidationError) as info:
+            build_soft_mask([box], (8, 6), (2, 2), sigma=math.nextafter(8.0, math.inf))
+        assert str(info.value) == "sigma must lie in [0, 8], the larger image dim"
+        [mask] = build_soft_mask([box], (8, 6), (2, 2), sigma=8.0)
+        want = oracle_build_soft_mask(box, (8, 6), (2, 2), sigma=8.0)
+        assert np.array_equal(mask, want.grid)
 
     def test_no_boxes_give_an_empty_stack(self):
-        masks = build_soft_mask([], (64, 48), (8, 6), sigma=16.0, floor=1e-6)
+        masks = build_soft_mask([], (64, 48), (8, 6), sigma=16.0, mask_floor=1e-6)
         assert masks.shape == (0, 8, 6)
+
+
+def raised(call, *args, **kwargs):
+    """The ValidationError message that ``call`` raises, or None."""
+    try:
+        call(*args, **kwargs)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def mostly(good, bad):
+    """Draws of ``good`` nine times in ten, else of ``bad``."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 9 else good)
+
+
+SIDES = mostly(st.integers(1, 12), st.sampled_from([0, -1, 8193, 2.0, True]))
+DIMS = mostly(st.tuples(SIDES, SIDES), st.sampled_from([(8,), [4, 4], None, "8x8"]))
+
+
+@given(
+    image_dims=DIMS,
+    grid_dims=DIMS,
+    # integers hit the larger side exactly
+    sigma=mostly(st.integers(0, 13) | st.floats(-1.0, 13.0),
+                 st.sampled_from([math.nextafter(8.0, math.inf), math.nan, math.inf,
+                                  None, "1"])),
+    mask_floor=mostly(st.floats(1e-6, 0.1) | st.integers(1, 64).map(lambda cells: 1 / cells),
+                      st.sampled_from([0.0, -1e-6, 0, 1, math.nan, None, True])),
+)
+@settings(max_examples=300, deadline=None)
+def test_soft_mask_rules_agree_with_the_harness(image_dims, grid_dims, sigma, mask_floor):
+    """``build_soft_mask`` refuses exactly the soft-mask arguments that
+    ``HarnessParams`` refuses, with the same message."""
+    want = raised(HarnessParams, image_dims=image_dims, grid_dims=grid_dims,
+                  sigma=sigma, mask_floor=mask_floor)
+    got = raised(build_soft_mask, [BBox(0.0, 0.0, 1.0, 1.0)], image_dims, grid_dims,
+                 sigma=sigma, mask_floor=mask_floor)
+    assert got == want
 
 
 def assert_soft_masks_match_oracle(boxes, image_dims, grid_dims, sigma, floor=1e-6):
     """One stacked build equals the oracle's build of each box on its own."""
-    got = build_soft_mask(boxes, image_dims, grid_dims, sigma=sigma, floor=floor)
+    got = build_soft_mask(boxes, image_dims, grid_dims, sigma=sigma, mask_floor=floor)
     assert got.shape == (len(boxes),) + tuple(grid_dims)
     for box, mask in zip(boxes, got):
         want = oracle_build_soft_mask(box, image_dims, grid_dims, sigma=sigma, floor=floor)
@@ -810,8 +870,10 @@ class TestSoftMaskMatchesOracle:
         for _ in range(150):
             gh, gw = (int(v) for v in rng.integers(1, 9, size=2))
             bh, bw = (int(v) for v in rng.integers(1, 13, size=2))
-            sigma = float(rng.choice([0.0, 0.7, 2.5, 16.0]))
             image_dims = (gh * bh, gw * bw)
+            # capped at the larger side, as build_soft_mask caps it, so a
+            # small image draws the side itself
+            sigma = min(float(rng.choice([0.0, 0.7, 2.5, 16.0])), max(image_dims))
             assert_soft_masks_match_oracle(
                 random_boxes(rng, 0.3, image_dims), image_dims, (gh, gw), sigma)
 
@@ -821,7 +883,7 @@ class TestSoftMaskMatchesOracle:
             h, w = (int(v) for v in rng.integers(2, 80, size=2))
             gh = int(rng.integers(1, h + 1))
             gw = int(rng.integers(1, w + 1))
-            sigma = float(rng.choice([0.0, 0.7, 2.5, 16.0]))
+            sigma = min(float(rng.choice([0.0, 0.7, 2.5, 16.0])), max(h, w))
             assert_soft_masks_match_oracle(
                 random_boxes(rng, 0.5, (h, w)), (h, w), (gh, gw), sigma)
 
@@ -875,7 +937,7 @@ class TestSoftMaskMatchesOracle:
 
     def test_a_stack_of_one_box_repeated(self):
         box = BBox(0.2, 0.3, 0.7, 0.6)
-        masks = build_soft_mask([box] * 5, (64, 64), (8, 8), sigma=16.0, floor=0.01)
+        masks = build_soft_mask([box] * 5, (64, 64), (8, 8), sigma=16.0, mask_floor=0.01)
         assert all(np.array_equal(mask, masks[0]) for mask in masks)
         assert_soft_masks_match_oracle([box] * 5, (64, 64), (8, 8), 16.0, floor=0.01)
 
@@ -910,11 +972,11 @@ class TestSoftMaskChunks:
 
         def peak(budget):
             monkeypatch.setattr(geometry, "MAX_SOFT_MASK_PIXELS", budget)
-            build_soft_mask(boxes[:1], (side, side), (8, 8), sigma=4.0, floor=1e-4)
+            build_soft_mask(boxes[:1], (side, side), (8, 8), sigma=4.0, mask_floor=1e-4)
             tracemalloc.start()
             try:
                 masks = build_soft_mask(boxes, (side, side), (8, 8), sigma=4.0,
-                                        floor=1e-4)
+                                        mask_floor=1e-4)
                 return tracemalloc.get_traced_memory()[1], masks
             finally:
                 tracemalloc.stop()

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotforge import harness
 from cotforge.dynamics import DynamicsSpec, builtin_scenario_path, run_dynamics_sim
@@ -267,3 +269,70 @@ def test_the_item_by_item_trainer_reproduces_the_ten_epoch_golden():
                      ValidationError)
     rows = oracle_train(read_corpus(FIXTURES / "toy_corpus.jsonl"), params, hp)
     assert compare_traces(rows, golden, TRACE_REL) == []
+
+
+@st.composite
+def toy_runs(draw):
+    """A small corpus, ``HarnessParams`` and ``SchedulerHyperparams``: grids
+    that divide the image (``bw == 1`` among them) and grids that do not,
+    pools near the batch size, and Medium and Hard items from the first
+    epoch on when warmup is 0."""
+    gh, gw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        bw = draw(st.just(1) | st.integers(1, 5))
+        image_dims = (gh * draw(st.integers(1, 5)), gw * bw)
+    else:
+        image_dims = (draw(st.integers(gh, 20)), draw(st.integers(gw, 20)))
+    height, width = image_dims
+    records = []
+    for k in range(draw(st.integers(2, 8))):
+        # whole-pixel edges: every box covers a pixel center
+        r0, c0 = draw(st.integers(0, height - 1)), draw(st.integers(0, width - 1))
+        r1, c1 = draw(st.integers(r0 + 1, height)), draw(st.integers(c0 + 1, width))
+        lesion = draw(st.sampled_from(["mass", "cyst"]))
+        organ = draw(st.sampled_from(["liver", "kidney", "lung"]))
+        cot = f"The image shows a {lesion}. It is in the {organ}."
+        records.append(record(f"i{k}", BBox(c0 / width, r0 / height, c1 / width, r1 / height),
+                              organ, cot + draw(st.sampled_from(["", " It is small."])),
+                              lesion=lesion, modality=draw(st.sampled_from(["CT", "MR"]))))
+    params = HarnessParams(
+        epochs=draw(st.integers(1, 4)), batch_size=draw(st.integers(1, len(records) + 1)),
+        batches_per_epoch=draw(st.integers(1, 3)), lr=draw(st.floats(0.001, 0.1)),
+        seed=draw(st.integers(0, 2**16)), image_dims=image_dims, grid_dims=(gh, gw),
+        feature_dim=draw(st.integers(1, 4)),
+        sigma=draw(st.sampled_from([0.0, float(max(image_dims))])
+                   | st.floats(0.0, max(image_dims))),
+        mask_floor=draw(st.floats(1e-6, 0.5 / (gh * gw))))
+    lambda_hard_max = draw(st.sampled_from([0.3, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    hp = SchedulerHyperparams(
+        warmup_epochs=draw(st.sampled_from([0, 0, 1])), kappa=draw(st.floats(1.0, 3.0)),
+        gamma=draw(st.floats(-10.0, 0.2)), q=draw(st.integers(1, 3)),
+        eps_plateau=draw(st.floats(0.0, 1.0)), eps_cot=draw(st.floats(0.0, 2.0)),
+        lambda_hard_max=lambda_hard_max,
+        lambda_hard_init=draw(st.just(lambda_hard_max) | st.floats(0.0, lambda_hard_max)))
+    return records, params, hp
+
+
+def rows_or_error(train, *args):
+    """The epoch rows of a toy run, as JSON parses them, or its ValidationError message."""
+    try:
+        return train(*args), None
+    except ValidationError as exc:
+        return None, str(exc)
+
+
+@given(run=toy_runs())
+@settings(max_examples=100, deadline=None)
+def test_the_item_by_item_trainer_reproduces_random_runs(run):
+    # the batch code's Hard path, both pooling branches and the steps of
+    # whole runs, each against the per-item oracles; an exhausted pool
+    # fails alike on both sides
+    def batched(*args):
+        return [json.loads(json.dumps(r.to_json_dict()))
+                for r in run_toy_training(*args).reports]
+
+    got, got_error = rows_or_error(batched, *run)
+    want, want_error = rows_or_error(oracle_train, *run)
+    assert got_error == want_error
+    if want_error is None:
+        assert compare_traces(got, want, TRACE_REL) == []

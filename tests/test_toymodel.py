@@ -63,7 +63,7 @@ def item_grads(model, idx, stage, **kwargs):
 
 def targets_for(model):
     return list(build_soft_mask([r.box for r in model.items], IMAGE_DIMS,
-                                GRID_DIMS, sigma=0.0, floor=1e-4))
+                                GRID_DIMS, sigma=0.0, mask_floor=1e-4))
 
 
 class TestConstruction:
@@ -231,7 +231,7 @@ class TestItemGradsOracle:
         target = None
         if stage is Stage.MEDIUM:
             [target] = build_soft_mask([model.items[idx].box], IMAGE_DIMS, (3, 3),
-                                       sigma=2.0, floor=1e-3)
+                                       sigma=2.0, mask_floor=1e-3)
         want = oracle_item_grads(model, idx, stage, target)
 
         def f(vec):
@@ -345,7 +345,7 @@ def batch_step_peak_bytes(records, indices, stages):
     """tracemalloc peak of one batch gradient plus its step, default model."""
     model = ToyModel(records)
     targets = [build_soft_mask([records[i].box], (64, 64), model.grid_dims,
-                               sigma=16.0, floor=0.01)[0]
+                               sigma=16.0, mask_floor=0.01)[0]
                if s == Stage.MEDIUM else None for i, s in zip(indices, stages)]
     # one untraced batch first, so one-time allocations are not counted
     model.step(model.batch_loss_and_grads(indices, stages, targets)[1], 0.005)
